@@ -15,6 +15,7 @@ from .errors import (
     CutoffNotConverged,
     CutoffTooSmall,
     InvalidParams,
+    NonFinite,
     NonPositiveData,
     NotInSuperradiantRegime,
     RegimeError,
@@ -91,5 +92,4 @@ from .experiments import (
     experiment_ids,
     fit_loglog_slope,
     run,
-    sweep_map,
 )

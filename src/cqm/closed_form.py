@@ -15,6 +15,7 @@ effective oscillator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +107,19 @@ def _normal_gaps(params: ModelParams):
 # variance of the divergence-scale generator term
 # ----------------------------------------------------------------------
 
-def _quadrature_matrices(dim: int):
+@functools.lru_cache(maxsize=16)
+def _quadrature_squares(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (Re(P^2), X^2) at one state dimension, built once per process.
+
+    Re(P^2) - s*X^2 equals (P^2 - s*X^2).real bit for bit, since X^2 is real.
+    """
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
     x = (a + a.T) / np.sqrt(2.0)
     p = 1j * (a.T - a) / np.sqrt(2.0)
-    return x, p
+    p2, x2 = (p @ p).real, x @ x
+    p2.setflags(write=False)
+    x2.setflags(write=False)
+    return p2, x2
 
 
 def _bare_generator_variance(state: BosonInitialState, stiffness: float) -> float:
@@ -128,8 +137,8 @@ def _bare_generator_variance(state: BosonInitialState, stiffness: float) -> floa
             "state occupies the top two Fock slots; enlarge the basis so the "
             "quadratic operator acts exactly"
         )
-    x, p = _quadrature_matrices(dim)
-    op = (p @ p - stiffness * (x @ x)).real  # real symmetric
+    p2, x2 = _quadrature_squares(dim)
+    op = p2 - stiffness * x2  # real symmetric
     op_amps = op @ amps
     mean = np.real(np.vdot(amps, op_amps))
     second = np.real(np.vdot(op_amps, op_amps))

@@ -42,6 +42,10 @@ class StepUnstable(CqmError):
     """Fixed-step integration failed the step-halving accuracy check."""
 
 
+class NonFinite(CqmError):
+    """A computed value that should be finite is NaN or infinite."""
+
+
 class NonPositiveData(CqmError):
     """Log-log fitting requires strictly positive data."""
 

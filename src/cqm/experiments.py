@@ -10,6 +10,11 @@ are CSV files with a '#'-prefixed JSON metadata header carrying the full
 resolved config, so a dataset can be regenerated bit-identically (the wall
 time field is the only non-deterministic entry).
 
+Every experiment is one entry of ``_REGISTRY``: its config keys, its
+engines, how its config splits into cells, its output columns per engine,
+their units, and the module-level function that computes one cell.  Adding
+an experiment means adding one registry entry.
+
 Cells (the unit of parallelism and of resume) fail independently: a failed
 cell is recorded in its rows' status column and the run continues.  Re-running
 onto an existing output with an identical config recomputes failed cells only.
@@ -21,15 +26,17 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .errors import CqmError, ConfigError, NonPositiveData, RegimeError
+from .errors import ConfigError, NonFinite, NonPositiveData
 from .model import ModelParams, Regime, effective_oscillator
 from . import closed_form as cf
 from . import fock
@@ -37,10 +44,12 @@ from . import lindblad as lb
 
 _STATUS_OK = "ok"
 _STATUS_SATURATED = "saturated"
+_META_COLUMNS = ["cell", "status"]
+_U_T = "1/omega"
 
 
 # ----------------------------------------------------------------------
-# config keys, parsing, experiment registry
+# config keys and parsing
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -73,125 +82,6 @@ _COMMON = {
     "state_dim": _Key("6", "int", "Fock dimension of the reference initial state"),
 }
 
-_EXPERIMENTS: dict[str, dict] = {
-    "qfi-evolution": {
-        "doc": "QFI vs time for couplings near a tuned critical point",
-        "engines": ("closed", "oracle", "both"),
-        "engine": "closed",
-        "keys": {
-            **_COMMON,
-            "lam": _Key("-0.2475", "float", "quadratic-term strength"),
-            "g": _Key("0.097,0.098,0.099", "grid", "couplings, one curve per value"),
-            "t": _Key("0:1000:200", "grid", "time grid (units of 1/omega)"),
-        },
-    },
-    "qfi-vs-g": {
-        "doc": "QFI vs coupling at a fixed time for several lambda values",
-        "engines": ("closed",),
-        "engine": "closed",
-        "keys": {
-            **_COMMON,
-            "lam": _Key("0,-0.05,-0.10,-0.15,-0.20", "grid", "quadratic strengths"),
-            "g": _Key("0.02:1.10:200", "grid", "coupling grid"),
-            "t": _Key("1000", "float", "evaluation time"),
-        },
-    },
-    "qfi-map": {
-        "doc": "log10 QFI on a dense lambda-g grid at a fixed time",
-        "engines": ("closed",),
-        "engine": "closed",
-        "keys": {
-            **_COMMON,
-            "lam": _Key("-0.245:0.25:100", "grid", "lambda grid (rows)"),
-            "g": _Key("0.02:1.40:139", "grid", "coupling grid (columns)"),
-            "t": _Key("1000", "float", "evaluation time"),
-        },
-    },
-    "quadrature-vs-g": {
-        "doc": "quadrature mean vs coupling at a fixed time",
-        "engines": ("closed", "oracle", "both"),
-        "engine": "closed",
-        "keys": {
-            **_COMMON,
-            "lam": _Key("0,-0.2,-0.247", "grid", "quadratic strengths"),
-            "g": _Key("0.02:1.20:220", "grid", "coupling grid"),
-            "t": _Key("75", "float", "evaluation time"),
-        },
-    },
-    "inverted-variance": {
-        "doc": "inverted-variance evolution for paired (g, lambda) cases",
-        "engines": ("closed", "oracle", "both"),
-        "engine": "closed",
-        "keys": {
-            **_COMMON,
-            "g": _Key("0.9,0.1,0.1", "grid", "couplings, zipped with lam"),
-            "lam": _Key("0,0,-0.247", "grid", "quadratic strengths, zipped with g"),
-            "t_per": _Key("0:5:400", "grid", "time grid in units of tau_1 per case"),
-        },
-    },
-    "ratio-scaling": {
-        "doc": "peak inverted variance over QFI vs peak index",
-        "engines": ("closed", "oracle", "both"),
-        "engine": "both",
-        "keys": {
-            **_COMMON,
-            "g": _Key("0.9,0.1", "grid", "couplings, zipped with lam"),
-            "lam": _Key("0,-0.247", "grid", "quadratic strengths, zipped with g"),
-            "n": _Key("1:20:20", "grid", "peak indices"),
-        },
-    },
-    "frequency-scaling": {
-        "doc": "relative discrepancy of the inverted variance vs Omega/omega",
-        "engines": ("both",),
-        "engine": "both",
-        "keys": {
-            **_COMMON,
-            "g": _Key("0.9,0.1", "grid", "couplings, zipped with lam"),
-            "lam": _Key("0,-0.247", "grid", "quadratic strengths, zipped with g"),
-            "eta": _Key("1e2,3e2,1e3,3e3,1e4", "grid", "frequency ratios Omega/omega"),
-            "n": _Key("1", "int", "peak index of the comparison time tau_n"),
-        },
-    },
-    "decoherence": {
-        "doc": "dissipative quadrature dynamics and inverted variance",
-        "engines": ("closed", "oracle", "both"),
-        "engine": "both",
-        "keys": {
-            **_COMMON,
-            "g": _Key("0.1,0.1", "grid", "couplings, zipped with lam"),
-            "lam": _Key("0,-0.247", "grid", "quadratic strengths, zipped with g"),
-            "gamma_minus": _Key("0.01", "float", "decay minus heating rate"),
-            "gamma_plus": _Key("0.03", "float", "decay plus heating rate"),
-            "t_per": _Key("0:10:600", "grid", "time grid in units of tau_1 per case"),
-        },
-    },
-}
-
-
-def experiment_ids() -> list[str]:
-    return list(_EXPERIMENTS)
-
-
-def config_reference(experiment: str | None = None) -> str:
-    """Human-readable reference of config keys, defaults, and output columns."""
-    names = [experiment] if experiment else experiment_ids()
-    out = io.StringIO()
-    for name in names:
-        if name not in _EXPERIMENTS:
-            raise ConfigError(f"unknown experiment '{name}'")
-        entry = _EXPERIMENTS[name]
-        out.write(f"{name}: {entry['doc']}\n")
-        out.write(f"  engines: {', '.join(entry['engines'])} (default {entry['engine']})\n")
-        for key, kd in entry["keys"].items():
-            out.write(f"  {key:<12} [{kd.kind:>5}] default={kd.default!r:<22} {kd.doc}\n")
-        for engine in entry["engines"]:
-            cols, _ = _columns_for(
-                ExperimentConfig(name, engine, {})
-            )
-            out.write(f"  columns ({engine}): {', '.join(cols)}\n")
-        out.write("\n")
-    return out.getvalue().rstrip("\n")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -211,6 +101,367 @@ class ExperimentConfig:
     def hash(self) -> str:
         payload = json.dumps(self.canonical(), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+# ----------------------------------------------------------------------
+# shared column and row layout
+# ----------------------------------------------------------------------
+
+def _compared(engine: str, quantities: list[str], n_cut: bool = True) -> list[str]:
+    """Columns of quantities both engines compute: each name once for one
+    engine; for 'both' a closed/oracle/deviation triplet per name, where a
+    lone quantity's deviation column is plain rel_dev.  The accepted Fock
+    cutoff follows whenever the oracle ran (unless ``n_cut`` is off)."""
+    if engine != "both":
+        cols = list(quantities)
+    elif len(quantities) == 1:
+        cols = [f"{quantities[0]}_closed", f"{quantities[0]}_oracle", "rel_dev"]
+    else:
+        cols = [f"{q}_{kind}" for q in quantities for kind in ("closed", "oracle", "rel_dev")]
+    return cols + (["n_cut"] if n_cut and engine != "closed" else [])
+
+
+def _rel_dev(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
+    """Deviation relative to the closed-form curve scale (sup-norm style)."""
+    scale = np.abs(closed).max()
+    if scale == 0.0:
+        scale = 1.0
+    return np.abs(oracle - closed) / scale
+
+
+def _compared_rows(
+    engine: str,
+    base: dict,
+    ts,
+    closed: dict[str, np.ndarray],
+    oracle: dict[str, np.ndarray] | None = None,
+    n_cut: int | None = None,
+) -> list[dict]:
+    """One row per time, with the columns ``_compared`` names."""
+    if engine == "both":
+        series = []
+        for q in closed:
+            series += [closed[q], oracle[q], _rel_dev(closed[q], oracle[q])]
+    else:
+        series = list((closed if engine == "closed" else oracle).values())
+    names = _compared(engine, list(closed), n_cut=False)
+    extra = {} if n_cut is None else {"n_cut": n_cut}
+    return [
+        {**base, "t": t, **{name: s[i] for name, s in zip(names, series)}, **extra}
+        for i, t in enumerate(ts)
+    ]
+
+
+# ----------------------------------------------------------------------
+# per-experiment cell computation (module level: pool workers reach them
+# through _REGISTRY by experiment id)
+# ----------------------------------------------------------------------
+
+def _params(v: dict, g: float, lam: float) -> ModelParams:
+    return ModelParams(omega=v["omega"], Omega=v["Omega"], g=float(g), lam=float(lam))
+
+
+def _qfi_row(v: dict, lam: float, g: float, state) -> dict:
+    """Closed-form QFI at one (lam, g) from the matching regime's formula;
+    saturated on the critical line."""
+    params = _params(v, g, lam)
+    regime = effective_oscillator(params).regime
+    row = {"lam": lam, "g": g, "t": v["t"], "regime": regime.value}
+    if regime is Regime.NORMAL:
+        row["qfi"] = float(cf.qfi_g(params, v["t"], cf.var_n(state, params)).value)
+    elif regime is Regime.SUPERRADIANT:
+        row["qfi"] = float(cf.qfi_g_beyond(params, v["t"], cf.var_n_beyond(state, params)).value)
+    else:
+        row.update(qfi=np.inf, status=_STATUS_SATURATED)
+    return row
+
+
+def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+    v = cfg.values
+    state = cf.default_initial_state(v["state_dim"])
+    params = _params(v, cell["g"], v["lam"])
+    base = {"lam": v["lam"], "g": cell["g"]}
+    closed = {"qfi": cf.qfi_g(params, v["t"], cf.var_n(state, params)).value}
+    if cfg.engine == "closed":
+        return _compared_rows(cfg.engine, base, v["t"], closed)
+    oracle, n_cut = fock.generator_qfi_grid(params, v["t"], psi0=state, return_n_cut=True)
+    return _compared_rows(cfg.engine, base, v["t"], closed, {"qfi": oracle}, n_cut)
+
+
+def _qfi_vs_g(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+    state = cf.default_initial_state(cfg.values["state_dim"])
+    return [_qfi_row(cfg.values, cell["lam"], cell["g"], state)]
+
+
+def _qfi_map(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+    state = cf.default_initial_state(cfg.values["state_dim"])
+    rows = [_qfi_row(cfg.values, cell["lam"], g, state) for g in cfg.values["g"]]
+    for row in rows:
+        row["log10_qfi"] = float(np.log10(row["qfi"]))
+    return rows
+
+
+def _quadrature_vs_g(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+    v = cfg.values
+    params = _params(v, cell["g"], cell["lam"])
+    regime = effective_oscillator(params).regime
+    base = {"lam": cell["lam"], "g": cell["g"], "regime": regime.value}
+    if regime is Regime.CRITICAL:
+        return [{**base, "t": v["t"], "status": _STATUS_SATURATED}]
+    x_mean = cf.x_mean if regime is Regime.NORMAL else cf.x_mean_beyond
+    closed = {"x_mean": np.atleast_1d(x_mean(params, v["t"]))}
+    if cfg.engine == "closed":
+        return _compared_rows(cfg.engine, base, [v["t"]], closed)
+    state = cf.default_initial_state(v["state_dim"])
+    series = fock.quadrature_series(params, [v["t"]], psi0=state)
+    return _compared_rows(cfg.engine, base, [v["t"]], closed,
+                          {"x_mean": series.x_mean}, series.n_cut)
+
+
+def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+    v = cfg.values
+    params = _params(v, cell["g"], cell["lam"])
+    ts = v["t_per"] * float(cf.optimal_times(params, 1)[0])
+    base = {"lam": cell["lam"], "g": cell["g"]}
+    closed = {
+        "x_mean": np.atleast_1d(cf.x_mean(params, ts)),
+        "x_deriv_g": np.atleast_1d(cf.x_deriv_g(params, ts)),
+        "x_var": np.atleast_1d(cf.x_variance(params, ts)),
+        "inv_var": np.atleast_1d(cf.inverted_variance(params, ts)),
+    }
+    if cfg.engine == "closed":
+        return _compared_rows(cfg.engine, base, ts, closed)
+    series = fock.quadrature_series(params, ts, psi0=cf.default_initial_state(v["state_dim"]))
+    oracle = {q: getattr(series, q) for q in closed}  # QuadratureSeries names them alike
+    return _compared_rows(cfg.engine, base, ts, closed, oracle, series.n_cut)
+
+
+def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+    v = cfg.values
+    state = cf.default_initial_state(v["state_dim"])
+    params = _params(v, cell["g"], cell["lam"])
+    ns = np.asarray(v["n"], dtype=int)  # validated integers >= 1
+    taus = cf.optimal_times(params, int(ns.max()))[ns - 1]
+    analytic = cf.ig_fg_ratio(state, params)
+    rows = [{"lam": cell["lam"], "g": cell["g"], "n": int(n), "tau_n": tau,
+             "ratio_analytic": analytic} for n, tau in zip(ns, taus)]
+    if cfg.engine == "closed":
+        return rows
+    series = fock.quadrature_series(params, taus, psi0=state)
+    numeric = series.inv_var / fock.generator_qfi_grid(params, taus, psi0=state)
+    for row, ratio in zip(rows, numeric):
+        row.update(ratio_numeric=ratio, rel_dev=abs(ratio - analytic) / analytic,
+                   n_cut=series.n_cut)
+    return rows
+
+
+def _frequency_scaling(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+    v = cfg.values
+    params = _params(v, cell["g"], cell["lam"])
+    point = fock.finite_frequency_point(params, cell["eta"], n=v["n"])
+    return [{
+        "lam": cell["lam"], "g": cell["g"], "eta": point.eta, "n": point.n,
+        "tau_n": point.tau, "inv_var_exact": point.inv_var_exact,
+        "inv_var_limit": point.inv_var_limit, "delta": point.delta,
+        "abs_delta": abs(point.delta), "n_cut": point.n_cut,
+    }]
+
+
+def _decoherence(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+    v = cfg.values
+    params = _params(v, cell["g"], cell["lam"])
+    rates = lb.DecayRates.from_plus_minus(v["gamma_plus"], v["gamma_minus"])
+    ts = v["t_per"] * float(cf.optimal_times(params, 1)[0])
+    base = {"lam": cell["lam"], "g": cell["g"],
+            "gamma_minus": rates.gamma_minus, "gamma_plus": rates.gamma_plus}
+    closed = {
+        "x_mean": np.atleast_1d(lb.x_mean_dissipative(params, rates, ts)),
+        "x_var": np.atleast_1d(lb.x_variance_dissipative(params, rates, ts)),
+        "inv_var": np.atleast_1d(lb.inverted_variance_dissipative(params, rates, ts)),
+    }
+    if cfg.engine == "closed":
+        return _compared_rows(cfg.engine, base, ts, closed)
+    # the ODE runs from t = 0; prepend it when the grid starts later
+    ode_ts = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
+    skip = len(ode_ts) - len(ts)
+    traj = lb.integrate_moments(lb.REFERENCE_STATE_MOMENTS, params, rates, ode_ts)
+    dxdg = np.atleast_1d(lb.x_deriv_g_dissipative(params, rates, ts))
+    oracle = {
+        "x_mean": traj.moment("x")[skip:],
+        "x_var": traj.x_variance()[skip:],
+        "inv_var": dxdg**2 / traj.x_variance()[skip:],
+    }
+    return _compared_rows(cfg.engine, base, ts, closed, oracle)
+
+
+# ----------------------------------------------------------------------
+# the experiment registry
+# ----------------------------------------------------------------------
+
+@dataclass(frozen=True, kw_only=True)
+class _Experiment:
+    """Everything the runner knows about one experiment.
+
+    ``engine`` is the default engine.  ``keys`` come on top of the keys
+    every experiment has (``_COMMON``),
+    ``cells(values)`` splits a resolved config into cells (dicts of the
+    per-cell parameters), ``columns(engine)`` lists the physics columns, and
+    ``compute(cfg, cell)`` returns that cell's rows (column -> value; a row
+    without a "status" entry is ok).
+    """
+
+    doc: str
+    engines: tuple[str, ...] = ("closed", "oracle", "both")
+    engine: str = "closed"
+    keys: dict[str, _Key]
+    cells: Callable[[dict], list[dict]]
+    columns: Callable[[str], list[str]]
+    units: dict[str, str]
+    compute: Callable[[ExperimentConfig, dict], list[dict]]
+
+
+def _zipped_cells(v: dict) -> list[dict]:
+    return [{"g": g, "lam": lam} for g, lam in zip(v["g"], v["lam"])]
+
+
+def _lam_g_cells(v: dict) -> list[dict]:
+    return [{"lam": lam, "g": g} for lam in v["lam"] for g in v["g"]]
+
+
+_REGISTRY: dict[str, _Experiment] = {
+    "qfi-evolution": _Experiment(
+        doc="QFI vs time for couplings near a tuned critical point",
+        keys={
+            "lam": _Key("-0.2475", "float", "quadratic-term strength"),
+            "g": _Key("0.097,0.098,0.099", "grid", "couplings, one curve per value"),
+            "t": _Key("0:1000:200", "grid", "time grid (units of 1/omega)"),
+        },
+        cells=lambda v: [{"g": g} for g in v["g"]],
+        columns=lambda engine: ["lam", "g", "t"] + _compared(engine, ["qfi"]),
+        units={"t": _U_T, "qfi": "1", "qfi_closed": "1", "qfi_oracle": "1"},
+        compute=_qfi_evolution,
+    ),
+    "qfi-vs-g": _Experiment(
+        doc="QFI vs coupling at a fixed time for several lambda values",
+        engines=("closed",),
+        keys={
+            "lam": _Key("0,-0.05,-0.10,-0.15,-0.20", "grid", "quadratic strengths"),
+            "g": _Key("0.02:1.10:200", "grid", "coupling grid"),
+            "t": _Key("1000", "float", "evaluation time"),
+        },
+        cells=_lam_g_cells,
+        columns=lambda engine: ["lam", "g", "t", "regime", "qfi"],
+        units={"t": _U_T, "qfi": "1"},
+        compute=_qfi_vs_g,
+    ),
+    "qfi-map": _Experiment(
+        doc="log10 QFI on a dense lambda-g grid at a fixed time",
+        engines=("closed",),
+        keys={
+            "lam": _Key("-0.245:0.25:100", "grid", "lambda grid (rows)"),
+            "g": _Key("0.02:1.40:139", "grid", "coupling grid (columns)"),
+            "t": _Key("1000", "float", "evaluation time"),
+        },
+        cells=lambda v: [{"lam": lam} for lam in v["lam"]],
+        columns=lambda engine: ["lam", "g", "t", "log10_qfi"],
+        units={"t": _U_T, "log10_qfi": "1"},
+        compute=_qfi_map,
+    ),
+    "quadrature-vs-g": _Experiment(
+        doc="quadrature mean vs coupling at a fixed time",
+        keys={
+            "lam": _Key("0,-0.2,-0.247", "grid", "quadratic strengths"),
+            "g": _Key("0.02:1.20:220", "grid", "coupling grid"),
+            "t": _Key("75", "float", "evaluation time"),
+        },
+        cells=_lam_g_cells,
+        columns=lambda engine: ["lam", "g", "t", "regime"] + _compared(engine, ["x_mean"]),
+        units={"t": _U_T, "x_mean": "1"},
+        compute=_quadrature_vs_g,
+    ),
+    "inverted-variance": _Experiment(
+        doc="inverted-variance evolution for paired (g, lambda) cases",
+        keys={
+            "g": _Key("0.9,0.1,0.1", "grid", "couplings, zipped with lam"),
+            "lam": _Key("0,0,-0.247", "grid", "quadratic strengths, zipped with g"),
+            "t_per": _Key("0:5:400", "grid", "time grid in units of tau_1 per case"),
+        },
+        cells=_zipped_cells,
+        columns=lambda engine: ["lam", "g", "t"] + _compared(
+            engine, ["x_mean", "x_deriv_g", "x_var", "inv_var"]),
+        units={"t": _U_T},
+        compute=_inverted_variance,
+    ),
+    "ratio-scaling": _Experiment(
+        doc="peak inverted variance over QFI vs peak index",
+        engine="both",
+        keys={
+            "g": _Key("0.9,0.1", "grid", "couplings, zipped with lam"),
+            "lam": _Key("0,-0.247", "grid", "quadratic strengths, zipped with g"),
+            "n": _Key("1:20:20", "grid", "peak indices"),
+        },
+        cells=_zipped_cells,
+        columns=lambda engine: ["lam", "g", "n", "tau_n", "ratio_analytic"] + (
+            [] if engine == "closed" else ["ratio_numeric", "rel_dev", "n_cut"]),
+        units={"tau_n": _U_T},
+        compute=_ratio_scaling,
+    ),
+    "frequency-scaling": _Experiment(
+        doc="relative discrepancy of the inverted variance vs Omega/omega",
+        engines=("both",),
+        engine="both",
+        keys={
+            "g": _Key("0.9,0.1", "grid", "couplings, zipped with lam"),
+            "lam": _Key("0,-0.247", "grid", "quadratic strengths, zipped with g"),
+            "eta": _Key("1e2,3e2,1e3,3e3,1e4", "grid", "frequency ratios Omega/omega"),
+            "n": _Key("1", "int", "peak index of the comparison time tau_n"),
+        },
+        cells=lambda v: [{**case, "eta": eta} for case in _zipped_cells(v) for eta in v["eta"]],
+        columns=lambda engine: ["lam", "g", "eta", "n", "tau_n", "inv_var_exact",
+                                "inv_var_limit", "delta", "abs_delta", "n_cut"],
+        units={"tau_n": _U_T},
+        compute=_frequency_scaling,
+    ),
+    "decoherence": _Experiment(
+        doc="dissipative quadrature dynamics and inverted variance",
+        engine="both",
+        keys={
+            "g": _Key("0.1,0.1", "grid", "couplings, zipped with lam"),
+            "lam": _Key("0,-0.247", "grid", "quadratic strengths, zipped with g"),
+            "gamma_minus": _Key("0.01", "float", "decay minus heating rate"),
+            "gamma_plus": _Key("0.03", "float", "decay plus heating rate"),
+            "t_per": _Key("0:10:600", "grid", "time grid in units of tau_1 per case"),
+        },
+        cells=_zipped_cells,
+        columns=lambda engine: ["lam", "g", "gamma_minus", "gamma_plus", "t"] + _compared(
+            engine, ["x_mean", "x_var", "inv_var"], n_cut=False),
+        units={"t": _U_T, "gamma_minus": "omega", "gamma_plus": "omega"},
+        compute=_decoherence,
+    ),
+}
+
+
+def experiment_ids() -> list[str]:
+    return list(_REGISTRY)
+
+
+def config_reference(experiment: str | None = None) -> str:
+    """Human-readable reference of config keys, defaults, and output columns."""
+    names = [experiment] if experiment else experiment_ids()
+    out = io.StringIO()
+    for name in names:
+        if name not in _REGISTRY:
+            raise ConfigError(f"unknown experiment '{name}'")
+        entry = _REGISTRY[name]
+        out.write(f"{name}: {entry.doc}\n")
+        out.write(f"  engines: {', '.join(entry.engines)} (default {entry.engine})\n")
+        for key, kd in {**_COMMON, **entry.keys}.items():
+            out.write(f"  {key:<12} [{kd.kind:>5}] default={kd.default!r:<22} {kd.doc}\n")
+        for engine in entry.engines:
+            cols = entry.columns(engine) + _META_COLUMNS
+            out.write(f"  columns ({engine}): {', '.join(cols)}\n")
+        out.write("\n")
+    return out.getvalue().rstrip("\n")
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -235,13 +486,14 @@ def build_config(
     engine: str | None = None,
 ) -> ExperimentConfig:
     """Resolve defaults, an optional config file, and --set overrides."""
-    if experiment not in _EXPERIMENTS:
+    if experiment not in _REGISTRY:
         raise ConfigError(
             f"unknown experiment '{experiment}'; choose from {', '.join(experiment_ids())}"
         )
-    entry = _EXPERIMENTS[experiment]
-    raw = {k: kd.default for k, kd in entry["keys"].items()}
-    chosen_engine = entry["engine"]
+    entry = _REGISTRY[experiment]
+    keys = {**_COMMON, **entry.keys}
+    raw = {k: kd.default for k, kd in keys.items()}
+    chosen_engine = entry.engine
     file_values = read_config_file(config_file) if config_file else {}
     if isinstance(overrides, dict):
         override_values = dict(overrides)
@@ -257,18 +509,18 @@ def build_config(
             if key == "engine":
                 chosen_engine = value
                 continue
-            if key not in entry["keys"]:
+            if key not in keys:
                 raise ConfigError(f"unknown key '{key}' for experiment '{experiment}'")
             raw[key] = value
     if engine is not None:
         chosen_engine = engine
-    if chosen_engine not in entry["engines"]:
+    if chosen_engine not in entry.engines:
         raise ConfigError(
             f"engine '{chosen_engine}' not supported by '{experiment}' "
-            f"(choose from {', '.join(entry['engines'])})"
+            f"(choose from {', '.join(entry.engines)})"
         )
     try:
-        values = {k: _parse_value(raw[k], kd.kind) for k, kd in entry["keys"].items()}
+        values = {k: _parse_value(raw[k], kd.kind) for k, kd in keys.items()}
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad value in config for '{experiment}': {exc}") from exc
     cfg = ExperimentConfig(experiment, chosen_engine, values)
@@ -278,13 +530,19 @@ def build_config(
 
 def _validate_config(cfg: ExperimentConfig) -> None:
     v = cfg.values
+    for key, value in v.items():
+        if np.size(value) == 0:
+            raise ConfigError(f"grid '{key}' is empty")
+        if not np.all(np.isfinite(value)):
+            raise ConfigError(f"'{key}' must be finite")
     if not v["omega"] > 0 or not v["Omega"] > 0:
         raise ConfigError("omega and Omega must be positive")
     if v.get("state_dim", 6) < 5:
         raise ConfigError("state_dim must be >= 5")
-    for key in ("g", "lam", "t", "t_per", "eta", "n"):
-        if key in v and np.size(v[key]) == 0:
-            raise ConfigError(f"grid '{key}' is empty")
+    if "n" in v:
+        ns = np.atleast_1d(v["n"])
+        if np.any(ns < 1) or np.any(ns != np.floor(ns)):
+            raise ConfigError(f"peak indices n = {ns.tolist()} must be integers >= 1")
     zipped = {"inverted-variance", "ratio-scaling", "frequency-scaling", "decoherence"}
     if cfg.experiment in zipped and np.size(v["g"]) != np.size(v["lam"]):
         raise ConfigError("g and lam are zipped case lists and must have equal length")
@@ -329,13 +587,22 @@ class Dataset:
         return {int(r[c]) for r in self.rows if r[s].startswith("failed")}
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            meta = dict(self.metadata)
-            meta["columns"] = {c: self.units.get(c, "") for c in self.columns}
-            fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.columns)
-            writer.writerows(self.rows)
+        """Write through a temporary file beside ``path`` and rename it into
+        place, so a failed write leaves any earlier file at ``path`` intact."""
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "w", newline="", encoding="utf-8") as fh:
+                meta = dict(self.metadata)
+                meta["columns"] = {c: self.units.get(c, "") for c in self.columns}
+                fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(self.columns)
+                writer.writerows(self.rows)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def read_csv(cls, path: str) -> "Dataset":
@@ -351,313 +618,21 @@ class Dataset:
         return cls(columns, units, rows, metadata)
 
 
-# ----------------------------------------------------------------------
-# per-experiment cell computation
-# ----------------------------------------------------------------------
-
-def _params(v: dict, g: float, lam: float) -> ModelParams:
-    return ModelParams(omega=v["omega"], Omega=v["Omega"], g=float(g), lam=float(lam))
-
-
-def _qfi_any_regime(params: ModelParams, t, state) -> tuple[str, np.ndarray]:
-    """(regime name, QFI values) from the matching closed form."""
-    regime = effective_oscillator(params).regime
-    if regime is Regime.NORMAL:
-        return regime.value, np.atleast_1d(cf.qfi_g(params, t, cf.var_n(state, params)).value)
-    if regime is Regime.SUPERRADIANT:
-        return regime.value, np.atleast_1d(
-            cf.qfi_g_beyond(params, t, cf.var_n_beyond(state, params)).value
-        )
-    raise RegimeError("on the critical line")
-
-
-def _cells_for(cfg: ExperimentConfig) -> list[dict]:
-    v = cfg.values
-    name = cfg.experiment
-    if name == "qfi-evolution":
-        return [{"g": g} for g in v["g"]]
-    if name in ("qfi-vs-g", "quadrature-vs-g"):
-        return [{"lam": lam, "g": g} for lam in v["lam"] for g in v["g"]]
-    if name == "qfi-map":
-        return [{"lam": lam} for lam in v["lam"]]
-    if name in ("inverted-variance", "ratio-scaling", "decoherence"):
-        return [{"g": g, "lam": lam} for g, lam in zip(v["g"], v["lam"])]
-    if name == "frequency-scaling":
-        return [
-            {"g": g, "lam": lam, "eta": eta}
-            for g, lam in zip(v["g"], v["lam"])
-            for eta in v["eta"]
-        ]
-    raise ConfigError(f"unknown experiment '{name}'")
-
-
-def _columns_for(cfg: ExperimentConfig) -> tuple[list[str], dict]:
-    both = cfg.engine == "both"
-    name = cfg.experiment
-    meta = ["cell", "status"]
-    u_t = "1/omega"
-    if name == "qfi-evolution":
-        cols = ["lam", "g", "t", "qfi_closed", "qfi_oracle", "rel_dev", "n_cut"] if both else (
-            ["lam", "g", "t", "qfi", "n_cut"] if cfg.engine == "oracle" else ["lam", "g", "t", "qfi"]
-        )
-        units = {"t": u_t, "qfi": "1", "qfi_closed": "1", "qfi_oracle": "1"}
-    elif name == "qfi-vs-g":
-        cols = ["lam", "g", "t", "regime", "qfi"]
-        units = {"t": u_t, "qfi": "1"}
-    elif name == "qfi-map":
-        cols = ["lam", "g", "t", "log10_qfi"]
-        units = {"t": u_t, "log10_qfi": "1"}
-    elif name == "quadrature-vs-g":
-        base = ["lam", "g", "t", "regime"]
-        if both:
-            cols = base + ["x_mean_closed", "x_mean_oracle", "rel_dev", "n_cut"]
-        elif cfg.engine == "oracle":
-            cols = base + ["x_mean", "n_cut"]
-        else:
-            cols = base + ["x_mean"]
-        units = {"t": u_t, "x_mean": "1"}
-    elif name == "inverted-variance":
-        phys = ["x_mean", "x_deriv_g", "x_var", "inv_var"]
-        if both:
-            cols = ["lam", "g", "t"]
-            for p in phys:
-                cols += [f"{p}_closed", f"{p}_oracle", f"{p}_rel_dev"]
-            cols += ["n_cut"]
-        elif cfg.engine == "oracle":
-            cols = ["lam", "g", "t"] + phys + ["n_cut"]
-        else:
-            cols = ["lam", "g", "t"] + phys
-        units = {"t": u_t}
-    elif name == "ratio-scaling":
-        cols = ["lam", "g", "n", "tau_n", "ratio_analytic"]
-        if cfg.engine in ("oracle", "both"):
-            cols += ["ratio_numeric", "rel_dev", "n_cut"]
-        units = {"tau_n": u_t}
-    elif name == "frequency-scaling":
-        cols = ["lam", "g", "eta", "n", "tau_n", "inv_var_exact", "inv_var_limit",
-                "delta", "abs_delta", "n_cut"]
-        units = {"tau_n": u_t}
-    elif name == "decoherence":
-        phys = ["x_mean", "x_var", "inv_var"]
-        cols = ["lam", "g", "gamma_minus", "gamma_plus", "t"]
-        if both:
-            for p in phys:
-                cols += [f"{p}_closed", f"{p}_oracle", f"{p}_rel_dev"]
-        else:
-            cols += phys
-        units = {"t": u_t, "gamma_minus": "omega", "gamma_plus": "omega"}
-    else:
-        raise ConfigError(f"unknown experiment '{name}'")
-    return cols + meta, units
-
-
-def _rel_dev(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
-    """Deviation relative to the closed-form curve scale (sup-norm style)."""
-    scale = np.abs(closed).max()
-    if scale == 0.0:
-        scale = 1.0
-    return np.abs(oracle - closed) / scale
-
-
-def _compute_cell(cfg: ExperimentConfig, cell: dict) -> list[dict]:
-    """Rows (column -> python value) for one cell; may raise CqmError."""
-    v = cfg.values
-    name = cfg.experiment
-    engine = cfg.engine
-    state = cf.default_initial_state(v["state_dim"])
-
-    if name == "qfi-evolution":
-        params = _params(v, cell["g"], v["lam"])
-        ts = v["t"]
-        closed = cf.qfi_g(params, ts, cf.var_n(state, params)).value
-        rows = []
-        if engine == "closed":
-            for t, q in zip(ts, closed):
-                rows.append({"lam": v["lam"], "g": cell["g"], "t": t, "qfi": q})
-            return rows
-        oracle, n_cut = fock.generator_qfi_grid(params, ts, psi0=state, return_n_cut=True)
-        if engine == "oracle":
-            for t, q in zip(ts, oracle):
-                rows.append({"lam": v["lam"], "g": cell["g"], "t": t, "qfi": q, "n_cut": n_cut})
-            return rows
-        dev = _rel_dev(closed, oracle)
-        for t, qc, qo, d in zip(ts, closed, oracle, dev):
-            rows.append({
-                "lam": v["lam"], "g": cell["g"], "t": t,
-                "qfi_closed": qc, "qfi_oracle": qo, "rel_dev": d, "n_cut": n_cut,
-            })
-        return rows
-
-    if name == "qfi-vs-g":
-        params = _params(v, cell["g"], cell["lam"])
-        try:
-            regime, q = _qfi_any_regime(params, v["t"], state)
-        except RegimeError:
-            return [{
-                "lam": cell["lam"], "g": cell["g"], "t": v["t"],
-                "regime": Regime.CRITICAL.value, "qfi": np.inf,
-                "status": _STATUS_SATURATED,
-            }]
-        return [{"lam": cell["lam"], "g": cell["g"], "t": v["t"],
-                 "regime": regime, "qfi": float(q[0])}]
-
-    if name == "qfi-map":
-        rows = []
-        for g in v["g"]:
-            params = _params(v, g, cell["lam"])
-            try:
-                _, q = _qfi_any_regime(params, v["t"], state)
-                rows.append({"lam": cell["lam"], "g": g, "t": v["t"],
-                             "log10_qfi": float(np.log10(q[0]))})
-            except RegimeError:
-                rows.append({"lam": cell["lam"], "g": g, "t": v["t"],
-                             "log10_qfi": np.inf, "status": _STATUS_SATURATED})
-        return rows
-
-    if name == "quadrature-vs-g":
-        params = _params(v, cell["g"], cell["lam"])
-        regime = effective_oscillator(params).regime
-        base = {"lam": cell["lam"], "g": cell["g"], "t": v["t"], "regime": regime.value}
-        if regime is Regime.CRITICAL:
-            base["status"] = _STATUS_SATURATED
-            return [base]
-        closed = (
-            cf.x_mean(params, v["t"]) if regime is Regime.NORMAL
-            else cf.x_mean_beyond(params, v["t"])
-        )
-        if engine == "closed":
-            return [{**base, "x_mean": closed}]
-        series = fock.quadrature_series(params, [v["t"]], psi0=state)
-        oracle = float(series.x_mean[0])
-        if engine == "oracle":
-            return [{**base, "x_mean": oracle, "n_cut": series.n_cut}]
-        dev = abs(oracle - closed) / max(abs(closed), 1e-300)
-        return [{**base, "x_mean_closed": closed, "x_mean_oracle": oracle,
-                 "rel_dev": dev, "n_cut": series.n_cut}]
-
-    if name == "inverted-variance":
-        params = _params(v, cell["g"], cell["lam"])
-        tau1 = float(cf.optimal_times(params, 1)[0])
-        ts = v["t_per"] * tau1
-        base = {"lam": cell["lam"], "g": cell["g"]}
-        closed = {
-            "x_mean": np.atleast_1d(cf.x_mean(params, ts)),
-            "x_deriv_g": np.atleast_1d(cf.x_deriv_g(params, ts)),
-            "x_var": np.atleast_1d(cf.x_variance(params, ts)),
-            "inv_var": np.atleast_1d(cf.inverted_variance(params, ts)),
-        }
-        if engine == "closed":
-            return [
-                {**base, "t": t, **{k: closed[k][i] for k in closed}}
-                for i, t in enumerate(ts)
-            ]
-        series = fock.quadrature_series(params, ts, psi0=state)
-        oracle = {"x_mean": series.x_mean, "x_deriv_g": series.x_deriv_g,
-                  "x_var": series.x_var, "inv_var": series.inv_var}
-        if engine == "oracle":
-            return [
-                {**base, "t": t, **{k: oracle[k][i] for k in oracle}, "n_cut": series.n_cut}
-                for i, t in enumerate(ts)
-            ]
-        devs = {k: _rel_dev(closed[k], oracle[k]) for k in closed}
-        rows = []
-        for i, t in enumerate(ts):
-            row = {**base, "t": t, "n_cut": series.n_cut}
-            for k in closed:
-                row[f"{k}_closed"] = closed[k][i]
-                row[f"{k}_oracle"] = oracle[k][i]
-                row[f"{k}_rel_dev"] = devs[k][i]
-            rows.append(row)
-        return rows
-
-    if name == "ratio-scaling":
-        params = _params(v, cell["g"], cell["lam"])
-        ns = np.asarray(np.rint(v["n"]), dtype=int)
-        taus = cf.optimal_times(params, int(ns.max()))
-        analytic = cf.ig_fg_ratio(state, params)
-        rows = []
-        if engine == "closed":
-            for n in ns:
-                rows.append({"lam": cell["lam"], "g": cell["g"], "n": int(n),
-                             "tau_n": taus[n - 1], "ratio_analytic": analytic})
-            return rows
-        sel = taus[ns - 1]
-        series = fock.quadrature_series(params, sel, psi0=state)
-        qfis = fock.generator_qfi_grid(params, sel, psi0=state)
-        numeric = series.inv_var / qfis
-        for i, n in enumerate(ns):
-            rows.append({
-                "lam": cell["lam"], "g": cell["g"], "n": int(n), "tau_n": sel[i],
-                "ratio_analytic": analytic, "ratio_numeric": numeric[i],
-                "rel_dev": abs(numeric[i] - analytic) / analytic,
-                "n_cut": series.n_cut,
-            })
-        return rows
-
-    if name == "frequency-scaling":
-        params = _params(v, cell["g"], cell["lam"])
-        point = fock.finite_frequency_point(params, cell["eta"], n=v["n"])
-        return [{
-            "lam": cell["lam"], "g": cell["g"], "eta": point.eta, "n": point.n,
-            "tau_n": point.tau, "inv_var_exact": point.inv_var_exact,
-            "inv_var_limit": point.inv_var_limit, "delta": point.delta,
-            "abs_delta": abs(point.delta), "n_cut": point.n_cut,
-        }]
-
-    if name == "decoherence":
-        params = _params(v, cell["g"], cell["lam"])
-        rates = lb.DecayRates.from_plus_minus(v["gamma_plus"], v["gamma_minus"])
-        tau1 = float(cf.optimal_times(params, 1)[0])
-        ts = v["t_per"] * tau1
-        base = {"lam": cell["lam"], "g": cell["g"],
-                "gamma_minus": rates.gamma_minus, "gamma_plus": rates.gamma_plus}
-        closed = {
-            "x_mean": np.atleast_1d(lb.x_mean_dissipative(params, rates, ts)),
-            "x_var": np.atleast_1d(lb.x_variance_dissipative(params, rates, ts)),
-            "inv_var": np.atleast_1d(lb.inverted_variance_dissipative(params, rates, ts)),
-        }
-        if engine == "closed":
-            return [{**base, "t": t, **{k: closed[k][i] for k in closed}}
-                    for i, t in enumerate(ts)]
-        # the ODE runs from t = 0; prepend it when the grid starts later
-        ode_ts = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
-        skip = len(ode_ts) - len(ts)
-        traj = lb.integrate_moments(lb.REFERENCE_STATE_MOMENTS, params, rates, ode_ts)
-        dxdg = np.atleast_1d(lb.x_deriv_g_dissipative(params, rates, ts))
-        oracle = {
-            "x_mean": traj.moment("x")[skip:],
-            "x_var": traj.x_variance()[skip:],
-            "inv_var": dxdg**2 / traj.x_variance()[skip:],
-        }
-        if engine == "oracle":
-            return [{**base, "t": t, **{k: oracle[k][i] for k in oracle}}
-                    for i, t in enumerate(ts)]
-        devs = {k: _rel_dev(closed[k], oracle[k]) for k in closed}
-        rows = []
-        for i, t in enumerate(ts):
-            row = {**base, "t": t}
-            for k in closed:
-                row[f"{k}_closed"] = closed[k][i]
-                row[f"{k}_oracle"] = oracle[k][i]
-                row[f"{k}_rel_dev"] = devs[k][i]
-            rows.append(row)
-        return rows
-
-    raise ConfigError(f"unknown experiment '{name}'")
-
-
 def _run_cell(args: tuple) -> tuple[int, list[list[str]]]:
-    """Worker: compute one cell and render its rows as strings."""
-    cfg_canonical, index, cell, columns = args
-    cfg = ExperimentConfig(
-        cfg_canonical["experiment"],
-        cfg_canonical["engine"],
-        {k: (np.asarray(v) if isinstance(v, list) else v)
-         for k, v in cfg_canonical["values"].items()},
-    )
+    """Worker: compute one cell and render its rows as strings.
+
+    Any exception fails this cell alone, as does a non-finite value in a
+    row that would otherwise be marked ok.
+    """
+    cfg, index, cell, columns = args
     try:
-        rows = _compute_cell(cfg, cell)
-    except CqmError as exc:
+        rows = _REGISTRY[cfg.experiment].compute(cfg, cell)
+        for row in rows:
+            if "status" not in row and any(
+                isinstance(x, float) and not math.isfinite(x) for x in row.values()
+            ):
+                raise NonFinite(f"non-finite value in an ok row of cell {index}")
+    except Exception as exc:  # one bad cell must not abort the run
         row = {**{k: cell.get(k, np.nan) for k in ("lam", "g", "eta")},
                "status": f"failed:{type(exc).__name__}"}
         rows = [row]
@@ -685,8 +660,9 @@ def run(
     are recomputed.
     """
     started = time.monotonic()
-    columns, units = _columns_for(cfg)
-    cells = _cells_for(cfg)
+    entry = _REGISTRY[cfg.experiment]
+    columns, units = entry.columns(cfg.engine) + _META_COLUMNS, entry.units
+    cells = entry.cells(cfg.values)
     reuse: dict[int, list[list[str]]] = {}
     if resume is not None:
         if resume.metadata.get("config_hash") != cfg.hash():
@@ -698,8 +674,7 @@ def run(
             if idx not in failed:
                 reuse.setdefault(idx, []).append(row)
     todo = [i for i in range(len(cells)) if i not in reuse]
-    canonical = cfg.canonical()
-    args = [(canonical, i, cells[i], columns) for i in todo]
+    args = [(cfg, i, cells[i], columns) for i in todo]
     results: dict[int, list[list[str]]] = {}
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(args) > 1:
@@ -718,7 +693,7 @@ def run(
     metadata = {
         "experiment": cfg.experiment,
         "engine": cfg.engine,
-        "config": canonical["values"],
+        "config": cfg.canonical()["values"],
         "config_hash": cfg.hash(),
         "version": __version__,
         "cells_total": len(cells),
@@ -745,13 +720,6 @@ def _attach_slopes(dataset: Dataset) -> None:
             "slope": fit.slope, "stderr": fit.stderr,
         }
     dataset.metadata["loglog_slopes"] = slopes
-
-
-def sweep_map(cfg: ExperimentConfig, jobs: int | None = None) -> Dataset:
-    """The dense lambda-g map; thin alias of run() for the map experiment."""
-    if cfg.experiment != "qfi-map":
-        raise ConfigError("sweep_map expects a qfi-map config")
-    return run(cfg, jobs=jobs)
 
 
 # ----------------------------------------------------------------------

@@ -112,16 +112,15 @@ def _tail_mass(amps: np.ndarray, n_cut: int) -> float:
 
 def spin_down_state(boson: BosonInitialState | np.ndarray, n_cut: int) -> JointState:
     """|down> (x) |boson>, zero-padded to ``n_cut``."""
-    b = boson.amplitudes if isinstance(boson, BosonInitialState) else np.asarray(boson)
-    if len(b) > n_cut:
-        raise InvalidParams("n_cut", "smaller than the boson state length")
     amps = np.zeros(2 * n_cut, dtype=complex)
-    amps[SPIN_DOWN * n_cut: SPIN_DOWN * n_cut + len(b)] = b
+    amps[SPIN_DOWN * n_cut: (SPIN_DOWN + 1) * n_cut] = _pad(boson, n_cut)
     return JointState(amps, n_cut)
 
 
 def _pad(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
     b = boson.amplitudes if isinstance(boson, BosonInitialState) else np.asarray(boson)
+    if len(b) > n_cut:
+        raise InvalidParams("n_cut", "smaller than the boson state length")
     out = np.zeros(n_cut, dtype=complex)
     out[: len(b)] = b
     return out
@@ -131,30 +130,37 @@ def _pad(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
 # Hamiltonian builders
 # ----------------------------------------------------------------------
 
+def _joint_hamiltonian(
+    n_cut: int, omega: float, Omega: float, coupling: float, quadratic: float
+) -> HermitianOperator:
+    """omega*a^dag*a + quadratic*(a+a^dag)^2 + (Omega/2)*sigma_z
+    + coupling*(a+a^dag)*sigma_x on the joint space."""
+    if n_cut < 4:
+        raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
+    a = destroy(n_cut)
+    q = a + a.T  # a + a^dag
+    boson = omega * (a.T @ a)
+    if quadratic != 0.0:  # skip the (a+a^dag)^2 matmul when it cannot contribute
+        boson = boson + quadratic * (q @ q)
+    # spin matrices in (down, up) block order
+    sz = np.diag([-1.0, 1.0])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    h = (
+        np.kron(np.eye(2), boson)
+        + np.kron(0.5 * Omega * sz, np.eye(n_cut))
+        + np.kron(coupling * sx, q)
+    )
+    return HermitianOperator(h)
+
+
 def build_full_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOperator:
     """Joint-space Hamiltonian with the quadratic term, in the lab frame:
 
     omega*a^dag*a + (Omega/2)*sigma_z + (sqrt(omega*Omega)/2)*g*(a+a^dag)*sigma_x
     + lam*(a+a^dag)^2.
     """
-    if n_cut < 4:
-        raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
-    a = destroy(n_cut)
-    q = a + a.T  # a + a^dag
-    number = a.T @ a
-    eye_b = np.eye(n_cut)
-    # spin matrices in (down, up) block order
-    sz = np.diag([-1.0, 1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eye_s = np.eye(2)
-    h = (
-        np.kron(eye_s, params.omega * number + params.lam * (q @ q))
-        + np.kron(0.5 * params.Omega * sz, eye_b)
-        + np.kron(
-            0.5 * np.sqrt(params.omega * params.Omega) * params.g * sx, q
-        )
-    )
-    return HermitianOperator(h)
+    coupling = 0.5 * np.sqrt(params.omega * params.Omega) * params.g
+    return _joint_hamiltonian(n_cut, params.omega, params.Omega, coupling, params.lam)
 
 
 def build_squeezed_frame_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOperator:
@@ -167,28 +173,14 @@ def build_squeezed_frame_hamiltonian(params: ModelParams, n_cut: int) -> Hermiti
     This is the frame in which the low-frequency closed forms are written;
     at lam = 0 it coincides with build_full_hamiltonian.
     """
-    if n_cut < 4:
-        raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
-    a = destroy(n_cut)
-    q = a + a.T
-    number = a.T @ a
-    eye_b = np.eye(n_cut)
-    sz = np.diag([-1.0, 1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    eye_s = np.eye(2)
-    omega_bar = effective_oscillator(params).omega_bar
     coupling = (
         0.5
         * np.sqrt(params.omega * params.Omega)
         * params.g
         * (1.0 + 4.0 * params.lam / params.omega) ** -0.25
     )
-    h = (
-        np.kron(eye_s, omega_bar * number)
-        + np.kron(0.5 * params.Omega * sz, eye_b)
-        + np.kron(coupling * sx, q)
-    )
-    return HermitianOperator(h)
+    omega_bar = effective_oscillator(params).omega_bar
+    return _joint_hamiltonian(n_cut, omega_bar, params.Omega, coupling, 0.0)
 
 
 def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOperator:
@@ -293,14 +285,21 @@ def auto_cutoff(
     max_cut: int = AUTO_CUTOFF_MAX,
     rtol: float = 1e-6,
     atol: float = 0.0,
+    converged: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> tuple[int, np.ndarray]:
     """Double the cutoff until ``run(n_cut)``'s observables stop moving.
 
     Convergence: every component changes by less than
-    atol + rtol*max(|new|, |old|) when the cutoff doubles.  TruncationLeak
-    from ``run`` counts as "keep doubling".  Returns (accepted n_cut, values
-    at that cutoff).
+    atol + rtol*max(|new|, |old|) when the cutoff doubles, unless a
+    ``converged(old, new)`` test is given.  TruncationLeak from ``run``
+    counts as "keep doubling".  Returns (accepted n_cut, values at that
+    cutoff).
     """
+    if converged is None:
+        def converged(old: np.ndarray, new: np.ndarray) -> bool:
+            tol = atol + rtol * np.maximum(np.abs(new), np.abs(old))
+            return bool(np.all(np.abs(new - old) <= tol))
+
     prev = None
     n = start
     while n <= max_cut:
@@ -310,10 +309,8 @@ def auto_cutoff(
             prev = None
             n *= 2
             continue
-        if prev is not None:
-            tol = atol + rtol * np.maximum(np.abs(values), np.abs(prev))
-            if np.all(np.abs(values - prev) <= tol):
-                return n, values
+        if prev is not None and converged(prev, values):
+            return n, values
         prev = values
         n *= 2
     raise CutoffNotConverged(
@@ -353,8 +350,9 @@ def _series_at_cutoff(
     builder: Callable[[ModelParams, int], HermitianOperator],
     joint: bool,
     leak_tol: float,
-) -> dict[str, np.ndarray]:
-    """x, x^2 and the 4-point (Richardson) g-derivative of x at one cutoff."""
+) -> np.ndarray:
+    """Rows x, x^2, the 4-point (Richardson) g-derivative of x, and its two
+    centered stencils (full and halved step), at one cutoff."""
     x, _ = quadratures(n_cut)
     x = x.real
     xobs = np.kron(np.eye(2), x) if joint else x
@@ -378,7 +376,7 @@ def _series_at_cutoff(
     d_wide = (xp1 - xm1) / (2.0 * dg)
     d_half = (xp2 - xm2) / dg
     deriv = (4.0 * d_half - d_wide) / 3.0  # Richardson: O(dg^4) bias
-    return {"x": x0, "xx": xx0, "deriv": deriv, "d_wide": d_wide, "d_half": d_half}
+    return np.array([x0, xx0, deriv, d_wide, d_half])
 
 
 def quadrature_series(
@@ -405,44 +403,31 @@ def quadrature_series(
     if dg is None:
         dg = 1e-5 * max(params.g, 0.01)
 
-    def converged(prev: dict, new: dict) -> bool:
-        # curves cross zero, so convergence is judged per block against the
-        # block's own scale, not pointwise
-        for key in ("x", "xx", "deriv"):
-            scale = max(np.abs(prev[key]).max(), np.abs(new[key]).max(), atol)
-            if np.abs(new[key] - prev[key]).max() > atol + rtol * scale:
+    def run(n: int) -> np.ndarray:
+        return _series_at_cutoff(params, ts, psi0, dg, n, builder, joint, leak_tol)
+
+    def converged(prev: np.ndarray, new: np.ndarray) -> bool:
+        # curves cross zero, so convergence is judged per block (x, x^2,
+        # derivative) against the block's own scale, not pointwise
+        for old_block, new_block in zip(prev[:3], new[:3]):
+            scale = max(np.abs(old_block).max(), np.abs(new_block).max(), atol)
+            if np.abs(new_block - old_block).max() > atol + rtol * scale:
                 return False
         return True
 
-    got = None
     if n_cut is None:
-        prev = None
-        n = AUTO_CUTOFF_START
-        while n <= max_cut:
-            try:
-                cur = _series_at_cutoff(params, ts, psi0, dg, n, builder, joint, leak_tol)
-            except TruncationLeak:
-                prev = None
-                n *= 2
-                continue
-            if prev is not None and converged(prev, cur):
-                n_cut, got = n, cur
-                break
-            prev = cur
-            n *= 2
-        else:
-            raise CutoffNotConverged(
-                f"quadrature series still moving at n_cut = {max_cut}"
-            )
-    if got is None:
-        got = _series_at_cutoff(params, ts, psi0, dg, n_cut, builder, joint, leak_tol)
-    scale = np.abs(got["deriv"]).max()
-    if scale > 0 and np.abs(got["d_half"] - got["d_wide"]).max() > 1e-3 * scale:
+        n_cut, got = auto_cutoff(run, max_cut=max_cut, rtol=rtol, atol=atol,
+                                 converged=converged)
+    else:
+        got = run(n_cut)
+    x_mean, x_second, deriv, d_wide, d_half = got
+    scale = np.abs(deriv).max()
+    if scale > 0 and np.abs(d_half - d_wide).max() > 1e-3 * scale:
         raise StepTooLarge(
             "halved and full g-steps disagree beyond 1e-3 of the derivative "
             "scale; the response is nonlinear at this dg"
         )
-    return QuadratureSeries(ts, got["x"], got["xx"], got["deriv"], n_cut)
+    return QuadratureSeries(ts, x_mean, x_second, deriv, n_cut)
 
 
 # ----------------------------------------------------------------------
@@ -524,33 +509,8 @@ def generator_qfi(
     diagonal (and any |Ej-Ek| < 1e-12 pair) replaced by t.  Then
     F_g = (d epsilon_g/d g)^2 * 4*Var[h].
     """
-    eff = effective_oscillator(params)
-    if eff.regime is not Regime.NORMAL:
-        raise RegimeError("generator_qfi is defined for the normal regime")
-    psi0 = psi0 if psi0 is not None else default_initial_state()
-
-    def qfi_at(n: int) -> float:
-        x, _ = quadratures(n)
-        h1 = 0.5 * eff.omega_bar * (x @ x)
-        hz = build_effective_hamiltonian(params, n)
-        energies, vectors = hz.eig()
-        h1_eig = vectors.T @ h1 @ vectors  # real orthogonal eigenbasis
-        de = energies[:, None] - energies[None, :]
-        near = np.abs(de) < 1e-12
-        safe = np.where(near, 1.0, de)
-        kernel = np.where(near, t, (np.exp(1j * de * t) - 1.0) / (1j * safe))
-        gen = h1_eig * kernel
-        coeffs = vectors.conj().T @ _pad(psi0, n)
-        gc_ = gen @ coeffs
-        mean = np.real(np.vdot(coeffs, gc_))
-        second = np.real(np.vdot(gc_, gc_))
-        f_zeta = 4.0 * (second - mean * mean)
-        dzeta_dg = -2.0 * params.omega * params.g / (params.omega + 4.0 * params.lam)
-        return dzeta_dg**2 * f_zeta
-
-    if n_cut is not None:
-        return qfi_at(n_cut)
-    _, values = auto_cutoff(lambda n: qfi_at(n), rtol=rtol, max_cut=max_cut)
+    values = generator_qfi_grid(params, [t], psi0=psi0, n_cut=n_cut, rtol=rtol,
+                                max_cut=max_cut)
     return float(values[0])
 
 

@@ -56,6 +56,10 @@ def validate(params: ModelParams) -> ModelParams:
     1 + 4*lam/omega > 0 keeps the squeeze parameter and omega_bar real; at the
     boundary the mode frequency collapses to zero and the model is unphysical.
     """
+    for name in ("omega", "Omega", "g", "lam"):
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise InvalidParams(name, f"must be finite, got {value}")
     if not params.omega > 0:
         raise InvalidParams("omega", f"must be > 0, got {params.omega}")
     if not params.Omega > 0:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,9 +14,9 @@ from cqm import (
     experiment_ids,
     fit_loglog_slope,
     run,
-    sweep_map,
 )
 from cqm.cli import main as cli_main
+from cqm.experiments import _REGISTRY
 from cqm.model import ModelParams
 
 
@@ -61,6 +62,19 @@ class TestConfig:
         cfg = build_config("qfi-evolution", config_file=str(path), overrides=["g=0.5"])
         assert cfg.values["lam"] == pytest.approx(-0.2)
         assert cfg.values["g"] == pytest.approx([0.5])
+
+    @pytest.mark.parametrize("experiment,override", [
+        ("ratio-scaling", "n=1,0"),  # would label tau_1 as n=0
+        ("ratio-scaling", "n=2.5"),  # would be written as n=2
+        ("frequency-scaling", "n=0"),
+        ("qfi-evolution", "omega=inf"),
+        ("qfi-evolution", "t=nan"),
+        ("quadrature-vs-g", "g=0.1,inf"),
+    ])
+    def test_bad_values_rejected_up_front(self, experiment, override):
+        with pytest.raises(ConfigError):
+            build_config(experiment, overrides=[override])
+        assert cli_main([experiment, "--set", override]) == 2
 
     def test_reference_covers_all_experiments(self):
         text = config_reference()
@@ -149,7 +163,7 @@ class TestRunner:
 
     def test_map_ridge_follows_the_critical_line(self):
         cfg = tiny("qfi-map", lam="-0.21:0.0:8", g="0.05:1.2:40")
-        ds = sweep_map(cfg, jobs=1)
+        ds = run(cfg, jobs=1)
         lam = ds.column("lam")
         g = ds.column("g")
         q = ds.column("log10_qfi")
@@ -160,9 +174,48 @@ class TestRunner:
             gc = critical_coupling(ModelParams(1.0, 1e4, 0.0, lam_val))
             assert abs(ridge - gc) <= cell_width + 1e-12
 
-    def test_map_alias_guards_experiment(self):
-        with pytest.raises(ConfigError):
-            sweep_map(tiny("qfi-evolution"))
+    def test_ok_rows_set_every_column_for_every_engine(self):
+        # a column an ok row leaves unset would be rendered as a nan fill
+        for name, entry in _REGISTRY.items():
+            for engine in entry.engines:
+                cfg = tiny(name, engine=engine)
+                columns = set(entry.columns(engine))
+                for cell in entry.cells(cfg.values):
+                    for row in entry.compute(cfg, cell):
+                        if "status" not in row:
+                            assert columns <= set(row), (name, engine, columns - set(row))
+
+    def test_any_exception_fails_its_cell_alone(self, monkeypatch):
+        entry = _REGISTRY["inverted-variance"]
+
+        def compute(cfg, cell):
+            if cell["g"] == 0.1:
+                raise np.linalg.LinAlgError("eigh did not converge")
+            return entry.compute(cfg, cell)
+
+        monkeypatch.setitem(_REGISTRY, "inverted-variance",
+                            dataclasses.replace(entry, compute=compute))
+        ds = run(tiny("inverted-variance"), jobs=1)
+        assert ds.failed_cells == {1}
+        statuses = ds.str_column("status")
+        assert statuses.count("failed:LinAlgError") == 1
+        assert statuses.count("ok") == len(statuses) - 1
+
+    def test_non_finite_ok_row_fails_its_cell(self, monkeypatch):
+        entry = _REGISTRY["qfi-vs-g"]
+
+        def compute(cfg, cell):
+            rows = entry.compute(cfg, cell)
+            if cell["g"] == cfg.values["g"][0]:
+                rows[0]["qfi"] = np.nan
+            return rows
+
+        monkeypatch.setitem(_REGISTRY, "qfi-vs-g", dataclasses.replace(entry, compute=compute))
+        ds = run(tiny("qfi-vs-g"), jobs=1)
+        statuses = ds.str_column("status")
+        assert statuses.count("failed:NonFinite") == 2  # first g of each lam
+        ok = [row for row in ds.rows if row[ds.columns.index("status")] == "ok"]
+        assert ok and all("nan" not in row for row in ok)
 
     def test_cross_engine_columns_within_tolerance(self):
         cfg = tiny("decoherence")
@@ -208,6 +261,21 @@ class TestRunner:
         q = ds.column("qfi")
         rendered = format(q[-1], ".17g")
         assert rendered in text
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("disk full")
+
+        ds = run(tiny("qfi-evolution"), jobs=1)
+        path = tmp_path / "out.csv"
+        ds.write_csv(str(path))
+        before = path.read_bytes()
+        broken = Dataset(ds.columns, ds.units, ds.rows + [[Unprintable()]], ds.metadata)
+        with pytest.raises(RuntimeError):
+            broken.write_csv(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 class TestCli:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqm import (
@@ -48,6 +48,10 @@ class TestValidate:
             (dict(omega=0.0, Omega=1.0, g=0.1), "omega"),
             (dict(omega=1.0, Omega=-2.0, g=0.1), "Omega"),
             (dict(omega=1.0, Omega=1.0, g=-0.1), "g"),
+            (dict(omega=math.inf, Omega=1.0, g=0.1), "omega"),
+            (dict(omega=1.0, Omega=math.inf, g=0.1), "Omega"),
+            (dict(omega=1.0, Omega=1.0, g=math.inf), "g"),
+            (dict(omega=1.0, Omega=1.0, g=0.1, lam=math.inf), "lam"),
         ],
     )
     def test_each_field_checked(self, kwargs, field):
@@ -150,15 +154,18 @@ class TestEffectiveOscillator:
         assert abs(eff.epsilon_g) < 1e-14
 
     @given(lam=lams, a=st.floats(0.05, 0.95), b=st.floats(0.05, 0.95))
+    @example(lam=0.0, a=0.05, b=0.05000000000000001)  # both round to 0.9975
     @settings(max_examples=100)
     def test_stiffness_strictly_decreasing_in_g(self, lam, a, b):
+        # Couplings a few ulp apart can round to the same epsilon_g in
+        # binary64, so the decrease is strict only beyond 1e-12*g_c.
         gc = critical_coupling(params(0.0, lam=lam))
         g1, g2 = sorted((a * gc, b * gc))
-        if g1 == g2:
-            return
         e1 = effective_oscillator(params(g1, lam=lam)).epsilon_g
         e2 = effective_oscillator(params(g2, lam=lam)).epsilon_g
-        assert e2 < e1
+        assert e2 <= e1
+        if g2 - g1 > 1e-12 * gc:
+            assert e2 < e1
 
 
 class TestBeyondCriticalFrame:
