@@ -20,18 +20,19 @@ from .errors import (
     NotInSuperradiantRegime,
     RegimeError,
     StepTooLarge,
-    StepUnstable,
     TruncationLeak,
 )
 from .model import (
     BeyondCriticalFrame,
     EffectiveOscillator,
     ModelParams,
+    OscillatorFrame,
     Regime,
     beyond_critical_frame,
     critical_coupling,
     effective_oscillator,
     lambda_for_target_critical,
+    oscillator_frame,
     squeeze_parameter,
     validate,
 )
@@ -45,13 +46,10 @@ from .closed_form import (
     inverted_variance_peak,
     optimal_times,
     qfi_g,
-    qfi_g_beyond,
     quadrature_sample,
     var_n,
-    var_n_beyond,
     x_deriv_g,
     x_mean,
-    x_mean_beyond,
     x_second_moment,
     x_variance,
 )

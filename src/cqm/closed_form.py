@@ -2,8 +2,12 @@
 
 Everything here is an explicit function of (ModelParams, t): the dynamical
 quantum Fisher information about g, the quadrature mean/derivative/variance,
-the inverted variance with its optimal measurement times and peak values, and
-the beyond-critical variants.  Time arguments broadcast as numpy arrays.
+and the inverted variance with its optimal measurement times and peak values.
+Time arguments broadcast as numpy arrays.
+
+x_mean, var_n and qfi_g read model.oscillator_frame and so hold on both sides
+of the critical point (stiffness epsilon_g, or epsilon_g_alpha past g_c); the
+other formulas are written for the normal regime and raise past g_c.
 
 The QFI expressions keep only the leading divergence ~ epsilon^-3 of the full
 generator variance; they are asymptotics meant for sqrt(epsilon)*t of order
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmall, InvalidParams, RegimeError
-from .model import ModelParams, beyond_critical_frame, effective_oscillator
+from .model import ModelParams, effective_oscillator, oscillator_frame
 
 #: Below this argument, sin(x) - x and sin(x) - x*cos(x) switch to series.
 _SERIES_CUT = 1e-4
@@ -98,7 +102,7 @@ def _normal_gaps(params: ModelParams):
     if eff.epsilon_g <= 0.0:
         raise RegimeError(
             f"epsilon_g = {eff.epsilon_g} <= 0: formulas for the normal "
-            "regime do not apply (use the *_beyond variants past g_c)"
+            "regime do not apply (past g_c only x_mean, var_n and qfi_g do)"
         )
     return eff.epsilon_g, eff.epsilon
 
@@ -148,18 +152,12 @@ def _bare_generator_variance(state: BosonInitialState, stiffness: float) -> floa
 def var_n(state: BosonInitialState, params: ModelParams) -> float:
     """Variance of the generator's divergence-scale term over ``state``.
 
-    Equals (omega^2 + 4*lam*omega)^3 * Var[P^2 - epsilon_g*X^2].
+    Equals (omega^2 + 4*lam*omega)^3 * Var[P^2 - stiffness*X^2], with the
+    stiffness epsilon_g (epsilon_g_alpha past g_c).
     """
-    epsilon_g, _ = _normal_gaps(params)
+    stiffness = oscillator_frame(params).stiffness
     scale = (params.omega * (params.omega + 4.0 * params.lam)) ** 3
-    return scale * _bare_generator_variance(state, epsilon_g)
-
-
-def var_n_beyond(state: BosonInitialState, params: ModelParams) -> float:
-    """Beyond-critical analogue of var_n, with epsilon_g_alpha as stiffness."""
-    frame = beyond_critical_frame(params)
-    scale = (params.omega * (params.omega + 4.0 * params.lam)) ** 3
-    return scale * _bare_generator_variance(state, frame.epsilon_g_alpha)
+    return scale * _bare_generator_variance(state, stiffness)
 
 
 def ig_fg_ratio(state: BosonInitialState, params: ModelParams) -> float:
@@ -185,32 +183,18 @@ class QfiSample:
 
 
 def qfi_g(params: ModelParams, t, var_n_value: float) -> QfiSample:
-    """Leading-order dynamical QFI about g in the normal regime.
+    """Leading-order dynamical QFI about g on either side of g_c.
 
-    16*(omega*g/(omega + 4*lam))^2 * [sin(sqrt(eps)*t) - sqrt(eps)*t]^2
-    / eps^3 * Var[N], evaluated through the stabilized series near criticality.
+    4*(dstiffness/dg)^2 * [sin(sqrt(eps)*t) - sqrt(eps)*t]^2 / eps^3 * Var[N] in
+    the oscillator frame, through the stabilized series near criticality; the
+    prefactor is 16*(omega*g/(omega + 4*lam))^2 below g_c and
+    64*((1 - epsilon_g_alpha)/g)^2 past it.
     """
-    epsilon_g, epsilon = _normal_gaps(params)
+    frame = oscillator_frame(params)
     t = np.asarray(t, dtype=float)
-    x = np.sqrt(epsilon) * t
-    pref = 16.0 * (params.omega * params.g / (params.omega + 4.0 * params.lam)) ** 2
+    x = np.sqrt(frame.epsilon) * t
+    pref = 4.0 * frame.dstiffness_dg ** 2
     value = pref * (sin_minus_x_over_x3(x) * t**3) ** 2 * var_n_value
-    if value.ndim == 0:
-        return QfiSample(float(t), float(value))
-    return QfiSample(t, value)
-
-
-def qfi_g_beyond(params: ModelParams, t, var_n_alpha_value: float) -> QfiSample:
-    """Leading-order dynamical QFI about g past the critical point.
-
-    64*((1 - epsilon_g_alpha)/g)^2 * [sin(sqrt(eps_a)*t) - sqrt(eps_a)*t]^2
-    / eps_a^3 * Var[N_alpha].
-    """
-    frame = beyond_critical_frame(params)  # raises below g_c
-    t = np.asarray(t, dtype=float)
-    x = np.sqrt(frame.epsilon_alpha) * t
-    pref = 64.0 * ((1.0 - frame.epsilon_g_alpha) / params.g) ** 2
-    value = pref * (sin_minus_x_over_x3(x) * t**3) ** 2 * var_n_alpha_value
     if value.ndim == 0:
         return QfiSample(float(t), float(value))
     return QfiSample(t, value)
@@ -243,20 +227,11 @@ def quadrature_sample(params: ModelParams, t: float) -> QuadratureSample:
 
 
 def x_mean(params: ModelParams, t):
-    """<X>_t = sin(sqrt(eps)*t/2) / sqrt(2*epsilon_g)."""
-    epsilon_g, epsilon = _normal_gaps(params)
+    """<X>_t = sin(sqrt(eps)*t/2) / sqrt(2*stiffness), in the oscillator
+    frame of either side of g_c."""
+    frame = oscillator_frame(params)
     t = np.asarray(t, dtype=float)
-    out = np.sin(0.5 * np.sqrt(epsilon) * t) / np.sqrt(2.0 * epsilon_g)
-    return out if out.ndim else float(out)
-
-
-def x_mean_beyond(params: ModelParams, t):
-    """Beyond-critical <X>_t, same form with the alpha-frame stiffness."""
-    frame = beyond_critical_frame(params)
-    t = np.asarray(t, dtype=float)
-    out = np.sin(0.5 * np.sqrt(frame.epsilon_alpha) * t) / np.sqrt(
-        2.0 * frame.epsilon_g_alpha
-    )
+    out = np.sin(0.5 * np.sqrt(frame.epsilon) * t) / np.sqrt(2.0 * frame.stiffness)
     return out if out.ndim else float(out)
 
 

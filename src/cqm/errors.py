@@ -38,10 +38,6 @@ class StepTooLarge(CqmError):
     """A finite-difference step failed its self-consistency check."""
 
 
-class StepUnstable(CqmError):
-    """Fixed-step integration failed the step-halving accuracy check."""
-
-
 class NonFinite(CqmError):
     """A computed value that should be finite is NaN or infinite."""
 

@@ -162,17 +162,13 @@ def _params(v: dict, g: float, lam: float) -> ModelParams:
 
 
 def _qfi_row(v: dict, lam: float, g: float, state) -> dict:
-    """Closed-form QFI at one (lam, g) from the matching regime's formula;
-    saturated on the critical line."""
+    """Closed-form QFI at one (lam, g); saturated on the critical line."""
     params = _params(v, g, lam)
     regime = effective_oscillator(params).regime
     row = {"lam": lam, "g": g, "t": v["t"], "regime": regime.value}
-    if regime is Regime.NORMAL:
-        row["qfi"] = float(cf.qfi_g(params, v["t"], cf.var_n(state, params)).value)
-    elif regime is Regime.SUPERRADIANT:
-        row["qfi"] = float(cf.qfi_g_beyond(params, v["t"], cf.var_n_beyond(state, params)).value)
-    else:
-        row.update(qfi=np.inf, status=_STATUS_SATURATED)
+    if regime is Regime.CRITICAL:
+        return {**row, "qfi": np.inf, "status": _STATUS_SATURATED}
+    row["qfi"] = float(cf.qfi_g(params, v["t"], cf.var_n(state, params)).value)
     return row
 
 
@@ -208,8 +204,7 @@ def _quadrature_vs_g(cfg: ExperimentConfig, cell: dict) -> list[dict]:
     base = {"lam": cell["lam"], "g": cell["g"], "regime": regime.value}
     if regime is Regime.CRITICAL:
         return [{**base, "t": v["t"], "status": _STATUS_SATURATED}]
-    x_mean = cf.x_mean if regime is Regime.NORMAL else cf.x_mean_beyond
-    closed = {"x_mean": np.atleast_1d(x_mean(params, v["t"]))}
+    closed = {"x_mean": np.atleast_1d(cf.x_mean(params, v["t"]))}
     if cfg.engine == "closed":
         return _compared_rows(cfg.engine, base, [v["t"]], closed)
     state = cf.default_initial_state(v["state_dim"])
@@ -338,7 +333,7 @@ _REGISTRY: dict[str, _Experiment] = {
         },
         cells=lambda v: [{"g": g} for g in v["g"]],
         columns=lambda engine: ["lam", "g", "t"] + _compared(engine, ["qfi"]),
-        units={"t": _U_T, "qfi": "1", "qfi_closed": "1", "qfi_oracle": "1"},
+        units={"t": _U_T, "qfi": "1"},
         compute=_qfi_evolution,
     ),
     "qfi-vs-g": _Experiment(
@@ -389,7 +384,7 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=_zipped_cells,
         columns=lambda engine: ["lam", "g", "t"] + _compared(
             engine, ["x_mean", "x_deriv_g", "x_var", "inv_var"]),
-        units={"t": _U_T},
+        units={"t": _U_T, "x_mean": "1", "x_deriv_g": "1", "x_var": "1", "inv_var": "1"},
         compute=_inverted_variance,
     ),
     "ratio-scaling": _Experiment(
@@ -435,10 +430,19 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=_zipped_cells,
         columns=lambda engine: ["lam", "g", "gamma_minus", "gamma_plus", "t"] + _compared(
             engine, ["x_mean", "x_var", "inv_var"], n_cut=False),
-        units={"t": _U_T, "gamma_minus": "omega", "gamma_plus": "omega"},
+        units={"t": _U_T, "gamma_minus": "omega", "gamma_plus": "omega",
+               "x_mean": "1", "x_var": "1", "inv_var": "1"},
         compute=_decoherence,
     ),
 }
+
+
+def _column_units(units: dict[str, str], columns: list[str]) -> dict[str, str]:
+    """Units of ``columns``: <q>_closed and <q>_oracle take the unit of <q>,
+    and deviation columns are ratios ("1")."""
+    return {c: "1" if c in ("rel_dev", "delta", "abs_delta") or c.endswith("_rel_dev")
+            else units.get(c.removesuffix("_closed").removesuffix("_oracle"), "")
+            for c in columns}
 
 
 def experiment_ids() -> list[str]:
@@ -618,13 +622,16 @@ class Dataset:
         return cls(columns, units, rows, metadata)
 
 
-def _run_cell(args: tuple) -> tuple[int, list[list[str]]]:
+def _run_cell(args: tuple) -> tuple[int, list[list[str]], str | None]:
     """Worker: compute one cell and render its rows as strings.
 
     Any exception fails this cell alone, as does a non-finite value in a
-    row that would otherwise be marked ok.
+    row that would otherwise be marked ok.  A failed cell's row takes lam/g/eta
+    from the cell, else from a scalar config value; "<Type>: <message>" is
+    returned third (None for a cell that did not fail).
     """
     cfg, index, cell, columns = args
+    failure = None
     try:
         rows = _REGISTRY[cfg.experiment].compute(cfg, cell)
         for row in rows:
@@ -633,15 +640,16 @@ def _run_cell(args: tuple) -> tuple[int, list[list[str]]]:
             ):
                 raise NonFinite(f"non-finite value in an ok row of cell {index}")
     except Exception as exc:  # one bad cell must not abort the run
-        row = {**{k: cell.get(k, np.nan) for k in ("lam", "g", "eta")},
-               "status": f"failed:{type(exc).__name__}"}
-        rows = [row]
+        failure = f"{type(exc).__name__}: {exc}"
+        scalars = {k: x for k, x in cfg.values.items() if np.ndim(x) == 0}
+        row = {k: cell.get(k, scalars.get(k, np.nan)) for k in ("lam", "g", "eta")}
+        rows = [{**row, "status": f"failed:{type(exc).__name__}"}]
     rendered = []
     for row in rows:
         row.setdefault("status", _STATUS_OK)
         row["cell"] = index
         rendered.append([_fmt(row.get(c, np.nan)) for c in columns])
-    return index, rendered
+    return index, rendered, failure
 
 
 # ----------------------------------------------------------------------
@@ -661,7 +669,7 @@ def run(
     """
     started = time.monotonic()
     entry = _REGISTRY[cfg.experiment]
-    columns, units = entry.columns(cfg.engine) + _META_COLUMNS, entry.units
+    columns = entry.columns(cfg.engine) + _META_COLUMNS
     cells = entry.cells(cfg.values)
     reuse: dict[int, list[list[str]]] = {}
     if resume is not None:
@@ -675,16 +683,14 @@ def run(
                 reuse.setdefault(idx, []).append(row)
     todo = [i for i in range(len(cells)) if i not in reuse]
     args = [(cfg, i, cells[i], columns) for i in todo]
-    results: dict[int, list[list[str]]] = {}
     jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for index, rendered in pool.map(_run_cell, args, chunksize=8):
-                results[index] = rendered
+            done = list(pool.map(_run_cell, args, chunksize=8))
     else:
-        for a in args:
-            index, rendered = _run_cell(a)
-            results[index] = rendered
+        done = [_run_cell(a) for a in args]
+    results = {index: rendered for index, rendered, _ in done}
+    failures = {str(index): failure for index, _, failure in done if failure is not None}
     rows: list[list[str]] = []
     for i in range(len(cells)):
         rows.extend(reuse.get(i, results.get(i, [])))
@@ -699,9 +705,10 @@ def run(
         "cells_total": len(cells),
         "cells_computed": len(todo),
         "cells_failed_now": n_failed,
+        "failures": failures,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    dataset = Dataset(columns, units, rows, metadata)
+    dataset = Dataset(columns, _column_units(entry.units, columns), rows, metadata)
     if cfg.experiment == "frequency-scaling" and n_failed == 0:
         _attach_slopes(dataset)
     return dataset

@@ -30,7 +30,8 @@ from .errors import (
     TruncationLeak,
 )
 from .closed_form import BosonInitialState, default_initial_state
-from .model import ModelParams, Regime, beyond_critical_frame, effective_oscillator
+from .closed_form import inverted_variance_peak, optimal_times
+from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
 
 AUTO_CUTOFF_START = 32
 AUTO_CUTOFF_MAX = 4096
@@ -191,15 +192,9 @@ def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOpe
     """
     if n_cut < 4:
         raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
-    eff = effective_oscillator(params)
-    if eff.regime is Regime.NORMAL:
-        stiffness = eff.epsilon_g
-    elif eff.regime is Regime.SUPERRADIANT:
-        stiffness = beyond_critical_frame(params).epsilon_g_alpha
-    else:
-        raise RegimeError("no effective oscillator on the critical line")
+    frame = oscillator_frame(params)
     x, p = quadratures(n_cut)
-    h = 0.5 * eff.omega_bar * ((p @ p).real + stiffness * (x @ x))
+    h = 0.5 * frame.omega_bar * ((p @ p).real + frame.stiffness * (x @ x))
     return HermitianOperator(h)
 
 
@@ -341,29 +336,32 @@ class QuadratureSeries:
         return self.x_deriv_g**2 / self.x_var
 
 
+def _evolve_from(h: HermitianOperator, psi0, n_cut: int, ts, leak_tol: float) -> np.ndarray:
+    """Evolve ``psi0`` under ``h``: as |down> (x) psi0 when ``h`` acts on the
+    joint spin-boson space (dim 2*n_cut), else as the boson state itself."""
+    if h.dim == 2 * n_cut:
+        return evolve_joint_grid(h, spin_down_state(psi0, n_cut), ts, leak_tol=leak_tol)
+    return evolve_grid(h, _pad(psi0, n_cut), ts, leak_tol=leak_tol)
+
+
 def _series_at_cutoff(
     params: ModelParams,
     ts: np.ndarray,
     psi0: BosonInitialState,
-    dg: float,
     n_cut: int,
     builder: Callable[[ModelParams, int], HermitianOperator],
-    joint: bool,
     leak_tol: float,
 ) -> np.ndarray:
     """Rows x, x^2, the 4-point (Richardson) g-derivative of x, and its two
     centered stencils (full and halved step), at one cutoff."""
+    dg = 1e-5 * max(params.g, 0.01)
     x, _ = quadratures(n_cut)
     x = x.real
-    xobs = np.kron(np.eye(2), x) if joint else x
 
     def measure(gv: float) -> tuple[np.ndarray, np.ndarray]:
         h = builder(replace(params, g=gv), n_cut)
-        if joint:
-            psi = spin_down_state(psi0, n_cut)
-            amps = evolve_joint_grid(h, psi, ts, leak_tol=leak_tol)
-        else:
-            amps = evolve_grid(h, _pad(psi0, n_cut), ts, leak_tol=leak_tol)
+        amps = _evolve_from(h, psi0, n_cut, ts, leak_tol)
+        xobs = np.kron(np.eye(2), x) if h.dim == 2 * n_cut else x
         xa = np.einsum("it,ij,jt->t", amps.conj(), xobs, amps).real
         xxa = np.einsum("it,ij,jt->t", amps.conj(), xobs @ xobs, amps).real
         return xa, xxa
@@ -383,10 +381,8 @@ def quadrature_series(
     params: ModelParams,
     ts: Sequence[float],
     psi0: BosonInitialState | None = None,
-    dg: float | None = None,
     n_cut: int | None = None,
     builder: Callable[[ModelParams, int], HermitianOperator] = build_effective_hamiltonian,
-    joint: bool = False,
     rtol: float = 1e-6,
     atol: float = 1e-9,
     max_cut: int = AUTO_CUTOFF_MAX,
@@ -394,17 +390,17 @@ def quadrature_series(
 ) -> QuadratureSeries:
     """<X>_t, <X^2>_t and d<X>_t/dg on a grid, with automatic cutoff.
 
-    The derivative uses a Richardson-extrapolated centered difference with
-    base step dg = 1e-5*max(g, 0.01); the two stencils must agree to 1e-3
-    relative wherever the derivative is appreciable, else StepTooLarge.
+    A builder of a joint spin-boson operator evolves |down> (x) psi0; a
+    boson-only builder evolves psi0.  The derivative uses a Richardson-
+    extrapolated centered difference with the fixed base step
+    dg = 1e-5*max(g, 0.01); the two stencils must agree to 1e-3 relative
+    wherever the derivative is appreciable, else StepTooLarge.
     """
     ts = np.asarray(ts, dtype=float)
     psi0 = psi0 if psi0 is not None else default_initial_state()
-    if dg is None:
-        dg = 1e-5 * max(params.g, 0.01)
 
     def run(n: int) -> np.ndarray:
-        return _series_at_cutoff(params, ts, psi0, dg, n, builder, joint, leak_tol)
+        return _series_at_cutoff(params, ts, psi0, n, builder, leak_tol)
 
     def converged(prev: np.ndarray, new: np.ndarray) -> bool:
         # curves cross zero, so convergence is judged per block (x, x^2,
@@ -440,14 +436,14 @@ def qfi_overlap(
     psi0: BosonInitialState | None = None,
     dg: float | None = None,
     builder: Callable[[ModelParams, int], HermitianOperator] = build_effective_hamiltonian,
-    joint: bool = False,
     n_cut: int | None = None,
     rtol: float = 1e-6,
     max_cut: int = AUTO_CUTOFF_MAX,
 ) -> float:
     """QFI from the fidelity drop between evolutions at g -/+ dg/2:
 
-    F ~= 8*(1 - |<psi_{g-dg/2}(t)|psi_{g+dg/2}(t)>|) / dg^2.
+    F ~= 8*(1 - |<psi_{g-dg/2}(t)|psi_{g+dg/2}(t)>|) / dg^2,
+    psi being |down> (x) psi0 for a joint spin-boson builder, else psi0.
 
     With dg=None the step is tuned so the fidelity deficit sits near 1e-6,
     far from both the quadratic-validity ceiling (1e-2) and roundoff.
@@ -458,9 +454,7 @@ def qfi_overlap(
     def deficit_at(n: int, step: float) -> float:
         def state(gv):
             h = builder(replace(params, g=gv), n)
-            if joint:
-                return evolve_joint_grid(h, spin_down_state(psi0, n), [t])[:, 0]
-            return evolve_grid(h, _pad(psi0, n), [t])[:, 0]
+            return _evolve_from(h, psi0, n, [t], DEFAULT_LEAK_TOL)[:, 0]
 
         minus = state(params.g - 0.5 * step)
         plus = state(params.g + 0.5 * step)
@@ -525,15 +519,15 @@ def generator_qfi_grid(
 ):
     """generator_qfi evaluated on a whole time grid with one diagonalization
     per cutoff; cutoff convergence is measured jointly across the grid."""
-    eff = effective_oscillator(params)
-    if eff.regime is not Regime.NORMAL:
+    if effective_oscillator(params).regime is not Regime.NORMAL:
         raise RegimeError("generator_qfi is defined for the normal regime")
+    frame = oscillator_frame(params)
     psi0 = psi0 if psi0 is not None else default_initial_state()
     ts = np.asarray(ts, dtype=float)
 
     def qfi_at(n: int) -> np.ndarray:
         x, _ = quadratures(n)
-        h1 = 0.5 * eff.omega_bar * (x @ x)
+        h1 = 0.5 * frame.omega_bar * (x @ x)
         hz = build_effective_hamiltonian(params, n)
         energies, vectors = hz.eig()
         h1_eig = vectors.T @ h1 @ vectors
@@ -541,14 +535,13 @@ def generator_qfi_grid(
         near = np.abs(de) < 1e-12
         safe = np.where(near, 1.0, de)
         coeffs = vectors.conj().T @ _pad(psi0, n)
-        dzeta_dg = -2.0 * params.omega * params.g / (params.omega + 4.0 * params.lam)
         out = np.empty(len(ts))
         for i, t in enumerate(ts):
             kernel = np.where(near, t, (np.exp(1j * de * t) - 1.0) / (1j * safe))
             gc_ = (h1_eig * kernel) @ coeffs
             mean = np.real(np.vdot(coeffs, gc_))
             second = np.real(np.vdot(gc_, gc_))
-            out[i] = dzeta_dg**2 * 4.0 * (second - mean * mean)
+            out[i] = frame.dstiffness_dg**2 * 4.0 * (second - mean * mean)
         return out
 
     if n_cut is not None:
@@ -606,7 +599,6 @@ def finite_frequency_point(
     params: ModelParams,
     eta: float,
     n: int = 1,
-    dg: float | None = None,
     n_cut: int | None = None,
     rtol: float = 1e-6,
     atol: float = 1e-9,
@@ -617,10 +609,9 @@ def finite_frequency_point(
     The exact side evolves |down> (x) (|0>+i|1>)/sqrt(2) under the squeezed-
     frame Hamiltonian at Omega = eta*omega (the frame the closed forms live
     in) and measures <X>, <X^2> and the Richardson-centered d<X>/dg at the
-    low-frequency optimal time tau_n = 2*pi*n/sqrt(epsilon).
+    low-frequency optimal time tau_n = 2*pi*n/sqrt(epsilon), with
+    quadrature_series's fixed step dg = 1e-5*max(g, 0.01).
     """
-    from .closed_form import inverted_variance_peak, optimal_times
-
     if eta < 10:
         raise InvalidParams("eta", f"must be >= 10, got {eta}")
     full_params = replace(params, Omega=eta * params.omega)
@@ -628,10 +619,8 @@ def finite_frequency_point(
     series = quadrature_series(
         full_params,
         [tau],
-        dg=dg,
         n_cut=n_cut,
         builder=build_squeezed_frame_hamiltonian,
-        joint=True,
         rtol=rtol,
         atol=atol,
         max_cut=max_cut,
@@ -653,7 +642,6 @@ def finite_frequency_discrepancy(
     params: ModelParams,
     eta: float,
     n: int = 1,
-    dg: float | None = None,
     n_cut: int | None = None,
     rtol: float = 1e-6,
     atol: float = 1e-9,
@@ -662,5 +650,5 @@ def finite_frequency_discrepancy(
     """delta = (I_g^(eta)(tau_n) - I_g(tau_n)) / I_g(tau_n); see
     finite_frequency_point for the protocol."""
     return finite_frequency_point(
-        params, eta, n=n, dg=dg, n_cut=n_cut, rtol=rtol, atol=atol, max_cut=max_cut
+        params, eta, n=n, n_cut=n_cut, rtol=rtol, atol=atol, max_cut=max_cut
     ).delta

@@ -3,10 +3,11 @@
 A mode decaying at gamma_a and heated at gamma_h under the effective
 oscillator Hamiltonian closes on five expectation values
 (<X>, <P>, <X^2>, <P^2>, <G>) with G = XP + PX.  This module carries the
-coupled linear moment equations, a fixed-step RK4 integrator used as an
-independent check, and the explicit solutions for <X>_t, d<X>_t/dg,
-(Delta X)^2_t and the dissipative inverted variance.  Every closed form
-reduces pointwise to its unitary counterpart at gamma_a = gamma_h = 0.
+coupled linear moment equations, their exact propagation on a time grid
+(used as an independent check), and the explicit solutions for <X>_t,
+d<X>_t/dg, (Delta X)^2_t and the dissipative inverted variance.  Every
+closed form reduces pointwise to its unitary counterpart at
+gamma_a = gamma_h = 0.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, RegimeError, StepUnstable
+from .errors import InvalidParams, RegimeError
 from .closed_form import sin_minus_x_cos_over_x3, x_deriv_g, x_mean
 from .model import ModelParams, effective_oscillator
 
@@ -118,7 +119,6 @@ class TimeSeries:
 
     t: np.ndarray
     values: np.ndarray
-    meta: dict
 
     def moment(self, name: str) -> np.ndarray:
         return self.values[:, ("x", "p", "xx", "pp", "gg").index(name)]
@@ -130,36 +130,31 @@ class TimeSeries:
         return self.moment("pp") - self.moment("p") ** 2
 
 
-def _rk4_path(
-    m0: np.ndarray, ts: np.ndarray, params: ModelParams, rates: DecayRates, h: float
-) -> np.ndarray:
-    eff = effective_oscillator(params)
-    wbar, eps = eff.omega_bar, eff.epsilon
-    gm, gp = rates.gamma_minus, rates.gamma_plus
-    drive = np.array([0.0, 0.0, 0.5 * gp, 0.5 * gp, 0.0])
-    a = np.array(
-        [
-            [-0.5 * gm, wbar, 0.0, 0.0, 0.0],
-            [-eps / (4.0 * wbar), -0.5 * gm, 0.0, 0.0, 0.0],
-            [0.0, 0.0, -gm, 0.0, wbar],
-            [0.0, 0.0, 0.0, -gm, -eps / (4.0 * wbar)],
-            [0.0, 0.0, -eps / (2.0 * wbar), 2.0 * wbar, -gm],
-        ]
-    )
-    out = np.empty((len(ts), 5))
-    m = m0.copy()
-    out[0] = m
-    for i in range(1, len(ts)):
-        span = ts[i] - ts[i - 1]
-        n_sub = max(1, int(np.ceil(span / h)))
-        dt = span / n_sub
-        for _ in range(n_sub):
-            k1 = a @ m + drive
-            k2 = a @ (m + 0.5 * dt * k1) + drive
-            k3 = a @ (m + 0.5 * dt * k2) + drive
-            k4 = a @ (m + dt * k3) + drive
-            m = m + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i] = m
+def _augmented_generator(params: ModelParams, rates: DecayRates) -> np.ndarray:
+    """[[A, b], [0, 0]] of dm/dt = A*m + b: b = rhs(0), column j of A = rhs(e_j) - b."""
+    def rhs(m: np.ndarray) -> np.ndarray:
+        return moment_rhs(MomentVector.from_array(m), params, rates).as_array()
+
+    gen = np.zeros((6, 6))
+    gen[:5, 5] = rhs(np.zeros(5))
+    for j, e in enumerate(np.eye(5)):
+        gen[:5, j] = rhs(e) - gen[:5, 5]
+    return gen
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in the stack ``a`` by scaling and squaring a
+    Taylor series.  No eigendecomposition: the moment generator is singular
+    at gamma_- = 0 and defective on the critical line (epsilon = 0)."""
+    norm = np.abs(a).sum(axis=-1).max()
+    squarings = max(0, int(np.frexp(norm)[1]) + 1)  # scaled norm < 1/2
+    a = a / 2.0**squarings
+    term = out = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    for k in range(1, 17):  # remainder < 2^-17/17! ~ 2e-20
+        term = term @ a / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
     return out
 
 
@@ -168,51 +163,36 @@ def integrate_moments(
     params: ModelParams,
     rates: DecayRates,
     t_grid: Sequence[float],
-    scaled_step: float = 0.01,
 ) -> TimeSeries:
-    """Fixed-step RK4 integration of the moment equations on ``t_grid``.
-
-    The step is scaled_step / max(wbar, sqrt(eps), gamma_+); the integration
-    runs at h and h/2 and raises StepUnstable unless they agree to 1e-8
-    relative (per moment, scaled by its trajectory amplitude).  The halved-
-    step trajectory is returned.
-    """
+    """The moments on ``t_grid`` from ``m0`` at t_grid[0].  A and b are constant,
+    so each grid step is exact: (m, 1) is multiplied by exp([[A, b], [0, 0]]*dt)."""
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or len(ts) < 2 or np.any(np.diff(ts) <= 0):
         raise InvalidParams("t_grid", "need a strictly increasing grid")
-    eff = effective_oscillator(params)
-    if not 0.0 < scaled_step < 0.05:
-        raise InvalidParams("scaled_step", "h*max(wbar, sqrt(eps), gamma_+) must be < 0.05")
-    h = scaled_step / max(eff.omega_bar, np.sqrt(abs(eff.epsilon)), rates.gamma_plus, 1e-12)
-    m0a = m0.as_array()
-    coarse = _rk4_path(m0a, ts, params, rates, h)
-    fine = _rk4_path(m0a, ts, params, rates, 0.5 * h)
-    scale = np.abs(fine).max(axis=0)
-    scale[scale == 0.0] = 1.0
-    err = (np.abs(fine - coarse) / scale).max()
-    if err >= 1e-8:
-        raise StepUnstable(
-            f"halving the step moved the trajectory by {err:.2e} (>= 1e-8); "
-            "reduce scaled_step"
-        )
-    meta = {"h": h, "halving_error": float(err), "scaled_step": scaled_step}
-    return TimeSeries(ts, fine, meta)
+    steps = _expm(_augmented_generator(params, rates) * np.diff(ts)[:, None, None])
+    out = np.empty((len(ts), 6))
+    out[0] = [*m0.as_array(), 1.0]
+    for i, step in enumerate(steps):
+        out[i + 1] = step @ out[i]
+    return TimeSeries(ts, out[:, :5])
 
 
 # ----------------------------------------------------------------------
 # explicit dissipative solutions
 # ----------------------------------------------------------------------
 
-def _require_damped(rates: DecayRates) -> None:
+def _require_damped(params: ModelParams, rates: DecayRates) -> None:
     if rates.gamma_minus < 0:
         raise InvalidParams(
             "rates", "closed forms require net damping (gamma_a >= gamma_h)"
         )
+    if effective_oscillator(params).epsilon_g <= 0.0:
+        raise RegimeError("dissipative closed forms need the normal regime")
 
 
 def x_mean_dissipative(params: ModelParams, rates: DecayRates, t):
     """<X>_t with damping: the unitary result times exp(-gamma_-*t/2)."""
-    _require_damped(rates)
+    _require_damped(params, rates)
     t = np.asarray(t, dtype=float)
     out = x_mean(params, t) * np.exp(-0.5 * rates.gamma_minus * t)
     return out if out.ndim else float(out)
@@ -220,7 +200,7 @@ def x_mean_dissipative(params: ModelParams, rates: DecayRates, t):
 
 def x_deriv_g_dissipative(params: ModelParams, rates: DecayRates, t):
     """d<X>_t/dg with damping; the rates carry no g dependence."""
-    _require_damped(rates)
+    _require_damped(params, rates)
     t = np.asarray(t, dtype=float)
     out = x_deriv_g(params, t) * np.exp(-0.5 * rates.gamma_minus * t)
     return out if out.ndim else float(out)
@@ -243,8 +223,6 @@ def _variance_braces(params: ModelParams, rates: DecayRates, t: np.ndarray) -> n
     - 4*omega^2*g^2*gp/(sqrt(eps)*(gm^2 + eps))*sin(sqrt(eps)*t)
     """
     eff = effective_oscillator(params)
-    if eff.epsilon_g <= 0.0:
-        raise RegimeError("dissipative closed forms need the normal regime")
     epsilon_g, epsilon, wbar = eff.epsilon_g, eff.epsilon, eff.omega_bar
     gm, gp = rates.gamma_minus, rates.gamma_plus
     w2 = wbar * wbar
@@ -262,9 +240,9 @@ def x_variance_dissipative(params: ModelParams, rates: DecayRates, t):
 
     The transcription is pinned by three independent gates: it equals 1 at
     t = 0, collapses to the unitary variance at gamma_+ = gamma_- = 0, and
-    tracks the RK4 moment integration at finite rates.
+    tracks the exactly propagated moment equations at finite rates.
     """
-    _require_damped(rates)
+    _require_damped(params, rates)
     t = np.asarray(t, dtype=float)
     out = 0.25 * _variance_braces(params, rates, t) * np.exp(-rates.gamma_minus * t)
     return out if out.ndim else float(out)
@@ -279,7 +257,7 @@ def inverted_variance_dissipative(params: ModelParams, rates: DecayRates, t):
     the damping envelopes of numerator and denominator cancel, leaving only
     the braces' relaxation terms to lower the late peaks.
     """
-    _require_damped(rates)
+    _require_damped(params, rates)
     eff = effective_oscillator(params)
     epsilon_g, epsilon = eff.epsilon_g, eff.epsilon
     t = np.asarray(t, dtype=float)

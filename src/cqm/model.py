@@ -15,7 +15,8 @@ reduction of the spin-down sector is the oscillator
 whose stiffness epsilon_g = 1 - omega*g^2/(omega + 4*lam) vanishes at the
 critical coupling g_c = sqrt(1 + 4*lam/omega).  Tuning lam therefore moves the
 critical point anywhere in (0, inf); this module owns those relations and the
-displaced/rotated frame used past the critical point.
+displaced/rotated frame used past the critical point, where the same
+oscillator form holds with epsilon_g replaced by epsilon_g_alpha.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidParams, NotInSuperradiantRegime
+from .errors import InvalidParams, NotInSuperradiantRegime, RegimeError
 
 #: |epsilon_g| below this counts as sitting on the critical line.
 REGIME_TOL = 1e-12
@@ -131,6 +132,34 @@ def effective_oscillator(params: ModelParams) -> EffectiveOscillator:
 
 
 @dataclass(frozen=True)
+class OscillatorFrame:
+    """(omega_bar/2)*(P^2 + stiffness*X^2) on either side of g_c: stiffness is
+    epsilon_g below g_c and epsilon_g_alpha past it, dstiffness_dg its
+    g-derivative, and epsilon = 4*omega*(omega + 4*lam)*stiffness the gap."""
+
+    omega_bar: float
+    stiffness: float
+    dstiffness_dg: float
+    epsilon: float
+
+
+def oscillator_frame(params: ModelParams) -> OscillatorFrame:
+    """The effective oscillator of the regime ``params`` sits in; RegimeError
+    on the critical line, where neither reduction applies."""
+    omega, g, lam = params.omega, params.g, params.lam
+    eff = effective_oscillator(params)
+    if eff.regime is Regime.NORMAL:
+        dstiffness_dg = -2.0 * omega * g / (omega + 4.0 * lam)
+        return OscillatorFrame(eff.omega_bar, eff.epsilon_g, dstiffness_dg, eff.epsilon)
+    if eff.regime is Regime.CRITICAL:
+        raise RegimeError("no effective oscillator on the critical line")
+    ratio = (omega + 4.0 * lam) / (omega * g * g)  # (g_c/g)^2, in (0, 1) here
+    stiffness = 1.0 - ratio * ratio
+    epsilon = 4.0 * omega * (omega + 4.0 * lam) * stiffness
+    return OscillatorFrame(eff.omega_bar, stiffness, 4.0 * (1.0 - stiffness) / g, epsilon)
+
+
+@dataclass(frozen=True)
 class BeyondCriticalFrame:
     """Displaced and spin-rotated frame valid for g > g_c.
 
@@ -165,15 +194,12 @@ def beyond_critical_frame(params: ModelParams) -> BeyondCriticalFrame:
     transverse spin term.
     """
     omega, Omega, g, lam = params.omega, params.Omega, params.g, params.lam
-    eff = effective_oscillator(params)
-    if eff.regime is not Regime.SUPERRADIANT:
+    if effective_oscillator(params).regime is not Regime.SUPERRADIANT:
         raise NotInSuperradiantRegime(
             f"g = {g} is not above the critical coupling "
             f"g_c = {critical_coupling(params)}"
         )
-    ratio = (omega + 4.0 * lam) / (omega * g * g)  # (g_c/g)^2, in (0, 1) here
-    epsilon_g_alpha = 1.0 - ratio * ratio
-    epsilon_alpha = 4.0 * omega * (omega + 4.0 * lam) * epsilon_g_alpha
+    osc = oscillator_frame(params)
     Omega_alpha = Omega * omega * g * g / (omega + 4.0 * lam)
     g_alpha = (1.0 + 4.0 * lam / omega) ** 1.5 / (g * g)
     wbar3 = (omega * (omega + 4.0 * lam)) ** 1.5
@@ -185,5 +211,5 @@ def beyond_critical_frame(params: ModelParams) -> BeyondCriticalFrame:
         * (1.0 + 4.0 * lam / omega) ** -0.25
     )
     return BeyondCriticalFrame(
-        alpha, theta, Omega_alpha, g_alpha, epsilon_g_alpha, epsilon_alpha
+        alpha, theta, Omega_alpha, g_alpha, osc.stiffness, osc.epsilon
     )

@@ -209,7 +209,7 @@ def test_criterion_8_decoherence():
     tuned = params(0.1, lam=-0.247)
     plain = params(0.1, lam=0.0)
 
-    # RK4 moments against all three printed solutions over [0, 10*tau_1]
+    # exactly propagated moments against all three printed solutions over [0, 10*tau_1]
     worst_ode = 0.0
     for p in (tuned, plain):
         tau1 = float(optimal_times(p, 1)[0])

@@ -16,12 +16,9 @@ from cqm import (
     inverted_variance_peak,
     optimal_times,
     qfi_g,
-    qfi_g_beyond,
     var_n,
-    var_n_beyond,
     x_deriv_g,
     x_mean,
-    x_mean_beyond,
     x_second_moment,
     x_variance,
 )
@@ -103,7 +100,7 @@ class TestVarN:
     def test_beyond_variant_uses_alpha_stiffness(self):
         p = params(1.2)
         eps_ga = 1 - (1 / 1.2**2) ** 2
-        assert var_n_beyond(default_initial_state(), p) == pytest.approx(
+        assert var_n(default_initial_state(), p) == pytest.approx(
             reference_variance(eps_ga), rel=1e-12
         )
 
@@ -150,13 +147,9 @@ class TestQfi:
         best_g, best_val = None, -1.0
         for g in grid:
             p = params(g, lam=lam)
-            regime = effective_oscillator(p).epsilon_g
-            if regime > 0:
-                val = qfi_g(p, 1000.0, var_n(state, p)).value
-            elif regime < 0:
-                val = qfi_g_beyond(p, 1000.0, var_n_beyond(state, p)).value
-            else:
+            if effective_oscillator(p).epsilon_g == 0:
                 continue
+            val = qfi_g(p, 1000.0, var_n(state, p)).value
             if val > best_val:
                 best_g, best_val = g, val
         assert abs(best_g - gc) < 1e-3
@@ -168,15 +161,32 @@ class TestQfi:
         assert np.all(np.diff(vals) > 0)
 
     def test_regime_guard(self):
-        v = var_n(default_initial_state(), params(0.5))
+        # qfi_g and var_n serve both sides of g_c and raise only on the
+        # critical line; the normal-only ig_fg_ratio still raises past g_c
+        state = default_initial_state()
+        v = var_n(state, params(0.5))
+        for g in (0.5, 1.2):
+            assert qfi_g(params(g), 1.0, v).value > 0
+        critical = params(1.0)
         with pytest.raises(RegimeError):
-            qfi_g(params(1.2), 1.0, v)
+            qfi_g(critical, 1.0, v)
         with pytest.raises(RegimeError):
-            qfi_g_beyond(params(0.5), 1.0, v)
+            var_n(state, critical)
+        with pytest.raises(RegimeError):
+            ig_fg_ratio(state, params(1.2))
+
+    def test_beyond_prefactor(self):
+        # past g_c the prefactor is 64*((1 - epsilon_g_alpha)/g)^2
+        p = params(1.2)
+        eps_ga = 1 - (1 / 1.2**2) ** 2
+        t = 3.0
+        x = np.sqrt(4 * eps_ga) * t
+        expected = 64 * ((1 - eps_ga) / 1.2) ** 2 * ((np.sin(x) - x) / (4 * eps_ga) ** 1.5) ** 2
+        assert qfi_g(p, t, 1.0).value == pytest.approx(expected, rel=1e-10)
 
     def test_beyond_zero_time(self):
         p = params(1.2)
-        assert qfi_g_beyond(p, 0.0, var_n_beyond(default_initial_state(), p)).value == 0.0
+        assert qfi_g(p, 0.0, var_n(default_initial_state(), p)).value == 0.0
 
     def test_beyond_grows_approaching_the_critical_point(self):
         state = default_initial_state()
@@ -184,7 +194,7 @@ class TestQfi:
         vals = []
         for g in (1.20, 1.10, 1.05, 1.02):
             p = params(g)
-            vals.append(qfi_g_beyond(p, t, var_n_beyond(state, p)).value)
+            vals.append(qfi_g(p, t, var_n(state, p)).value)
         assert np.all(np.diff(vals) > 0)
 
 
@@ -202,9 +212,9 @@ class TestQuadratures:
         p = params(1.2)
         eps_ga = 1 - (1 / 1.44) ** 2
         eps_a = 4 * eps_ga
-        assert x_mean_beyond(p, 0.0) == 0.0
+        assert x_mean(p, 0.0) == 0.0
         t_quarter = np.pi / np.sqrt(eps_a)
-        assert x_mean_beyond(p, t_quarter) == pytest.approx(
+        assert x_mean(p, t_quarter) == pytest.approx(
             1 / np.sqrt(2 * eps_ga), rel=1e-12
         )
 
@@ -253,11 +263,18 @@ class TestQuadratures:
         assert s.inv_var == pytest.approx(s.x_deriv_g**2 / s.x_var, rel=1e-12)
 
     def test_regime_guards(self):
-        for fn in (x_mean, x_deriv_g, x_variance, x_second_moment, inverted_variance):
+        # x_mean serves both sides of g_c and raises only on the critical
+        # line; the normal-only formulas still raise past g_c
+        assert x_mean(params(1.2), 1.0) > 0
+        with pytest.raises(RegimeError):
+            x_mean(params(1.0), 1.0)
+        for fn in (x_deriv_g, x_variance, x_second_moment, inverted_variance):
             with pytest.raises(RegimeError):
                 fn(params(1.2), 1.0)
         with pytest.raises(RegimeError):
-            x_mean_beyond(params(0.9), 1.0)
+            optimal_times(params(1.2), 1)
+        with pytest.raises(RegimeError):
+            inverted_variance_peak(params(1.2), 1)
 
 
 class TestOptimalTimesAndPeaks:

@@ -16,7 +16,7 @@ from cqm import (
     run,
 )
 from cqm.cli import main as cli_main
-from cqm.experiments import _REGISTRY
+from cqm.experiments import _REGISTRY, _column_units
 from cqm.model import ModelParams
 
 
@@ -241,6 +241,48 @@ class TestRunner:
         again = run(cfg, jobs=1, resume=ds)
         assert again.metadata["cells_computed"] == 1
         assert again.rows == ds.rows
+
+    def test_failed_row_keeps_config_scalars(self):
+        # lam is a scalar of qfi-evolution, not part of its cells
+        cfg = build_config("qfi-evolution", overrides=["g=0.5,1.0", "lam=0", "t=0:10:3"])
+        ds = run(cfg, jobs=1)
+        assert ds.failed_cells == {1}
+        failed = [r for r in ds.rows if r[ds.columns.index("status")].startswith("failed")]
+        assert len(failed) == 1
+        row = dict(zip(ds.columns, failed[0]))
+        assert (row["lam"], row["g"], row["status"]) == ("0", "1", "failed:RegimeError")
+
+    def test_failure_reasons_in_metadata(self):
+        cfg = tiny("inverted-variance", g="0.9,0.9", lam="0,-0.247")
+        ds = run(cfg, jobs=1)
+        (reason,) = ds.metadata["failures"].values()
+        assert list(ds.metadata["failures"]) == ["1"]
+        assert reason.startswith("RegimeError: epsilon_g = ")
+        assert run(tiny("inverted-variance"), jobs=1).metadata["failures"] == {}
+        # only cells that failed in this run are named; rows stay as they were
+        again = run(cfg, jobs=1, resume=ds)
+        assert again.metadata["failures"] == ds.metadata["failures"]
+        assert again.rows == ds.rows
+
+    def test_column_units_agree_across_engines(self):
+        deviations = {"rel_dev", "delta", "abs_delta"}
+        for name, entry in _REGISTRY.items():
+            seen: dict[str, str] = {}
+            for engine in entry.engines:
+                columns = entry.columns(engine)
+                units = _column_units(entry.units, columns)
+                for c in columns:
+                    if c in deviations or c.endswith("_rel_dev"):
+                        assert units[c] == "1", (name, engine, c)
+                        continue
+                    q = c.removesuffix("_closed").removesuffix("_oracle")
+                    if q != c:
+                        assert units.get(c), (name, engine, c)
+                    assert seen.setdefault(q, units.get(c, "")) == units.get(c, ""), (
+                        name, engine, c)
+        ds = run(tiny("quadrature-vs-g", engine="both", g="0.5,0.9"), jobs=1)
+        assert ds.units == _column_units(_REGISTRY["quadrature-vs-g"].units, ds.columns)
+        assert ds.units["x_mean_closed"] == ds.units["x_mean_oracle"] == "1"
 
     def test_resume_rejects_other_config(self):
         ds = run(tiny("qfi-evolution"), jobs=1)

@@ -292,7 +292,7 @@ class TestFiniteFrequency:
         for eta in (1e3, 1e4):
             p = params(0.9, Omega=eta)
             series = quadrature_series(
-                p, ts, builder=build_squeezed_frame_hamiltonian, joint=True
+                p, ts, builder=build_squeezed_frame_hamiltonian
             )
             rels[eta] = np.abs(series.x_mean - closed).max() / np.abs(closed).max()
         assert rels[1e3] < 0.1

@@ -9,7 +9,6 @@ from cqm import (
     ModelParams,
     MomentVector,
     RegimeError,
-    StepUnstable,
     effective_oscillator,
     integrate_moments,
     inverted_variance,
@@ -90,8 +89,8 @@ class TestIntegrateMoments:
         tau1 = float(optimal_times(p, 1)[0])
         ts = np.linspace(0, 3 * tau1, 80)
         traj = integrate_moments(REFERENCE_STATE_MOMENTS, p, NO_DECAY, ts)
-        assert np.abs(traj.moment("x") - x_mean(p, ts)).max() < 1e-8
-        assert np.abs(traj.x_variance() - x_variance(p, ts)).max() < 1e-8
+        assert np.abs(traj.moment("x") - x_mean(p, ts)).max() < 1e-12
+        assert np.abs(traj.x_variance() - x_variance(p, ts)).max() < 1e-12
 
     def test_reference_rates_match_dissipative_closed_forms(self):
         for p in (TUNED, PLAIN):
@@ -100,8 +99,8 @@ class TestIntegrateMoments:
             traj = integrate_moments(REFERENCE_STATE_MOMENTS, p, REFERENCE_RATES, ts)
             xm = x_mean_dissipative(p, REFERENCE_RATES, ts)
             xv = x_variance_dissipative(p, REFERENCE_RATES, ts)
-            assert np.abs(traj.moment("x") - xm).max() / np.abs(xm).max() < 1e-6
-            assert np.abs(traj.x_variance() - xv).max() / np.abs(xv).max() < 1e-6
+            assert np.abs(traj.moment("x") - xm).max() / np.abs(xm).max() < 1e-12
+            assert np.abs(traj.x_variance() - xv).max() / np.abs(xv).max() < 1e-12
 
     def test_long_time_mean_decays(self):
         tau1 = float(optimal_times(TUNED, 1)[0])
@@ -109,16 +108,26 @@ class TestIntegrateMoments:
         traj = integrate_moments(REFERENCE_STATE_MOMENTS, TUNED, REFERENCE_RATES, ts)
         assert abs(traj.moment("x")[-1]) < 1e-3
 
-    def test_step_precondition_enforced(self):
-        ts = np.linspace(0, 5.0, 3)
-        with pytest.raises(InvalidParams):
-            integrate_moments(REFERENCE_STATE_MOMENTS, PLAIN, NO_DECAY, ts, scaled_step=0.2)
+    def test_defective_generator_on_the_critical_line(self):
+        # epsilon = 0 exactly: <P> only decays and <X> grows secularly,
+        # x = wbar*p0*t*exp(-gamma_-*t/2); the moment matrix is defective here
+        p = params(1.0)
+        assert effective_oscillator(p).epsilon == 0.0
+        ts = np.linspace(0.0, 50.0, 101)
+        traj = integrate_moments(REFERENCE_STATE_MOMENTS, p, REFERENCE_RATES, ts)
+        wbar, p0 = effective_oscillator(p).omega_bar, REFERENCE_STATE_MOMENTS.p
+        exact = wbar * p0 * ts * np.exp(-0.5 * REFERENCE_RATES.gamma_minus * ts)
+        assert np.abs(traj.moment("x") - exact).max() / np.abs(exact).max() < 1e-12
 
-    def test_coarse_step_fails_the_halving_check(self):
-        tau1 = float(optimal_times(PLAIN, 1)[0])
-        ts = np.linspace(0, 20 * tau1, 4)
-        with pytest.raises(StepUnstable):
-            integrate_moments(REFERENCE_STATE_MOMENTS, PLAIN, NO_DECAY, ts, scaled_step=0.049)
+    def test_grid_spacing_does_not_change_the_trajectory(self):
+        # each step is exact, so one long step lands where many short ones do
+        tau1 = float(optimal_times(TUNED, 1)[0])
+        fine = integrate_moments(REFERENCE_STATE_MOMENTS, TUNED, REFERENCE_RATES,
+                                 np.linspace(0, 20 * tau1, 401))
+        coarse = integrate_moments(REFERENCE_STATE_MOMENTS, TUNED, REFERENCE_RATES,
+                                   [0.0, 20 * tau1])
+        scale = np.abs(fine.values).max(axis=0)
+        assert np.abs(coarse.values[-1] - fine.values[-1]).max() < 1e-12 * scale.max()
 
     def test_bad_grid_rejected(self):
         with pytest.raises(InvalidParams):
@@ -219,6 +228,14 @@ class TestClosedForms:
     def test_regime_guard(self):
         with pytest.raises(RegimeError):
             x_variance_dissipative(params(1.5), REFERENCE_RATES, 1.0)
+
+    def test_every_closed_form_needs_the_normal_regime(self):
+        # x_mean serves both sides of g_c, but the damped forms and the moment
+        # equations they are checked against are written for the normal regime
+        for fn in (x_mean_dissipative, x_deriv_g_dissipative, x_variance_dissipative,
+                   inverted_variance_dissipative):
+            with pytest.raises(RegimeError):
+                fn(params(1.2), REFERENCE_RATES, 1.0)
 
     def test_tiny_gamma_minus_series_branch(self):
         # gamma_- below the series crossover must stay continuous

@@ -10,10 +10,12 @@ from cqm import (
     ModelParams,
     NotInSuperradiantRegime,
     Regime,
+    RegimeError,
     beyond_critical_frame,
     critical_coupling,
     effective_oscillator,
     lambda_for_target_critical,
+    oscillator_frame,
     squeeze_parameter,
     validate,
 )
@@ -216,3 +218,33 @@ class TestBeyondCriticalFrame:
         assert frame.epsilon_alpha == pytest.approx(
             4.0 * (1.0 + 4.0 * lam) * frame.epsilon_g_alpha, rel=1e-12
         )
+
+
+class TestOscillatorFrame:
+    def test_normal_side_is_the_effective_oscillator(self):
+        p = params(0.3, lam=-0.2)
+        frame, eff = oscillator_frame(p), effective_oscillator(p)
+        assert (frame.omega_bar, frame.stiffness, frame.epsilon) == (
+            eff.omega_bar, eff.epsilon_g, eff.epsilon)
+
+    def test_superradiant_side_is_the_alpha_frame(self):
+        p = params(1.2, lam=0.1)
+        frame, beyond = oscillator_frame(p), beyond_critical_frame(p)
+        assert frame.stiffness == beyond.epsilon_g_alpha
+        assert frame.epsilon == beyond.epsilon_alpha
+        assert frame.omega_bar == effective_oscillator(p).omega_bar
+
+    def test_critical_line_raises(self):
+        with pytest.raises(RegimeError):
+            oscillator_frame(params(1.0))
+        with pytest.raises(RegimeError):
+            oscillator_frame(params(critical_coupling(params(0.0, lam=-0.2)), lam=-0.2))
+
+    @pytest.mark.parametrize("g,lam", [(0.3, 0.0), (0.099, -0.2475), (0.9, 0.5),
+                                       (1.2, 0.0), (0.2, -0.2475), (3.0, 0.5)])
+    def test_stiffness_derivative_against_centered_difference(self, g, lam):
+        # covers both sides of g_c (g_c = 1, 0.1, sqrt(3) for these lam)
+        h = 1e-6 * g
+        fd = (oscillator_frame(params(g + h, lam=lam)).stiffness
+              - oscillator_frame(params(g - h, lam=lam)).stiffness) / (2 * h)
+        assert oscillator_frame(params(g, lam=lam)).dstiffness_dg == pytest.approx(fd, rel=1e-7)
