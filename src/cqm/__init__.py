@@ -60,11 +60,8 @@ from .fock import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
     build_squeezed_frame_hamiltonian,
-    evolve,
     evolve_grid,
-    finite_frequency_discrepancy,
     finite_frequency_point,
-    generator_qfi,
     generator_qfi_grid,
     qfi_overlap,
     quadrature_series,

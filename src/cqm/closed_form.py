@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CutoffTooSmall, InvalidParams, RegimeError
-from .model import ModelParams, effective_oscillator, oscillator_frame
+from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
 
 #: Below this argument, sin(x) - x and sin(x) - x*cos(x) switch to series.
 _SERIES_CUT = 1e-4
@@ -97,12 +97,12 @@ def sin_minus_x_cos_over_x3(x):
 
 
 def _normal_gaps(params: ModelParams):
-    """(epsilon_g, epsilon) with a RegimeError unless epsilon_g > 0."""
+    """(epsilon_g, epsilon) with a RegimeError unless the regime is normal."""
     eff = effective_oscillator(params)
-    if eff.epsilon_g <= 0.0:
+    if eff.regime is not Regime.NORMAL:
         raise RegimeError(
-            f"epsilon_g = {eff.epsilon_g} <= 0: formulas for the normal "
-            "regime do not apply (past g_c only x_mean, var_n and qfi_g do)"
+            f"epsilon_g = {eff.epsilon_g} ({eff.regime.value}): formulas for the "
+            "normal regime do not apply (past g_c only x_mean, var_n and qfi_g do)"
         )
     return eff.epsilon_g, eff.epsilon
 

@@ -180,7 +180,7 @@ def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> list[dict]:
     closed = {"qfi": cf.qfi_g(params, v["t"], cf.var_n(state, params)).value}
     if cfg.engine == "closed":
         return _compared_rows(cfg.engine, base, v["t"], closed)
-    oracle, n_cut = fock.generator_qfi_grid(params, v["t"], psi0=state, return_n_cut=True)
+    oracle, n_cut = fock.generator_qfi_grid(params, v["t"], psi0=state)
     return _compared_rows(cfg.engine, base, v["t"], closed, {"qfi": oracle}, n_cut)
 
 
@@ -243,7 +243,8 @@ def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> list[dict]:
     if cfg.engine == "closed":
         return rows
     series = fock.quadrature_series(params, taus, psi0=state)
-    numeric = series.inv_var / fock.generator_qfi_grid(params, taus, psi0=state)
+    qfis, _ = fock.generator_qfi_grid(params, taus, psi0=state)
+    numeric = series.inv_var / qfis
     for row, ratio in zip(rows, numeric):
         row.update(ratio_numeric=ratio, rel_dev=abs(ratio - analytic) / analytic,
                    n_cut=series.n_cut)
@@ -316,6 +317,8 @@ class _Experiment:
 
 
 def _zipped_cells(v: dict) -> list[dict]:
+    if np.size(v["g"]) != np.size(v["lam"]):
+        raise ConfigError("g and lam are zipped case lists and must have equal length")
     return [{"g": g, "lam": lam} for g, lam in zip(v["g"], v["lam"])]
 
 
@@ -486,7 +489,7 @@ def read_config_file(path: str) -> dict[str, str]:
 def build_config(
     experiment: str,
     config_file: str | None = None,
-    overrides: list[str] | dict[str, str] | None = None,
+    overrides: list[str] | None = None,
     engine: str | None = None,
 ) -> ExperimentConfig:
     """Resolve defaults, an optional config file, and --set overrides."""
@@ -499,15 +502,12 @@ def build_config(
     raw = {k: kd.default for k, kd in keys.items()}
     chosen_engine = entry.engine
     file_values = read_config_file(config_file) if config_file else {}
-    if isinstance(overrides, dict):
-        override_values = dict(overrides)
-    else:
-        override_values = {}
-        for item in overrides or []:
-            if "=" not in item:
-                raise ConfigError(f"--set needs key=value, got '{item}'")
-            key, _, value = item.partition("=")
-            override_values[key.strip()] = value.strip()
+    override_values = {}
+    for item in overrides or []:
+        if "=" not in item:
+            raise ConfigError(f"--set needs key=value, got '{item}'")
+        key, _, value = item.partition("=")
+        override_values[key.strip()] = value.strip()
     for source in (file_values, override_values):
         for key, value in source.items():
             if key == "engine":
@@ -547,9 +547,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         ns = np.atleast_1d(v["n"])
         if np.any(ns < 1) or np.any(ns != np.floor(ns)):
             raise ConfigError(f"peak indices n = {ns.tolist()} must be integers >= 1")
-    zipped = {"inverted-variance", "ratio-scaling", "frequency-scaling", "decoherence"}
-    if cfg.experiment in zipped and np.size(v["g"]) != np.size(v["lam"]):
-        raise ConfigError("g and lam are zipped case lists and must have equal length")
+    _REGISTRY[cfg.experiment].cells(v)  # raises ConfigError on unequal zipped lists
     for lam in np.atleast_1d(v["lam"]):
         if not 1.0 + 4.0 * lam / v["omega"] > 0:
             raise ConfigError(f"lam = {lam} violates 1 + 4*lam/omega > 0")
@@ -740,17 +738,13 @@ class SlopeFit:
     intercept: float
 
 
-def fit_loglog_slope(
-    data: "Dataset | tuple",
-    x_col: str = "eta",
-    y_col: str = "abs_delta",
-) -> SlopeFit:
+def fit_loglog_slope(data: "Dataset | tuple") -> SlopeFit:
     """Least-squares slope of log(y) vs log(x) with its standard error.
 
-    Accepts a Dataset (columns named by x_col/y_col) or an (x, y) pair.
+    Accepts a Dataset (x from column eta, y from abs_delta) or an (x, y) pair.
     """
     if isinstance(data, Dataset):
-        x, y = data.column(x_col), data.column(y_col)
+        x, y = data.column("eta"), data.column("abs_delta")
     else:
         x, y = (np.asarray(a, dtype=float) for a in data)
     if len(x) < 5:

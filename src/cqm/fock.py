@@ -7,9 +7,11 @@ a fidelity finite difference and the spectral integral of the evolution
 generator.  It also measures how far finite-frequency (Omega/omega = eta)
 dynamics sits from the low-frequency closed forms.
 
-Truncation policy: every user-facing routine accepts n_cut=None and then
-doubles the basis from AUTO_CUTOFF_START until the requested observables
-stop moving (mixed absolute/relative test).  States anti-squeeze near
+Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
+until the requested observables stop moving (relative test, with an
+absolute floor for the quadrature blocks); all but finite_frequency_point
+also take a pinned n_cut.  The tolerances are module constants, not
+arguments, apart from generator_qfi_grid's rtol.  States anti-squeeze near
 criticality, with Fock tails decaying only like (1 - 2*epsilon_g)^n, so
 near-critical runs legitimately need cutoffs of order 1/epsilon_g; the
 doubling ladder finds that automatically.
@@ -35,10 +37,13 @@ from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
 
 AUTO_CUTOFF_START = 32
 AUTO_CUTOFF_MAX = 4096
+#: (rtol, atol) of quadrature_series's per-block convergence test.
+SERIES_RTOL, SERIES_ATOL = 1e-6, 1e-9
 
-#: Fraction of top Fock indices whose total weight is checked after evolution.
+#: Fraction of top Fock indices whose total weight is checked after evolution,
+#: and the most weight an evolved state may put there.
 TAIL_FRACTION = 0.1
-DEFAULT_LEAK_TOL = 1e-8
+LEAK_TOL = 1e-8
 
 SPIN_DOWN, SPIN_UP = 0, 1  # block order inside joint vectors
 
@@ -99,10 +104,6 @@ class JointState:
         if abs(norm - 1.0) > 1e-10:
             raise InvalidParams("amplitudes", f"norm {norm} != 1 beyond 1e-10")
         object.__setattr__(self, "amplitudes", amps)
-
-    def tail_mass(self) -> float:
-        """Probability weight in the top TAIL_FRACTION of Fock indices."""
-        return _tail_mass(self.amplitudes, self.n_cut)
 
 
 def _tail_mass(amps: np.ndarray, n_cut: int) -> float:
@@ -202,27 +203,6 @@ def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOpe
 # evolution
 # ----------------------------------------------------------------------
 
-def evolve(
-    h: HermitianOperator,
-    psi0: JointState | BosonInitialState | np.ndarray,
-    t: float,
-    leak_tol: float = DEFAULT_LEAK_TOL,
-):
-    """exp(-i*H*t)|psi0> by spectral decomposition.
-
-    Raises TruncationLeak when the evolved state puts more than ``leak_tol``
-    weight into the top Fock indices (the cutoff is too small for this run).
-    Returns the same kind of state object it was given.
-    """
-    if isinstance(psi0, JointState):
-        amps = evolve_joint_grid(h, psi0, [t], leak_tol=leak_tol)[:, 0]
-        return JointState(amps, psi0.n_cut)
-    amps = evolve_grid(h, psi0, [t], leak_tol=leak_tol)[:, 0]
-    if isinstance(psi0, BosonInitialState):
-        return BosonInitialState(amps)
-    return amps
-
-
 def _spectral_propagate(h: HermitianOperator, amps0: np.ndarray, ts) -> np.ndarray:
     if len(amps0) != h.dim:
         raise InvalidParams("psi0", f"length {len(amps0)} != operator dim {h.dim}")
@@ -237,36 +217,28 @@ def _spectral_propagate(h: HermitianOperator, amps0: np.ndarray, ts) -> np.ndarr
     return out
 
 
-def _check_tail(out: np.ndarray, n_cut: int, leak_tol: float) -> None:
+def _check_tail(out: np.ndarray, n_cut: int) -> None:
     worst = max(_tail_mass(out[:, i], n_cut) for i in range(out.shape[1]))
-    if worst > leak_tol:
+    if worst > LEAK_TOL:
         raise TruncationLeak(
-            f"tail mass {worst:.3e} exceeds {leak_tol:.1e}; raise n_cut"
+            f"tail mass {worst:.3e} exceeds {LEAK_TOL:.1e}; raise n_cut"
         )
 
 
-def evolve_grid(
-    h: HermitianOperator,
-    psi0,
-    ts: Sequence[float],
-    leak_tol: float = DEFAULT_LEAK_TOL,
-) -> np.ndarray:
-    """Boson-only evolution at every time in ``ts``; (dim, len(ts)) array."""
+def evolve_grid(h: HermitianOperator, psi0, ts: Sequence[float]) -> np.ndarray:
+    """exp(-i*H*t)|psi0> by spectral decomposition at every time in ``ts``;
+    (dim, len(ts)) array.  Raises TruncationLeak when an evolved state puts
+    more than LEAK_TOL weight into the top Fock indices."""
     amps0 = psi0.amplitudes if hasattr(psi0, "amplitudes") else np.asarray(psi0, dtype=complex)
     out = _spectral_propagate(h, amps0, ts)
-    _check_tail(out, h.dim, leak_tol)
+    _check_tail(out, h.dim)
     return out
 
 
-def evolve_joint_grid(
-    h: HermitianOperator,
-    psi0: JointState,
-    ts: Sequence[float],
-    leak_tol: float = DEFAULT_LEAK_TOL,
-) -> np.ndarray:
+def evolve_joint_grid(h: HermitianOperator, psi0: JointState, ts: Sequence[float]) -> np.ndarray:
     """Joint-space evolution, with the tail check on each spin block."""
     out = _spectral_propagate(h, psi0.amplitudes, ts)
-    _check_tail(out, psi0.n_cut, leak_tol)
+    _check_tail(out, psi0.n_cut)
     return out
 
 
@@ -279,20 +251,19 @@ def auto_cutoff(
     start: int = AUTO_CUTOFF_START,
     max_cut: int = AUTO_CUTOFF_MAX,
     rtol: float = 1e-6,
-    atol: float = 0.0,
     converged: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> tuple[int, np.ndarray]:
     """Double the cutoff until ``run(n_cut)``'s observables stop moving.
 
-    Convergence: every component changes by less than
-    atol + rtol*max(|new|, |old|) when the cutoff doubles, unless a
+    Convergence: every component changes by at most
+    rtol*max(|new|, |old|) when the cutoff doubles, unless a
     ``converged(old, new)`` test is given.  TruncationLeak from ``run``
     counts as "keep doubling".  Returns (accepted n_cut, values at that
     cutoff).
     """
     if converged is None:
         def converged(old: np.ndarray, new: np.ndarray) -> bool:
-            tol = atol + rtol * np.maximum(np.abs(new), np.abs(old))
+            tol = rtol * np.maximum(np.abs(new), np.abs(old))
             return bool(np.all(np.abs(new - old) <= tol))
 
     prev = None
@@ -309,7 +280,7 @@ def auto_cutoff(
         prev = values
         n *= 2
     raise CutoffNotConverged(
-        f"observables still moving at n_cut = {max_cut} (rtol={rtol}, atol={atol})"
+        f"observables still moving at n_cut = {max_cut} (rtol={rtol})"
     )
 
 
@@ -336,12 +307,12 @@ class QuadratureSeries:
         return self.x_deriv_g**2 / self.x_var
 
 
-def _evolve_from(h: HermitianOperator, psi0, n_cut: int, ts, leak_tol: float) -> np.ndarray:
+def _evolve_from(h: HermitianOperator, psi0, n_cut: int, ts) -> np.ndarray:
     """Evolve ``psi0`` under ``h``: as |down> (x) psi0 when ``h`` acts on the
     joint spin-boson space (dim 2*n_cut), else as the boson state itself."""
     if h.dim == 2 * n_cut:
-        return evolve_joint_grid(h, spin_down_state(psi0, n_cut), ts, leak_tol=leak_tol)
-    return evolve_grid(h, _pad(psi0, n_cut), ts, leak_tol=leak_tol)
+        return evolve_joint_grid(h, spin_down_state(psi0, n_cut), ts)
+    return evolve_grid(h, _pad(psi0, n_cut), ts)
 
 
 def _series_at_cutoff(
@@ -350,7 +321,6 @@ def _series_at_cutoff(
     psi0: BosonInitialState,
     n_cut: int,
     builder: Callable[[ModelParams, int], HermitianOperator],
-    leak_tol: float,
 ) -> np.ndarray:
     """Rows x, x^2, the 4-point (Richardson) g-derivative of x, and its two
     centered stencils (full and halved step), at one cutoff."""
@@ -358,19 +328,17 @@ def _series_at_cutoff(
     x, _ = quadratures(n_cut)
     x = x.real
 
-    def measure(gv: float) -> tuple[np.ndarray, np.ndarray]:
+    def measure(gv: float, squares: bool = False) -> tuple[np.ndarray, ...]:
+        """<X>_t at coupling ``gv``, followed by <X^2>_t when ``squares``."""
         h = builder(replace(params, g=gv), n_cut)
-        amps = _evolve_from(h, psi0, n_cut, ts, leak_tol)
+        amps = _evolve_from(h, psi0, n_cut, ts)
         xobs = np.kron(np.eye(2), x) if h.dim == 2 * n_cut else x
-        xa = np.einsum("it,ij,jt->t", amps.conj(), xobs, amps).real
-        xxa = np.einsum("it,ij,jt->t", amps.conj(), xobs @ xobs, amps).real
-        return xa, xxa
+        ops = (xobs, xobs @ xobs) if squares else (xobs,)
+        return tuple(np.einsum("it,ij,jt->t", amps.conj(), op, amps).real for op in ops)
 
-    x0, xx0 = measure(params.g)
-    xp1, _ = measure(params.g + dg)
-    xm1, _ = measure(params.g - dg)
-    xp2, _ = measure(params.g + 0.5 * dg)
-    xm2, _ = measure(params.g - 0.5 * dg)
+    x0, xx0 = measure(params.g, squares=True)
+    (xp1,), (xm1,) = measure(params.g + dg), measure(params.g - dg)
+    (xp2,), (xm2,) = measure(params.g + 0.5 * dg), measure(params.g - 0.5 * dg)
     d_wide = (xp1 - xm1) / (2.0 * dg)
     d_half = (xp2 - xm2) / dg
     deriv = (4.0 * d_half - d_wide) / 3.0  # Richardson: O(dg^4) bias
@@ -383,37 +351,34 @@ def quadrature_series(
     psi0: BosonInitialState | None = None,
     n_cut: int | None = None,
     builder: Callable[[ModelParams, int], HermitianOperator] = build_effective_hamiltonian,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    max_cut: int = AUTO_CUTOFF_MAX,
-    leak_tol: float = DEFAULT_LEAK_TOL,
 ) -> QuadratureSeries:
     """<X>_t, <X^2>_t and d<X>_t/dg on a grid, with automatic cutoff.
 
     A builder of a joint spin-boson operator evolves |down> (x) psi0; a
-    boson-only builder evolves psi0.  The derivative uses a Richardson-
-    extrapolated centered difference with the fixed base step
-    dg = 1e-5*max(g, 0.01); the two stencils must agree to 1e-3 relative
-    wherever the derivative is appreciable, else StepTooLarge.
+    boson-only builder evolves psi0.  The ladder accepts a cutoff once each
+    block (x, x^2, derivative) moves by at most
+    SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.  The derivative
+    uses a Richardson-extrapolated centered difference with the fixed base
+    step dg = 1e-5*max(g, 0.01); the two stencils must agree to 1e-3
+    relative wherever the derivative is appreciable, else StepTooLarge.
     """
     ts = np.asarray(ts, dtype=float)
     psi0 = psi0 if psi0 is not None else default_initial_state()
 
     def run(n: int) -> np.ndarray:
-        return _series_at_cutoff(params, ts, psi0, n, builder, leak_tol)
+        return _series_at_cutoff(params, ts, psi0, n, builder)
 
     def converged(prev: np.ndarray, new: np.ndarray) -> bool:
         # curves cross zero, so convergence is judged per block (x, x^2,
         # derivative) against the block's own scale, not pointwise
         for old_block, new_block in zip(prev[:3], new[:3]):
-            scale = max(np.abs(old_block).max(), np.abs(new_block).max(), atol)
-            if np.abs(new_block - old_block).max() > atol + rtol * scale:
+            scale = max(np.abs(old_block).max(), np.abs(new_block).max(), SERIES_ATOL)
+            if np.abs(new_block - old_block).max() > SERIES_ATOL + SERIES_RTOL * scale:
                 return False
         return True
 
     if n_cut is None:
-        n_cut, got = auto_cutoff(run, max_cut=max_cut, rtol=rtol, atol=atol,
-                                 converged=converged)
+        n_cut, got = auto_cutoff(run, converged=converged)
     else:
         got = run(n_cut)
     x_mean, x_second, deriv, d_wide, d_half = got
@@ -435,26 +400,24 @@ def qfi_overlap(
     t: float,
     psi0: BosonInitialState | None = None,
     dg: float | None = None,
-    builder: Callable[[ModelParams, int], HermitianOperator] = build_effective_hamiltonian,
     n_cut: int | None = None,
-    rtol: float = 1e-6,
-    max_cut: int = AUTO_CUTOFF_MAX,
 ) -> float:
-    """QFI from the fidelity drop between evolutions at g -/+ dg/2:
+    """QFI of the effective oscillator from the fidelity drop between
+    evolutions at g -/+ dg/2:
 
-    F ~= 8*(1 - |<psi_{g-dg/2}(t)|psi_{g+dg/2}(t)>|) / dg^2,
-    psi being |down> (x) psi0 for a joint spin-boson builder, else psi0.
+    F ~= 8*(1 - |<psi_{g-dg/2}(t)|psi_{g+dg/2}(t)>|) / dg^2.
 
     With dg=None the step is tuned so the fidelity deficit sits near 1e-6,
     far from both the quadratic-validity ceiling (1e-2) and roundoff.
     Raises StepTooLarge when an explicit dg leaves the deficit above 1e-2.
+    With n_cut=None the cutoff ladder runs at auto_cutoff's default rtol.
     """
     psi0 = psi0 if psi0 is not None else default_initial_state()
 
     def deficit_at(n: int, step: float) -> float:
         def state(gv):
-            h = builder(replace(params, g=gv), n)
-            return _evolve_from(h, psi0, n, [t], DEFAULT_LEAK_TOL)[:, 0]
+            h = build_effective_hamiltonian(replace(params, g=gv), n)
+            return evolve_grid(h, _pad(psi0, n), [t])[:, 0]
 
         minus = state(params.g - 0.5 * step)
         plus = state(params.g + 0.5 * step)
@@ -483,28 +446,7 @@ def qfi_overlap(
 
     if n_cut is not None:
         return qfi_at(n_cut)
-    _, values = auto_cutoff(lambda n: qfi_at(n), rtol=rtol, max_cut=max_cut)
-    return float(values[0])
-
-
-def generator_qfi(
-    params: ModelParams,
-    t: float,
-    psi0: BosonInitialState | None = None,
-    n_cut: int | None = None,
-    rtol: float = 1e-6,
-    max_cut: int = AUTO_CUTOFF_MAX,
-) -> float:
-    """QFI from the spectral integral of the evolution generator.
-
-    With H_eff = H0 + zeta*H1 (H0 = wbar/2*P^2, H1 = wbar/2*X^2,
-    zeta = epsilon_g), the generator is h = int_0^t H1(s) ds, assembled in
-    the eigenbasis as H1_jk * (exp(i*(Ej-Ek)*t) - 1)/(i*(Ej-Ek)) with the
-    diagonal (and any |Ej-Ek| < 1e-12 pair) replaced by t.  Then
-    F_g = (d epsilon_g/d g)^2 * 4*Var[h].
-    """
-    values = generator_qfi_grid(params, [t], psi0=psi0, n_cut=n_cut, rtol=rtol,
-                                max_cut=max_cut)
+    _, values = auto_cutoff(qfi_at)
     return float(values[0])
 
 
@@ -514,13 +456,20 @@ def generator_qfi_grid(
     psi0: BosonInitialState | None = None,
     n_cut: int | None = None,
     rtol: float = 1e-6,
-    max_cut: int = AUTO_CUTOFF_MAX,
-    return_n_cut: bool = False,
-):
-    """generator_qfi evaluated on a whole time grid with one diagonalization
-    per cutoff; cutoff convergence is measured jointly across the grid."""
+) -> tuple[np.ndarray, int]:
+    """QFI from the spectral integral of the evolution generator, on a whole
+    time grid with one diagonalization per cutoff.
+
+    With H_eff = H0 + zeta*H1 (H0 = wbar/2*P^2, H1 = wbar/2*X^2,
+    zeta = epsilon_g), the generator is h = int_0^t H1(s) ds, assembled in
+    the eigenbasis as H1_jk * (exp(i*(Ej-Ek)*t) - 1)/(i*(Ej-Ek)) with the
+    diagonal (and any |Ej-Ek| < 1e-12 pair) replaced by t.  Then
+    F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (values, n_cut): the
+    given n_cut, or the one the ladder accepted, its convergence measured
+    jointly across the grid at relative tolerance ``rtol``.
+    """
     if effective_oscillator(params).regime is not Regime.NORMAL:
-        raise RegimeError("generator_qfi is defined for the normal regime")
+        raise RegimeError("generator_qfi_grid is defined for the normal regime")
     frame = oscillator_frame(params)
     psi0 = psi0 if psi0 is not None else default_initial_state()
     ts = np.asarray(ts, dtype=float)
@@ -545,10 +494,9 @@ def generator_qfi_grid(
         return out
 
     if n_cut is not None:
-        values = qfi_at(n_cut)
-        return (values, n_cut) if return_n_cut else values
-    n_cut, values = auto_cutoff(qfi_at, rtol=rtol, max_cut=max_cut)
-    return (values, n_cut) if return_n_cut else values
+        return qfi_at(n_cut), n_cut
+    n_cut, values = auto_cutoff(qfi_at, rtol=rtol)
+    return values, n_cut
 
 
 def verify_reciprocal_relation(params: ModelParams, n_cut: int) -> float:
@@ -595,36 +543,21 @@ class FrequencyPoint:
     n_cut: int
 
 
-def finite_frequency_point(
-    params: ModelParams,
-    eta: float,
-    n: int = 1,
-    n_cut: int | None = None,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    max_cut: int = AUTO_CUTOFF_MAX,
-) -> FrequencyPoint:
-    """Finite-frequency inverted variance against the low-frequency peak.
+def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> FrequencyPoint:
+    """Finite-frequency inverted variance against the low-frequency peak,
+    delta = (I_g^(eta)(tau_n) - I_g(tau_n)) / I_g(tau_n).
 
     The exact side evolves |down> (x) (|0>+i|1>)/sqrt(2) under the squeezed-
     frame Hamiltonian at Omega = eta*omega (the frame the closed forms live
     in) and measures <X>, <X^2> and the Richardson-centered d<X>/dg at the
-    low-frequency optimal time tau_n = 2*pi*n/sqrt(epsilon), with
-    quadrature_series's fixed step dg = 1e-5*max(g, 0.01).
+    low-frequency optimal time tau_n = 2*pi*n/sqrt(epsilon) through
+    quadrature_series, whose ladder always picks the cutoff.
     """
     if eta < 10:
         raise InvalidParams("eta", f"must be >= 10, got {eta}")
     full_params = replace(params, Omega=eta * params.omega)
     tau = float(optimal_times(params, n)[-1])
-    series = quadrature_series(
-        full_params,
-        [tau],
-        n_cut=n_cut,
-        builder=build_squeezed_frame_hamiltonian,
-        rtol=rtol,
-        atol=atol,
-        max_cut=max_cut,
-    )
+    series = quadrature_series(full_params, [tau], builder=build_squeezed_frame_hamiltonian)
     i_exact = float(series.inv_var[0])
     i_limit = inverted_variance_peak(params, n)
     return FrequencyPoint(
@@ -636,19 +569,3 @@ def finite_frequency_point(
         delta=(i_exact - i_limit) / i_limit,
         n_cut=series.n_cut,
     )
-
-
-def finite_frequency_discrepancy(
-    params: ModelParams,
-    eta: float,
-    n: int = 1,
-    n_cut: int | None = None,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    max_cut: int = AUTO_CUTOFF_MAX,
-) -> float:
-    """delta = (I_g^(eta)(tau_n) - I_g(tau_n)) / I_g(tau_n); see
-    finite_frequency_point for the protocol."""
-    return finite_frequency_point(
-        params, eta, n=n, n_cut=n_cut, rtol=rtol, atol=atol, max_cut=max_cut
-    ).delta

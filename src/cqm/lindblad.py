@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidParams, RegimeError
 from .closed_form import sin_minus_x_cos_over_x3, x_deriv_g, x_mean
-from .model import ModelParams, effective_oscillator
+from .model import ModelParams, Regime, effective_oscillator
 
 
 @dataclass(frozen=True)
@@ -126,9 +126,6 @@ class TimeSeries:
     def x_variance(self) -> np.ndarray:
         return self.moment("xx") - self.moment("x") ** 2
 
-    def p_variance(self) -> np.ndarray:
-        return self.moment("pp") - self.moment("p") ** 2
-
 
 def _augmented_generator(params: ModelParams, rates: DecayRates) -> np.ndarray:
     """[[A, b], [0, 0]] of dm/dt = A*m + b: b = rhs(0), column j of A = rhs(e_j) - b."""
@@ -186,7 +183,7 @@ def _require_damped(params: ModelParams, rates: DecayRates) -> None:
         raise InvalidParams(
             "rates", "closed forms require net damping (gamma_a >= gamma_h)"
         )
-    if effective_oscillator(params).epsilon_g <= 0.0:
+    if effective_oscillator(params).regime is not Regime.NORMAL:
         raise RegimeError("dissipative closed forms need the normal regime")
 
 

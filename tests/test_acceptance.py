@@ -13,7 +13,6 @@ from cqm import (
     default_initial_state,
     effective_oscillator,
     fit_loglog_slope,
-    generator_qfi,
     generator_qfi_grid,
     ig_fg_ratio,
     integrate_moments,
@@ -104,7 +103,7 @@ def test_criterion_4_qfi_method_agreement_and_convergence():
     p = params(0.9)
     worst = 0.0
     for t in np.linspace(2.0, 20.0, 7):
-        a = generator_qfi(p, float(t))
+        (a,), _ = generator_qfi_grid(p, [float(t)])
         b = qfi_overlap(p, float(t))
         worst = max(worst, abs(a - b) / a)
     methods_ok = worst <= 1e-4
@@ -116,7 +115,7 @@ def test_criterion_4_qfi_method_agreement_and_convergence():
         g = np.sqrt(1.0 - eps_g)
         p = params(g)
         t = np.pi / np.sqrt(effective_oscillator(p).epsilon)
-        exact = generator_qfi(p, t, rtol=2e-3)
+        (exact,), _ = generator_qfi_grid(p, [t], rtol=2e-3)
         approx = qfi_g(p, t, var_n(state, p)).value
         rels.append(abs(approx - exact) / exact)
     conv_ok = rels[0] > rels[1] > rels[2]
@@ -157,7 +156,7 @@ def test_criterion_6_peaks_and_ratio_scaling():
     analytic = ig_fg_ratio(state, p)
     taus = optimal_times(p, 20)[4:]
     series = quadrature_series(p, taus, psi0=state)
-    qfis = generator_qfi_grid(p, taus, psi0=state)
+    qfis, _ = generator_qfi_grid(p, taus, psi0=state)
     ratio_dev = float(np.abs(series.inv_var / qfis - analytic).max() / analytic)
     ratio_ok = ratio_dev <= 0.05
 
@@ -189,7 +188,7 @@ def test_criterion_7_finite_frequency_scaling():
     deltas = {}
     for label, (g, lam) in {"plain": (0.9, 0.0), "tuned": (0.1, -0.247)}.items():
         p = params(g, lam=lam)
-        ds = [cqm.finite_frequency_discrepancy(p, eta) for eta in etas]
+        ds = [cqm.finite_frequency_point(p, eta).delta for eta in etas]
         deltas[label] = np.abs(ds)
         fit = fit_loglog_slope((np.array(etas), np.abs(ds)))
         slopes[label] = fit.slope

@@ -49,8 +49,9 @@ class TestConfig:
             build_config("qfi-map", engine="oracle")
 
     def test_zipped_lengths_checked(self):
-        with pytest.raises(ConfigError):
-            build_config("decoherence", overrides=["g=0.1", "lam=0,-0.247"])
+        for experiment in ("decoherence", "frequency-scaling"):
+            with pytest.raises(ConfigError):
+                build_config(experiment, overrides=["g=0.1", "lam=0,-0.247"])
 
     def test_unphysical_lambda_rejected(self):
         with pytest.raises(ConfigError):

@@ -14,10 +14,8 @@ from cqm import (
     build_squeezed_frame_hamiltonian,
     default_initial_state,
     effective_oscillator,
-    evolve,
     evolve_grid,
-    finite_frequency_discrepancy,
-    generator_qfi,
+    finite_frequency_point,
     generator_qfi_grid,
     inverted_variance,
     optimal_times,
@@ -29,7 +27,13 @@ from cqm import (
     x_mean,
     x_variance,
 )
-from cqm.fock import HermitianOperator, JointState, quadratures, spin_down_state
+from cqm.fock import (
+    HermitianOperator,
+    JointState,
+    evolve_joint_grid,
+    quadratures,
+    spin_down_state,
+)
 
 
 def params(g, lam=0.0, omega=1.0, Omega=1e4):
@@ -111,14 +115,14 @@ class TestEvolve:
     def test_zero_time_identity(self):
         h = build_effective_hamiltonian(params(0.9), 32)
         psi = default_initial_state(32)
-        out = evolve(h, psi, 0.0)
-        assert np.allclose(out.amplitudes, psi.amplitudes)
+        out = evolve_grid(h, psi, [0.0])[:, 0]
+        assert np.allclose(out, psi.amplitudes)
 
     def test_diagonal_hamiltonian_only_rotates_phases(self):
         h = HermitianOperator(np.diag(np.arange(8, dtype=float)))
-        amps = np.ones(8) / np.sqrt(8)
-        # the uniform state deliberately fills the tail: disable the leak check
-        out = evolve(h, amps, 0.37, leak_tol=1.0)
+        # uniform over all but the top Fock slot, which the leak check reads
+        amps = np.append(np.ones(7), 0.0) / np.sqrt(7)
+        out = evolve_grid(h, amps, [0.37])[:, 0]
         assert np.allclose(np.abs(out), np.abs(amps))
         assert np.allclose(out, amps * np.exp(-1j * 0.37 * np.arange(8)))
 
@@ -140,8 +144,7 @@ class TestEvolve:
         p = params(0.9, Omega=50.0)
         h = build_squeezed_frame_hamiltonian(p, 24)
         psi = spin_down_state(default_initial_state(), 24)
-        out = evolve(h, psi, 1.0)
-        assert isinstance(out, JointState)
+        out = JointState(evolve_joint_grid(h, psi, [1.0])[:, 0], 24)
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -187,12 +190,13 @@ class TestQfiMethods:
         assert qfi_overlap(params(0.9), 0.0, dg=1e-4, n_cut=48) == 0.0
 
     def test_generator_zero_time(self):
-        assert generator_qfi(params(0.9), 0.0, n_cut=48) == pytest.approx(0.0, abs=1e-20)
+        (value,), _ = generator_qfi_grid(params(0.9), [0.0], n_cut=48)
+        assert value == pytest.approx(0.0, abs=1e-20)
 
     def test_methods_agree(self):
         p = params(0.9)
         for t in (1.0, 5.0, 12.0):
-            a = generator_qfi(p, t)
+            (a,), _ = generator_qfi_grid(p, [t])
             b = qfi_overlap(p, t)
             assert b == pytest.approx(a, rel=1e-4)
 
@@ -210,13 +214,33 @@ class TestQfiMethods:
 
     def test_generator_grid_matches_scalar(self):
         p = params(0.9)
-        grid = generator_qfi_grid(p, [2.0, 5.0], n_cut=96)
-        assert grid[0] == pytest.approx(generator_qfi(p, 2.0, n_cut=96), rel=1e-12)
-        assert grid[1] == pytest.approx(generator_qfi(p, 5.0, n_cut=96), rel=1e-12)
+        grid, _ = generator_qfi_grid(p, [2.0, 5.0], n_cut=96)
+        for t, value in zip((2.0, 5.0), grid):
+            (alone,), _ = generator_qfi_grid(p, [t], n_cut=96)
+            assert value == pytest.approx(alone, rel=1e-12)
+
+    def test_generator_grid_reports_its_cutoff(self):
+        p = params(0.9)
+        ts = [2.0, 5.0]
+        values, n_cut = generator_qfi_grid(p, ts)
+        # the ladder (rtol 1e-6) stops at the first doubling that moves no value
+        # beyond rtol, and the values it returns are those of that cutoff
+        pinned, same = generator_qfi_grid(p, ts, n_cut=n_cut)
+        assert same == n_cut
+        assert np.array_equal(pinned, values)
+
+        def moved(n):  # does doubling n // 2 -> n move a value beyond rtol?
+            low, high = (generator_qfi_grid(p, ts, n_cut=m)[0] for m in (n // 2, n))
+            return np.any(np.abs(high - low) > 1e-6 * np.maximum(high, low))
+
+        assert n_cut == 128  # 32 -> 64 still moves at eps_g = 0.19
+        assert moved(n_cut // 2) and not moved(n_cut)
+        # an explicit cutoff comes back unchanged
+        assert generator_qfi_grid(p, ts, n_cut=96)[1] == 96
 
     def test_generator_regime_guard(self):
         with pytest.raises(RegimeError):
-            generator_qfi(params(1.2), 1.0)
+            generator_qfi_grid(params(1.2), [1.0])
 
     def test_closed_form_is_asymptotic_to_generator(self):
         # residual shrinks with distance to criticality at fixed sqrt(eps)*t
@@ -227,7 +251,7 @@ class TestQfiMethods:
             p = params(g)
             eff = effective_oscillator(p)
             t = np.pi / np.sqrt(eff.epsilon)
-            exact = generator_qfi(p, t, n_cut=n_cut)
+            (exact,), _ = generator_qfi_grid(p, [t], n_cut=n_cut)
             approx = qfi_g(p, t, var_n(state, p)).value
             rels.append(abs(approx - exact) / exact)
         assert rels[1] < rels[0]
@@ -273,13 +297,13 @@ class TestCrossEngine:
 class TestFiniteFrequency:
     def test_discrepancy_shrinks_with_frequency_ratio(self):
         p = params(0.9)
-        d_small = finite_frequency_discrepancy(p, 1e2)
-        d_large = finite_frequency_discrepancy(p, 1e3)
+        d_small = finite_frequency_point(p, 1e2).delta
+        d_large = finite_frequency_point(p, 1e3).delta
         assert abs(d_large) < abs(d_small) < 1.0
 
     def test_eta_floor(self):
         with pytest.raises(InvalidParams):
-            finite_frequency_discrepancy(params(0.9), 5.0)
+            finite_frequency_point(params(0.9), 5.0)
 
     def test_full_model_tracks_closed_form_at_large_eta(self):
         # joint-space mean over the first period deviates by O(1/eta):
@@ -306,6 +330,6 @@ class TestClosedFormAsymptoticAtLongTime:
 
         p = params(0.099, lam=-0.2475)
         state = default_initial_state()
-        exact = generator_qfi(p, 1000.0, rtol=2e-3)
+        (exact,), _ = generator_qfi_grid(p, [1000.0], rtol=2e-3)
         approx = qfi_g(p, 1000.0, _var_n(state, p)).value
         assert abs(approx - exact) / exact < 0.10

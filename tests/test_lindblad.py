@@ -9,16 +9,21 @@ from cqm import (
     ModelParams,
     MomentVector,
     RegimeError,
+    default_initial_state,
     effective_oscillator,
+    ig_fg_ratio,
     integrate_moments,
     inverted_variance,
     inverted_variance_dissipative,
+    inverted_variance_peak,
     moment_rhs,
     optimal_times,
+    quadrature_sample,
     x_deriv_g,
     x_deriv_g_dissipative,
     x_mean,
     x_mean_dissipative,
+    x_second_moment,
     x_variance,
     x_variance_dissipative,
 )
@@ -236,6 +241,27 @@ class TestClosedForms:
                    inverted_variance_dissipative):
             with pytest.raises(RegimeError):
                 fn(params(1.2), REFERENCE_RATES, 1.0)
+
+    def test_critical_band_is_not_normal(self):
+        # 0 < eps_g <= REGIME_TOL is the critical line for every formula: the
+        # normal-only closed and damped forms raise there, as x_mean does
+        p = params(float(np.sqrt(1.0 - 5e-13)))
+        assert 0.0 < effective_oscillator(p).epsilon_g <= 1e-12
+        state = default_initial_state()
+        closed = [
+            lambda: x_deriv_g(p, 1.0), lambda: x_second_moment(p, 1.0),
+            lambda: x_variance(p, 1.0), lambda: inverted_variance(p, 1.0),
+            lambda: optimal_times(p, 1), lambda: inverted_variance_peak(p, 1),
+            lambda: ig_fg_ratio(state, p), lambda: quadrature_sample(p, 1.0),
+        ]
+        damped = [
+            lambda fn=fn: fn(p, REFERENCE_RATES, 1.0)
+            for fn in (x_mean_dissipative, x_deriv_g_dissipative,
+                       x_variance_dissipative, inverted_variance_dissipative)
+        ]
+        for form in closed + damped:
+            with pytest.raises(RegimeError):
+                form()
 
     def test_tiny_gamma_minus_series_branch(self):
         # gamma_- below the series crossover must stay continuous
