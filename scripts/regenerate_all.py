@@ -10,8 +10,11 @@ import argparse
 import os
 import sys
 
-from cqm.cli import main as cqm_main
-from cqm.experiments import experiment_ids
+# the checkout's package first, as pytest's `pythonpath` does for the tests
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
+
+from cqm.cli import main as cqm_main  # noqa: E402
+from cqm.experiments import experiment_ids  # noqa: E402
 
 
 def main() -> int:

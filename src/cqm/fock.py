@@ -1,8 +1,10 @@
 """Exact numerics in a truncated Fock space.
 
-Builds the spin (x) boson Hamiltonian and the effective low-energy oscillator
-as dense matrices, evolves states by eigendecomposition (exactly unitary at
-any time), and computes the quantum Fisher information two independent ways:
+Builds the spin (x) boson Hamiltonian as one dense matrix and the effective
+low-energy oscillator as its two parity blocks (it couples n only to n and
+n+-2, so the even and odd Fock indices form two real tridiagonal blocks),
+evolves states by eigendecomposition of each block (exactly unitary at any
+time), and computes the quantum Fisher information two independent ways:
 a fidelity finite difference and the spectral integral of the evolution
 generator.  It also measures how far finite-frequency (Omega/omega = eta)
 dynamics sits from the low-frequency closed forms.
@@ -62,30 +64,62 @@ def quadratures(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     return (a + a.T) / np.sqrt(2.0), 1j * (a.T - a) / np.sqrt(2.0)
 
 
-@dataclass
-class HermitianOperator:
-    """Dense Hermitian matrix with a cached eigendecomposition.
+def _x_band(n_cut: int) -> np.ndarray:
+    """Superdiagonal of X: X[n, n+1] = sqrt(n+1)/sqrt(2)."""
+    return np.sqrt(np.arange(1, n_cut, dtype=float)) / np.sqrt(2.0)
 
-    ``dim`` is n_cut for boson-only operators and 2*n_cut on the joint space.
+
+def _x_squared_bands(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and second superdiagonal of the truncated product X@X, its
+    only nonzero bands.  Re(P@P) has the same diagonal and the negated
+    superdiagonal.  The corner entry n = n_cut-1 keeps only X[n, n-1]^2."""
+    x = _x_band(n_cut)
+    diag = np.append(x * x, 0.0) + np.append(0.0, x * x)
+    return diag, x[:-1] * x[1:]
+
+
+def _band_apply(diag: np.ndarray, sup: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T @ v for the real symmetric tridiagonal T with diagonal ``diag`` and
+    superdiagonal ``sup``; ``v`` is (len(diag), k)."""
+    out = diag[:, None] * v
+    out[:-1] += sup[:, None] * v[1:]
+    out[1:] += sup[:, None] * v[:-1]
+    return out
+
+
+class HermitianOperator:
+    """Hermitian operator held as invariant blocks, each with a cached
+    eigendecomposition: ``blocks`` lists (indices, block) pairs, the operator
+    acting as ``block`` on the basis states ``indices`` (a slice).  A plain
+    matrix is one block over all indices; ``matrix`` assembles the dense
+    operator.  ``dim`` is n_cut for boson-only operators, 2*n_cut on the
+    joint space.
     """
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.matrix)
-        residual = np.abs(h - h.conj().T).max()
-        if residual > 1e-12:
-            raise InvalidParams("matrix", f"hermiticity residual {residual} > 1e-12")
-        self.matrix = h
-        self._eig: tuple[np.ndarray, np.ndarray] | None = None
+    def __init__(self, matrix: np.ndarray | None = None,
+                 blocks: list[tuple[slice, np.ndarray]] | None = None):
+        if blocks is None:
+            blocks = [(slice(None), np.asarray(matrix))]
+        for _, h in blocks:
+            residual = np.abs(h - h.conj().T).max()
+            if residual > 1e-12:
+                raise InvalidParams("matrix", f"hermiticity residual {residual} > 1e-12")
+        self.blocks = blocks
+        self.dim = sum(h.shape[0] for _, h in blocks)
+        self._eig: list[tuple[slice, np.ndarray, np.ndarray]] | None = None
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*(h for _, h in self.blocks)))
+        for idx, h in self.blocks:
+            out[idx, idx] = h
+        return out
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+    def eig(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+        """(indices, energies, vectors) of each block, ascending energies
+        within a block."""
         if self._eig is None:
-            self._eig = np.linalg.eigh(self.matrix)
+            self._eig = [(idx, *np.linalg.eigh(h)) for idx, h in self.blocks]
         return self._eig
 
 
@@ -104,12 +138,6 @@ class JointState:
         if abs(norm - 1.0) > 1e-10:
             raise InvalidParams("amplitudes", f"norm {norm} != 1 beyond 1e-10")
         object.__setattr__(self, "amplitudes", amps)
-
-
-def _tail_mass(amps: np.ndarray, n_cut: int) -> float:
-    n_tail = max(1, int(n_cut * TAIL_FRACTION))
-    blocks = amps.reshape(-1, n_cut)
-    return float((np.abs(blocks[:, n_cut - n_tail:]) ** 2).sum())
 
 
 def spin_down_state(boson: BosonInitialState | np.ndarray, n_cut: int) -> JointState:
@@ -186,7 +214,9 @@ def build_squeezed_frame_hamiltonian(params: ModelParams, n_cut: int) -> Hermiti
 
 
 def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOperator:
-    """Boson-only effective oscillator (omega_bar/2)*(P^2 + stiffness*X^2).
+    """Boson-only effective oscillator (omega_bar/2)*(P^2 + stiffness*X^2),
+    built from the bands of the truncated products P@P and X@X and held as
+    its even (indices 0::2) and odd (1::2) tridiagonal blocks.
 
     The stiffness is epsilon_g in the normal regime and epsilon_g_alpha past
     the critical point; on the critical line neither reduction applies.
@@ -194,9 +224,14 @@ def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOpe
     if n_cut < 4:
         raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
     frame = oscillator_frame(params)
-    x, p = quadratures(n_cut)
-    h = 0.5 * frame.omega_bar * ((p @ p).real + frame.stiffness * (x @ x))
-    return HermitianOperator(h)
+    xx_diag, xx_sup = _x_squared_bands(n_cut)
+    diag = 0.5 * frame.omega_bar * (xx_diag + frame.stiffness * xx_diag)
+    sup = 0.5 * frame.omega_bar * (-xx_sup + frame.stiffness * xx_sup)
+    blocks = []
+    for start in (0, 1):
+        d, e = diag[start::2], sup[start::2]
+        blocks.append((slice(start, None, 2), np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
+    return HermitianOperator(blocks=blocks)
 
 
 # ----------------------------------------------------------------------
@@ -206,11 +241,12 @@ def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOpe
 def _spectral_propagate(h: HermitianOperator, amps0: np.ndarray, ts) -> np.ndarray:
     if len(amps0) != h.dim:
         raise InvalidParams("psi0", f"length {len(amps0)} != operator dim {h.dim}")
-    energies, vectors = h.eig()
     ts = np.asarray(ts, dtype=float)
-    coeffs = vectors.conj().T @ amps0
-    phases = np.exp(-1j * np.outer(energies, ts))
-    out = vectors @ (phases * coeffs[:, None])
+    out = np.empty((h.dim, len(ts)), dtype=complex)
+    for idx, energies, vectors in h.eig():
+        coeffs = vectors.conj().T @ amps0[idx]
+        phases = np.exp(-1j * np.outer(energies, ts))
+        out[idx] = vectors @ (phases * coeffs[:, None])
     norm_err = np.abs(np.linalg.norm(out, axis=0) - 1.0).max()
     if norm_err > 1e-10:
         raise TruncationLeak(f"unitarity lost: max |norm - 1| = {norm_err}")
@@ -218,7 +254,10 @@ def _spectral_propagate(h: HermitianOperator, amps0: np.ndarray, ts) -> np.ndarr
 
 
 def _check_tail(out: np.ndarray, n_cut: int) -> None:
-    worst = max(_tail_mass(out[:, i], n_cut) for i in range(out.shape[1]))
+    """Worst tail mass over the columns of ``out`` (n_cut-long blocks x time)."""
+    n_tail = max(1, int(n_cut * TAIL_FRACTION))
+    tail = out.reshape(-1, n_cut, out.shape[1])[:, n_cut - n_tail:]
+    worst = float((np.abs(tail) ** 2).sum(axis=(0, 1)).max())
     if worst > LEAK_TOL:
         raise TruncationLeak(
             f"tail mass {worst:.3e} exceeds {LEAK_TOL:.1e}; raise n_cut"
@@ -315,6 +354,17 @@ def _evolve_from(h: HermitianOperator, psi0, n_cut: int, ts) -> np.ndarray:
     return evolve_grid(h, _pad(psi0, n_cut), ts)
 
 
+def _x_moments(amps: np.ndarray, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """<X>_t = Re<psi|X psi> and <X^2>_t = ||X psi||^2 for the columns of
+    ``amps`` (dim, T), X acting on the Fock index of each n_cut-long block."""
+    n_t = amps.shape[1]
+    psi = amps.reshape(-1, n_cut, n_t).swapaxes(0, 1).reshape(n_cut, -1)
+    xpsi = _band_apply(np.zeros(n_cut), _x_band(n_cut), psi)
+    mean = np.real(psi.conj() * xpsi).sum(axis=0)
+    second = (np.abs(xpsi) ** 2).sum(axis=0)
+    return mean.reshape(-1, n_t).sum(axis=0), second.reshape(-1, n_t).sum(axis=0)
+
+
 def _series_at_cutoff(
     params: ModelParams,
     ts: np.ndarray,
@@ -325,20 +375,14 @@ def _series_at_cutoff(
     """Rows x, x^2, the 4-point (Richardson) g-derivative of x, and its two
     centered stencils (full and halved step), at one cutoff."""
     dg = 1e-5 * max(params.g, 0.01)
-    x, _ = quadratures(n_cut)
-    x = x.real
 
-    def measure(gv: float, squares: bool = False) -> tuple[np.ndarray, ...]:
-        """<X>_t at coupling ``gv``, followed by <X^2>_t when ``squares``."""
+    def measure(gv: float) -> tuple[np.ndarray, np.ndarray]:
         h = builder(replace(params, g=gv), n_cut)
-        amps = _evolve_from(h, psi0, n_cut, ts)
-        xobs = np.kron(np.eye(2), x) if h.dim == 2 * n_cut else x
-        ops = (xobs, xobs @ xobs) if squares else (xobs,)
-        return tuple(np.einsum("it,ij,jt->t", amps.conj(), op, amps).real for op in ops)
+        return _x_moments(_evolve_from(h, psi0, n_cut, ts), n_cut)
 
-    x0, xx0 = measure(params.g, squares=True)
-    (xp1,), (xm1,) = measure(params.g + dg), measure(params.g - dg)
-    (xp2,), (xm2,) = measure(params.g + 0.5 * dg), measure(params.g - 0.5 * dg)
+    x0, xx0 = measure(params.g)
+    (xp1, _), (xm1, _) = measure(params.g + dg), measure(params.g - dg)
+    (xp2, _), (xm2, _) = measure(params.g + 0.5 * dg), measure(params.g - 0.5 * dg)
     d_wide = (xp1 - xm1) / (2.0 * dg)
     d_half = (xp2 - xm2) / dg
     deriv = (4.0 * d_half - d_wide) / 3.0  # Richardson: O(dg^4) bias
@@ -458,13 +502,16 @@ def generator_qfi_grid(
     rtol: float = 1e-6,
 ) -> tuple[np.ndarray, int]:
     """QFI from the spectral integral of the evolution generator, on a whole
-    time grid with one diagonalization per cutoff.
+    time grid with one diagonalization of each parity block per cutoff.
 
     With H_eff = H0 + zeta*H1 (H0 = wbar/2*P^2, H1 = wbar/2*X^2,
     zeta = epsilon_g), the generator is h = int_0^t H1(s) ds, assembled in
-    the eigenbasis as H1_jk * (exp(i*(Ej-Ek)*t) - 1)/(i*(Ej-Ek)) with the
-    diagonal (and any |Ej-Ek| < 1e-12 pair) replaced by t.  Then
-    F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (values, n_cut): the
+    each block's eigenbasis as H1_jk * (exp(i*(Ej-Ek)*t) - 1)/(i*(Ej-Ek))
+    with the diagonal (and any |Ej-Ek| < 1e-12 pair) replaced by t.  The
+    kernel is factored as exp(i*Ej*t/2)*exp(-i*Ek*t/2)*2*sin((Ej-Ek)*t/2)/(Ej-Ek)
+    with the sine expanded in sin/cos of Ej*t/2 and Ek*t/2, so h applied to
+    the state at every time is two matrix products, and exactly 0 at t = 0.
+    Then F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (values, n_cut): the
     given n_cut, or the one the ladder accepted, its convergence measured
     jointly across the grid at relative tolerance ``rtol``.
     """
@@ -475,23 +522,27 @@ def generator_qfi_grid(
     ts = np.asarray(ts, dtype=float)
 
     def qfi_at(n: int) -> np.ndarray:
-        x, _ = quadratures(n)
-        h1 = 0.5 * frame.omega_bar * (x @ x)
-        hz = build_effective_hamiltonian(params, n)
-        energies, vectors = hz.eig()
-        h1_eig = vectors.T @ h1 @ vectors
-        de = energies[:, None] - energies[None, :]
-        near = np.abs(de) < 1e-12
-        safe = np.where(near, 1.0, de)
-        coeffs = vectors.conj().T @ _pad(psi0, n)
-        out = np.empty(len(ts))
-        for i, t in enumerate(ts):
-            kernel = np.where(near, t, (np.exp(1j * de * t) - 1.0) / (1j * safe))
-            gc_ = (h1_eig * kernel) @ coeffs
-            mean = np.real(np.vdot(coeffs, gc_))
-            second = np.real(np.vdot(gc_, gc_))
-            out[i] = frame.dstiffness_dg**2 * 4.0 * (second - mean * mean)
-        return out
+        h1_diag, h1_sup = (0.5 * frame.omega_bar * band for band in _x_squared_bands(n))
+        amps0 = _pad(psi0, n)
+        mean = np.zeros(len(ts))
+        second = np.zeros(len(ts))
+        for idx, energies, vectors in build_effective_hamiltonian(params, n).eig():
+            h1 = vectors.T @ _band_apply(h1_diag[idx], h1_sup[idx], vectors)
+            de = energies[:, None] - energies[None, :]
+            near = np.abs(de) < 1e-12
+            ratio = np.where(near, 0.0, h1 / np.where(near, 1.0, de))
+            coeffs = vectors.conj().T @ amps0[idx]
+            half = 0.5 * np.outer(energies, ts)
+            sin, cos = np.sin(half), np.cos(half)
+            phase = cos - 1j * sin  # exp(-i*E_j*t/2)
+            rotated = phase * coeffs[:, None]
+            # generator on the state, times phase: 2*sum_k ratio_jk*
+            # sin((E_j-E_k)*t/2)*rotated_k, plus t*h1_jk*c_k on near pairs
+            gen = 2.0 * (sin * (ratio @ (cos * rotated)) - cos * (ratio @ (sin * rotated)))
+            gen += phase * np.outer(np.where(near, h1, 0.0) @ coeffs, ts)
+            mean += np.real(np.sum(rotated.conj() * gen, axis=0))
+            second += np.sum(np.abs(gen) ** 2, axis=0)
+        return frame.dstiffness_dg**2 * 4.0 * (second - mean * mean)
 
     if n_cut is not None:
         return qfi_at(n_cut), n_cut

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,4 +361,17 @@ class TestCli:
         monkeypatch.setenv("CQM_OUT_DIR", str(tmp_path))
         argv = ["qfi-evolution", "--jobs", "1", "--set", "g=0.099", "--set", "t=0:10:4"]
         assert cli_main(argv) == 0
+        assert (tmp_path / "qfi-evolution.csv").exists()
+
+    def test_regenerate_script_runs_from_a_checkout(self, tmp_path):
+        # a fresh interpreter outside the repo, with no PYTHONPATH: the script
+        # itself must find the checkout's package
+        script = Path(__file__).resolve().parents[1] / "scripts" / "regenerate_all.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            [sys.executable, str(script), "--out-dir", str(tmp_path), "--jobs", "1",
+             "--experiments", "qfi-evolution"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
         assert (tmp_path / "qfi-evolution.csv").exists()

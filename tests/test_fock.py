@@ -15,6 +15,7 @@ from cqm import (
     default_initial_state,
     effective_oscillator,
     evolve_grid,
+    oscillator_frame,
     finite_frequency_point,
     generator_qfi_grid,
     inverted_variance,
@@ -30,6 +31,7 @@ from cqm import (
 from cqm.fock import (
     HermitianOperator,
     JointState,
+    _x_moments,
     evolve_joint_grid,
     quadratures,
     spin_down_state,
@@ -77,13 +79,14 @@ class TestBuilders:
 
     def test_effective_unit_stiffness_is_harmonic(self):
         h = build_effective_hamiltonian(params(0.0), 60)
-        energies, _ = h.eig()
+        energies = np.sort(np.concatenate([e for _, e, _ in h.eig()]))
         assert np.allclose(energies[:10], np.arange(10) + 0.5, atol=1e-10)
 
     def test_effective_gaps_scale_with_sqrt_stiffness(self):
         p = params(0.9)
         eff = effective_oscillator(p)
-        energies, _ = build_effective_hamiltonian(p, 120).eig()
+        h = build_effective_hamiltonian(p, 120)
+        energies = np.sort(np.concatenate([e for _, e, _ in h.eig()]))
         gaps = np.diff(energies[:8])
         assert np.allclose(gaps, eff.omega_bar * np.sqrt(eff.epsilon_g), rtol=1e-9)
 
@@ -92,11 +95,35 @@ class TestBuilders:
         eff = effective_oscillator(p)
         n_cut = 120
         h = build_effective_hamiltonian(p, n_cut)
-        _, vecs = h.eig()
-        ground = vecs[:, 0]
+        even, _, vecs = h.eig()[0]  # the ground state lies in the even block
+        ground = np.zeros(n_cut)
+        ground[even] = vecs[:, 0]
         x, _ = quadratures(n_cut)
         xx = ground @ (x @ x).real @ ground
         assert xx == pytest.approx(0.5 / np.sqrt(eff.epsilon_g), rel=1e-9)
+
+    @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 64), (0.099, -0.2475, 257), (1.2, 0.1, 40)])
+    def test_band_built_effective_equals_dense_products(self, g, lam, n_cut):
+        p = params(g, lam=lam)
+        frame = oscillator_frame(p)
+        x, pq = quadratures(n_cut)
+        dense = 0.5 * frame.omega_bar * ((pq @ pq).real + frame.stiffness * (x @ x))
+        h = build_effective_hamiltonian(p, n_cut)
+        assert [idx for idx, _ in h.blocks] == [slice(0, None, 2), slice(1, None, 2)]
+        assert np.abs(h.matrix - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 64), (0.099, -0.2475, 256), (1.2, 0.1, 41)])
+    def test_block_spectra_make_the_full_spectrum(self, g, lam, n_cut):
+        h = build_effective_hamiltonian(params(g, lam=lam), n_cut)
+        energies = np.sort(np.concatenate([e for _, e, _ in h.eig()]))
+        full = np.linalg.eigvalsh(h.matrix)
+        assert np.abs(energies - full).max() <= 1e-12 * np.abs(full).max()
+
+    def test_blocks_are_checked_for_hermiticity(self):
+        good = np.eye(2)
+        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InvalidParams):
+            HermitianOperator(blocks=[(slice(0, None, 2), good), (slice(1, None, 2), bad)])
 
     def test_effective_regime_dispatch(self):
         h = build_effective_hamiltonian(params(1.2), 16)  # superradiant: fine
@@ -146,6 +173,20 @@ class TestEvolve:
         psi = spin_down_state(default_initial_state(), 24)
         out = JointState(evolve_joint_grid(h, psi, [1.0])[:, 0], 24)
         assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBandContraction:
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_band_moments_equal_dense_einsum(self, blocks):
+        rng = np.random.default_rng(7)
+        n_cut, n_t = 48, 5
+        amps = rng.normal(size=(blocks * n_cut, n_t)) + 1j * rng.normal(size=(blocks * n_cut, n_t))
+        amps /= np.linalg.norm(amps, axis=0)
+        x = np.kron(np.eye(blocks), quadratures(n_cut)[0].real)
+        mean, second = _x_moments(amps, n_cut)
+        for got, op in ((mean, x), (second, x @ x)):
+            dense = np.einsum("it,ij,jt->t", amps.conj(), op, amps).real
+            assert np.abs(got - dense).max() < 1e-12 * np.abs(dense).max()
 
 
 class TestAutoCutoff:
@@ -218,6 +259,29 @@ class TestQfiMethods:
         for t, value in zip((2.0, 5.0), grid):
             (alone,), _ = generator_qfi_grid(p, [t], n_cut=96)
             assert value == pytest.approx(alone, rel=1e-12)
+
+    def test_generator_grid_equals_per_time_dense_kernel(self):
+        # reference: the dense operator's eigenbasis and the kernel
+        # (exp(i*de*t) - 1)/(i*de), with t on near-degenerate pairs, one time at a time
+        p = params(0.9, lam=0.05)
+        n_cut = 96
+        ts = [0.0, 0.7, 3.0, 11.0]
+        frame = oscillator_frame(p)
+        energies, vectors = np.linalg.eigh(build_effective_hamiltonian(p, n_cut).matrix)
+        x, _ = quadratures(n_cut)
+        h1 = vectors.T @ (0.5 * frame.omega_bar * (x @ x).real) @ vectors
+        de = energies[:, None] - energies[None, :]
+        near = np.abs(de) < 1e-12
+        coeffs = vectors.T @ default_initial_state(n_cut).amplitudes
+        reference = []
+        for t in ts:
+            kernel = np.where(near, t, (np.exp(1j * de * t) - 1.0) / (1j * np.where(near, 1.0, de)))
+            gc = (h1 * kernel) @ coeffs
+            var = np.vdot(gc, gc).real - np.vdot(coeffs, gc).real ** 2
+            reference.append(frame.dstiffness_dg**2 * 4.0 * var)
+        values, _ = generator_qfi_grid(p, ts, n_cut=n_cut)
+        assert values[0] == 0.0
+        assert np.abs(values - reference).max() < 1e-10 * max(reference)
 
     def test_generator_grid_reports_its_cutoff(self):
         p = params(0.9)
