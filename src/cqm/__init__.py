@@ -13,22 +13,18 @@ from .errors import (
     CqmError,
     ConfigError,
     CutoffNotConverged,
-    CutoffTooSmall,
     InvalidParams,
     NonFinite,
     NonPositiveData,
-    NotInSuperradiantRegime,
     RegimeError,
     StepTooLarge,
     TruncationLeak,
 )
 from .model import (
-    BeyondCriticalFrame,
     EffectiveOscillator,
     ModelParams,
     OscillatorFrame,
     Regime,
-    beyond_critical_frame,
     critical_coupling,
     effective_oscillator,
     lambda_for_target_critical,
@@ -38,15 +34,12 @@ from .model import (
 )
 from .closed_form import (
     BosonInitialState,
-    QfiSample,
-    QuadratureSample,
     default_initial_state,
     ig_fg_ratio,
     inverted_variance,
     inverted_variance_peak,
     optimal_times,
     qfi_g,
-    quadrature_sample,
     var_n,
     x_deriv_g,
     x_mean,

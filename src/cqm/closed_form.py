@@ -5,9 +5,15 @@ quantum Fisher information about g, the quadrature mean/derivative/variance,
 and the inverted variance with its optimal measurement times and peak values.
 Time arguments broadcast as numpy arrays.
 
-x_mean, var_n and qfi_g read model.oscillator_frame and so hold on both sides
-of the critical point (stiffness epsilon_g, or epsilon_g_alpha past g_c); the
-other formulas are written for the normal regime and raise past g_c.
+Every formula reads one parametrisation, model.oscillator_frame: the
+stiffness s of (omega_bar/2)*(P^2 + s*X^2), its g-derivative ds/dg and the
+squared gap epsilon.  x_mean, var_n and qfi_g hold on both sides of the
+critical point (s = epsilon_g, or epsilon_g_alpha past g_c); the other
+formulas are written for the normal regime and go through one guard,
+_normal_frame, which raises past g_c and on the critical line.  The initial
+state enters only through the 2x2 covariance of N + 1/2 and
+(a^2 + a^dag^2)/2, since P^2 - s*X^2 = (1 - s)*(N + 1/2) - (1 + s)*(a^2 +
+a^dag^2)/2; it is exact for any state.
 
 The QFI expressions keep only the leading divergence ~ epsilon^-3 of the full
 generator variance; they are asymptotics meant for sqrt(epsilon)*t of order
@@ -24,14 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffTooSmall, InvalidParams, RegimeError
-from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
+from .errors import InvalidParams, RegimeError
+from .model import (ModelParams, OscillatorFrame, Regime, effective_oscillator,
+                    oscillator_frame)
 
 #: Below this argument, sin(x) - x and sin(x) - x*cos(x) switch to series.
 _SERIES_CUT = 1e-4
-
-#: Amplitudes smaller than this in the top two Fock slots count as padding.
-_OCCUPANCY_TOL = 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -54,6 +58,29 @@ class BosonInitialState:
     @property
     def n_max(self) -> int:
         return len(self.amplitudes) - 1
+
+    @functools.cached_property
+    def _covariance(self) -> np.ndarray:
+        """Symmetrized 2x2 covariance of N + 1/2 and (a^2 + a^dag^2)/2.
+
+        Both operators are applied as bands on the basis padded by two Fock
+        slots, which holds a^dag^2 of the top slot, so the result is exact.
+        """
+        amps = np.append(self.amplitudes, [0.0, 0.0])
+        n = np.arange(len(amps), dtype=float)
+        root = np.sqrt(n[1:-1] * n[2:])  # <m|a^2|m+2> = sqrt((m+1)(m+2))
+        squeeze = np.zeros_like(amps)
+        squeeze[:-2] += 0.5 * root * amps[2:]
+        squeeze[2:] += 0.5 * root * amps[:-2]
+        ops = np.stack([(n + 0.5) * amps, squeeze])
+        means = np.real(ops @ amps.conj())
+        return np.real(ops.conj() @ ops.T) - np.outer(means, means)
+
+    def generator_variance(self, stiffness: float) -> float:
+        """Var[P^2 - stiffness*X^2] over the state, v.C.v with
+        v = (1 - stiffness, -(1 + stiffness)) and C the covariance above."""
+        v = np.array([1.0 - stiffness, -(1.0 + stiffness)])
+        return float(v @ self._covariance @ v)
 
 
 def default_initial_state(dim: int = 6) -> BosonInitialState:
@@ -96,68 +123,30 @@ def sin_minus_x_cos_over_x3(x):
     return out if out.ndim else float(out)
 
 
-def _normal_gaps(params: ModelParams):
-    """(epsilon_g, epsilon) with a RegimeError unless the regime is normal."""
-    eff = effective_oscillator(params)
-    if eff.regime is not Regime.NORMAL:
+def _normal_frame(params: ModelParams) -> OscillatorFrame:
+    """oscillator_frame(params), with a RegimeError unless the regime is normal."""
+    frame = oscillator_frame(params)  # raises on the critical line
+    if frame.regime is not Regime.NORMAL:
         raise RegimeError(
-            f"epsilon_g = {eff.epsilon_g} ({eff.regime.value}): formulas for the "
-            "normal regime do not apply (past g_c only x_mean, var_n and qfi_g do)"
+            f"epsilon_g = {effective_oscillator(params).epsilon_g} ({frame.regime.value}): "
+            "formulas for the normal regime do not apply (past g_c only x_mean, var_n "
+            "and qfi_g do)"
         )
-    return eff.epsilon_g, eff.epsilon
+    return frame
 
 
 # ----------------------------------------------------------------------
 # variance of the divergence-scale generator term
 # ----------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _quadrature_squares(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (Re(P^2), X^2) at one state dimension, built once per process.
-
-    Re(P^2) - s*X^2 equals (P^2 - s*X^2).real bit for bit, since X^2 is real.
-    """
-    a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
-    x = (a + a.T) / np.sqrt(2.0)
-    p = 1j * (a.T - a) / np.sqrt(2.0)
-    p2, x2 = (p @ p).real, x @ x
-    p2.setflags(write=False)
-    x2.setflags(write=False)
-    return p2, x2
-
-
-def _bare_generator_variance(state: BosonInitialState, stiffness: float) -> float:
-    """Var[P^2 - stiffness*X^2] over ``state`` from exact Fock matrix elements.
-
-    The operator connects |n> to |n+-2|, so the value is exact whenever the
-    state keeps the top two basis slots empty.
-    """
-    amps = state.amplitudes
-    dim = len(amps)
-    if dim < 5:
-        raise CutoffTooSmall(f"need n_max >= 4, got n_max = {dim - 1}")
-    if np.any(np.abs(amps[-2:]) > _OCCUPANCY_TOL):
-        raise CutoffTooSmall(
-            "state occupies the top two Fock slots; enlarge the basis so the "
-            "quadratic operator acts exactly"
-        )
-    p2, x2 = _quadrature_squares(dim)
-    op = p2 - stiffness * x2  # real symmetric
-    op_amps = op @ amps
-    mean = np.real(np.vdot(amps, op_amps))
-    second = np.real(np.vdot(op_amps, op_amps))
-    return second - mean * mean
-
-
 def var_n(state: BosonInitialState, params: ModelParams) -> float:
     """Variance of the generator's divergence-scale term over ``state``.
 
-    Equals (omega^2 + 4*lam*omega)^3 * Var[P^2 - stiffness*X^2], with the
-    stiffness epsilon_g (epsilon_g_alpha past g_c).
+    Equals omega_bar^6 * Var[P^2 - stiffness*X^2], with the stiffness
+    epsilon_g (epsilon_g_alpha past g_c).
     """
-    stiffness = oscillator_frame(params).stiffness
-    scale = (params.omega * (params.omega + 4.0 * params.lam)) ** 3
-    return scale * _bare_generator_variance(state, stiffness)
+    frame = oscillator_frame(params)
+    return frame.omega_bar**6 * state.generator_variance(frame.stiffness)
 
 
 def ig_fg_ratio(state: BosonInitialState, params: ModelParams) -> float:
@@ -166,65 +155,30 @@ def ig_fg_ratio(state: BosonInitialState, params: ModelParams) -> float:
     1 / (2 * Var[P^2 - epsilon_g*X^2]); independent of the peak index because
     both quantities grow as n^2.
     """
-    epsilon_g, _ = _normal_gaps(params)
-    return 1.0 / (2.0 * _bare_generator_variance(state, epsilon_g))
+    return 1.0 / (2.0 * state.generator_variance(_normal_frame(params).stiffness))
 
 
 # ----------------------------------------------------------------------
 # QFI about g
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QfiSample:
-    """A (t, value) sample of the quantum Fisher information about g."""
-
-    t: np.ndarray | float
-    value: np.ndarray | float
-
-
-def qfi_g(params: ModelParams, t, var_n_value: float) -> QfiSample:
-    """Leading-order dynamical QFI about g on either side of g_c.
+def qfi_g(params: ModelParams, t, var_n_value: float):
+    """Leading-order dynamical QFI about g on either side of g_c, at ``t``.
 
     4*(dstiffness/dg)^2 * [sin(sqrt(eps)*t) - sqrt(eps)*t]^2 / eps^3 * Var[N] in
-    the oscillator frame, through the stabilized series near criticality; the
-    prefactor is 16*(omega*g/(omega + 4*lam))^2 below g_c and
-    64*((1 - epsilon_g_alpha)/g)^2 past it.
+    the oscillator frame, through the stabilized series near criticality.
     """
     frame = oscillator_frame(params)
     t = np.asarray(t, dtype=float)
     x = np.sqrt(frame.epsilon) * t
     pref = 4.0 * frame.dstiffness_dg ** 2
-    value = pref * (sin_minus_x_over_x3(x) * t**3) ** 2 * var_n_value
-    if value.ndim == 0:
-        return QfiSample(float(t), float(value))
-    return QfiSample(t, value)
+    out = pref * (sin_minus_x_over_x3(x) * t**3) ** 2 * var_n_value
+    return out if out.ndim else float(out)
 
 
 # ----------------------------------------------------------------------
 # quadrature dynamics
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class QuadratureSample:
-    """Quadrature observables at one time: mean, g-derivative, variance, I_g."""
-
-    t: float
-    x_mean: float
-    x_deriv_g: float
-    x_var: float
-    inv_var: float
-
-
-def quadrature_sample(params: ModelParams, t: float) -> QuadratureSample:
-    """All four quadrature observables at one time, as one record."""
-    return QuadratureSample(
-        t=float(t),
-        x_mean=x_mean(params, t),
-        x_deriv_g=x_deriv_g(params, t),
-        x_var=x_variance(params, t),
-        inv_var=inverted_variance(params, t),
-    )
-
 
 def x_mean(params: ModelParams, t):
     """<X>_t = sin(sqrt(eps)*t/2) / sqrt(2*stiffness), in the oscillator
@@ -238,59 +192,47 @@ def x_mean(params: ModelParams, t):
 def x_deriv_g(params: ModelParams, t):
     """d<X>_t/dg through the stiffness only:
 
-    sqrt(2)*omega*g/(2*(omega + 4*lam)) * epsilon_g^(-3/2)
-    * [sin(y) - y*cos(y)],  y = sqrt(eps)*t/2.
+    -(sqrt(2)/4) * (ds/dg) * s^(-3/2) * [sin(y) - y*cos(y)],  y = sqrt(eps)*t/2.
     """
-    epsilon_g, epsilon = _normal_gaps(params)
+    frame = _normal_frame(params)
     t = np.asarray(t, dtype=float)
-    y = 0.5 * np.sqrt(epsilon) * t
-    pref = (
-        np.sqrt(2.0)
-        * params.omega
-        * params.g
-        / (2.0 * (params.omega + 4.0 * params.lam))
-        * epsilon_g**-1.5
-    )
+    y = 0.5 * np.sqrt(frame.epsilon) * t
+    pref = -np.sqrt(2.0) / 4.0 * frame.dstiffness_dg * frame.stiffness**-1.5
     out = pref * sin_minus_x_cos_over_x3(y) * y**3
     return out if out.ndim else float(out)
 
 
 def x_second_moment(params: ModelParams, t):
-    """<X^2>_t = 1 + 4*omega^2*g^2/eps * sin^2(sqrt(eps)*t/2)."""
-    epsilon_g, epsilon = _normal_gaps(params)
+    """<X^2>_t = 1 + (1/s - 1) * sin^2(sqrt(eps)*t/2)."""
+    frame = _normal_frame(params)
     t = np.asarray(t, dtype=float)
-    s = np.sin(0.5 * np.sqrt(epsilon) * t)
-    out = 1.0 + 4.0 * (params.omega * params.g) ** 2 / epsilon * s * s
+    s = np.sin(0.5 * np.sqrt(frame.epsilon) * t)
+    out = 1.0 + (1.0 / frame.stiffness - 1.0) * s * s
     return out if out.ndim else float(out)
 
 
 def x_variance(params: ModelParams, t):
-    """(Delta X)^2_t = 1 + (1/(2*epsilon_g) - 1) * sin^2(sqrt(eps)*t/2)."""
-    epsilon_g, epsilon = _normal_gaps(params)
+    """(Delta X)^2_t = 1 + (1/(2*s) - 1) * sin^2(sqrt(eps)*t/2)."""
+    frame = _normal_frame(params)
     t = np.asarray(t, dtype=float)
-    s = np.sin(0.5 * np.sqrt(epsilon) * t)
-    out = 1.0 + (0.5 / epsilon_g - 1.0) * s * s
+    s = np.sin(0.5 * np.sqrt(frame.epsilon) * t)
+    out = 1.0 + (0.5 / frame.stiffness - 1.0) * s * s
     return out if out.ndim else float(out)
 
 
 def inverted_variance(params: ModelParams, t):
     """I_g(t) = (d<X>_t/dg)^2 / (Delta X)^2_t, in its explicit form
 
-    omega^2*g^2*[sin(y) - y*cos(y)]^2
-    / ((omega + 4*lam)^2 * epsilon_g^3 * [2 + (1/epsilon_g - 2)*sin^2(y)]),
+    (ds/dg)^2 * [sin(y) - y*cos(y)]^2 / (4*s^3 * [2 + (1/s - 2)*sin^2(y)]),
     y = sqrt(eps)*t/2.
     """
-    epsilon_g, epsilon = _normal_gaps(params)
+    frame = _normal_frame(params)
     t = np.asarray(t, dtype=float)
-    y = 0.5 * np.sqrt(epsilon) * t
+    y = 0.5 * np.sqrt(frame.epsilon) * t
     bracket = sin_minus_x_cos_over_x3(y) * y**3
     s = np.sin(y)
-    denom = 2.0 + (1.0 / epsilon_g - 2.0) * s * s
-    out = (
-        (params.omega * params.g) ** 2
-        * bracket**2
-        / ((params.omega + 4.0 * params.lam) ** 2 * epsilon_g**3 * denom)
-    )
+    denom = 2.0 + (1.0 / frame.stiffness - 2.0) * s * s
+    out = frame.dstiffness_dg**2 * bracket**2 / (4.0 * frame.stiffness**3 * denom)
     return out if out.ndim else float(out)
 
 
@@ -300,19 +242,15 @@ def optimal_times(params: ModelParams, n_max: int) -> np.ndarray:
     The quadrature variance returns to its initial value there while the
     derivative keeps its secular growth, which maximizes I_g.
     """
-    _, epsilon = _normal_gaps(params)
+    frame = _normal_frame(params)
     if n_max < 1:
         raise InvalidParams("n_max", f"must be >= 1, got {n_max}")
-    return 2.0 * np.pi * np.arange(1, n_max + 1) / np.sqrt(epsilon)
+    return 2.0 * np.pi * np.arange(1, n_max + 1) / np.sqrt(frame.epsilon)
 
 
 def inverted_variance_peak(params: ModelParams, n) -> float | np.ndarray:
-    """Peak value I_g(tau_n) = n^2*pi^2*omega^2*g^2 / (2*(omega+4*lam)^2*eps_g^3)."""
-    epsilon_g, _ = _normal_gaps(params)
+    """Peak value I_g(tau_n) = (n*pi*ds/dg)^2 / (8*s^3)."""
+    frame = _normal_frame(params)
     n = np.asarray(n, dtype=float)
-    out = (
-        (n * np.pi * params.omega * params.g) ** 2
-        / (2.0 * (params.omega + 4.0 * params.lam) ** 2)
-        * epsilon_g**-3
-    )
+    out = (n * np.pi * frame.dstiffness_dg) ** 2 / (8.0 * frame.stiffness**3)
     return out if out.ndim else float(out)

@@ -18,14 +18,6 @@ class RegimeError(CqmError):
     """A formula was requested outside its regime of validity."""
 
 
-class NotInSuperradiantRegime(RegimeError):
-    """Beyond-critical quantities requested at g <= g_c."""
-
-
-class CutoffTooSmall(CqmError):
-    """State amplitudes reach the Fock truncation boundary."""
-
-
 class TruncationLeak(CqmError):
     """Evolved state leaked measurable weight into the Fock-space tail."""
 

@@ -168,7 +168,7 @@ def _qfi_row(v: dict, lam: float, g: float, state) -> dict:
     row = {"lam": lam, "g": g, "t": v["t"], "regime": regime.value}
     if regime is Regime.CRITICAL:
         return {**row, "qfi": np.inf, "status": _STATUS_SATURATED}
-    row["qfi"] = float(cf.qfi_g(params, v["t"], cf.var_n(state, params)).value)
+    row["qfi"] = cf.qfi_g(params, v["t"], cf.var_n(state, params))
     return row
 
 
@@ -177,7 +177,7 @@ def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> list[dict]:
     state = cf.default_initial_state(v["state_dim"])
     params = _params(v, cell["g"], v["lam"])
     base = {"lam": v["lam"], "g": cell["g"]}
-    closed = {"qfi": cf.qfi_g(params, v["t"], cf.var_n(state, params)).value}
+    closed = {"qfi": cf.qfi_g(params, v["t"], cf.var_n(state, params))}
     if cfg.engine == "closed":
         return _compared_rows(cfg.engine, base, v["t"], closed)
     oracle, n_cut = fock.generator_qfi_grid(params, v["t"], psi0=state)
@@ -547,6 +547,15 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         ns = np.atleast_1d(v["n"])
         if np.any(ns < 1) or np.any(ns != np.floor(ns)):
             raise ConfigError(f"peak indices n = {ns.tolist()} must be integers >= 1")
+    if "gamma_minus" in v and not 0.0 <= v["gamma_minus"] <= v["gamma_plus"]:
+        raise ConfigError("decay rates need 0 <= gamma_minus <= gamma_plus")
+    if "gamma_minus" in v and cfg.engine != "closed":
+        t = np.atleast_1d(v["t_per"])
+        if np.any(t < 0) or np.any(np.diff(t) <= 0) or t[-1] == 0:
+            raise ConfigError("the moment ODE needs a t_per grid that is >= 0, "
+                              "strictly increasing and reaches past 0")
+    if "eta" in v and np.any(np.atleast_1d(v["eta"]) < fock.ETA_MIN):
+        raise ConfigError(f"eta must be >= {fock.ETA_MIN:g}")
     _REGISTRY[cfg.experiment].cells(v)  # raises ConfigError on unequal zipped lists
     for lam in np.atleast_1d(v["lam"]):
         if not 1.0 + 4.0 * lam / v["omega"] > 0:
@@ -738,15 +747,10 @@ class SlopeFit:
     intercept: float
 
 
-def fit_loglog_slope(data: "Dataset | tuple") -> SlopeFit:
-    """Least-squares slope of log(y) vs log(x) with its standard error.
-
-    Accepts a Dataset (x from column eta, y from abs_delta) or an (x, y) pair.
-    """
-    if isinstance(data, Dataset):
-        x, y = data.column("eta"), data.column("abs_delta")
-    else:
-        x, y = (np.asarray(a, dtype=float) for a in data)
+def fit_loglog_slope(data: tuple) -> SlopeFit:
+    """Least-squares slope of log(y) vs log(x) over an (x, y) pair, with its
+    standard error."""
+    x, y = (np.asarray(a, dtype=float) for a in data)
     if len(x) < 5:
         raise NonPositiveData(f"need >= 5 points, got {len(x)}")
     if np.any(x <= 0) or np.any(y <= 0):

@@ -39,6 +39,8 @@ from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
 
 AUTO_CUTOFF_START = 32
 AUTO_CUTOFF_MAX = 4096
+#: Smallest Omega/omega at which finite_frequency_point compares the engines.
+ETA_MIN = 10.0
 #: (rtol, atol) of quadrature_series's per-block convergence test.
 SERIES_RTOL, SERIES_ATOL = 1e-6, 1e-9
 
@@ -298,28 +300,31 @@ def auto_cutoff(
     rtol*max(|new|, |old|) when the cutoff doubles, unless a
     ``converged(old, new)`` test is given.  TruncationLeak from ``run``
     counts as "keep doubling".  Returns (accepted n_cut, values at that
-    cutoff).
+    cutoff).  CutoffNotConverged names the last level that leaked and the
+    cutoff the ladder would need next.
     """
     if converged is None:
         def converged(old: np.ndarray, new: np.ndarray) -> bool:
             tol = rtol * np.maximum(np.abs(new), np.abs(old))
             return bool(np.all(np.abs(new - old) <= tol))
 
-    prev = None
+    prev, moving, leak = None, False, ""
     n = start
     while n <= max_cut:
         try:
             values = np.atleast_1d(np.asarray(run(n), dtype=float))
-        except TruncationLeak:
-            prev = None
+        except TruncationLeak as exc:
+            prev, moving, leak = None, False, f"; n_cut = {n} leaked ({exc})"
             n *= 2
             continue
         if prev is not None and converged(prev, values):
             return n, values
-        prev = values
+        prev, moving = values, prev is not None
         n *= 2
+    reason = (f"observables still moving at n_cut = {n // 2} (rtol={rtol})" if moving
+              else "no two consecutive levels ran without a leak")
     raise CutoffNotConverged(
-        f"observables still moving at n_cut = {max_cut} (rtol={rtol})"
+        f"{reason}{leak}; the ladder would need n_cut = {n} next, above max_cut = {max_cut}"
     )
 
 
@@ -604,8 +609,8 @@ def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> Frequ
     low-frequency optimal time tau_n = 2*pi*n/sqrt(epsilon) through
     quadrature_series, whose ladder always picks the cutoff.
     """
-    if eta < 10:
-        raise InvalidParams("eta", f"must be >= 10, got {eta}")
+    if eta < ETA_MIN:
+        raise InvalidParams("eta", f"must be >= {ETA_MIN:g}, got {eta}")
     full_params = replace(params, Omega=eta * params.omega)
     tau = float(optimal_times(params, n)[-1])
     series = quadrature_series(full_params, [tau], builder=build_squeezed_frame_hamiltonian)

@@ -5,9 +5,12 @@ oscillator Hamiltonian closes on five expectation values
 (<X>, <P>, <X^2>, <P^2>, <G>) with G = XP + PX.  This module carries the
 coupled linear moment equations, their exact propagation on a time grid
 (used as an independent check), and the explicit solutions for <X>_t,
-d<X>_t/dg, (Delta X)^2_t and the dissipative inverted variance.  Every
-closed form reduces pointwise to its unitary counterpart at
-gamma_a = gamma_h = 0.
+d<X>_t/dg, (Delta X)^2_t and the dissipative inverted variance.  The
+explicit solutions hold in the normal regime and read the same oscillator
+frame (stiffness s, ds/dg, gap epsilon) as the closed_form module, through
+its normal-regime guard; the moment equations read effective_oscillator,
+so they also hold on the critical line.  Every closed form reduces
+pointwise to its unitary counterpart at gamma_a = gamma_h = 0.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, RegimeError
-from .closed_form import sin_minus_x_cos_over_x3, x_deriv_g, x_mean
-from .model import ModelParams, Regime, effective_oscillator
+from .errors import InvalidParams
+from .closed_form import _normal_frame, sin_minus_x_cos_over_x3, x_deriv_g, x_mean
+from .model import ModelParams, OscillatorFrame, effective_oscillator
 
 
 @dataclass(frozen=True)
@@ -178,18 +181,18 @@ def integrate_moments(
 # explicit dissipative solutions
 # ----------------------------------------------------------------------
 
-def _require_damped(params: ModelParams, rates: DecayRates) -> None:
+def _damped_frame(params: ModelParams, rates: DecayRates) -> OscillatorFrame:
+    """The normal-regime oscillator frame, once the rates are net damping."""
     if rates.gamma_minus < 0:
         raise InvalidParams(
             "rates", "closed forms require net damping (gamma_a >= gamma_h)"
         )
-    if effective_oscillator(params).regime is not Regime.NORMAL:
-        raise RegimeError("dissipative closed forms need the normal regime")
+    return _normal_frame(params)
 
 
 def x_mean_dissipative(params: ModelParams, rates: DecayRates, t):
     """<X>_t with damping: the unitary result times exp(-gamma_-*t/2)."""
-    _require_damped(params, rates)
+    _damped_frame(params, rates)
     t = np.asarray(t, dtype=float)
     out = x_mean(params, t) * np.exp(-0.5 * rates.gamma_minus * t)
     return out if out.ndim else float(out)
@@ -197,7 +200,7 @@ def x_mean_dissipative(params: ModelParams, rates: DecayRates, t):
 
 def x_deriv_g_dissipative(params: ModelParams, rates: DecayRates, t):
     """d<X>_t/dg with damping; the rates carry no g dependence."""
-    _require_damped(params, rates)
+    _damped_frame(params, rates)
     t = np.asarray(t, dtype=float)
     out = x_deriv_g(params, t) * np.exp(-0.5 * rates.gamma_minus * t)
     return out if out.ndim else float(out)
@@ -211,24 +214,23 @@ def _expm1_over(gamma_minus: float, t: np.ndarray) -> np.ndarray:
     return np.where(small, t * (1.0 + 0.5 * gt), np.expm1(gt) / safe)
 
 
-def _variance_braces(params: ModelParams, rates: DecayRates, t: np.ndarray) -> np.ndarray:
+def _variance_braces(frame: OscillatorFrame, rates: DecayRates, t: np.ndarray) -> np.ndarray:
     """The braced combination whose damped quarter is (Delta X)^2_t:
 
-    2 + 1/eps_g + gm*gp*(eps - 4*wbar^2)/(eps*(gm^2 + eps))
+    2 + 1/s + gm*gp*(eps - 4*wbar^2)/(eps*(gm^2 + eps))
     + gp*(2*gm^2 + eps + 4*wbar^2)/(gm^2 + eps) * (e^(gm*t) - 1)/gm
-    + [2 - 1/eps_g - (eps - 4*wbar^2)*gp*gm/(eps*(gm^2 + eps))]*cos(sqrt(eps)*t)
-    - 4*omega^2*g^2*gp/(sqrt(eps)*(gm^2 + eps))*sin(sqrt(eps)*t)
+    + [2 - 1/s - (eps - 4*wbar^2)*gp*gm/(eps*(gm^2 + eps))]*cos(sqrt(eps)*t)
+    - sqrt(eps)*(1/s - 1)*gp/(gm^2 + eps)*sin(sqrt(eps)*t)
     """
-    eff = effective_oscillator(params)
-    epsilon_g, epsilon, wbar = eff.epsilon_g, eff.epsilon, eff.omega_bar
+    s, epsilon, wbar = frame.stiffness, frame.epsilon, frame.omega_bar
     gm, gp = rates.gamma_minus, rates.gamma_plus
     w2 = wbar * wbar
     den = gm * gm + epsilon
     root = np.sqrt(epsilon)
-    const = 2.0 + 1.0 / epsilon_g + gm * gp * (epsilon - 4.0 * w2) / (epsilon * den)
+    const = 2.0 + 1.0 / s + gm * gp * (epsilon - 4.0 * w2) / (epsilon * den)
     relax = gp * (2.0 * gm * gm + epsilon + 4.0 * w2) / den * _expm1_over(gm, t)
-    cos_c = 2.0 - 1.0 / epsilon_g - (epsilon - 4.0 * w2) * gp * gm / (epsilon * den)
-    sin_c = 4.0 * (params.omega * params.g) ** 2 * gp / (root * den)
+    cos_c = 2.0 - 1.0 / s - (epsilon - 4.0 * w2) * gp * gm / (epsilon * den)
+    sin_c = root * (1.0 / s - 1.0) * gp / den
     return const + relax + cos_c * np.cos(root * t) - sin_c * np.sin(root * t)
 
 
@@ -239,35 +241,24 @@ def x_variance_dissipative(params: ModelParams, rates: DecayRates, t):
     t = 0, collapses to the unitary variance at gamma_+ = gamma_- = 0, and
     tracks the exactly propagated moment equations at finite rates.
     """
-    _require_damped(params, rates)
+    frame = _damped_frame(params, rates)
     t = np.asarray(t, dtype=float)
-    out = 0.25 * _variance_braces(params, rates, t) * np.exp(-rates.gamma_minus * t)
+    out = 0.25 * _variance_braces(frame, rates, t) * np.exp(-rates.gamma_minus * t)
     return out if out.ndim else float(out)
 
 
 def inverted_variance_dissipative(params: ModelParams, rates: DecayRates, t):
     """I_g(t) = (d<X>_t/dg)^2 / (Delta X)^2_t in the damped dynamics:
 
-    2*omega^2*g^2*[sin(y) - y*cos(y)]^2
-    / ((omega + 4*lam)^2*eps_g^3 * braces),  y = sqrt(eps)*t/2;
+    (ds/dg)^2 * [sin(y) - y*cos(y)]^2 / (2*s^3 * braces),  y = sqrt(eps)*t/2;
 
     the damping envelopes of numerator and denominator cancel, leaving only
     the braces' relaxation terms to lower the late peaks.
     """
-    _require_damped(params, rates)
-    eff = effective_oscillator(params)
-    epsilon_g, epsilon = eff.epsilon_g, eff.epsilon
+    frame = _damped_frame(params, rates)
     t = np.asarray(t, dtype=float)
-    y = 0.5 * np.sqrt(epsilon) * t
+    y = 0.5 * np.sqrt(frame.epsilon) * t
     bracket = sin_minus_x_cos_over_x3(y) * y**3
-    out = (
-        2.0
-        * (params.omega * params.g) ** 2
-        * bracket**2
-        / (
-            (params.omega + 4.0 * params.lam) ** 2
-            * epsilon_g**3
-            * _variance_braces(params, rates, t)
-        )
-    )
+    braces = _variance_braces(frame, rates, t)
+    out = frame.dstiffness_dg**2 * bracket**2 / (2.0 * frame.stiffness**3 * braces)
     return out if out.ndim else float(out)

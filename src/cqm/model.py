@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidParams, NotInSuperradiantRegime, RegimeError
+from .errors import InvalidParams, RegimeError
 
 #: |epsilon_g| below this counts as sitting on the critical line.
 REGIME_TOL = 1e-12
@@ -135,81 +135,34 @@ def effective_oscillator(params: ModelParams) -> EffectiveOscillator:
 class OscillatorFrame:
     """(omega_bar/2)*(P^2 + stiffness*X^2) on either side of g_c: stiffness is
     epsilon_g below g_c and epsilon_g_alpha past it, dstiffness_dg its
-    g-derivative, and epsilon = 4*omega*(omega + 4*lam)*stiffness the gap."""
+    g-derivative, epsilon = 4*omega*(omega + 4*lam)*stiffness the gap, and
+    regime the side of g_c it was built for (never CRITICAL)."""
 
     omega_bar: float
     stiffness: float
     dstiffness_dg: float
     epsilon: float
+    regime: Regime
 
 
 def oscillator_frame(params: ModelParams) -> OscillatorFrame:
     """The effective oscillator of the regime ``params`` sits in; RegimeError
-    on the critical line, where neither reduction applies."""
+    on the critical line, where neither reduction applies.
+
+    Past g_c the mode is displaced and the spin rotated onto the mean-field
+    minimum first (Hwang, Puebla & Plenio, PRL 115, 180404 (2015)); the
+    oscillator left over has stiffness epsilon_g_alpha = 1 - (g_c/g)^4.
+    """
     omega, g, lam = params.omega, params.g, params.lam
     eff = effective_oscillator(params)
     if eff.regime is Regime.NORMAL:
         dstiffness_dg = -2.0 * omega * g / (omega + 4.0 * lam)
-        return OscillatorFrame(eff.omega_bar, eff.epsilon_g, dstiffness_dg, eff.epsilon)
+        return OscillatorFrame(eff.omega_bar, eff.epsilon_g, dstiffness_dg, eff.epsilon,
+                               eff.regime)
     if eff.regime is Regime.CRITICAL:
         raise RegimeError("no effective oscillator on the critical line")
     ratio = (omega + 4.0 * lam) / (omega * g * g)  # (g_c/g)^2, in (0, 1) here
     stiffness = 1.0 - ratio * ratio
     epsilon = 4.0 * omega * (omega + 4.0 * lam) * stiffness
-    return OscillatorFrame(eff.omega_bar, stiffness, 4.0 * (1.0 - stiffness) / g, epsilon)
-
-
-@dataclass(frozen=True)
-class BeyondCriticalFrame:
-    """Displaced and spin-rotated frame valid for g > g_c.
-
-    alpha            : mode displacement amplitude
-    theta            : spin rotation angle, principal branch in [0, pi/4)
-    Omega_alpha      : rotated qubit frequency Omega*omega*g^2/(omega + 4*lam)
-    g_alpha          : rotated coupling g^-2 * (1 + 4*lam/omega)^(3/2)
-    epsilon_g_alpha  : stiffness 1 - ((omega + 4*lam)/(omega*g^2))^2, in (0, 1)
-    epsilon_alpha    : 4*omega*(omega + 4*lam)*epsilon_g_alpha
-    """
-
-    alpha: float
-    theta: float
-    Omega_alpha: float
-    g_alpha: float
-    epsilon_g_alpha: float
-    epsilon_alpha: float
-
-
-def beyond_critical_frame(params: ModelParams) -> BeyondCriticalFrame:
-    """Frame quantities for the superradiant side (g > g_c).
-
-    The displacement alpha minimizes the mean-field energy of the squeezed
-    frame,
-
-        4*alpha^2 = Omega * [omega^2*g^4 - (omega + 4*lam)^2]
-                    / (g^2 * (omega^2 + 4*lam*omega)^(3/2)),
-
-    which at lam = 0 reduces to the familiar alpha^2 = Omega*(g^4 - 1)/(4*omega*g^2).
-    The rotation angle satisfies tan(2*theta) = 2*g*alpha*sqrt(omega/Omega)
-    * (1 + 4*lam/omega)^(-1/4) and eliminates the displacement-induced
-    transverse spin term.
-    """
-    omega, Omega, g, lam = params.omega, params.Omega, params.g, params.lam
-    if effective_oscillator(params).regime is not Regime.SUPERRADIANT:
-        raise NotInSuperradiantRegime(
-            f"g = {g} is not above the critical coupling "
-            f"g_c = {critical_coupling(params)}"
-        )
-    osc = oscillator_frame(params)
-    Omega_alpha = Omega * omega * g * g / (omega + 4.0 * lam)
-    g_alpha = (1.0 + 4.0 * lam / omega) ** 1.5 / (g * g)
-    wbar3 = (omega * (omega + 4.0 * lam)) ** 1.5
-    alpha = 0.5 * math.sqrt(
-        Omega * (omega**2 * g**4 - (omega + 4.0 * lam) ** 2) / (g * g * wbar3)
-    )
-    theta = 0.5 * math.atan(
-        2.0 * g * alpha * math.sqrt(omega / Omega)
-        * (1.0 + 4.0 * lam / omega) ** -0.25
-    )
-    return BeyondCriticalFrame(
-        alpha, theta, Omega_alpha, g_alpha, osc.stiffness, osc.epsilon
-    )
+    return OscillatorFrame(eff.omega_bar, stiffness, 4.0 * (1.0 - stiffness) / g, epsilon,
+                           eff.regime)

@@ -116,7 +116,7 @@ def test_criterion_4_qfi_method_agreement_and_convergence():
         p = params(g)
         t = np.pi / np.sqrt(effective_oscillator(p).epsilon)
         (exact,), _ = generator_qfi_grid(p, [t], rtol=2e-3)
-        approx = qfi_g(p, t, var_n(state, p)).value
+        approx = qfi_g(p, t, var_n(state, p))
         rels.append(abs(approx - exact) / exact)
     conv_ok = rels[0] > rels[1] > rels[2]
     ok = methods_ok and conv_ok
@@ -163,7 +163,7 @@ def test_criterion_6_peaks_and_ratio_scaling():
     # closed-form identity is exact, and the critical-state value is 0.4
     v = var_n(state, p)
     ident = max(
-        abs(inverted_variance_peak(p, n) / qfi_g(p, taus[n - 5], v).value - analytic)
+        abs(inverted_variance_peak(p, n) / qfi_g(p, taus[n - 5], v) - analytic)
         / analytic
         for n in (5, 12, 20)
     )

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cqm import (
     BosonInitialState,
-    CutoffTooSmall,
     InvalidParams,
     ModelParams,
     RegimeError,
@@ -22,11 +21,7 @@ from cqm import (
     x_second_moment,
     x_variance,
 )
-from cqm.closed_form import (
-    _bare_generator_variance,
-    sin_minus_x_cos_over_x3,
-    sin_minus_x_over_x3,
-)
+from cqm.closed_form import sin_minus_x_cos_over_x3, sin_minus_x_over_x3
 
 
 def params(g, lam=0.0, omega=1.0, Omega=1e4):
@@ -64,13 +59,13 @@ class TestInitialState:
 class TestVarN:
     def test_reference_state_at_small_stiffness(self):
         # the zero-stiffness limit of the reference state: Var[P^2] = 5/4
-        assert _bare_generator_variance(default_initial_state(), 0.0) == pytest.approx(
+        assert default_initial_state().generator_variance(0.0) == pytest.approx(
             1.25, rel=1e-14
         )
 
     def test_vacuum_at_unit_stiffness(self):
         vac = BosonInitialState(np.eye(6)[0])
-        assert _bare_generator_variance(vac, 1.0) == pytest.approx(2.0, rel=1e-13)
+        assert vac.generator_variance(1.0) == pytest.approx(2.0, rel=1e-13)
 
     @given(lam=lam_strategy, frac=frac_strategy)
     @settings(max_examples=60)
@@ -87,15 +82,27 @@ class TestVarN:
         # eigenstates are the Fock states themselves
         for k in (0, 3):
             state = BosonInitialState(np.eye(8)[k])
-            assert _bare_generator_variance(state, -1.0) == pytest.approx(0.0, abs=1e-12)
+            assert state.generator_variance(-1.0) == pytest.approx(0.0, abs=1e-12)
 
-    def test_cutoff_guard(self):
-        top = np.zeros(8)
-        top[-1] = 1.0
-        with pytest.raises(CutoffTooSmall):
-            _bare_generator_variance(BosonInitialState(top), 0.3)
-        with pytest.raises(CutoffTooSmall):
-            _bare_generator_variance(BosonInitialState(np.eye(4)[0]), 0.3)
+    @pytest.mark.parametrize("dim", [1, 2, 5, 9])
+    def test_covariance_matches_dense_products_on_a_larger_basis(self, dim):
+        # P^2 - s*X^2 from dense X and P on a basis four slots larger than the
+        # state's, where the truncation cannot reach it; the random states
+        # fill every slot, the top two included
+        rng = np.random.default_rng(dim)
+        big = dim + 4
+        a = np.diag(np.sqrt(np.arange(1, big, dtype=float)), 1)
+        x = (a + a.T) / np.sqrt(2.0)
+        p = 1j * (a.T - a) / np.sqrt(2.0)
+        for _ in range(20):
+            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            state = BosonInitialState(amps / np.linalg.norm(amps))
+            padded = np.concatenate([state.amplitudes, np.zeros(4)])
+            for s in (-1.0, 0.0, 0.37, 1.0):
+                op_amps = (p @ p - s * (x @ x)) @ padded
+                mean = np.vdot(padded, op_amps).real
+                dense = np.vdot(op_amps, op_amps).real - mean * mean
+                assert state.generator_variance(s) == pytest.approx(dense, rel=1e-12)
 
     def test_beyond_variant_uses_alpha_stiffness(self):
         p = params(1.2)
@@ -129,14 +136,14 @@ class TestQfi:
     def test_zero_time_zero_information(self):
         p = params(0.099, lam=-0.2475)
         v = var_n(default_initial_state(), p)
-        assert qfi_g(p, 0.0, v).value == 0.0
+        assert qfi_g(p, 0.0, v) == 0.0
 
     def test_closer_coupling_larger_qfi(self):
         state = default_initial_state()
         values = []
         for g in (0.097, 0.098, 0.099):
             p = params(g, lam=-0.2475)
-            values.append(qfi_g(p, 1000.0, var_n(state, p)).value)
+            values.append(qfi_g(p, 1000.0, var_n(state, p)))
         assert values[0] < values[1] < values[2]
 
     def test_argmax_sits_at_the_tuned_critical_point(self):
@@ -149,7 +156,7 @@ class TestQfi:
             p = params(g, lam=lam)
             if effective_oscillator(p).epsilon_g == 0:
                 continue
-            val = qfi_g(p, 1000.0, var_n(state, p)).value
+            val = qfi_g(p, 1000.0, var_n(state, p))
             if val > best_val:
                 best_g, best_val = g, val
         assert abs(best_g - gc) < 1e-3
@@ -157,7 +164,7 @@ class TestQfi:
     def test_monotone_divergence_toward_the_critical_point(self):
         state = default_initial_state()
         gs = np.linspace(0.05, 0.95, 120)
-        vals = [qfi_g(params(g), 7.0, var_n(state, params(g))).value for g in gs]
+        vals = [qfi_g(params(g), 7.0, var_n(state, params(g))) for g in gs]
         assert np.all(np.diff(vals) > 0)
 
     def test_regime_guard(self):
@@ -166,7 +173,7 @@ class TestQfi:
         state = default_initial_state()
         v = var_n(state, params(0.5))
         for g in (0.5, 1.2):
-            assert qfi_g(params(g), 1.0, v).value > 0
+            assert qfi_g(params(g), 1.0, v) > 0
         critical = params(1.0)
         with pytest.raises(RegimeError):
             qfi_g(critical, 1.0, v)
@@ -182,11 +189,11 @@ class TestQfi:
         t = 3.0
         x = np.sqrt(4 * eps_ga) * t
         expected = 64 * ((1 - eps_ga) / 1.2) ** 2 * ((np.sin(x) - x) / (4 * eps_ga) ** 1.5) ** 2
-        assert qfi_g(p, t, 1.0).value == pytest.approx(expected, rel=1e-10)
+        assert qfi_g(p, t, 1.0) == pytest.approx(expected, rel=1e-10)
 
     def test_beyond_zero_time(self):
         p = params(1.2)
-        assert qfi_g(p, 0.0, var_n(default_initial_state(), p)).value == 0.0
+        assert qfi_g(p, 0.0, var_n(default_initial_state(), p)) == 0.0
 
     def test_beyond_grows_approaching_the_critical_point(self):
         state = default_initial_state()
@@ -194,7 +201,7 @@ class TestQfi:
         vals = []
         for g in (1.20, 1.10, 1.05, 1.02):
             p = params(g)
-            vals.append(qfi_g(p, t, var_n(state, p)).value)
+            vals.append(qfi_g(p, t, var_n(state, p)))
         assert np.all(np.diff(vals) > 0)
 
 
@@ -252,15 +259,6 @@ class TestQuadratures:
         p = normal_params(frac, lam)
         quotient = x_deriv_g(p, t) ** 2 / x_variance(p, t)
         assert inverted_variance(p, t) == pytest.approx(quotient, rel=1e-12, abs=1e-300)
-
-    def test_sample_record_bundles_the_four_observables(self):
-        from cqm import quadrature_sample
-
-        p = params(0.9)
-        s = quadrature_sample(p, 3.0)
-        assert s.t == 3.0
-        assert s.x_mean == x_mean(p, 3.0)
-        assert s.inv_var == pytest.approx(s.x_deriv_g**2 / s.x_var, rel=1e-12)
 
     def test_regime_guards(self):
         # x_mean serves both sides of g_c and raises only on the critical
@@ -331,5 +329,5 @@ class TestRatio:
         ratio = ig_fg_ratio(state, p)
         for n in (1, 5, 20):
             peak = inverted_variance_peak(p, n)
-            qfi = qfi_g(p, taus[n - 1], v).value
+            qfi = qfi_g(p, taus[n - 1], v)
             assert peak / qfi == pytest.approx(ratio, rel=1e-12)

@@ -75,11 +75,21 @@ class TestConfig:
         ("qfi-evolution", "omega=inf"),
         ("qfi-evolution", "t=nan"),
         ("quadrature-vs-g", "g=0.1,inf"),
+        ("decoherence", "gamma_minus=-0.01"),  # net heating
+        ("decoherence", "gamma_plus=0.005"),  # gamma_minus above gamma_plus
+        ("decoherence", "t_per=1,0.5,2"),  # the moment ODE needs increasing times
+        ("decoherence", "t_per=-1,0,1"),
+        ("frequency-scaling", "eta=5,20,30,40,50"),
     ])
     def test_bad_values_rejected_up_front(self, experiment, override):
         with pytest.raises(ConfigError):
             build_config(experiment, overrides=[override])
         assert cli_main([experiment, "--set", override]) == 2
+
+    def test_closed_engine_takes_any_time_grid(self):
+        # only the moment ODE of the oracle engines needs increasing times
+        cfg = build_config("decoherence", overrides=["t_per=1,0.5,2"], engine="closed")
+        assert cfg.values["t_per"] == pytest.approx([1.0, 0.5, 2.0])
 
     def test_reference_covers_all_experiments(self):
         text = config_reference()
@@ -111,7 +121,7 @@ class TestSlopeFit:
             rows=[[f"{e}", f"{5.0 / e}", "0", "ok"] for e in (1e1, 1e2, 1e3, 1e4, 1e5)],
             metadata={},
         )
-        fit = fit_loglog_slope(ds)
+        fit = fit_loglog_slope((ds.column("eta"), ds.column("abs_delta")))
         assert fit.slope == pytest.approx(-1.0, abs=1e-10)
 
 

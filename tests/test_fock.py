@@ -207,6 +207,29 @@ class TestAutoCutoff:
         with pytest.raises(CutoffNotConverged):
             auto_cutoff(lambda n: np.array([np.log(n)]), start=8, max_cut=64, rtol=1e-12)
 
+    def test_failure_names_the_last_leak_and_the_next_cutoff(self):
+        def run(n):
+            if n < 64:
+                raise TruncationLeak(f"tail mass {1.0 / n:.3e} exceeds 1.0e-08")
+            return np.array([2.0])
+
+        # 8, 16 and 32 leak and 64 runs alone, so no two levels compare
+        with pytest.raises(CutoffNotConverged) as err:
+            auto_cutoff(run, start=8, max_cut=64)
+        message = str(err.value)
+        assert message.startswith("no two consecutive levels ran without a leak")
+        assert "n_cut = 32 leaked (tail mass 3.125e-02" in message
+        assert message.endswith("need n_cut = 128 next, above max_cut = 64")
+        # a ladder that compares but never settles says so, naming its leak too
+        def drifting(n):
+            return run(64 if n > 8 else n) * np.log(n)
+
+        with pytest.raises(CutoffNotConverged) as err:
+            auto_cutoff(drifting, start=8, max_cut=64)
+        message = str(err.value)
+        assert message.startswith("observables still moving at n_cut = 64")
+        assert "n_cut = 8 leaked (tail mass 1.250e-01" in message
+
     def test_leak_restarts_comparison(self):
         def run(n):
             if n < 32:
@@ -316,7 +339,7 @@ class TestQfiMethods:
             eff = effective_oscillator(p)
             t = np.pi / np.sqrt(eff.epsilon)
             (exact,), _ = generator_qfi_grid(p, [t], n_cut=n_cut)
-            approx = qfi_g(p, t, var_n(state, p)).value
+            approx = qfi_g(p, t, var_n(state, p))
             rels.append(abs(approx - exact) / exact)
         assert rels[1] < rels[0]
 
@@ -395,5 +418,5 @@ class TestClosedFormAsymptoticAtLongTime:
         p = params(0.099, lam=-0.2475)
         state = default_initial_state()
         (exact,), _ = generator_qfi_grid(p, [1000.0], rtol=2e-3)
-        approx = qfi_g(p, 1000.0, _var_n(state, p)).value
+        approx = qfi_g(p, 1000.0, _var_n(state, p))
         assert abs(approx - exact) / exact < 0.10

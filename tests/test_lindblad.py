@@ -18,7 +18,6 @@ from cqm import (
     inverted_variance_peak,
     moment_rhs,
     optimal_times,
-    quadrature_sample,
     x_deriv_g,
     x_deriv_g_dissipative,
     x_mean,
@@ -252,7 +251,7 @@ class TestClosedForms:
             lambda: x_deriv_g(p, 1.0), lambda: x_second_moment(p, 1.0),
             lambda: x_variance(p, 1.0), lambda: inverted_variance(p, 1.0),
             lambda: optimal_times(p, 1), lambda: inverted_variance_peak(p, 1),
-            lambda: ig_fg_ratio(state, p), lambda: quadrature_sample(p, 1.0),
+            lambda: ig_fg_ratio(state, p),
         ]
         damped = [
             lambda fn=fn: fn(p, REFERENCE_RATES, 1.0)

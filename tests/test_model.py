@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from cqm import (
     InvalidParams,
     ModelParams,
-    NotInSuperradiantRegime,
     Regime,
     RegimeError,
-    beyond_critical_frame,
     critical_coupling,
     effective_oscillator,
     lambda_for_target_critical,
@@ -171,52 +169,40 @@ class TestEffectiveOscillator:
 
 
 class TestBeyondCriticalFrame:
+    """The superradiant side of oscillator_frame: stiffness epsilon_g_alpha."""
+
     def test_reference_stiffness(self):
-        frame = beyond_critical_frame(params(1.2))
-        assert frame.epsilon_g_alpha == pytest.approx(0.5177469135802469, rel=1e-13)
-        assert 0 < frame.epsilon_g_alpha < 1
+        frame = oscillator_frame(params(1.2))
+        assert frame.regime is Regime.SUPERRADIANT
+        assert frame.stiffness == pytest.approx(0.5177469135802469, rel=1e-13)
+        assert 0 < frame.stiffness < 1
 
     def test_boundary_raises(self):
-        with pytest.raises(NotInSuperradiantRegime):
-            beyond_critical_frame(params(1.0))
-        with pytest.raises(NotInSuperradiantRegime):
-            beyond_critical_frame(params(0.9))
+        # the alpha frame starts strictly past g_c: the critical line has no
+        # oscillator, and below it the frame is the normal one
+        with pytest.raises(RegimeError):
+            oscillator_frame(params(1.0))
+        assert oscillator_frame(params(0.9)).regime is Regime.NORMAL
 
     def test_deep_coupling_limit(self):
-        frame = beyond_critical_frame(params(1e6))
-        assert frame.epsilon_g_alpha == pytest.approx(1.0, abs=1e-12)
+        frame = oscillator_frame(params(1e6))
+        assert frame.stiffness == pytest.approx(1.0, abs=1e-12)
 
     def test_gap_closes_from_above(self):
         gc = 1.0
-        frame = beyond_critical_frame(params(gc * (1 + 1e-8)))
-        assert 0 < frame.epsilon_g_alpha < 1e-6
-
-    def test_rotation_angle_principal_branch(self):
-        for g in (1.05, 1.5, 3.0, 10.0):
-            frame = beyond_critical_frame(params(g, Omega=50.0))
-            assert 0.0 <= frame.theta < np.pi / 4
-
-    def test_lam_zero_displacement_matches_plain_model(self):
-        # alpha^2 = Omega*(g^4 - 1)/(4*omega*g^2) at lam = 0
-        g, Om = 1.3, 200.0
-        frame = beyond_critical_frame(params(g, Omega=Om))
-        assert frame.alpha**2 == pytest.approx(Om * (g**4 - 1) / (4 * g * g), rel=1e-12)
-
-    def test_rotated_frequencies(self):
-        g = 1.2
-        frame = beyond_critical_frame(params(g, Omega=OMEGA_Q))
-        assert frame.Omega_alpha == pytest.approx(OMEGA_Q * g * g, rel=1e-13)
-        assert frame.g_alpha == pytest.approx(g**-2, rel=1e-13)
+        frame = oscillator_frame(params(gc * (1 + 1e-8)))
+        assert frame.regime is Regime.SUPERRADIANT
+        assert 0 < frame.stiffness < 1e-6
 
     @given(lam=lams, step=st.floats(1.01, 3.0))
     @settings(max_examples=100)
     def test_epsilon_alpha_consistent(self, lam, step):
         p0 = params(0.0, lam=lam)
         g = critical_coupling(p0) * step
-        frame = beyond_critical_frame(params(g, lam=lam))
-        assert 0 < frame.epsilon_g_alpha < 1
-        assert frame.epsilon_alpha == pytest.approx(
-            4.0 * (1.0 + 4.0 * lam) * frame.epsilon_g_alpha, rel=1e-12
+        frame = oscillator_frame(params(g, lam=lam))
+        assert 0 < frame.stiffness < 1
+        assert frame.epsilon == pytest.approx(
+            4.0 * (1.0 + 4.0 * lam) * frame.stiffness, rel=1e-12
         )
 
 
@@ -224,14 +210,15 @@ class TestOscillatorFrame:
     def test_normal_side_is_the_effective_oscillator(self):
         p = params(0.3, lam=-0.2)
         frame, eff = oscillator_frame(p), effective_oscillator(p)
-        assert (frame.omega_bar, frame.stiffness, frame.epsilon) == (
-            eff.omega_bar, eff.epsilon_g, eff.epsilon)
+        assert (frame.omega_bar, frame.stiffness, frame.epsilon, frame.regime) == (
+            eff.omega_bar, eff.epsilon_g, eff.epsilon, eff.regime)
 
     def test_superradiant_side_is_the_alpha_frame(self):
+        # epsilon_g_alpha = 1 - (g_c/g)^4 past g_c
         p = params(1.2, lam=0.1)
-        frame, beyond = oscillator_frame(p), beyond_critical_frame(p)
-        assert frame.stiffness == beyond.epsilon_g_alpha
-        assert frame.epsilon == beyond.epsilon_alpha
+        frame = oscillator_frame(p)
+        assert frame.stiffness == pytest.approx(1 - (1.4 / 1.44) ** 2, rel=1e-13)
+        assert frame.epsilon == pytest.approx(4 * 1.4 * frame.stiffness, rel=1e-13)
         assert frame.omega_bar == effective_oscillator(p).omega_bar
 
     def test_critical_line_raises(self):
