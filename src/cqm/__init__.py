@@ -48,7 +48,6 @@ from .closed_form import (
 )
 from .fock import (
     HermitianOperator,
-    JointState,
     auto_cutoff,
     build_effective_hamiltonian,
     build_full_hamiltonian,
@@ -62,11 +61,9 @@ from .fock import (
 )
 from .lindblad import (
     DecayRates,
-    MomentVector,
-    TimeSeries,
     integrate_moments,
     inverted_variance_dissipative,
-    moment_rhs,
+    moment_generator,
     x_deriv_g_dissipative,
     x_mean_dissipative,
     x_variance_dissipative,

@@ -280,13 +280,10 @@ def _decoherence(cfg: ExperimentConfig, cell: dict) -> list[dict]:
     # the ODE runs from t = 0; prepend it when the grid starts later
     ode_ts = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
     skip = len(ode_ts) - len(ts)
-    traj = lb.integrate_moments(lb.REFERENCE_STATE_MOMENTS, params, rates, ode_ts)
+    moments = lb.integrate_moments(lb.REFERENCE_STATE_MOMENTS, params, rates, ode_ts)[skip:]
+    x, x_var = moments[:, 0], moments[:, 2] - moments[:, 0] ** 2
     dxdg = np.atleast_1d(lb.x_deriv_g_dissipative(params, rates, ts))
-    oracle = {
-        "x_mean": traj.moment("x")[skip:],
-        "x_var": traj.x_variance()[skip:],
-        "inv_var": dxdg**2 / traj.x_variance()[skip:],
-    }
+    oracle = {"x_mean": x, "x_var": x_var, "inv_var": dxdg**2 / x_var}
     return _compared_rows(cfg.engine, base, ts, closed, oracle)
 
 
@@ -541,8 +538,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"'{key}' must be finite")
     if not v["omega"] > 0 or not v["Omega"] > 0:
         raise ConfigError("omega and Omega must be positive")
-    if v.get("state_dim", 6) < 5:
-        raise ConfigError("state_dim must be >= 5")
+    if v["state_dim"] < 2:  # the reference state (|0> + i|1>)/sqrt(2) needs two levels
+        raise ConfigError("state_dim must be >= 2")
+    if np.any(np.atleast_1d(v["g"]) < 0):
+        raise ConfigError("couplings g must be >= 0")
     if "n" in v:
         ns = np.atleast_1d(v["n"])
         if np.any(ns < 1) or np.any(ns != np.floor(ns)):
@@ -623,8 +622,12 @@ class Dataset:
                 raise ConfigError(f"{path} lacks the JSON metadata header")
             metadata = json.loads(header[2:])
             reader = csv.reader(fh)
-            columns = next(reader)
+            columns = next(reader, None)
+            if columns is None:
+                raise ConfigError(f"{path} has no column line after its metadata header")
             rows = [row for row in reader if row]
+        if any(len(row) != len(columns) for row in rows):
+            raise ConfigError(f"{path} has a row whose length differs from its column line")
         units = metadata.pop("columns", {})
         return cls(columns, units, rows, metadata)
 

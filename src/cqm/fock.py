@@ -1,10 +1,13 @@
 """Exact numerics in a truncated Fock space.
 
-Builds the spin (x) boson Hamiltonian as one dense matrix and the effective
-low-energy oscillator as its two parity blocks (it couples n only to n and
-n+-2, so the even and odd Fock indices form two real tridiagonal blocks),
-evolves states by eigendecomposition of each block (exactly unitary at any
-time), and computes the quantum Fisher information two independent ways:
+Every operator is filled from the bands of a and a^dag: the spin (x) boson
+Hamiltonian as one dense matrix over spin-major amplitudes (plain arrays,
+|down> (x) boson from spin_down_state), and the effective low-energy
+oscillator as its two parity blocks (it couples n only to n and n+-2, so
+the even and odd Fock indices form two real tridiagonal blocks).  States
+are evolved by eigendecomposition of each block (exactly unitary at any
+time; a state that is not normalized is rejected up front), and the module
+computes the quantum Fisher information two independent ways:
 a fidelity finite difference and the spectral integral of the evolution
 generator.  It also measures how far finite-frequency (Omega/omega = eta)
 dynamics sits from the low-frequency closed forms.
@@ -56,28 +59,30 @@ SPIN_DOWN, SPIN_UP = 0, 1  # block order inside joint vectors
 # operators and states
 # ----------------------------------------------------------------------
 
-def destroy(n_cut: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n_cut, dtype=float)), 1)
-
-
-def quadratures(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """X = (a + a^dag)/sqrt(2) (real) and P = i(a^dag - a)/sqrt(2) (imaginary)."""
-    a = destroy(n_cut)
-    return (a + a.T) / np.sqrt(2.0), 1j * (a.T - a) / np.sqrt(2.0)
+def _a_band(n_cut: int) -> np.ndarray:
+    """Superdiagonal of the annihilation operator: a[n, n+1] = sqrt(n+1)."""
+    return np.sqrt(np.arange(1, n_cut, dtype=float))
 
 
 def _x_band(n_cut: int) -> np.ndarray:
     """Superdiagonal of X: X[n, n+1] = sqrt(n+1)/sqrt(2)."""
-    return np.sqrt(np.arange(1, n_cut, dtype=float)) / np.sqrt(2.0)
+    return _a_band(n_cut) / np.sqrt(2.0)
 
 
-def _x_squared_bands(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and second superdiagonal of the truncated product X@X, its
-    only nonzero bands.  Re(P@P) has the same diagonal and the negated
-    superdiagonal.  The corner entry n = n_cut-1 keeps only X[n, n-1]^2."""
+def quadratures(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """X = (a + a^dag)/sqrt(2) (real) and P = i(a^dag - a)/sqrt(2) (imaginary)."""
     x = _x_band(n_cut)
-    diag = np.append(x * x, 0.0) + np.append(0.0, x * x)
-    return diag, x[:-1] * x[1:]
+    return np.diag(x, 1) + np.diag(x, -1), 1j * (np.diag(x, -1) - np.diag(x, 1))
+
+
+def _squared_bands(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and second superdiagonal of Q@Q for the truncated symmetric
+    Q with zero diagonal and superdiagonal ``band`` (X, or a + a^dag), its
+    only nonzero bands.  The corner entry n = n_cut-1 keeps only
+    Q[n, n-1]^2.  Re(P@P) has the diagonal of X@X and its negated
+    superdiagonal."""
+    diag = np.append(band * band, 0.0) + np.append(0.0, band * band)
+    return diag, band[:-1] * band[1:]
 
 
 def _band_apply(diag: np.ndarray, sup: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -92,16 +97,13 @@ def _band_apply(diag: np.ndarray, sup: np.ndarray, v: np.ndarray) -> np.ndarray:
 class HermitianOperator:
     """Hermitian operator held as invariant blocks, each with a cached
     eigendecomposition: ``blocks`` lists (indices, block) pairs, the operator
-    acting as ``block`` on the basis states ``indices`` (a slice).  A plain
-    matrix is one block over all indices; ``matrix`` assembles the dense
-    operator.  ``dim`` is n_cut for boson-only operators, 2*n_cut on the
-    joint space.
+    acting as ``block`` on the basis states ``indices`` (a slice; a dense
+    operator is one block over ``slice(None)``).  ``matrix`` assembles the
+    dense operator.  ``dim`` is n_cut for boson-only operators, 2*n_cut on
+    the joint space.
     """
 
-    def __init__(self, matrix: np.ndarray | None = None,
-                 blocks: list[tuple[slice, np.ndarray]] | None = None):
-        if blocks is None:
-            blocks = [(slice(None), np.asarray(matrix))]
+    def __init__(self, blocks: list[tuple[slice, np.ndarray]]):
         for _, h in blocks:
             residual = np.abs(h - h.conj().T).max()
             if residual > 1e-12:
@@ -125,28 +127,12 @@ class HermitianOperator:
         return self._eig
 
 
-@dataclass(frozen=True)
-class JointState:
-    """Amplitudes over (spin in {down, up}) x (Fock 0..n_cut-1), spin-major."""
-
-    amplitudes: np.ndarray
-    n_cut: int
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if len(amps) != 2 * self.n_cut:
-            raise InvalidParams("amplitudes", "length must be 2*n_cut")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
-            raise InvalidParams("amplitudes", f"norm {norm} != 1 beyond 1e-10")
-        object.__setattr__(self, "amplitudes", amps)
-
-
-def spin_down_state(boson: BosonInitialState | np.ndarray, n_cut: int) -> JointState:
-    """|down> (x) |boson>, zero-padded to ``n_cut``."""
+def spin_down_state(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
+    """Amplitudes of |down> (x) |boson> over (spin) x (Fock 0..n_cut-1),
+    spin-major, with the boson zero-padded to ``n_cut``."""
     amps = np.zeros(2 * n_cut, dtype=complex)
     amps[SPIN_DOWN * n_cut: (SPIN_DOWN + 1) * n_cut] = _pad(boson, n_cut)
-    return JointState(amps, n_cut)
+    return amps
 
 
 def _pad(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
@@ -166,23 +152,21 @@ def _joint_hamiltonian(
     n_cut: int, omega: float, Omega: float, coupling: float, quadratic: float
 ) -> HermitianOperator:
     """omega*a^dag*a + quadratic*(a+a^dag)^2 + (Omega/2)*sigma_z
-    + coupling*(a+a^dag)*sigma_x on the joint space."""
+    + coupling*(a+a^dag)*sigma_x on the joint space, filled from the Fock
+    bands as one dense block in (down, up) spin-major order."""
     if n_cut < 4:
         raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
-    a = destroy(n_cut)
-    q = a + a.T  # a + a^dag
-    boson = omega * (a.T @ a)
-    if quadratic != 0.0:  # skip the (a+a^dag)^2 matmul when it cannot contribute
-        boson = boson + quadratic * (q @ q)
-    # spin matrices in (down, up) block order
-    sz = np.diag([-1.0, 1.0])
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    h = (
-        np.kron(np.eye(2), boson)
-        + np.kron(0.5 * Omega * sz, np.eye(n_cut))
-        + np.kron(coupling * sx, q)
-    )
-    return HermitianOperator(h)
+    a = _a_band(n_cut)
+    boson = np.diag(omega * np.append(0.0, a * a))  # a^dag*a: n as sqrt(n)^2, as a^T@a rounds
+    if quadratic != 0.0:
+        diag, sup = _squared_bands(a)  # (a+a^dag)^2
+        boson += quadratic * (np.diag(diag) + np.diag(sup, 2) + np.diag(sup, -2))
+    down, up = (slice(s * n_cut, (s + 1) * n_cut) for s in (SPIN_DOWN, SPIN_UP))
+    h = np.zeros((2 * n_cut, 2 * n_cut))
+    h[down, down] = boson - 0.5 * Omega * np.eye(n_cut)
+    h[up, up] = boson + 0.5 * Omega * np.eye(n_cut)
+    h[down, up] = h[up, down] = coupling * (np.diag(a, 1) + np.diag(a, -1))
+    return HermitianOperator([(slice(None), h)])
 
 
 def build_full_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOperator:
@@ -226,14 +210,14 @@ def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOpe
     if n_cut < 4:
         raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
     frame = oscillator_frame(params)
-    xx_diag, xx_sup = _x_squared_bands(n_cut)
+    xx_diag, xx_sup = _squared_bands(_x_band(n_cut))
     diag = 0.5 * frame.omega_bar * (xx_diag + frame.stiffness * xx_diag)
     sup = 0.5 * frame.omega_bar * (-xx_sup + frame.stiffness * xx_sup)
     blocks = []
     for start in (0, 1):
         d, e = diag[start::2], sup[start::2]
         blocks.append((slice(start, None, 2), np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
-    return HermitianOperator(blocks=blocks)
+    return HermitianOperator(blocks)
 
 
 # ----------------------------------------------------------------------
@@ -243,6 +227,9 @@ def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOpe
 def _spectral_propagate(h: HermitianOperator, amps0: np.ndarray, ts) -> np.ndarray:
     if len(amps0) != h.dim:
         raise InvalidParams("psi0", f"length {len(amps0)} != operator dim {h.dim}")
+    norm = np.linalg.norm(amps0)
+    if abs(norm - 1.0) > 1e-10:
+        raise InvalidParams("psi0", f"norm {norm} != 1 beyond 1e-10")
     ts = np.asarray(ts, dtype=float)
     out = np.empty((h.dim, len(ts)), dtype=complex)
     for idx, energies, vectors in h.eig():
@@ -268,18 +255,21 @@ def _check_tail(out: np.ndarray, n_cut: int) -> None:
 
 def evolve_grid(h: HermitianOperator, psi0, ts: Sequence[float]) -> np.ndarray:
     """exp(-i*H*t)|psi0> by spectral decomposition at every time in ``ts``;
-    (dim, len(ts)) array.  Raises TruncationLeak when an evolved state puts
-    more than LEAK_TOL weight into the top Fock indices."""
+    (dim, len(ts)) array.  Raises InvalidParams for a state that is not
+    normalized and TruncationLeak when an evolved state puts more than
+    LEAK_TOL weight into the top Fock indices."""
     amps0 = psi0.amplitudes if hasattr(psi0, "amplitudes") else np.asarray(psi0, dtype=complex)
     out = _spectral_propagate(h, amps0, ts)
     _check_tail(out, h.dim)
     return out
 
 
-def evolve_joint_grid(h: HermitianOperator, psi0: JointState, ts: Sequence[float]) -> np.ndarray:
-    """Joint-space evolution, with the tail check on each spin block."""
-    out = _spectral_propagate(h, psi0.amplitudes, ts)
-    _check_tail(out, psi0.n_cut)
+def evolve_joint_grid(h: HermitianOperator, amplitudes: np.ndarray,
+                      ts: Sequence[float]) -> np.ndarray:
+    """Joint-space evolution of spin-major ``amplitudes``, with the tail
+    check on each spin block of length h.dim // 2."""
+    out = _spectral_propagate(h, np.asarray(amplitudes, dtype=complex), ts)
+    _check_tail(out, h.dim // 2)
     return out
 
 
@@ -527,7 +517,7 @@ def generator_qfi_grid(
     ts = np.asarray(ts, dtype=float)
 
     def qfi_at(n: int) -> np.ndarray:
-        h1_diag, h1_sup = (0.5 * frame.omega_bar * band for band in _x_squared_bands(n))
+        h1_diag, h1_sup = (0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n)))
         amps0 = _pad(psi0, n)
         mean = np.zeros(len(ts))
         second = np.zeros(len(ts))

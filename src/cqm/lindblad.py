@@ -2,14 +2,16 @@
 
 A mode decaying at gamma_a and heated at gamma_h under the effective
 oscillator Hamiltonian closes on five expectation values
-(<X>, <P>, <X^2>, <P^2>, <G>) with G = XP + PX.  This module carries the
-coupled linear moment equations, their exact propagation on a time grid
-(used as an independent check), and the explicit solutions for <X>_t,
-d<X>_t/dg, (Delta X)^2_t and the dissipative inverted variance.  The
-explicit solutions hold in the normal regime and read the same oscillator
-frame (stiffness s, ds/dg, gap epsilon) as the closed_form module, through
-its normal-regime guard; the moment equations read effective_oscillator,
-so they also hold on the critical line.  Every closed form reduces
+m = (<X>, <P>, <X^2>, <P^2>, <G>) with G = XP + PX, held as arrays in that
+order.  This module writes the coupled linear moment equations once, as
+the augmented matrix of moment_generator, propagates them exactly on a
+time grid (integrate_moments, used as an independent check), and gives
+the explicit solutions for <X>_t, d<X>_t/dg, (Delta X)^2_t and the
+dissipative inverted variance.  The explicit solutions hold in the normal
+regime and read the same oscillator frame (stiffness s, ds/dg, gap
+epsilon) as the closed_form module, through its normal-regime guard; the
+moment equations read effective_oscillator, so they also hold on the
+critical line.  Every closed form reduces
 pointwise to its unitary counterpart at gamma_a = gamma_h = 0.
 """
 
@@ -58,45 +60,14 @@ class DecayRates:
 NO_DECAY = DecayRates(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """(<X>, <P>, <X^2>, <P^2>, <G>) with G = XP + PX."""
-
-    x: float
-    p: float
-    xx: float
-    pp: float
-    gg: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.p, self.xx, self.pp, self.gg], dtype=float)
-
-    @classmethod
-    def from_array(cls, values) -> "MomentVector":
-        return cls(*(float(v) for v in values))
-
-    def g_tilde(self) -> float:
-        """Covariance combination <G> - 2<X><P>."""
-        return self.gg - 2.0 * self.x * self.p
-
-    def is_physical(self, tol: float = 1e-8) -> bool:
-        """Positivity of both variances and the uncertainty product
-
-        (Delta X)^2 (Delta P)^2 - (G_tilde/2)^2 >= 1/4, up to ``tol`` slack.
-        """
-        vx = self.xx - self.x * self.x
-        vp = self.pp - self.p * self.p
-        if vx < -1e-10 or vp < -1e-10:
-            return False
-        return vx * vp - 0.25 * self.g_tilde() ** 2 >= 0.25 * (1.0 - tol)
+#: Moments (<X>, <P>, <X^2>, <P^2>, <G>) of the reference state (|0> + i|1>)/sqrt(2).
+REFERENCE_STATE_MOMENTS = np.array([0.0, 1.0 / np.sqrt(2.0), 1.0, 1.0, 0.0])
+REFERENCE_STATE_MOMENTS.setflags(write=False)
 
 
-#: Moments of the reference state (|0> + i|1>)/sqrt(2).
-REFERENCE_STATE_MOMENTS = MomentVector(0.0, 1.0 / np.sqrt(2.0), 1.0, 1.0, 0.0)
-
-
-def moment_rhs(m: MomentVector, params: ModelParams, rates: DecayRates) -> MomentVector:
-    """Time derivative of the five moments under damped oscillator flow:
+def moment_generator(params: ModelParams, rates: DecayRates) -> np.ndarray:
+    """[[A, b], [0, 0]] of dm/dt = A*m + b for m = (<X>, <P>, <X^2>, <P^2>, <G>),
+    the five moment equations of damped oscillator flow:
 
         d<X>   = wbar*<P> - gamma_-/2*<X>
         d<P>   = -eps/(4*wbar)*<X> - gamma_-/2*<P>
@@ -107,39 +78,14 @@ def moment_rhs(m: MomentVector, params: ModelParams, rates: DecayRates) -> Momen
     eff = effective_oscillator(params)
     wbar, eps = eff.omega_bar, eff.epsilon
     gm, gp = rates.gamma_minus, rates.gamma_plus
-    return MomentVector(
-        x=wbar * m.p - 0.5 * gm * m.x,
-        p=-eps / (4.0 * wbar) * m.x - 0.5 * gm * m.p,
-        xx=-gm * m.xx + wbar * m.gg + 0.5 * gp,
-        pp=-gm * m.pp - eps / (4.0 * wbar) * m.gg + 0.5 * gp,
-        gg=-gm * m.gg + 2.0 * wbar * m.pp - eps / (2.0 * wbar) * m.xx,
-    )
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """Moment trajectory on a grid; values has one row per time."""
-
-    t: np.ndarray
-    values: np.ndarray
-
-    def moment(self, name: str) -> np.ndarray:
-        return self.values[:, ("x", "p", "xx", "pp", "gg").index(name)]
-
-    def x_variance(self) -> np.ndarray:
-        return self.moment("xx") - self.moment("x") ** 2
-
-
-def _augmented_generator(params: ModelParams, rates: DecayRates) -> np.ndarray:
-    """[[A, b], [0, 0]] of dm/dt = A*m + b: b = rhs(0), column j of A = rhs(e_j) - b."""
-    def rhs(m: np.ndarray) -> np.ndarray:
-        return moment_rhs(MomentVector.from_array(m), params, rates).as_array()
-
-    gen = np.zeros((6, 6))
-    gen[:5, 5] = rhs(np.zeros(5))
-    for j, e in enumerate(np.eye(5)):
-        gen[:5, j] = rhs(e) - gen[:5, 5]
-    return gen
+    return np.array([
+        [-0.5 * gm, wbar, 0.0, 0.0, 0.0, 0.0],
+        [-eps / (4.0 * wbar), -0.5 * gm, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, -gm, 0.0, wbar, 0.5 * gp],
+        [0.0, 0.0, 0.0, -gm, -eps / (4.0 * wbar), 0.5 * gp],
+        [0.0, 0.0, -eps / (2.0 * wbar), 2.0 * wbar, -gm, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ])
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -159,22 +105,25 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def integrate_moments(
-    m0: MomentVector,
+    m0: Sequence[float],
     params: ModelParams,
     rates: DecayRates,
     t_grid: Sequence[float],
-) -> TimeSeries:
-    """The moments on ``t_grid`` from ``m0`` at t_grid[0].  A and b are constant,
-    so each grid step is exact: (m, 1) is multiplied by exp([[A, b], [0, 0]]*dt)."""
+) -> np.ndarray:
+    """The five moments on ``t_grid`` from ``m0`` at t_grid[0], one row per
+    time.  A and b are constant, so each grid step is exact: (m, 1) is
+    multiplied by exp(moment_generator*dt)."""
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or len(ts) < 2 or np.any(np.diff(ts) <= 0):
         raise InvalidParams("t_grid", "need a strictly increasing grid")
-    steps = _expm(_augmented_generator(params, rates) * np.diff(ts)[:, None, None])
+    if np.shape(m0) != (5,):
+        raise InvalidParams("m0", f"need the five moments, got shape {np.shape(m0)}")
+    steps = _expm(moment_generator(params, rates) * np.diff(ts)[:, None, None])
     out = np.empty((len(ts), 6))
-    out[0] = [*m0.as_array(), 1.0]
+    out[0] = [*m0, 1.0]
     for i, step in enumerate(steps):
         out[i + 1] = step @ out[i]
-    return TimeSeries(ts, out[:, :5])
+    return out[:, :5]
 
 
 # ----------------------------------------------------------------------

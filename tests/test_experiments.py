@@ -80,11 +80,19 @@ class TestConfig:
         ("decoherence", "t_per=1,0.5,2"),  # the moment ODE needs increasing times
         ("decoherence", "t_per=-1,0,1"),
         ("frequency-scaling", "eta=5,20,30,40,50"),
+        ("qfi-vs-g", "g=-0.5,0.5"),  # would fail its cell instead
+        ("qfi-vs-g", "state_dim=1"),  # too small for (|0> + i|1>)/sqrt(2)
     ])
     def test_bad_values_rejected_up_front(self, experiment, override):
         with pytest.raises(ConfigError):
             build_config(experiment, overrides=[override])
         assert cli_main([experiment, "--set", override]) == 2
+
+    def test_two_level_reference_state_gives_the_default_qfi(self):
+        # the reference state lives on |0> and |1>, so padding adds nothing
+        small = run(build_config("qfi-vs-g", overrides=["state_dim=2"]), jobs=1)
+        default = run(build_config("qfi-vs-g"), jobs=1)
+        assert small.str_column("qfi") == default.str_column("qfi")
 
     def test_closed_engine_takes_any_time_grid(self):
         # only the moment ODE of the oracle engines needs increasing times
@@ -350,6 +358,24 @@ class TestCli:
         assert strip(first) == strip(second)
         meta = json.loads(second.splitlines()[0][2:])
         assert meta["cells_computed"] == 0  # resumed
+
+    @pytest.mark.parametrize("keep", ["header", "cut_row"])
+    def test_truncated_output_is_recomputed(self, tmp_path, capsys, keep):
+        # a truncated CSV (only its metadata line, or cut inside its last
+        # row) is unreadable, so the run starts over instead of resuming
+        out = tmp_path / "ds.csv"
+        argv = ["qfi-evolution", "--jobs", "1", "--out", str(out),
+                "--set", "g=0.098,0.099", "--set", "t=0:50:6"]
+        assert cli_main(argv) == 0
+        text = out.read_text()
+        full = text.splitlines()
+        out.write_text(full[0] + "\n" if keep == "header" else text[:-20])
+        with pytest.raises(ConfigError):
+            Dataset.read_csv(str(out))
+        assert cli_main(argv) == 0
+        again = out.read_text().splitlines()
+        assert again[1:] == full[1:]
+        assert json.loads(again[0][2:])["cells_computed"] == 2
 
     def test_bad_config_exit_code(self, capsys):
         assert cli_main(["qfi-evolution", "--set", "bogus=1"]) == 2

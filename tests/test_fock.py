@@ -30,7 +30,6 @@ from cqm import (
 )
 from cqm.fock import (
     HermitianOperator,
-    JointState,
     _x_moments,
     evolve_joint_grid,
     quadratures,
@@ -40,6 +39,33 @@ from cqm.fock import (
 
 def params(g, lam=0.0, omega=1.0, Omega=1e4):
     return ModelParams(omega=omega, Omega=Omega, g=g, lam=lam)
+
+
+def destroy(n_cut):
+    return np.diag(np.sqrt(np.arange(1, n_cut, dtype=float)), 1)
+
+
+def dense_joint_hamiltonian(n_cut, omega, Omega, coupling, quadratic):
+    """Reference assembly from dense ladder matrices and Kronecker products:
+    omega*a^dag*a + quadratic*(a+a^dag)^2 + (Omega/2)*sigma_z
+    + coupling*(a+a^dag)*sigma_x, spin-major in (down, up) order."""
+    a = destroy(n_cut)
+    q = a + a.T
+    boson = omega * (a.T @ a) + quadratic * (q @ q)
+    sz = np.diag([-1.0, 1.0])
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return (
+        np.kron(np.eye(2), boson)
+        + np.kron(0.5 * Omega * sz, np.eye(n_cut))
+        + np.kron(coupling * sx, q)
+    )
+
+
+# the frequency-scaling defaults: (g, lam) cases times Omega = eta*omega
+FREQUENCY_SCALING_POINTS = [
+    (g, lam, eta) for g, lam in ((0.9, 0.0), (0.1, -0.247))
+    for eta in (1e2, 3e2, 1e3, 3e3, 1e4)
+]
 
 
 class TestBuilders:
@@ -135,7 +161,34 @@ class TestBuilders:
 
     def test_hermitian_wrapper_rejects_nonhermitian(self):
         with pytest.raises(InvalidParams):
-            HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            HermitianOperator([(slice(None), np.array([[0.0, 1.0], [0.0, 0.0]]))])
+        with pytest.raises(InvalidParams):  # complex: the transpose must be conjugated
+            HermitianOperator([(slice(None), np.array([[0.0, 1j], [1j, 0.0]]))])
+
+    @pytest.mark.parametrize("n_cut", [64, 128, 256, 512])
+    def test_squeezed_frame_equals_dense_reference_bit_for_bit(self, n_cut):
+        for g, lam, eta in FREQUENCY_SCALING_POINTS:
+            p = params(g, lam=lam, Omega=eta)
+            h = build_squeezed_frame_hamiltonian(p, n_cut)
+            assert [idx for idx, _ in h.blocks] == [slice(None)]
+            coupling = 0.5 * np.sqrt(p.omega * p.Omega) * g * (1.0 + 4.0 * lam) ** -0.25
+            omega_bar = effective_oscillator(p).omega_bar
+            reference = dense_joint_hamiltonian(n_cut, omega_bar, p.Omega, coupling, 0.0)
+            assert np.array_equal(h.matrix, reference), (g, lam, eta)
+
+    @pytest.mark.parametrize("n_cut", [16, 64, 256, 512])
+    def test_full_equals_dense_reference(self, n_cut):
+        # the (a+a^dag)^2 diagonal is a sum of two squares, which the dense
+        # product may round differently; everything else matches exactly
+        points = FREQUENCY_SCALING_POINTS + [(0.7, 0.3, 2.0), (1.3, 1.5, 5.0), (0.5, -0.2, 1.0)]
+        for g, lam, eta in points:
+            p = params(g, lam=lam, Omega=eta)
+            h = build_full_hamiltonian(p, n_cut).matrix
+            coupling = 0.5 * np.sqrt(p.omega * p.Omega) * g
+            reference = dense_joint_hamiltonian(n_cut, p.omega, p.Omega, coupling, lam)
+            assert np.abs(h - reference).max() <= 1e-15 * np.abs(reference).max(), (g, lam, eta)
+            off_diagonal = ~np.eye(2 * n_cut, dtype=bool)
+            assert np.array_equal(h[off_diagonal], reference[off_diagonal])
 
 
 class TestEvolve:
@@ -146,7 +199,7 @@ class TestEvolve:
         assert np.allclose(out, psi.amplitudes)
 
     def test_diagonal_hamiltonian_only_rotates_phases(self):
-        h = HermitianOperator(np.diag(np.arange(8, dtype=float)))
+        h = HermitianOperator([(slice(None), np.diag(np.arange(8, dtype=float)))])
         # uniform over all but the top Fock slot, which the leak check reads
         amps = np.append(np.ones(7), 0.0) / np.sqrt(7)
         out = evolve_grid(h, amps, [0.37])[:, 0]
@@ -170,9 +223,25 @@ class TestEvolve:
     def test_joint_state_roundtrip(self):
         p = params(0.9, Omega=50.0)
         h = build_squeezed_frame_hamiltonian(p, 24)
-        psi = spin_down_state(default_initial_state(), 24)
-        out = JointState(evolve_joint_grid(h, psi, [1.0])[:, 0], 24)
-        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        boson = default_initial_state()
+        psi = spin_down_state(boson, 24)
+        assert psi.shape == (48,) and psi.dtype == complex
+        assert np.array_equal(psi[:6], boson.amplitudes) and not psi[6:].any()
+        out = evolve_joint_grid(h, psi, [0.0, 1.0])
+        assert np.abs(out[:, 0] - psi).max() < 1e-12
+        assert np.linalg.norm(out[:, 1]) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(out[24:, 1]).max() > 0.0  # the coupling flips the spin
+
+    def test_unnormalized_states_rejected_by_both_routines(self):
+        boson = build_effective_hamiltonian(params(0.9), 16)
+        joint = build_squeezed_frame_hamiltonian(params(0.9, Omega=50.0), 16)
+        psi = spin_down_state(default_initial_state(), 16)
+        with pytest.raises(InvalidParams, match="norm"):
+            evolve_grid(boson, 1.01 * default_initial_state(16).amplitudes, [1.0])
+        with pytest.raises(InvalidParams, match="norm"):
+            evolve_joint_grid(joint, 0.5 * psi, [1.0])
+        with pytest.raises(InvalidParams, match="length"):
+            evolve_joint_grid(joint, psi[:16], [1.0])
 
 
 class TestBandContraction:
