@@ -57,6 +57,7 @@ from .fock import (
     generator_qfi_grid,
     qfi_overlap,
     quadrature_series,
+    ratio_oracle,
     verify_reciprocal_relation,
 )
 from .lindblad import (

@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         exp.add_argument("--config", help="flat key=value config file")
         exp.add_argument("--engine", choices=("closed", "oracle", "both"))
         exp.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: cpu count)")
+                         help="worker processes, >= 1 (default: cpu count)")
         exp.add_argument("--out", help="output CSV path")
         exp.add_argument("--set", dest="overrides", action="append", default=[],
                          metavar="KEY=VALUE", help="override one config key (repeatable)")
@@ -69,27 +69,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        cfg = build_config(
-            args.command,
-            config_file=args.config,
-            overrides=args.overrides,
-            engine=args.engine,
-        )
+        cfg = build_config(args.command, config_file=args.config,
+                           overrides=args.overrides, engine=args.engine)
+        out_path = args.out or _default_out(cfg.experiment)
+        resume = None
+        if not args.no_resume and os.path.exists(out_path):
+            try:
+                previous = Dataset.read_csv(out_path)
+                if previous.metadata.get("config_hash") == cfg.hash():
+                    resume = previous
+            except (ConfigError, ValueError):
+                resume = None  # unreadable previous output: recompute everything
+        dataset = run(cfg, jobs=args.jobs, resume=resume)  # bad jobs: before any cell
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-
-    out_path = args.out or _default_out(cfg.experiment)
-    resume = None
-    if not args.no_resume and os.path.exists(out_path):
-        try:
-            previous = Dataset.read_csv(out_path)
-            if previous.metadata.get("config_hash") == cfg.hash():
-                resume = previous
-        except (ConfigError, ValueError):
-            resume = None  # unreadable previous output: recompute everything
-
-    dataset = run(cfg, jobs=args.jobs, resume=resume)
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     dataset.write_csv(out_path)
 

@@ -242,12 +242,9 @@ def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> list[dict]:
              "ratio_analytic": analytic} for n, tau in zip(ns, taus)]
     if cfg.engine == "closed":
         return rows
-    series = fock.quadrature_series(params, taus, psi0=state)
-    qfis, _ = fock.generator_qfi_grid(params, taus, psi0=state)
-    numeric = series.inv_var / qfis
+    numeric, n_cut = fock.ratio_oracle(params, taus, psi0=state)
     for row, ratio in zip(rows, numeric):
-        row.update(ratio_numeric=ratio, rel_dev=abs(ratio - analytic) / analytic,
-                   n_cut=series.n_cut)
+        row.update(ratio_numeric=ratio, rel_dev=abs(ratio - analytic) / analytic, n_cut=n_cut)
     return rows
 
 
@@ -675,8 +672,10 @@ def run(
 
     With ``resume`` (a previously written Dataset whose config hash matches),
     rows of cells that completed are reused verbatim and only failed cells
-    are recomputed.
+    are recomputed.  ``jobs`` below 1 is a ConfigError.
     """
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
     entry = _REGISTRY[cfg.experiment]
     columns = entry.columns(cfg.engine) + _META_COLUMNS

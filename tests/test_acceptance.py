@@ -24,6 +24,7 @@ from cqm import (
     qfi_g,
     qfi_overlap,
     quadrature_series,
+    ratio_oracle,
     run,
     var_n,
     verify_reciprocal_relation,
@@ -155,9 +156,8 @@ def test_criterion_6_peaks_and_ratio_scaling():
     p = params(0.099, lam=-0.2475)
     analytic = ig_fg_ratio(state, p)
     taus = optimal_times(p, 20)[4:]
-    series = quadrature_series(p, taus, psi0=state)
-    qfis, _ = generator_qfi_grid(p, taus, psi0=state)
-    ratio_dev = float(np.abs(series.inv_var / qfis - analytic).max() / analytic)
+    numeric, _ = ratio_oracle(p, taus, psi0=state)
+    ratio_dev = float(np.abs(numeric - analytic).max() / analytic)
     ratio_ok = ratio_dev <= 0.05
 
     # closed-form identity is exact, and the critical-state value is 0.4

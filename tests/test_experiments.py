@@ -380,6 +380,14 @@ class TestCli:
     def test_bad_config_exit_code(self, capsys):
         assert cli_main(["qfi-evolution", "--set", "bogus=1"]) == 2
 
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_nonpositive_jobs_rejected(self, tmp_path, capsys, jobs):
+        with pytest.raises(ConfigError):
+            run(build_config("qfi-evolution"), jobs=jobs)
+        out = tmp_path / "x.csv"
+        assert cli_main(["qfi-evolution", "--jobs", str(jobs), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_partial_failure_exit_code(self, tmp_path):
         argv = [
             "inverted-variance", "--jobs", "1", "--out", str(tmp_path / "x.csv"),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from cqm import (
     qfi_g,
     qfi_overlap,
     quadrature_series,
+    ratio_oracle,
     var_n,
     verify_reciprocal_relation,
     x_mean,
@@ -30,6 +33,9 @@ from cqm import (
 )
 from cqm.fock import (
     HermitianOperator,
+    _band_apply,
+    _squared_bands,
+    _x_band,
     _x_moments,
     evolve_joint_grid,
     quadratures,
@@ -41,8 +47,42 @@ def params(g, lam=0.0, omega=1.0, Omega=1e4):
     return ModelParams(omega=omega, Omega=Omega, g=g, lam=lam)
 
 
+def assembled(op):
+    """The operator ``op`` assembled from its blocks."""
+    out = np.zeros((op.dim, op.dim), dtype=np.result_type(*(h for _, h in op.blocks)))
+    for idx, h in op.blocks:
+        out[idx, idx] = h
+    return out
+
+
 def destroy(n_cut):
     return np.diag(np.sqrt(np.arange(1, n_cut, dtype=float)), 1)
+
+
+def blockwise_generator_qfi(p, ts, n_cut):
+    """generator_qfi_grid's kernel as it stood before the Duhamel kernel was
+    shared: per parity block, the variance summed in the eigenbasis."""
+    frame = oscillator_frame(p)
+    ts = np.asarray(ts, dtype=float)
+    h1_diag, h1_sup = (0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
+    amps0 = default_initial_state(n_cut).amplitudes
+    mean = np.zeros(len(ts))
+    second = np.zeros(len(ts))
+    for idx, energies, vectors in build_effective_hamiltonian(p, n_cut).eig():
+        h1 = vectors.T @ _band_apply(h1_diag[idx], h1_sup[idx], vectors)
+        de = energies[:, None] - energies[None, :]
+        near = np.abs(de) < 1e-12
+        ratio = np.where(near, 0.0, h1 / np.where(near, 1.0, de))
+        coeffs = vectors.conj().T @ amps0[idx]
+        half = 0.5 * np.outer(energies, ts)
+        sin, cos = np.sin(half), np.cos(half)
+        phase = cos - 1j * sin
+        rotated = phase * coeffs[:, None]
+        gen = 2.0 * (sin * (ratio @ (cos * rotated)) - cos * (ratio @ (sin * rotated)))
+        gen += phase * np.outer(np.where(near, h1, 0.0) @ coeffs, ts)
+        mean += np.real(np.sum(rotated.conj() * gen, axis=0))
+        second += np.sum(np.abs(gen) ** 2, axis=0)
+    return frame.dstiffness_dg**2 * 4.0 * (second - mean * mean)
 
 
 def dense_joint_hamiltonian(n_cut, omega, Omega, coupling, quadratic):
@@ -71,7 +111,7 @@ FREQUENCY_SCALING_POINTS = [
 class TestBuilders:
     def test_decoupled_full_hamiltonian_is_diagonal(self):
         p = params(0.0, Omega=7.0, omega=2.0)
-        h = build_full_hamiltonian(p, 5).matrix
+        h = assembled(build_full_hamiltonian(p, 5))
         assert np.abs(h - np.diag(np.diag(h))).max() == 0.0
         fock_e = 2.0 * np.arange(5)
         expected = np.concatenate([fock_e - 3.5, fock_e + 3.5])
@@ -84,7 +124,7 @@ class TestBuilders:
         omega_bar = np.sqrt(1 + 4 * lam)
         errs = []
         for n_cut in (8, 16, 32, 64):
-            h = build_full_hamiltonian(p, n_cut).matrix
+            h = assembled(build_full_hamiltonian(p, n_cut))
             boson_block = h[:n_cut, :n_cut] + 0.5 * p.Omega * np.eye(n_cut)
             e0 = np.linalg.eigvalsh(boson_block)[0]
             errs.append(abs(e0 - (omega_bar - 1.0) / 2.0))
@@ -94,13 +134,13 @@ class TestBuilders:
     def test_hermiticity_of_all_builders(self):
         p = params(0.7, lam=-0.1, Omega=321.0)
         for build in (build_full_hamiltonian, build_squeezed_frame_hamiltonian):
-            h = build(p, 24).matrix
+            h = assembled(build(p, 24))
             assert np.abs(h - h.conj().T).max() < 1e-12
 
     def test_squeezed_frame_equals_lab_frame_without_quadratic_term(self):
         p = params(0.9, lam=0.0, Omega=100.0)
-        a = build_full_hamiltonian(p, 16).matrix
-        b = build_squeezed_frame_hamiltonian(p, 16).matrix
+        a = assembled(build_full_hamiltonian(p, 16))
+        b = assembled(build_squeezed_frame_hamiltonian(p, 16))
         assert np.abs(a - b).max() < 1e-12
 
     def test_effective_unit_stiffness_is_harmonic(self):
@@ -136,13 +176,13 @@ class TestBuilders:
         dense = 0.5 * frame.omega_bar * ((pq @ pq).real + frame.stiffness * (x @ x))
         h = build_effective_hamiltonian(p, n_cut)
         assert [idx for idx, _ in h.blocks] == [slice(0, None, 2), slice(1, None, 2)]
-        assert np.abs(h.matrix - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.abs(assembled(h) - dense).max() <= 1e-13 * np.abs(dense).max()
 
     @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 64), (0.099, -0.2475, 256), (1.2, 0.1, 41)])
     def test_block_spectra_make_the_full_spectrum(self, g, lam, n_cut):
         h = build_effective_hamiltonian(params(g, lam=lam), n_cut)
         energies = np.sort(np.concatenate([e for _, e, _ in h.eig()]))
-        full = np.linalg.eigvalsh(h.matrix)
+        full = np.linalg.eigvalsh(assembled(h))
         assert np.abs(energies - full).max() <= 1e-12 * np.abs(full).max()
 
     def test_blocks_are_checked_for_hermiticity(self):
@@ -174,7 +214,7 @@ class TestBuilders:
             coupling = 0.5 * np.sqrt(p.omega * p.Omega) * g * (1.0 + 4.0 * lam) ** -0.25
             omega_bar = effective_oscillator(p).omega_bar
             reference = dense_joint_hamiltonian(n_cut, omega_bar, p.Omega, coupling, 0.0)
-            assert np.array_equal(h.matrix, reference), (g, lam, eta)
+            assert np.array_equal(assembled(h), reference), (g, lam, eta)
 
     @pytest.mark.parametrize("n_cut", [16, 64, 256, 512])
     def test_full_equals_dense_reference(self, n_cut):
@@ -183,7 +223,7 @@ class TestBuilders:
         points = FREQUENCY_SCALING_POINTS + [(0.7, 0.3, 2.0), (1.3, 1.5, 5.0), (0.5, -0.2, 1.0)]
         for g, lam, eta in points:
             p = params(g, lam=lam, Omega=eta)
-            h = build_full_hamiltonian(p, n_cut).matrix
+            h = assembled(build_full_hamiltonian(p, n_cut))
             coupling = 0.5 * np.sqrt(p.omega * p.Omega) * g
             reference = dense_joint_hamiltonian(n_cut, p.omega, p.Omega, coupling, lam)
             assert np.abs(h - reference).max() <= 1e-15 * np.abs(reference).max(), (g, lam, eta)
@@ -359,7 +399,7 @@ class TestQfiMethods:
         n_cut = 96
         ts = [0.0, 0.7, 3.0, 11.0]
         frame = oscillator_frame(p)
-        energies, vectors = np.linalg.eigh(build_effective_hamiltonian(p, n_cut).matrix)
+        energies, vectors = np.linalg.eigh(assembled(build_effective_hamiltonian(p, n_cut)))
         x, _ = quadratures(n_cut)
         h1 = vectors.T @ (0.5 * frame.omega_bar * (x @ x).real) @ vectors
         de = energies[:, None] - energies[None, :]
@@ -394,6 +434,28 @@ class TestQfiMethods:
         # an explicit cutoff comes back unchanged
         assert generator_qfi_grid(p, ts, n_cut=96)[1] == 96
 
+    @pytest.mark.parametrize("g, lam, n_cut, ts", [
+        (0.9, 0.0, 48, [0.0]),
+        (0.9, 0.0, 96, [2.0, 5.0]),
+        (0.9, 0.05, 96, [0.0, 0.7, 3.0, 11.0]),
+        (0.9, 0.0, 128, [1.0, 5.0, 12.0]),
+        (np.sqrt(0.92), 0.0, 256, [np.pi / np.sqrt(4 * 0.08)]),
+        (np.sqrt(0.98), 0.0, 1024, [np.pi / np.sqrt(4 * 0.02)]),
+        (0.099, -0.2475, 512, [1000.0]),
+    ])
+    def test_generator_grid_equals_the_blockwise_kernel(self, g, lam, n_cut, ts):
+        p = params(g, lam=lam)
+        reference = blockwise_generator_qfi(p, ts, n_cut)
+        values, _ = generator_qfi_grid(p, ts, n_cut=n_cut)
+        assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_generator_ladder_matches_the_blockwise_kernel(self):
+        p, ts = params(0.9), [2.0, 5.0]
+        n_ref, reference = auto_cutoff(lambda n: blockwise_generator_qfi(p, ts, n))
+        values, n_cut = generator_qfi_grid(p, ts)
+        assert n_cut == n_ref
+        assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+
     def test_generator_regime_guard(self):
         with pytest.raises(RegimeError):
             generator_qfi_grid(params(1.2), [1.0])
@@ -411,6 +473,45 @@ class TestQfiMethods:
             approx = qfi_g(p, t, var_n(state, p))
             rels.append(abs(approx - exact) / exact)
         assert rels[1] < rels[0]
+
+
+class TestExactDerivative:
+    @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 128), (1.2, 0.0, 64), (1.2, 0.1, 512)])
+    def test_matches_centred_difference(self, g, lam, n_cut):
+        # below g_c and past it (the displaced frame), at a pinned cutoff
+        p = params(g, lam=lam)
+        ts = np.linspace(0.1, 2.0, 7) * 2.0 * np.pi / np.sqrt(oscillator_frame(p).epsilon)
+        exact = quadrature_series(p, ts, n_cut=n_cut).x_deriv_g
+        dg = 1e-6 * g
+        plus, minus = (quadrature_series(replace(p, g=g + s * dg), ts, n_cut=n_cut).x_mean
+                       for s in (1.0, -1.0))
+        centred = (plus - minus) / (2.0 * dg)
+        assert np.abs(exact - centred).max() <= 1e-7 * np.abs(exact).max()
+
+    def test_ratio_oracle_decomposes_each_level_once(self, monkeypatch):
+        p = params(0.9)
+        ts = [2.0, 5.0, 9.0]
+        series = quadrature_series(p, ts)
+        qfis, n_qfi = generator_qfi_grid(p, ts)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ratios, n_cut = ratio_oracle(p, ts)
+        top = max(n_cut, n_qfi)
+        levels = [32 * 2**k for k in range(int(np.log2(top // 32)) + 1)]
+        assert levels[-1] == top > 32
+        assert sorted(calls) == sorted(n // 2 for n in levels for _ in range(2))
+        assert n_cut == series.n_cut
+        assert np.array_equal(ratios, series.inv_var / qfis)
+
+    def test_ratio_oracle_regime_guard(self):
+        with pytest.raises(RegimeError):
+            ratio_oracle(params(1.2), [1.0])
 
 
 class TestReciprocalRelation:
