@@ -3,7 +3,10 @@
 Everything here is an explicit function of (ModelParams, t): the dynamical
 quantum Fisher information about g, the quadrature mean/derivative/variance,
 and the inverted variance with its optimal measurement times and peak values.
-Time arguments broadcast as numpy arrays.
+Time arguments broadcast as numpy arrays, and so do couplings: a ModelParams
+whose g is a 1-D array gives one value per coupling, through the same code as
+a scalar g (t and the couplings broadcast against each other by numpy's rules,
+so t[:, None] gives a time-by-coupling grid).
 
 Every formula reads one parametrisation, model.oscillator_frame: the
 stiffness s of (omega_bar/2)*(P^2 + s*X^2), its g-derivative ds/dg and the
@@ -32,7 +35,7 @@ import numpy as np
 
 from .errors import InvalidParams, RegimeError
 from .model import (ModelParams, OscillatorFrame, Regime, effective_oscillator,
-                    oscillator_frame)
+                    oscillator_frame, _unwrap)
 
 #: Below this argument, sin(x) - x and sin(x) - x*cos(x) switch to series.
 _SERIES_CUT = 1e-4
@@ -44,12 +47,17 @@ _SERIES_CUT = 1e-4
 
 @dataclass(frozen=True)
 class BosonInitialState:
-    """Complex amplitudes over the Fock basis |0..n_max>, normalized to 1."""
+    """Complex amplitudes over the Fock basis |0..n_max>, normalized to 1.
+
+    The state keeps a read-only copy of the amplitudes it is given, so the
+    covariance it caches cannot go stale when the caller's array changes.
+    """
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
+        amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-12:
@@ -74,17 +82,22 @@ class BosonInitialState:
         squeeze[2:] += 0.5 * root * amps[:-2]
         ops = np.stack([(n + 0.5) * amps, squeeze])
         means = np.real(ops @ amps.conj())
-        return np.real(ops.conj() @ ops.T) - np.outer(means, means)
+        cov = np.real(ops.conj() @ ops.T) - np.outer(means, means)
+        cov.flags.writeable = False  # shared by every caller of a memoized state
+        return cov
 
-    def generator_variance(self, stiffness: float) -> float:
+    def generator_variance(self, stiffness):
         """Var[P^2 - stiffness*X^2] over the state, v.C.v with
-        v = (1 - stiffness, -(1 + stiffness)) and C the covariance above."""
-        v = np.array([1.0 - stiffness, -(1.0 + stiffness)])
-        return float(v @ self._covariance @ v)
+        v = (1 - stiffness, -(1 + stiffness)) and C the covariance above; one
+        value per entry of a 1-D array ``stiffness``."""
+        v = np.array([np.subtract(1.0, stiffness), -np.add(1.0, stiffness)]).T
+        return _unwrap((v[..., None, :] @ self._covariance @ v[..., :, None])[..., 0, 0])
 
 
+@functools.cache
 def default_initial_state(dim: int = 6) -> BosonInitialState:
-    """The reference state (|0> + i|1>)/sqrt(2), zero-padded to ``dim``."""
+    """The reference state (|0> + i|1>)/sqrt(2), zero-padded to ``dim``; one
+    shared (read-only) instance per ``dim``."""
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0 / np.sqrt(2.0)
     amps[1] = 1.0j / np.sqrt(2.0)
@@ -107,8 +120,7 @@ def sin_minus_x_over_x3(x):
     naive = (np.sin(xs) - xs) / xs**3
     x2 = x * x
     series = -1.0 / 6.0 + x2 / 120.0 - x2 * x2 / 5040.0
-    out = np.where(small, series, naive)
-    return out if out.ndim else float(out)
+    return _unwrap(np.where(small, series, naive))
 
 
 def sin_minus_x_cos_over_x3(x):
@@ -119,16 +131,16 @@ def sin_minus_x_cos_over_x3(x):
     naive = (np.sin(xs) - xs * np.cos(xs)) / xs**3
     x2 = x * x
     series = 1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0
-    out = np.where(small, series, naive)
-    return out if out.ndim else float(out)
+    return _unwrap(np.where(small, series, naive))
 
 
 def _normal_frame(params: ModelParams) -> OscillatorFrame:
     """oscillator_frame(params), with a RegimeError unless the regime is normal."""
     frame = oscillator_frame(params)  # raises on the critical line
-    if frame.regime is not Regime.NORMAL:
+    if np.any(frame.regime != Regime.NORMAL):  # so some coupling is past g_c
         raise RegimeError(
-            f"epsilon_g = {effective_oscillator(params).epsilon_g} ({frame.regime.value}): "
+            f"epsilon_g = {np.min(effective_oscillator(params).epsilon_g)} "
+            f"({Regime.SUPERRADIANT.value}): "
             "formulas for the normal regime do not apply (past g_c only x_mean, var_n "
             "and qfi_g do)"
         )
@@ -172,8 +184,7 @@ def qfi_g(params: ModelParams, t, var_n_value: float):
     t = np.asarray(t, dtype=float)
     x = np.sqrt(frame.epsilon) * t
     pref = 4.0 * frame.dstiffness_dg ** 2
-    out = pref * (sin_minus_x_over_x3(x) * t**3) ** 2 * var_n_value
-    return out if out.ndim else float(out)
+    return _unwrap(pref * (sin_minus_x_over_x3(x) * t**3) ** 2 * var_n_value)
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +196,7 @@ def x_mean(params: ModelParams, t):
     frame of either side of g_c."""
     frame = oscillator_frame(params)
     t = np.asarray(t, dtype=float)
-    out = np.sin(0.5 * np.sqrt(frame.epsilon) * t) / np.sqrt(2.0 * frame.stiffness)
-    return out if out.ndim else float(out)
+    return _unwrap(np.sin(0.5 * np.sqrt(frame.epsilon) * t) / np.sqrt(2.0 * frame.stiffness))
 
 
 def x_deriv_g(params: ModelParams, t):
@@ -198,8 +208,7 @@ def x_deriv_g(params: ModelParams, t):
     t = np.asarray(t, dtype=float)
     y = 0.5 * np.sqrt(frame.epsilon) * t
     pref = -np.sqrt(2.0) / 4.0 * frame.dstiffness_dg * frame.stiffness**-1.5
-    out = pref * sin_minus_x_cos_over_x3(y) * y**3
-    return out if out.ndim else float(out)
+    return _unwrap(pref * sin_minus_x_cos_over_x3(y) * y**3)
 
 
 def x_second_moment(params: ModelParams, t):
@@ -207,8 +216,7 @@ def x_second_moment(params: ModelParams, t):
     frame = _normal_frame(params)
     t = np.asarray(t, dtype=float)
     s = np.sin(0.5 * np.sqrt(frame.epsilon) * t)
-    out = 1.0 + (1.0 / frame.stiffness - 1.0) * s * s
-    return out if out.ndim else float(out)
+    return _unwrap(1.0 + (1.0 / frame.stiffness - 1.0) * s * s)
 
 
 def x_variance(params: ModelParams, t):
@@ -216,8 +224,7 @@ def x_variance(params: ModelParams, t):
     frame = _normal_frame(params)
     t = np.asarray(t, dtype=float)
     s = np.sin(0.5 * np.sqrt(frame.epsilon) * t)
-    out = 1.0 + (0.5 / frame.stiffness - 1.0) * s * s
-    return out if out.ndim else float(out)
+    return _unwrap(1.0 + (0.5 / frame.stiffness - 1.0) * s * s)
 
 
 def inverted_variance(params: ModelParams, t):
@@ -232,8 +239,7 @@ def inverted_variance(params: ModelParams, t):
     bracket = sin_minus_x_cos_over_x3(y) * y**3
     s = np.sin(y)
     denom = 2.0 + (1.0 / frame.stiffness - 2.0) * s * s
-    out = frame.dstiffness_dg**2 * bracket**2 / (4.0 * frame.stiffness**3 * denom)
-    return out if out.ndim else float(out)
+    return _unwrap(frame.dstiffness_dg**2 * bracket**2 / (4.0 * frame.stiffness**3 * denom))
 
 
 def optimal_times(params: ModelParams, n_max: int) -> np.ndarray:
@@ -252,5 +258,4 @@ def inverted_variance_peak(params: ModelParams, n) -> float | np.ndarray:
     """Peak value I_g(tau_n) = (n*pi*ds/dg)^2 / (8*s^3)."""
     frame = _normal_frame(params)
     n = np.asarray(n, dtype=float)
-    out = (n * np.pi * frame.dstiffness_dg) ** 2 / (8.0 * frame.stiffness**3)
-    return out if out.ndim else float(out)
+    return _unwrap((n * np.pi * frame.dstiffness_dg) ** 2 / (8.0 * frame.stiffness**3))

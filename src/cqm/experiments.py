@@ -157,19 +157,28 @@ def _compared_rows(
 # through _REGISTRY by experiment id)
 # ----------------------------------------------------------------------
 
-def _params(v: dict, g: float, lam: float) -> ModelParams:
-    return ModelParams(omega=v["omega"], Omega=v["Omega"], g=float(g), lam=float(lam))
+def _params(v: dict, g, lam: float) -> ModelParams:
+    """Parameters at ``lam`` and ``g``, a coupling or an array of them."""
+    return ModelParams(omega=v["omega"], Omega=v["Omega"], g=g if np.ndim(g) else float(g),
+                       lam=float(lam))
 
 
-def _qfi_row(v: dict, lam: float, g: float, state) -> dict:
-    """Closed-form QFI at one (lam, g); saturated on the critical line."""
-    params = _params(v, g, lam)
-    regime = effective_oscillator(params).regime
-    row = {"lam": lam, "g": g, "t": v["t"], "regime": regime.value}
-    if regime is Regime.CRITICAL:
-        return {**row, "qfi": np.inf, "status": _STATUS_SATURATED}
-    row["qfi"] = cf.qfi_g(params, v["t"], cf.var_n(state, params))
-    return row
+def _qfi_rows(v: dict, lam: float, gs: np.ndarray) -> list[dict]:
+    """Closed-form QFI along a row of couplings at one lam, in one array call;
+    points on the critical line are saturated with an infinite QFI."""
+    params = _params(v, gs, lam)
+    regimes = effective_oscillator(params).regime
+    critical = regimes == Regime.CRITICAL
+    qfi = np.full(len(gs), np.inf)
+    if not critical.all():
+        params = _params(v, gs[~critical], lam) if critical.any() else params
+        state = cf.default_initial_state(v["state_dim"])
+        qfi[~critical] = cf.qfi_g(params, v["t"], cf.var_n(state, params))
+    rows = [{"lam": lam, "g": g, "t": v["t"], "regime": regime.value, "qfi": q}
+            for g, regime, q in zip(gs, regimes, qfi.tolist())]
+    for i in np.flatnonzero(critical):
+        rows[i]["status"] = _STATUS_SATURATED
+    return rows
 
 
 def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> list[dict]:
@@ -185,15 +194,13 @@ def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> list[dict]:
 
 
 def _qfi_vs_g(cfg: ExperimentConfig, cell: dict) -> list[dict]:
-    state = cf.default_initial_state(cfg.values["state_dim"])
-    return [_qfi_row(cfg.values, cell["lam"], cell["g"], state)]
+    return _qfi_rows(cfg.values, cell["lam"], np.array([cell["g"]]))
 
 
 def _qfi_map(cfg: ExperimentConfig, cell: dict) -> list[dict]:
-    state = cf.default_initial_state(cfg.values["state_dim"])
-    rows = [_qfi_row(cfg.values, cell["lam"], g, state) for g in cfg.values["g"]]
-    for row in rows:
-        row["log10_qfi"] = float(np.log10(row["qfi"]))
+    rows = _qfi_rows(cfg.values, cell["lam"], cfg.values["g"])
+    for row, log10_qfi in zip(rows, np.log10([row["qfi"] for row in rows]).tolist()):
+        row["log10_qfi"] = log10_qfi
     return rows
 
 
@@ -563,11 +570,15 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 # ----------------------------------------------------------------------
 
 def _fmt(value) -> str:
+    """17 significant digits for numbers (printf-style, the same text as
+    format(value, ".17g") in half the time), integers in full, text as is."""
+    if isinstance(value, float):  # numpy float64 too; the common case first
+        return "%.17g" % value
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return format(float(value), ".17g")
+    return "%.17g" % float(value)
 
 
 @dataclass
@@ -663,18 +674,21 @@ def _run_cell(args: tuple) -> tuple[int, list[list[str]], str | None]:
 # the runner
 # ----------------------------------------------------------------------
 
-def run(
-    cfg: ExperimentConfig,
-    jobs: int | None = None,
-    resume: Dataset | None = None,
-) -> Dataset:
+def _chunksize(n_cells: int, jobs: int) -> int:
+    """Cells per pool task: about four tasks per worker, so that every worker
+    gets cells even when there are few of them."""
+    return max(1, n_cells // (4 * jobs))
+
+
+def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> Dataset:
     """Execute every cell of ``cfg`` and assemble the Dataset.
 
     With ``resume`` (a previously written Dataset whose config hash matches),
     rows of cells that completed are reused verbatim and only failed cells
-    are recomputed.  ``jobs`` below 1 is a ConfigError.
+    are recomputed.  Cells run in this process unless ``jobs`` asks for more
+    than one worker process; ``jobs`` below 1 is a ConfigError.
     """
-    if jobs is not None and jobs < 1:
+    if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
     entry = _REGISTRY[cfg.experiment]
@@ -692,10 +706,9 @@ def run(
                 reuse.setdefault(idx, []).append(row)
     todo = [i for i in range(len(cells)) if i not in reuse]
     args = [(cfg, i, cells[i], columns) for i in todo]
-    jobs = jobs if jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_run_cell, args, chunksize=8))
+            done = list(pool.map(_run_cell, args, chunksize=_chunksize(len(args), jobs)))
     else:
         done = [_run_cell(a) for a in args]
     results = {index: rendered for index, rendered, _ in done}

@@ -21,9 +21,12 @@ oscillator form holds with epsilon_g replaced by epsilon_g_alpha.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import InvalidParams, RegimeError
 
@@ -37,16 +40,30 @@ class Regime(Enum):
     SUPERRADIANT = "superradiant"
 
 
+# indexed by (epsilon_g > REGIME_TOL) * 1 + (epsilon_g >= -REGIME_TOL)
+_REGIMES = np.array([Regime.SUPERRADIANT, Regime.CRITICAL, Regime.NORMAL], dtype=object)
+
+
 @dataclass(frozen=True)
 class ModelParams:
-    """Input parameters (omega, Omega, g, lam); validated on construction."""
+    """Input parameters (omega, Omega, g, lam); validated on construction.
+
+    ``g`` may also be a 1-D array of couplings at the fixed (omega, Omega, lam):
+    it is stored as a read-only float copy and validated elementwise, and the
+    oscillator quantities below (and the closed forms built on them) then
+    hold one value per coupling.
+    """
 
     omega: float
     Omega: float
-    g: float
+    g: float | np.ndarray
     lam: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.g, (list, tuple, np.ndarray)):
+            g = np.array(self.g, dtype=float)
+            g.flags.writeable = False
+            object.__setattr__(self, "g", g)
         validate(self)
 
 
@@ -57,16 +74,25 @@ def validate(params: ModelParams) -> ModelParams:
     1 + 4*lam/omega > 0 keeps the squeeze parameter and omega_bar real; at the
     boundary the mode frequency collapses to zero and the model is unphysical.
     """
-    for name in ("omega", "Omega", "g", "lam"):
-        value = getattr(params, name)
-        if not math.isfinite(value):
+    g = params.g
+    if isinstance(g, np.ndarray):
+        if g.ndim > 1:
+            raise InvalidParams("g", f"must be a number or a 1-D array, not {g.ndim}-D")
+        # checked through its extremes: a NaN reaches both, and the 0 they are
+        # taken with changes neither check (and lets an empty array pass)
+        g_low, g_high = g.min(initial=0.0), g.max(initial=0.0)
+    else:
+        g_low = g_high = g
+    for name, value in (("omega", params.omega), ("Omega", params.Omega), ("g", g_low),
+                        ("g", g_high), ("lam", params.lam)):
+        if not math.isfinite(value):  # a TypeError for an array omega, Omega or lam
             raise InvalidParams(name, f"must be finite, got {value}")
     if not params.omega > 0:
         raise InvalidParams("omega", f"must be > 0, got {params.omega}")
     if not params.Omega > 0:
         raise InvalidParams("Omega", f"must be > 0, got {params.Omega}")
-    if not params.g >= 0:
-        raise InvalidParams("g", f"must be >= 0, got {params.g}")
+    if not g_low >= 0:
+        raise InvalidParams("g", f"must be >= 0, got {g_low}")
     if not 1.0 + 4.0 * params.lam / params.omega > 0:
         raise InvalidParams(
             "lam",
@@ -98,6 +124,32 @@ def lambda_for_target_critical(g_target: float, omega: float) -> float:
     return (g_target * g_target - 1.0) * omega / 4.0
 
 
+def _once_per_params(derive):
+    """Compute ``derive(params)`` once per ModelParams and keep it on the
+    instance: every field is immutable (g is a read-only copy), so it cannot go
+    stale.  Its arrays are made read-only, since every later caller shares
+    them; a call that raises stores nothing."""
+    key = f"_{derive.__name__}"
+
+    @functools.wraps(derive)
+    def once(params: ModelParams):
+        memo = params.__dict__  # a frozen dataclass still has a writable __dict__
+        if key not in memo:
+            result = derive(params)
+            for value in vars(result).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            memo[key] = result
+        return memo[key]
+
+    return once
+
+
+def _unwrap(value):
+    """A 0-d array or a number as a Python float; any other array unchanged."""
+    return value if getattr(value, "ndim", 0) else float(value)
+
+
 @dataclass(frozen=True)
 class EffectiveOscillator:
     """Low-energy oscillator of the spin-down sector.
@@ -108,26 +160,25 @@ class EffectiveOscillator:
                 (= 4*omega_bar^2*epsilon_g; the oscillation frequency of all
                 quadrature dynamics is sqrt(epsilon)/2)
     regime    : classification of epsilon_g against REGIME_TOL
+
+    For an array of couplings, epsilon_g and epsilon are arrays and regime is
+    an object array of Regime members.
     """
 
     omega_bar: float
-    epsilon_g: float
-    epsilon: float
-    regime: Regime
+    epsilon_g: float | np.ndarray
+    epsilon: float | np.ndarray
+    regime: Regime | np.ndarray
 
 
+@_once_per_params
 def effective_oscillator(params: ModelParams) -> EffectiveOscillator:
     """Derived oscillator quantities and regime classification."""
     omega, lam, g = params.omega, params.lam, params.g
     omega_bar = math.sqrt(omega * (omega + 4.0 * lam))
     epsilon_g = 1.0 - omega * g * g / (omega + 4.0 * lam)
     epsilon = 4.0 * omega * (omega + 4.0 * lam) * epsilon_g
-    if epsilon_g > REGIME_TOL:
-        regime = Regime.NORMAL
-    elif epsilon_g < -REGIME_TOL:
-        regime = Regime.SUPERRADIANT
-    else:
-        regime = Regime.CRITICAL
+    regime = _REGIMES[(epsilon_g > REGIME_TOL) * 1 + (epsilon_g >= -REGIME_TOL)]
     return EffectiveOscillator(omega_bar, epsilon_g, epsilon, regime)
 
 
@@ -136,18 +187,21 @@ class OscillatorFrame:
     """(omega_bar/2)*(P^2 + stiffness*X^2) on either side of g_c: stiffness is
     epsilon_g below g_c and epsilon_g_alpha past it, dstiffness_dg its
     g-derivative, epsilon = 4*omega*(omega + 4*lam)*stiffness the gap, and
-    regime the side of g_c it was built for (never CRITICAL)."""
+    regime the side of g_c it was built for (never CRITICAL).  Arrays of
+    couplings give arrays, each point on its own side of g_c."""
 
     omega_bar: float
-    stiffness: float
-    dstiffness_dg: float
-    epsilon: float
-    regime: Regime
+    stiffness: float | np.ndarray
+    dstiffness_dg: float | np.ndarray
+    epsilon: float | np.ndarray
+    regime: Regime | np.ndarray
 
 
+@_once_per_params
 def oscillator_frame(params: ModelParams) -> OscillatorFrame:
-    """The effective oscillator of the regime ``params`` sits in; RegimeError
-    on the critical line, where neither reduction applies.
+    """The effective oscillator of the regime each coupling of ``params`` sits
+    in; RegimeError if any sits on the critical line, where neither reduction
+    applies.
 
     Past g_c the mode is displaced and the spin rotated onto the mean-field
     minimum first (Hwang, Puebla & Plenio, PRL 115, 180404 (2015)); the
@@ -155,14 +209,13 @@ def oscillator_frame(params: ModelParams) -> OscillatorFrame:
     """
     omega, g, lam = params.omega, params.g, params.lam
     eff = effective_oscillator(params)
-    if eff.regime is Regime.NORMAL:
-        dstiffness_dg = -2.0 * omega * g / (omega + 4.0 * lam)
-        return OscillatorFrame(eff.omega_bar, eff.epsilon_g, dstiffness_dg, eff.epsilon,
-                               eff.regime)
-    if eff.regime is Regime.CRITICAL:
+    if (np.abs(eff.epsilon_g) <= REGIME_TOL).any():
         raise RegimeError("no effective oscillator on the critical line")
-    ratio = (omega + 4.0 * lam) / (omega * g * g)  # (g_c/g)^2, in (0, 1) here
-    stiffness = 1.0 - ratio * ratio
+    normal = eff.epsilon_g > REGIME_TOL
+    g_past = _unwrap(np.where(normal, 1.0, g))  # keeps the past-g_c branch finite below g_c
+    ratio = (omega + 4.0 * lam) / (omega * g_past * g_past)  # (g_c/g)^2, in (0, 1) past g_c
+    stiffness = _unwrap(np.where(normal, eff.epsilon_g, 1.0 - ratio * ratio))
+    dstiffness_dg = np.where(normal, -2.0 * omega * g / (omega + 4.0 * lam),
+                             4.0 * (1.0 - stiffness) / g_past)
     epsilon = 4.0 * omega * (omega + 4.0 * lam) * stiffness
-    return OscillatorFrame(eff.omega_bar, stiffness, 4.0 * (1.0 - stiffness) / g, epsilon,
-                           eff.regime)
+    return OscillatorFrame(eff.omega_bar, stiffness, _unwrap(dstiffness_dg), epsilon, eff.regime)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cqm import (
     BosonInitialState,
     InvalidParams,
     ModelParams,
+    Regime,
     RegimeError,
     default_initial_state,
     effective_oscillator,
@@ -14,6 +15,7 @@ from cqm import (
     inverted_variance,
     inverted_variance_peak,
     optimal_times,
+    oscillator_frame,
     qfi_g,
     var_n,
     x_deriv_g,
@@ -54,6 +56,27 @@ class TestInitialState:
     def test_unnormalized_rejected(self):
         with pytest.raises(InvalidParams):
             BosonInitialState(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("first_use", ["before", "after"])
+    def test_state_keeps_its_own_amplitudes(self, first_use):
+        # writing into the caller's array must not reach the state, whether
+        # its covariance was cached before the write or is computed after it
+        source = default_initial_state().amplitudes.copy()
+        state = BosonInitialState(source)
+        if first_use == "before":
+            state.generator_variance(0.5)
+        source[:] = 0.0
+        source[2] = 1.0
+        assert state.amplitudes is not source
+        assert state.generator_variance(0.5) == default_initial_state().generator_variance(0.5)
+        assert state.generator_variance(0.5) == pytest.approx(reference_variance(0.5), rel=1e-14)
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
+
+    def test_reference_state_is_shared_per_dimension(self):
+        assert default_initial_state(6) is default_initial_state(6)
+        assert default_initial_state(7) is not default_initial_state(6)
+        assert not default_initial_state(6).amplitudes.flags.writeable
 
 
 class TestVarN:
@@ -331,3 +354,54 @@ class TestRatio:
             peak = inverted_variance_peak(p, n)
             qfi = qfi_g(p, taus[n - 1], v)
             assert peak / qfi == pytest.approx(ratio, rel=1e-12)
+
+
+class TestCouplingArrays:
+    """A ModelParams with an array of couplings goes through the same code as
+    one coupling at a time, on both sides of g_c."""
+
+    @given(lam=lam_strategy, fracs=st.lists(st.floats(0.0, 3.0), max_size=10),
+           t=st.floats(0.0, 1000.0))
+    @settings(max_examples=150)
+    def test_array_calls_match_scalar_calls(self, lam, fracs, t):
+        gc = np.sqrt(1 + 4 * lam)
+        gs = np.array([0.5, 1.5] + fracs) * gc  # always crosses g_c
+        scalars = [params(g, lam=lam) for g in gs]
+        assume(all(effective_oscillator(p).regime is not Regime.CRITICAL for p in scalars))
+        state = default_initial_state()
+        p = params(gs, lam=lam)
+        frame = oscillator_frame(p)
+        frames = [oscillator_frame(q) for q in scalars]
+        for field in ("stiffness", "dstiffness_dg", "epsilon"):
+            np.testing.assert_allclose(getattr(frame, field),
+                                       [getattr(f, field) for f in frames], rtol=1e-15, atol=0)
+        assert list(frame.regime) == [f.regime for f in frames]
+        vn = var_n(state, p)
+        np.testing.assert_allclose(vn, [var_n(state, q) for q in scalars], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(qfi_g(p, t, vn),
+                                   [qfi_g(q, t, var_n(state, q)) for q in scalars],
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(x_mean(p, t), [x_mean(q, t) for q in scalars],
+                                   rtol=1e-15, atol=0)
+
+    def test_couplings_and_their_frame_are_read_only(self):
+        gs = np.array([0.2, 0.4])
+        p = params(gs)
+        gs[0] = 5.0
+        assert p.g.tolist() == [0.2, 0.4]
+        frame = oscillator_frame(p)
+        assert oscillator_frame(p) is frame  # computed once per ModelParams
+        for array in (p.g, frame.stiffness, frame.dstiffness_dg, frame.epsilon):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("g", [[0.2, -0.1], [0.2, np.inf], [[0.2, 0.4]]])
+    def test_every_coupling_is_validated(self, g):
+        with pytest.raises(InvalidParams) as err:
+            params(g)
+        assert err.value.field == "g"
+
+    def test_critical_point_in_the_array_raises(self):
+        with pytest.raises(RegimeError):
+            oscillator_frame(params([0.5, 1.0]))
+        with pytest.raises(RegimeError):
+            x_deriv_g(params([0.5, 1.5]), 1.0)  # normal-only formula, one point past g_c

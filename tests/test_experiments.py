@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from cqm import (
     run,
 )
 from cqm.cli import main as cli_main
-from cqm.experiments import _REGISTRY, _column_units
+from cqm.experiments import _REGISTRY, _chunksize, _column_units
 from cqm.model import ModelParams
 
 
@@ -170,6 +171,37 @@ class TestRunner:
     def test_parallel_matches_serial(self):
         cfg = tiny("qfi-vs-g")
         assert run(cfg, jobs=1).rows == run(cfg, jobs=2).rows
+
+    def test_default_runs_start_no_pool(self, tmp_path, monkeypatch, capsys):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("cqm.experiments.ProcessPoolExecutor", NoPool)
+        assert not run(build_config("qfi-vs-g")).failed_cells
+        assert cli_main(["qfi-vs-g", "--out", str(tmp_path / "q.csv")]) == 0
+
+    def test_chunks_give_every_worker_cells(self):
+        assert _chunksize(2, 2) == 1
+        for jobs in (2, 3, 4):
+            for n_cells in range(1, 200):
+                chunk = _chunksize(n_cells, jobs)
+                assert chunk >= 1
+                assert -(-n_cells // chunk) >= min(n_cells, jobs)  # number of tasks
+
+    def test_critical_points_in_a_row_saturate(self):
+        # g_c = 1 at lam = 0 and g_c = 2 at lam = 0.75, both exact in float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = run(build_config("qfi-map", overrides=["lam=0,0.75", "g=0.5,1,1.5,2,2.5"]))
+            single = run(build_config("qfi-vs-g", overrides=["lam=0.75", "g=1.5,2,2.5"]))
+        status = ds.str_column("status")
+        assert status == ["ok", "saturated", "ok", "ok", "ok", "ok", "ok", "ok", "saturated", "ok"]
+        assert [ds.str_column("log10_qfi")[i] for i in (1, 8)] == ["inf", "inf"]
+        assert np.all(np.isfinite(np.delete(ds.column("log10_qfi"), [1, 8])))
+        assert single.str_column("status") == ["ok", "saturated", "ok"]
+        assert single.str_column("regime") == ["normal", "critical", "superradiant"]
+        assert single.str_column("qfi")[1] == "inf"
 
     def test_qfi_vs_g_peaks_sit_at_the_critical_couplings(self):
         cfg = tiny("qfi-vs-g", lam="0,-0.10,-0.20", g="0.05:1.15:221")
