@@ -1,12 +1,15 @@
 """Exact numerics in a truncated Fock space.
 
-Every operator is filled from the bands of a and a^dag: the spin (x) boson
-Hamiltonian as one dense matrix over spin-major amplitudes (plain arrays,
+Every operator is filled from the bands of a and a^dag and held as the
+nonzero diagonals of its real symmetric blocks: the spin (x) boson
+Hamiltonian as one block over spin-major amplitudes (plain arrays,
 |down> (x) boson from spin_down_state), and the effective low-energy
 oscillator as its two parity blocks (it couples n only to n and n+-2, so
-the even and odd Fock indices form two real tridiagonal blocks).  States
-are evolved by eigendecomposition of each block (exactly unitary at any
-time; a state that is not normalized is rejected up front), and the module
+the even and odd Fock indices form two real tridiagonal blocks).  A dense
+matrix exists only inside HermitianOperator.eig(), one block at a time for
+its eigh.  States are evolved by eigendecomposition of each block (exactly
+unitary at any time; a state of the wrong length or norm is rejected
+before any decomposition), and the module
 computes the quantum Fisher information two independent ways:
 a fidelity finite difference and the spectral integral of the evolution
 generator.  It also measures how far finite-frequency (Omega/omega = eta)
@@ -100,28 +103,58 @@ def _band_apply(diag: np.ndarray, sup: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 class HermitianOperator:
-    """Hermitian operator held as invariant blocks, each with a cached
-    eigendecomposition: ``blocks`` lists (indices, block) pairs, the operator
-    acting as ``block`` on the basis states ``indices`` (a slice; a dense
-    operator is one block over ``slice(None)``).  ``dim`` is n_cut for
-    boson-only operators, 2*n_cut on the joint space.
+    """Real symmetric operator held as invariant blocks, each by its nonzero
+    diagonals: ``blocks`` lists (indices, diagonals) pairs, the operator
+    acting on the basis states ``indices`` (a slice) as the m x m block whose
+    k-th super- and subdiagonal are ``diagonals[k]``, of length m - k (the
+    main diagonal, k = 0, sets m).  ``dim`` is n_cut for boson-only
+    operators, 2*n_cut on the joint space.  A dense block exists only inside
+    eig(), which fills, decomposes and drops one block before the next.
     """
 
-    def __init__(self, blocks: list[tuple[slice, np.ndarray]]):
-        for _, h in blocks:
-            residual = np.abs(h - h.conj().T).max()
-            if residual > 1e-12:
-                raise InvalidParams("matrix", f"hermiticity residual {residual} > 1e-12")
-        self.blocks = blocks
-        self.dim = sum(h.shape[0] for _, h in blocks)
+    def __init__(self, blocks: list[tuple[slice, dict[int, np.ndarray]]]):
+        self.blocks = [(idx, _checked_diagonals(diagonals)) for idx, diagonals in blocks]
+        self.dim = sum(len(diagonals[0]) for _, diagonals in self.blocks)
         self._eig: list[tuple[slice, np.ndarray, np.ndarray]] | None = None
 
     def eig(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
         """(indices, energies, vectors) of each block, ascending energies
-        within a block."""
+        within a block; computed once, then cached."""
         if self._eig is None:
-            self._eig = [(idx, *np.linalg.eigh(h)) for idx, h in self.blocks]
+            self._eig = [(idx, *np.linalg.eigh(_dense(diagonals)))
+                         for idx, diagonals in self.blocks]
         return self._eig
+
+
+def _checked_diagonals(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """A float copy of ``diagonals``; InvalidParams unless the main diagonal
+    is there and every offset k is an integer 0 <= k < m whose diagonal holds
+    m - k real, finite values."""
+    if 0 not in diagonals:
+        raise InvalidParams("diagonals", "no main diagonal (offset 0)")
+    m = np.size(diagonals[0])
+    checked = {}
+    for k, values in diagonals.items():
+        if not isinstance(k, (int, np.integer)) or not 0 <= k < m:
+            raise InvalidParams("diagonals", f"offset {k!r} outside 0 <= k < {m}")
+        values = np.asarray(values)
+        if values.shape != (m - k,):
+            raise InvalidParams("diagonals", f"offset {k} has shape {values.shape}, "
+                                             f"not ({m - k},)")
+        if values.dtype.kind not in "biuf" or not np.isfinite(values).all():
+            raise InvalidParams("diagonals", f"offset {k} holds a non-real or non-finite value")
+        checked[int(k)] = values.astype(float)
+    return checked
+
+
+def _dense(diagonals: dict[int, np.ndarray]) -> np.ndarray:
+    """The symmetric block with the given (checked) diagonals, 0 elsewhere."""
+    m = len(diagonals[0])
+    h = np.zeros((m, m))
+    for k, values in diagonals.items():
+        np.fill_diagonal(h[:, k:], values)
+        np.fill_diagonal(h[k:], values)
+    return h
 
 
 def spin_down_state(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
@@ -149,21 +182,24 @@ def _joint_hamiltonian(
     n_cut: int, omega: float, Omega: float, coupling: float, quadratic: float
 ) -> HermitianOperator:
     """omega*a^dag*a + quadratic*(a+a^dag)^2 + (Omega/2)*sigma_z
-    + coupling*(a+a^dag)*sigma_x on the joint space, filled from the Fock
-    bands as one dense block in (down, up) spin-major order."""
+    + coupling*(a+a^dag)*sigma_x on the joint space, from the Fock bands, as
+    one block over (down, up) spin-major order: diagonals 0, 2 (only with a
+    quadratic term), n_cut - 1 and n_cut + 1."""
     if n_cut < 4:
         raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
     a = _a_band(n_cut)
-    boson = np.diag(omega * np.append(0.0, a * a))  # a^dag*a: n as sqrt(n)^2, as a^T@a rounds
+    boson = omega * np.append(0.0, a * a)  # a^dag*a: n as sqrt(n)^2, as a^T@a rounds
+    # the (down, up) coupling block's sub- and superdiagonal sit n_cut -+ 1
+    # above the main diagonal; the first and last entries of n_cut - 1 fall
+    # in the spin-diagonal blocks
+    diagonals = {n_cut - 1: np.concatenate(([0.0], coupling * a, [0.0])),
+                 n_cut + 1: coupling * a}
     if quadratic != 0.0:
         diag, sup = _squared_bands(a)  # (a+a^dag)^2
-        boson += quadratic * (np.diag(diag) + np.diag(sup, 2) + np.diag(sup, -2))
-    down, up = (slice(s * n_cut, (s + 1) * n_cut) for s in (SPIN_DOWN, SPIN_UP))
-    h = np.zeros((2 * n_cut, 2 * n_cut))
-    h[down, down] = boson - 0.5 * Omega * np.eye(n_cut)
-    h[up, up] = boson + 0.5 * Omega * np.eye(n_cut)
-    h[down, up] = h[up, down] = coupling * (np.diag(a, 1) + np.diag(a, -1))
-    return HermitianOperator([(slice(None), h)])
+        boson = boson + quadratic * diag
+        diagonals[2] = np.concatenate((quadratic * sup, [0.0, 0.0], quadratic * sup))
+    diagonals[0] = np.concatenate((boson - 0.5 * Omega, boson + 0.5 * Omega))
+    return HermitianOperator([(slice(None), diagonals)])
 
 
 def build_full_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOperator:
@@ -210,11 +246,8 @@ def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOpe
     xx_diag, xx_sup = _squared_bands(_x_band(n_cut))
     diag = 0.5 * frame.omega_bar * (xx_diag + frame.stiffness * xx_diag)
     sup = 0.5 * frame.omega_bar * (-xx_sup + frame.stiffness * xx_sup)
-    blocks = []
-    for start in (0, 1):
-        d, e = diag[start::2], sup[start::2]
-        blocks.append((slice(start, None, 2), np.diag(d) + np.diag(e, 1) + np.diag(e, -1)))
-    return HermitianOperator(blocks)
+    return HermitianOperator([(slice(start, None, 2), {0: diag[start::2], 1: sup[start::2]})
+                              for start in (0, 1)])
 
 
 # ----------------------------------------------------------------------
@@ -228,27 +261,26 @@ def _propagate(eig, amps0: np.ndarray, ts, dh=None):
     so d|psi_t>/dg = -i U(t) h(t)|psi0> (Duhamel; Wilcox, J. Math. Phys. 8, 962
     (1967)).  In the eigenbasis h_jk = dH_jk*(exp(i*(Ej-Ek)*t) - 1)/(i*(Ej-Ek)),
     t on near-degenerate pairs, as exp(i*(Ej-Ek)*t/2)*2*sin((Ej-Ek)*t/2)/(Ej-Ek)
-    with the sine expanded in sin/cos of Ej*t/2: two matrix products, 0 at t = 0."""
-    dim = sum(len(energies) for _, energies, _ in eig)
-    if len(amps0) != dim:
-        raise InvalidParams("psi0", f"length {len(amps0)} != operator dim {dim}")
-    norm = np.linalg.norm(amps0)
-    if abs(norm - 1.0) > 1e-10:
-        raise InvalidParams("psi0", f"norm {norm} != 1 beyond 1e-10")
+    with the sine expanded in sin/cos of Ej*t/2: two matrix products, 0 at t = 0.
+    Every block is real symmetric, so every product with its eigenvectors
+    runs in real arithmetic."""
     ts = np.asarray(ts, dtype=float)
-    out = np.empty((dim, len(ts)), dtype=complex)
+    out = np.empty((len(amps0), len(ts)), dtype=complex)
     hout = None if dh is None else np.empty_like(out)
     for idx, energies, vectors in eig:
-        coeffs = vectors.conj().T @ amps0[idx]
+        coeffs = _real_matmul(vectors.T, amps0[idx])
         phases = np.exp(-1j * np.outer(energies, ts))
-        out[idx] = vectors @ (phases * coeffs[:, None])
+        out[idx] = _real_matmul(vectors, phases * coeffs[:, None])
         if dh is None:
             continue
-        ratio = vectors.conj().T @ _band_apply(dh[0][idx], dh[1][idx], vectors)  # dH_jk
+        ratio = vectors.T @ _band_apply(dh[0][idx], dh[1][idx], vectors)  # dH_jk
         de = energies[:, None] - energies[None, :]
-        near = np.abs(de) < 1e-12
-        on_near = np.where(near, ratio, 0.0) @ coeffs
-        de[near] = np.inf  # dH_jk/(Ej-Ek), 0 on near pairs, in place: memory peaks here
+        near = de < 1e-12
+        near &= de > -1e-12  # |Ej-Ek| < 1e-12 with no float temporary
+        j, k = np.nonzero(near)  # the near pairs, the diagonal among them
+        on_near = np.zeros(len(energies), dtype=complex)
+        np.add.at(on_near, j, ratio[j, k] * coeffs[k])
+        de[j, k] = np.inf  # dH_jk/(Ej-Ek), 0 on near pairs, in place: memory peaks here
         np.divide(ratio, de, out=ratio)
         half = 0.5 * np.outer(energies, ts)
         sin, cos = np.sin(half), np.cos(half)
@@ -260,7 +292,7 @@ def _propagate(eig, amps0: np.ndarray, ts, dh=None):
                      - cos * _real_matmul(ratio, sin * rotated))
         gen += phase * np.outer(on_near, ts)
         hout[idx] = _real_matmul(vectors, phase * gen)
-        del ratio, de  # before the next block allocates its own
+        del ratio, de, near  # before the next block allocates its own
     norm_err = np.abs(np.linalg.norm(out, axis=0) - 1.0).max()
     if norm_err > 1e-10:
         raise TruncationLeak(f"unitarity lost: max |norm - 1| = {norm_err}")
@@ -284,12 +316,24 @@ def _check_tail(worst: float) -> None:
         raise TruncationLeak(f"tail mass {worst:.3e} exceeds {LEAK_TOL:.1e}; raise n_cut")
 
 
+def _state(psi0, dim: int) -> np.ndarray:
+    """The amplitudes of ``psi0`` (an array, or anything with .amplitudes) as
+    a complex vector; InvalidParams unless it has length ``dim`` and norm 1."""
+    amps = np.asarray(getattr(psi0, "amplitudes", psi0), dtype=complex)
+    if amps.shape != (dim,):
+        raise InvalidParams("psi0", f"length {amps.shape} != operator dim ({dim},)")
+    norm = np.linalg.norm(amps)
+    if not abs(norm - 1.0) <= 1e-10:
+        raise InvalidParams("psi0", f"norm {norm} != 1 beyond 1e-10")
+    return amps
+
+
 def evolve_grid(h: HermitianOperator, psi0, ts: Sequence[float]) -> np.ndarray:
     """exp(-i*H*t)|psi0> by spectral decomposition at every time in ``ts``;
-    (dim, len(ts)) array.  Raises InvalidParams for a state that is not
-    normalized and TruncationLeak when an evolved state puts more than
-    LEAK_TOL weight into the top Fock indices."""
-    amps0 = psi0.amplitudes if hasattr(psi0, "amplitudes") else np.asarray(psi0, dtype=complex)
+    (dim, len(ts)) array.  Raises InvalidParams, before any decomposition,
+    for a state of the wrong length or norm, and TruncationLeak when an
+    evolved state puts more than LEAK_TOL weight into the top Fock indices."""
+    amps0 = _state(psi0, h.dim)
     out = _propagate(h.eig(), amps0, ts)[0]
     _check_tail(_tail_mass(out, h.dim))
     return out
@@ -297,9 +341,10 @@ def evolve_grid(h: HermitianOperator, psi0, ts: Sequence[float]) -> np.ndarray:
 
 def evolve_joint_grid(h: HermitianOperator, amplitudes: np.ndarray,
                       ts: Sequence[float]) -> np.ndarray:
-    """Joint-space evolution of spin-major ``amplitudes``, with the tail
-    check on each spin block of length h.dim // 2."""
-    out = _propagate(h.eig(), np.asarray(amplitudes, dtype=complex), ts)[0]
+    """Joint-space evolution of spin-major ``amplitudes``, checked as in
+    evolve_grid, with the tail check on each spin block of length h.dim // 2."""
+    amps0 = _state(amplitudes, h.dim)
+    out = _propagate(h.eig(), amps0, ts)[0]
     _check_tail(_tail_mass(out, h.dim // 2))
     return out
 
@@ -393,8 +438,8 @@ def _effective_level(params: ModelParams, ts: np.ndarray, psi0: BosonInitialStat
     and F_g(t) = 4*s'^2*Var_psi0[h(t)]."""
     frame = oscillator_frame(params)
     dh = tuple(0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
-    eig = build_effective_hamiltonian(params, n_cut).eig()  # frees the dense blocks
-    psi, hpsi = _propagate(eig, _pad(psi0, n_cut), ts, dh)
+    amps0 = _state(_pad(psi0, n_cut), n_cut)
+    psi, hpsi = _propagate(build_effective_hamiltonian(params, n_cut).eig(), amps0, ts, dh)
     mean, second = _x_moments(psi, n_cut)
     x_hpsi = _band_apply(np.zeros(n_cut), _x_band(n_cut), hpsi)
     deriv = 2.0 * frame.dstiffness_dg * np.imag(psi.conj() * x_hpsi).sum(axis=0)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -451,3 +452,6 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "qfi-evolution.csv").exists()
+        # each experiment's end-to-end numbers go to stderr
+        assert re.search(r"^qfi-evolution: \d+\.\d\d s wall, peak RSS so far \d+\.\d MiB$",
+                         done.stderr, re.MULTILINE), done.stderr

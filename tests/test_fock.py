@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,7 @@ from cqm import (
 from cqm.fock import (
     HermitianOperator,
     _band_apply,
+    _dense,
     _squared_bands,
     _x_band,
     _x_moments,
@@ -48,10 +50,10 @@ def params(g, lam=0.0, omega=1.0, Omega=1e4):
 
 
 def assembled(op):
-    """The operator ``op`` assembled from its blocks."""
-    out = np.zeros((op.dim, op.dim), dtype=np.result_type(*(h for _, h in op.blocks)))
-    for idx, h in op.blocks:
-        out[idx, idx] = h
+    """The operator ``op`` as one matrix, each block filled as eig() fills it."""
+    out = np.zeros((op.dim, op.dim))
+    for idx, diagonals in op.blocks:
+        out[idx, idx] = _dense(diagonals)
     return out
 
 
@@ -186,10 +188,16 @@ class TestBuilders:
         assert np.abs(energies - full).max() <= 1e-12 * np.abs(full).max()
 
     def test_blocks_are_checked_for_hermiticity(self):
-        good = np.eye(2)
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(InvalidParams):
-            HermitianOperator(blocks=[(slice(0, None, 2), good), (slice(1, None, 2), bad)])
+        # a bad second block is caught as well as a bad first one: a value off
+        # the real line would make the symmetric block non-Hermitian
+        good = {0: np.ones(2), 1: np.ones(1)}
+        for bad in ({0: np.ones(2), 1: np.array([1j])}, {0: np.array([0.0, np.nan])},
+                    {0: np.array([np.inf, 0.0])}, {0: np.array(["1", "2"])}):
+            with pytest.raises(InvalidParams):
+                HermitianOperator(blocks=[(slice(0, None, 2), good), (slice(1, None, 2), bad)])
+        h = HermitianOperator(blocks=[(slice(0, None, 2), good), (slice(1, None, 2), good)])
+        assert h.dim == 4
+        assert np.array_equal(assembled(h), [[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
 
     def test_effective_regime_dispatch(self):
         h = build_effective_hamiltonian(params(1.2), 16)  # superradiant: fine
@@ -200,10 +208,25 @@ class TestBuilders:
             build_effective_hamiltonian(params(0.9), 3)
 
     def test_hermitian_wrapper_rejects_nonhermitian(self):
-        with pytest.raises(InvalidParams):
-            HermitianOperator([(slice(None), np.array([[0.0, 1.0], [0.0, 0.0]]))])
-        with pytest.raises(InvalidParams):  # complex: the transpose must be conjugated
-            HermitianOperator([(slice(None), np.array([[0.0, 1j], [1j, 0.0]]))])
+        # complex: i on both off-diagonals is symmetric but not Hermitian
+        with pytest.raises(InvalidParams, match="non-real"):
+            HermitianOperator([(slice(None), {0: np.zeros(2), 1: np.array([1j])})])
+        # offsets outside 0 <= k < m, a non-integer offset, no main diagonal,
+        # an empty or scalar one
+        for diagonals in ({0: np.zeros(3), -1: np.zeros(2)}, {0: np.zeros(3), 3: np.zeros(0)},
+                          {0: np.zeros(3), 1.0: np.zeros(2)}, {1: np.zeros(2)}, {0: np.zeros(0)},
+                          {0: 1.0}):
+            with pytest.raises(InvalidParams):
+                HermitianOperator([(slice(None), diagonals)])
+        # a diagonal of length other than m - k
+        for values in (np.zeros(3), np.zeros(1), np.zeros((2, 1))):
+            with pytest.raises(InvalidParams, match="shape"):
+                HermitianOperator([(slice(None), {0: np.zeros(3), 1: values})])
+        # the diagonals are copied: later writes to the caller's array do not reach eig()
+        diag = np.arange(3.0)
+        h = HermitianOperator([(slice(None), {0: diag, 2: np.ones(1)})])
+        diag[:] = 7.0
+        assert np.array_equal(assembled(h), [[0, 0, 1], [0, 1, 0], [1, 0, 2]])
 
     @pytest.mark.parametrize("n_cut", [64, 128, 256, 512])
     def test_squeezed_frame_equals_dense_reference_bit_for_bit(self, n_cut):
@@ -239,7 +262,7 @@ class TestEvolve:
         assert np.allclose(out, psi.amplitudes)
 
     def test_diagonal_hamiltonian_only_rotates_phases(self):
-        h = HermitianOperator([(slice(None), np.diag(np.arange(8, dtype=float)))])
+        h = HermitianOperator([(slice(None), {0: np.arange(8, dtype=float)})])
         # uniform over all but the top Fock slot, which the leak check reads
         amps = np.append(np.ones(7), 0.0) / np.sqrt(7)
         out = evolve_grid(h, amps, [0.37])[:, 0]
@@ -272,16 +295,24 @@ class TestEvolve:
         assert np.linalg.norm(out[:, 1]) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(out[24:, 1]).max() > 0.0  # the coupling flips the spin
 
-    def test_unnormalized_states_rejected_by_both_routines(self):
+    def test_unnormalized_states_rejected_by_both_routines(self, monkeypatch):
+        # rejected before any decomposition: eig() must not run
+        def no_eig(self):
+            raise AssertionError("eig() ran before the state was checked")
+
+        monkeypatch.setattr(HermitianOperator, "eig", no_eig)
         boson = build_effective_hamiltonian(params(0.9), 16)
         joint = build_squeezed_frame_hamiltonian(params(0.9, Omega=50.0), 16)
-        psi = spin_down_state(default_initial_state(), 16)
-        with pytest.raises(InvalidParams, match="norm"):
-            evolve_grid(boson, 1.01 * default_initial_state(16).amplitudes, [1.0])
-        with pytest.raises(InvalidParams, match="norm"):
-            evolve_joint_grid(joint, 0.5 * psi, [1.0])
-        with pytest.raises(InvalidParams, match="length"):
-            evolve_joint_grid(joint, psi[:16], [1.0])
+        cases = [(evolve_grid, boson, default_initial_state(16).amplitudes),
+                 (evolve_joint_grid, joint, spin_down_state(default_initial_state(), 16))]
+        for evolve, h, psi in cases:
+            nan = psi.copy()
+            nan[-1] = np.nan
+            for bad, what in ((1.01 * psi, "norm"), (0.5 * psi, "norm"), (nan, "norm"),
+                              (psi[:-1], "length"), (np.append(psi, 0.0), "length"),
+                              (psi[:, None], "length")):
+                with pytest.raises(InvalidParams, match=what):
+                    evolve(h, bad, [1.0])
 
 
 class TestBandContraction:
@@ -455,6 +486,21 @@ class TestQfiMethods:
         values, n_cut = generator_qfi_grid(p, ts)
         assert n_cut == n_ref
         assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_generator_level_peaks_below_six_blocks(self):
+        # numpy's data allocations are traced, so the peak is deterministic.
+        # Both eigenvector sets plus the kernel's real n^2 scratch fit in six
+        # (n_cut/2)^2 float blocks; both dense blocks held at once, or complex
+        # copies of the eigenvectors, do not
+        p, n_cut = params(0.099, lam=-0.2475), 1024
+        ts = np.linspace(0.0, 1000.0, 16)
+        tracemalloc.start()
+        try:
+            generator_qfi_grid(p, ts, n_cut=n_cut)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * (n_cut // 2) ** 2
 
     def test_generator_regime_guard(self):
         with pytest.raises(RegimeError):
