@@ -72,6 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = build_config(args.command, config_file=args.config,
                            overrides=args.overrides, engine=args.engine)
         out_path = args.out or _default_out(cfg.experiment)
+        os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
         resume = None
         if not args.no_resume and os.path.exists(out_path):
             try:
@@ -81,11 +82,10 @@ def main(argv: list[str] | None = None) -> int:
             except (ConfigError, ValueError):
                 resume = None  # unreadable previous output: recompute everything
         dataset = run(cfg, jobs=args.jobs, resume=resume)  # bad jobs: before any cell
+        dataset.write_csv(out_path)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-    dataset.write_csv(out_path)
 
     failed = len(dataset.failed_cells)
     computed = dataset.metadata["cells_computed"]

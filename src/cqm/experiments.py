@@ -12,12 +12,14 @@ time field is the only non-deterministic entry).
 
 Every experiment is one entry of ``_REGISTRY``: its config keys, its
 engines, how its config splits into cells, its output columns per engine,
-their units, and the module-level function that computes one cell.  Adding
-an experiment means adding one registry entry.
+their units, and the module-level function that computes a batch of cells.
+Adding an experiment means adding one registry entry.
 
-Cells (the unit of parallelism and of resume) fail independently: a failed
-cell is recorded in its rows' status column and the run continues.  Re-running
-onto an existing output with an identical config recomputes failed cells only.
+Cells are the unit of failure and of resume: a failed cell is recorded in its
+rows' status column and the run continues, and re-running onto an existing
+output with an identical config recomputes failed cells only.  Batches are the
+unit of work and of the process pool: in a closed-engine run, each run of
+cells that differ in g alone is computed as columns over its coupling array.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -104,7 +106,7 @@ class ExperimentConfig:
 
 
 # ----------------------------------------------------------------------
-# shared column and row layout
+# shared column layout
 # ----------------------------------------------------------------------
 
 def _compared(engine: str, quantities: list[str], n_cut: bool = True) -> list[str]:
@@ -129,15 +131,9 @@ def _rel_dev(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
     return np.abs(oracle - closed) / scale
 
 
-def _compared_rows(
-    engine: str,
-    base: dict,
-    ts,
-    closed: dict[str, np.ndarray],
-    oracle: dict[str, np.ndarray] | None = None,
-    n_cut: int | None = None,
-) -> list[dict]:
-    """One row per time, with the columns ``_compared`` names."""
+def _compared_columns(engine: str, closed: dict, oracle: dict | None = None,
+                      n_cut: int | None = None) -> dict:
+    """The columns ``_compared`` names, one entry per time."""
     if engine == "both":
         series = []
         for q in closed:
@@ -145,15 +141,11 @@ def _compared_rows(
     else:
         series = list((closed if engine == "closed" else oracle).values())
     names = _compared(engine, list(closed), n_cut=False)
-    extra = {} if n_cut is None else {"n_cut": n_cut}
-    return [
-        {**base, "t": t, **{name: s[i] for name, s in zip(names, series)}, **extra}
-        for i, t in enumerate(ts)
-    ]
+    return {**dict(zip(names, series)), **({} if n_cut is None else {"n_cut": n_cut})}
 
 
 # ----------------------------------------------------------------------
-# per-experiment cell computation (module level: pool workers reach them
+# per-experiment batch computation (module level: pool workers reach them
 # through _REGISTRY by experiment id)
 # ----------------------------------------------------------------------
 
@@ -163,132 +155,138 @@ def _params(v: dict, g, lam: float) -> ModelParams:
                        lam=float(lam))
 
 
-def _qfi_rows(v: dict, lam: float, gs: np.ndarray) -> list[dict]:
-    """Closed-form QFI along a row of couplings at one lam, in one array call;
-    points on the critical line are saturated with an infinite QFI."""
+def _each_cell(one: Callable[[ExperimentConfig, dict], dict]) -> Callable:
+    """The batch computation of ``one``, which gives one cell's columns: the
+    cells' rows one after the other."""
+    def compute(cfg: ExperimentConfig, cells: list[dict]) -> dict:
+        parts = [one(cfg, cell) for cell in cells]
+        sizes = [max((np.size(x) for x in p.values() if np.ndim(x)), default=1) for p in parts]
+        if len(parts) > 1:  # a lone cell keeps the values its rows share as scalars
+            parts = [{k: np.concatenate([np.broadcast_to(p[k], n) for p, n in zip(parts, sizes)])
+                      for k in parts[0]}]
+        return {**parts[0], "cell": np.repeat(np.arange(len(cells)), sizes)}
+    return compute
+
+
+def _along_g(v: dict, lam: float, gs: np.ndarray, fill: float, f) -> tuple[dict, np.ndarray]:
+    """Columns along the couplings ``gs`` at one lam, and ``f(params)`` in one
+    array call over the couplings off the critical line; points on it are
+    saturated, with the value ``fill``."""
     params = _params(v, gs, lam)
     regimes = effective_oscillator(params).regime
     critical = regimes == Regime.CRITICAL
-    qfi = np.full(len(gs), np.inf)
+    values = np.full(len(gs), fill)
     if not critical.all():
-        params = _params(v, gs[~critical], lam) if critical.any() else params
-        state = cf.default_initial_state(v["state_dim"])
-        qfi[~critical] = cf.qfi_g(params, v["t"], cf.var_n(state, params))
-    rows = [{"lam": lam, "g": g, "t": v["t"], "regime": regime.value, "qfi": q}
-            for g, regime, q in zip(gs, regimes, qfi.tolist())]
-    for i in np.flatnonzero(critical):
-        rows[i]["status"] = _STATUS_SATURATED
-    return rows
+        values[~critical] = f(_params(v, gs[~critical], lam) if critical.any() else params)
+    return {"lam": lam, "g": gs, "t": v["t"], "regime": np.array([r.value for r in regimes]),
+            "status": np.where(critical, _STATUS_SATURATED, _STATUS_OK)}, values
 
 
-def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+def _qfi(v: dict, lam: float, gs: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Closed-form QFI along couplings at one lam, infinite on the critical line."""
+    state = cf.default_initial_state(v["state_dim"])
+    return _along_g(v, lam, gs, np.inf, lambda p: cf.qfi_g(p, v["t"], cf.var_n(state, p)))
+
+
+def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     state = cf.default_initial_state(v["state_dim"])
     params = _params(v, cell["g"], v["lam"])
-    base = {"lam": v["lam"], "g": cell["g"]}
+    base = {"lam": v["lam"], "g": cell["g"], "t": v["t"]}
     closed = {"qfi": cf.qfi_g(params, v["t"], cf.var_n(state, params))}
     if cfg.engine == "closed":
-        return _compared_rows(cfg.engine, base, v["t"], closed)
+        return {**base, **_compared_columns(cfg.engine, closed)}
     oracle, n_cut = fock.generator_qfi_grid(params, v["t"], psi0=state)
-    return _compared_rows(cfg.engine, base, v["t"], closed, {"qfi": oracle}, n_cut)
+    return {**base, **_compared_columns(cfg.engine, closed, {"qfi": oracle}, n_cut)}
 
 
-def _qfi_vs_g(cfg: ExperimentConfig, cell: dict) -> list[dict]:
-    return _qfi_rows(cfg.values, cell["lam"], np.array([cell["g"]]))
+def _qfi_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
+    cols, qfi = _qfi(cfg.values, cells[0]["lam"], np.array([cell["g"] for cell in cells]))
+    return {**cols, "qfi": qfi, "cell": np.arange(len(cells))}
 
 
-def _qfi_map(cfg: ExperimentConfig, cell: dict) -> list[dict]:
-    rows = _qfi_rows(cfg.values, cell["lam"], cfg.values["g"])
-    for row, log10_qfi in zip(rows, np.log10([row["qfi"] for row in rows]).tolist()):
-        row["log10_qfi"] = log10_qfi
-    return rows
+def _qfi_map(cfg: ExperimentConfig, cell: dict) -> dict:
+    cols, qfi = _qfi(cfg.values, cell["lam"], cfg.values["g"])
+    return {**cols, "qfi": qfi, "log10_qfi": np.log10(qfi)}
 
 
-def _quadrature_vs_g(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+def _quadrature_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
     v = cfg.values
-    params = _params(v, cell["g"], cell["lam"])
-    regime = effective_oscillator(params).regime
-    base = {"lam": cell["lam"], "g": cell["g"], "regime": regime.value}
-    if regime is Regime.CRITICAL:
-        return [{**base, "t": v["t"], "status": _STATUS_SATURATED}]
-    closed = {"x_mean": np.atleast_1d(cf.x_mean(params, v["t"]))}
+    lam, gs = cells[0]["lam"], np.array([cell["g"] for cell in cells])
+    cols, x_mean = _along_g(v, lam, gs, np.nan, lambda p: cf.x_mean(p, v["t"]))
+    cols["cell"] = np.arange(len(cells))
     if cfg.engine == "closed":
-        return _compared_rows(cfg.engine, base, [v["t"]], closed)
+        return {**cols, "x_mean": x_mean}
+    if cols["status"][0] == _STATUS_SATURATED:  # the oracle engines run one cell a batch
+        return cols
     state = cf.default_initial_state(v["state_dim"])
-    series = fock.quadrature_series(params, [v["t"]], psi0=state)
-    return _compared_rows(cfg.engine, base, [v["t"]], closed,
-                          {"x_mean": series.x_mean}, series.n_cut)
+    series = fock.quadrature_series(_params(v, gs[0], lam), [v["t"]], psi0=state)
+    return {**cols, **_compared_columns(cfg.engine, {"x_mean": x_mean},
+                                        {"x_mean": series.x_mean}, series.n_cut)}
 
 
-def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     params = _params(v, cell["g"], cell["lam"])
     ts = v["t_per"] * float(cf.optimal_times(params, 1)[0])
-    base = {"lam": cell["lam"], "g": cell["g"]}
-    closed = {
-        "x_mean": np.atleast_1d(cf.x_mean(params, ts)),
-        "x_deriv_g": np.atleast_1d(cf.x_deriv_g(params, ts)),
-        "x_var": np.atleast_1d(cf.x_variance(params, ts)),
-        "inv_var": np.atleast_1d(cf.inverted_variance(params, ts)),
-    }
+    base = {"lam": cell["lam"], "g": cell["g"], "t": ts}
+    closed = {"x_mean": cf.x_mean(params, ts), "x_deriv_g": cf.x_deriv_g(params, ts),
+              "x_var": cf.x_variance(params, ts), "inv_var": cf.inverted_variance(params, ts)}
     if cfg.engine == "closed":
-        return _compared_rows(cfg.engine, base, ts, closed)
+        return {**base, **_compared_columns(cfg.engine, closed)}
     series = fock.quadrature_series(params, ts, psi0=cf.default_initial_state(v["state_dim"]))
     oracle = {q: getattr(series, q) for q in closed}  # QuadratureSeries names them alike
-    return _compared_rows(cfg.engine, base, ts, closed, oracle, series.n_cut)
+    return {**base, **_compared_columns(cfg.engine, closed, oracle, series.n_cut)}
 
 
-def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     state = cf.default_initial_state(v["state_dim"])
     params = _params(v, cell["g"], cell["lam"])
     ns = np.asarray(v["n"], dtype=int)  # validated integers >= 1
     taus = cf.optimal_times(params, int(ns.max()))[ns - 1]
     analytic = cf.ig_fg_ratio(state, params)
-    rows = [{"lam": cell["lam"], "g": cell["g"], "n": int(n), "tau_n": tau,
-             "ratio_analytic": analytic} for n, tau in zip(ns, taus)]
+    cols = {"lam": cell["lam"], "g": cell["g"], "n": ns, "tau_n": taus,
+            "ratio_analytic": analytic}
     if cfg.engine == "closed":
-        return rows
+        return cols
     numeric, n_cut = fock.ratio_oracle(params, taus, psi0=state)
-    for row, ratio in zip(rows, numeric):
-        row.update(ratio_numeric=ratio, rel_dev=abs(ratio - analytic) / analytic, n_cut=n_cut)
-    return rows
+    return {**cols, "ratio_numeric": numeric, "rel_dev": np.abs(numeric - analytic) / analytic,
+            "n_cut": n_cut}
 
 
-def _frequency_scaling(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+def _frequency_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     params = _params(v, cell["g"], cell["lam"])
     point = fock.finite_frequency_point(params, cell["eta"], n=v["n"])
-    return [{
+    return {
         "lam": cell["lam"], "g": cell["g"], "eta": point.eta, "n": point.n,
         "tau_n": point.tau, "inv_var_exact": point.inv_var_exact,
         "inv_var_limit": point.inv_var_limit, "delta": point.delta,
         "abs_delta": abs(point.delta), "n_cut": point.n_cut,
-    }]
+    }
 
 
-def _decoherence(cfg: ExperimentConfig, cell: dict) -> list[dict]:
+def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     params = _params(v, cell["g"], cell["lam"])
     rates = lb.DecayRates.from_plus_minus(v["gamma_plus"], v["gamma_minus"])
     ts = v["t_per"] * float(cf.optimal_times(params, 1)[0])
     base = {"lam": cell["lam"], "g": cell["g"],
-            "gamma_minus": rates.gamma_minus, "gamma_plus": rates.gamma_plus}
-    closed = {
-        "x_mean": np.atleast_1d(lb.x_mean_dissipative(params, rates, ts)),
-        "x_var": np.atleast_1d(lb.x_variance_dissipative(params, rates, ts)),
-        "inv_var": np.atleast_1d(lb.inverted_variance_dissipative(params, rates, ts)),
-    }
+            "gamma_minus": rates.gamma_minus, "gamma_plus": rates.gamma_plus, "t": ts}
+    closed = {"x_mean": lb.x_mean_dissipative(params, rates, ts),
+              "x_var": lb.x_variance_dissipative(params, rates, ts),
+              "inv_var": lb.inverted_variance_dissipative(params, rates, ts)}
     if cfg.engine == "closed":
-        return _compared_rows(cfg.engine, base, ts, closed)
+        return {**base, **_compared_columns(cfg.engine, closed)}
     # the ODE runs from t = 0; prepend it when the grid starts later
     ode_ts = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
     skip = len(ode_ts) - len(ts)
     moments = lb.integrate_moments(lb.REFERENCE_STATE_MOMENTS, params, rates, ode_ts)[skip:]
     x, x_var = moments[:, 0], moments[:, 2] - moments[:, 0] ** 2
-    dxdg = np.atleast_1d(lb.x_deriv_g_dissipative(params, rates, ts))
+    dxdg = lb.x_deriv_g_dissipative(params, rates, ts)
     oracle = {"x_mean": x, "x_var": x_var, "inv_var": dxdg**2 / x_var}
-    return _compared_rows(cfg.engine, base, ts, closed, oracle)
+    return {**base, **_compared_columns(cfg.engine, closed, oracle)}
 
 
 # ----------------------------------------------------------------------
@@ -303,8 +301,10 @@ class _Experiment:
     every experiment has (``_COMMON``),
     ``cells(values)`` splits a resolved config into cells (dicts of the
     per-cell parameters), ``columns(engine)`` lists the physics columns, and
-    ``compute(cfg, cell)`` returns that cell's rows (column -> value; a row
-    without a "status" entry is ok).
+    ``compute(cfg, cells)`` computes one batch of cells and returns its
+    columns: column -> a scalar shared by every row, or a 1-D array with one
+    entry per row.  The "cell" column gives each row's position in ``cells``;
+    without a "status" column every row is ok.
     """
 
     doc: str
@@ -314,7 +314,7 @@ class _Experiment:
     cells: Callable[[dict], list[dict]]
     columns: Callable[[str], list[str]]
     units: dict[str, str]
-    compute: Callable[[ExperimentConfig, dict], list[dict]]
+    compute: Callable[[ExperimentConfig, list[dict]], dict]
 
 
 def _zipped_cells(v: dict) -> list[dict]:
@@ -338,7 +338,7 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=lambda v: [{"g": g} for g in v["g"]],
         columns=lambda engine: ["lam", "g", "t"] + _compared(engine, ["qfi"]),
         units={"t": _U_T, "qfi": "1"},
-        compute=_qfi_evolution,
+        compute=_each_cell(_qfi_evolution),
     ),
     "qfi-vs-g": _Experiment(
         doc="QFI vs coupling at a fixed time for several lambda values",
@@ -364,7 +364,7 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=lambda v: [{"lam": lam} for lam in v["lam"]],
         columns=lambda engine: ["lam", "g", "t", "log10_qfi"],
         units={"t": _U_T, "log10_qfi": "1"},
-        compute=_qfi_map,
+        compute=_each_cell(_qfi_map),
     ),
     "quadrature-vs-g": _Experiment(
         doc="quadrature mean vs coupling at a fixed time",
@@ -389,7 +389,7 @@ _REGISTRY: dict[str, _Experiment] = {
         columns=lambda engine: ["lam", "g", "t"] + _compared(
             engine, ["x_mean", "x_deriv_g", "x_var", "inv_var"]),
         units={"t": _U_T, "x_mean": "1", "x_deriv_g": "1", "x_var": "1", "inv_var": "1"},
-        compute=_inverted_variance,
+        compute=_each_cell(_inverted_variance),
     ),
     "ratio-scaling": _Experiment(
         doc="peak inverted variance over QFI vs peak index",
@@ -403,7 +403,7 @@ _REGISTRY: dict[str, _Experiment] = {
         columns=lambda engine: ["lam", "g", "n", "tau_n", "ratio_analytic"] + (
             [] if engine == "closed" else ["ratio_numeric", "rel_dev", "n_cut"]),
         units={"tau_n": _U_T},
-        compute=_ratio_scaling,
+        compute=_each_cell(_ratio_scaling),
     ),
     "frequency-scaling": _Experiment(
         doc="relative discrepancy of the inverted variance vs Omega/omega",
@@ -419,7 +419,7 @@ _REGISTRY: dict[str, _Experiment] = {
         columns=lambda engine: ["lam", "g", "eta", "n", "tau_n", "inv_var_exact",
                                 "inv_var_limit", "delta", "abs_delta", "n_cut"],
         units={"tau_n": _U_T},
-        compute=_frequency_scaling,
+        compute=_each_cell(_frequency_scaling),
     ),
     "decoherence": _Experiment(
         doc="dissipative quadrature dynamics and inverted variance",
@@ -436,7 +436,7 @@ _REGISTRY: dict[str, _Experiment] = {
             engine, ["x_mean", "x_var", "inv_var"], n_cut=False),
         units={"t": _U_T, "gamma_minus": "omega", "gamma_plus": "omega",
                "x_mean": "1", "x_var": "1", "inv_var": "1"},
-        compute=_decoherence,
+        compute=_each_cell(_decoherence),
     ),
 }
 
@@ -569,18 +569,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 # datasets
 # ----------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """17 significant digits for numbers (printf-style, the same text as
-    format(value, ".17g") in half the time), integers in full, text as is."""
-    if isinstance(value, float):  # numpy float64 too; the common case first
-        return "%.17g" % value
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.17g" % float(value)
-
-
 @dataclass
 class Dataset:
     """Columns with units, stringly-typed rows, and a metadata block."""
@@ -640,44 +628,74 @@ class Dataset:
         return cls(columns, units, rows, metadata)
 
 
-def _run_cell(args: tuple) -> tuple[int, list[list[str]], str | None]:
-    """Worker: compute one cell and render its rows as strings.
+def _render(column, n: int) -> list[str]:
+    """``n`` rows of a column, or of one value all rows share, as text in one
+    pass: floats to 17 digits (printf-style, format(value, ".17g") in half the
+    time), integers in full, and text as is, one string per distinct text."""
+    values = np.asarray(column)
+    kind = values.dtype.kind
+    text = list(map("%.17g".__mod__ if kind == "f" else str if kind in "iu" else sys.intern,
+                    values.ravel().tolist()))
+    return text * n if values.ndim == 0 else text
 
-    Any exception fails this cell alone, as does a non-finite value in a
-    row that would otherwise be marked ok.  A failed cell's row takes lam/g/eta
-    from the cell, else from a scalar config value; "<Type>: <message>" is
-    returned third (None for a cell that did not fail).
-    """
-    cfg, index, cell, columns = args
-    failure = None
+
+def _run_batch(args: tuple) -> list[tuple[int, list[list[str]], str | None]]:
+    """Worker: compute one batch of cells and render their rows as strings,
+    as (cell index, rows, "<Type>: <message>" or None) per cell.
+
+    Any exception fails the batch, as do a column of the wrong length and a
+    non-finite value in a row marked ok.  A failed batch of several cells
+    runs again one cell a batch, so each failure lands on its own cell.  A
+    failed cell's row takes lam/g/eta from the cell, else from a scalar config
+    value."""
+    cfg, indices, cells, columns = args
     try:
-        rows = _REGISTRY[cfg.experiment].compute(cfg, cell)
-        for row in rows:
-            if "status" not in row and any(
-                isinstance(x, float) and not math.isfinite(x) for x in row.values()
-            ):
-                raise NonFinite(f"non-finite value in an ok row of cell {index}")
+        cols = dict(_REGISTRY[cfg.experiment].compute(cfg, cells))
+        cell = np.asarray(indices)[cols.pop("cell")]
+        n = len(cell)
+        ok = np.broadcast_to(np.asarray(cols.setdefault("status", _STATUS_OK)) == _STATUS_OK, n)
+        for name, column in cols.items():
+            values = np.asarray(column)
+            if values.ndim and values.shape != (n,):
+                raise ValueError(f"column {name} has shape {values.shape} for {n} rows")
+            if values.dtype.kind == "f" and not np.isfinite(np.broadcast_to(values, n)[ok]).all():
+                raise NonFinite(f"non-finite value in an ok row of cell {indices[0]}")
+        text = [_render(cell if c == "cell" else cols.get(c, np.nan), n) for c in columns]
     except Exception as exc:  # one bad cell must not abort the run
-        failure = f"{type(exc).__name__}: {exc}"
+        if len(cells) > 1:
+            return [done for i, one in zip(indices, cells)
+                    for done in _run_batch((cfg, [i], [one], columns))]
         scalars = {k: x for k, x in cfg.values.items() if np.ndim(x) == 0}
-        row = {k: cell.get(k, scalars.get(k, np.nan)) for k in ("lam", "g", "eta")}
-        rows = [{**row, "status": f"failed:{type(exc).__name__}"}]
-    rendered = []
-    for row in rows:
-        row.setdefault("status", _STATUS_OK)
-        row["cell"] = index
-        rendered.append([_fmt(row.get(c, np.nan)) for c in columns])
-    return index, rendered, failure
+        row = {k: cells[0].get(k, scalars.get(k, np.nan)) for k in ("lam", "g", "eta")}
+        row.update(status=f"failed:{type(exc).__name__}", cell=indices[0])
+        return [(indices[0], [[_render(row.get(c, np.nan), 1)[0] for c in columns]],
+                 f"{type(exc).__name__}: {exc}")]
+    rows: dict[int, list[list[str]]] = {i: [] for i in indices}
+    for i, row in zip(cell.tolist(), zip(*text)):
+        rows[i].append(list(row))
+    return [(i, rows[i], None) for i in indices]
 
 
 # ----------------------------------------------------------------------
 # the runner
 # ----------------------------------------------------------------------
 
-def _chunksize(n_cells: int, jobs: int) -> int:
-    """Cells per pool task: about four tasks per worker, so that every worker
-    gets cells even when there are few of them."""
-    return max(1, n_cells // (4 * jobs))
+def _chunksize(n_batches: int, jobs: int) -> int:
+    """Batches per pool task: about four tasks per worker, so each gets some."""
+    return max(1, n_batches // (4 * jobs))
+
+
+def _batches(cfg: ExperimentConfig, cells: list[dict], todo: list[int]) -> list[list[int]]:
+    """The cells ``todo`` in batches: in a closed-engine run, each maximal run
+    of them whose cells differ in g alone; any other cell on its own."""
+    batches: list[list[int]] = []
+    for i in todo:
+        if cfg.engine == "closed" and batches and (
+                {**cells[batches[-1][-1]], "g": 0} == {**cells[i], "g": 0}):
+            batches[-1].append(i)
+        else:
+            batches.append([i])
+    return batches
 
 
 def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> Dataset:
@@ -685,8 +703,8 @@ def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> 
 
     With ``resume`` (a previously written Dataset whose config hash matches),
     rows of cells that completed are reused verbatim and only failed cells
-    are recomputed.  Cells run in this process unless ``jobs`` asks for more
-    than one worker process; ``jobs`` below 1 is a ConfigError.
+    are recomputed.  Batches of cells run in this process unless ``jobs`` asks
+    for more than one worker process; ``jobs`` below 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -705,12 +723,13 @@ def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> 
             if idx not in failed:
                 reuse.setdefault(idx, []).append(row)
     todo = [i for i in range(len(cells)) if i not in reuse]
-    args = [(cfg, i, cells[i], columns) for i in todo]
+    args = [(cfg, b, [cells[i] for i in b], columns) for b in _batches(cfg, cells, todo)]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(_run_cell, args, chunksize=_chunksize(len(args), jobs)))
+            done = [d for ds in pool.map(_run_batch, args, chunksize=_chunksize(len(args), jobs))
+                    for d in ds]
     else:
-        done = [_run_cell(a) for a in args]
+        done = [d for a in args for d in _run_batch(a)]
     results = {index: rendered for index, rendered, _ in done}
     failures = {str(index): failure for index, _, failure in done if failure is not None}
     rows: list[list[str]] = []
@@ -745,7 +764,7 @@ def _attach_slopes(dataset: Dataset) -> None:
     for case in sorted(set(zip(lam.tolist(), g.tolist()))):
         mask = (lam == case[0]) & (g == case[1])
         fit = fit_loglog_slope((eta[mask], delta[mask]))
-        slopes[f"lam={_fmt(case[0])},g={_fmt(case[1])}"] = {
+        slopes["lam=%.17g,g=%.17g" % case] = {
             "slope": fit.slope, "stderr": fit.stderr,
         }
     dataset.metadata["loglog_slopes"] = slopes

@@ -22,7 +22,7 @@ from cqm import (
     run,
 )
 from cqm.cli import main as cli_main
-from cqm.experiments import _REGISTRY, _chunksize, _column_units
+from cqm.experiments import _REGISTRY, _batches, _chunksize, _column_units, _render
 from cqm.model import ModelParams
 
 
@@ -170,8 +170,9 @@ class TestRunner:
         assert ma == mb
 
     def test_parallel_matches_serial(self):
-        cfg = tiny("qfi-vs-g")
-        assert run(cfg, jobs=1).rows == run(cfg, jobs=2).rows
+        # two batches each (one per lam), so the pool starts
+        for cfg in (tiny("qfi-vs-g"), tiny("quadrature-vs-g", lam="0,-0.2")):
+            assert run(cfg, jobs=1).rows == run(cfg, jobs=2).rows
 
     def test_default_runs_start_no_pool(self, tmp_path, monkeypatch, capsys):
         class NoPool:
@@ -183,12 +184,59 @@ class TestRunner:
         assert cli_main(["qfi-vs-g", "--out", str(tmp_path / "q.csv")]) == 0
 
     def test_chunks_give_every_worker_cells(self):
+        # pool tasks are batches of cells; every worker gets one
         assert _chunksize(2, 2) == 1
         for jobs in (2, 3, 4):
-            for n_cells in range(1, 200):
-                chunk = _chunksize(n_cells, jobs)
+            for n_batches in range(1, 200):
+                chunk = _chunksize(n_batches, jobs)
                 assert chunk >= 1
-                assert -(-n_cells // chunk) >= min(n_cells, jobs)  # number of tasks
+                assert -(-n_batches // chunk) >= min(n_batches, jobs)  # number of tasks
+
+    def test_batches_are_runs_of_closed_cells_that_differ_in_g(self):
+        cfg = tiny("qfi-vs-g")  # 2 lam x 9 g
+        cells = _REGISTRY["qfi-vs-g"].cells(cfg.values)
+        assert _batches(cfg, cells, list(range(18))) == [list(range(9)), list(range(9, 18))]
+        assert _batches(cfg, cells, [0, 1, 4, 9, 10]) == [[0, 1, 4], [9, 10]]
+        both = tiny("quadrature-vs-g", engine="both")
+        cells = _REGISTRY["quadrature-vs-g"].cells(both.values)
+        assert _batches(both, cells, [0, 1, 2]) == [[0], [1], [2]]
+        qfi_map = tiny("qfi-map")
+        cells = _REGISTRY["qfi-map"].cells(qfi_map.values)
+        assert _batches(qfi_map, cells, [0, 1, 2]) == [[0], [1], [2]]
+
+    @pytest.mark.parametrize("name,over", [
+        ("qfi-vs-g", {}),
+        ("qfi-vs-g", {"lam": "0,0.75", "g": "0.5,1,1.5,2,2.5"}),  # exactly critical points
+        ("quadrature-vs-g", {}),
+        ("quadrature-vs-g", {"lam": "0,0.75", "g": "0.5,1,1.5,2,2.5"}),
+        ("qfi-evolution", {}),
+        ("inverted-variance", {"g": "0.9,0.1,0.9", "lam": "0,0,-0.247"}),  # one cell fails
+    ])
+    def test_batches_give_the_rows_of_cells_run_alone(self, monkeypatch, name, over):
+        cfg = tiny(name, **over)
+        batched = run(cfg)
+        monkeypatch.setattr("cqm.experiments._batches", lambda cfg, cells, todo: [[i] for i in todo])
+        alone = run(cfg)
+        assert batched.rows == alone.rows
+        assert batched.metadata["failures"] == alone.metadata["failures"]
+
+    @pytest.mark.parametrize("name,function,calls", [
+        ("qfi-vs-g", "qfi_g", 5),  # once per lam row
+        ("quadrature-vs-g", "x_mean", 3),
+    ])
+    def test_coupling_sweeps_take_one_call_per_lam(self, monkeypatch, name, function, calls):
+        import cqm.closed_form as cf
+
+        seen = []
+        original = getattr(cf, function)
+
+        def counted(*args, **kwargs):
+            seen.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cf, function, counted)
+        assert not run(build_config(name)).failed_cells
+        assert len(seen) == calls
 
     def test_critical_points_in_a_row_saturate(self):
         # g_c = 1 at lam = 0 and g_c = 2 at lam = 0.75, both exact in float64
@@ -237,17 +285,17 @@ class TestRunner:
                 cfg = tiny(name, engine=engine)
                 columns = set(entry.columns(engine))
                 for cell in entry.cells(cfg.values):
-                    for row in entry.compute(cfg, cell):
-                        if "status" not in row:
-                            assert columns <= set(row), (name, engine, columns - set(row))
+                    cols = entry.compute(cfg, [cell])
+                    if np.any(np.asarray(cols.get("status", "ok")) == "ok"):
+                        assert columns <= set(cols), (name, engine, columns - set(cols))
 
     def test_any_exception_fails_its_cell_alone(self, monkeypatch):
         entry = _REGISTRY["inverted-variance"]
 
-        def compute(cfg, cell):
-            if cell["g"] == 0.1:
+        def compute(cfg, cells):
+            if any(cell["g"] == 0.1 for cell in cells):
                 raise np.linalg.LinAlgError("eigh did not converge")
-            return entry.compute(cfg, cell)
+            return entry.compute(cfg, cells)
 
         monkeypatch.setitem(_REGISTRY, "inverted-variance",
                             dataclasses.replace(entry, compute=compute))
@@ -260,11 +308,10 @@ class TestRunner:
     def test_non_finite_ok_row_fails_its_cell(self, monkeypatch):
         entry = _REGISTRY["qfi-vs-g"]
 
-        def compute(cfg, cell):
-            rows = entry.compute(cfg, cell)
-            if cell["g"] == cfg.values["g"][0]:
-                rows[0]["qfi"] = np.nan
-            return rows
+        def compute(cfg, cells):
+            cols = entry.compute(cfg, cells)
+            cols["qfi"] = np.where(cols["g"] == cfg.values["g"][0], np.nan, cols["qfi"])
+            return cols
 
         monkeypatch.setitem(_REGISTRY, "qfi-vs-g", dataclasses.replace(entry, compute=compute))
         ds = run(tiny("qfi-vs-g"), jobs=1)
@@ -272,6 +319,51 @@ class TestRunner:
         assert statuses.count("failed:NonFinite") == 2  # first g of each lam
         ok = [row for row in ds.rows if row[ds.columns.index("status")] == "ok"]
         assert ok and all("nan" not in row for row in ok)
+
+    @pytest.mark.parametrize("fault,status", [
+        ("raise", "failed:ArithmeticError"),
+        ("nan", "failed:NonFinite"),
+        ("short", "failed:ValueError"),
+        ("short_text", "failed:ValueError"),
+    ])
+    def test_a_fault_inside_a_batch_fails_its_cell_alone(self, monkeypatch, fault, status):
+        cfg = tiny("qfi-vs-g")  # batches: cells 0-8 at lam = 0, cells 9-17 at lam = -0.2
+        clean = run(cfg)
+        _break_cell(monkeypatch, cfg, 4, fault)
+        ds = run(cfg)
+        assert ds.failed_cells == {4}
+        assert list(ds.metadata["failures"]) == ["4"]
+        assert ds.str_column("status")[4] == status
+        assert ds.rows[:4] + ds.rows[5:] == clean.rows[:4] + clean.rows[5:]
+
+    def test_resume_after_a_fault_inside_a_batch_recomputes_that_cell(
+            self, monkeypatch, tmp_path):
+        cfg = tiny("qfi-vs-g")
+        clean, resumed = tmp_path / "clean.csv", tmp_path / "resumed.csv"
+        run(cfg).write_csv(str(clean))
+        with monkeypatch.context() as patch:
+            _break_cell(patch, cfg, 4, "raise")
+            failed = run(cfg)
+        assert failed.failed_cells == {4}
+        again = run(cfg, resume=failed)
+        assert again.metadata["cells_computed"] == 1
+        again.write_csv(str(resumed))
+        assert resumed.read_text().splitlines()[1:] == clean.read_text().splitlines()[1:]
+
+    def test_both_engines_run_the_oracle_once_per_non_critical_cell(self, monkeypatch):
+        from cqm import fock
+
+        seen = []
+        original = fock.quadrature_series
+
+        def counted(params, *args, **kwargs):
+            seen.append(params.g)
+            return original(params, *args, **kwargs)
+
+        monkeypatch.setattr(fock, "quadrature_series", counted)
+        ds = run(tiny("quadrature-vs-g", engine="both", g="0.5,1,0.6"))  # g_c = 1 at lam = 0
+        assert ds.str_column("status") == ["ok", "saturated", "ok"]
+        assert seen == [0.5, 0.6]
 
     def test_cross_engine_columns_within_tolerance(self):
         cfg = tiny("decoherence")
@@ -360,6 +452,14 @@ class TestRunner:
         rendered = format(q[-1], ".17g")
         assert rendered in text
 
+    def test_columns_render_as_17_digit_text(self):
+        floats = [0.1, -0.0, 1e-310, 2.0**60, np.inf, -np.inf, np.nan, 1 / 3]
+        assert _render(np.array(floats), len(floats)) == [format(x, ".17g") for x in floats]
+        assert _render(np.float64(0.1), 2) == ["0.10000000000000001"] * 2
+        assert _render(np.array([3, -7, 2**60]), 3) == ["3", "-7", "1152921504606846976"]
+        assert _render(4096, 1) == ["4096"]
+        assert _render(np.array(["ok", "saturated"]), 2) == ["ok", "saturated"]
+
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         class Unprintable:
             def __str__(self):
@@ -374,6 +474,28 @@ class TestRunner:
             broken.write_csv(str(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def _break_cell(monkeypatch, cfg, index, fault):
+    """Make the qfi-vs-g computation fail at the coupling of cell ``index``
+    (of the first lam) by raising, by a NaN or by a float or text column one
+    entry short."""
+    entry = _REGISTRY["qfi-vs-g"]
+    lam, g = (entry.cells(cfg.values)[index][k] for k in ("lam", "g"))
+
+    def compute(cfg, cells):
+        cols = entry.compute(cfg, cells)
+        hit = (cols["g"] == g) & (cells[0]["lam"] == lam)
+        if hit.any() and fault == "raise":
+            raise ArithmeticError(f"no value at g = {g}")
+        if fault == "nan":
+            cols["qfi"] = np.where(hit, np.nan, cols["qfi"])
+        elif fault.startswith("short"):
+            name = "regime" if fault == "short_text" else "qfi"
+            cols[name] = cols[name][~hit]
+        return cols
+
+    monkeypatch.setitem(_REGISTRY, "qfi-vs-g", dataclasses.replace(entry, compute=compute))
 
 
 class TestCli:
@@ -420,6 +542,19 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert cli_main(["qfi-evolution", "--jobs", str(jobs), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_uncreatable_output_directory_fails_before_any_cell(
+            self, tmp_path, monkeypatch, capsys):
+        entry = _REGISTRY["qfi-vs-g"]
+        calls = []
+        monkeypatch.setitem(_REGISTRY, "qfi-vs-g", dataclasses.replace(
+            entry, compute=lambda cfg, cells: calls.append(cells)))
+        blocker = tmp_path / "some_file"
+        blocker.write_text("not a directory")
+        out = blocker / "sub" / "x.csv"
+        assert cli_main(["qfi-vs-g", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert calls == []
 
     def test_partial_failure_exit_code(self, tmp_path):
         argv = [
