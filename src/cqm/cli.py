@@ -71,6 +71,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args.command, config_file=args.config,
                            overrides=args.overrides, engine=args.engine)
+        if args.jobs < 1:  # before the output directory is made
+            raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
         out_path = args.out or _default_out(cfg.experiment)
         os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
         resume = None
@@ -81,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
                     resume = previous
             except (ConfigError, ValueError):
                 resume = None  # unreadable previous output: recompute everything
-        dataset = run(cfg, jobs=args.jobs, resume=resume)  # bad jobs: before any cell
+        dataset = run(cfg, jobs=args.jobs, resume=resume)
         dataset.write_csv(out_path)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

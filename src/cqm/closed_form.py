@@ -4,9 +4,10 @@ Everything here is an explicit function of (ModelParams, t): the dynamical
 quantum Fisher information about g, the quadrature mean/derivative/variance,
 and the inverted variance with its optimal measurement times and peak values.
 Time arguments broadcast as numpy arrays, and so do couplings: a ModelParams
-whose g is a 1-D array gives one value per coupling, through the same code as
-a scalar g (t and the couplings broadcast against each other by numpy's rules,
-so t[:, None] gives a time-by-coupling grid).
+whose g is a 1-D array (and lam a number or an array paired with g) gives one
+value per coupling, through the same code as a scalar g (t and the couplings
+broadcast against each other by numpy's rules, so t[:, None] gives a
+time-by-coupling grid).
 
 Every formula reads one parametrisation, model.oscillator_frame: the
 stiffness s of (omega_bar/2)*(P^2 + s*X^2), its g-derivative ds/dg and the

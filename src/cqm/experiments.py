@@ -18,8 +18,9 @@ Adding an experiment means adding one registry entry.
 Cells are the unit of failure and of resume: a failed cell is recorded in its
 rows' status column and the run continues, and re-running onto an existing
 output with an identical config recomputes failed cells only.  Batches are the
-unit of work and of the process pool: in a closed-engine run, each run of
-cells that differ in g alone is computed as columns over its coupling array.
+unit of work and of the process pool: a closed-engine run splits its cells
+into one contiguous batch per job, each computed as columns over arrays of
+its cells' parameters; every other cell is a batch of its own.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ import hashlib
 import io
 import json
 import os
-import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NonFinite, NonPositiveData
-from .model import ModelParams, Regime, effective_oscillator
+from .model import REGIMES, ModelParams, Regime, effective_oscillator, regime_index
 from . import closed_form as cf
 from . import fock
 from . import lindblad as lb
@@ -48,6 +47,7 @@ _STATUS_OK = "ok"
 _STATUS_SATURATED = "saturated"
 _META_COLUMNS = ["cell", "status"]
 _U_T = "1/omega"
+_REGIME_LABELS = np.array([r.value for r in REGIMES])
 
 
 # ----------------------------------------------------------------------
@@ -149,10 +149,15 @@ def _compared_columns(engine: str, closed: dict, oracle: dict | None = None,
 # through _REGISTRY by experiment id)
 # ----------------------------------------------------------------------
 
-def _params(v: dict, g, lam: float) -> ModelParams:
-    """Parameters at ``lam`` and ``g``, a coupling or an array of them."""
+def _params(v: dict, g, lam) -> ModelParams:
+    """Parameters at ``lam`` and ``g``: numbers, or arrays of (lam, g) pairs."""
     return ModelParams(omega=v["omega"], Omega=v["Omega"], g=g if np.ndim(g) else float(g),
-                       lam=float(lam))
+                       lam=lam if np.ndim(lam) else float(lam))
+
+
+def _lam_g(cells: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """The (lam, g) pairs of ``cells`` as two arrays."""
+    return np.array([cell["lam"] for cell in cells]), np.array([cell["g"] for cell in cells])
 
 
 def _each_cell(one: Callable[[ExperimentConfig, dict], dict]) -> Callable:
@@ -168,22 +173,24 @@ def _each_cell(one: Callable[[ExperimentConfig, dict], dict]) -> Callable:
     return compute
 
 
-def _along_g(v: dict, lam: float, gs: np.ndarray, fill: float, f) -> tuple[dict, np.ndarray]:
-    """Columns along the couplings ``gs`` at one lam, and ``f(params)`` in one
-    array call over the couplings off the critical line; points on it are
+def _along_g(v: dict, lam: np.ndarray, gs: np.ndarray, fill: float,
+             f) -> tuple[dict, np.ndarray]:
+    """Columns at the (lam, g) pairs of ``lam`` and ``gs``, and ``f(params)``
+    in one array call over the pairs off the critical line; pairs on it are
     saturated, with the value ``fill``."""
     params = _params(v, gs, lam)
-    regimes = effective_oscillator(params).regime
-    critical = regimes == Regime.CRITICAL
+    regime = _REGIME_LABELS[regime_index(effective_oscillator(params).epsilon_g)]
+    critical = regime == Regime.CRITICAL.value
     values = np.full(len(gs), fill)
     if not critical.all():
-        values[~critical] = f(_params(v, gs[~critical], lam) if critical.any() else params)
-    return {"lam": lam, "g": gs, "t": v["t"], "regime": np.array([r.value for r in regimes]),
+        off = ~critical
+        values[off] = f(_params(v, gs[off], lam[off]) if critical.any() else params)
+    return {"lam": lam, "g": gs, "t": v["t"], "regime": regime,
             "status": np.where(critical, _STATUS_SATURATED, _STATUS_OK)}, values
 
 
-def _qfi(v: dict, lam: float, gs: np.ndarray) -> tuple[dict, np.ndarray]:
-    """Closed-form QFI along couplings at one lam, infinite on the critical line."""
+def _qfi(v: dict, lam: np.ndarray, gs: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Closed-form QFI at (lam, g) pairs, infinite on the critical line."""
     state = cf.default_initial_state(v["state_dim"])
     return _along_g(v, lam, gs, np.inf, lambda p: cf.qfi_g(p, v["t"], cf.var_n(state, p)))
 
@@ -201,18 +208,21 @@ def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> dict:
 
 
 def _qfi_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
-    cols, qfi = _qfi(cfg.values, cells[0]["lam"], np.array([cell["g"] for cell in cells]))
+    cols, qfi = _qfi(cfg.values, *_lam_g(cells))
     return {**cols, "qfi": qfi, "cell": np.arange(len(cells))}
 
 
-def _qfi_map(cfg: ExperimentConfig, cell: dict) -> dict:
-    cols, qfi = _qfi(cfg.values, cell["lam"], cfg.values["g"])
-    return {**cols, "qfi": qfi, "log10_qfi": np.log10(qfi)}
+def _qfi_map(cfg: ExperimentConfig, cells: list[dict]) -> dict:
+    """Each cell is a row of lam: its pairs with every coupling of the grid."""
+    gs, rows = cfg.values["g"], len(cells)
+    lam = np.repeat([cell["lam"] for cell in cells], len(gs))
+    cols, qfi = _qfi(cfg.values, lam, np.tile(gs, rows))
+    return {**cols, "log10_qfi": np.log10(qfi), "cell": np.repeat(np.arange(rows), len(gs))}
 
 
 def _quadrature_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
     v = cfg.values
-    lam, gs = cells[0]["lam"], np.array([cell["g"] for cell in cells])
+    lam, gs = _lam_g(cells)
     cols, x_mean = _along_g(v, lam, gs, np.nan, lambda p: cf.x_mean(p, v["t"]))
     cols["cell"] = np.arange(len(cells))
     if cfg.engine == "closed":
@@ -220,7 +230,7 @@ def _quadrature_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
     if cols["status"][0] == _STATUS_SATURATED:  # the oracle engines run one cell a batch
         return cols
     state = cf.default_initial_state(v["state_dim"])
-    series = fock.quadrature_series(_params(v, gs[0], lam), [v["t"]], psi0=state)
+    series = fock.quadrature_series(_params(v, gs[0], lam[0]), [v["t"]], psi0=state)
     return {**cols, **_compared_columns(cfg.engine, {"x_mean": x_mean},
                                         {"x_mean": series.x_mean}, series.n_cut)}
 
@@ -364,7 +374,7 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=lambda v: [{"lam": lam} for lam in v["lam"]],
         columns=lambda engine: ["lam", "g", "t", "log10_qfi"],
         units={"t": _U_T, "log10_qfi": "1"},
-        compute=_each_cell(_qfi_map),
+        compute=_qfi_map,
     ),
     "quadrature-vs-g": _Experiment(
         doc="quadrature mean vs coupling at a fixed time",
@@ -594,16 +604,29 @@ class Dataset:
 
     def write_csv(self, path: str) -> None:
         """Write through a temporary file beside ``path`` and rename it into
-        place, so a failed write leaves any earlier file at ``path`` intact."""
+        place, so a failed write leaves any earlier file at ``path`` intact.
+
+        The column line and the rows are written as their fields joined by
+        commas: the bytes csv.writer writes for fields that need no quoting.
+        A field that would need it (one holding ',', '"', '\\r' or '\\n') is
+        a ValueError, as is a row of the wrong length; a field that is not
+        text is a TypeError."""
         tmp = f"{path}.tmp"
+        lines, width = [self.columns, *self.rows], len(self.columns)
         try:
             with open(tmp, "w", newline="", encoding="utf-8") as fh:
                 meta = dict(self.metadata)
                 meta["columns"] = {c: self.units.get(c, "") for c in self.columns}
                 fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(self.columns)
-                writer.writerows(self.rows)
+                text = "\n".join(map(",".join, lines)) + "\n"
+                # lines of one width hold width - 1 commas and one newline each,
+                # so a surplus comes from a field
+                if (set(map(len, lines)) != {width} or '"' in text or "\r" in text
+                        or text.count(",") != len(lines) * (width - 1)
+                        or text.count("\n") != len(lines)):
+                    raise ValueError("a row has the wrong length, or a field holds a "
+                                     "comma, a quote or a line break")
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -629,14 +652,21 @@ class Dataset:
 
 
 def _render(column, n: int) -> list[str]:
-    """``n`` rows of a column, or of one value all rows share, as text in one
-    pass: floats to 17 digits (printf-style, format(value, ".17g") in half the
-    time), integers in full, and text as is, one string per distinct text."""
+    """``n`` rows of a column, or of one value all rows share, as text, each
+    distinct value formatted once: floats to 17 digits (printf-style,
+    format(value, ".17g") in half the time) and told apart by bit pattern,
+    so -0.0 stays "-0", integers in full, and text as is."""
     values = np.asarray(column)
     kind = values.dtype.kind
-    text = list(map("%.17g".__mod__ if kind == "f" else str if kind in "iu" else sys.intern,
-                    values.ravel().tolist()))
-    return text * n if values.ndim == 0 else text
+    fmt = "%.17g".__mod__ if kind == "f" else str
+    if values.ndim == 0:
+        return [fmt(values.item())] * n
+    if kind == "f":
+        bits, inverse = np.unique(values.astype(float).view(np.uint64), return_inverse=True)
+        distinct = bits.view(float)
+    else:
+        distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array(list(map(fmt, distinct.tolist())), dtype=object)[inverse].tolist()
 
 
 def _run_batch(args: tuple) -> list[tuple[int, list[list[str]], str | None]]:
@@ -651,8 +681,8 @@ def _run_batch(args: tuple) -> list[tuple[int, list[list[str]], str | None]]:
     cfg, indices, cells, columns = args
     try:
         cols = dict(_REGISTRY[cfg.experiment].compute(cfg, cells))
-        cell = np.asarray(indices)[cols.pop("cell")]
-        n = len(cell)
+        position = np.asarray(cols.pop("cell"))  # of each row's cell in ``cells``
+        n = len(position)
         ok = np.broadcast_to(np.asarray(cols.setdefault("status", _STATUS_OK)) == _STATUS_OK, n)
         for name, column in cols.items():
             values = np.asarray(column)
@@ -660,7 +690,8 @@ def _run_batch(args: tuple) -> list[tuple[int, list[list[str]], str | None]]:
                 raise ValueError(f"column {name} has shape {values.shape} for {n} rows")
             if values.dtype.kind == "f" and not np.isfinite(np.broadcast_to(values, n)[ok]).all():
                 raise NonFinite(f"non-finite value in an ok row of cell {indices[0]}")
-        text = [_render(cell if c == "cell" else cols.get(c, np.nan), n) for c in columns]
+        cols["cell"] = np.asarray(indices)[position]
+        text = [_render(cols.get(c, np.nan), n) for c in columns]
     except Exception as exc:  # one bad cell must not abort the run
         if len(cells) > 1:
             return [done for i, one in zip(indices, cells)
@@ -670,10 +701,10 @@ def _run_batch(args: tuple) -> list[tuple[int, list[list[str]], str | None]]:
         row.update(status=f"failed:{type(exc).__name__}", cell=indices[0])
         return [(indices[0], [[_render(row.get(c, np.nan), 1)[0] for c in columns]],
                  f"{type(exc).__name__}: {exc}")]
-    rows: dict[int, list[list[str]]] = {i: [] for i in indices}
-    for i, row in zip(cell.tolist(), zip(*text)):
-        rows[i].append(list(row))
-    return [(i, rows[i], None) for i in indices]
+    rows = list(map(list, zip(*text)))
+    rows = list(map(rows.__getitem__, np.argsort(position, kind="stable").tolist()))
+    ends = np.cumsum(np.bincount(position, minlength=len(indices))).tolist()
+    return [(i, rows[a:b], None) for i, a, b in zip(indices, [0, *ends], ends)]
 
 
 # ----------------------------------------------------------------------
@@ -685,17 +716,15 @@ def _chunksize(n_batches: int, jobs: int) -> int:
     return max(1, n_batches // (4 * jobs))
 
 
-def _batches(cfg: ExperimentConfig, cells: list[dict], todo: list[int]) -> list[list[int]]:
-    """The cells ``todo`` in batches: in a closed-engine run, each maximal run
-    of them whose cells differ in g alone; any other cell on its own."""
-    batches: list[list[int]] = []
-    for i in todo:
-        if cfg.engine == "closed" and batches and (
-                {**cells[batches[-1][-1]], "g": 0} == {**cells[i], "g": 0}):
-            batches[-1].append(i)
-        else:
-            batches.append([i])
-    return batches
+def _batches(cfg: ExperimentConfig, todo: list[int], jobs: int) -> list[list[int]]:
+    """The cells ``todo`` in batches: in a closed-engine run, ``jobs``
+    contiguous runs of them of about equal size (fewer if there are fewer
+    cells); in any other run, each cell on its own."""
+    if cfg.engine != "closed" or not todo:
+        return [[i] for i in todo]
+    n = min(jobs, len(todo))
+    bounds = [len(todo) * k // n for k in range(n + 1)]
+    return [todo[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> Dataset:
@@ -704,7 +733,8 @@ def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> 
     With ``resume`` (a previously written Dataset whose config hash matches),
     rows of cells that completed are reused verbatim and only failed cells
     are recomputed.  Batches of cells run in this process unless ``jobs`` asks
-    for more than one worker process; ``jobs`` below 1 is a ConfigError.
+    for more than one worker process, which also splits a closed-engine run
+    into ``jobs`` batches; ``jobs`` below 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -723,8 +753,10 @@ def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> 
             if idx not in failed:
                 reuse.setdefault(idx, []).append(row)
     todo = [i for i in range(len(cells)) if i not in reuse]
-    args = [(cfg, b, [cells[i] for i in b], columns) for b in _batches(cfg, cells, todo)]
+    args = [(cfg, b, [cells[i] for i in b], columns) for b in _batches(cfg, todo, jobs)]
     if jobs > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = [d for ds in pool.map(_run_batch, args, chunksize=_chunksize(len(args), jobs))
                     for d in ds]
@@ -735,8 +767,7 @@ def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> 
     rows: list[list[str]] = []
     for i in range(len(cells)):
         rows.extend(reuse.get(i, results.get(i, [])))
-    status_idx = columns.index("status")
-    n_failed = sum(1 for r in rows if r[status_idx].startswith("failed"))
+    n_failed = len(failures)  # a failed cell has one row, and resume reuses no failed row
     metadata = {
         "experiment": cfg.experiment,
         "engine": cfg.engine,

@@ -40,30 +40,39 @@ class Regime(Enum):
     SUPERRADIANT = "superradiant"
 
 
-# indexed by (epsilon_g > REGIME_TOL) * 1 + (epsilon_g >= -REGIME_TOL)
-_REGIMES = np.array([Regime.SUPERRADIANT, Regime.CRITICAL, Regime.NORMAL], dtype=object)
+#: The regimes in the order regime_index numbers them.
+REGIMES = (Regime.SUPERRADIANT, Regime.CRITICAL, Regime.NORMAL)
+_REGIMES = np.array(REGIMES, dtype=object)
+
+
+def regime_index(epsilon_g):
+    """The position in REGIMES of the regime of each stiffness epsilon_g."""
+    return (epsilon_g > REGIME_TOL) * 1 + (epsilon_g >= -REGIME_TOL)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Input parameters (omega, Omega, g, lam); validated on construction.
 
-    ``g`` may also be a 1-D array of couplings at the fixed (omega, Omega, lam):
-    it is stored as a read-only float copy and validated elementwise, and the
-    oscillator quantities below (and the closed forms built on them) then
-    hold one value per coupling.
+    ``g`` may also be a 1-D array of couplings at the fixed (omega, Omega), and
+    ``lam`` then a scalar or an array of the same shape, paired with ``g``
+    entry by entry.  Arrays are stored as read-only float copies and
+    validated elementwise, and the oscillator quantities below (and the
+    closed forms built on them) then hold one value per (lam, g) point.
     """
 
     omega: float
     Omega: float
     g: float | np.ndarray
-    lam: float = 0.0
+    lam: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if isinstance(self.g, (list, tuple, np.ndarray)):
-            g = np.array(self.g, dtype=float)
-            g.flags.writeable = False
-            object.__setattr__(self, "g", g)
+        for name in ("g", "lam"):
+            value = getattr(self, name)
+            if isinstance(value, (list, tuple, np.ndarray)):
+                value = np.array(value, dtype=float)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
         validate(self)
 
 
@@ -74,18 +83,14 @@ def validate(params: ModelParams) -> ModelParams:
     1 + 4*lam/omega > 0 keeps the squeeze parameter and omega_bar real; at the
     boundary the mode frequency collapses to zero and the model is unphysical.
     """
-    g = params.g
-    if isinstance(g, np.ndarray):
-        if g.ndim > 1:
-            raise InvalidParams("g", f"must be a number or a 1-D array, not {g.ndim}-D")
-        # checked through its extremes: a NaN reaches both, and the 0 they are
-        # taken with changes neither check (and lets an empty array pass)
-        g_low, g_high = g.min(initial=0.0), g.max(initial=0.0)
-    else:
-        g_low = g_high = g
+    g_low, g_high = _extremes("g", params.g)
+    lam_low, lam_high = _extremes("lam", params.lam)
+    if np.ndim(params.lam) and np.shape(params.lam) != np.shape(params.g):
+        raise InvalidParams("lam", f"an array of lam needs a g of the same shape, got "
+                                   f"{np.shape(params.lam)} and {np.shape(params.g)}")
     for name, value in (("omega", params.omega), ("Omega", params.Omega), ("g", g_low),
-                        ("g", g_high), ("lam", params.lam)):
-        if not math.isfinite(value):  # a TypeError for an array omega, Omega or lam
+                        ("g", g_high), ("lam", lam_low), ("lam", lam_high)):
+        if not math.isfinite(value):  # a TypeError for an array omega or Omega
             raise InvalidParams(name, f"must be finite, got {value}")
     if not params.omega > 0:
         raise InvalidParams("omega", f"must be > 0, got {params.omega}")
@@ -93,13 +98,26 @@ def validate(params: ModelParams) -> ModelParams:
         raise InvalidParams("Omega", f"must be > 0, got {params.Omega}")
     if not g_low >= 0:
         raise InvalidParams("g", f"must be >= 0, got {g_low}")
-    if not 1.0 + 4.0 * params.lam / params.omega > 0:
+    if not 1.0 + 4.0 * lam_low / params.omega > 0:
         raise InvalidParams(
             "lam",
-            f"1 + 4*lam/omega = {1.0 + 4.0 * params.lam / params.omega} "
+            f"1 + 4*lam/omega = {1.0 + 4.0 * lam_low / params.omega} "
             "must be > 0 (squeeze parameter would be complex)",
         )
     return params
+
+
+def _extremes(name: str, value) -> tuple:
+    """The smallest and largest entry of a number or a 1-D array.
+
+    An array is checked through its extremes: a NaN reaches both, and the 0
+    they are taken with changes no check of validate (and lets an empty
+    array pass)."""
+    if not isinstance(value, np.ndarray):
+        return value, value
+    if value.ndim > 1:
+        raise InvalidParams(name, f"must be a number or a 1-D array, not {value.ndim}-D")
+    return value.min(initial=0.0), value.max(initial=0.0)
 
 
 def squeeze_parameter(params: ModelParams) -> float:
@@ -161,11 +179,11 @@ class EffectiveOscillator:
                 quadrature dynamics is sqrt(epsilon)/2)
     regime    : classification of epsilon_g against REGIME_TOL
 
-    For an array of couplings, epsilon_g and epsilon are arrays and regime is
-    an object array of Regime members.
+    For an array of couplings, epsilon_g and epsilon are arrays (omega_bar too
+    when lam is one) and regime is an object array of Regime members.
     """
 
-    omega_bar: float
+    omega_bar: float | np.ndarray
     epsilon_g: float | np.ndarray
     epsilon: float | np.ndarray
     regime: Regime | np.ndarray
@@ -175,10 +193,10 @@ class EffectiveOscillator:
 def effective_oscillator(params: ModelParams) -> EffectiveOscillator:
     """Derived oscillator quantities and regime classification."""
     omega, lam, g = params.omega, params.lam, params.g
-    omega_bar = math.sqrt(omega * (omega + 4.0 * lam))
+    omega_bar = _unwrap(np.sqrt(omega * (omega + 4.0 * lam)))
     epsilon_g = 1.0 - omega * g * g / (omega + 4.0 * lam)
     epsilon = 4.0 * omega * (omega + 4.0 * lam) * epsilon_g
-    regime = _REGIMES[(epsilon_g > REGIME_TOL) * 1 + (epsilon_g >= -REGIME_TOL)]
+    regime = _REGIMES[regime_index(epsilon_g)]
     return EffectiveOscillator(omega_bar, epsilon_g, epsilon, regime)
 
 
@@ -190,7 +208,7 @@ class OscillatorFrame:
     regime the side of g_c it was built for (never CRITICAL).  Arrays of
     couplings give arrays, each point on its own side of g_c."""
 
-    omega_bar: float
+    omega_bar: float | np.ndarray
     stiffness: float | np.ndarray
     dstiffness_dg: float | np.ndarray
     epsilon: float | np.ndarray

@@ -384,6 +384,21 @@ class TestCouplingArrays:
         np.testing.assert_allclose(x_mean(p, t), [x_mean(q, t) for q in scalars],
                                    rtol=1e-15, atol=0)
 
+    def test_lam_pairs_match_scalar_calls(self):
+        # lam paired with g entry by entry, across rows of lam and both sides of g_c
+        lam = np.repeat([-0.2475, 0.0, 0.5], 3)
+        g = np.sqrt(1 + 4 * lam) * np.tile([0.4, 0.95, 1.6], 3)
+        state, t = default_initial_state(), 300.0
+        p = params(g, lam=lam)
+        points = [params(float(a), lam=float(b)) for a, b in zip(g, lam)]
+        vn = var_n(state, p)
+        np.testing.assert_allclose(vn, [var_n(state, q) for q in points], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(qfi_g(p, t, vn),
+                                   [qfi_g(q, t, var_n(state, q)) for q in points],
+                                   rtol=1e-15, atol=0)
+        np.testing.assert_allclose(x_mean(p, t), [x_mean(q, t) for q in points],
+                                   rtol=1e-15, atol=0)
+
     def test_couplings_and_their_frame_are_read_only(self):
         gs = np.array([0.2, 0.4])
         p = params(gs)

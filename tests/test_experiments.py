@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -170,7 +172,7 @@ class TestRunner:
         assert ma == mb
 
     def test_parallel_matches_serial(self):
-        # two batches each (one per lam), so the pool starts
+        # two batches each (one per job), so the pool starts
         for cfg in (tiny("qfi-vs-g"), tiny("quadrature-vs-g", lam="0,-0.2")):
             assert run(cfg, jobs=1).rows == run(cfg, jobs=2).rows
 
@@ -179,9 +181,12 @@ class TestRunner:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr("cqm.experiments.ProcessPoolExecutor", NoPool)
+        # the runner imports the pool class only when it starts one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
         assert not run(build_config("qfi-vs-g")).failed_cells
         assert cli_main(["qfi-vs-g", "--out", str(tmp_path / "q.csv")]) == 0
+        with pytest.raises(AssertionError, match="pool was started"):
+            run(tiny("qfi-vs-g"), jobs=2)  # so the patch would catch a pool
 
     def test_chunks_give_every_worker_cells(self):
         # pool tasks are batches of cells; every worker gets one
@@ -192,17 +197,16 @@ class TestRunner:
                 assert chunk >= 1
                 assert -(-n_batches // chunk) >= min(n_batches, jobs)  # number of tasks
 
-    def test_batches_are_runs_of_closed_cells_that_differ_in_g(self):
+    def test_closed_runs_split_into_one_batch_per_job(self):
         cfg = tiny("qfi-vs-g")  # 2 lam x 9 g
-        cells = _REGISTRY["qfi-vs-g"].cells(cfg.values)
-        assert _batches(cfg, cells, list(range(18))) == [list(range(9)), list(range(9, 18))]
-        assert _batches(cfg, cells, [0, 1, 4, 9, 10]) == [[0, 1, 4], [9, 10]]
+        assert _batches(cfg, list(range(18)), 1) == [list(range(18))]
+        assert _batches(cfg, list(range(18)), 2) == [list(range(9)), list(range(9, 18))]
+        assert _batches(cfg, [0, 1, 4, 9, 10], 2) == [[0, 1], [4, 9, 10]]
+        assert _batches(cfg, [3, 5], 4) == [[3], [5]]  # no empty batch
+        assert _batches(cfg, [], 2) == []
+        assert _batches(tiny("qfi-map"), [0, 1, 2], 1) == [[0, 1, 2]]
         both = tiny("quadrature-vs-g", engine="both")
-        cells = _REGISTRY["quadrature-vs-g"].cells(both.values)
-        assert _batches(both, cells, [0, 1, 2]) == [[0], [1], [2]]
-        qfi_map = tiny("qfi-map")
-        cells = _REGISTRY["qfi-map"].cells(qfi_map.values)
-        assert _batches(qfi_map, cells, [0, 1, 2]) == [[0], [1], [2]]
+        assert _batches(both, [0, 1, 2], 1) == [[0], [1], [2]]
 
     @pytest.mark.parametrize("name,over", [
         ("qfi-vs-g", {}),
@@ -211,20 +215,30 @@ class TestRunner:
         ("quadrature-vs-g", {"lam": "0,0.75", "g": "0.5,1,1.5,2,2.5"}),
         ("qfi-evolution", {}),
         ("inverted-variance", {"g": "0.9,0.1,0.9", "lam": "0,0,-0.247"}),  # one cell fails
+        ("qfi-map", {}),
     ])
     def test_batches_give_the_rows_of_cells_run_alone(self, monkeypatch, name, over):
         cfg = tiny(name, **over)
         batched = run(cfg)
-        monkeypatch.setattr("cqm.experiments._batches", lambda cfg, cells, todo: [[i] for i in todo])
+        monkeypatch.setattr("cqm.experiments._batches", lambda cfg, todo, jobs: [[i] for i in todo])
         alone = run(cfg)
-        assert batched.rows == alone.rows
         assert batched.metadata["failures"] == alone.metadata["failures"]
+        if name != "qfi-map":
+            assert batched.rows == alone.rows
+            return
+        # a qfi-map batch pairs lam arrays with g, so var_n's omega_bar**6 runs
+        # through np.power instead of libm pow, which can differ by 1 ulp
+        assert batched.str_column("status") == alone.str_column("status")
+        for column in ("lam", "g", "t", "log10_qfi", "cell"):
+            np.testing.assert_allclose(batched.column(column), alone.column(column),
+                                       rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("name,function,calls", [
-        ("qfi-vs-g", "qfi_g", 5),  # once per lam row
-        ("quadrature-vs-g", "x_mean", 3),
+    @pytest.mark.parametrize("name,function", [
+        ("qfi-vs-g", "qfi_g"),
+        ("qfi-map", "qfi_g"),
+        ("quadrature-vs-g", "x_mean"),
     ])
-    def test_coupling_sweeps_take_one_call_per_lam(self, monkeypatch, name, function, calls):
+    def test_coupling_sweeps_take_one_call_per_run(self, monkeypatch, name, function):
         import cqm.closed_form as cf
 
         seen = []
@@ -236,7 +250,7 @@ class TestRunner:
 
         monkeypatch.setattr(cf, function, counted)
         assert not run(build_config(name)).failed_cells
-        assert len(seen) == calls
+        assert len(seen) == 1
 
     def test_critical_points_in_a_row_saturate(self):
         # g_c = 1 at lam = 0 and g_c = 2 at lam = 0.75, both exact in float64
@@ -327,7 +341,7 @@ class TestRunner:
         ("short_text", "failed:ValueError"),
     ])
     def test_a_fault_inside_a_batch_fails_its_cell_alone(self, monkeypatch, fault, status):
-        cfg = tiny("qfi-vs-g")  # batches: cells 0-8 at lam = 0, cells 9-17 at lam = -0.2
+        cfg = tiny("qfi-vs-g")  # one batch: cells 0-8 at lam = 0, cells 9-17 at lam = -0.2
         clean = run(cfg)
         _break_cell(monkeypatch, cfg, 4, fault)
         ds = run(cfg)
@@ -453,24 +467,65 @@ class TestRunner:
         assert rendered in text
 
     def test_columns_render_as_17_digit_text(self):
-        floats = [0.1, -0.0, 1e-310, 2.0**60, np.inf, -np.inf, np.nan, 1 / 3]
+        floats = [0.1, -0.0, 0.0, 1e-310, 2.0**60, np.inf, -np.inf, np.nan, 1 / 3, 0.0, -0.0]
         assert _render(np.array(floats), len(floats)) == [format(x, ".17g") for x in floats]
         assert _render(np.float64(0.1), 2) == ["0.10000000000000001"] * 2
         assert _render(np.array([3, -7, 2**60]), 3) == ["3", "-7", "1152921504606846976"]
         assert _render(4096, 1) == ["4096"]
         assert _render(np.array(["ok", "saturated"]), 2) == ["ok", "saturated"]
 
+    def test_written_bytes_equal_csv_writer_output(self, tmp_path):
+        # every kind of field the runner writes
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 0.1, 1e-310])
+        n = len(floats)
+        statuses = ["ok", "saturated", "failed:RegimeError", "ok", "ok", "saturated", "ok"]
+        regimes = ["normal", "critical", "superradiant"] * 2 + ["normal"]
+        columns = ["x", "regime", "n_cut", "cell", "status"]
+        text = [_render(floats, n), _render(np.array(regimes), n),
+                _render(np.array([64, 4096, 1, 0, 2, 3, 2**60]), n),
+                _render(np.arange(n), n), _render(np.array(statuses), n)]
+        rows = [list(row) for row in zip(*text)]
+        assert {"nan", "inf", "-inf", "-0", "0"} <= set(text[0])
+        ds = Dataset(columns, {"x": "1"}, rows, {"experiment": "bytes"})
+        path = tmp_path / "out.csv"
+        ds.write_csv(str(path))
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([columns] + rows)
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert header.startswith(b"# {")
+        assert body == expected.getvalue().encode()
+        assert Dataset.read_csv(str(path)).rows == rows
+
+    @pytest.mark.parametrize("field", ["a,b", 'say "hi"', "two\nlines", "cr\r", None])
+    def test_field_that_needs_quotes_fails_the_write(self, tmp_path, field):
+        ds = run(tiny("qfi-evolution"), jobs=1)
+        path = tmp_path / "out.csv"
+        ds.write_csv(str(path))
+        before = path.read_bytes()
+        rows = [list(row) for row in ds.rows]
+        if field is None:  # a row one field short whose last field holds the lost comma
+            rows[1][-2:] = [",".join(rows[1][-2:])]
+        else:
+            rows[1][ds.columns.index("status")] = field
+        with pytest.raises(ValueError):
+            Dataset(ds.columns, ds.units, rows, ds.metadata).write_csv(str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         class Unprintable:
             def __str__(self):
-                raise RuntimeError("disk full")
+                raise RuntimeError("never called")
 
         ds = run(tiny("qfi-evolution"), jobs=1)
         path = tmp_path / "out.csv"
         ds.write_csv(str(path))
         before = path.read_bytes()
-        broken = Dataset(ds.columns, ds.units, ds.rows + [[Unprintable()]], ds.metadata)
-        with pytest.raises(RuntimeError):
+        # lines are joined text, so a field that is not text fails the write
+        # with the temporary file open, and is never passed to str()
+        broken = Dataset(ds.columns, ds.units,
+                         ds.rows + [[Unprintable()] * len(ds.columns)], ds.metadata)
+        with pytest.raises(TypeError):
             broken.write_csv(str(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
@@ -485,7 +540,7 @@ def _break_cell(monkeypatch, cfg, index, fault):
 
     def compute(cfg, cells):
         cols = entry.compute(cfg, cells)
-        hit = (cols["g"] == g) & (cells[0]["lam"] == lam)
+        hit = (cols["g"] == g) & (cols["lam"] == lam)
         if hit.any() and fault == "raise":
             raise ArithmeticError(f"no value at g = {g}")
         if fault == "nan":
@@ -542,6 +597,12 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert cli_main(["qfi-evolution", "--jobs", str(jobs), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_rejected_jobs_make_no_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "new_dir" / "x.csv"
+        assert cli_main(["qfi-evolution", "--jobs", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
+        assert not out.parent.exists()
 
     def test_uncreatable_output_directory_fails_before_any_cell(
             self, tmp_path, monkeypatch, capsys):

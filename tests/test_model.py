@@ -235,3 +235,51 @@ class TestOscillatorFrame:
         fd = (oscillator_frame(params(g + h, lam=lam)).stiffness
               - oscillator_frame(params(g - h, lam=lam)).stiffness) / (2 * h)
         assert oscillator_frame(params(g, lam=lam)).dstiffness_dg == pytest.approx(fd, rel=1e-7)
+
+
+class TestLamArrays:
+    """lam as a 1-D array, paired entry by entry with an array of couplings."""
+
+    @pytest.mark.parametrize("lam,g", [
+        ([0.1, np.nan], [0.2, 0.3]),
+        ([0.1, np.inf], [0.2, 0.3]),
+        ([-np.inf, 0.1], [0.2, 0.3]),
+        ([0.1, -0.25], [0.2, 0.3]),  # 1 + 4*lam/omega == 0
+        ([-0.3, 0.1], [0.2, 0.3]),  # 1 + 4*lam/omega < 0
+        ([[0.1, 0.2]], [0.2, 0.3]),  # 2-D
+        ([0.1, 0.2, 0.3], [0.2, 0.3]),  # shape differs from g's
+        ([0.1, 0.2], 0.3),  # an array of lam needs an array of g
+    ])
+    def test_bad_lam_arrays_raise(self, lam, g):
+        with pytest.raises(InvalidParams) as err:
+            params(g, lam=lam)
+        assert err.value.field == "lam"
+
+    def test_pairs_match_scalar_calls(self):
+        # four lam rows, each with couplings on both sides of its g_c
+        lam = np.repeat([-0.2475, -0.1, 0.0, 0.5], 4)
+        g = np.sqrt(1 + 4 * lam) * np.tile([0.3, 0.9, 1.1, 2.0], 4)
+        p = params(g, lam=lam)
+        points = [params(float(a), lam=float(b)) for a, b in zip(g, lam)]
+        for derive, fields in ((effective_oscillator, ("omega_bar", "epsilon_g", "epsilon")),
+                               (oscillator_frame, ("omega_bar", "stiffness", "dstiffness_dg",
+                                                   "epsilon"))):
+            for field in fields:
+                np.testing.assert_allclose(getattr(derive(p), field),
+                                           [getattr(derive(q), field) for q in points],
+                                           rtol=1e-15, atol=0)
+            assert list(derive(p).regime) == [derive(q).regime for q in points]
+
+    def test_lam_is_a_read_only_copy(self):
+        lam = np.array([0.1, -0.2])
+        p = params([0.2, 0.3], lam=lam)
+        lam[0] = 5.0
+        assert p.lam.tolist() == [0.1, -0.2]
+        assert not p.lam.flags.writeable
+
+    def test_scalar_calls_return_python_floats(self):
+        p = params(0.3, lam=-0.2)
+        eff, frame = effective_oscillator(p), oscillator_frame(p)
+        for value in (eff.omega_bar, eff.epsilon_g, eff.epsilon, frame.omega_bar,
+                      frame.stiffness, frame.dstiffness_dg, frame.epsilon):
+            assert type(value) is float
