@@ -12,6 +12,7 @@ CQM_OUT_DIR (default '.') is the output root when --out is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -23,7 +24,10 @@ EXIT_BAD_CONFIG = 2
 EXIT_PARTIAL_FAILURE = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged
+    (--set appends to a fresh copy of its default list)."""
     parser = argparse.ArgumentParser(
         prog="cqm",
         description="Regenerate the critical-metrology experiment datasets.",

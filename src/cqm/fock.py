@@ -6,10 +6,12 @@ Hamiltonian as one block over spin-major amplitudes (plain arrays,
 |down> (x) boson from spin_down_state), and the effective low-energy
 oscillator as its two parity blocks (it couples n only to n and n+-2, so
 the even and odd Fock indices form two real tridiagonal blocks).  A dense
-matrix exists only inside HermitianOperator.eig(), one block at a time for
-its eigh.  States are evolved by eigendecomposition of each block (exactly
-unitary at any time; a state of the wrong length or norm is rejected
-before any decomposition), and the module
+matrix exists only while one block is decomposed, for LAPACK: eigh, or
+for a tridiagonal block of TRIDIAGONAL_MIN rows or more eigvalsh alone,
+the vectors then found by inverse iteration and certified (eigh again if
+the certificate fails).  States are evolved by eigendecomposition of each
+block (exactly unitary at any time; a state of the wrong length or norm is
+rejected before any decomposition), and the module
 computes the quantum Fisher information two independent ways:
 a fidelity finite difference and the spectral integral of the evolution
 generator.  It also measures how far finite-frequency (Omega/omega = eta)
@@ -17,7 +19,9 @@ dynamics sits from the low-frequency closed forms.
 
 The effective oscillator takes d<X>_t/dg exactly (Duhamel) from the kernel
 of its generator QFI, so one decomposition per cutoff level serves every
-observable; the joint builders still take a five-point stencil in g.
+observable; at the large cutoffs that decomposition is first only of the
+modes the state and its generator reach.  The joint builders still take a
+five-point stencil in g.
 
 Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
 until the requested observables stop moving (relative test, with an
@@ -61,6 +65,21 @@ TAIL_FRACTION = 0.1
 LEAK_TOL = 1e-8
 
 SPIN_DOWN, SPIN_UP = 0, 1  # block order inside joint vectors
+
+#: Smallest tridiagonal block (rows) decomposed as eigvalsh plus inverse
+#: iteration instead of eigh.  On the effective oscillator's blocks at
+#: eps_g = 0.0199 (2 vCPUs, BLAS default, best of 5): at 1024 rows eigh
+#: takes 0.26 s, eigvalsh 0.10 s and all 1024 vectors 0.04 s; at 512 rows
+#: 0.055 s against 0.019 + 0.022 s, a saving under 0.02 s a block.
+TRIDIAGONAL_MIN = 1024
+#: _effective_level first finds only the lowest m // LOW_MODES modes of such a
+#: block: at that point and n_cut 2048 the default state puts weight above
+#: 1e-16 on the lowest 59 and 66 of its two blocks' 1024 modes, and a
+#: quarter (256) also holds what dH/dg reaches from them.
+LOW_MODES = 4
+#: Largest residual over eigenvalue gap (Davis-Kahan) an eigenvector found by
+#: inverse iteration may have; a block past it is decomposed by eigh.
+CERTIFY_TOL = 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +127,11 @@ class HermitianOperator:
     acting on the basis states ``indices`` (a slice) as the m x m block whose
     k-th super- and subdiagonal are ``diagonals[k]``, of length m - k (the
     main diagonal, k = 0, sets m).  ``dim`` is n_cut for boson-only
-    operators, 2*n_cut on the joint space.  A dense block exists only inside
-    eig(), which fills, decomposes and drops one block before the next.
+    operators, 2*n_cut on the joint space.  A dense block exists only while
+    one block is decomposed (eig(), or _effective_level's state-aware
+    decomposition), filled for LAPACK and dropped before the next block: for
+    eigh, or for a tridiagonal block of TRIDIAGONAL_MIN rows or more for
+    eigvalsh alone, its vectors then found by inverse iteration.
     """
 
     def __init__(self, blocks: list[tuple[slice, dict[int, np.ndarray]]]):
@@ -121,8 +143,7 @@ class HermitianOperator:
         """(indices, energies, vectors) of each block, ascending energies
         within a block; computed once, then cached."""
         if self._eig is None:
-            self._eig = [(idx, *np.linalg.eigh(_dense(diagonals)))
-                         for idx, diagonals in self.blocks]
+            self._eig = [(idx, *_block_eig(diagonals)) for idx, diagonals in self.blocks]
         return self._eig
 
 
@@ -155,6 +176,84 @@ def _dense(diagonals: dict[int, np.ndarray]) -> np.ndarray:
         np.fill_diagonal(h[:, k:], values)
         np.fill_diagonal(h[k:], values)
     return h
+
+
+def _tridiagonal(diagonals: dict[int, np.ndarray]) -> bool:
+    """Whether a (checked) block is tridiagonal and large enough for
+    eigvalsh plus inverse iteration."""
+    return diagonals.keys() == {0, 1} and len(diagonals[0]) >= TRIDIAGONAL_MIN
+
+
+def _block_eig(diagonals: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(energies, vectors) of one block: eigh, or for a large tridiagonal
+    block eigvalsh's energies with every vector by inverse iteration."""
+    if not _tridiagonal(diagonals):
+        return np.linalg.eigh(_dense(diagonals))
+    return _completed(diagonals, np.linalg.eigvalsh(_dense(diagonals)),
+                      np.empty((len(diagonals[0]), 0)))
+
+
+def _completed(diagonals: dict[int, np.ndarray], energies: np.ndarray,
+               low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All of a tridiagonal block's modes: the vectors ``low`` of its lowest
+    energies, then the rest by inverse iteration; eigh instead if any vector
+    fails the Davis-Kahan certificate."""
+    d, e = diagonals[0], diagonals[1]
+    vectors = np.hstack((low, _inverse_iteration(d, e, energies[low.shape[1]:])))
+    if _certified(d, e, energies, vectors):
+        return energies, vectors
+    return np.linalg.eigh(_dense(diagonals))
+
+
+def _inverse_iteration(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors (m, len(shifts)) of the symmetric tridiagonal T with
+    diagonal ``d`` and superdiagonal ``e`` at its eigenvalues ``shifts``.
+
+    Two sweeps of inverse iteration from one fixed start vector, each one
+    Thomas solve of (T - shift) x = b, row by row and vectorized over the
+    shifts; a pivot below eps*||T|| becomes eps*||T|| with its sign, since
+    a shift that is an eigenvalue makes T - shift singular to rounding
+    (Demmel, Applied Numerical Linear Algebra, SIAM 1997, section 5.3.4).
+    Nothing checks the result: _certified does."""
+    m, shifts = len(d), np.asarray(shifts, dtype=float)
+    tiny = np.finfo(float).eps * (np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
+    inv = np.empty((m, len(shifts)))  # 1/pivot of each row, per shift
+    row = np.empty(len(shifts))
+    for i in range(m):
+        np.subtract(d[i], shifts, out=row)
+        if i:
+            row -= e[i - 1] * e[i - 1] * inv[i - 1]
+        np.copysign(np.maximum(np.abs(row), tiny), row, out=row)
+        np.divide(1.0, row, out=inv[i])
+    x = np.empty_like(inv)
+    x[:] = np.random.default_rng(0).uniform(-1.0, 1.0, m)[:, None]
+    for _ in range(2):
+        for i in range(1, m):  # L y = b, L unit lower with e[i-1]/pivot[i-1]
+            np.multiply(inv[i - 1], e[i - 1], out=row)
+            row *= x[i - 1]
+            x[i] -= row
+        x[-1] *= inv[-1]
+        for i in range(m - 2, -1, -1):  # U x = y, U with the pivots and e
+            np.multiply(x[i + 1], e[i], out=row)
+            x[i] -= row
+            x[i] *= inv[i]
+        x /= np.linalg.norm(x, axis=0)
+    return x
+
+
+def _certified(d: np.ndarray, e: np.ndarray, energies: np.ndarray,
+               vectors: np.ndarray) -> bool:
+    """Whether the vectors of the lowest len(vectors.T) ``energies`` of the
+    tridiagonal (d, e) are eigenvectors to CERTIFY_TOL: each residual
+    ||T v - E v|| over E's gap to its neighbours in ``energies`` bounds the
+    sine of v's angle to the true eigenvector (Davis-Kahan), so it bounds
+    the loss of orthogonality too."""
+    k = vectors.shape[1]
+    steps = np.diff(energies)
+    gaps = np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))[:k]
+    residual = _band_apply(d, e, vectors)
+    residual -= energies[:k] * vectors
+    return bool((np.linalg.norm(residual, axis=0) <= CERTIFY_TOL * gaps).all())
 
 
 def spin_down_state(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
@@ -439,13 +538,53 @@ def _effective_level(params: ModelParams, ts: np.ndarray, psi0: BosonInitialStat
     frame = oscillator_frame(params)
     dh = tuple(0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
     amps0 = _state(_pad(psi0, n_cut), n_cut)
-    psi, hpsi = _propagate(build_effective_hamiltonian(params, n_cut).eig(), amps0, ts, dh)
+    modes = _reached_modes(build_effective_hamiltonian(params, n_cut), amps0, dh)
+    psi, hpsi = _propagate(modes, amps0, ts, dh)
     mean, second = _x_moments(psi, n_cut)
     x_hpsi = _band_apply(np.zeros(n_cut), _x_band(n_cut), hpsi)
     deriv = 2.0 * frame.dstiffness_dg * np.imag(psi.conj() * x_hpsi).sum(axis=0)
     h_mean = np.real(psi.conj() * hpsi).sum(axis=0)
     qfi = 4.0 * frame.dstiffness_dg**2 * ((np.abs(hpsi) ** 2).sum(axis=0) - h_mean**2)
     return _tail_mass(psi, n_cut), np.array([mean, second, deriv, qfi])
+
+
+def _reached_modes(op: HermitianOperator, amps0: np.ndarray, dh) -> list:
+    """The block decompositions _propagate needs for ``amps0`` and the
+    generator bands ``dh``: op.eig() unless a block is large and
+    tridiagonal.  Such a block gets eigvalsh's energies and first only its
+    lowest m // LOW_MODES vectors, kept alone when they hold the state, close
+    under dH (_closes) and pass the certificate; otherwise the remaining
+    modes complete them.  Nothing is cached on ``op``."""
+    if not any(_tridiagonal(diagonals) for _, diagonals in op.blocks):
+        return op.eig()
+    modes = []
+    for idx, diagonals in op.blocks:
+        if not _tridiagonal(diagonals):
+            modes.append((idx, *_block_eig(diagonals)))
+            continue
+        d, e = diagonals[0], diagonals[1]
+        energies = np.linalg.eigvalsh(_dense(diagonals))
+        low = _inverse_iteration(d, e, energies[:len(d) // LOW_MODES])
+        if (_closes(low, amps0[idx], dh[0][idx], dh[1][idx])
+                and _certified(d, e, energies, low)):
+            modes.append((idx, energies[:low.shape[1]], low))
+        else:
+            modes.append((idx, *_completed(diagonals, energies, low)))
+    return modes
+
+
+def _closes(vectors: np.ndarray, amps: np.ndarray, dh_diag: np.ndarray,
+            dh_sup: np.ndarray) -> bool:
+    """Whether the orthonormal modes V = ``vectors`` hold the state a =
+    ``amps``, ||a - V V^T a|| <= 1e-12, and close under the tridiagonal dH
+    on it: sum_k |c_k| ||(1 - V V^T) dH v_k|| <= 1e-10 ||dH V c||, c = V^T a."""
+    coeffs = _real_matmul(vectors.T, amps)
+    if np.linalg.norm(amps - _real_matmul(vectors, coeffs)) > 1e-12:
+        return False
+    moved = _band_apply(dh_diag, dh_sup, vectors)  # dH v_k
+    outside = moved - vectors @ (vectors.T @ moved)  # (1 - V V^T) dH v_k
+    return bool(np.abs(coeffs) @ np.linalg.norm(outside, axis=0)
+                <= 1e-10 * np.linalg.norm(_real_matmul(moved, coeffs)))
 
 
 def _leak_checked(level: Callable[[int], tuple[float, np.ndarray]]):

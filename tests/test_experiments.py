@@ -23,6 +23,7 @@ from cqm import (
     fit_loglog_slope,
     run,
 )
+from cqm import cli
 from cqm.cli import main as cli_main
 from cqm.experiments import _REGISTRY, _batches, _chunksize, _column_units, _render
 from cqm.model import ModelParams
@@ -623,6 +624,26 @@ class TestCli:
             "--set", "g=0.9,0.9", "--set", "lam=0,-0.247", "--set", "t_per=0:2:20",
         ]
         assert cli_main(argv) == 3
+
+    def test_parser_is_built_once_and_carries_nothing_between_calls(
+            self, tmp_path, monkeypatch, capsys):
+        seen = []
+
+        def recorded(cfg, jobs, resume):
+            seen.append((cfg.values["g"].tolist(), jobs))
+            return run(cfg, jobs=jobs, resume=resume)
+
+        monkeypatch.setattr(cli, "run", recorded)
+        argv = ["qfi-evolution", "--no-resume", "--out", str(tmp_path / "x.csv"),
+                "--set", "t=0:10:4"]
+        assert cli_main(argv + ["--set", "g=0.098"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["qfi-evolution", "--jobs", "two"])
+        assert exc.value.code == 2
+        assert cli_main(argv + ["--jobs", "0", "--set", "g=0.097"]) == 2
+        assert cli_main(argv + ["--set", "g=0.099,0.096"]) == 0
+        assert seen == [([0.098], 1), ([0.099, 0.096], 1)]
+        assert cli._build_parser() is cli._build_parser()
 
     def test_list_and_reference(self, capsys):
         assert cli_main(["list"]) == 0

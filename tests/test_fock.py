@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cqm import (
+    BosonInitialState,
     CutoffNotConverged,
     InvalidParams,
     ModelParams,
@@ -32,10 +33,13 @@ from cqm import (
     x_mean,
     x_variance,
 )
+from cqm import fock
 from cqm.fock import (
     HermitianOperator,
     _band_apply,
     _dense,
+    _effective_level,
+    _inverse_iteration,
     _squared_bands,
     _x_band,
     _x_moments,
@@ -502,6 +506,22 @@ class TestQfiMethods:
             tracemalloc.stop()
         assert peak <= 6 * 8 * (n_cut // 2) ** 2
 
+    def test_first_stage_level_peaks_below_two_blocks(self, monkeypatch):
+        # at n_cut 2048 both blocks take eigvalsh plus the lowest quarter of
+        # their vectors: the one dense block alive (for eigvalsh) and the
+        # low modes peak at 1.85 (n_cut/2)^2 float blocks, against 4.6 with
+        # eigh and its full eigenvectors
+        p, n_cut = params(0.099, lam=-0.2475), 2048
+        ts = np.linspace(0.0, 1000.0, 16)
+        monkeypatch.setattr(fock, "_completed", None)  # the first stage must hold
+        tracemalloc.start()
+        try:
+            generator_qfi_grid(p, ts, n_cut=n_cut)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * (n_cut // 2) ** 2
+
     def test_generator_regime_guard(self):
         with pytest.raises(RegimeError):
             generator_qfi_grid(params(1.2), [1.0])
@@ -558,6 +578,90 @@ class TestExactDerivative:
     def test_ratio_oracle_regime_guard(self):
         with pytest.raises(RegimeError):
             ratio_oracle(params(1.2), [1.0])
+
+
+class TestTridiagonalSolver:
+    """eigvalsh plus inverse iteration, on blocks made small by lowering
+    TRIDIAGONAL_MIN."""
+
+    @pytest.fixture(autouse=True)
+    def small_floor(self, monkeypatch):
+        monkeypatch.setattr(fock, "TRIDIAGONAL_MIN", 32)
+
+    @pytest.fixture
+    def completions(self, monkeypatch):
+        calls = []
+        completed = fock._completed
+
+        def counted(diagonals, energies, low):
+            calls.append(low.shape[1])
+            return completed(diagonals, energies, low)
+
+        monkeypatch.setattr(fock, "_completed", counted)
+        return calls
+
+    @staticmethod
+    def eigh_rows(monkeypatch, p, ts, psi0, n_cut):
+        with monkeypatch.context() as m:
+            m.setattr(fock, "TRIDIAGONAL_MIN", 10**9)
+            return _effective_level(p, ts, psi0, n_cut)
+
+    @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 256), (0.099, -0.2475, 512),
+                                               (1.2, 0.1, 128)])
+    def test_inverse_iteration_matches_eigh(self, g, lam, n_cut):
+        for _, diagonals in build_effective_hamiltonian(params(g, lam=lam), n_cut).blocks:
+            d, e = diagonals[0], diagonals[1]
+            energies, vectors = np.linalg.eigh(_dense(diagonals))
+            shifts = np.linalg.eigvalsh(_dense(diagonals))
+            norm = np.abs(d).max() + 2.0 * np.abs(e).max()
+            assert np.abs(shifts - energies).max() <= 1e-14 * norm
+            found = _inverse_iteration(d, e, shifts)
+            assert np.abs(np.abs((vectors * found).sum(axis=0)) - 1.0).max() <= 1e-12
+            assert np.abs(found.T @ found - np.eye(len(d))).max() <= 1e-10
+
+    def test_eig_decomposes_large_tridiagonal_blocks_by_inverse_iteration(self, monkeypatch):
+        op = build_effective_hamiltonian(params(0.9), 128)
+        monkeypatch.setattr(np.linalg, "eigh", None)  # never reached
+        for (_, diagonals), (_, energies, vectors) in zip(op.blocks, op.eig()):
+            assert np.array_equal(energies, np.linalg.eigvalsh(_dense(diagonals)))
+            assert vectors.shape == (64, 64)
+            assert np.abs(_band_apply(diagonals[0], diagonals[1], vectors)
+                          - energies * vectors).max() <= 1e-12
+
+    @pytest.mark.parametrize("spread", [False, True])
+    def test_both_stages_match_the_eigh_path(self, monkeypatch, completions, spread):
+        # the default state sits in the lowest quarter of the modes; a state
+        # over the whole block needs the completion stage
+        p, n_cut = params(0.9), 256
+        ts = np.array([0.0, 1.3, 7.0, 40.0])
+        psi0 = default_initial_state(n_cut)
+        if spread:
+            amps = np.random.default_rng(5).normal(size=n_cut) + 1j
+            psi0 = BosonInitialState(amps / np.linalg.norm(amps))
+        tail, rows = _effective_level(p, ts, psi0, n_cut)
+        assert completions == ([n_cut // 8] * 2 if spread else [])
+        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, psi0, n_cut)
+        scale = np.abs(reference).max(axis=1)
+        assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
+        assert abs(tail - ref_tail) <= 1e-12
+
+    def test_certificate_failure_falls_back_to_eigh(self, monkeypatch, completions):
+        p, n_cut = params(0.9), 256
+        ts, psi0 = np.array([1.3, 7.0]), default_initial_state()
+        monkeypatch.setattr(fock, "CERTIFY_TOL", 0.0)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+        _, rows = _effective_level(p, ts, psi0, n_cut)
+        assert completions == [n_cut // 8] * 2
+        assert calls == [n_cut // 2] * 2
+        assert np.array_equal(rows, self.eigh_rows(monkeypatch, p, ts, psi0, n_cut)[1])
+
+    def test_repeated_levels_are_bit_identical(self):
+        p, ts = params(0.099, lam=-0.2475), np.array([10.0, 300.0])
+        first, second = (_effective_level(p, ts, default_initial_state(), 256)
+                         for _ in range(2))
+        assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
 
 class TestReciprocalRelation:

@@ -118,6 +118,33 @@ class TestCriticalCoupling:
         assert abs(critical_coupling(params(0.0, lam=lam)) - g) <= 1e-12
 
 
+class TestArrayLam:
+    def test_paired_arrays_are_accepted(self):
+        p = ModelParams(1.0, 1e4, [0.2, 0.3], [0.1, -0.2])
+        for fn in (critical_coupling, squeeze_parameter):
+            got = fn(p)
+            assert isinstance(got, np.ndarray) and got.shape == (2,)
+            assert got.tolist() == [fn(params(g, lam=lam)) for g, lam in ((0.2, 0.1), (0.3, -0.2))]
+
+    def test_scalar_calls_return_python_floats(self):
+        for fn in (critical_coupling, squeeze_parameter):
+            assert type(fn(params(0.5, lam=0.1))) is float
+            assert type(fn(params(0.5, lam=np.float64(0.1)))) is float
+
+    def test_every_entry_equals_math_bit_for_bit(self):
+        # np.sqrt rounds as math.sqrt does; np.log1p does not always
+        # (it differs by an ulp on about 2% of arguments), so the squeeze
+        # parameter keeps math.log1p for every entry
+        rng = np.random.default_rng(3)
+        lams = np.concatenate((rng.uniform(-0.2499, 3.0, 9_000),
+                               rng.uniform(-1e-4, 1e-4, 1_000)))
+        p = ModelParams(1.0, 1e4, np.zeros_like(lams), lams)
+        gcs, rs = critical_coupling(p), squeeze_parameter(p)
+        for lam, gc, r in zip(lams.tolist(), gcs.tolist(), rs.tolist()):
+            assert gc == math.sqrt(1.0 + 4.0 * lam) == critical_coupling(params(0.0, lam=lam))
+            assert r == 0.25 * math.log1p(4.0 * lam) == squeeze_parameter(params(0.0, lam=lam))
+
+
 class TestEffectiveOscillator:
     def test_plain_normal_point(self):
         eff = effective_oscillator(params(0.9))
