@@ -93,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    failed = len(dataset.failed_cells)
+    failed = dataset.metadata["cells_failed_now"]  # resume reuses no failed row
     computed = dataset.metadata["cells_computed"]
     total = dataset.metadata["cells_total"]
     print(

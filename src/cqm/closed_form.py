@@ -29,7 +29,6 @@ effective oscillator.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +49,8 @@ _SERIES_CUT = 1e-4
 class BosonInitialState:
     """Complex amplitudes over the Fock basis |0..n_max>, normalized to 1.
 
-    The state keeps a read-only copy of the amplitudes it is given, so the
-    covariance it caches cannot go stale when the caller's array changes.
+    The state keeps a read-only copy of the amplitudes it is given, so a
+    later write to the caller's array cannot undo the norm check.
     """
 
     amplitudes: np.ndarray
@@ -68,7 +67,6 @@ class BosonInitialState:
     def n_max(self) -> int:
         return len(self.amplitudes) - 1
 
-    @functools.cached_property
     def _covariance(self) -> np.ndarray:
         """Symmetrized 2x2 covariance of N + 1/2 and (a^2 + a^dag^2)/2.
 
@@ -83,22 +81,18 @@ class BosonInitialState:
         squeeze[2:] += 0.5 * root * amps[:-2]
         ops = np.stack([(n + 0.5) * amps, squeeze])
         means = np.real(ops @ amps.conj())
-        cov = np.real(ops.conj() @ ops.T) - np.outer(means, means)
-        cov.flags.writeable = False  # shared by every caller of a memoized state
-        return cov
+        return np.real(ops.conj() @ ops.T) - np.outer(means, means)
 
     def generator_variance(self, stiffness):
         """Var[P^2 - stiffness*X^2] over the state, v.C.v with
         v = (1 - stiffness, -(1 + stiffness)) and C the covariance above; one
         value per entry of a 1-D array ``stiffness``."""
         v = np.array([np.subtract(1.0, stiffness), -np.add(1.0, stiffness)]).T
-        return _unwrap((v[..., None, :] @ self._covariance @ v[..., :, None])[..., 0, 0])
+        return _unwrap((v[..., None, :] @ self._covariance() @ v[..., :, None])[..., 0, 0])
 
 
-@functools.cache
 def default_initial_state(dim: int = 6) -> BosonInitialState:
-    """The reference state (|0> + i|1>)/sqrt(2), zero-padded to ``dim``; one
-    shared (read-only) instance per ``dim``."""
+    """The reference state (|0> + i|1>)/sqrt(2), zero-padded to ``dim``."""
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0 / np.sqrt(2.0)
     amps[1] = 1.0j / np.sqrt(2.0)

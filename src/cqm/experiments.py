@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NonFinite, NonPositiveData
-from .model import REGIMES, ModelParams, Regime, effective_oscillator, regime_index
+from .model import REGIMES, ModelParams, Regime, _regime_index, effective_oscillator
 from . import closed_form as cf
 from . import fock
 from . import lindblad as lb
@@ -179,7 +179,7 @@ def _along_g(v: dict, lam: np.ndarray, gs: np.ndarray, fill: float,
     in one array call over the pairs off the critical line; pairs on it are
     saturated, with the value ``fill``."""
     params = _params(v, gs, lam)
-    regime = _REGIME_LABELS[regime_index(effective_oscillator(params).epsilon_g)]
+    regime = _REGIME_LABELS[_regime_index(effective_oscillator(params).epsilon_g)]
     critical = regime == Regime.CRITICAL.value
     values = np.full(len(gs), fill)
     if not critical.all():

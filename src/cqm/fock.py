@@ -137,14 +137,11 @@ class HermitianOperator:
     def __init__(self, blocks: list[tuple[slice, dict[int, np.ndarray]]]):
         self.blocks = [(idx, _checked_diagonals(diagonals)) for idx, diagonals in blocks]
         self.dim = sum(len(diagonals[0]) for _, diagonals in self.blocks)
-        self._eig: list[tuple[slice, np.ndarray, np.ndarray]] | None = None
 
     def eig(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
         """(indices, energies, vectors) of each block, ascending energies
-        within a block; computed once, then cached."""
-        if self._eig is None:
-            self._eig = [(idx, *_block_eig(diagonals)) for idx, diagonals in self.blocks]
-        return self._eig
+        within a block."""
+        return [(idx, *_block_eig(diagonals)) for idx, diagonals in self.blocks]
 
 
 def _checked_diagonals(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -554,7 +551,7 @@ def _reached_modes(op: HermitianOperator, amps0: np.ndarray, dh) -> list:
     tridiagonal.  Such a block gets eigvalsh's energies and first only its
     lowest m // LOW_MODES vectors, kept alone when they hold the state, close
     under dH (_closes) and pass the certificate; otherwise the remaining
-    modes complete them.  Nothing is cached on ``op``."""
+    modes complete them."""
     if not any(_tridiagonal(diagonals) for _, diagonals in op.blocks):
         return op.eig()
     modes = []
@@ -780,8 +777,10 @@ def verify_reciprocal_relation(params: ModelParams, n_cut: int) -> float:
 
         [H_eff, Lambda] = sqrt(epsilon)*Lambda,
         Lambda = i*sqrt(epsilon)*M - N,
-        M = -i*[H0, H1],  N = -[H_eff, [H0, H1]].
+        M = -i*[H0, H1],  N = -[H_eff, [H0, H1]],
 
+    so Lambda = sqrt(epsilon)*[H0, H1] + [H_eff, [H0, H1]]; with
+    H0 = (omega_bar/2)*P^2 = -(omega_bar/2)*Im(P)^2 every operator is real.
     The identity is exact in the untruncated algebra; truncation corrupts the
     top rows, so the residual is evaluated on the lowest 80% of Fock indices.
     """
@@ -789,13 +788,11 @@ def verify_reciprocal_relation(params: ModelParams, n_cut: int) -> float:
     if eff.regime is not Regime.NORMAL:
         raise RegimeError("reciprocal relation is checked in the normal regime")
     x, p = quadratures(n_cut)
-    h0 = 0.5 * eff.omega_bar * (p @ p)
-    h1 = 0.5 * eff.omega_bar * (x @ x).astype(complex)
+    h0 = -0.5 * eff.omega_bar * (p.imag @ p.imag)
+    h1 = 0.5 * eff.omega_bar * (x @ x)
     hz = h0 + eff.epsilon_g * h1
     comm01 = h0 @ h1 - h1 @ h0
-    m_op = -1j * comm01
-    n_op = -(hz @ comm01 - comm01 @ hz)
-    lam_op = 1j * np.sqrt(eff.epsilon) * m_op - n_op
+    lam_op = np.sqrt(eff.epsilon) * comm01 + (hz @ comm01 - comm01 @ hz)
     residual = (hz @ lam_op - lam_op @ hz) - np.sqrt(eff.epsilon) * lam_op
     interior = int(0.8 * n_cut)
     return float(np.abs(residual[:interior, :interior]).max())

@@ -21,7 +21,6 @@ oscillator form holds with epsilon_g replaced by epsilon_g_alpha.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,12 +39,12 @@ class Regime(Enum):
     SUPERRADIANT = "superradiant"
 
 
-#: The regimes in the order regime_index numbers them.
+#: The regimes in the order _regime_index numbers them.
 REGIMES = (Regime.SUPERRADIANT, Regime.CRITICAL, Regime.NORMAL)
 _REGIMES = np.array(REGIMES, dtype=object)
 
 
-def regime_index(epsilon_g):
+def _regime_index(epsilon_g):
     """The position in REGIMES of the regime of each stiffness epsilon_g."""
     return (epsilon_g > REGIME_TOL) * 1 + (epsilon_g >= -REGIME_TOL)
 
@@ -149,27 +148,6 @@ def lambda_for_target_critical(g_target: float, omega: float) -> float:
     return (g_target * g_target - 1.0) * omega / 4.0
 
 
-def _once_per_params(derive):
-    """Compute ``derive(params)`` once per ModelParams and keep it on the
-    instance: every field is immutable (g is a read-only copy), so it cannot go
-    stale.  Its arrays are made read-only, since every later caller shares
-    them; a call that raises stores nothing."""
-    key = f"_{derive.__name__}"
-
-    @functools.wraps(derive)
-    def once(params: ModelParams):
-        memo = params.__dict__  # a frozen dataclass still has a writable __dict__
-        if key not in memo:
-            result = derive(params)
-            for value in vars(result).values():
-                if isinstance(value, np.ndarray):
-                    value.flags.writeable = False
-            memo[key] = result
-        return memo[key]
-
-    return once
-
-
 def _unwrap(value):
     """A 0-d array or a number as a Python float; any other array unchanged."""
     return value if getattr(value, "ndim", 0) else float(value)
@@ -196,14 +174,13 @@ class EffectiveOscillator:
     regime: Regime | np.ndarray
 
 
-@_once_per_params
 def effective_oscillator(params: ModelParams) -> EffectiveOscillator:
     """Derived oscillator quantities and regime classification."""
     omega, lam, g = params.omega, params.lam, params.g
     omega_bar = _unwrap(np.sqrt(omega * (omega + 4.0 * lam)))
     epsilon_g = 1.0 - omega * g * g / (omega + 4.0 * lam)
     epsilon = 4.0 * omega * (omega + 4.0 * lam) * epsilon_g
-    regime = _REGIMES[regime_index(epsilon_g)]
+    regime = _REGIMES[_regime_index(epsilon_g)]
     return EffectiveOscillator(omega_bar, epsilon_g, epsilon, regime)
 
 
@@ -222,7 +199,6 @@ class OscillatorFrame:
     regime: Regime | np.ndarray
 
 
-@_once_per_params
 def oscillator_frame(params: ModelParams) -> OscillatorFrame:
     """The effective oscillator of the regime each coupling of ``params`` sits
     in; RegimeError if any sits on the critical line, where neither reduction

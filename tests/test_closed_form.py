@@ -60,7 +60,7 @@ class TestInitialState:
     @pytest.mark.parametrize("first_use", ["before", "after"])
     def test_state_keeps_its_own_amplitudes(self, first_use):
         # writing into the caller's array must not reach the state, whether
-        # its covariance was cached before the write or is computed after it
+        # the state was used before the write or only after it
         source = default_initial_state().amplitudes.copy()
         state = BosonInitialState(source)
         if first_use == "before":
@@ -73,9 +73,11 @@ class TestInitialState:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
-    def test_reference_state_is_shared_per_dimension(self):
-        assert default_initial_state(6) is default_initial_state(6)
-        assert default_initial_state(7) is not default_initial_state(6)
+    def test_reference_state_is_rebuilt_identically(self):
+        first, second = default_initial_state(6), default_initial_state(6)
+        assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
+        assert first._covariance().tobytes() == second._covariance().tobytes()
+        assert default_initial_state(7).n_max == 6
         assert not default_initial_state(6).amplitudes.flags.writeable
 
 
@@ -399,15 +401,15 @@ class TestCouplingArrays:
         np.testing.assert_allclose(x_mean(p, t), [x_mean(q, t) for q in points],
                                    rtol=1e-15, atol=0)
 
-    def test_couplings_and_their_frame_are_read_only(self):
+    def test_couplings_are_read_only_and_frames_repeat(self):
         gs = np.array([0.2, 0.4])
         p = params(gs)
         gs[0] = 5.0
         assert p.g.tolist() == [0.2, 0.4]
-        frame = oscillator_frame(p)
-        assert oscillator_frame(p) is frame  # computed once per ModelParams
-        for array in (p.g, frame.stiffness, frame.dstiffness_dg, frame.epsilon):
-            assert not array.flags.writeable
+        assert not p.g.flags.writeable
+        first, second = oscillator_frame(p), oscillator_frame(p)
+        for name in ("stiffness", "dstiffness_dg", "epsilon"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
     @pytest.mark.parametrize("g", [[0.2, -0.1], [0.2, np.inf], [[0.2, 0.4]]])
     def test_every_coupling_is_validated(self, g):

@@ -618,12 +618,15 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert calls == []
 
-    def test_partial_failure_exit_code(self, tmp_path):
+    def test_partial_failure_exit_code(self, tmp_path, capsys):
         argv = [
             "inverted-variance", "--jobs", "1", "--out", str(tmp_path / "x.csv"),
             "--set", "g=0.9,0.9", "--set", "lam=0,-0.247", "--set", "t_per=0:2:20",
         ]
         assert cli_main(argv) == 3
+        assert "2/2 cells computed, 1 failed)" in capsys.readouterr().out
+        assert cli_main(argv) == 3  # the resume recomputes only the failed cell
+        assert "1/2 cells computed, 1 failed)" in capsys.readouterr().out
 
     def test_parser_is_built_once_and_carries_nothing_between_calls(
             self, tmp_path, monkeypatch, capsys):
