@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         exp.add_argument("--config", help="flat key=value config file")
         exp.add_argument("--engine", choices=("closed", "oracle", "both"))
         exp.add_argument("--jobs", type=int, default=1,
-                         help="worker processes, >= 1 (default: 1)")
+                         help="worker processes for oracle cells, >= 1 (default: 1)")
         exp.add_argument("--out", help="output CSV path")
         exp.add_argument("--set", dest="overrides", action="append", default=[],
                          metavar="KEY=VALUE", help="override one config key (repeatable)")

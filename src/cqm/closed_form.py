@@ -59,8 +59,10 @@ class BosonInitialState:
         amps = np.array(self.amplitudes, dtype=complex)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+        if not np.isfinite(amps).all():
+            raise InvalidParams("amplitudes", "must be finite")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise InvalidParams("amplitudes", f"norm {norm} != 1 beyond 1e-12")
 
     @property

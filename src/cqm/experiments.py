@@ -18,14 +18,13 @@ Adding an experiment means adding one registry entry.
 Cells are the unit of failure and of resume: a failed cell is recorded in its
 rows' status column and the run continues, and re-running onto an existing
 output with an identical config recomputes failed cells only.  Batches are the
-unit of work and of the process pool: a closed-engine run splits its cells
-into one contiguous batch per job, each computed as columns over arrays of
-its cells' parameters; every other cell is a batch of its own.
+unit of work and of the process pool: a closed-engine run is one batch,
+computed in this process as columns over arrays of its cells' parameters;
+in any other run each cell is a batch of its own.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -635,20 +634,42 @@ class Dataset:
 
     @classmethod
     def read_csv(cls, path: str) -> "Dataset":
-        with open(path, encoding="utf-8") as fh:
+        """Read a file as write_csv writes it: a ConfigError for one it could
+        not have written, with no metadata header or column line, a quote or
+        a carriage return, a row of another length than the column line, or
+        "cell" fields that are not indices in ascending order below the
+        metadata's cells_total."""
+        with open(path, encoding="utf-8", newline="") as fh:
             header = fh.readline()
             if not header.startswith("# "):
                 raise ConfigError(f"{path} lacks the JSON metadata header")
             metadata = json.loads(header[2:])
-            reader = csv.reader(fh)
-            columns = next(reader, None)
-            if columns is None:
-                raise ConfigError(f"{path} has no column line after its metadata header")
-            rows = [row for row in reader if row]
+            body = fh.read()
+        if not isinstance(metadata, dict):
+            raise ConfigError(f"{path} has a metadata header that is not a JSON object")
+        if '"' in body or "\r" in body:
+            raise ConfigError(f"{path} holds a quote or a carriage return")
+        columns, *rows = [line.split(",") for line in body.split("\n") if line] or [None]
+        if columns is None:
+            raise ConfigError(f"{path} has no column line after its metadata header")
         if any(len(row) != len(columns) for row in rows):
             raise ConfigError(f"{path} has a row whose length differs from its column line")
+        if "cell" in columns:
+            c = columns.index("cell")
+            if not _cells_in_order([row[c] for row in rows], metadata.get("cells_total")):
+                raise ConfigError(f"{path} has a cell field that is not an index in "
+                                  "ascending order below cells_total")
         units = metadata.pop("columns", {})
         return cls(columns, units, rows, metadata)
+
+
+def _cells_in_order(fields: list[str], total) -> bool:
+    """Whether ``fields`` are integers as _render writes them, ascending and
+    each below ``total`` (an int, or None for no bound)."""
+    cells = [int(f) for f in fields if f.isascii() and f.isdigit()]
+    if list(map(str, cells)) != fields or not (total is None or isinstance(total, int)):
+        return False
+    return cells == sorted(cells) and (not cells or total is None or cells[-1] < total)
 
 
 def _render(column, n: int) -> list[str]:
@@ -716,15 +737,12 @@ def _chunksize(n_batches: int, jobs: int) -> int:
     return max(1, n_batches // (4 * jobs))
 
 
-def _batches(cfg: ExperimentConfig, todo: list[int], jobs: int) -> list[list[int]]:
-    """The cells ``todo`` in batches: in a closed-engine run, ``jobs``
-    contiguous runs of them of about equal size (fewer if there are fewer
-    cells); in any other run, each cell on its own."""
+def _batches(cfg: ExperimentConfig, todo: list[int]) -> list[list[int]]:
+    """The cells ``todo`` in batches: all of them in one in a closed-engine
+    run (none if there are none), each cell on its own in any other run."""
     if cfg.engine != "closed" or not todo:
         return [[i] for i in todo]
-    n = min(jobs, len(todo))
-    bounds = [len(todo) * k // n for k in range(n + 1)]
-    return [todo[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [todo]
 
 
 def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> Dataset:
@@ -733,8 +751,8 @@ def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> 
     With ``resume`` (a previously written Dataset whose config hash matches),
     rows of cells that completed are reused verbatim and only failed cells
     are recomputed.  Batches of cells run in this process unless ``jobs`` asks
-    for more than one worker process, which also splits a closed-engine run
-    into ``jobs`` batches; ``jobs`` below 1 is a ConfigError.
+    for more than one worker process and there are several batches, which
+    only a run with the oracle engines has; ``jobs`` below 1 is a ConfigError.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
@@ -753,7 +771,7 @@ def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> 
             if idx not in failed:
                 reuse.setdefault(idx, []).append(row)
     todo = [i for i in range(len(cells)) if i not in reuse]
-    args = [(cfg, b, [cells[i] for i in b], columns) for b in _batches(cfg, todo, jobs)]
+    args = [(cfg, b, [cells[i] for i in b], columns) for b in _batches(cfg, todo)]
     if jobs > 1 and len(args) > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
 

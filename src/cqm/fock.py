@@ -5,12 +5,13 @@ nonzero diagonals of its real symmetric blocks: the spin (x) boson
 Hamiltonian as one block over spin-major amplitudes (plain arrays,
 |down> (x) boson from spin_down_state), and the effective low-energy
 oscillator as its two parity blocks (it couples n only to n and n+-2, so
-the even and odd Fock indices form two real tridiagonal blocks).  A dense
-matrix exists only while one block is decomposed, for LAPACK: eigh, or
-for a tridiagonal block of TRIDIAGONAL_MIN rows or more eigvalsh alone,
-the vectors then found by inverse iteration and certified (eigh again if
-the certificate fails).  States are evolved by eigendecomposition of each
-block (exactly unitary at any time; a state of the wrong length or norm is
+the even and odd Fock indices form two real tridiagonal blocks).  One
+routine, _block_eig, decomposes every block, and a dense matrix exists only
+while it does, for LAPACK: eigh, or for a tridiagonal block of
+TRIDIAGONAL_MIN rows or more eigvalsh alone, the vectors then found by
+inverse iteration and certified (eigh again if the certificate fails).
+States are evolved by eigendecomposition of each block (exactly unitary at
+any time; a state of the wrong length or norm, or a non-finite time, is
 rejected before any decomposition), and the module
 computes the quantum Fisher information two independent ways:
 a fidelity finite difference and the spectral integral of the evolution
@@ -19,9 +20,10 @@ dynamics sits from the low-frequency closed forms.
 
 The effective oscillator takes d<X>_t/dg exactly (Duhamel) from the kernel
 of its generator QFI, so one decomposition per cutoff level serves every
-observable; at the large cutoffs that decomposition is first only of the
-modes the state and its generator reach.  The joint builders still take a
-five-point stencil in g.
+observable; at the large cutoffs _block_eig, given the state and the
+generator, first finds only the lowest modes and keeps them alone when
+they are all the state and its generator reach.  The joint builders still
+take a five-point stencil in g.
 
 Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
 until the requested observables stop moving (relative test, with an
@@ -72,10 +74,10 @@ SPIN_DOWN, SPIN_UP = 0, 1  # block order inside joint vectors
 #: takes 0.26 s, eigvalsh 0.10 s and all 1024 vectors 0.04 s; at 512 rows
 #: 0.055 s against 0.019 + 0.022 s, a saving under 0.02 s a block.
 TRIDIAGONAL_MIN = 1024
-#: _effective_level first finds only the lowest m // LOW_MODES modes of such a
-#: block: at that point and n_cut 2048 the default state puts weight above
-#: 1e-16 on the lowest 59 and 66 of its two blocks' 1024 modes, and a
-#: quarter (256) also holds what dH/dg reaches from them.
+#: _block_eig, given a state, first finds only the lowest m // LOW_MODES
+#: modes of such a block: at that point and n_cut 2048 the default state
+#: puts weight above 1e-16 on the lowest 59 and 66 of its two blocks' 1024
+#: modes, and a quarter (256) also holds what dH/dg reaches from them.
 LOW_MODES = 4
 #: Largest residual over eigenvalue gap (Davis-Kahan) an eigenvector found by
 #: inverse iteration may have; a block past it is decomposed by eigh.
@@ -128,10 +130,8 @@ class HermitianOperator:
     k-th super- and subdiagonal are ``diagonals[k]``, of length m - k (the
     main diagonal, k = 0, sets m).  ``dim`` is n_cut for boson-only
     operators, 2*n_cut on the joint space.  A dense block exists only while
-    one block is decomposed (eig(), or _effective_level's state-aware
-    decomposition), filled for LAPACK and dropped before the next block: for
-    eigh, or for a tridiagonal block of TRIDIAGONAL_MIN rows or more for
-    eigvalsh alone, its vectors then found by inverse iteration.
+    _block_eig decomposes it, filled for LAPACK and dropped before the next
+    block.
     """
 
     def __init__(self, blocks: list[tuple[slice, dict[int, np.ndarray]]]):
@@ -181,21 +181,26 @@ def _tridiagonal(diagonals: dict[int, np.ndarray]) -> bool:
     return diagonals.keys() == {0, 1} and len(diagonals[0]) >= TRIDIAGONAL_MIN
 
 
-def _block_eig(diagonals: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _block_eig(diagonals: dict[int, np.ndarray],
+               reach: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(energies, vectors) of one block: eigh, or for a large tridiagonal
-    block eigvalsh's energies with every vector by inverse iteration."""
+    block eigvalsh's energies with its vectors by inverse iteration, eigh
+    again if any vector fails the Davis-Kahan certificate.
+
+    With ``reach`` = (amplitudes, dH diagonal, dH superdiagonal) of the
+    state and the generator on this block, a large tridiagonal block first
+    finds only its lowest m // LOW_MODES vectors and keeps them alone when
+    they hold the state, close under dH (_closes) and pass the certificate;
+    otherwise inverse iteration finds the rest."""
     if not _tridiagonal(diagonals):
         return np.linalg.eigh(_dense(diagonals))
-    return _completed(diagonals, np.linalg.eigvalsh(_dense(diagonals)),
-                      np.empty((len(diagonals[0]), 0)))
-
-
-def _completed(diagonals: dict[int, np.ndarray], energies: np.ndarray,
-               low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All of a tridiagonal block's modes: the vectors ``low`` of its lowest
-    energies, then the rest by inverse iteration; eigh instead if any vector
-    fails the Davis-Kahan certificate."""
     d, e = diagonals[0], diagonals[1]
+    energies = np.linalg.eigvalsh(_dense(diagonals))
+    low = np.empty((len(d), 0))
+    if reach is not None:
+        low = _inverse_iteration(d, e, energies[:len(d) // LOW_MODES])
+        if _closes(low, *reach) and _certified(d, e, energies, low):
+            return energies[:low.shape[1]], low
     vectors = np.hstack((low, _inverse_iteration(d, e, energies[low.shape[1]:])))
     if _certified(d, e, energies, vectors):
         return energies, vectors
@@ -390,7 +395,7 @@ def _propagate(eig, amps0: np.ndarray, ts, dh=None):
         hout[idx] = _real_matmul(vectors, phase * gen)
         del ratio, de, near  # before the next block allocates its own
     norm_err = np.abs(np.linalg.norm(out, axis=0) - 1.0).max()
-    if norm_err > 1e-10:
+    if not norm_err <= 1e-10:  # NaN fails too
         raise TruncationLeak(f"unitarity lost: max |norm - 1| = {norm_err}")
     return out, hout
 
@@ -424,12 +429,21 @@ def _state(psi0, dim: int) -> np.ndarray:
     return amps
 
 
+def _times(ts) -> np.ndarray:
+    """``ts`` as a float array; InvalidParams unless every time is finite."""
+    ts = np.asarray(ts, dtype=float)
+    if not np.isfinite(ts).all():
+        raise InvalidParams("ts", "times must be finite")
+    return ts
+
+
 def evolve_grid(h: HermitianOperator, psi0, ts: Sequence[float]) -> np.ndarray:
     """exp(-i*H*t)|psi0> by spectral decomposition at every time in ``ts``;
     (dim, len(ts)) array.  Raises InvalidParams, before any decomposition,
-    for a state of the wrong length or norm, and TruncationLeak when an
-    evolved state puts more than LEAK_TOL weight into the top Fock indices."""
-    amps0 = _state(psi0, h.dim)
+    for a state of the wrong length or norm or a non-finite time, and
+    TruncationLeak when an evolved state puts more than LEAK_TOL weight into
+    the top Fock indices."""
+    amps0, ts = _state(psi0, h.dim), _times(ts)
     out = _propagate(h.eig(), amps0, ts)[0]
     _check_tail(_tail_mass(out, h.dim))
     return out
@@ -439,7 +453,7 @@ def evolve_joint_grid(h: HermitianOperator, amplitudes: np.ndarray,
                       ts: Sequence[float]) -> np.ndarray:
     """Joint-space evolution of spin-major ``amplitudes``, checked as in
     evolve_grid, with the tail check on each spin block of length h.dim // 2."""
-    amps0 = _state(amplitudes, h.dim)
+    amps0, ts = _state(amplitudes, h.dim), _times(ts)
     out = _propagate(h.eig(), amps0, ts)[0]
     _check_tail(_tail_mass(out, h.dim // 2))
     return out
@@ -535,7 +549,8 @@ def _effective_level(params: ModelParams, ts: np.ndarray, psi0: BosonInitialStat
     frame = oscillator_frame(params)
     dh = tuple(0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
     amps0 = _state(_pad(psi0, n_cut), n_cut)
-    modes = _reached_modes(build_effective_hamiltonian(params, n_cut), amps0, dh)
+    modes = [(idx, *_block_eig(diagonals, (amps0[idx], dh[0][idx], dh[1][idx])))
+             for idx, diagonals in build_effective_hamiltonian(params, n_cut).blocks]
     psi, hpsi = _propagate(modes, amps0, ts, dh)
     mean, second = _x_moments(psi, n_cut)
     x_hpsi = _band_apply(np.zeros(n_cut), _x_band(n_cut), hpsi)
@@ -543,31 +558,6 @@ def _effective_level(params: ModelParams, ts: np.ndarray, psi0: BosonInitialStat
     h_mean = np.real(psi.conj() * hpsi).sum(axis=0)
     qfi = 4.0 * frame.dstiffness_dg**2 * ((np.abs(hpsi) ** 2).sum(axis=0) - h_mean**2)
     return _tail_mass(psi, n_cut), np.array([mean, second, deriv, qfi])
-
-
-def _reached_modes(op: HermitianOperator, amps0: np.ndarray, dh) -> list:
-    """The block decompositions _propagate needs for ``amps0`` and the
-    generator bands ``dh``: op.eig() unless a block is large and
-    tridiagonal.  Such a block gets eigvalsh's energies and first only its
-    lowest m // LOW_MODES vectors, kept alone when they hold the state, close
-    under dH (_closes) and pass the certificate; otherwise the remaining
-    modes complete them."""
-    if not any(_tridiagonal(diagonals) for _, diagonals in op.blocks):
-        return op.eig()
-    modes = []
-    for idx, diagonals in op.blocks:
-        if not _tridiagonal(diagonals):
-            modes.append((idx, *_block_eig(diagonals)))
-            continue
-        d, e = diagonals[0], diagonals[1]
-        energies = np.linalg.eigvalsh(_dense(diagonals))
-        low = _inverse_iteration(d, e, energies[:len(d) // LOW_MODES])
-        if (_closes(low, amps0[idx], dh[0][idx], dh[1][idx])
-                and _certified(d, e, energies, low)):
-            modes.append((idx, energies[:low.shape[1]], low))
-        else:
-            modes.append((idx, *_completed(diagonals, energies, low)))
-    return modes
 
 
 def _closes(vectors: np.ndarray, amps: np.ndarray, dh_diag: np.ndarray,
@@ -655,9 +645,10 @@ def quadrature_series(params: ModelParams, ts: Sequence[float],
     dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of the
     derivative scale, else StepTooLarge.  The ladder accepts a cutoff once
     each block (x, x^2, derivative) moves by at most
-    SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.
+    SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.  A non-finite time
+    is an InvalidParams.
     """
-    ts = np.asarray(ts, dtype=float)
+    ts = _times(ts)
     psi0 = psi0 if psi0 is not None else default_initial_state()
     if builder is None or builder is build_effective_hamiltonian:
         run = _leak_checked(partial(_effective_level, params, ts, psi0))
@@ -737,7 +728,7 @@ def _normal_level(params: ModelParams, ts, psi0: BosonInitialState | None):
     if effective_oscillator(params).regime is not Regime.NORMAL:
         raise RegimeError("the generator QFI is defined for the normal regime")
     psi0 = psi0 if psi0 is not None else default_initial_state()
-    return partial(_effective_level, params, np.asarray(ts, dtype=float), psi0)
+    return partial(_effective_level, params, _times(ts), psi0)
 
 
 def generator_qfi_grid(
@@ -755,6 +746,7 @@ def generator_qfi_grid(
     F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (values, n_cut): the given
     n_cut, or the one the ladder accepted, its convergence measured jointly
     across the grid at relative tolerance ``rtol``; no level counts as leaking.
+    A non-finite time is an InvalidParams.
     """
     return _qfi_ladder(_normal_level(params, ts, psi0), n_cut, rtol)
 

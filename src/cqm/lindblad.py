@@ -29,7 +29,7 @@ from .model import ModelParams, OscillatorFrame, effective_oscillator
 
 @dataclass(frozen=True)
 class DecayRates:
-    """Decay rate gamma_a and heating rate gamma_h (both >= 0).
+    """Decay rate gamma_a and heating rate gamma_h (both finite and >= 0).
 
     gamma_minus = gamma_a - gamma_h sets the damping envelope; the closed
     forms below additionally require gamma_minus >= 0 (net damping).
@@ -39,10 +39,10 @@ class DecayRates:
     gamma_h: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_a < 0:
-            raise InvalidParams("gamma_a", f"must be >= 0, got {self.gamma_a}")
-        if self.gamma_h < 0:
-            raise InvalidParams("gamma_h", f"must be >= 0, got {self.gamma_h}")
+        for name in ("gamma_a", "gamma_h"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < np.inf:  # NaN fails too
+                raise InvalidParams(name, f"must be finite and >= 0, got {rate}")
 
     @property
     def gamma_plus(self) -> float:
@@ -114,8 +114,8 @@ def integrate_moments(
     time.  A and b are constant, so each grid step is exact: (m, 1) is
     multiplied by exp(moment_generator*dt)."""
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or len(ts) < 2 or np.any(np.diff(ts) <= 0):
-        raise InvalidParams("t_grid", "need a strictly increasing grid")
+    if ts.ndim != 1 or len(ts) < 2 or not np.isfinite(ts).all() or np.any(np.diff(ts) <= 0):
+        raise InvalidParams("t_grid", "need a finite, strictly increasing grid")
     if np.shape(m0) != (5,):
         raise InvalidParams("m0", f"need the five moments, got shape {np.shape(m0)}")
     steps = _expm(moment_generator(params, rates) * np.diff(ts)[:, None, None])

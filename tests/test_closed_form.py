@@ -57,6 +57,14 @@ class TestInitialState:
         with pytest.raises(InvalidParams):
             BosonInitialState(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        # a NaN norm used to pass the norm check, and var_n then gave NaN
+        amps = default_initial_state().amplitudes.copy()
+        amps[3] = bad
+        with pytest.raises(InvalidParams, match="finite"):
+            BosonInitialState(amps)
+
     @pytest.mark.parametrize("first_use", ["before", "after"])
     def test_state_keeps_its_own_amplitudes(self, first_use):
         # writing into the caller's array must not reach the state, whether

@@ -23,7 +23,7 @@ from cqm import (
     fit_loglog_slope,
     run,
 )
-from cqm import cli
+from cqm import cli, experiments
 from cqm.cli import main as cli_main
 from cqm.experiments import _REGISTRY, _batches, _chunksize, _column_units, _render
 from cqm.model import ModelParams
@@ -173,8 +173,8 @@ class TestRunner:
         assert ma == mb
 
     def test_parallel_matches_serial(self):
-        # two batches each (one per job), so the pool starts
-        for cfg in (tiny("qfi-vs-g"), tiny("quadrature-vs-g", lam="0,-0.2")):
+        # oracle cells are a batch each, so two of them start the pool
+        for cfg in (tiny("decoherence"), tiny("quadrature-vs-g", engine="both", g="0.5,0.9")):
             assert run(cfg, jobs=1).rows == run(cfg, jobs=2).rows
 
     def test_default_runs_start_no_pool(self, tmp_path, monkeypatch, capsys):
@@ -184,10 +184,15 @@ class TestRunner:
 
         # the runner imports the pool class only when it starts one
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
-        assert not run(build_config("qfi-vs-g")).failed_cells
         assert cli_main(["qfi-vs-g", "--out", str(tmp_path / "q.csv")]) == 0
+        # a closed-engine run is one batch, so no --jobs starts a pool for it
+        closed = [name for name in experiment_ids() if build_config(name).engine == "closed"]
+        assert len(closed) == 5
+        for name in closed:
+            cfg = build_config(name)
+            assert run(cfg, jobs=2).rows == run(cfg).rows, name
         with pytest.raises(AssertionError, match="pool was started"):
-            run(tiny("qfi-vs-g"), jobs=2)  # so the patch would catch a pool
+            run(tiny("decoherence"), jobs=2)  # so the patch would catch a pool
 
     def test_chunks_give_every_worker_cells(self):
         # pool tasks are batches of cells; every worker gets one
@@ -198,16 +203,22 @@ class TestRunner:
                 assert chunk >= 1
                 assert -(-n_batches // chunk) >= min(n_batches, jobs)  # number of tasks
 
-    def test_closed_runs_split_into_one_batch_per_job(self):
+    def test_closed_runs_are_one_batch_at_any_jobs(self, monkeypatch):
         cfg = tiny("qfi-vs-g")  # 2 lam x 9 g
-        assert _batches(cfg, list(range(18)), 1) == [list(range(18))]
-        assert _batches(cfg, list(range(18)), 2) == [list(range(9)), list(range(9, 18))]
-        assert _batches(cfg, [0, 1, 4, 9, 10], 2) == [[0, 1], [4, 9, 10]]
-        assert _batches(cfg, [3, 5], 4) == [[3], [5]]  # no empty batch
-        assert _batches(cfg, [], 2) == []
-        assert _batches(tiny("qfi-map"), [0, 1, 2], 1) == [[0, 1, 2]]
+        assert _batches(cfg, list(range(18))) == [list(range(18))]
+        assert _batches(cfg, [0, 1, 4, 9, 10]) == [[0, 1, 4, 9, 10]]
+        assert _batches(cfg, []) == []  # no empty batch
+        assert _batches(tiny("qfi-map"), [0, 1, 2]) == [[0, 1, 2]]
         both = tiny("quadrature-vs-g", engine="both")
-        assert _batches(both, [0, 1, 2], 1) == [[0], [1], [2]]
+        assert _batches(both, [0, 1, 2]) == [[0], [1], [2]]
+        batches = []
+        run_batch = experiments._run_batch
+        monkeypatch.setattr(experiments, "_run_batch",
+                            lambda args: batches.append(args[1]) or run_batch(args))
+        for jobs in (1, 2, 4):
+            batches.clear()
+            run(cfg, jobs=jobs)
+            assert batches == [list(range(18))], jobs
 
     @pytest.mark.parametrize("name,over", [
         ("qfi-vs-g", {}),
@@ -221,7 +232,7 @@ class TestRunner:
     def test_batches_give_the_rows_of_cells_run_alone(self, monkeypatch, name, over):
         cfg = tiny(name, **over)
         batched = run(cfg)
-        monkeypatch.setattr("cqm.experiments._batches", lambda cfg, todo, jobs: [[i] for i in todo])
+        monkeypatch.setattr("cqm.experiments._batches", lambda cfg, todo: [[i] for i in todo])
         alone = run(cfg)
         assert batched.metadata["failures"] == alone.metadata["failures"]
         if name != "qfi-map":
@@ -581,6 +592,39 @@ class TestCli:
         text = out.read_text()
         full = text.splitlines()
         out.write_text(full[0] + "\n" if keep == "header" else text[:-20])
+        with pytest.raises(ConfigError):
+            Dataset.read_csv(str(out))
+        assert cli_main(argv) == 0
+        again = out.read_text().splitlines()
+        assert again[1:] == full[1:]
+        assert json.loads(again[0][2:])["cells_computed"] == 2
+
+    @pytest.mark.parametrize("corrupt", ["non_integer_cell", "cell_out_of_range",
+                                         "cell_out_of_order", "quoted_line_break",
+                                         "header_not_an_object"])
+    def test_corrupted_output_is_recomputed(self, tmp_path, capsys, corrupt):
+        # each file used to crash the resume or drop rows; now it reads as
+        # unreadable, so the run starts over and writes a fresh run's body
+        out = tmp_path / "ds.csv"
+        argv = ["qfi-evolution", "--jobs", "1", "--out", str(out),
+                "--set", "g=0.098,0.099", "--set", "t=0:50:6"]
+        assert cli_main(argv) == 0
+        full = out.read_text().splitlines()
+        lines = list(full)
+        columns = lines[1].split(",")
+        row = lines[-1].split(",")
+        if corrupt == "non_integer_cell":
+            row[columns.index("cell")] = "1.5"
+        elif corrupt == "cell_out_of_range":
+            row[columns.index("cell")] = "2"  # cells_total is 2
+        elif corrupt == "quoted_line_break":
+            row[columns.index("status")] = '"o\nk"'
+        lines[-1] = ",".join(row)
+        if corrupt == "cell_out_of_order":  # the first row of cell 0 claims cell 1
+            lines[2] = re.sub(r",0,ok$", ",1,ok", lines[2])
+        elif corrupt == "header_not_an_object":
+            lines[0] = "# 5"
+        out.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError):
             Dataset.read_csv(str(out))
         assert cli_main(argv) == 0

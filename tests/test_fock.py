@@ -40,6 +40,7 @@ from cqm.fock import (
     _dense,
     _effective_level,
     _inverse_iteration,
+    _pad,
     _squared_bands,
     _x_band,
     _x_moments,
@@ -51,6 +52,20 @@ from cqm.fock import (
 
 def params(g, lam=0.0, omega=1.0, Omega=1e4):
     return ModelParams(omega=omega, Omega=Omega, g=g, lam=lam)
+
+
+@pytest.fixture
+def shifts(monkeypatch):
+    """The number of vectors each inverse iteration finds, in call order."""
+    calls = []
+    iterate = fock._inverse_iteration
+
+    def counted(d, e, at):
+        calls.append(len(at))
+        return iterate(d, e, at)
+
+    monkeypatch.setattr(fock, "_inverse_iteration", counted)
+    return calls
 
 
 def assembled(op):
@@ -318,6 +333,38 @@ class TestEvolve:
                 with pytest.raises(InvalidParams, match=what):
                     evolve(h, bad, [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_rejected_before_any_decomposition(self, monkeypatch, bad):
+        # a NaN time used to give NaN rows at a pinned cutoff, and on the
+        # automatic ladder to climb to AUTO_CUTOFF_MAX and blame the cutoff
+        def no_decomposition(*args):
+            raise AssertionError("a block was decomposed before the times were checked")
+
+        monkeypatch.setattr(fock, "_block_eig", no_decomposition)
+        p, psi = params(0.9), default_initial_state()
+        calls = [
+            lambda: evolve_grid(build_effective_hamiltonian(p, 16), _pad(psi, 16), [1.0, bad]),
+            lambda: evolve_joint_grid(build_full_hamiltonian(params(0.9, Omega=50.0), 16),
+                                      spin_down_state(psi, 16), [bad]),
+            lambda: generator_qfi_grid(p, [bad], n_cut=64),
+            lambda: generator_qfi_grid(p, [0.0, bad]),
+            lambda: quadrature_series(p, [bad], n_cut=64),
+            lambda: quadrature_series(p, [1.0, bad]),
+            lambda: quadrature_series(params(0.9, Omega=50.0), [bad],
+                                      builder=build_full_hamiltonian),
+            lambda: ratio_oracle(p, [bad]),
+            lambda: qfi_overlap(p, bad),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParams, match="finite"):
+                call()
+
+    def test_a_nan_norm_fails_the_unitarity_check(self):
+        h = build_effective_hamiltonian(params(0.9), 16)
+        amps = _pad(default_initial_state(), 16)
+        with pytest.raises(TruncationLeak, match="unitarity"):
+            fock._propagate(h.eig(), amps, [1.0, np.nan])
+
 
 class TestBandContraction:
     @pytest.mark.parametrize("blocks", [1, 2])
@@ -506,20 +553,20 @@ class TestQfiMethods:
             tracemalloc.stop()
         assert peak <= 6 * 8 * (n_cut // 2) ** 2
 
-    def test_first_stage_level_peaks_below_two_blocks(self, monkeypatch):
+    def test_first_stage_level_peaks_below_two_blocks(self, shifts):
         # at n_cut 2048 both blocks take eigvalsh plus the lowest quarter of
         # their vectors: the one dense block alive (for eigvalsh) and the
         # low modes peak at 1.85 (n_cut/2)^2 float blocks, against 4.6 with
         # eigh and its full eigenvectors
         p, n_cut = params(0.099, lam=-0.2475), 2048
         ts = np.linspace(0.0, 1000.0, 16)
-        monkeypatch.setattr(fock, "_completed", None)  # the first stage must hold
         tracemalloc.start()
         try:
             generator_qfi_grid(p, ts, n_cut=n_cut)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert shifts == [n_cut // 8] * 2  # the first stage held in both blocks
         assert peak <= 2 * 8 * (n_cut // 2) ** 2
 
     def test_generator_regime_guard(self):
@@ -588,18 +635,6 @@ class TestTridiagonalSolver:
     def small_floor(self, monkeypatch):
         monkeypatch.setattr(fock, "TRIDIAGONAL_MIN", 32)
 
-    @pytest.fixture
-    def completions(self, monkeypatch):
-        calls = []
-        completed = fock._completed
-
-        def counted(diagonals, energies, low):
-            calls.append(low.shape[1])
-            return completed(diagonals, energies, low)
-
-        monkeypatch.setattr(fock, "_completed", counted)
-        return calls
-
     @staticmethod
     def eigh_rows(monkeypatch, p, ts, psi0, n_cut):
         with monkeypatch.context() as m:
@@ -629,7 +664,7 @@ class TestTridiagonalSolver:
                           - energies * vectors).max() <= 1e-12
 
     @pytest.mark.parametrize("spread", [False, True])
-    def test_both_stages_match_the_eigh_path(self, monkeypatch, completions, spread):
+    def test_both_stages_match_the_eigh_path(self, monkeypatch, shifts, spread):
         # the default state sits in the lowest quarter of the modes; a state
         # over the whole block needs the completion stage
         p, n_cut = params(0.9), 256
@@ -639,13 +674,15 @@ class TestTridiagonalSolver:
             amps = np.random.default_rng(5).normal(size=n_cut) + 1j
             psi0 = BosonInitialState(amps / np.linalg.norm(amps))
         tail, rows = _effective_level(p, ts, psi0, n_cut)
-        assert completions == ([n_cut // 8] * 2 if spread else [])
+        # each block's lowest quarter first, the other three quarters only
+        # when the state spreads past them
+        assert shifts == ([n_cut // 8, 3 * n_cut // 8] if spread else [n_cut // 8]) * 2
         ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, psi0, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
         assert abs(tail - ref_tail) <= 1e-12
 
-    def test_certificate_failure_falls_back_to_eigh(self, monkeypatch, completions):
+    def test_certificate_failure_falls_back_to_eigh(self, monkeypatch, shifts):
         p, n_cut = params(0.9), 256
         ts, psi0 = np.array([1.3, 7.0]), default_initial_state()
         monkeypatch.setattr(fock, "CERTIFY_TOL", 0.0)
@@ -653,7 +690,7 @@ class TestTridiagonalSolver:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
         _, rows = _effective_level(p, ts, psi0, n_cut)
-        assert completions == [n_cut // 8] * 2
+        assert shifts == [n_cut // 8, 3 * n_cut // 8] * 2
         assert calls == [n_cut // 2] * 2
         assert np.array_equal(rows, self.eigh_rows(monkeypatch, p, ts, psi0, n_cut)[1])
 

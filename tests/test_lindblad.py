@@ -52,6 +52,20 @@ class TestDecayRates:
         with pytest.raises(InvalidParams):
             DecayRates(0.1, -0.1)
 
+    @pytest.mark.parametrize("gamma_a, gamma_h", [
+        (np.nan, 0.0), (0.02, np.nan), (np.inf, 0.0), (0.02, np.inf),
+    ])
+    def test_non_finite_rates_rejected(self, gamma_a, gamma_h):
+        # a NaN rate used to give NaN closed forms, an infinite one 0
+        with pytest.raises(InvalidParams, match="finite"):
+            DecayRates(gamma_a, gamma_h)
+
+    @pytest.mark.parametrize("gamma_plus, gamma_minus", [(np.inf, 0.0), (np.inf, np.inf),
+                                                          (np.nan, 0.01)])
+    def test_non_finite_plus_minus_rates_rejected(self, gamma_plus, gamma_minus):
+        with pytest.raises(InvalidParams, match="finite"):
+            DecayRates.from_plus_minus(gamma_plus, gamma_minus)
+
     def test_heating_dominated_closed_forms_rejected(self):
         amplifying = DecayRates(0.01, 0.02)
         with pytest.raises(InvalidParams):
@@ -176,6 +190,13 @@ class TestIntegrateMoments:
             integrate_moments(REFERENCE_STATE_MOMENTS, PLAIN, NO_DECAY, [0.0, 0.0, 1.0])
         with pytest.raises(InvalidParams):
             integrate_moments(REFERENCE_STATE_MOMENTS[:4], PLAIN, NO_DECAY, [0.0, 1.0])
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan, 1.0], [0.0, 1.0, np.nan],
+                                      [0.0, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_times_rejected(self, grid):
+        # NaN steps used to pass the increasing-grid check
+        with pytest.raises(InvalidParams, match="finite"):
+            integrate_moments(REFERENCE_STATE_MOMENTS, PLAIN, NO_DECAY, grid)
 
     def test_states_stay_physical(self):
         tau1 = float(optimal_times(TUNED, 1)[0])
