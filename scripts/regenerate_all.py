@@ -21,15 +21,14 @@ from cqm.experiments import experiment_ids  # noqa: E402
 
 
 def peak_rss_mb() -> float:
-    """Peak RSS so far of this process (VmHWM, since Linux carries ru_maxrss
-    across exec) and of its waited-for children, such as pool workers, in MiB."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    """Peak RSS so far of this process, in MiB: VmHWM, since Linux carries
+    ru_maxrss across exec, else ru_maxrss."""
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
-            own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+            kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
     except (OSError, StopIteration):
-        pass
-    return max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss) / 1024.0
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return kib / 1024.0
 
 
 def main() -> int:
@@ -38,7 +37,6 @@ def main() -> int:
         "--out-dir", default=os.environ.get("CQM_OUT_DIR", "datasets"),
         help="directory for the CSV outputs",
     )
-    parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument(
         "--experiments", nargs="*", default=experiment_ids(),
         help="subset of experiment ids (default: all)",
@@ -49,8 +47,6 @@ def main() -> int:
     worst = 0
     for name in args.experiments:
         argv = [name, "--out", os.path.join(args.out_dir, f"{name}.csv")]
-        if args.jobs is not None:
-            argv += ["--jobs", str(args.jobs)]
         started = time.perf_counter()
         status = cqm_main(argv)
         wall_s = time.perf_counter() - started

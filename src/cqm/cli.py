@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-    cqm <experiment-id> [--config FILE] [--engine E] [--jobs N]
+    cqm <experiment-id> [--config FILE] [--engine E] [--jobs 1]
                         [--out PATH] [--set key=value ...]
     cqm config-reference [experiment-id]
     cqm list
 
+Every run is one serial pass in this process; --jobs accepts only 1.
 Exit codes: 0 success, 2 invalid configuration, 3 completed with failed cells.
 CQM_OUT_DIR (default '.') is the output root when --out is not given.
 """
@@ -44,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         exp.add_argument("--config", help="flat key=value config file")
         exp.add_argument("--engine", choices=("closed", "oracle", "both"))
         exp.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for oracle cells, >= 1 (default: 1)")
+                         help="runs are serial: only 1 is accepted (default: 1)")
         exp.add_argument("--out", help="output CSV path")
         exp.add_argument("--set", dest="overrides", action="append", default=[],
                          metavar="KEY=VALUE", help="override one config key (repeatable)")
@@ -75,8 +76,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args.command, config_file=args.config,
                            overrides=args.overrides, engine=args.engine)
-        if args.jobs < 1:  # before the output directory is made
-            raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+        if args.jobs != 1:  # before the output directory is made
+            raise ConfigError(f"--jobs must be 1 (runs are serial), got {args.jobs}")
         out_path = args.out or _default_out(cfg.experiment)
         os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
         resume = None
@@ -87,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
                     resume = previous
             except (ConfigError, ValueError):
                 resume = None  # unreadable previous output: recompute everything
-        dataset = run(cfg, jobs=args.jobs, resume=resume)
+        dataset = run(cfg, resume=resume)
         dataset.write_csv(out_path)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,9 +18,9 @@ Adding an experiment means adding one registry entry.
 Cells are the unit of failure and of resume: a failed cell is recorded in its
 rows' status column and the run continues, and re-running onto an existing
 output with an identical config recomputes failed cells only.  Batches are the
-unit of work and of the process pool: a closed-engine run is one batch,
-computed in this process as columns over arrays of its cells' parameters;
-in any other run each cell is a batch of its own.
+unit of work, run one after the other in this process: a closed-engine run is
+one batch, computed as columns over arrays of its cells' parameters; in any
+other run each cell is a batch of its own.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import io
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,9 +80,11 @@ def _parse_value(text: str, kind: str):
 
 _COMMON = {
     "omega": _Key("1.0", "float", "boson frequency (sets the time/energy unit)"),
-    "Omega": _Key("1e4", "float", "qubit frequency (oracle engines only)"),
-    "state_dim": _Key("6", "int", "Fock dimension of the reference initial state"),
 }
+
+# The qubit frequency of every run.  No dataset reads it: the closed forms and the
+# effective oscillator lack it, and frequency-scaling sets Omega = eta * omega.
+_OMEGA_QUBIT = 1e4
 
 
 @dataclass(frozen=True)
@@ -144,13 +147,12 @@ def _compared_columns(engine: str, closed: dict, oracle: dict | None = None,
 
 
 # ----------------------------------------------------------------------
-# per-experiment batch computation (module level: pool workers reach them
-# through _REGISTRY by experiment id)
+# per-experiment batch computation
 # ----------------------------------------------------------------------
 
 def _params(v: dict, g, lam) -> ModelParams:
     """Parameters at ``lam`` and ``g``: numbers, or arrays of (lam, g) pairs."""
-    return ModelParams(omega=v["omega"], Omega=v["Omega"], g=g if np.ndim(g) else float(g),
+    return ModelParams(omega=v["omega"], Omega=_OMEGA_QUBIT, g=g if np.ndim(g) else float(g),
                        lam=lam if np.ndim(lam) else float(lam))
 
 
@@ -190,13 +192,13 @@ def _along_g(v: dict, lam: np.ndarray, gs: np.ndarray, fill: float,
 
 def _qfi(v: dict, lam: np.ndarray, gs: np.ndarray) -> tuple[dict, np.ndarray]:
     """Closed-form QFI at (lam, g) pairs, infinite on the critical line."""
-    state = cf.default_initial_state(v["state_dim"])
+    state = cf.default_initial_state()
     return _along_g(v, lam, gs, np.inf, lambda p: cf.qfi_g(p, v["t"], cf.var_n(state, p)))
 
 
 def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
-    state = cf.default_initial_state(v["state_dim"])
+    state = cf.default_initial_state()
     params = _params(v, cell["g"], v["lam"])
     base = {"lam": v["lam"], "g": cell["g"], "t": v["t"]}
     closed = {"qfi": cf.qfi_g(params, v["t"], cf.var_n(state, params))}
@@ -228,7 +230,7 @@ def _quadrature_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
         return {**cols, "x_mean": x_mean}
     if cols["status"][0] == _STATUS_SATURATED:  # the oracle engines run one cell a batch
         return cols
-    state = cf.default_initial_state(v["state_dim"])
+    state = cf.default_initial_state()
     series = fock.quadrature_series(_params(v, gs[0], lam[0]), [v["t"]], psi0=state)
     return {**cols, **_compared_columns(cfg.engine, {"x_mean": x_mean},
                                         {"x_mean": series.x_mean}, series.n_cut)}
@@ -243,14 +245,14 @@ def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> dict:
               "x_var": cf.x_variance(params, ts), "inv_var": cf.inverted_variance(params, ts)}
     if cfg.engine == "closed":
         return {**base, **_compared_columns(cfg.engine, closed)}
-    series = fock.quadrature_series(params, ts, psi0=cf.default_initial_state(v["state_dim"]))
+    series = fock.quadrature_series(params, ts, psi0=cf.default_initial_state())
     oracle = {q: getattr(series, q) for q in closed}  # QuadratureSeries names them alike
     return {**base, **_compared_columns(cfg.engine, closed, oracle, series.n_cut)}
 
 
 def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
-    state = cf.default_initial_state(v["state_dim"])
+    state = cf.default_initial_state()
     params = _params(v, cell["g"], cell["lam"])
     ns = np.asarray(v["n"], dtype=int)  # validated integers >= 1
     taus = cf.optimal_times(params, int(ns.max()))[ns - 1]
@@ -484,15 +486,18 @@ def config_reference(experiment: str | None = None) -> str:
 def read_config_file(path: str) -> dict[str, str]:
     """Flat key = value text; '#' starts a comment."""
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                key, _, value = line.partition("=")
+                raw[key.strip()] = value.strip()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     return raw
 
 
@@ -549,10 +554,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"grid '{key}' is empty")
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"'{key}' must be finite")
-    if not v["omega"] > 0 or not v["Omega"] > 0:
-        raise ConfigError("omega and Omega must be positive")
-    if v["state_dim"] < 2:  # the reference state (|0> + i|1>)/sqrt(2) needs two levels
-        raise ConfigError("state_dim must be >= 2")
+    if not v["omega"] > 0:
+        raise ConfigError("omega must be positive")
     if np.any(np.atleast_1d(v["g"]) < 0):
         raise ConfigError("couplings g must be >= 0")
     if "n" in v:
@@ -568,6 +571,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                               "strictly increasing and reaches past 0")
     if "eta" in v and np.any(np.atleast_1d(v["eta"]) < fock.ETA_MIN):
         raise ConfigError(f"eta must be >= {fock.ETA_MIN:g}")
+    if "eta" in v and np.unique(v["eta"]).size < 5:  # as fit_loglog_slope needs per case
+        raise ConfigError("eta needs >= 5 distinct values for the log-log slope fit")
     _REGISTRY[cfg.experiment].cells(v)  # raises ConfigError on unequal zipped lists
     for lam in np.atleast_1d(v["lam"]):
         if not 1.0 + 4.0 * lam / v["omega"] > 0:
@@ -638,7 +643,8 @@ class Dataset:
         not have written, with no metadata header or column line, a quote or
         a carriage return, a row of another length than the column line, or
         "cell" fields that are not indices in ascending order below the
-        metadata's cells_total."""
+        metadata's cells_total, or not as many rows of each cell as its
+        cell_rows lists."""
         with open(path, encoding="utf-8", newline="") as fh:
             header = fh.readline()
             if not header.startswith("# "):
@@ -656,20 +662,25 @@ class Dataset:
             raise ConfigError(f"{path} has a row whose length differs from its column line")
         if "cell" in columns:
             c = columns.index("cell")
-            if not _cells_in_order([row[c] for row in rows], metadata.get("cells_total")):
+            if not _cells_whole([row[c] for row in rows], metadata.get("cells_total"),
+                                metadata.get("cell_rows")):
                 raise ConfigError(f"{path} has a cell field that is not an index in "
-                                  "ascending order below cells_total")
+                                  "ascending order below cells_total, or a cell whose "
+                                  "row count differs from cell_rows")
         units = metadata.pop("columns", {})
         return cls(columns, units, rows, metadata)
 
 
-def _cells_in_order(fields: list[str], total) -> bool:
+def _cells_whole(fields: list[str], total, counts) -> bool:
     """Whether ``fields`` are integers as _render writes them, ascending and
-    each below ``total`` (an int, or None for no bound)."""
+    each below ``total`` (an int, or None for no bound), with ``counts[i]``
+    of them equal to i (a list, or None for no count)."""
     cells = [int(f) for f in fields if f.isascii() and f.isdigit()]
     if list(map(str, cells)) != fields or not (total is None or isinstance(total, int)):
         return False
-    return cells == sorted(cells) and (not cells or total is None or cells[-1] < total)
+    return (cells == sorted(cells) and (not cells or total is None or cells[-1] < total)
+            and (counts is None or isinstance(counts, list)
+                 and Counter(cells) == Counter(dict(enumerate(counts)))))
 
 
 def _render(column, n: int) -> list[str]:
@@ -690,16 +701,17 @@ def _render(column, n: int) -> list[str]:
     return np.array(list(map(fmt, distinct.tolist())), dtype=object)[inverse].tolist()
 
 
-def _run_batch(args: tuple) -> list[tuple[int, list[list[str]], str | None]]:
-    """Worker: compute one batch of cells and render their rows as strings,
-    as (cell index, rows, "<Type>: <message>" or None) per cell.
+def _run_batch(cfg: ExperimentConfig, indices: list[int], cells: list[dict],
+               columns: list[str]) -> list[tuple[int, list[list[str]], str | None]]:
+    """Compute the batch of cells ``cells`` (with indices ``indices``) and
+    render their rows as strings, as (cell index, rows, "<Type>: <message>"
+    or None) per cell.
 
     Any exception fails the batch, as do a column of the wrong length and a
     non-finite value in a row marked ok.  A failed batch of several cells
     runs again one cell a batch, so each failure lands on its own cell.  A
     failed cell's row takes lam/g/eta from the cell, else from a scalar config
     value."""
-    cfg, indices, cells, columns = args
     try:
         cols = dict(_REGISTRY[cfg.experiment].compute(cfg, cells))
         position = np.asarray(cols.pop("cell"))  # of each row's cell in ``cells``
@@ -716,7 +728,7 @@ def _run_batch(args: tuple) -> list[tuple[int, list[list[str]], str | None]]:
     except Exception as exc:  # one bad cell must not abort the run
         if len(cells) > 1:
             return [done for i, one in zip(indices, cells)
-                    for done in _run_batch((cfg, [i], [one], columns))]
+                    for done in _run_batch(cfg, [i], [one], columns)]
         scalars = {k: x for k, x in cfg.values.items() if np.ndim(x) == 0}
         row = {k: cells[0].get(k, scalars.get(k, np.nan)) for k in ("lam", "g", "eta")}
         row.update(status=f"failed:{type(exc).__name__}", cell=indices[0])
@@ -732,11 +744,6 @@ def _run_batch(args: tuple) -> list[tuple[int, list[list[str]], str | None]]:
 # the runner
 # ----------------------------------------------------------------------
 
-def _chunksize(n_batches: int, jobs: int) -> int:
-    """Batches per pool task: about four tasks per worker, so each gets some."""
-    return max(1, n_batches // (4 * jobs))
-
-
 def _batches(cfg: ExperimentConfig, todo: list[int]) -> list[list[int]]:
     """The cells ``todo`` in batches: all of them in one in a closed-engine
     run (none if there are none), each cell on its own in any other run."""
@@ -745,17 +752,13 @@ def _batches(cfg: ExperimentConfig, todo: list[int]) -> list[list[int]]:
     return [todo]
 
 
-def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> Dataset:
+def run(cfg: ExperimentConfig, resume: Dataset | None = None) -> Dataset:
     """Execute every cell of ``cfg`` and assemble the Dataset.
 
     With ``resume`` (a previously written Dataset whose config hash matches),
     rows of cells that completed are reused verbatim and only failed cells
-    are recomputed.  Batches of cells run in this process unless ``jobs`` asks
-    for more than one worker process and there are several batches, which
-    only a run with the oracle engines has; ``jobs`` below 1 is a ConfigError.
+    are recomputed.  The metadata's cell_rows lists each cell's row count.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
     entry = _REGISTRY[cfg.experiment]
     columns = entry.columns(cfg.engine) + _META_COLUMNS
@@ -771,20 +774,12 @@ def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> 
             if idx not in failed:
                 reuse.setdefault(idx, []).append(row)
     todo = [i for i in range(len(cells)) if i not in reuse]
-    args = [(cfg, b, [cells[i] for i in b], columns) for b in _batches(cfg, todo)]
-    if jobs > 1 and len(args) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            done = [d for ds in pool.map(_run_batch, args, chunksize=_chunksize(len(args), jobs))
-                    for d in ds]
-    else:
-        done = [d for a in args for d in _run_batch(a)]
+    done = [d for b in _batches(cfg, todo) for d in _run_batch(cfg, b, [cells[i] for i in b],
+                                                                columns)]
     results = {index: rendered for index, rendered, _ in done}
     failures = {str(index): failure for index, _, failure in done if failure is not None}
-    rows: list[list[str]] = []
-    for i in range(len(cells)):
-        rows.extend(reuse.get(i, results.get(i, [])))
+    per_cell = [reuse.get(i, results.get(i, [])) for i in range(len(cells))]
+    rows = [row for cell_rows in per_cell for row in cell_rows]
     n_failed = len(failures)  # a failed cell has one row, and resume reuses no failed row
     metadata = {
         "experiment": cfg.experiment,
@@ -793,6 +788,7 @@ def run(cfg: ExperimentConfig, jobs: int = 1, resume: Dataset | None = None) -> 
         "config_hash": cfg.hash(),
         "version": __version__,
         "cells_total": len(cells),
+        "cell_rows": list(map(len, per_cell)),
         "cells_computed": len(todo),
         "cells_failed_now": n_failed,
         "failures": failures,

@@ -276,14 +276,14 @@ def test_criterion_9_dataset_regeneration():
     row_counts = {}
     for name in names:
         cfg = build_config(name)
-        ds = run(cfg, jobs=2)
+        ds = run(cfg)
         failures[name] = len(ds.failed_cells)
         row_counts[name] = len(ds.rows)
         statuses = set(ds.str_column("status"))
         assert statuses <= {"ok", "saturated"}, (name, statuses)
     # determinism: a repeated default run is row-identical
-    again = run(build_config("qfi-evolution"), jobs=2)
-    first = run(build_config("qfi-evolution"), jobs=1)
+    again = run(build_config("qfi-evolution"))
+    first = run(build_config("qfi-evolution"))
     deterministic = again.rows == first.rows
     ok = all(v == 0 for v in failures.values()) and deterministic
     detail = ", ".join(f"{n}:{row_counts[n]} rows" for n in names)

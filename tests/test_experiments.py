@@ -25,7 +25,7 @@ from cqm import (
 )
 from cqm import cli, experiments
 from cqm.cli import main as cli_main
-from cqm.experiments import _REGISTRY, _batches, _chunksize, _column_units, _render
+from cqm.experiments import _REGISTRY, _batches, _column_units, _render
 from cqm.model import ModelParams
 
 
@@ -85,19 +85,16 @@ class TestConfig:
         ("decoherence", "t_per=1,0.5,2"),  # the moment ODE needs increasing times
         ("decoherence", "t_per=-1,0,1"),
         ("frequency-scaling", "eta=5,20,30,40,50"),
+        ("frequency-scaling", "eta=1e2,3e2"),  # too few points for the slope fit
+        ("frequency-scaling", "eta=1e2,1e2,3e2,3e2,1e3"),  # five, but three distinct
         ("qfi-vs-g", "g=-0.5,0.5"),  # would fail its cell instead
-        ("qfi-vs-g", "state_dim=1"),  # too small for (|0> + i|1>)/sqrt(2)
+        ("qfi-vs-g", "state_dim=6"),  # not a key: the reference state is fixed
+        ("qfi-evolution", "Omega=50"),  # not a key: no dataset depends on Omega
     ])
     def test_bad_values_rejected_up_front(self, experiment, override):
         with pytest.raises(ConfigError):
             build_config(experiment, overrides=[override])
         assert cli_main([experiment, "--set", override]) == 2
-
-    def test_two_level_reference_state_gives_the_default_qfi(self):
-        # the reference state lives on |0> and |1>, so padding adds nothing
-        small = run(build_config("qfi-vs-g", overrides=["state_dim=2"]), jobs=1)
-        default = run(build_config("qfi-vs-g"), jobs=1)
-        assert small.str_column("qfi") == default.str_column("qfi")
 
     def test_closed_engine_takes_any_time_grid(self):
         # only the moment ODE of the oracle engines needs increasing times
@@ -157,7 +154,7 @@ class TestRunner:
     def test_every_experiment_completes_on_tiny_grids(self):
         for name in experiment_ids():
             cfg = tiny(name)
-            ds = run(cfg, jobs=1)
+            ds = run(cfg)
             assert len(ds.rows) > 0, name
             assert not ds.failed_cells, name
             statuses = set(ds.str_column("status"))
@@ -165,43 +162,12 @@ class TestRunner:
 
     def test_determinism_two_fresh_runs(self):
         cfg = tiny("decoherence")
-        a = run(cfg, jobs=1)
-        b = run(cfg, jobs=1)
+        a = run(cfg)
+        b = run(cfg)
         assert a.rows == b.rows
         ma = {k: v for k, v in a.metadata.items() if k != "wall_time_s"}
         mb = {k: v for k, v in b.metadata.items() if k != "wall_time_s"}
         assert ma == mb
-
-    def test_parallel_matches_serial(self):
-        # oracle cells are a batch each, so two of them start the pool
-        for cfg in (tiny("decoherence"), tiny("quadrature-vs-g", engine="both", g="0.5,0.9")):
-            assert run(cfg, jobs=1).rows == run(cfg, jobs=2).rows
-
-    def test_default_runs_start_no_pool(self, tmp_path, monkeypatch, capsys):
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("a process pool was started")
-
-        # the runner imports the pool class only when it starts one
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
-        assert cli_main(["qfi-vs-g", "--out", str(tmp_path / "q.csv")]) == 0
-        # a closed-engine run is one batch, so no --jobs starts a pool for it
-        closed = [name for name in experiment_ids() if build_config(name).engine == "closed"]
-        assert len(closed) == 5
-        for name in closed:
-            cfg = build_config(name)
-            assert run(cfg, jobs=2).rows == run(cfg).rows, name
-        with pytest.raises(AssertionError, match="pool was started"):
-            run(tiny("decoherence"), jobs=2)  # so the patch would catch a pool
-
-    def test_chunks_give_every_worker_cells(self):
-        # pool tasks are batches of cells; every worker gets one
-        assert _chunksize(2, 2) == 1
-        for jobs in (2, 3, 4):
-            for n_batches in range(1, 200):
-                chunk = _chunksize(n_batches, jobs)
-                assert chunk >= 1
-                assert -(-n_batches // chunk) >= min(n_batches, jobs)  # number of tasks
 
     def test_closed_runs_are_one_batch_at_any_jobs(self, monkeypatch):
         cfg = tiny("qfi-vs-g")  # 2 lam x 9 g
@@ -213,12 +179,10 @@ class TestRunner:
         assert _batches(both, [0, 1, 2]) == [[0], [1], [2]]
         batches = []
         run_batch = experiments._run_batch
-        monkeypatch.setattr(experiments, "_run_batch",
-                            lambda args: batches.append(args[1]) or run_batch(args))
-        for jobs in (1, 2, 4):
-            batches.clear()
-            run(cfg, jobs=jobs)
-            assert batches == [list(range(18))], jobs
+        monkeypatch.setattr(experiments, "_run_batch", lambda cfg, indices, *rest: (
+            batches.append(indices) or run_batch(cfg, indices, *rest)))
+        run(cfg)
+        assert batches == [list(range(18))]
 
     @pytest.mark.parametrize("name,over", [
         ("qfi-vs-g", {}),
@@ -280,7 +244,7 @@ class TestRunner:
 
     def test_qfi_vs_g_peaks_sit_at_the_critical_couplings(self):
         cfg = tiny("qfi-vs-g", lam="0,-0.10,-0.20", g="0.05:1.15:221")
-        ds = run(cfg, jobs=1)
+        ds = run(cfg)
         lam = ds.column("lam")
         g = ds.column("g")
         q = ds.column("qfi")
@@ -293,7 +257,7 @@ class TestRunner:
 
     def test_map_ridge_follows_the_critical_line(self):
         cfg = tiny("qfi-map", lam="-0.21:0.0:8", g="0.05:1.2:40")
-        ds = run(cfg, jobs=1)
+        ds = run(cfg)
         lam = ds.column("lam")
         g = ds.column("g")
         q = ds.column("log10_qfi")
@@ -325,7 +289,7 @@ class TestRunner:
 
         monkeypatch.setitem(_REGISTRY, "inverted-variance",
                             dataclasses.replace(entry, compute=compute))
-        ds = run(tiny("inverted-variance"), jobs=1)
+        ds = run(tiny("inverted-variance"))
         assert ds.failed_cells == {1}
         statuses = ds.str_column("status")
         assert statuses.count("failed:LinAlgError") == 1
@@ -340,7 +304,7 @@ class TestRunner:
             return cols
 
         monkeypatch.setitem(_REGISTRY, "qfi-vs-g", dataclasses.replace(entry, compute=compute))
-        ds = run(tiny("qfi-vs-g"), jobs=1)
+        ds = run(tiny("qfi-vs-g"))
         statuses = ds.str_column("status")
         assert statuses.count("failed:NonFinite") == 2  # first g of each lam
         ok = [row for row in ds.rows if row[ds.columns.index("status")] == "ok"]
@@ -393,12 +357,12 @@ class TestRunner:
 
     def test_cross_engine_columns_within_tolerance(self):
         cfg = tiny("decoherence")
-        ds = run(cfg, jobs=1)
+        ds = run(cfg)
         for col in ("x_mean_rel_dev", "x_var_rel_dev", "inv_var_rel_dev"):
             assert ds.column(col).max() < 1e-6
 
     def test_frequency_scaling_records_slope(self):
-        ds = run(tiny("frequency-scaling"), jobs=2)
+        ds = run(tiny("frequency-scaling"))
         slopes = ds.metadata["loglog_slopes"]
         (case_key,) = slopes
         assert slopes[case_key]["slope"] == pytest.approx(-1.0, abs=0.15)
@@ -406,20 +370,20 @@ class TestRunner:
     def test_failed_cells_recorded_and_resumed(self, tmp_path):
         # beyond-critical case in a normal-regime-only experiment: cell fails
         cfg = tiny("inverted-variance", g="0.9,0.9", lam="0,-0.247")
-        ds = run(cfg, jobs=1)
+        ds = run(cfg)
         assert ds.failed_cells == {1}
         status = [s for s in ds.str_column("status") if s.startswith("failed")]
         assert status == ["failed:RegimeError"]
         assert ds.metadata["cells_computed"] == 2
         # a resumed run recomputes only the failed cell
-        again = run(cfg, jobs=1, resume=ds)
+        again = run(cfg, resume=ds)
         assert again.metadata["cells_computed"] == 1
         assert again.rows == ds.rows
 
     def test_failed_row_keeps_config_scalars(self):
         # lam is a scalar of qfi-evolution, not part of its cells
         cfg = build_config("qfi-evolution", overrides=["g=0.5,1.0", "lam=0", "t=0:10:3"])
-        ds = run(cfg, jobs=1)
+        ds = run(cfg)
         assert ds.failed_cells == {1}
         failed = [r for r in ds.rows if r[ds.columns.index("status")].startswith("failed")]
         assert len(failed) == 1
@@ -428,13 +392,13 @@ class TestRunner:
 
     def test_failure_reasons_in_metadata(self):
         cfg = tiny("inverted-variance", g="0.9,0.9", lam="0,-0.247")
-        ds = run(cfg, jobs=1)
+        ds = run(cfg)
         (reason,) = ds.metadata["failures"].values()
         assert list(ds.metadata["failures"]) == ["1"]
         assert reason.startswith("RegimeError: epsilon_g = ")
-        assert run(tiny("inverted-variance"), jobs=1).metadata["failures"] == {}
+        assert run(tiny("inverted-variance")).metadata["failures"] == {}
         # only cells that failed in this run are named; rows stay as they were
-        again = run(cfg, jobs=1, resume=ds)
+        again = run(cfg, resume=ds)
         assert again.metadata["failures"] == ds.metadata["failures"]
         assert again.rows == ds.rows
 
@@ -454,18 +418,18 @@ class TestRunner:
                         assert units.get(c), (name, engine, c)
                     assert seen.setdefault(q, units.get(c, "")) == units.get(c, ""), (
                         name, engine, c)
-        ds = run(tiny("quadrature-vs-g", engine="both", g="0.5,0.9"), jobs=1)
+        ds = run(tiny("quadrature-vs-g", engine="both", g="0.5,0.9"))
         assert ds.units == _column_units(_REGISTRY["quadrature-vs-g"].units, ds.columns)
         assert ds.units["x_mean_closed"] == ds.units["x_mean_oracle"] == "1"
 
     def test_resume_rejects_other_config(self):
-        ds = run(tiny("qfi-evolution"), jobs=1)
+        ds = run(tiny("qfi-evolution"))
         other = tiny("qfi-evolution", t="0:50:7")
         with pytest.raises(ConfigError):
             run(other, resume=ds)
 
     def test_dataset_roundtrip_and_17_digits(self, tmp_path):
-        ds = run(tiny("qfi-evolution"), jobs=1)
+        ds = run(tiny("qfi-evolution"))
         path = tmp_path / "out.csv"
         ds.write_csv(str(path))
         text = path.read_text()
@@ -510,7 +474,7 @@ class TestRunner:
 
     @pytest.mark.parametrize("field", ["a,b", 'say "hi"', "two\nlines", "cr\r", None])
     def test_field_that_needs_quotes_fails_the_write(self, tmp_path, field):
-        ds = run(tiny("qfi-evolution"), jobs=1)
+        ds = run(tiny("qfi-evolution"))
         path = tmp_path / "out.csv"
         ds.write_csv(str(path))
         before = path.read_bytes()
@@ -529,7 +493,7 @@ class TestRunner:
             def __str__(self):
                 raise RuntimeError("never called")
 
-        ds = run(tiny("qfi-evolution"), jobs=1)
+        ds = run(tiny("qfi-evolution"))
         path = tmp_path / "out.csv"
         ds.write_csv(str(path))
         before = path.read_bytes()
@@ -601,7 +565,8 @@ class TestCli:
 
     @pytest.mark.parametrize("corrupt", ["non_integer_cell", "cell_out_of_range",
                                          "cell_out_of_order", "quoted_line_break",
-                                         "header_not_an_object"])
+                                         "header_not_an_object", "deleted_row",
+                                         "duplicated_row"])
     def test_corrupted_output_is_recomputed(self, tmp_path, capsys, corrupt):
         # each file used to crash the resume or drop rows; now it reads as
         # unreadable, so the run starts over and writes a fresh run's body
@@ -624,6 +589,10 @@ class TestCli:
             lines[2] = re.sub(r",0,ok$", ",1,ok", lines[2])
         elif corrupt == "header_not_an_object":
             lines[0] = "# 5"
+        elif corrupt == "deleted_row":  # a well-formed file, one row of cell 0 short
+            del lines[3]
+        elif corrupt == "duplicated_row":
+            lines.insert(3, lines[3])
         out.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError):
             Dataset.read_csv(str(out))
@@ -637,17 +606,26 @@ class TestCli:
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_nonpositive_jobs_rejected(self, tmp_path, capsys, jobs):
-        with pytest.raises(ConfigError):
-            run(build_config("qfi-evolution"), jobs=jobs)
         out = tmp_path / "x.csv"
         assert cli_main(["qfi-evolution", "--jobs", str(jobs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --jobs must be 1")
         assert not out.exists()
 
     def test_rejected_jobs_make_no_output_directory(self, tmp_path, capsys):
-        out = tmp_path / "new_dir" / "x.csv"
-        assert cli_main(["qfi-evolution", "--jobs", "0", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: jobs must be >= 1")
-        assert not out.parent.exists()
+        # runs are serial: any --jobs but 1 is a bad config, found before any work
+        for jobs in ("0", "-4", "2"):
+            out = tmp_path / f"new_dir_{jobs}" / "x.csv"
+            assert cli_main(["qfi-evolution", "--jobs", jobs, "--out", str(out)]) == 2, jobs
+            assert capsys.readouterr().err.startswith("error: --jobs must be 1"), jobs
+            assert not out.parent.exists(), jobs
+
+    def test_non_utf8_config_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"lam = -0.2\n\xff\n")
+        assert cli_main(["qfi-evolution", "--config", str(path),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_uncreatable_output_directory_fails_before_any_cell(
             self, tmp_path, monkeypatch, capsys):
@@ -676,9 +654,9 @@ class TestCli:
             self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def recorded(cfg, jobs, resume):
-            seen.append((cfg.values["g"].tolist(), jobs))
-            return run(cfg, jobs=jobs, resume=resume)
+        def recorded(cfg, resume):
+            seen.append(cfg.values["g"].tolist())
+            return run(cfg, resume=resume)
 
         monkeypatch.setattr(cli, "run", recorded)
         argv = ["qfi-evolution", "--no-resume", "--out", str(tmp_path / "x.csv"),
@@ -689,7 +667,7 @@ class TestCli:
         assert exc.value.code == 2
         assert cli_main(argv + ["--jobs", "0", "--set", "g=0.097"]) == 2
         assert cli_main(argv + ["--set", "g=0.099,0.096"]) == 0
-        assert seen == [([0.098], 1), ([0.099, 0.096], 1)]
+        assert seen == [[0.098], [0.099, 0.096]]
         assert cli._build_parser() is cli._build_parser()
 
     def test_list_and_reference(self, capsys):
@@ -710,7 +688,7 @@ class TestCli:
         script = Path(__file__).resolve().parents[1] / "scripts" / "regenerate_all.py"
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         done = subprocess.run(
-            [sys.executable, str(script), "--out-dir", str(tmp_path), "--jobs", "1",
+            [sys.executable, str(script), "--out-dir", str(tmp_path),
              "--experiments", "qfi-evolution"],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
