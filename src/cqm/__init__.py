@@ -7,7 +7,7 @@ validates them, plus a config-driven experiment runner exposed through the
 ``cqm`` command.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     CqmError,
@@ -39,6 +39,7 @@ from .closed_form import (
     inverted_variance,
     inverted_variance_peak,
     optimal_times,
+    peak_time,
     qfi_g,
     var_n,
     x_deriv_g,

@@ -5,7 +5,8 @@
     cqm config-reference [experiment-id]
     cqm list
 
-Every run is one serial pass in this process; --jobs accepts only 1.
+Every run is one serial pass in this process; --jobs accepts only 1.  An output
+is resumed only if this cqm version wrote it for the same config.
 Exit codes: 0 success, 2 invalid configuration, 3 completed with failed cells.
 CQM_OUT_DIR (default '.') is the output root when --out is not given.
 """
@@ -17,6 +18,7 @@ import functools
 import os
 import sys
 
+from . import __version__
 from .errors import ConfigError
 from .experiments import Dataset, build_config, config_reference, experiment_ids, run
 
@@ -84,7 +86,8 @@ def main(argv: list[str] | None = None) -> int:
         if not args.no_resume and os.path.exists(out_path):
             try:
                 previous = Dataset.read_csv(out_path)
-                if previous.metadata.get("config_hash") == cfg.hash():
+                meta = previous.metadata
+                if (meta.get("config_hash"), meta.get("version")) == (cfg.hash(), __version__):
                     resume = previous
             except (ConfigError, ValueError):
                 resume = None  # unreadable previous output: recompute everything

@@ -240,15 +240,18 @@ def inverted_variance(params: ModelParams, t):
 
 
 def optimal_times(params: ModelParams, n_max: int) -> np.ndarray:
-    """Measurement times tau_n = 2*pi*n/sqrt(eps), n = 1..n_max.
-
-    The quadrature variance returns to its initial value there while the
-    derivative keeps its secular growth, which maximizes I_g.
-    """
-    frame = _normal_frame(params)
+    """peak_time at every peak index n = 1..n_max."""
     if n_max < 1:
         raise InvalidParams("n_max", f"must be >= 1, got {n_max}")
-    return 2.0 * np.pi * np.arange(1, n_max + 1) / np.sqrt(frame.epsilon)
+    return peak_time(params, np.arange(1, n_max + 1))
+
+
+def peak_time(params: ModelParams, n) -> float | np.ndarray:
+    """Measurement time tau_n = 2*pi*n/sqrt(eps) of each peak index ``n``: the
+    quadrature variance returns to its initial value there while the
+    derivative keeps its secular growth, which maximizes I_g."""
+    frame = _normal_frame(params)
+    return _unwrap(2.0 * np.pi * np.asarray(n, dtype=float) / np.sqrt(frame.epsilon))
 
 
 def inverted_variance_peak(params: ModelParams, n) -> float | np.ndarray:

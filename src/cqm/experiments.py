@@ -57,7 +57,7 @@ _REGIME_LABELS = np.array([r.value for r in REGIMES])
 @dataclass(frozen=True)
 class _Key:
     default: str
-    kind: str  # "float" | "int" | "grid" (float array from a:b:n or comma list)
+    kind: str  # "float" | "grid" (float array from a:b:n or comma list)
     doc: str
 
 
@@ -65,8 +65,6 @@ def _parse_value(text: str, kind: str):
     text = text.strip()
     if kind == "float":
         return float(text)
-    if kind == "int":
-        return int(text)
     if kind == "grid":
         if ":" in text:
             parts = text.split(":")
@@ -239,7 +237,7 @@ def _quadrature_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
 def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     params = _params(v, cell["g"], cell["lam"])
-    ts = v["t_per"] * float(cf.optimal_times(params, 1)[0])
+    ts = v["t_per"] * cf.peak_time(params, 1)
     base = {"lam": cell["lam"], "g": cell["g"], "t": ts}
     closed = {"x_mean": cf.x_mean(params, ts), "x_deriv_g": cf.x_deriv_g(params, ts),
               "x_var": cf.x_variance(params, ts), "inv_var": cf.inverted_variance(params, ts)}
@@ -254,8 +252,8 @@ def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     state = cf.default_initial_state()
     params = _params(v, cell["g"], cell["lam"])
-    ns = np.asarray(v["n"], dtype=int)  # validated integers >= 1
-    taus = cf.optimal_times(params, int(ns.max()))[ns - 1]
+    ns = np.asarray(v["n"], dtype=int)  # validated integers in [1, 2**53)
+    taus = cf.peak_time(params, ns)
     analytic = cf.ig_fg_ratio(state, params)
     cols = {"lam": cell["lam"], "g": cell["g"], "n": ns, "tau_n": taus,
             "ratio_analytic": analytic}
@@ -269,7 +267,7 @@ def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
 def _frequency_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     params = _params(v, cell["g"], cell["lam"])
-    point = fock.finite_frequency_point(params, cell["eta"], n=v["n"])
+    point = fock.finite_frequency_point(params, cell["eta"], n=int(v["n"]))
     return {
         "lam": cell["lam"], "g": cell["g"], "eta": point.eta, "n": point.n,
         "tau_n": point.tau, "inv_var_exact": point.inv_var_exact,
@@ -281,8 +279,8 @@ def _frequency_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
 def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     params = _params(v, cell["g"], cell["lam"])
-    rates = lb.DecayRates.from_plus_minus(v["gamma_plus"], v["gamma_minus"])
-    ts = v["t_per"] * float(cf.optimal_times(params, 1)[0])
+    rates = lb.DecayRates(gamma_plus=v["gamma_plus"], gamma_minus=v["gamma_minus"])
+    ts = v["t_per"] * cf.peak_time(params, 1)
     base = {"lam": cell["lam"], "g": cell["g"],
             "gamma_minus": rates.gamma_minus, "gamma_plus": rates.gamma_plus, "t": ts}
     closed = {"x_mean": lb.x_mean_dissipative(params, rates, ts),
@@ -424,7 +422,7 @@ _REGISTRY: dict[str, _Experiment] = {
             "g": _Key("0.9,0.1", "grid", "couplings, zipped with lam"),
             "lam": _Key("0,-0.247", "grid", "quadratic strengths, zipped with g"),
             "eta": _Key("1e2,3e2,1e3,3e3,1e4", "grid", "frequency ratios Omega/omega"),
-            "n": _Key("1", "int", "peak index of the comparison time tau_n"),
+            "n": _Key("1", "float", "peak index of the comparison time tau_n"),
         },
         cells=lambda v: [{**case, "eta": eta} for case in _zipped_cells(v) for eta in v["eta"]],
         columns=lambda engine: ["lam", "g", "eta", "n", "tau_n", "inv_var_exact",
@@ -558,10 +556,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("omega must be positive")
     if np.any(np.atleast_1d(v["g"]) < 0):
         raise ConfigError("couplings g must be >= 0")
-    if "n" in v:
+    if "n" in v:  # below 2**53 every integer is a float and none is rounded
         ns = np.atleast_1d(v["n"])
-        if np.any(ns < 1) or np.any(ns != np.floor(ns)):
-            raise ConfigError(f"peak indices n = {ns.tolist()} must be integers >= 1")
+        if np.any(ns < 1) or np.any(ns >= 2.0**53) or np.any(ns != np.floor(ns)):
+            raise ConfigError(f"peak indices n = {ns.tolist()} must be integers in [1, 2**53)")
     if "gamma_minus" in v and not 0.0 <= v["gamma_minus"] <= v["gamma_plus"]:
         raise ConfigError("decay rates need 0 <= gamma_minus <= gamma_plus")
     if "gamma_minus" in v and cfg.engine != "closed":

@@ -2,21 +2,21 @@
 
 Every operator is filled from the bands of a and a^dag and held as the
 nonzero diagonals of its real symmetric blocks: the spin (x) boson
-Hamiltonian as one block over spin-major amplitudes (plain arrays,
-|down> (x) boson from spin_down_state), and the effective low-energy
-oscillator as its two parity blocks (it couples n only to n and n+-2, so
-the even and odd Fock indices form two real tridiagonal blocks).  One
-routine, _block_eig, decomposes every block, and a dense matrix exists only
-while it does, for LAPACK: eigh, or for a tridiagonal block of
-TRIDIAGONAL_MIN rows or more eigvalsh alone, the vectors then found by
-inverse iteration and certified (eigh again if the certificate fails).
-States are evolved by eigendecomposition of each block (exactly unitary at
-any time; a state of the wrong length or norm, or a non-finite time, is
-rejected before any decomposition), and the module
-computes the quantum Fisher information two independent ways:
-a fidelity finite difference and the spectral integral of the evolution
-generator.  It also measures how far finite-frequency (Omega/omega = eta)
-dynamics sits from the low-frequency closed forms.
+Hamiltonian as one block over spin-major amplitudes (plain arrays, with
+|down> (x) boson the boson's amplitudes zero-padded to 2*n_cut), and the
+effective low-energy oscillator as its two parity blocks (it couples n only
+to n and n+-2, so the even and odd Fock indices form two real tridiagonal
+blocks).  One routine, _block_eig, decomposes every block, and a dense
+matrix exists only while it does, for LAPACK: eigh, or for a tridiagonal
+block of TRIDIAGONAL_MIN rows or more eigvalsh alone, the vectors then
+found by inverse iteration and certified (eigh again if the certificate
+fails).  States are evolved by eigendecomposition of each block (exactly
+unitary at any time; a state of the wrong length or norm, or a non-finite
+time, is rejected before any decomposition), and the module computes the
+quantum Fisher information two independent ways: a fidelity finite
+difference and the spectral integral of the evolution generator.  It also
+measures how far finite-frequency (Omega/omega = eta) dynamics sits from
+the low-frequency closed forms.
 
 The effective oscillator takes d<X>_t/dg exactly (Duhamel) from the kernel
 of its generator QFI, so one decomposition per cutoff level serves every
@@ -51,7 +51,7 @@ from .errors import (
     TruncationLeak,
 )
 from .closed_form import BosonInitialState, default_initial_state
-from .closed_form import inverted_variance_peak, optimal_times
+from .closed_form import inverted_variance_peak, peak_time
 from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
 
 AUTO_CUTOFF_START = 32
@@ -65,8 +65,6 @@ SERIES_RTOL, SERIES_ATOL = 1e-6, 1e-9
 #: and the most weight an evolved state may put there.
 TAIL_FRACTION = 0.1
 LEAK_TOL = 1e-8
-
-SPIN_DOWN, SPIN_UP = 0, 1  # block order inside joint vectors
 
 #: Smallest tridiagonal block (rows) decomposed as eigvalsh plus inverse
 #: iteration instead of eigh.  On the effective oscillator's blocks at
@@ -175,35 +173,28 @@ def _dense(diagonals: dict[int, np.ndarray]) -> np.ndarray:
     return h
 
 
-def _tridiagonal(diagonals: dict[int, np.ndarray]) -> bool:
-    """Whether a (checked) block is tridiagonal and large enough for
-    eigvalsh plus inverse iteration."""
-    return diagonals.keys() == {0, 1} and len(diagonals[0]) >= TRIDIAGONAL_MIN
-
-
 def _block_eig(diagonals: dict[int, np.ndarray],
                reach: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(energies, vectors) of one block: eigh, or for a large tridiagonal
-    block eigvalsh's energies with its vectors by inverse iteration, eigh
-    again if any vector fails the Davis-Kahan certificate.
+    """(energies, vectors) of one block: eigh, or for a tridiagonal block of
+    TRIDIAGONAL_MIN rows or more eigvalsh's energies and inverse iteration's
+    vectors, eigh after all if a vector fails the Davis-Kahan certificate.
 
     With ``reach`` = (amplitudes, dH diagonal, dH superdiagonal) of the
     state and the generator on this block, a large tridiagonal block first
     finds only its lowest m // LOW_MODES vectors and keeps them alone when
     they hold the state, close under dH (_closes) and pass the certificate;
     otherwise inverse iteration finds the rest."""
-    if not _tridiagonal(diagonals):
-        return np.linalg.eigh(_dense(diagonals))
-    d, e = diagonals[0], diagonals[1]
-    energies = np.linalg.eigvalsh(_dense(diagonals))
-    low = np.empty((len(d), 0))
-    if reach is not None:
-        low = _inverse_iteration(d, e, energies[:len(d) // LOW_MODES])
-        if _closes(low, *reach) and _certified(d, e, energies, low):
-            return energies[:low.shape[1]], low
-    vectors = np.hstack((low, _inverse_iteration(d, e, energies[low.shape[1]:])))
-    if _certified(d, e, energies, vectors):
-        return energies, vectors
+    if diagonals.keys() == {0, 1} and len(diagonals[0]) >= TRIDIAGONAL_MIN:
+        d, e = diagonals[0], diagonals[1]
+        energies = np.linalg.eigvalsh(_dense(diagonals))
+        low = np.empty((len(d), 0))
+        if reach is not None:
+            low = _inverse_iteration(d, e, energies[:len(d) // LOW_MODES])
+            if _closes(low, *reach) and _certified(d, e, energies, low):
+                return energies[:low.shape[1]], low
+        vectors = np.hstack((low, _inverse_iteration(d, e, energies[low.shape[1]:])))
+        if _certified(d, e, energies, vectors):
+            return energies, vectors
     return np.linalg.eigh(_dense(diagonals))
 
 
@@ -258,15 +249,8 @@ def _certified(d: np.ndarray, e: np.ndarray, energies: np.ndarray,
     return bool((np.linalg.norm(residual, axis=0) <= CERTIFY_TOL * gaps).all())
 
 
-def spin_down_state(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
-    """Amplitudes of |down> (x) |boson> over (spin) x (Fock 0..n_cut-1),
-    spin-major, with the boson zero-padded to ``n_cut``."""
-    amps = np.zeros(2 * n_cut, dtype=complex)
-    amps[SPIN_DOWN * n_cut: (SPIN_DOWN + 1) * n_cut] = _pad(boson, n_cut)
-    return amps
-
-
 def _pad(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
+    """``boson``'s amplitudes zero-padded to ``n_cut`` (to 2*n_cut: |down> (x) |boson>)."""
     b = boson.amplitudes if isinstance(boson, BosonInitialState) else np.asarray(boson)
     if len(b) > n_cut:
         raise InvalidParams("n_cut", "smaller than the boson state length")
@@ -592,10 +576,11 @@ def _series_at_cutoff(params: ModelParams, ts: np.ndarray, psi0: BosonInitialSta
     lam=-0.247, eta=1e4 (inv_var_exact 73884.747 -> 73884.932 at n_cut 256)
     past the benchmark gate's same-cutoff 1e-6 until its reference moves."""
     dg = 1e-5 * max(params.g, 0.01)
+    amps0 = _pad(_pad(psi0, n_cut), 2 * n_cut)  # no longer than n_cut, then |down> (x) psi0
 
     def measure(gv: float) -> tuple[np.ndarray, np.ndarray]:
         h = builder(replace(params, g=gv), n_cut)
-        return _x_moments(evolve_joint_grid(h, spin_down_state(psi0, n_cut), ts), n_cut)
+        return _x_moments(evolve_joint_grid(h, amps0, ts), n_cut)
 
     x0, xx0 = measure(params.g)
     (xp1, _), (xm1, _) = measure(params.g + dg), measure(params.g - dg)
@@ -716,13 +701,6 @@ def qfi_overlap(
     return float(values[0])
 
 
-def _qfi_ladder(level, n_cut: int | None, rtol: float) -> tuple[np.ndarray, int]:
-    if n_cut is not None:
-        return level(n_cut)[1][3], n_cut
-    n_cut, values = auto_cutoff(lambda n: level(n)[1][3], rtol=rtol)
-    return values, n_cut
-
-
 def _normal_level(params: ModelParams, ts, psi0: BosonInitialState | None):
     """_effective_level bound to one normal-regime point; RegimeError past it."""
     if effective_oscillator(params).regime is not Regime.NORMAL:
@@ -748,7 +726,11 @@ def generator_qfi_grid(
     across the grid at relative tolerance ``rtol``; no level counts as leaking.
     A non-finite time is an InvalidParams.
     """
-    return _qfi_ladder(_normal_level(params, ts, psi0), n_cut, rtol)
+    level = _normal_level(params, ts, psi0)
+    if n_cut is not None:
+        return level(n_cut)[1][3], n_cut
+    n_cut, values = auto_cutoff(lambda n: level(n)[1][3], rtol=rtol)
+    return values, n_cut
 
 
 def ratio_oracle(params: ModelParams, ts: Sequence[float],
@@ -759,7 +741,7 @@ def ratio_oracle(params: ModelParams, ts: Sequence[float],
     ts = np.asarray(ts, dtype=float)
     level = cache(_normal_level(params, ts, psi0))
     series = _series_ladder(_leak_checked(level), ts, None)
-    qfis, _ = _qfi_ladder(level, None, rtol=1e-6)
+    _, qfis = auto_cutoff(lambda n: level(n)[1][3])
     return series.inv_var / qfis, series.n_cut
 
 
@@ -821,7 +803,7 @@ def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> Frequ
     if eta < ETA_MIN:
         raise InvalidParams("eta", f"must be >= {ETA_MIN:g}, got {eta}")
     full_params = replace(params, Omega=eta * params.omega)
-    tau = float(optimal_times(params, n)[-1])
+    tau = peak_time(params, n)
     series = quadrature_series(full_params, [tau], builder=build_squeezed_frame_hamiltonian)
     i_exact = float(series.inv_var[0])
     i_limit = inverted_variance_peak(params, n)

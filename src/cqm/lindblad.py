@@ -11,8 +11,9 @@ dissipative inverted variance.  The explicit solutions hold in the normal
 regime and read the same oscillator frame (stiffness s, ds/dg, gap
 epsilon) as the closed_form module, through its normal-regime guard; the
 moment equations read effective_oscillator, so they also hold on the
-critical line.  Every closed form reduces
-pointwise to its unitary counterpart at gamma_a = gamma_h = 0.
+critical line.  Every equation reads the rates as gamma_+- = gamma_a +-
+gamma_h, as DecayRates holds them, and every closed form reduces pointwise
+to its unitary counterpart at gamma_+ = gamma_- = 0.
 """
 
 from __future__ import annotations
@@ -24,40 +25,26 @@ import numpy as np
 
 from .errors import InvalidParams
 from .closed_form import _normal_frame, sin_minus_x_cos_over_x3, x_deriv_g, x_mean
-from .model import ModelParams, OscillatorFrame, effective_oscillator
+from .model import ModelParams, OscillatorFrame, _unwrap, effective_oscillator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DecayRates:
-    """Decay rate gamma_a and heating rate gamma_h (both finite and >= 0).
+    """gamma_plus = gamma_a + gamma_h and gamma_minus = gamma_a - gamma_h of
+    decay (gamma_a) and heating (gamma_h), exactly as given; valid when
+    |gamma_minus| <= gamma_plus < inf (gamma_a, gamma_h >= 0).  gamma_minus sets
+    the damping envelope; the closed forms also need gamma_minus >= 0."""
 
-    gamma_minus = gamma_a - gamma_h sets the damping envelope; the closed
-    forms below additionally require gamma_minus >= 0 (net damping).
-    """
-
-    gamma_a: float
-    gamma_h: float = 0.0
+    gamma_plus: float
+    gamma_minus: float
 
     def __post_init__(self):
-        for name in ("gamma_a", "gamma_h"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate < np.inf:  # NaN fails too
-                raise InvalidParams(name, f"must be finite and >= 0, got {rate}")
-
-    @property
-    def gamma_plus(self) -> float:
-        return self.gamma_a + self.gamma_h
-
-    @property
-    def gamma_minus(self) -> float:
-        return self.gamma_a - self.gamma_h
-
-    @classmethod
-    def from_plus_minus(cls, gamma_plus: float, gamma_minus: float) -> "DecayRates":
-        return cls(0.5 * (gamma_plus + gamma_minus), 0.5 * (gamma_plus - gamma_minus))
+        if not abs(self.gamma_minus) <= self.gamma_plus < np.inf:  # NaN fails too
+            raise InvalidParams("rates", "need finite rates with |gamma_minus| <= gamma_plus, "
+                                         f"got {self.gamma_plus} and {self.gamma_minus}")
 
 
-NO_DECAY = DecayRates(0.0, 0.0)
+NO_DECAY = DecayRates(gamma_plus=0.0, gamma_minus=0.0)
 
 
 #: Moments (<X>, <P>, <X^2>, <P^2>, <G>) of the reference state (|0> + i|1>)/sqrt(2).
@@ -134,7 +121,7 @@ def _damped_frame(params: ModelParams, rates: DecayRates) -> OscillatorFrame:
     """The normal-regime oscillator frame, once the rates are net damping."""
     if rates.gamma_minus < 0:
         raise InvalidParams(
-            "rates", "closed forms require net damping (gamma_a >= gamma_h)"
+            "rates", "closed forms require net damping (gamma_minus >= 0)"
         )
     return _normal_frame(params)
 
@@ -143,16 +130,14 @@ def x_mean_dissipative(params: ModelParams, rates: DecayRates, t):
     """<X>_t with damping: the unitary result times exp(-gamma_-*t/2)."""
     _damped_frame(params, rates)
     t = np.asarray(t, dtype=float)
-    out = x_mean(params, t) * np.exp(-0.5 * rates.gamma_minus * t)
-    return out if out.ndim else float(out)
+    return _unwrap(x_mean(params, t) * np.exp(-0.5 * rates.gamma_minus * t))
 
 
 def x_deriv_g_dissipative(params: ModelParams, rates: DecayRates, t):
     """d<X>_t/dg with damping; the rates carry no g dependence."""
     _damped_frame(params, rates)
     t = np.asarray(t, dtype=float)
-    out = x_deriv_g(params, t) * np.exp(-0.5 * rates.gamma_minus * t)
-    return out if out.ndim else float(out)
+    return _unwrap(x_deriv_g(params, t) * np.exp(-0.5 * rates.gamma_minus * t))
 
 
 def _expm1_over(gamma_minus: float, t: np.ndarray) -> np.ndarray:
@@ -192,8 +177,7 @@ def x_variance_dissipative(params: ModelParams, rates: DecayRates, t):
     """
     frame = _damped_frame(params, rates)
     t = np.asarray(t, dtype=float)
-    out = 0.25 * _variance_braces(frame, rates, t) * np.exp(-rates.gamma_minus * t)
-    return out if out.ndim else float(out)
+    return _unwrap(0.25 * _variance_braces(frame, rates, t) * np.exp(-rates.gamma_minus * t))
 
 
 def inverted_variance_dissipative(params: ModelParams, rates: DecayRates, t):
@@ -209,5 +193,4 @@ def inverted_variance_dissipative(params: ModelParams, rates: DecayRates, t):
     y = 0.5 * np.sqrt(frame.epsilon) * t
     bracket = sin_minus_x_cos_over_x3(y) * y**3
     braces = _variance_braces(frame, rates, t)
-    out = frame.dstiffness_dg**2 * bracket**2 / (2.0 * frame.stiffness**3 * braces)
-    return out if out.ndim else float(out)
+    return _unwrap(frame.dstiffness_dg**2 * bracket**2 / (2.0 * frame.stiffness**3 * braces))

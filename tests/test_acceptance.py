@@ -204,7 +204,7 @@ def test_criterion_7_finite_frequency_scaling():
 
 
 def test_criterion_8_decoherence():
-    rates = DecayRates.from_plus_minus(0.03, 0.01)
+    rates = DecayRates(gamma_plus=0.03, gamma_minus=0.01)
     tuned = params(0.1, lam=-0.247)
     plain = params(0.1, lam=0.0)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cqm
 from cqm import (
     ConfigError,
     Dataset,
@@ -76,6 +77,8 @@ class TestConfig:
     @pytest.mark.parametrize("experiment,override", [
         ("ratio-scaling", "n=1,0"),  # would label tau_1 as n=0
         ("ratio-scaling", "n=2.5"),  # would be written as n=2
+        ("ratio-scaling", "n=1e19"),  # would overflow int64 and fail every cell
+        ("ratio-scaling", "n=9007199254740993"),  # would be read as 2**53
         ("frequency-scaling", "n=0"),
         ("qfi-evolution", "omega=inf"),
         ("qfi-evolution", "t=nan"),
@@ -159,6 +162,14 @@ class TestRunner:
             assert not ds.failed_cells, name
             statuses = set(ds.str_column("status"))
             assert statuses <= {"ok", "saturated"}, name
+
+    def test_default_decoherence_rates_are_written_as_given(self):
+        # the rates went through (gamma_a, gamma_h) and back, which wrote
+        # gamma_minus as 0.010000000000000002
+        ds = run(build_config("decoherence"))
+        assert len(ds.rows) == 1200 and not ds.failed_cells
+        assert set(ds.str_column("gamma_minus")) == {"0.01"}
+        assert set(ds.column("gamma_plus")) == {0.03}  # text 0.029999999999999999
 
     def test_determinism_two_fresh_runs(self):
         cfg = tiny("decoherence")
@@ -544,6 +555,24 @@ class TestCli:
         assert strip(first) == strip(second)
         meta = json.loads(second.splitlines()[0][2:])
         assert meta["cells_computed"] == 0  # resumed
+
+    def test_output_of_another_version_is_recomputed(self, tmp_path, capsys):
+        # another version may have written other values for the same config
+        # (the decoherence rows changed), so none of its rows is reused
+        out = tmp_path / "ds.csv"
+        argv = ["qfi-evolution", "--out", str(out), "--set", "g=0.098,0.099",
+                "--set", "t=0:50:6"]
+        assert cli_main(argv) == 0
+        header, body = out.read_text().split("\n", 1)
+        meta = json.loads(header[2:])
+        meta["version"] = "0.0.1"
+        out.write_text("# " + json.dumps(meta) + "\n" + body)
+        capsys.readouterr()
+        assert cli_main(argv) == 0
+        assert "2/2 cells computed" in capsys.readouterr().out
+        again = out.read_text().split("\n", 1)
+        assert json.loads(again[0][2:])["version"] == cqm.__version__
+        assert again[1] == body
 
     @pytest.mark.parametrize("keep", ["header", "cut_row"])
     def test_truncated_output_is_recomputed(self, tmp_path, capsys, keep):

@@ -46,7 +46,6 @@ from cqm.fock import (
     _x_moments,
     evolve_joint_grid,
     quadratures,
-    spin_down_state,
 )
 
 
@@ -306,13 +305,19 @@ class TestEvolve:
         p = params(0.9, Omega=50.0)
         h = build_squeezed_frame_hamiltonian(p, 24)
         boson = default_initial_state()
-        psi = spin_down_state(boson, 24)
+        psi = _pad(boson, 48)  # |down> (x) boson, spin-major
         assert psi.shape == (48,) and psi.dtype == complex
         assert np.array_equal(psi[:6], boson.amplitudes) and not psi[6:].any()
         out = evolve_joint_grid(h, psi, [0.0, 1.0])
         assert np.abs(out[:, 0] - psi).max() < 1e-12
         assert np.linalg.norm(out[:, 1]) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(out[24:, 1]).max() > 0.0  # the coupling flips the spin
+
+    def test_joint_state_longer_than_the_cutoff_rejected(self):
+        # padded to 2*n_cut it would start partly in the spin-up block
+        with pytest.raises(InvalidParams, match="n_cut"):
+            quadrature_series(params(0.9, Omega=50.0), [1.0], psi0=default_initial_state(40),
+                              n_cut=32, builder=build_full_hamiltonian)
 
     def test_unnormalized_states_rejected_by_both_routines(self, monkeypatch):
         # rejected before any decomposition: eig() must not run
@@ -323,7 +328,7 @@ class TestEvolve:
         boson = build_effective_hamiltonian(params(0.9), 16)
         joint = build_squeezed_frame_hamiltonian(params(0.9, Omega=50.0), 16)
         cases = [(evolve_grid, boson, default_initial_state(16).amplitudes),
-                 (evolve_joint_grid, joint, spin_down_state(default_initial_state(), 16))]
+                 (evolve_joint_grid, joint, _pad(default_initial_state(), 32))]
         for evolve, h, psi in cases:
             nan = psi.copy()
             nan[-1] = np.nan
@@ -345,7 +350,7 @@ class TestEvolve:
         calls = [
             lambda: evolve_grid(build_effective_hamiltonian(p, 16), _pad(psi, 16), [1.0, bad]),
             lambda: evolve_joint_grid(build_full_hamiltonian(params(0.9, Omega=50.0), 16),
-                                      spin_down_state(psi, 16), [bad]),
+                                      _pad(psi, 32), [bad]),
             lambda: generator_qfi_grid(p, [bad], n_cut=64),
             lambda: generator_qfi_grid(p, [0.0, bad]),
             lambda: quadrature_series(p, [bad], n_cut=64),

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,10 @@ from cqm import (
     x_variance,
     x_variance_dissipative,
 )
+from cqm.fock import quadratures
 from cqm.lindblad import NO_DECAY, REFERENCE_STATE_MOMENTS
 
-REFERENCE_RATES = DecayRates.from_plus_minus(0.03, 0.01)
+REFERENCE_RATES = DecayRates(gamma_plus=0.03, gamma_minus=0.01)
 
 
 def params(g, lam=0.0):
@@ -40,17 +43,24 @@ PLAIN = params(0.1, lam=0.0)
 
 class TestDecayRates:
     def test_plus_minus_roundtrip(self):
-        r = DecayRates.from_plus_minus(0.03, 0.01)
-        assert r.gamma_a == pytest.approx(0.02)
-        assert r.gamma_h == pytest.approx(0.01)
-        assert r.gamma_plus == pytest.approx(0.03)
-        assert r.gamma_minus == pytest.approx(0.01)
+        # held exactly as given: converting through (gamma_a, gamma_h) made
+        # gamma_minus 0.010000000000000002
+        r = DecayRates(gamma_plus=0.03, gamma_minus=0.01)
+        assert (r.gamma_plus, r.gamma_minus) == (0.03, 0.01)
+        assert [f.name for f in fields(DecayRates)] == ["gamma_plus", "gamma_minus"]
+
+    def test_positional_rates_rejected(self):
+        with pytest.raises(TypeError):
+            DecayRates(0.03, 0.01)
 
     def test_negative_rates_rejected(self):
+        # gamma_a < 0 and gamma_h < 0: |gamma_minus| > gamma_plus either way
         with pytest.raises(InvalidParams):
-            DecayRates(-0.1, 0.0)
+            DecayRates(gamma_plus=0.01, gamma_minus=-0.02)
         with pytest.raises(InvalidParams):
-            DecayRates(0.1, -0.1)
+            DecayRates(gamma_plus=0.01, gamma_minus=0.02)
+        with pytest.raises(InvalidParams):
+            DecayRates(gamma_plus=-0.1, gamma_minus=0.0)
 
     @pytest.mark.parametrize("gamma_a, gamma_h", [
         (np.nan, 0.0), (0.02, np.nan), (np.inf, 0.0), (0.02, np.inf),
@@ -58,16 +68,17 @@ class TestDecayRates:
     def test_non_finite_rates_rejected(self, gamma_a, gamma_h):
         # a NaN rate used to give NaN closed forms, an infinite one 0
         with pytest.raises(InvalidParams, match="finite"):
-            DecayRates(gamma_a, gamma_h)
+            DecayRates(gamma_plus=gamma_a + gamma_h, gamma_minus=gamma_a - gamma_h)
 
     @pytest.mark.parametrize("gamma_plus, gamma_minus", [(np.inf, 0.0), (np.inf, np.inf),
-                                                          (np.nan, 0.01)])
+                                                          (np.nan, 0.01), (0.03, np.nan),
+                                                          (0.03, -np.inf)])
     def test_non_finite_plus_minus_rates_rejected(self, gamma_plus, gamma_minus):
         with pytest.raises(InvalidParams, match="finite"):
-            DecayRates.from_plus_minus(gamma_plus, gamma_minus)
+            DecayRates(gamma_plus=gamma_plus, gamma_minus=gamma_minus)
 
     def test_heating_dominated_closed_forms_rejected(self):
-        amplifying = DecayRates(0.01, 0.02)
+        amplifying = DecayRates(gamma_plus=0.03, gamma_minus=-0.01)
         with pytest.raises(InvalidParams):
             x_mean_dissipative(PLAIN, amplifying, 1.0)
 
@@ -115,6 +126,16 @@ class TestMomentRhs:
         eff = effective_oscillator(PLAIN)
         d = rhs(REFERENCE_STATE_MOMENTS, PLAIN, NO_DECAY)
         assert d[0] == pytest.approx(eff.omega_bar / np.sqrt(2))
+
+    def test_reference_moments_are_those_of_the_reference_state(self):
+        # the moment ODE's starting row and default_initial_state() are two
+        # forms of the reference state (|0> + i|1>)/sqrt(2)
+        psi = np.append(default_initial_state().amplitudes, 0.0)  # room for X^2, P^2
+        x, p = quadratures(len(psi))
+        ops = (x, p, x @ x, p @ p, x @ p + p @ x)
+        moments = np.array([np.vdot(psi, op @ psi) for op in ops])
+        assert np.abs(moments.imag).max() <= 1e-15
+        assert np.abs(moments.real - REFERENCE_STATE_MOMENTS).max() <= 1e-15
 
     def test_g_equation_with_balanced_moments(self):
         eff = effective_oscillator(TUNED)
@@ -324,8 +345,8 @@ class TestClosedForms:
 
     def test_tiny_gamma_minus_series_branch(self):
         # gamma_- below the series crossover must stay continuous
-        r1 = DecayRates.from_plus_minus(0.03, 1e-9)
-        r2 = DecayRates.from_plus_minus(0.03, 1e-13)
+        r1 = DecayRates(gamma_plus=0.03, gamma_minus=1e-9)
+        r2 = DecayRates(gamma_plus=0.03, gamma_minus=1e-13)
         ts = np.linspace(0.0, 20.0, 11)
         v1 = x_variance_dissipative(PLAIN, r1, ts)
         v2 = x_variance_dissipative(PLAIN, r2, ts)
