@@ -246,6 +246,15 @@ def optimal_times(params: ModelParams, n_max: int) -> np.ndarray:
     return peak_time(params, np.arange(1, n_max + 1))
 
 
+def peak_indices(n) -> np.ndarray:
+    """``n`` as an integer array; InvalidParams unless each is an integer in
+    [1, 2**53), below which every integer is a float and none is rounded."""
+    ns = np.atleast_1d(n).astype(float)
+    if np.any(ns < 1) or np.any(ns >= 2.0**53) or np.any(ns != np.floor(ns)):
+        raise InvalidParams("n", f"peak indices {ns.tolist()} must be integers in [1, 2**53)")
+    return ns.astype(int)
+
+
 def peak_time(params: ModelParams, n) -> float | np.ndarray:
     """Measurement time tau_n = 2*pi*n/sqrt(eps) of each peak index ``n``: the
     quadrature variance returns to its initial value there while the

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NonFinite, NonPositiveData
+from .errors import ConfigError, InvalidParams, NonFinite, NonPositiveData
 from .model import REGIMES, ModelParams, Regime, _regime_index, effective_oscillator
 from . import closed_form as cf
 from . import fock
@@ -65,15 +65,13 @@ def _parse_value(text: str, kind: str):
     text = text.strip()
     if kind == "float":
         return float(text)
-    if kind == "grid":
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"grid '{text}' must be start:stop:num or a comma list")
-            start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
-            return np.linspace(start, stop, num)
-        return np.array([float(p) for p in text.split(",") if p.strip() != ""])
-    raise ConfigError(f"unknown key kind {kind}")
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ConfigError(f"grid '{text}' must be start:stop:num or a comma list")
+        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
+        return np.linspace(start, stop, num)
+    return np.array([float(p) for p in text.split(",") if p.strip() != ""])
 
 
 _COMMON = {
@@ -252,7 +250,7 @@ def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
     state = cf.default_initial_state()
     params = _params(v, cell["g"], cell["lam"])
-    ns = np.asarray(v["n"], dtype=int)  # validated integers in [1, 2**53)
+    ns = cf.peak_indices(v["n"])
     taus = cf.peak_time(params, ns)
     analytic = cf.ig_fg_ratio(state, params)
     cols = {"lam": cell["lam"], "g": cell["g"], "n": ns, "tau_n": taus,
@@ -513,24 +511,17 @@ def build_config(
     entry = _REGISTRY[experiment]
     keys = {**_COMMON, **entry.keys}
     raw = {k: kd.default for k, kd in keys.items()}
-    chosen_engine = entry.engine
-    file_values = read_config_file(config_file) if config_file else {}
-    override_values = {}
-    for item in overrides or []:
+    given = read_config_file(config_file) if config_file else {}
+    for item in overrides or []:  # --set wins over the config file
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got '{item}'")
         key, _, value = item.partition("=")
-        override_values[key.strip()] = value.strip()
-    for source in (file_values, override_values):
-        for key, value in source.items():
-            if key == "engine":
-                chosen_engine = value
-                continue
-            if key not in keys:
-                raise ConfigError(f"unknown key '{key}' for experiment '{experiment}'")
-            raw[key] = value
-    if engine is not None:
-        chosen_engine = engine
+        given[key.strip()] = value.strip()
+    for key, value in given.items():
+        if key not in keys:
+            raise ConfigError(f"unknown key '{key}' for experiment '{experiment}'")
+        raw[key] = value
+    chosen_engine = entry.engine if engine is None else engine
     if chosen_engine not in entry.engines:
         raise ConfigError(
             f"engine '{chosen_engine}' not supported by '{experiment}' "
@@ -552,16 +543,18 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"grid '{key}' is empty")
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"'{key}' must be finite")
-    if not v["omega"] > 0:
-        raise ConfigError("omega must be positive")
-    if np.any(np.atleast_1d(v["g"]) < 0):
-        raise ConfigError("couplings g must be >= 0")
-    if "n" in v:  # below 2**53 every integer is a float and none is rounded
-        ns = np.atleast_1d(v["n"])
-        if np.any(ns < 1) or np.any(ns >= 2.0**53) or np.any(ns != np.floor(ns)):
-            raise ConfigError(f"peak indices n = {ns.tolist()} must be integers in [1, 2**53)")
-    if "gamma_minus" in v and not 0.0 <= v["gamma_minus"] <= v["gamma_plus"]:
-        raise ConfigError("decay rates need 0 <= gamma_minus <= gamma_plus")
+    # ModelParams checks arrays through their extremes, so these stand for every cell
+    g, lam = (np.array([np.min(v[k]), np.max(v[k])]) for k in ("g", "lam"))
+    try:  # ModelParams and DecayRates own their rules
+        _params(v, g, lam)
+        if "n" in v:
+            cf.peak_indices(v["n"])
+        if "gamma_minus" in v:
+            lb.DecayRates(gamma_plus=v["gamma_plus"], gamma_minus=v["gamma_minus"])
+    except InvalidParams as exc:
+        raise ConfigError(str(exc)) from exc
+    if "gamma_minus" in v and v["gamma_minus"] < 0:
+        raise ConfigError("the closed forms need gamma_minus >= 0")
     if "gamma_minus" in v and cfg.engine != "closed":
         t = np.atleast_1d(v["t_per"])
         if np.any(t < 0) or np.any(np.diff(t) <= 0) or t[-1] == 0:
@@ -572,9 +565,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if "eta" in v and np.unique(v["eta"]).size < 5:  # as fit_loglog_slope needs per case
         raise ConfigError("eta needs >= 5 distinct values for the log-log slope fit")
     _REGISTRY[cfg.experiment].cells(v)  # raises ConfigError on unequal zipped lists
-    for lam in np.atleast_1d(v["lam"]):
-        if not 1.0 + 4.0 * lam / v["omega"] > 0:
-            raise ConfigError(f"lam = {lam} violates 1 + 4*lam/omega > 0")
 
 
 # ----------------------------------------------------------------------

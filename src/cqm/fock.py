@@ -51,7 +51,7 @@ from .errors import (
     TruncationLeak,
 )
 from .closed_form import BosonInitialState, default_initial_state
-from .closed_form import inverted_variance_peak, peak_time
+from .closed_form import inverted_variance_peak, peak_indices, peak_time
 from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
 
 AUTO_CUTOFF_START = 32
@@ -737,8 +737,11 @@ def ratio_oracle(params: ModelParams, ts: Sequence[float],
                  psi0: BosonInitialState | None = None) -> tuple[np.ndarray, int]:
     """I_g(t)/F_g(t) on a grid: the ladders of quadrature_series and
     generator_qfi_grid (default rtol) over one decomposition per cutoff level,
-    shared for this call only.  Returns (ratios, quadrature_series's n_cut)."""
-    ts = np.asarray(ts, dtype=float)
+    shared for this call only.  Returns (ratios, quadrature_series's n_cut).
+    Times must be finite and > 0 (the ratio is 0/0 at t = 0), else InvalidParams."""
+    ts = _times(ts)
+    if not np.all(ts > 0):
+        raise InvalidParams("ts", "the ratio needs times > 0")
     level = cache(_normal_level(params, ts, psi0))
     series = _series_ladder(_leak_checked(level), ts, None)
     _, qfis = auto_cutoff(lambda n: level(n)[1][3])
@@ -798,8 +801,9 @@ def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> Frequ
     in) and measures <X>, <X^2> and d<X>/dg at the low-frequency optimal
     time tau_n = 2*pi*n/sqrt(epsilon) through quadrature_series, whose
     ladder always picks the cutoff; on this joint builder the derivative is
-    still the Richardson-centered stencil.
+    still the Richardson-centered stencil.  A bad peak index n is an InvalidParams.
     """
+    peak_indices(n)
     if eta < ETA_MIN:
         raise InvalidParams("eta", f"must be >= {ETA_MIN:g}, got {eta}")
     full_params = replace(params, Omega=eta * params.omega)

@@ -23,7 +23,7 @@ from cqm import (
     x_second_moment,
     x_variance,
 )
-from cqm.closed_form import sin_minus_x_cos_over_x3, sin_minus_x_over_x3
+from cqm.closed_form import peak_indices, sin_minus_x_cos_over_x3, sin_minus_x_over_x3
 
 
 def params(g, lam=0.0, omega=1.0, Omega=1e4):
@@ -345,6 +345,13 @@ class TestOptimalTimesAndPeaks:
     def test_bad_n_max(self):
         with pytest.raises(InvalidParams):
             optimal_times(params(0.9), 0)
+
+    def test_peak_indices_are_integers_from_one_below_2_to_the_53(self):
+        assert peak_indices(3.0).tolist() == [3]
+        assert peak_indices([1, 2.0**53 - 1]).tolist() == [1, 2**53 - 1]
+        for bad in (0, -2, 2.5, np.nan, 2.0**53, [1, 0]):
+            with pytest.raises(InvalidParams, match="peak indices"):
+                peak_indices(bad)
 
 
 class TestRatio:

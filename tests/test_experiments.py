@@ -93,11 +93,27 @@ class TestConfig:
         ("qfi-vs-g", "g=-0.5,0.5"),  # would fail its cell instead
         ("qfi-vs-g", "state_dim=6"),  # not a key: the reference state is fixed
         ("qfi-evolution", "Omega=50"),  # not a key: no dataset depends on Omega
+        ("ratio-scaling", "engine=closed"),  # not a key: the engine comes from --engine
+        ("qfi-evolution", "g"),  # no '='
+        ("qfi-evolution", "g="),  # an empty grid
+        ("qfi-evolution", "omega=0"),
+        ("qfi-evolution", "omega=-1"),
     ])
     def test_bad_values_rejected_up_front(self, experiment, override):
         with pytest.raises(ConfigError):
             build_config(experiment, overrides=[override])
         assert cli_main([experiment, "--set", override]) == 2
+
+    @pytest.mark.parametrize("text", ["lam -0.2\n", "engine = oracle\n"])
+    def test_bad_config_file_lines_rejected(self, tmp_path, text):
+        # a line needs '=', and the engine is chosen by --engine alone
+        path = tmp_path / "run.cfg"
+        path.write_text("g = 0.3\n" + text)
+        with pytest.raises(ConfigError):
+            build_config("qfi-evolution", config_file=str(path))
+        assert cli_main(["qfi-evolution", "--config", str(path),
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_closed_engine_takes_any_time_grid(self):
         # only the moment ODE of the oracle engines needs increasing times
@@ -138,7 +154,7 @@ class TestSlopeFit:
         assert fit.slope == pytest.approx(-1.0, abs=1e-10)
 
 
-def tiny(name, **over):
+def tiny(name, engine=None, **over):
     sets = {
         "qfi-evolution": ["g=0.098,0.099", "t=0:50:6"],
         "qfi-vs-g": ["lam=0,-0.2", "g=0.3:1.1:9"],
@@ -150,7 +166,7 @@ def tiny(name, **over):
         "decoherence": ["g=0.1,0.1", "lam=0,-0.247", "t_per=0:3:40"],
     }
     merged = sets[name] + [f"{k}={v}" for k, v in over.items()]
-    return build_config(name, overrides=merged)
+    return build_config(name, overrides=merged, engine=engine)
 
 
 class TestRunner:
@@ -594,8 +610,8 @@ class TestCli:
 
     @pytest.mark.parametrize("corrupt", ["non_integer_cell", "cell_out_of_range",
                                          "cell_out_of_order", "quoted_line_break",
-                                         "header_not_an_object", "deleted_row",
-                                         "duplicated_row"])
+                                         "header_not_an_object", "no_header",
+                                         "deleted_row", "duplicated_row"])
     def test_corrupted_output_is_recomputed(self, tmp_path, capsys, corrupt):
         # each file used to crash the resume or drop rows; now it reads as
         # unreadable, so the run starts over and writes a fresh run's body
@@ -618,6 +634,8 @@ class TestCli:
             lines[2] = re.sub(r",0,ok$", ",1,ok", lines[2])
         elif corrupt == "header_not_an_object":
             lines[0] = "# 5"
+        elif corrupt == "no_header":
+            del lines[0]
         elif corrupt == "deleted_row":  # a well-formed file, one row of cell 0 short
             del lines[3]
         elif corrupt == "duplicated_row":
@@ -704,6 +722,12 @@ class TestCli:
         listed = capsys.readouterr().out.split()
         assert set(listed) == set(experiment_ids())
         assert cli_main(["config-reference", "decoherence"]) == 0
+
+    def test_reference_of_an_unknown_experiment_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["config-reference", "no-such-id"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'no-such-id'" in capsys.readouterr().err
 
     def test_out_dir_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CQM_OUT_DIR", str(tmp_path))

@@ -225,6 +225,13 @@ class TestBuilders:
         with pytest.raises(InvalidParams):
             build_effective_hamiltonian(params(0.9), 3)
 
+    @pytest.mark.parametrize("builder", [build_full_hamiltonian,
+                                         build_squeezed_frame_hamiltonian])
+    def test_joint_builders_need_four_fock_states(self, builder):
+        with pytest.raises(InvalidParams, match="n_cut"):
+            builder(params(0.9, Omega=50.0), 3)
+        assert builder(params(0.9, Omega=50.0), 4).dim == 8
+
     def test_hermitian_wrapper_rejects_nonhermitian(self):
         # complex: i on both off-diagonals is symmetric but not Hermitian
         with pytest.raises(InvalidParams, match="non-real"):
@@ -631,6 +638,17 @@ class TestExactDerivative:
         with pytest.raises(RegimeError):
             ratio_oracle(params(1.2), [1.0])
 
+    @pytest.mark.parametrize("ts", [[0.0, 1.0], [-1.0], [2.0, 0.0]])
+    def test_ratio_oracle_rejects_non_positive_times(self, monkeypatch, ts):
+        # at t = 0 both I_g and F_g vanish: the ratio used to be 0/0, a NaN
+        # and a RuntimeWarning; now it fails before any decomposition
+        def no_decomposition(*args):
+            raise AssertionError("a block was decomposed before the times were checked")
+
+        monkeypatch.setattr(fock, "_block_eig", no_decomposition)
+        with pytest.raises(InvalidParams, match="times > 0"):
+            ratio_oracle(params(0.9), ts)
+
 
 class TestTridiagonalSolver:
     """eigvalsh plus inverse iteration, on blocks made small by lowering
@@ -753,6 +771,16 @@ class TestFiniteFrequency:
     def test_eta_floor(self):
         with pytest.raises(InvalidParams):
             finite_frequency_point(params(0.9), 5.0)
+
+    @pytest.mark.parametrize("n", [0, -1, 1.5, 2.0**53])
+    def test_peak_index_checked_before_any_decomposition(self, monkeypatch, n):
+        # n = 0 used to reach the ladder at tau_0 = 0 and fail as StepTooLarge
+        def no_decomposition(*args):
+            raise AssertionError("a block was decomposed before n was checked")
+
+        monkeypatch.setattr(fock, "_block_eig", no_decomposition)
+        with pytest.raises(InvalidParams, match="peak indices"):
+            finite_frequency_point(params(0.9), 100.0, n=n)
 
     def test_full_model_tracks_closed_form_at_large_eta(self):
         # joint-space mean over the first period deviates by O(1/eta):
