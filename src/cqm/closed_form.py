@@ -240,10 +240,9 @@ def inverted_variance(params: ModelParams, t):
 
 
 def optimal_times(params: ModelParams, n_max: int) -> np.ndarray:
-    """peak_time at every peak index n = 1..n_max."""
-    if n_max < 1:
-        raise InvalidParams("n_max", f"must be >= 1, got {n_max}")
-    return peak_time(params, np.arange(1, n_max + 1))
+    """peak_time at every peak index n = 1..n_max; InvalidParams unless
+    n_max is itself a peak index (peak_indices)."""
+    return peak_time(params, np.arange(1, peak_indices(n_max).item() + 1))
 
 
 def peak_indices(n) -> np.ndarray:

@@ -6,24 +6,24 @@ Hamiltonian as one block over spin-major amplitudes (plain arrays, with
 |down> (x) boson the boson's amplitudes zero-padded to 2*n_cut), and the
 effective low-energy oscillator as its two parity blocks (it couples n only
 to n and n+-2, so the even and odd Fock indices form two real tridiagonal
-blocks).  One routine, _block_eig, decomposes every block, and a dense
-matrix exists only while it does, for LAPACK: eigh, or for a tridiagonal
-block of TRIDIAGONAL_MIN rows or more eigvalsh alone, the vectors then
-found by inverse iteration and certified (eigh again if the certificate
-fails).  States are evolved by eigendecomposition of each block (exactly
-unitary at any time; a state of the wrong length or norm, or a non-finite
-time, is rejected before any decomposition), and the module computes the
-quantum Fisher information two independent ways: a fidelity finite
-difference and the spectral integral of the evolution generator.  It also
-measures how far finite-frequency (Omega/omega = eta) dynamics sits from
-the low-frequency closed forms.
+blocks).  Every block decomposition goes through HermitianOperator.eig and
+its one routine, _block_eig, and a dense matrix exists only while it runs,
+for LAPACK: eigh, or for a tridiagonal block of TRIDIAGONAL_MIN rows or
+more eigvalsh alone, the vectors then found by inverse iteration and
+certified (eigh again if the certificate fails).  States are evolved by
+eigendecomposition of each block (exactly unitary at any time; a state of
+the wrong length or norm, or a non-finite time, is rejected before any
+decomposition), and the module computes the quantum Fisher information two
+independent ways: a fidelity finite difference and the spectral integral of
+the evolution generator.  It also measures how far finite-frequency
+(Omega/omega = eta) dynamics sits from the low-frequency closed forms.
 
 The effective oscillator takes d<X>_t/dg exactly (Duhamel) from the kernel
 of its generator QFI, so one decomposition per cutoff level serves every
-observable; at the large cutoffs _block_eig, given the state and the
-generator, first finds only the lowest modes and keeps them alone when
-they are all the state and its generator reach.  The joint builders still
-take a five-point stencil in g.
+observable; each level passes its state and generator to
+HermitianOperator.eig, so at the large cutoffs _block_eig first finds only
+the lowest modes and keeps them alone when they are all the state and its
+generator reach.  The joint builders still take a five-point stencil in g.
 
 Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
 until the requested observables stop moving (relative test, with an
@@ -127,19 +127,22 @@ class HermitianOperator:
     acting on the basis states ``indices`` (a slice) as the m x m block whose
     k-th super- and subdiagonal are ``diagonals[k]``, of length m - k (the
     main diagonal, k = 0, sets m).  ``dim`` is n_cut for boson-only
-    operators, 2*n_cut on the joint space.  A dense block exists only while
-    _block_eig decomposes it, filled for LAPACK and dropped before the next
-    block.
+    operators, 2*n_cut on the joint space.  eig alone calls _block_eig, and
+    a dense block exists only while it decomposes one, filled for LAPACK and
+    dropped before the next.
     """
 
     def __init__(self, blocks: list[tuple[slice, dict[int, np.ndarray]]]):
         self.blocks = [(idx, _checked_diagonals(diagonals)) for idx, diagonals in blocks]
         self.dim = sum(len(diagonals[0]) for _, diagonals in self.blocks)
 
-    def eig(self) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    def eig(self, amps=None, dh=None) -> list[tuple[slice, np.ndarray, np.ndarray]]:
         """(indices, energies, vectors) of each block, ascending energies
-        within a block."""
-        return [(idx, *_block_eig(diagonals)) for idx, diagonals in self.blocks]
+        within a block.  Given the state ``amps`` and the dH/dg bands ``dh``
+        = (diag, sup), each block's slice of both is _block_eig's ``reach``."""
+        return [(idx, *_block_eig(diagonals, None if dh is None else
+                                  (amps[idx], dh[0][idx], dh[1][idx])))
+                for idx, diagonals in self.blocks]
 
 
 def _checked_diagonals(diagonals: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -202,12 +205,14 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.n
     """Unit eigenvectors (m, len(shifts)) of the symmetric tridiagonal T with
     diagonal ``d`` and superdiagonal ``e`` at its eigenvalues ``shifts``.
 
-    Two sweeps of inverse iteration from one fixed start vector, each one
-    Thomas solve of (T - shift) x = b, row by row and vectorized over the
-    shifts; a pivot below eps*||T|| becomes eps*||T|| with its sign, since
-    a shift that is an eigenvalue makes T - shift singular to rounding
-    (Demmel, Applied Numerical Linear Algebra, SIAM 1997, section 5.3.4).
-    Nothing checks the result: _certified does."""
+    Two sweeps of inverse iteration from one fixed start vector, cos(k*phi)
+    at the golden angle phi (a random one would import numpy's random module,
+    about 10 ms a process), each sweep one Thomas solve of (T - shift) x = b,
+    row by row and vectorized over the shifts; a pivot below eps*||T||
+    becomes eps*||T|| with its sign, since a shift that is an eigenvalue
+    makes T - shift singular to rounding (Demmel, Applied Numerical Linear
+    Algebra, SIAM 1997, section 5.3.4).  Nothing checks the result:
+    _certified does."""
     m, shifts = len(d), np.asarray(shifts, dtype=float)
     tiny = np.finfo(float).eps * (np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
     inv = np.empty((m, len(shifts)))  # 1/pivot of each row, per shift
@@ -219,7 +224,7 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.n
         np.copysign(np.maximum(np.abs(row), tiny), row, out=row)
         np.divide(1.0, row, out=inv[i])
     x = np.empty_like(inv)
-    x[:] = np.random.default_rng(0).uniform(-1.0, 1.0, m)[:, None]
+    x[:] = np.cos(2.399963229728653 * np.arange(m))[:, None]
     for _ in range(2):
         for i in range(1, m):  # L y = b, L unit lower with e[i-1]/pivot[i-1]
             np.multiply(inv[i - 1], e[i - 1], out=row)
@@ -461,8 +466,13 @@ def auto_cutoff(
     ``converged(old, new)`` test is given.  TruncationLeak from ``run``
     counts as "keep doubling".  Returns (accepted n_cut, values at that
     cutoff).  CutoffNotConverged names the last level that leaked and the
-    cutoff the ladder would need next.
+    cutoff the ladder would need next.  InvalidParams, before ``run`` is
+    called, unless ``start`` is an integer >= 1 and ``max_cut`` >= ``start``.
     """
+    if not isinstance(start, (int, np.integer)) or start < 1:
+        raise InvalidParams("start", f"must be an integer >= 1, got {start!r}")
+    if not max_cut >= start:  # NaN fails too
+        raise InvalidParams("max_cut", f"must be >= start = {start}, got {max_cut!r}")
     if converged is None:
         def converged(old: np.ndarray, new: np.ndarray) -> bool:
             tol = rtol * np.maximum(np.abs(new), np.abs(old))
@@ -533,8 +543,7 @@ def _effective_level(params: ModelParams, ts: np.ndarray, psi0: BosonInitialStat
     frame = oscillator_frame(params)
     dh = tuple(0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
     amps0 = _state(_pad(psi0, n_cut), n_cut)
-    modes = [(idx, *_block_eig(diagonals, (amps0[idx], dh[0][idx], dh[1][idx])))
-             for idx, diagonals in build_effective_hamiltonian(params, n_cut).blocks]
+    modes = build_effective_hamiltonian(params, n_cut).eig(amps0, dh)
     psi, hpsi = _propagate(modes, amps0, ts, dh)
     mean, second = _x_moments(psi, n_cut)
     x_hpsi = _band_apply(np.zeros(n_cut), _x_band(n_cut), hpsi)

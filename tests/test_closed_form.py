@@ -343,8 +343,11 @@ class TestOptimalTimesAndPeaks:
         assert inverted_variance_peak(params(0.9), 0) == 0.0
 
     def test_bad_n_max(self):
-        with pytest.raises(InvalidParams):
-            optimal_times(params(0.9), 0)
+        # 2.5 used to give the three times of n_max = 3
+        for bad in (0, -1, 2.5, np.nan, 2.0**53):
+            with pytest.raises(InvalidParams, match="peak indices"):
+                optimal_times(params(0.9), bad)
+        assert optimal_times(params(0.9), 3.0).tolist() == optimal_times(params(0.9), 3).tolist()
 
     def test_peak_indices_are_integers_from_one_below_2_to_the_53(self):
         assert peak_indices(3.0).tolist() == [3]

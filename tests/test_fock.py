@@ -433,6 +433,20 @@ class TestAutoCutoff:
         assert message.startswith("observables still moving at n_cut = 64")
         assert "n_cut = 8 leaked (tail mass 1.250e-01" in message
 
+    @pytest.mark.parametrize("start, max_cut, what", [
+        (0, 64, "start"),  # used to accept n_cut = 0 as converged
+        (-1, 64, "start"),  # used to double downward until float(n) overflowed
+        (8.0, 64, "start"),
+        (8, 4, "max_cut"),  # used to blame leaks at levels that never ran
+        (8, np.nan, "max_cut"),
+    ])
+    def test_bad_start_or_max_cut_rejected_before_any_run(self, start, max_cut, what):
+        def run(n):
+            raise AssertionError("run was called before start and max_cut were checked")
+
+        with pytest.raises(InvalidParams, match=what):
+            auto_cutoff(run, start=start, max_cut=max_cut)
+
     def test_leak_restarts_comparison(self):
         def run(n):
             if n < 32:
@@ -633,6 +647,27 @@ class TestExactDerivative:
         assert sorted(calls) == sorted(n // 2 for n in levels for _ in range(2))
         assert n_cut == series.n_cut
         assert np.array_equal(ratios, series.inv_var / qfis)
+
+    def test_every_level_decomposes_through_eig(self, monkeypatch):
+        # HermitianOperator.eig is the one entry into _block_eig: one call per
+        # cutoff level, pinned or on both of ratio_oracle's ladders
+        dims = []
+        eig = HermitianOperator.eig
+
+        def counted(self, *args):
+            dims.append(self.dim)
+            return eig(self, *args)
+
+        monkeypatch.setattr(HermitianOperator, "eig", counted)
+        p, ts = params(0.9), [2.0, 5.0, 9.0]
+        generator_qfi_grid(p, ts, n_cut=64)
+        assert dims == [64]
+        _, n_qfi = generator_qfi_grid(p, ts)
+        dims.clear()
+        _, n_cut = ratio_oracle(p, ts)
+        top = max(n_cut, n_qfi)
+        assert dims == [32 * 2**k for k in range(int(np.log2(top // 32)) + 1)]
+        assert top > 32
 
     def test_ratio_oracle_regime_guard(self):
         with pytest.raises(RegimeError):
