@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-    cqm <experiment-id> [--config FILE] [--engine E] [--jobs 1]
+    cqm <experiment-id> [--config FILE] [--engine closed|both] [--jobs 1]
                         [--out PATH] [--set key=value ...]
     cqm config-reference [experiment-id]
     cqm list
 
+--engine both writes each oracle value beside its closed form and their deviation.
 Every run is one serial pass in this process; --jobs accepts only 1.  An output
 is resumed only if this cqm version wrote it for the same config.
 Exit codes: 0 success, 2 invalid configuration, 3 completed with failed cells.
@@ -45,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in experiment_ids():
         exp = sub.add_parser(name, help=f"run the {name} experiment")
         exp.add_argument("--config", help="flat key=value config file")
-        exp.add_argument("--engine", choices=("closed", "oracle", "both"))
+        exp.add_argument("--engine", choices=("closed", "both"))
         exp.add_argument("--jobs", type=int, default=1,
                          help="runs are serial: only 1 is accepted (default: 1)")
         exp.add_argument("--out", help="output CSV path")

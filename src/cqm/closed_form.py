@@ -94,7 +94,9 @@ class BosonInitialState:
 
 
 def default_initial_state(dim: int = 6) -> BosonInitialState:
-    """The reference state (|0> + i|1>)/sqrt(2), zero-padded to ``dim``."""
+    """The reference state (|0> + i|1>)/sqrt(2), zero-padded to ``dim`` >= 2."""
+    if not dim >= 2:
+        raise InvalidParams("dim", f"must be >= 2, got {dim!r}")
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1.0 / np.sqrt(2.0)
     amps[1] = 1.0j / np.sqrt(2.0)

@@ -23,7 +23,7 @@ class TruncationLeak(CqmError):
 
 
 class CutoffNotConverged(CqmError):
-    """Doubling the Fock cutoff did not stabilize observables by max_cut."""
+    """Doubling the Fock cutoff did not stabilize observables by AUTO_CUTOFF_MAX."""
 
 
 class StepTooLarge(CqmError):

@@ -19,8 +19,8 @@ Cells are the unit of failure and of resume: a failed cell is recorded in its
 rows' status column and the run continues, and re-running onto an existing
 output with an identical config recomputes failed cells only.  Batches are the
 unit of work, run one after the other in this process: a closed-engine run is
-one batch, computed as columns over arrays of its cells' parameters; in any
-other run each cell is a batch of its own.
+one batch, computed as columns over arrays of its cells' parameters; in a
+both-engine run each cell is a batch of its own.
 """
 
 from __future__ import annotations
@@ -108,17 +108,16 @@ class ExperimentConfig:
 # ----------------------------------------------------------------------
 
 def _compared(engine: str, quantities: list[str], n_cut: bool = True) -> list[str]:
-    """Columns of quantities both engines compute: each name once for one
-    engine; for 'both' a closed/oracle/deviation triplet per name, where a
-    lone quantity's deviation column is plain rel_dev.  The accepted Fock
-    cutoff follows whenever the oracle ran (unless ``n_cut`` is off)."""
-    if engine != "both":
-        cols = list(quantities)
-    elif len(quantities) == 1:
-        cols = [f"{quantities[0]}_closed", f"{quantities[0]}_oracle", "rel_dev"]
-    else:
-        cols = [f"{q}_{kind}" for q in quantities for kind in ("closed", "oracle", "rel_dev")]
-    return cols + (["n_cut"] if n_cut and engine != "closed" else [])
+    """Columns of quantities the closed forms and an oracle both compute: each
+    name once for 'closed'; for 'both' a closed/oracle/deviation triplet per
+    name, where a lone quantity's deviation column is plain rel_dev, then the
+    accepted Fock cutoff (unless ``n_cut`` is off)."""
+    if engine == "closed":
+        return list(quantities)
+    cols = [f"{q}_{kind}" for q in quantities for kind in ("closed", "oracle", "rel_dev")]
+    if len(quantities) == 1:
+        cols[2] = "rel_dev"
+    return cols + (["n_cut"] if n_cut else [])
 
 
 def _rel_dev(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
@@ -129,16 +128,10 @@ def _rel_dev(closed: np.ndarray, oracle: np.ndarray) -> np.ndarray:
     return np.abs(oracle - closed) / scale
 
 
-def _compared_columns(engine: str, closed: dict, oracle: dict | None = None,
-                      n_cut: int | None = None) -> dict:
-    """The columns ``_compared`` names, one entry per time."""
-    if engine == "both":
-        series = []
-        for q in closed:
-            series += [closed[q], oracle[q], _rel_dev(closed[q], oracle[q])]
-    else:
-        series = list((closed if engine == "closed" else oracle).values())
-    names = _compared(engine, list(closed), n_cut=False)
+def _compared_columns(closed: dict, oracle: dict, n_cut: int | None = None) -> dict:
+    """The columns ``_compared`` names for 'both', one entry per time."""
+    series = [s for q in closed for s in (closed[q], oracle[q], _rel_dev(closed[q], oracle[q]))]
+    names = _compared("both", list(closed), n_cut=False)
     return {**dict(zip(names, series)), **({} if n_cut is None else {"n_cut": n_cut})}
 
 
@@ -199,9 +192,9 @@ def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> dict:
     base = {"lam": v["lam"], "g": cell["g"], "t": v["t"]}
     closed = {"qfi": cf.qfi_g(params, v["t"], cf.var_n(state, params))}
     if cfg.engine == "closed":
-        return {**base, **_compared_columns(cfg.engine, closed)}
+        return {**base, **closed}
     oracle, n_cut = fock.generator_qfi_grid(params, v["t"], psi0=state)
-    return {**base, **_compared_columns(cfg.engine, closed, {"qfi": oracle}, n_cut)}
+    return {**base, **_compared_columns(closed, {"qfi": oracle}, n_cut)}
 
 
 def _qfi_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
@@ -224,12 +217,12 @@ def _quadrature_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
     cols["cell"] = np.arange(len(cells))
     if cfg.engine == "closed":
         return {**cols, "x_mean": x_mean}
-    if cols["status"][0] == _STATUS_SATURATED:  # the oracle engines run one cell a batch
+    if cols["status"][0] == _STATUS_SATURATED:  # the both engine runs one cell a batch
         return cols
     state = cf.default_initial_state()
     series = fock.quadrature_series(_params(v, gs[0], lam[0]), [v["t"]], psi0=state)
-    return {**cols, **_compared_columns(cfg.engine, {"x_mean": x_mean},
-                                        {"x_mean": series.x_mean}, series.n_cut)}
+    return {**cols, **_compared_columns({"x_mean": x_mean}, {"x_mean": series.x_mean},
+                                        series.n_cut)}
 
 
 def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> dict:
@@ -240,10 +233,10 @@ def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> dict:
     closed = {"x_mean": cf.x_mean(params, ts), "x_deriv_g": cf.x_deriv_g(params, ts),
               "x_var": cf.x_variance(params, ts), "inv_var": cf.inverted_variance(params, ts)}
     if cfg.engine == "closed":
-        return {**base, **_compared_columns(cfg.engine, closed)}
+        return {**base, **closed}
     series = fock.quadrature_series(params, ts, psi0=cf.default_initial_state())
     oracle = {q: getattr(series, q) for q in closed}  # QuadratureSeries names them alike
-    return {**base, **_compared_columns(cfg.engine, closed, oracle, series.n_cut)}
+    return {**base, **_compared_columns(closed, oracle, series.n_cut)}
 
 
 def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
@@ -285,7 +278,7 @@ def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
               "x_var": lb.x_variance_dissipative(params, rates, ts),
               "inv_var": lb.inverted_variance_dissipative(params, rates, ts)}
     if cfg.engine == "closed":
-        return {**base, **_compared_columns(cfg.engine, closed)}
+        return {**base, **closed}
     # the ODE runs from t = 0; prepend it when the grid starts later
     ode_ts = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
     skip = len(ode_ts) - len(ts)
@@ -293,7 +286,7 @@ def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
     x, x_var = moments[:, 0], moments[:, 2] - moments[:, 0] ** 2
     dxdg = lb.x_deriv_g_dissipative(params, rates, ts)
     oracle = {"x_mean": x, "x_var": x_var, "inv_var": dxdg**2 / x_var}
-    return {**base, **_compared_columns(cfg.engine, closed, oracle)}
+    return {**base, **_compared_columns(closed, oracle)}
 
 
 # ----------------------------------------------------------------------
@@ -304,18 +297,19 @@ def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
 class _Experiment:
     """Everything the runner knows about one experiment.
 
-    ``engine`` is the default engine.  ``keys`` come on top of the keys
-    every experiment has (``_COMMON``),
-    ``cells(values)`` splits a resolved config into cells (dicts of the
-    per-cell parameters), ``columns(engine)`` lists the physics columns, and
-    ``compute(cfg, cells)`` computes one batch of cells and returns its
-    columns: column -> a scalar shared by every row, or a 1-D array with one
-    entry per row.  The "cell" column gives each row's position in ``cells``;
-    without a "status" column every row is ok.
+    ``engines`` lists "closed" (the closed forms alone) and/or "both" (each
+    oracle value beside its closed form and their deviation); ``engine`` is
+    the default.  ``keys`` come on top of ``_COMMON``, ``cells(values)``
+    splits a resolved config into cells (dicts of the per-cell parameters),
+    ``columns(engine)`` lists the physics columns, and ``compute(cfg,
+    cells)`` computes one batch of cells and returns its columns: column ->
+    a scalar shared by every row, or a 1-D array with one entry per row.  The
+    "cell" column gives each row's position in ``cells``; without a "status"
+    column every row is ok.
     """
 
     doc: str
-    engines: tuple[str, ...] = ("closed", "oracle", "both")
+    engines: tuple[str, ...] = ("closed", "both")
     engine: str = "closed"
     keys: dict[str, _Key]
     cells: Callable[[dict], list[dict]]
@@ -734,7 +728,7 @@ def _run_batch(cfg: ExperimentConfig, indices: list[int], cells: list[dict],
 
 def _batches(cfg: ExperimentConfig, todo: list[int]) -> list[list[int]]:
     """The cells ``todo`` in batches: all of them in one in a closed-engine
-    run (none if there are none), each cell on its own in any other run."""
+    run (none if there are none), each cell on its own in a both-engine run."""
     if cfg.engine != "closed" or not todo:
         return [[i] for i in todo]
     return [todo]

@@ -12,11 +12,12 @@ for LAPACK: eigh, or for a tridiagonal block of TRIDIAGONAL_MIN rows or
 more eigvalsh alone, the vectors then found by inverse iteration and
 certified (eigh again if the certificate fails).  States are evolved by
 eigendecomposition of each block (exactly unitary at any time; a state of
-the wrong length or norm, or a non-finite time, is rejected before any
-decomposition), and the module computes the quantum Fisher information two
-independent ways: a fidelity finite difference and the spectral integral of
-the evolution generator.  It also measures how far finite-frequency
-(Omega/omega = eta) dynamics sits from the low-frequency closed forms.
+the wrong length or norm, or a time grid that is empty, not 1-D or not
+finite, is rejected before any decomposition), and the module computes the
+quantum Fisher information two independent ways: a fidelity finite
+difference and the spectral integral of the evolution generator.  It also
+measures how far finite-frequency (Omega/omega = eta) dynamics sits from the
+low-frequency closed forms.
 
 The effective oscillator takes d<X>_t/dg exactly (Duhamel) from the kernel
 of its generator QFI, so one decomposition per cutoff level serves every
@@ -28,9 +29,9 @@ generator reach.  The joint builders still take a five-point stencil in g.
 Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
 until the requested observables stop moving (relative test, with an
 absolute floor for the quadrature blocks); all but finite_frequency_point
-and ratio_oracle also take a pinned n_cut.  The tolerances are module
-constants, not arguments, apart from generator_qfi_grid's rtol.  States
-anti-squeeze near criticality, with Fock tails decaying only like
+and ratio_oracle also take a pinned n_cut, an integer >= 4.  The tolerances
+are module constants, not arguments, apart from generator_qfi_grid's rtol.
+States anti-squeeze near criticality, with Fock tails decaying only like
 (1 - 2*epsilon_g)^n, so near-critical runs legitimately need cutoffs of
 order 1/epsilon_g; the doubling ladder finds that automatically.
 """
@@ -254,6 +255,13 @@ def _certified(d: np.ndarray, e: np.ndarray, energies: np.ndarray,
     return bool((np.linalg.norm(residual, axis=0) <= CERTIFY_TOL * gaps).all())
 
 
+def _cutoff(n_cut) -> int:
+    """``n_cut`` as an int; InvalidParams unless it is an integer >= 4 (never a bool)."""
+    if not isinstance(n_cut, (int, np.integer)) or n_cut < 4:
+        raise InvalidParams("n_cut", f"must be an integer >= 4, got {n_cut!r}")
+    return int(n_cut)
+
+
 def _pad(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
     """``boson``'s amplitudes zero-padded to ``n_cut`` (to 2*n_cut: |down> (x) |boson>)."""
     b = boson.amplitudes if isinstance(boson, BosonInitialState) else np.asarray(boson)
@@ -275,8 +283,7 @@ def _joint_hamiltonian(
     + coupling*(a+a^dag)*sigma_x on the joint space, from the Fock bands, as
     one block over (down, up) spin-major order: diagonals 0, 2 (only with a
     quadratic term), n_cut - 1 and n_cut + 1."""
-    if n_cut < 4:
-        raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
+    n_cut = _cutoff(n_cut)
     a = _a_band(n_cut)
     boson = omega * np.append(0.0, a * a)  # a^dag*a: n as sqrt(n)^2, as a^T@a rounds
     # the (down, up) coupling block's sub- and superdiagonal sit n_cut -+ 1
@@ -330,8 +337,7 @@ def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOpe
     The stiffness is epsilon_g in the normal regime and epsilon_g_alpha past
     the critical point; on the critical line neither reduction applies.
     """
-    if n_cut < 4:
-        raise InvalidParams("n_cut", f"must be >= 4, got {n_cut}")
+    n_cut = _cutoff(n_cut)
     frame = oscillator_frame(params)
     xx_diag, xx_sup = _squared_bands(_x_band(n_cut))
     diag = 0.5 * frame.omega_bar * (xx_diag + frame.stiffness * xx_diag)
@@ -419,17 +425,26 @@ def _state(psi0, dim: int) -> np.ndarray:
 
 
 def _times(ts) -> np.ndarray:
-    """``ts`` as a float array; InvalidParams unless every time is finite."""
+    """``ts`` as a float array; InvalidParams unless it is a non-empty 1-D
+    grid and every time is finite."""
     ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise InvalidParams("ts", f"times must be a non-empty 1-D grid, got shape {ts.shape}")
     if not np.isfinite(ts).all():
         raise InvalidParams("ts", "times must be finite")
     return ts
 
 
+def _positive(name: str, value: float) -> None:
+    """InvalidParams unless the step or tolerance ``value`` is finite and > 0."""
+    if not 0 < value < np.inf:  # NaN fails too
+        raise InvalidParams(name, f"must be finite and > 0, got {value!r}")
+
+
 def evolve_grid(h: HermitianOperator, psi0, ts: Sequence[float]) -> np.ndarray:
     """exp(-i*H*t)|psi0> by spectral decomposition at every time in ``ts``;
     (dim, len(ts)) array.  Raises InvalidParams, before any decomposition,
-    for a state of the wrong length or norm or a non-finite time, and
+    for a state of the wrong length or norm or a bad time grid (_times), and
     TruncationLeak when an evolved state puts more than LEAK_TOL weight into
     the top Fock indices."""
     amps0, ts = _state(psi0, h.dim), _times(ts)
@@ -454,12 +469,10 @@ def evolve_joint_grid(h: HermitianOperator, amplitudes: np.ndarray,
 
 def auto_cutoff(
     run: Callable[[int], np.ndarray],
-    start: int = AUTO_CUTOFF_START,
-    max_cut: int = AUTO_CUTOFF_MAX,
     rtol: float = 1e-6,
     converged: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> tuple[int, np.ndarray]:
-    """Double the cutoff until ``run(n_cut)``'s observables stop moving.
+    """Double n_cut from AUTO_CUTOFF_START to AUTO_CUTOFF_MAX until ``run(n_cut)`` settles.
 
     Convergence: every component changes by at most
     rtol*max(|new|, |old|) when the cutoff doubles, unless a
@@ -467,20 +480,17 @@ def auto_cutoff(
     counts as "keep doubling".  Returns (accepted n_cut, values at that
     cutoff).  CutoffNotConverged names the last level that leaked and the
     cutoff the ladder would need next.  InvalidParams, before ``run`` is
-    called, unless ``start`` is an integer >= 1 and ``max_cut`` >= ``start``.
+    called, unless ``rtol`` is finite and > 0.
     """
-    if not isinstance(start, (int, np.integer)) or start < 1:
-        raise InvalidParams("start", f"must be an integer >= 1, got {start!r}")
-    if not max_cut >= start:  # NaN fails too
-        raise InvalidParams("max_cut", f"must be >= start = {start}, got {max_cut!r}")
+    _positive("rtol", rtol)
     if converged is None:
         def converged(old: np.ndarray, new: np.ndarray) -> bool:
             tol = rtol * np.maximum(np.abs(new), np.abs(old))
             return bool(np.all(np.abs(new - old) <= tol))
 
     prev, moving, leak = None, False, ""
-    n = start
-    while n <= max_cut:
+    n = AUTO_CUTOFF_START
+    while n <= AUTO_CUTOFF_MAX:
         try:
             values = np.atleast_1d(np.asarray(run(n), dtype=float))
         except TruncationLeak as exc:
@@ -494,7 +504,7 @@ def auto_cutoff(
     reason = (f"observables still moving at n_cut = {n // 2} (rtol={rtol})" if moving
               else "no two consecutive levels ran without a leak")
     raise CutoffNotConverged(
-        f"{reason}{leak}; the ladder would need n_cut = {n} next, above max_cut = {max_cut}"
+        f"{reason}{leak}; the ladder would need n_cut = {n} next, above the cap {AUTO_CUTOFF_MAX}"
     )
 
 
@@ -617,6 +627,7 @@ def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray,
     if n_cut is None:
         n_cut, got = auto_cutoff(run, converged=converged)
     else:
+        n_cut = _cutoff(n_cut)
         got = run(n_cut)
     x_mean, x_second, deriv, *stencils = got
     scale = np.abs(deriv).max()
@@ -639,8 +650,8 @@ def quadrature_series(params: ModelParams, ts: Sequence[float],
     dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of the
     derivative scale, else StepTooLarge.  The ladder accepts a cutoff once
     each block (x, x^2, derivative) moves by at most
-    SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.  A non-finite time
-    is an InvalidParams.
+    SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.  A bad time grid
+    (_times) or pinned n_cut (_cutoff) is an InvalidParams.
     """
     ts = _times(ts)
     psi0 = psi0 if psi0 is not None else default_initial_state()
@@ -669,9 +680,12 @@ def qfi_overlap(
 
     With dg=None the step is tuned so the fidelity deficit sits near 1e-6,
     far from both the quadratic-validity ceiling (1e-2) and roundoff.
-    Raises StepTooLarge when an explicit dg leaves the deficit above 1e-2.
+    Raises StepTooLarge when an explicit dg leaves the deficit above 1e-2,
+    and InvalidParams, before any decomposition, unless it is finite and > 0.
     With n_cut=None the cutoff ladder runs at auto_cutoff's default rtol.
     """
+    if dg is not None:
+        _positive("dg", dg)
     psi0 = psi0 if psi0 is not None else default_initial_state()
 
     def deficit_at(n: int, step: float) -> float:
@@ -733,10 +747,12 @@ def generator_qfi_grid(
     F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (values, n_cut): the given
     n_cut, or the one the ladder accepted, its convergence measured jointly
     across the grid at relative tolerance ``rtol``; no level counts as leaking.
-    A non-finite time is an InvalidParams.
+    A bad time grid (_times), pinned n_cut (_cutoff) or ladder rtol
+    (auto_cutoff) is an InvalidParams.
     """
     level = _normal_level(params, ts, psi0)
     if n_cut is not None:
+        n_cut = _cutoff(n_cut)
         return level(n_cut)[1][3], n_cut
     n_cut, values = auto_cutoff(lambda n: level(n)[1][3], rtol=rtol)
     return values, n_cut
@@ -770,6 +786,7 @@ def verify_reciprocal_relation(params: ModelParams, n_cut: int) -> float:
     The identity is exact in the untruncated algebra; truncation corrupts the
     top rows, so the residual is evaluated on the lowest 80% of Fock indices.
     """
+    n_cut = _cutoff(n_cut)
     eff = effective_oscillator(params)
     if eff.regime is not Regime.NORMAL:
         raise RegimeError("reciprocal relation is checked in the normal regime")

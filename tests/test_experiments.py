@@ -56,7 +56,20 @@ class TestConfig:
 
     def test_engine_validation(self):
         with pytest.raises(ConfigError):
-            build_config("qfi-map", engine="oracle")
+            build_config("qfi-map", engine="both")  # the map has no oracle
+
+    @pytest.mark.parametrize("experiment", experiment_ids())
+    def test_oracle_engine_is_gone(self, tmp_path, capsys, experiment):
+        # 'both' writes every oracle value as <q>_oracle; the bare names hold
+        # closed-form values, so no engine may put oracle values there
+        with pytest.raises(ConfigError):
+            build_config(experiment, engine="oracle")
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main([experiment, "--engine", "oracle", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'oracle'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zipped_lengths_checked(self):
         for experiment in ("decoherence", "frequency-scaling"):
@@ -116,7 +129,7 @@ class TestConfig:
         assert not (tmp_path / "x.csv").exists()
 
     def test_closed_engine_takes_any_time_grid(self):
-        # only the moment ODE of the oracle engines needs increasing times
+        # only the moment ODE of the both engine needs increasing times
         cfg = build_config("decoherence", overrides=["t_per=1,0.5,2"], engine="closed")
         assert cfg.values["t_per"] == pytest.approx([1.0, 0.5, 2.0])
 

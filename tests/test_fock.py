@@ -232,6 +232,34 @@ class TestBuilders:
             builder(params(0.9, Omega=50.0), 3)
         assert builder(params(0.9, Omega=50.0), 4).dim == 8
 
+    @pytest.mark.parametrize("call, field", [
+        (lambda p: build_effective_hamiltonian(p, 4.5), "n_cut"),  # was rounded to dim 5
+        (lambda p: build_full_hamiltonian(p, 8.0), "n_cut"),  # blamed "offset 7.0"
+        (lambda p: build_squeezed_frame_hamiltonian(p, np.float64(8.0)), "n_cut"),
+        (lambda p: quadrature_series(p, [1.0], n_cut=64.0), "n_cut"),  # numpy's TypeError
+        (lambda p: quadrature_series(p, [1.0], n_cut=64.0, builder=build_full_hamiltonian),
+         "n_cut"),
+        (lambda p: generator_qfi_grid(p, [1.0], n_cut=64.0), "n_cut"),
+        (lambda p: qfi_overlap(p, 1.0, n_cut=64.0), "n_cut"),
+        (lambda p: quadrature_series(p, [1.0], n_cut=True), "n_cut"),  # blamed the state
+        (lambda p: generator_qfi_grid(p, [1.0], n_cut=np.int64(2)), "n_cut"),
+        (lambda p: verify_reciprocal_relation(p, 0), "n_cut"),  # a zero-size ValueError
+        (lambda p: verify_reciprocal_relation(p, 3.0), "n_cut"),
+        (lambda p: default_initial_state(1), "dim"),  # an IndexError
+        (lambda p: default_initial_state(0), "dim"),
+    ], ids=["effective-4.5", "full-8.0", "squeezed-float64", "series-64.0",
+            "joint-series-64.0", "generator-64.0", "overlap-64.0", "series-True",
+            "generator-int64-2", "reciprocal-0", "reciprocal-3.0", "state-1", "state-0"])
+    def test_sizes_rejected_unless_integers_in_range(self, monkeypatch, call, field):
+        # before any band, padded state or decomposition is made
+        def allocates(*args, **kwargs):
+            raise AssertionError("allocated before the size was checked")
+
+        for name in ("_a_band", "_x_band", "_pad", "_block_eig"):
+            monkeypatch.setattr(fock, name, allocates)
+        with pytest.raises(InvalidParams, match=field):
+            call(params(0.9, Omega=50.0))
+
     def test_hermitian_wrapper_rejects_nonhermitian(self):
         # complex: i on both off-diagonals is symmetric but not Hermitian
         with pytest.raises(InvalidParams, match="non-real"):
@@ -345,30 +373,36 @@ class TestEvolve:
                 with pytest.raises(InvalidParams, match=what):
                     evolve(h, bad, [1.0])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_times_rejected_before_any_decomposition(self, monkeypatch, bad):
+    @pytest.mark.parametrize("ts, what", [
+        ([1.0, np.nan], "finite"), ([np.inf], "finite"), ([0.0, -np.inf], "finite"),
+        ([], "non-empty 1-D"), ([[1.0, 2.0]], "non-empty 1-D"),
+    ], ids=["nan", "inf", "-inf", "empty", "2-D"])
+    def test_non_finite_times_rejected_before_any_decomposition(self, monkeypatch, ts, what):
         # a NaN time used to give NaN rows at a pinned cutoff, and on the
-        # automatic ladder to climb to AUTO_CUTOFF_MAX and blame the cutoff
+        # automatic ladder to climb to AUTO_CUTOFF_MAX and blame the cutoff;
+        # an empty grid failed in the unitarity check's reduction, a 2-D one
+        # in a broadcast
         def no_decomposition(*args):
             raise AssertionError("a block was decomposed before the times were checked")
 
         monkeypatch.setattr(fock, "_block_eig", no_decomposition)
         p, psi = params(0.9), default_initial_state()
         calls = [
-            lambda: evolve_grid(build_effective_hamiltonian(p, 16), _pad(psi, 16), [1.0, bad]),
+            lambda: evolve_grid(build_effective_hamiltonian(p, 16), _pad(psi, 16), ts),
             lambda: evolve_joint_grid(build_full_hamiltonian(params(0.9, Omega=50.0), 16),
-                                      _pad(psi, 32), [bad]),
-            lambda: generator_qfi_grid(p, [bad], n_cut=64),
-            lambda: generator_qfi_grid(p, [0.0, bad]),
-            lambda: quadrature_series(p, [bad], n_cut=64),
-            lambda: quadrature_series(p, [1.0, bad]),
-            lambda: quadrature_series(params(0.9, Omega=50.0), [bad],
+                                      _pad(psi, 32), ts),
+            lambda: generator_qfi_grid(p, ts, n_cut=64),
+            lambda: generator_qfi_grid(p, ts),
+            lambda: quadrature_series(p, ts, n_cut=64),
+            lambda: quadrature_series(p, ts),
+            lambda: quadrature_series(params(0.9, Omega=50.0), ts,
                                       builder=build_full_hamiltonian),
-            lambda: ratio_oracle(p, [bad]),
-            lambda: qfi_overlap(p, bad),
+            lambda: ratio_oracle(p, ts),
         ]
+        if what == "finite":  # qfi_overlap takes one time
+            calls.append(lambda: qfi_overlap(p, ts[-1]))
         for call in calls:
-            with pytest.raises(InvalidParams, match="finite"):
+            with pytest.raises(InvalidParams, match=what):
                 call()
 
     def test_a_nan_norm_fails_the_unitarity_check(self):
@@ -401,60 +435,64 @@ class TestAutoCutoff:
             return np.array([1.0 + 4.0 / n])
 
         # successive values differ by 2/n; rtol 1e-2 is first met at 512
-        n_cut, values = auto_cutoff(run, start=8, rtol=1e-2)
-        assert calls[0] == 8 and calls == sorted(calls)
+        n_cut, values = auto_cutoff(run, rtol=1e-2)
+        assert calls == [32, 64, 128, 256, 512]  # from AUTO_CUTOFF_START
         assert n_cut == 512
         assert values[0] == pytest.approx(1.0 + 4.0 / 512)
 
     def test_raises_when_never_converges(self):
         with pytest.raises(CutoffNotConverged):
-            auto_cutoff(lambda n: np.array([np.log(n)]), start=8, max_cut=64, rtol=1e-12)
+            auto_cutoff(lambda n: np.array([np.log(n)]), rtol=1e-12)
 
     def test_failure_names_the_last_leak_and_the_next_cutoff(self):
         def run(n):
-            if n < 64:
+            if n < 4096:
                 raise TruncationLeak(f"tail mass {1.0 / n:.3e} exceeds 1.0e-08")
             return np.array([2.0])
 
-        # 8, 16 and 32 leak and 64 runs alone, so no two levels compare
+        # 32 to 2048 leak and 4096 runs alone, so no two levels compare
         with pytest.raises(CutoffNotConverged) as err:
-            auto_cutoff(run, start=8, max_cut=64)
+            auto_cutoff(run)
         message = str(err.value)
         assert message.startswith("no two consecutive levels ran without a leak")
-        assert "n_cut = 32 leaked (tail mass 3.125e-02" in message
-        assert message.endswith("need n_cut = 128 next, above max_cut = 64")
+        assert "n_cut = 2048 leaked (tail mass 4.883e-04" in message
+        assert message.endswith("need n_cut = 8192 next, above the cap 4096")
         # a ladder that compares but never settles says so, naming its leak too
         def drifting(n):
-            return run(64 if n > 8 else n) * np.log(n)
+            return run(4096 if n > 32 else n) * np.log(n)
 
         with pytest.raises(CutoffNotConverged) as err:
-            auto_cutoff(drifting, start=8, max_cut=64)
+            auto_cutoff(drifting)
         message = str(err.value)
-        assert message.startswith("observables still moving at n_cut = 64")
-        assert "n_cut = 8 leaked (tail mass 1.250e-01" in message
+        assert message.startswith("observables still moving at n_cut = 4096")
+        assert "n_cut = 32 leaked (tail mass 3.125e-02" in message
 
-    @pytest.mark.parametrize("start, max_cut, what", [
-        (0, 64, "start"),  # used to accept n_cut = 0 as converged
-        (-1, 64, "start"),  # used to double downward until float(n) overflowed
-        (8.0, 64, "start"),
-        (8, 4, "max_cut"),  # used to blame leaks at levels that never ran
-        (8, np.nan, "max_cut"),
-    ])
-    def test_bad_start_or_max_cut_rejected_before_any_run(self, start, max_cut, what):
+    @pytest.mark.parametrize("bad", [0.0, -1e-6, np.nan, np.inf])
+    def test_bad_rtol_or_dg_rejected_before_any_run(self, monkeypatch, bad):
+        # a bad rtol used to run every level to the cap and blame convergence,
+        # and dg = 0 made qfi_overlap return inf with a divide-by-zero warning
         def run(n):
-            raise AssertionError("run was called before start and max_cut were checked")
+            raise AssertionError("run was called before rtol was checked")
 
-        with pytest.raises(InvalidParams, match=what):
-            auto_cutoff(run, start=start, max_cut=max_cut)
+        def no_decomposition(*args):
+            raise AssertionError("a block was decomposed before the step was checked")
+
+        with pytest.raises(InvalidParams, match="rtol"):
+            auto_cutoff(run, rtol=bad)
+        monkeypatch.setattr(fock, "_block_eig", no_decomposition)
+        with pytest.raises(InvalidParams, match="rtol"):
+            generator_qfi_grid(params(0.9), [1.0], rtol=bad)
+        with pytest.raises(InvalidParams, match="dg"):
+            qfi_overlap(params(0.9), 1.0, dg=bad, n_cut=48)
 
     def test_leak_restarts_comparison(self):
         def run(n):
-            if n < 32:
+            if n < 64:
                 raise TruncationLeak("too small")
             return np.array([2.0])
 
-        n_cut, _ = auto_cutoff(run, start=8, rtol=1e-6)
-        assert n_cut == 64  # 32 raises nothing; convergence checked at 64
+        n_cut, _ = auto_cutoff(run, rtol=1e-6)
+        assert n_cut == 128  # 64 raises nothing; convergence checked at 128
 
     def test_doubling_changes_stay_below_tolerance_for_dynamics(self):
         # the accepted cutoff of a converged run is insensitive to doubling
