@@ -93,14 +93,9 @@ class BosonInitialState:
         return _unwrap((v[..., None, :] @ self._covariance() @ v[..., :, None])[..., 0, 0])
 
 
-def default_initial_state(dim: int = 6) -> BosonInitialState:
-    """The reference state (|0> + i|1>)/sqrt(2), zero-padded to ``dim`` >= 2."""
-    if not dim >= 2:
-        raise InvalidParams("dim", f"must be >= 2, got {dim!r}")
-    amps = np.zeros(dim, dtype=complex)
-    amps[0] = 1.0 / np.sqrt(2.0)
-    amps[1] = 1.0j / np.sqrt(2.0)
-    return BosonInitialState(amps)
+def default_initial_state() -> BosonInitialState:
+    """The reference state (|0> + i|1>)/sqrt(2), the paper's probe."""
+    return BosonInitialState(np.array([1.0, 1.0j]) / np.sqrt(2.0))
 
 
 # ----------------------------------------------------------------------

@@ -193,7 +193,7 @@ def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> dict:
     closed = {"qfi": cf.qfi_g(params, v["t"], cf.var_n(state, params))}
     if cfg.engine == "closed":
         return {**base, **closed}
-    oracle, n_cut = fock.generator_qfi_grid(params, v["t"], psi0=state)
+    oracle, n_cut = fock.generator_qfi_grid(params, v["t"])
     return {**base, **_compared_columns(closed, {"qfi": oracle}, n_cut)}
 
 
@@ -219,8 +219,7 @@ def _quadrature_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
         return {**cols, "x_mean": x_mean}
     if cols["status"][0] == _STATUS_SATURATED:  # the both engine runs one cell a batch
         return cols
-    state = cf.default_initial_state()
-    series = fock.quadrature_series(_params(v, gs[0], lam[0]), [v["t"]], psi0=state)
+    series = fock.quadrature_series(_params(v, gs[0], lam[0]), [v["t"]])
     return {**cols, **_compared_columns({"x_mean": x_mean}, {"x_mean": series.x_mean},
                                         series.n_cut)}
 
@@ -234,7 +233,7 @@ def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> dict:
               "x_var": cf.x_variance(params, ts), "inv_var": cf.inverted_variance(params, ts)}
     if cfg.engine == "closed":
         return {**base, **closed}
-    series = fock.quadrature_series(params, ts, psi0=cf.default_initial_state())
+    series = fock.quadrature_series(params, ts)
     oracle = {q: getattr(series, q) for q in closed}  # QuadratureSeries names them alike
     return {**base, **_compared_columns(closed, oracle, series.n_cut)}
 
@@ -250,7 +249,7 @@ def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
             "ratio_analytic": analytic}
     if cfg.engine == "closed":
         return cols
-    numeric, n_cut = fock.ratio_oracle(params, taus, psi0=state)
+    numeric, n_cut = fock.ratio_oracle(params, taus)
     return {**cols, "ratio_numeric": numeric, "rel_dev": np.abs(numeric - analytic) / analytic,
             "n_cut": n_cut}
 
@@ -805,7 +804,6 @@ def _attach_slopes(dataset: Dataset) -> None:
 class SlopeFit:
     slope: float
     stderr: float
-    intercept: float
 
 
 def fit_loglog_slope(data: tuple) -> SlopeFit:
@@ -823,5 +821,4 @@ def fit_loglog_slope(data: tuple) -> SlopeFit:
     dof = max(1, len(x) - 2)
     sigma2 = float(residual @ residual) / dof
     cov = sigma2 * np.linalg.inv(design.T @ design)
-    return SlopeFit(slope=float(coef[1]), stderr=float(np.sqrt(cov[1, 1])),
-                    intercept=float(coef[0]))
+    return SlopeFit(slope=float(coef[1]), stderr=float(np.sqrt(cov[1, 1])))

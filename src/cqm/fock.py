@@ -26,11 +26,15 @@ HermitianOperator.eig, so at the large cutoffs _block_eig first finds only
 the lowest modes and keeps them alone when they are all the state and its
 generator reach.  The joint builders still take a five-point stencil in g.
 
+Every oracle evolves the paper's one probe state, (|0> + i|1>)/sqrt(2)
+(closed_form.default_initial_state), the state all the closed forms it
+checks are written for.
+
 Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
 until the requested observables stop moving (relative test, with an
 absolute floor for the quadrature blocks); all but finite_frequency_point
 and ratio_oracle also take a pinned n_cut, an integer >= 4.  The tolerances
-are module constants, not arguments, apart from generator_qfi_grid's rtol.
+are module constants, not arguments.
 States anti-squeeze near criticality, with Fock tails decaying only like
 (1 - 2*epsilon_g)^n, so near-critical runs legitimately need cutoffs of
 order 1/epsilon_g; the doubling ladder finds that automatically.
@@ -57,6 +61,9 @@ from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
 
 AUTO_CUTOFF_START = 32
 AUTO_CUTOFF_MAX = 4096
+#: auto_cutoff's default test: every value moves by at most this fraction of
+#: its magnitude when the cutoff doubles.
+AUTO_CUTOFF_RTOL = 1e-6
 #: Smallest Omega/omega at which finite_frequency_point compares the engines.
 ETA_MIN = 10.0
 #: (rtol, atol) of quadrature_series's per-block convergence test.
@@ -95,12 +102,6 @@ def _a_band(n_cut: int) -> np.ndarray:
 def _x_band(n_cut: int) -> np.ndarray:
     """Superdiagonal of X: X[n, n+1] = sqrt(n+1)/sqrt(2)."""
     return _a_band(n_cut) / np.sqrt(2.0)
-
-
-def quadratures(n_cut: int) -> tuple[np.ndarray, np.ndarray]:
-    """X = (a + a^dag)/sqrt(2) (real) and P = i(a^dag - a)/sqrt(2) (imaginary)."""
-    x = _x_band(n_cut)
-    return np.diag(x, 1) + np.diag(x, -1), 1j * (np.diag(x, -1) - np.diag(x, 1))
 
 
 def _squared_bands(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,13 +263,10 @@ def _cutoff(n_cut) -> int:
     return int(n_cut)
 
 
-def _pad(boson: BosonInitialState | np.ndarray, n_cut: int) -> np.ndarray:
+def _pad(boson: BosonInitialState, n_cut: int) -> np.ndarray:
     """``boson``'s amplitudes zero-padded to ``n_cut`` (to 2*n_cut: |down> (x) |boson>)."""
-    b = boson.amplitudes if isinstance(boson, BosonInitialState) else np.asarray(boson)
-    if len(b) > n_cut:
-        raise InvalidParams("n_cut", "smaller than the boson state length")
     out = np.zeros(n_cut, dtype=complex)
-    out[: len(b)] = b
+    out[: len(boson.amplitudes)] = boson.amplitudes
     return out
 
 
@@ -435,12 +433,6 @@ def _times(ts) -> np.ndarray:
     return ts
 
 
-def _positive(name: str, value: float) -> None:
-    """InvalidParams unless the step or tolerance ``value`` is finite and > 0."""
-    if not 0 < value < np.inf:  # NaN fails too
-        raise InvalidParams(name, f"must be finite and > 0, got {value!r}")
-
-
 def evolve_grid(h: HermitianOperator, psi0, ts: Sequence[float]) -> np.ndarray:
     """exp(-i*H*t)|psi0> by spectral decomposition at every time in ``ts``;
     (dim, len(ts)) array.  Raises InvalidParams, before any decomposition,
@@ -469,23 +461,20 @@ def evolve_joint_grid(h: HermitianOperator, amplitudes: np.ndarray,
 
 def auto_cutoff(
     run: Callable[[int], np.ndarray],
-    rtol: float = 1e-6,
     converged: Callable[[np.ndarray, np.ndarray], bool] | None = None,
 ) -> tuple[int, np.ndarray]:
     """Double n_cut from AUTO_CUTOFF_START to AUTO_CUTOFF_MAX until ``run(n_cut)`` settles.
 
     Convergence: every component changes by at most
-    rtol*max(|new|, |old|) when the cutoff doubles, unless a
+    AUTO_CUTOFF_RTOL*max(|new|, |old|) when the cutoff doubles, unless a
     ``converged(old, new)`` test is given.  TruncationLeak from ``run``
     counts as "keep doubling".  Returns (accepted n_cut, values at that
     cutoff).  CutoffNotConverged names the last level that leaked and the
-    cutoff the ladder would need next.  InvalidParams, before ``run`` is
-    called, unless ``rtol`` is finite and > 0.
+    cutoff the ladder would need next.
     """
-    _positive("rtol", rtol)
     if converged is None:
         def converged(old: np.ndarray, new: np.ndarray) -> bool:
-            tol = rtol * np.maximum(np.abs(new), np.abs(old))
+            tol = AUTO_CUTOFF_RTOL * np.maximum(np.abs(new), np.abs(old))
             return bool(np.all(np.abs(new - old) <= tol))
 
     prev, moving, leak = None, False, ""
@@ -501,7 +490,7 @@ def auto_cutoff(
             return n, values
         prev, moving = values, prev is not None
         n *= 2
-    reason = (f"observables still moving at n_cut = {n // 2} (rtol={rtol})" if moving
+    reason = (f"observables still moving at n_cut = {n // 2}" if moving
               else "no two consecutive levels ran without a leak")
     raise CutoffNotConverged(
         f"{reason}{leak}; the ladder would need n_cut = {n} next, above the cap {AUTO_CUTOFF_MAX}"
@@ -542,17 +531,17 @@ def _x_moments(amps: np.ndarray, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     return mean.reshape(-1, n_t).sum(axis=0), second.reshape(-1, n_t).sum(axis=0)
 
 
-def _effective_level(params: ModelParams, ts: np.ndarray, psi0: BosonInitialState,
+def _effective_level(params: ModelParams, ts: np.ndarray,
                      n_cut: int) -> tuple[float, np.ndarray]:
     """One decomposition of the effective oscillator at ``n_cut``: the worst
-    tail mass of the evolved state and the rows <X>_t, <X^2>_t, d<X>_t/dg and
-    F_g(t).  dH/dg = s'*H1 (H1 = (omega_bar/2)*X^2, s' = dstiffness/dg) on
-    either side of g_c, so with h(t) the generator of H1,
+    tail mass of the evolved probe state psi0 and the rows <X>_t, <X^2>_t,
+    d<X>_t/dg and F_g(t).  dH/dg = s'*H1 (H1 = (omega_bar/2)*X^2,
+    s' = dstiffness/dg) on either side of g_c, so with h(t) the generator of H1,
     d<X>_t/dg = 2*Re<psi_t|X|d_g psi_t> = 2*s'*Im<psi_t|X U(t) h(t) psi0>
     and F_g(t) = 4*s'^2*Var_psi0[h(t)]."""
     frame = oscillator_frame(params)
     dh = tuple(0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
-    amps0 = _state(_pad(psi0, n_cut), n_cut)
+    amps0 = _pad(default_initial_state(), n_cut)
     modes = build_effective_hamiltonian(params, n_cut).eig(amps0, dh)
     psi, hpsi = _propagate(modes, amps0, ts, dh)
     mean, second = _x_moments(psi, n_cut)
@@ -586,16 +575,24 @@ def _leak_checked(level: Callable[[int], tuple[float, np.ndarray]]):
     return run
 
 
-def _series_at_cutoff(params: ModelParams, ts: np.ndarray, psi0: BosonInitialState,
-                      n_cut: int, builder: Callable[[ModelParams, int], HermitianOperator]
-                      ) -> np.ndarray:
+def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int,
+                      builder: Callable[[ModelParams, int], HermitianOperator]) -> np.ndarray:
     """Rows x, x^2, the 4-point (Richardson) g-derivative of x, and its two
     centered stencils (full and halved step), at one cutoff of a joint
-    builder.  The exact derivative would move the frequency-scaling row
-    lam=-0.247, eta=1e4 (inv_var_exact 73884.747 -> 73884.932 at n_cut 256)
-    past the benchmark gate's same-cutoff 1e-6 until its reference moves."""
+    builder, for |down> (x) the probe state.  The exact derivative would move
+    the frequency-scaling row lam=-0.247, eta=1e4 (inv_var_exact 73884.747 ->
+    73884.932 at n_cut 256) past the benchmark gate's same-cutoff 1e-6 until
+    its reference moves.
+
+    Roundoff alone decides that row's accepted cutoff: 256 in the recorded
+    reference (two BLAS threads), 512 at one thread.  So any change to the
+    order of arithmetic here, in _joint_hamiltonian or in _propagate can move
+    it a further doubling and fail the benchmark gate until the references
+    are recorded again: decomposing the operator as its two parity chains
+    (their blocks bit-identical to the dense operator's, the stencil kept)
+    moved it to 1024."""
     dg = 1e-5 * max(params.g, 0.01)
-    amps0 = _pad(_pad(psi0, n_cut), 2 * n_cut)  # no longer than n_cut, then |down> (x) psi0
+    amps0 = _pad(default_initial_state(), 2 * n_cut)  # |down> (x) the probe state
 
     def measure(gv: float) -> tuple[np.ndarray, np.ndarray]:
         h = builder(replace(params, g=gv), n_cut)
@@ -637,15 +634,15 @@ def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray,
     return QuadratureSeries(ts, x_mean, x_second, deriv, n_cut)
 
 
-def quadrature_series(params: ModelParams, ts: Sequence[float],
-                      psi0: BosonInitialState | None = None, n_cut: int | None = None,
+def quadrature_series(params: ModelParams, ts: Sequence[float], n_cut: int | None = None,
                       builder: Callable[[ModelParams, int], HermitianOperator] | None = None
                       ) -> QuadratureSeries:
-    """<X>_t, <X^2>_t and d<X>_t/dg on a grid, with automatic cutoff.
+    """<X>_t, <X^2>_t and d<X>_t/dg of the probe state on a grid, with
+    automatic cutoff.
 
-    With no builder (or build_effective_hamiltonian) the effective oscillator
-    evolves psi0, one decomposition per cutoff giving the exact (Duhamel)
-    derivative too.  A joint spin-boson builder evolves |down> (x) psi0 with
+    With no builder the effective oscillator evolves the probe state, one
+    decomposition per cutoff giving the exact (Duhamel) derivative too.  A
+    joint spin-boson builder evolves |down> (x) the probe state with
     a Richardson-extrapolated centered difference, base step
     dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of the
     derivative scale, else StepTooLarge.  The ladder accepts a cutoff once
@@ -654,11 +651,10 @@ def quadrature_series(params: ModelParams, ts: Sequence[float],
     (_times) or pinned n_cut (_cutoff) is an InvalidParams.
     """
     ts = _times(ts)
-    psi0 = psi0 if psi0 is not None else default_initial_state()
-    if builder is None or builder is build_effective_hamiltonian:
-        run = _leak_checked(partial(_effective_level, params, ts, psi0))
+    if builder is None:
+        run = _leak_checked(partial(_effective_level, params, ts))
     else:
-        run = partial(_series_at_cutoff, params, ts, psi0, builder=builder)
+        run = partial(_series_at_cutoff, params, ts, builder=builder)
     return _series_ladder(run, ts, n_cut)
 
 
@@ -669,12 +665,11 @@ def quadrature_series(params: ModelParams, ts: Sequence[float],
 def qfi_overlap(
     params: ModelParams,
     t: float,
-    psi0: BosonInitialState | None = None,
     dg: float | None = None,
     n_cut: int | None = None,
 ) -> float:
-    """QFI of the effective oscillator from the fidelity drop between
-    evolutions at g -/+ dg/2:
+    """QFI of the effective oscillator about the probe state from the
+    fidelity drop between evolutions at g -/+ dg/2:
 
     F ~= 8*(1 - |<psi_{g-dg/2}(t)|psi_{g+dg/2}(t)>|) / dg^2.
 
@@ -682,16 +677,15 @@ def qfi_overlap(
     far from both the quadratic-validity ceiling (1e-2) and roundoff.
     Raises StepTooLarge when an explicit dg leaves the deficit above 1e-2,
     and InvalidParams, before any decomposition, unless it is finite and > 0.
-    With n_cut=None the cutoff ladder runs at auto_cutoff's default rtol.
+    With n_cut=None the cutoff ladder runs at AUTO_CUTOFF_RTOL.
     """
-    if dg is not None:
-        _positive("dg", dg)
-    psi0 = psi0 if psi0 is not None else default_initial_state()
+    if dg is not None and not 0 < dg < np.inf:  # NaN fails too
+        raise InvalidParams("dg", f"must be finite and > 0, got {dg!r}")
 
     def deficit_at(n: int, step: float) -> float:
         def state(gv):
             h = build_effective_hamiltonian(replace(params, g=gv), n)
-            return evolve_grid(h, _pad(psi0, n), [t])[:, 0]
+            return evolve_grid(h, _pad(default_initial_state(), n), [t])[:, 0]
 
         minus = state(params.g - 0.5 * step)
         plus = state(params.g + 0.5 * step)
@@ -724,50 +718,44 @@ def qfi_overlap(
     return float(values[0])
 
 
-def _normal_level(params: ModelParams, ts, psi0: BosonInitialState | None):
+def _normal_level(params: ModelParams, ts):
     """_effective_level bound to one normal-regime point; RegimeError past it."""
     if effective_oscillator(params).regime is not Regime.NORMAL:
         raise RegimeError("the generator QFI is defined for the normal regime")
-    psi0 = psi0 if psi0 is not None else default_initial_state()
-    return partial(_effective_level, params, _times(ts), psi0)
+    return partial(_effective_level, params, _times(ts))
 
 
-def generator_qfi_grid(
-    params: ModelParams,
-    ts: Sequence[float],
-    psi0: BosonInitialState | None = None,
-    n_cut: int | None = None,
-    rtol: float = 1e-6,
-) -> tuple[np.ndarray, int]:
-    """QFI from the spectral integral of the evolution generator, on a whole
-    time grid with one decomposition of each parity block per cutoff.
+def generator_qfi_grid(params: ModelParams, ts: Sequence[float],
+                       n_cut: int | None = None) -> tuple[np.ndarray, int]:
+    """QFI about the probe state from the spectral integral of the evolution
+    generator, on a whole time grid with one decomposition of each parity
+    block per cutoff.
 
     With H_eff = H0 + zeta*H1 (H0 = wbar/2*P^2, H1 = wbar/2*X^2,
     zeta = epsilon_g), the generator is h = int_0^t H1(s) ds, and
     F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (values, n_cut): the given
     n_cut, or the one the ladder accepted, its convergence measured jointly
-    across the grid at relative tolerance ``rtol``; no level counts as leaking.
-    A bad time grid (_times), pinned n_cut (_cutoff) or ladder rtol
-    (auto_cutoff) is an InvalidParams.
+    across the grid at AUTO_CUTOFF_RTOL; no level counts as leaking.  A bad
+    time grid (_times) or pinned n_cut (_cutoff) is an InvalidParams.
     """
-    level = _normal_level(params, ts, psi0)
+    level = _normal_level(params, ts)
     if n_cut is not None:
         n_cut = _cutoff(n_cut)
         return level(n_cut)[1][3], n_cut
-    n_cut, values = auto_cutoff(lambda n: level(n)[1][3], rtol=rtol)
+    n_cut, values = auto_cutoff(lambda n: level(n)[1][3])
     return values, n_cut
 
 
-def ratio_oracle(params: ModelParams, ts: Sequence[float],
-                 psi0: BosonInitialState | None = None) -> tuple[np.ndarray, int]:
-    """I_g(t)/F_g(t) on a grid: the ladders of quadrature_series and
-    generator_qfi_grid (default rtol) over one decomposition per cutoff level,
-    shared for this call only.  Returns (ratios, quadrature_series's n_cut).
-    Times must be finite and > 0 (the ratio is 0/0 at t = 0), else InvalidParams."""
+def ratio_oracle(params: ModelParams, ts: Sequence[float]) -> tuple[np.ndarray, int]:
+    """I_g(t)/F_g(t) of the probe state on a grid: the ladders of
+    quadrature_series and generator_qfi_grid over one decomposition per
+    cutoff level, shared for this call only.  Returns (ratios,
+    quadrature_series's n_cut).  Times must be finite and > 0 (the ratio is
+    0/0 at t = 0), else InvalidParams."""
     ts = _times(ts)
     if not np.all(ts > 0):
         raise InvalidParams("ts", "the ratio needs times > 0")
-    level = cache(_normal_level(params, ts, psi0))
+    level = cache(_normal_level(params, ts))
     series = _series_ladder(_leak_checked(level), ts, None)
     _, qfis = auto_cutoff(lambda n: level(n)[1][3])
     return series.inv_var / qfis, series.n_cut
@@ -781,18 +769,19 @@ def verify_reciprocal_relation(params: ModelParams, n_cut: int) -> float:
         Lambda = i*sqrt(epsilon)*M - N,
         M = -i*[H0, H1],  N = -[H_eff, [H0, H1]],
 
-    so Lambda = sqrt(epsilon)*[H0, H1] + [H_eff, [H0, H1]]; with
-    H0 = (omega_bar/2)*P^2 = -(omega_bar/2)*Im(P)^2 every operator is real.
-    The identity is exact in the untruncated algebra; truncation corrupts the
-    top rows, so the residual is evaluated on the lowest 80% of Fock indices.
+    so Lambda = sqrt(epsilon)*[H0, H1] + [H_eff, [H0, H1]].  H0 =
+    (omega_bar/2)*P^2 and H1 = (omega_bar/2)*X^2 are real, from the bands of
+    the truncated X@X (P@P negates its second superdiagonal).  The identity is
+    exact in the untruncated algebra; truncation corrupts the top rows, so the
+    residual is evaluated on the lowest 80% of Fock indices.
     """
     n_cut = _cutoff(n_cut)
     eff = effective_oscillator(params)
     if eff.regime is not Regime.NORMAL:
         raise RegimeError("reciprocal relation is checked in the normal regime")
-    x, p = quadratures(n_cut)
-    h0 = -0.5 * eff.omega_bar * (p.imag @ p.imag)
-    h1 = 0.5 * eff.omega_bar * (x @ x)
+    diag, sup = _squared_bands(_x_band(n_cut))
+    h0 = 0.5 * eff.omega_bar * _dense({0: diag, 2: -sup})
+    h1 = 0.5 * eff.omega_bar * _dense({0: diag, 2: sup})
     hz = h0 + eff.epsilon_g * h1
     comm01 = h0 @ h1 - h1 @ h0
     lam_op = np.sqrt(eff.epsilon) * comm01 + (hz @ comm01 - comm01 @ hz)

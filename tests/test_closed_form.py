@@ -51,7 +51,7 @@ class TestInitialState:
     def test_default_state_is_normalized(self):
         st0 = default_initial_state()
         assert np.linalg.norm(st0.amplitudes) == pytest.approx(1.0, abs=1e-15)
-        assert st0.n_max == 5
+        assert st0.n_max == 1
 
     def test_unnormalized_rejected(self):
         with pytest.raises(InvalidParams):
@@ -61,7 +61,7 @@ class TestInitialState:
     def test_non_finite_amplitudes_rejected(self, bad):
         # a NaN norm used to pass the norm check, and var_n then gave NaN
         amps = default_initial_state().amplitudes.copy()
-        amps[3] = bad
+        amps[1] = bad
         with pytest.raises(InvalidParams, match="finite"):
             BosonInitialState(amps)
 
@@ -74,7 +74,7 @@ class TestInitialState:
         if first_use == "before":
             state.generator_variance(0.5)
         source[:] = 0.0
-        source[2] = 1.0
+        source[1] = 1.0
         assert state.amplitudes is not source
         assert state.generator_variance(0.5) == default_initial_state().generator_variance(0.5)
         assert state.generator_variance(0.5) == pytest.approx(reference_variance(0.5), rel=1e-14)
@@ -82,11 +82,10 @@ class TestInitialState:
             state.amplitudes[0] = 1.0
 
     def test_reference_state_is_rebuilt_identically(self):
-        first, second = default_initial_state(6), default_initial_state(6)
+        first, second = default_initial_state(), default_initial_state()
         assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
         assert first._covariance().tobytes() == second._covariance().tobytes()
-        assert default_initial_state(7).n_max == 6
-        assert not default_initial_state(6).amplitudes.flags.writeable
+        assert not first.amplitudes.flags.writeable
 
 
 class TestVarN:

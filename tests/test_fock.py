@@ -45,7 +45,6 @@ from cqm.fock import (
     _x_band,
     _x_moments,
     evolve_joint_grid,
-    quadratures,
 )
 
 
@@ -79,13 +78,19 @@ def destroy(n_cut):
     return np.diag(np.sqrt(np.arange(1, n_cut, dtype=float)), 1)
 
 
+def quadratures(n_cut):
+    """Dense X = (a + a^dag)/sqrt(2) (real) and P = i(a^dag - a)/sqrt(2) (imaginary)."""
+    a = destroy(n_cut)
+    return (a + a.T) / np.sqrt(2.0), 1j * (a.T - a) / np.sqrt(2.0)
+
+
 def blockwise_generator_qfi(p, ts, n_cut):
     """generator_qfi_grid's kernel as it stood before the Duhamel kernel was
     shared: per parity block, the variance summed in the eigenbasis."""
     frame = oscillator_frame(p)
     ts = np.asarray(ts, dtype=float)
     h1_diag, h1_sup = (0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
-    amps0 = default_initial_state(n_cut).amplitudes
+    amps0 = _pad(default_initial_state(), n_cut)
     mean = np.zeros(len(ts))
     second = np.zeros(len(ts))
     for idx, energies, vectors in build_effective_hamiltonian(p, n_cut).eig():
@@ -163,6 +168,18 @@ class TestBuilders:
         b = assembled(build_squeezed_frame_hamiltonian(p, 16))
         assert np.abs(a - b).max() < 1e-12
 
+    @pytest.mark.parametrize("g, lam, Omega, n_cut", [
+        (0.5, 0.3, 10.0, 256), (0.5, -0.2, 10.0, 512), (0.5, 0.3, 100.0, 256)])
+    def test_squeeze_maps_the_lab_frame_onto_the_squeezed_frame(self, g, lam, Omega, n_cut):
+        # the squeeze that absorbs lam*(a+a^dag)^2 turns omega into omega_bar
+        # and the coupling's g into g*(1+4*lam/omega)^(-1/4), and shifts every
+        # energy by the zero-point difference (omega_bar - omega)/2
+        p = params(g, lam=lam, Omega=Omega)
+        lab, squeezed = (np.sort(build(p, n_cut).eig()[0][1])[:20]
+                         for build in (build_full_hamiltonian, build_squeezed_frame_hamiltonian))
+        shift = 0.5 * (effective_oscillator(p).omega_bar - p.omega)
+        assert np.abs(lab - (squeezed + shift)).max() <= 1e-12
+
     def test_effective_unit_stiffness_is_harmonic(self):
         h = build_effective_hamiltonian(params(0.0), 60)
         energies = np.sort(np.concatenate([e for _, e, _ in h.eig()]))
@@ -185,7 +202,7 @@ class TestBuilders:
         ground = np.zeros(n_cut)
         ground[even] = vecs[:, 0]
         x, _ = quadratures(n_cut)
-        xx = ground @ (x @ x).real @ ground
+        xx = ground @ (x @ x) @ ground
         assert xx == pytest.approx(0.5 / np.sqrt(eff.epsilon_g), rel=1e-9)
 
     @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 64), (0.099, -0.2475, 257), (1.2, 0.1, 40)])
@@ -245,11 +262,9 @@ class TestBuilders:
         (lambda p: generator_qfi_grid(p, [1.0], n_cut=np.int64(2)), "n_cut"),
         (lambda p: verify_reciprocal_relation(p, 0), "n_cut"),  # a zero-size ValueError
         (lambda p: verify_reciprocal_relation(p, 3.0), "n_cut"),
-        (lambda p: default_initial_state(1), "dim"),  # an IndexError
-        (lambda p: default_initial_state(0), "dim"),
     ], ids=["effective-4.5", "full-8.0", "squeezed-float64", "series-64.0",
             "joint-series-64.0", "generator-64.0", "overlap-64.0", "series-True",
-            "generator-int64-2", "reciprocal-0", "reciprocal-3.0", "state-1", "state-0"])
+            "generator-int64-2", "reciprocal-0", "reciprocal-3.0"])
     def test_sizes_rejected_unless_integers_in_range(self, monkeypatch, call, field):
         # before any band, padded state or decomposition is made
         def allocates(*args, **kwargs):
@@ -310,9 +325,9 @@ class TestBuilders:
 class TestEvolve:
     def test_zero_time_identity(self):
         h = build_effective_hamiltonian(params(0.9), 32)
-        psi = default_initial_state(32)
+        psi = _pad(default_initial_state(), 32)
         out = evolve_grid(h, psi, [0.0])[:, 0]
-        assert np.allclose(out, psi.amplitudes)
+        assert np.allclose(out, psi)
 
     def test_diagonal_hamiltonian_only_rotates_phases(self):
         h = HermitianOperator([(slice(None), {0: np.arange(8, dtype=float)})])
@@ -324,7 +339,7 @@ class TestEvolve:
 
     def test_norm_preserved_on_long_grid(self):
         h = build_effective_hamiltonian(params(0.9), 64)
-        psi = default_initial_state(64)
+        psi = _pad(default_initial_state(), 64)
         out = evolve_grid(h, psi, np.linspace(0, 100, 7))
         assert np.abs(np.linalg.norm(out, axis=0) - 1).max() < 1e-12
 
@@ -334,7 +349,7 @@ class TestEvolve:
         h = build_effective_hamiltonian(p, 16)
         tau = float(optimal_times(p, 1)[0])
         with pytest.raises(TruncationLeak):
-            evolve_grid(h, default_initial_state(16), [tau / 2])
+            evolve_grid(h, _pad(default_initial_state(), 16), [tau / 2])
 
     def test_joint_state_roundtrip(self):
         p = params(0.9, Omega=50.0)
@@ -342,17 +357,11 @@ class TestEvolve:
         boson = default_initial_state()
         psi = _pad(boson, 48)  # |down> (x) boson, spin-major
         assert psi.shape == (48,) and psi.dtype == complex
-        assert np.array_equal(psi[:6], boson.amplitudes) and not psi[6:].any()
+        assert np.array_equal(psi[:2], boson.amplitudes) and not psi[2:].any()
         out = evolve_joint_grid(h, psi, [0.0, 1.0])
         assert np.abs(out[:, 0] - psi).max() < 1e-12
         assert np.linalg.norm(out[:, 1]) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(out[24:, 1]).max() > 0.0  # the coupling flips the spin
-
-    def test_joint_state_longer_than_the_cutoff_rejected(self):
-        # padded to 2*n_cut it would start partly in the spin-up block
-        with pytest.raises(InvalidParams, match="n_cut"):
-            quadrature_series(params(0.9, Omega=50.0), [1.0], psi0=default_initial_state(40),
-                              n_cut=32, builder=build_full_hamiltonian)
 
     def test_unnormalized_states_rejected_by_both_routines(self, monkeypatch):
         # rejected before any decomposition: eig() must not run
@@ -362,7 +371,7 @@ class TestEvolve:
         monkeypatch.setattr(HermitianOperator, "eig", no_eig)
         boson = build_effective_hamiltonian(params(0.9), 16)
         joint = build_squeezed_frame_hamiltonian(params(0.9, Omega=50.0), 16)
-        cases = [(evolve_grid, boson, default_initial_state(16).amplitudes),
+        cases = [(evolve_grid, boson, _pad(default_initial_state(), 16)),
                  (evolve_joint_grid, joint, _pad(default_initial_state(), 32))]
         for evolve, h, psi in cases:
             nan = psi.copy()
@@ -419,7 +428,7 @@ class TestBandContraction:
         n_cut, n_t = 48, 5
         amps = rng.normal(size=(blocks * n_cut, n_t)) + 1j * rng.normal(size=(blocks * n_cut, n_t))
         amps /= np.linalg.norm(amps, axis=0)
-        x = np.kron(np.eye(blocks), quadratures(n_cut)[0].real)
+        x = np.kron(np.eye(blocks), quadratures(n_cut)[0])
         mean, second = _x_moments(amps, n_cut)
         for got, op in ((mean, x), (second, x @ x)):
             dense = np.einsum("it,ij,jt->t", amps.conj(), op, amps).real
@@ -432,17 +441,17 @@ class TestAutoCutoff:
 
         def run(n):
             calls.append(n)
-            return np.array([1.0 + 4.0 / n])
+            return np.array([1.0 + 4e-4 / n])
 
-        # successive values differ by 2/n; rtol 1e-2 is first met at 512
-        n_cut, values = auto_cutoff(run, rtol=1e-2)
+        # successive values differ by 2e-4/n; AUTO_CUTOFF_RTOL = 1e-6 is first met at 512
+        n_cut, values = auto_cutoff(run)
         assert calls == [32, 64, 128, 256, 512]  # from AUTO_CUTOFF_START
         assert n_cut == 512
-        assert values[0] == pytest.approx(1.0 + 4.0 / 512)
+        assert values[0] == pytest.approx(1.0 + 4e-4 / 512)
 
     def test_raises_when_never_converges(self):
         with pytest.raises(CutoffNotConverged):
-            auto_cutoff(lambda n: np.array([np.log(n)]), rtol=1e-12)
+            auto_cutoff(lambda n: np.array([np.log(n)]))
 
     def test_failure_names_the_last_leak_and_the_next_cutoff(self):
         def run(n):
@@ -469,19 +478,21 @@ class TestAutoCutoff:
 
     @pytest.mark.parametrize("bad", [0.0, -1e-6, np.nan, np.inf])
     def test_bad_rtol_or_dg_rejected_before_any_run(self, monkeypatch, bad):
-        # a bad rtol used to run every level to the cap and blame convergence,
-        # and dg = 0 made qfi_overlap return inf with a divide-by-zero warning
+        # the ladder tolerance is the constant AUTO_CUTOFF_RTOL: an rtol, bad
+        # or not, is refused before any run (with a pinned n_cut a NaN rtol
+        # used to pass unchecked); dg = 0 made qfi_overlap return inf with a
+        # divide-by-zero warning
         def run(n):
-            raise AssertionError("run was called before rtol was checked")
+            raise AssertionError("run was called before rtol was refused")
 
         def no_decomposition(*args):
             raise AssertionError("a block was decomposed before the step was checked")
 
-        with pytest.raises(InvalidParams, match="rtol"):
+        with pytest.raises(TypeError, match="rtol"):
             auto_cutoff(run, rtol=bad)
         monkeypatch.setattr(fock, "_block_eig", no_decomposition)
-        with pytest.raises(InvalidParams, match="rtol"):
-            generator_qfi_grid(params(0.9), [1.0], rtol=bad)
+        with pytest.raises(TypeError, match="rtol"):
+            generator_qfi_grid(params(0.9), [1.0], n_cut=64, rtol=bad)
         with pytest.raises(InvalidParams, match="dg"):
             qfi_overlap(params(0.9), 1.0, dg=bad, n_cut=48)
 
@@ -491,7 +502,7 @@ class TestAutoCutoff:
                 raise TruncationLeak("too small")
             return np.array([2.0])
 
-        n_cut, _ = auto_cutoff(run, rtol=1e-6)
+        n_cut, _ = auto_cutoff(run)
         assert n_cut == 128  # 64 raises nothing; convergence checked at 128
 
     def test_doubling_changes_stay_below_tolerance_for_dynamics(self):
@@ -547,10 +558,10 @@ class TestQfiMethods:
         frame = oscillator_frame(p)
         energies, vectors = np.linalg.eigh(assembled(build_effective_hamiltonian(p, n_cut)))
         x, _ = quadratures(n_cut)
-        h1 = vectors.T @ (0.5 * frame.omega_bar * (x @ x).real) @ vectors
+        h1 = vectors.T @ (0.5 * frame.omega_bar * (x @ x)) @ vectors
         de = energies[:, None] - energies[None, :]
         near = np.abs(de) < 1e-12
-        coeffs = vectors.T @ default_initial_state(n_cut).amplitudes
+        coeffs = vectors.T @ _pad(default_initial_state(), n_cut)
         reference = []
         for t in ts:
             kernel = np.where(near, t, (np.exp(1j * de * t) - 1.0) / (1j * np.where(near, 1.0, de)))
@@ -565,13 +576,13 @@ class TestQfiMethods:
         p = params(0.9)
         ts = [2.0, 5.0]
         values, n_cut = generator_qfi_grid(p, ts)
-        # the ladder (rtol 1e-6) stops at the first doubling that moves no value
-        # beyond rtol, and the values it returns are those of that cutoff
+        # the ladder stops at the first doubling that moves no value beyond
+        # AUTO_CUTOFF_RTOL, and the values it returns are those of that cutoff
         pinned, same = generator_qfi_grid(p, ts, n_cut=n_cut)
         assert same == n_cut
         assert np.array_equal(pinned, values)
 
-        def moved(n):  # does doubling n // 2 -> n move a value beyond rtol?
+        def moved(n):  # does doubling n // 2 -> n move a value beyond 1e-6?
             low, high = (generator_qfi_grid(p, ts, n_cut=m)[0] for m in (n // 2, n))
             return np.any(np.abs(high - low) > 1e-6 * np.maximum(high, low))
 
@@ -732,10 +743,10 @@ class TestTridiagonalSolver:
         monkeypatch.setattr(fock, "TRIDIAGONAL_MIN", 32)
 
     @staticmethod
-    def eigh_rows(monkeypatch, p, ts, psi0, n_cut):
+    def eigh_rows(monkeypatch, p, ts, n_cut):
         with monkeypatch.context() as m:
             m.setattr(fock, "TRIDIAGONAL_MIN", 10**9)
-            return _effective_level(p, ts, psi0, n_cut)
+            return _effective_level(p, ts, n_cut)
 
     @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 256), (0.099, -0.2475, 512),
                                                (1.2, 0.1, 128)])
@@ -762,38 +773,37 @@ class TestTridiagonalSolver:
     @pytest.mark.parametrize("spread", [False, True])
     def test_both_stages_match_the_eigh_path(self, monkeypatch, shifts, spread):
         # the default state sits in the lowest quarter of the modes; a state
-        # over the whole block needs the completion stage
+        # over the whole block, put in the probe's place, needs the completion stage
         p, n_cut = params(0.9), 256
         ts = np.array([0.0, 1.3, 7.0, 40.0])
-        psi0 = default_initial_state(n_cut)
         if spread:
             amps = np.random.default_rng(5).normal(size=n_cut) + 1j
             psi0 = BosonInitialState(amps / np.linalg.norm(amps))
-        tail, rows = _effective_level(p, ts, psi0, n_cut)
+            monkeypatch.setattr(fock, "default_initial_state", lambda: psi0)
+        tail, rows = _effective_level(p, ts, n_cut)
         # each block's lowest quarter first, the other three quarters only
         # when the state spreads past them
         assert shifts == ([n_cut // 8, 3 * n_cut // 8] if spread else [n_cut // 8]) * 2
-        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, psi0, n_cut)
+        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
         assert abs(tail - ref_tail) <= 1e-12
 
     def test_certificate_failure_falls_back_to_eigh(self, monkeypatch, shifts):
         p, n_cut = params(0.9), 256
-        ts, psi0 = np.array([1.3, 7.0]), default_initial_state()
+        ts = np.array([1.3, 7.0])
         monkeypatch.setattr(fock, "CERTIFY_TOL", 0.0)
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
-        _, rows = _effective_level(p, ts, psi0, n_cut)
+        _, rows = _effective_level(p, ts, n_cut)
         assert shifts == [n_cut // 8, 3 * n_cut // 8] * 2
         assert calls == [n_cut // 2] * 2
-        assert np.array_equal(rows, self.eigh_rows(monkeypatch, p, ts, psi0, n_cut)[1])
+        assert np.array_equal(rows, self.eigh_rows(monkeypatch, p, ts, n_cut)[1])
 
     def test_repeated_levels_are_bit_identical(self):
         p, ts = params(0.099, lam=-0.2475), np.array([10.0, 300.0])
-        first, second = (_effective_level(p, ts, default_initial_state(), 256)
-                         for _ in range(2))
+        first, second = (_effective_level(p, ts, 256) for _ in range(2))
         assert first[0] == second[0] and np.array_equal(first[1], second[1])
 
 
@@ -878,8 +888,11 @@ class TestClosedFormAsymptoticAtLongTime:
         # tuned weak-coupling point at the long-time scale of the QFI curves
         from cqm import var_n as _var_n
 
+        # n_cut 512 is where the cutoff ladder settles to 2e-3 (not 1e-6)
         p = params(0.099, lam=-0.2475)
         state = default_initial_state()
-        (exact,), _ = generator_qfi_grid(p, [1000.0], rtol=2e-3)
+        (below,), _ = generator_qfi_grid(p, [1000.0], n_cut=256)
+        (exact,), _ = generator_qfi_grid(p, [1000.0], n_cut=512)
+        assert abs(exact - below) <= 2e-3 * max(abs(exact), abs(below))
         approx = qfi_g(p, 1000.0, _var_n(state, p))
         assert abs(approx - exact) / exact < 0.10

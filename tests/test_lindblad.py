@@ -27,7 +27,6 @@ from cqm import (
     x_variance,
     x_variance_dissipative,
 )
-from cqm.fock import quadratures
 from cqm.lindblad import NO_DECAY, REFERENCE_STATE_MOMENTS
 
 REFERENCE_RATES = DecayRates(gamma_plus=0.03, gamma_minus=0.01)
@@ -131,7 +130,8 @@ class TestMomentRhs:
         # the moment ODE's starting row and default_initial_state() are two
         # forms of the reference state (|0> + i|1>)/sqrt(2)
         psi = np.append(default_initial_state().amplitudes, 0.0)  # room for X^2, P^2
-        x, p = quadratures(len(psi))
+        a = np.diag([1.0, np.sqrt(2.0)], 1)  # the annihilator on |0>, |1>, |2>
+        x, p = (a + a.T) / np.sqrt(2.0), 1j * (a.T - a) / np.sqrt(2.0)
         ops = (x, p, x @ x, p @ p, x @ p + p @ x)
         moments = np.array([np.vdot(psi, op @ psi) for op in ops])
         assert np.abs(moments.imag).max() <= 1e-15
