@@ -33,8 +33,7 @@ from .model import (
     validate,
 )
 from .closed_form import (
-    BosonInitialState,
-    default_initial_state,
+    PROBE_AMPLITUDES,
     ig_fg_ratio,
     inverted_variance,
     inverted_variance_peak,

@@ -14,10 +14,12 @@ stiffness s of (omega_bar/2)*(P^2 + s*X^2), its g-derivative ds/dg and the
 squared gap epsilon.  x_mean, var_n and qfi_g hold on both sides of the
 critical point (s = epsilon_g, or epsilon_g_alpha past g_c); the other
 formulas are written for the normal regime and go through one guard,
-_normal_frame, which raises past g_c and on the critical line.  The initial
-state enters only through the 2x2 covariance of N + 1/2 and
-(a^2 + a^dag^2)/2, since P^2 - s*X^2 = (1 - s)*(N + 1/2) - (1 + s)*(a^2 +
-a^dag^2)/2; it is exact for any state.
+_normal_frame, which raises past g_c and on the critical line.  Every
+formula is written for the paper's one probe state, (|0> + i|1>)/sqrt(2)
+(PROBE_AMPLITUDES).  The probe enters the QFI only through the 2x2
+covariance of N + 1/2 and (a^2 + a^dag^2)/2, since P^2 - s*X^2 =
+(1 - s)*(N + 1/2) - (1 + s)*(a^2 + a^dag^2)/2, and that covariance is
+diag(1/4, 1).
 
 The QFI expressions keep only the leading divergence ~ epsilon^-3 of the full
 generator variance; they are asymptotics meant for sqrt(epsilon)*t of order
@@ -28,8 +30,6 @@ effective oscillator.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,60 +42,24 @@ _SERIES_CUT = 1e-4
 
 
 # ----------------------------------------------------------------------
-# initial states
+# the probe state
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BosonInitialState:
-    """Complex amplitudes over the Fock basis |0..n_max>, normalized to 1.
+#: Fock amplitudes of the paper's probe state (|0> + i|1>)/sqrt(2).
+PROBE_AMPLITUDES = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+PROBE_AMPLITUDES.setflags(write=False)
 
-    The state keeps a read-only copy of the amplitudes it is given, so a
-    later write to the caller's array cannot undo the norm check.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        if not np.isfinite(amps).all():
-            raise InvalidParams("amplitudes", "must be finite")
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= 1e-12:
-            raise InvalidParams("amplitudes", f"norm {norm} != 1 beyond 1e-12")
-
-    @property
-    def n_max(self) -> int:
-        return len(self.amplitudes) - 1
-
-    def _covariance(self) -> np.ndarray:
-        """Symmetrized 2x2 covariance of N + 1/2 and (a^2 + a^dag^2)/2.
-
-        Both operators are applied as bands on the basis padded by two Fock
-        slots, which holds a^dag^2 of the top slot, so the result is exact.
-        """
-        amps = np.append(self.amplitudes, [0.0, 0.0])
-        n = np.arange(len(amps), dtype=float)
-        root = np.sqrt(n[1:-1] * n[2:])  # <m|a^2|m+2> = sqrt((m+1)(m+2))
-        squeeze = np.zeros_like(amps)
-        squeeze[:-2] += 0.5 * root * amps[2:]
-        squeeze[2:] += 0.5 * root * amps[:-2]
-        ops = np.stack([(n + 0.5) * amps, squeeze])
-        means = np.real(ops @ amps.conj())
-        return np.real(ops.conj() @ ops.T) - np.outer(means, means)
-
-    def generator_variance(self, stiffness):
-        """Var[P^2 - stiffness*X^2] over the state, v.C.v with
-        v = (1 - stiffness, -(1 + stiffness)) and C the covariance above; one
-        value per entry of a 1-D array ``stiffness``."""
-        v = np.array([np.subtract(1.0, stiffness), -np.add(1.0, stiffness)]).T
-        return _unwrap((v[..., None, :] @ self._covariance() @ v[..., :, None])[..., 0, 0])
+#: Covariance of N + 1/2 and (a^2 + a^dag^2)/2 over the probe: Var[N] = 1/4,
+#: Var[(a^2 + a^dag^2)/2] = 1, and the two are uncorrelated.
+_PROBE_COVARIANCE = np.diag([0.25, 1.0])
 
 
-def default_initial_state() -> BosonInitialState:
-    """The reference state (|0> + i|1>)/sqrt(2), the paper's probe."""
-    return BosonInitialState(np.array([1.0, 1.0j]) / np.sqrt(2.0))
+def _generator_variance(stiffness):
+    """Var[P^2 - stiffness*X^2] over the probe, v.C.v with
+    v = (1 - stiffness, -(1 + stiffness)) and C = _PROBE_COVARIANCE; one
+    value per entry of a 1-D array ``stiffness``."""
+    v = np.array([np.subtract(1.0, stiffness), -np.add(1.0, stiffness)]).T
+    return _unwrap((v[..., None, :] @ _PROBE_COVARIANCE @ v[..., :, None])[..., 0, 0])
 
 
 # ----------------------------------------------------------------------
@@ -145,40 +109,40 @@ def _normal_frame(params: ModelParams) -> OscillatorFrame:
 # variance of the divergence-scale generator term
 # ----------------------------------------------------------------------
 
-def var_n(state: BosonInitialState, params: ModelParams) -> float:
-    """Variance of the generator's divergence-scale term over ``state``.
+def var_n(params: ModelParams) -> float:
+    """Variance of the generator's divergence-scale term over the probe.
 
     Equals omega_bar^6 * Var[P^2 - stiffness*X^2], with the stiffness
     epsilon_g (epsilon_g_alpha past g_c).
     """
     frame = oscillator_frame(params)
-    return frame.omega_bar**6 * state.generator_variance(frame.stiffness)
+    return frame.omega_bar**6 * _generator_variance(frame.stiffness)
 
 
-def ig_fg_ratio(state: BosonInitialState, params: ModelParams) -> float:
+def ig_fg_ratio(params: ModelParams) -> float:
     """Asymptotic ratio of inverted-variance peaks to the QFI at those times.
 
     1 / (2 * Var[P^2 - epsilon_g*X^2]); independent of the peak index because
     both quantities grow as n^2.
     """
-    return 1.0 / (2.0 * state.generator_variance(_normal_frame(params).stiffness))
+    return 1.0 / (2.0 * _generator_variance(_normal_frame(params).stiffness))
 
 
 # ----------------------------------------------------------------------
 # QFI about g
 # ----------------------------------------------------------------------
 
-def qfi_g(params: ModelParams, t, var_n_value: float):
+def qfi_g(params: ModelParams, t):
     """Leading-order dynamical QFI about g on either side of g_c, at ``t``.
 
-    4*(dstiffness/dg)^2 * [sin(sqrt(eps)*t) - sqrt(eps)*t]^2 / eps^3 * Var[N] in
+    4*(dstiffness/dg)^2 * [sin(sqrt(eps)*t) - sqrt(eps)*t]^2 / eps^3 * var_n in
     the oscillator frame, through the stabilized series near criticality.
     """
     frame = oscillator_frame(params)
     t = np.asarray(t, dtype=float)
     x = np.sqrt(frame.epsilon) * t
     pref = 4.0 * frame.dstiffness_dg ** 2
-    return _unwrap(pref * (sin_minus_x_over_x3(x) * t**3) ** 2 * var_n_value)
+    return _unwrap(pref * (sin_minus_x_over_x3(x) * t**3) ** 2 * var_n(params))
 
 
 # ----------------------------------------------------------------------

@@ -181,16 +181,14 @@ def _along_g(v: dict, lam: np.ndarray, gs: np.ndarray, fill: float,
 
 def _qfi(v: dict, lam: np.ndarray, gs: np.ndarray) -> tuple[dict, np.ndarray]:
     """Closed-form QFI at (lam, g) pairs, infinite on the critical line."""
-    state = cf.default_initial_state()
-    return _along_g(v, lam, gs, np.inf, lambda p: cf.qfi_g(p, v["t"], cf.var_n(state, p)))
+    return _along_g(v, lam, gs, np.inf, lambda p: cf.qfi_g(p, v["t"]))
 
 
 def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
-    state = cf.default_initial_state()
     params = _params(v, cell["g"], v["lam"])
     base = {"lam": v["lam"], "g": cell["g"], "t": v["t"]}
-    closed = {"qfi": cf.qfi_g(params, v["t"], cf.var_n(state, params))}
+    closed = {"qfi": cf.qfi_g(params, v["t"])}
     if cfg.engine == "closed":
         return {**base, **closed}
     oracle, n_cut = fock.generator_qfi_grid(params, v["t"])
@@ -240,11 +238,10 @@ def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> dict:
 
 def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
-    state = cf.default_initial_state()
     params = _params(v, cell["g"], cell["lam"])
     ns = cf.peak_indices(v["n"])
     taus = cf.peak_time(params, ns)
-    analytic = cf.ig_fg_ratio(state, params)
+    analytic = cf.ig_fg_ratio(params)
     cols = {"lam": cell["lam"], "g": cell["g"], "n": ns, "tau_n": taus,
             "ratio_analytic": analytic}
     if cfg.engine == "closed":
@@ -281,7 +278,7 @@ def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
     # the ODE runs from t = 0; prepend it when the grid starts later
     ode_ts = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
     skip = len(ode_ts) - len(ts)
-    moments = lb.integrate_moments(lb.REFERENCE_STATE_MOMENTS, params, rates, ode_ts)[skip:]
+    moments = lb.integrate_moments(params, rates, ode_ts)[skip:]
     x, x_var = moments[:, 0], moments[:, 2] - moments[:, 0] ** 2
     dxdg = lb.x_deriv_g_dissipative(params, rates, ts)
     oracle = {"x_mean": x, "x_var": x_var, "inv_var": dxdg**2 / x_var}
@@ -548,11 +545,13 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if "gamma_minus" in v and v["gamma_minus"] < 0:
         raise ConfigError("the closed forms need gamma_minus >= 0")
-    if "gamma_minus" in v and cfg.engine != "closed":
+    if "gamma_minus" in v:
         t = np.atleast_1d(v["t_per"])
-        if np.any(t < 0) or np.any(np.diff(t) <= 0) or t[-1] == 0:
-            raise ConfigError("the moment ODE needs a t_per grid that is >= 0, "
-                              "strictly increasing and reaches past 0")
+        if np.any(t < 0):
+            raise ConfigError("the damped dynamics need a t_per grid that is >= 0")
+        if cfg.engine != "closed" and (np.any(np.diff(t) <= 0) or t[-1] == 0):
+            raise ConfigError("the moment ODE needs a t_per grid that is strictly "
+                              "increasing and reaches past 0")
     if "eta" in v and np.any(np.atleast_1d(v["eta"]) < fock.ETA_MIN):
         raise ConfigError(f"eta must be >= {fock.ETA_MIN:g}")
     if "eta" in v and np.unique(v["eta"]).size < 5:  # as fit_loglog_slope needs per case

@@ -24,11 +24,12 @@ of its generator QFI, so one decomposition per cutoff level serves every
 observable; each level passes its state and generator to
 HermitianOperator.eig, so at the large cutoffs _block_eig first finds only
 the lowest modes and keeps them alone when they are all the state and its
-generator reach.  The joint builders still take a five-point stencil in g.
+generator reach.  finite_frequency_point's joint squeezed-frame builder
+still takes a five-point stencil in g.
 
 Every oracle evolves the paper's one probe state, (|0> + i|1>)/sqrt(2)
-(closed_form.default_initial_state), the state all the closed forms it
-checks are written for.
+(closed_form.PROBE_AMPLITUDES), the state all the closed forms it checks
+are written for.
 
 Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
 until the requested observables stop moving (relative test, with an
@@ -55,8 +56,7 @@ from .errors import (
     StepTooLarge,
     TruncationLeak,
 )
-from .closed_form import BosonInitialState, default_initial_state
-from .closed_form import inverted_variance_peak, peak_indices, peak_time
+from .closed_form import PROBE_AMPLITUDES, inverted_variance_peak, peak_indices, peak_time
 from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
 
 AUTO_CUTOFF_START = 32
@@ -263,10 +263,10 @@ def _cutoff(n_cut) -> int:
     return int(n_cut)
 
 
-def _pad(boson: BosonInitialState, n_cut: int) -> np.ndarray:
-    """``boson``'s amplitudes zero-padded to ``n_cut`` (to 2*n_cut: |down> (x) |boson>)."""
+def _pad(amps: np.ndarray, n_cut: int) -> np.ndarray:
+    """Boson amplitudes ``amps`` zero-padded to ``n_cut`` (to 2*n_cut: |down> (x) |boson>)."""
     out = np.zeros(n_cut, dtype=complex)
-    out[: len(boson.amplitudes)] = boson.amplitudes
+    out[: len(amps)] = amps
     return out
 
 
@@ -541,7 +541,7 @@ def _effective_level(params: ModelParams, ts: np.ndarray,
     and F_g(t) = 4*s'^2*Var_psi0[h(t)]."""
     frame = oscillator_frame(params)
     dh = tuple(0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
-    amps0 = _pad(default_initial_state(), n_cut)
+    amps0 = _pad(PROBE_AMPLITUDES, n_cut)
     modes = build_effective_hamiltonian(params, n_cut).eig(amps0, dh)
     psi, hpsi = _propagate(modes, amps0, ts, dh)
     mean, second = _x_moments(psi, n_cut)
@@ -575,14 +575,13 @@ def _leak_checked(level: Callable[[int], tuple[float, np.ndarray]]):
     return run
 
 
-def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int,
-                      builder: Callable[[ModelParams, int], HermitianOperator]) -> np.ndarray:
+def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.ndarray:
     """Rows x, x^2, the 4-point (Richardson) g-derivative of x, and its two
-    centered stencils (full and halved step), at one cutoff of a joint
-    builder, for |down> (x) the probe state.  The exact derivative would move
-    the frequency-scaling row lam=-0.247, eta=1e4 (inv_var_exact 73884.747 ->
-    73884.932 at n_cut 256) past the benchmark gate's same-cutoff 1e-6 until
-    its reference moves.
+    centered stencils (full and halved step), at one cutoff of the joint
+    squeezed-frame builder, for |down> (x) the probe state.  The exact
+    derivative would move the frequency-scaling row lam=-0.247, eta=1e4
+    (inv_var_exact 73884.747 -> 73884.932 at n_cut 256) past the benchmark
+    gate's same-cutoff 1e-6 until its reference moves.
 
     Roundoff alone decides that row's accepted cutoff: 256 in the recorded
     reference (two BLAS threads), 512 at one thread.  So any change to the
@@ -592,10 +591,10 @@ def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int,
     (their blocks bit-identical to the dense operator's, the stencil kept)
     moved it to 1024."""
     dg = 1e-5 * max(params.g, 0.01)
-    amps0 = _pad(default_initial_state(), 2 * n_cut)  # |down> (x) the probe state
+    amps0 = _pad(PROBE_AMPLITUDES, 2 * n_cut)  # |down> (x) the probe state
 
     def measure(gv: float) -> tuple[np.ndarray, np.ndarray]:
-        h = builder(replace(params, g=gv), n_cut)
+        h = build_squeezed_frame_hamiltonian(replace(params, g=gv), n_cut)
         return _x_moments(evolve_joint_grid(h, amps0, ts), n_cut)
 
     x0, xx0 = measure(params.g)
@@ -634,28 +633,18 @@ def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray,
     return QuadratureSeries(ts, x_mean, x_second, deriv, n_cut)
 
 
-def quadrature_series(params: ModelParams, ts: Sequence[float], n_cut: int | None = None,
-                      builder: Callable[[ModelParams, int], HermitianOperator] | None = None
-                      ) -> QuadratureSeries:
-    """<X>_t, <X^2>_t and d<X>_t/dg of the probe state on a grid, with
-    automatic cutoff.
+def quadrature_series(params: ModelParams, ts: Sequence[float],
+                      n_cut: int | None = None) -> QuadratureSeries:
+    """<X>_t, <X^2>_t and d<X>_t/dg of the probe state under the effective
+    oscillator on a grid, with automatic cutoff.
 
-    With no builder the effective oscillator evolves the probe state, one
-    decomposition per cutoff giving the exact (Duhamel) derivative too.  A
-    joint spin-boson builder evolves |down> (x) the probe state with
-    a Richardson-extrapolated centered difference, base step
-    dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of the
-    derivative scale, else StepTooLarge.  The ladder accepts a cutoff once
-    each block (x, x^2, derivative) moves by at most
-    SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.  A bad time grid
-    (_times) or pinned n_cut (_cutoff) is an InvalidParams.
+    One decomposition per cutoff gives the exact (Duhamel) derivative too.
+    The ladder accepts a cutoff once each block (x, x^2, derivative) moves
+    by at most SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.  A bad
+    time grid (_times) or pinned n_cut (_cutoff) is an InvalidParams.
     """
     ts = _times(ts)
-    if builder is None:
-        run = _leak_checked(partial(_effective_level, params, ts))
-    else:
-        run = partial(_series_at_cutoff, params, ts, builder=builder)
-    return _series_ladder(run, ts, n_cut)
+    return _series_ladder(_leak_checked(partial(_effective_level, params, ts)), ts, n_cut)
 
 
 # ----------------------------------------------------------------------
@@ -685,7 +674,7 @@ def qfi_overlap(
     def deficit_at(n: int, step: float) -> float:
         def state(gv):
             h = build_effective_hamiltonian(replace(params, g=gv), n)
-            return evolve_grid(h, _pad(default_initial_state(), n), [t])[:, 0]
+            return evolve_grid(h, _pad(PROBE_AMPLITUDES, n), [t])[:, 0]
 
         minus = state(params.g - 0.5 * step)
         plus = state(params.g + 0.5 * step)
@@ -814,16 +803,19 @@ def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> Frequ
     The exact side evolves |down> (x) (|0>+i|1>)/sqrt(2) under the squeezed-
     frame Hamiltonian at Omega = eta*omega (the frame the closed forms live
     in) and measures <X>, <X^2> and d<X>/dg at the low-frequency optimal
-    time tau_n = 2*pi*n/sqrt(epsilon) through quadrature_series, whose
-    ladder always picks the cutoff; on this joint builder the derivative is
-    still the Richardson-centered stencil.  A bad peak index n is an InvalidParams.
+    time tau_n = 2*pi*n/sqrt(epsilon); the ladder always picks the cutoff.
+    The derivative is a Richardson-extrapolated centered difference, base
+    step dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of
+    the derivative scale, else StepTooLarge.  A bad peak index n is an
+    InvalidParams.
     """
     peak_indices(n)
     if eta < ETA_MIN:
         raise InvalidParams("eta", f"must be >= {ETA_MIN:g}, got {eta}")
     full_params = replace(params, Omega=eta * params.omega)
     tau = peak_time(params, n)
-    series = quadrature_series(full_params, [tau], builder=build_squeezed_frame_hamiltonian)
+    ts = np.array([tau])
+    series = _series_ladder(partial(_series_at_cutoff, full_params, ts), ts, None)
     i_exact = float(series.inv_var[0])
     i_limit = inverted_variance_peak(params, n)
     return FrequencyPoint(

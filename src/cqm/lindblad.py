@@ -5,9 +5,9 @@ oscillator Hamiltonian closes on five expectation values
 m = (<X>, <P>, <X^2>, <P^2>, <G>) with G = XP + PX, held as arrays in that
 order.  This module writes the coupled linear moment equations once, as
 the augmented matrix of moment_generator, propagates them exactly on a
-time grid (integrate_moments, used as an independent check), and gives
-the explicit solutions for <X>_t, d<X>_t/dg, (Delta X)^2_t and the
-dissipative inverted variance.  The explicit solutions hold in the normal
+time grid from the probe's moments (integrate_moments, used as an
+independent check), and gives the explicit solutions for <X>_t, d<X>_t/dg,
+(Delta X)^2_t and the dissipative inverted variance at times >= 0.  The explicit solutions hold in the normal
 regime and read the same oscillator frame (stiffness s, ds/dg, gap
 epsilon) as the closed_form module, through its normal-regime guard; the
 moment equations read effective_oscillator, so they also hold on the
@@ -91,23 +91,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def integrate_moments(
-    m0: Sequence[float],
-    params: ModelParams,
-    rates: DecayRates,
-    t_grid: Sequence[float],
-) -> np.ndarray:
-    """The five moments on ``t_grid`` from ``m0`` at t_grid[0], one row per
-    time.  A and b are constant, so each grid step is exact: (m, 1) is
-    multiplied by exp(moment_generator*dt)."""
+def integrate_moments(params: ModelParams, rates: DecayRates,
+                      t_grid: Sequence[float]) -> np.ndarray:
+    """The five moments on ``t_grid`` from REFERENCE_STATE_MOMENTS at
+    t_grid[0], one row per time.  A and b are constant, so each grid step is
+    exact: (m, 1) is multiplied by exp(moment_generator*dt)."""
     ts = np.asarray(t_grid, dtype=float)
     if ts.ndim != 1 or len(ts) < 2 or not np.isfinite(ts).all() or np.any(np.diff(ts) <= 0):
         raise InvalidParams("t_grid", "need a finite, strictly increasing grid")
-    if np.shape(m0) != (5,):
-        raise InvalidParams("m0", f"need the five moments, got shape {np.shape(m0)}")
     steps = _expm(moment_generator(params, rates) * np.diff(ts)[:, None, None])
     out = np.empty((len(ts), 6))
-    out[0] = [*m0, 1.0]
+    out[0] = [*REFERENCE_STATE_MOMENTS, 1.0]
     for i, step in enumerate(steps):
         out[i + 1] = step @ out[i]
     return out[:, :5]
@@ -117,26 +111,30 @@ def integrate_moments(
 # explicit dissipative solutions
 # ----------------------------------------------------------------------
 
-def _damped_frame(params: ModelParams, rates: DecayRates) -> OscillatorFrame:
-    """The normal-regime oscillator frame, once the rates are net damping."""
+def _damped_frame(params: ModelParams, rates: DecayRates,
+                  t) -> tuple[OscillatorFrame, np.ndarray]:
+    """The normal-regime oscillator frame and ``t`` as an array, once the
+    rates are net damping and every time is >= 0 (the damped flow runs
+    forward only)."""
     if rates.gamma_minus < 0:
         raise InvalidParams(
             "rates", "closed forms require net damping (gamma_minus >= 0)"
         )
-    return _normal_frame(params)
+    t = np.asarray(t, dtype=float)
+    if not np.all(t >= 0):  # NaN fails too
+        raise InvalidParams("t", "the damped closed forms need times >= 0")
+    return _normal_frame(params), t
 
 
 def x_mean_dissipative(params: ModelParams, rates: DecayRates, t):
     """<X>_t with damping: the unitary result times exp(-gamma_-*t/2)."""
-    _damped_frame(params, rates)
-    t = np.asarray(t, dtype=float)
+    _, t = _damped_frame(params, rates, t)
     return _unwrap(x_mean(params, t) * np.exp(-0.5 * rates.gamma_minus * t))
 
 
 def x_deriv_g_dissipative(params: ModelParams, rates: DecayRates, t):
     """d<X>_t/dg with damping; the rates carry no g dependence."""
-    _damped_frame(params, rates)
-    t = np.asarray(t, dtype=float)
+    _, t = _damped_frame(params, rates, t)
     return _unwrap(x_deriv_g(params, t) * np.exp(-0.5 * rates.gamma_minus * t))
 
 
@@ -175,8 +173,7 @@ def x_variance_dissipative(params: ModelParams, rates: DecayRates, t):
     t = 0, collapses to the unitary variance at gamma_+ = gamma_- = 0, and
     tracks the exactly propagated moment equations at finite rates.
     """
-    frame = _damped_frame(params, rates)
-    t = np.asarray(t, dtype=float)
+    frame, t = _damped_frame(params, rates, t)
     return _unwrap(0.25 * _variance_braces(frame, rates, t) * np.exp(-rates.gamma_minus * t))
 
 
@@ -188,8 +185,7 @@ def inverted_variance_dissipative(params: ModelParams, rates: DecayRates, t):
     the damping envelopes of numerator and denominator cancel, leaving only
     the braces' relaxation terms to lower the late peaks.
     """
-    frame = _damped_frame(params, rates)
-    t = np.asarray(t, dtype=float)
+    frame, t = _damped_frame(params, rates, t)
     y = 0.5 * np.sqrt(frame.epsilon) * t
     bracket = sin_minus_x_cos_over_x3(y) * y**3
     braces = _variance_braces(frame, rates, t)

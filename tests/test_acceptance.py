@@ -10,7 +10,6 @@ from cqm import (
     ModelParams,
     build_config,
     critical_coupling,
-    default_initial_state,
     effective_oscillator,
     fit_loglog_slope,
     generator_qfi_grid,
@@ -26,7 +25,6 @@ from cqm import (
     quadrature_series,
     ratio_oracle,
     run,
-    var_n,
     verify_reciprocal_relation,
     x_deriv_g,
     x_deriv_g_dissipative,
@@ -36,7 +34,7 @@ from cqm import (
     x_variance,
     x_variance_dissipative,
 )
-from cqm.lindblad import NO_DECAY, REFERENCE_STATE_MOMENTS
+from cqm.lindblad import NO_DECAY
 
 
 def params(g, lam=0.0, omega=1.0, Omega=1e4):
@@ -110,7 +108,6 @@ def test_criterion_4_qfi_method_agreement_and_convergence():
 
     # the closed form converges onto the generator value approaching
     # criticality, each value at a cutoff that moves it by <= 2e-3 on doubling
-    state = default_initial_state()
     rels, moves = [], []
     for eps_g, n_cut in ((0.02, 512), (0.01, 1024), (0.005, 2048)):
         g = np.sqrt(1.0 - eps_g)
@@ -119,7 +116,7 @@ def test_criterion_4_qfi_method_agreement_and_convergence():
         (below,), _ = generator_qfi_grid(p, [t], n_cut=n_cut // 2)
         (exact,), _ = generator_qfi_grid(p, [t], n_cut=n_cut)
         moves.append(abs(exact - below) / max(abs(exact), abs(below)))
-        approx = qfi_g(p, t, var_n(state, p))
+        approx = qfi_g(p, t)
         rels.append(abs(approx - exact) / exact)
     conv_ok = rels[0] > rels[1] > rels[2] and max(moves) <= 2e-3
     ok = methods_ok and conv_ok
@@ -145,7 +142,6 @@ def test_criterion_5_reciprocal_relation_residual():
 
 
 def test_criterion_6_peaks_and_ratio_scaling():
-    state = default_initial_state()
     # peak formula matches the curve value for n <= 50
     worst_peak = 0.0
     for p in (params(0.9), params(0.099, lam=-0.2475)):
@@ -157,22 +153,21 @@ def test_criterion_6_peaks_and_ratio_scaling():
 
     # numeric I/F against the analytic ratio at eps_g = 0.0199, n = 5..20
     p = params(0.099, lam=-0.2475)
-    analytic = ig_fg_ratio(state, p)
+    analytic = ig_fg_ratio(p)
     taus = optimal_times(p, 20)[4:]
     numeric, _ = ratio_oracle(p, taus)
     ratio_dev = float(np.abs(numeric - analytic).max() / analytic)
     ratio_ok = ratio_dev <= 0.05
 
     # closed-form identity is exact, and the critical-state value is 0.4
-    v = var_n(state, p)
     ident = max(
-        abs(inverted_variance_peak(p, n) / qfi_g(p, taus[n - 5], v) - analytic)
+        abs(inverted_variance_peak(p, n) / qfi_g(p, taus[n - 5]) - analytic)
         / analytic
         for n in (5, 12, 20)
     )
     ident_ok = ident <= 1e-12
     near_critical = params(0.1 * np.sqrt(1 - 1e-9), lam=-0.2475)
-    crit_value = ig_fg_ratio(state, near_critical)
+    crit_value = ig_fg_ratio(near_critical)
     crit_ok = abs(crit_value - 0.4) / 0.4 <= 0.05
 
     ok = peaks_ok and ratio_ok and ident_ok and crit_ok
@@ -216,7 +211,7 @@ def test_criterion_8_decoherence():
     for p in (tuned, plain):
         tau1 = float(optimal_times(p, 1)[0])
         ts = np.linspace(0.0, 10.0 * tau1, 400)
-        moments = integrate_moments(REFERENCE_STATE_MOMENTS, p, rates, ts)
+        moments = integrate_moments(p, rates, ts)
         ode_x, ode_var = moments[:, 0], moments[:, 2] - moments[:, 0] ** 2
         xm = x_mean_dissipative(p, rates, ts)
         xv = x_variance_dissipative(p, rates, ts)

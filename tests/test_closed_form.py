@@ -4,12 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cqm import (
-    BosonInitialState,
+    PROBE_AMPLITUDES,
     InvalidParams,
     ModelParams,
     Regime,
     RegimeError,
-    default_initial_state,
     effective_oscillator,
     ig_fg_ratio,
     inverted_variance,
@@ -23,7 +22,8 @@ from cqm import (
     x_second_moment,
     x_variance,
 )
-from cqm.closed_form import peak_indices, sin_minus_x_cos_over_x3, sin_minus_x_over_x3
+from cqm.closed_form import (_generator_variance, peak_indices, sin_minus_x_cos_over_x3,
+                             sin_minus_x_over_x3)
 
 
 def params(g, lam=0.0, omega=1.0, Omega=1e4):
@@ -49,55 +49,20 @@ time_strategy = st.floats(min_value=0.0, max_value=200.0)
 
 class TestInitialState:
     def test_default_state_is_normalized(self):
-        st0 = default_initial_state()
-        assert np.linalg.norm(st0.amplitudes) == pytest.approx(1.0, abs=1e-15)
-        assert st0.n_max == 1
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(InvalidParams):
-            BosonInitialState(np.array([1.0, 1.0]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-    def test_non_finite_amplitudes_rejected(self, bad):
-        # a NaN norm used to pass the norm check, and var_n then gave NaN
-        amps = default_initial_state().amplitudes.copy()
-        amps[1] = bad
-        with pytest.raises(InvalidParams, match="finite"):
-            BosonInitialState(amps)
-
-    @pytest.mark.parametrize("first_use", ["before", "after"])
-    def test_state_keeps_its_own_amplitudes(self, first_use):
-        # writing into the caller's array must not reach the state, whether
-        # the state was used before the write or only after it
-        source = default_initial_state().amplitudes.copy()
-        state = BosonInitialState(source)
-        if first_use == "before":
-            state.generator_variance(0.5)
-        source[:] = 0.0
-        source[1] = 1.0
-        assert state.amplitudes is not source
-        assert state.generator_variance(0.5) == default_initial_state().generator_variance(0.5)
-        assert state.generator_variance(0.5) == pytest.approx(reference_variance(0.5), rel=1e-14)
-        with pytest.raises(ValueError):
-            state.amplitudes[0] = 1.0
+        assert np.linalg.norm(PROBE_AMPLITUDES) == pytest.approx(1.0, abs=1e-15)
+        assert len(PROBE_AMPLITUDES) == 2
 
     def test_reference_state_is_rebuilt_identically(self):
-        first, second = default_initial_state(), default_initial_state()
-        assert first.amplitudes.tobytes() == second.amplitudes.tobytes()
-        assert first._covariance().tobytes() == second._covariance().tobytes()
-        assert not first.amplitudes.flags.writeable
+        # one read-only constant, so no caller can change the probe
+        assert not PROBE_AMPLITUDES.flags.writeable
+        with pytest.raises(ValueError):
+            PROBE_AMPLITUDES[0] = 1.0
 
 
 class TestVarN:
     def test_reference_state_at_small_stiffness(self):
         # the zero-stiffness limit of the reference state: Var[P^2] = 5/4
-        assert default_initial_state().generator_variance(0.0) == pytest.approx(
-            1.25, rel=1e-14
-        )
-
-    def test_vacuum_at_unit_stiffness(self):
-        vac = BosonInitialState(np.eye(6)[0])
-        assert vac.generator_variance(1.0) == pytest.approx(2.0, rel=1e-13)
+        assert _generator_variance(0.0) == pytest.approx(1.25, rel=1e-14)
 
     @given(lam=lam_strategy, frac=frac_strategy)
     @settings(max_examples=60)
@@ -105,43 +70,12 @@ class TestVarN:
         p = normal_params(frac, lam)
         eps_g = effective_oscillator(p).epsilon_g
         scale = (1 + 4 * lam) ** 3
-        assert var_n(default_initial_state(), p) == pytest.approx(
-            scale * reference_variance(eps_g), rel=1e-12
-        )
-
-    def test_eigenstate_has_zero_variance(self):
-        # at stiffness -1 the operator is P^2 + X^2 = 2n + 1, whose exact
-        # eigenstates are the Fock states themselves
-        for k in (0, 3):
-            state = BosonInitialState(np.eye(8)[k])
-            assert state.generator_variance(-1.0) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("dim", [1, 2, 5, 9])
-    def test_covariance_matches_dense_products_on_a_larger_basis(self, dim):
-        # P^2 - s*X^2 from dense X and P on a basis four slots larger than the
-        # state's, where the truncation cannot reach it; the random states
-        # fill every slot, the top two included
-        rng = np.random.default_rng(dim)
-        big = dim + 4
-        a = np.diag(np.sqrt(np.arange(1, big, dtype=float)), 1)
-        x = (a + a.T) / np.sqrt(2.0)
-        p = 1j * (a.T - a) / np.sqrt(2.0)
-        for _ in range(20):
-            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            state = BosonInitialState(amps / np.linalg.norm(amps))
-            padded = np.concatenate([state.amplitudes, np.zeros(4)])
-            for s in (-1.0, 0.0, 0.37, 1.0):
-                op_amps = (p @ p - s * (x @ x)) @ padded
-                mean = np.vdot(padded, op_amps).real
-                dense = np.vdot(op_amps, op_amps).real - mean * mean
-                assert state.generator_variance(s) == pytest.approx(dense, rel=1e-12)
+        assert var_n(p) == pytest.approx(scale * reference_variance(eps_g), rel=1e-12)
 
     def test_beyond_variant_uses_alpha_stiffness(self):
         p = params(1.2)
         eps_ga = 1 - (1 / 1.2**2) ** 2
-        assert var_n(default_initial_state(), p) == pytest.approx(
-            reference_variance(eps_ga), rel=1e-12
-        )
+        assert var_n(p) == pytest.approx(reference_variance(eps_ga), rel=1e-12)
 
 
 class TestStableTrig:
@@ -167,19 +101,13 @@ class TestStableTrig:
 class TestQfi:
     def test_zero_time_zero_information(self):
         p = params(0.099, lam=-0.2475)
-        v = var_n(default_initial_state(), p)
-        assert qfi_g(p, 0.0, v) == 0.0
+        assert qfi_g(p, 0.0) == 0.0
 
     def test_closer_coupling_larger_qfi(self):
-        state = default_initial_state()
-        values = []
-        for g in (0.097, 0.098, 0.099):
-            p = params(g, lam=-0.2475)
-            values.append(qfi_g(p, 1000.0, var_n(state, p)))
+        values = [qfi_g(params(g, lam=-0.2475), 1000.0) for g in (0.097, 0.098, 0.099)]
         assert values[0] < values[1] < values[2]
 
     def test_argmax_sits_at_the_tuned_critical_point(self):
-        state = default_initial_state()
         lam = -0.2
         gc = np.sqrt(0.2)
         grid = np.arange(0.30, 0.60, 2e-4)
@@ -188,52 +116,45 @@ class TestQfi:
             p = params(g, lam=lam)
             if effective_oscillator(p).epsilon_g == 0:
                 continue
-            val = qfi_g(p, 1000.0, var_n(state, p))
+            val = qfi_g(p, 1000.0)
             if val > best_val:
                 best_g, best_val = g, val
         assert abs(best_g - gc) < 1e-3
 
     def test_monotone_divergence_toward_the_critical_point(self):
-        state = default_initial_state()
         gs = np.linspace(0.05, 0.95, 120)
-        vals = [qfi_g(params(g), 7.0, var_n(state, params(g))) for g in gs]
+        vals = [qfi_g(params(g), 7.0) for g in gs]
         assert np.all(np.diff(vals) > 0)
 
     def test_regime_guard(self):
         # qfi_g and var_n serve both sides of g_c and raise only on the
         # critical line; the normal-only ig_fg_ratio still raises past g_c
-        state = default_initial_state()
-        v = var_n(state, params(0.5))
         for g in (0.5, 1.2):
-            assert qfi_g(params(g), 1.0, v) > 0
+            assert qfi_g(params(g), 1.0) > 0
         critical = params(1.0)
         with pytest.raises(RegimeError):
-            qfi_g(critical, 1.0, v)
+            qfi_g(critical, 1.0)
         with pytest.raises(RegimeError):
-            var_n(state, critical)
+            var_n(critical)
         with pytest.raises(RegimeError):
-            ig_fg_ratio(state, params(1.2))
+            ig_fg_ratio(params(1.2))
 
     def test_beyond_prefactor(self):
-        # past g_c the prefactor is 64*((1 - epsilon_g_alpha)/g)^2
+        # past g_c the prefactor is 64*((1 - epsilon_g_alpha)/g)^2, times
+        # the probe's variance at stiffness epsilon_g_alpha
         p = params(1.2)
         eps_ga = 1 - (1 / 1.2**2) ** 2
         t = 3.0
         x = np.sqrt(4 * eps_ga) * t
         expected = 64 * ((1 - eps_ga) / 1.2) ** 2 * ((np.sin(x) - x) / (4 * eps_ga) ** 1.5) ** 2
-        assert qfi_g(p, t, 1.0) == pytest.approx(expected, rel=1e-10)
+        assert qfi_g(p, t) == pytest.approx(expected * reference_variance(eps_ga), rel=1e-10)
 
     def test_beyond_zero_time(self):
         p = params(1.2)
-        assert qfi_g(p, 0.0, var_n(default_initial_state(), p)) == 0.0
+        assert qfi_g(p, 0.0) == 0.0
 
     def test_beyond_grows_approaching_the_critical_point(self):
-        state = default_initial_state()
-        t = 50.0
-        vals = []
-        for g in (1.20, 1.10, 1.05, 1.02):
-            p = params(g)
-            vals.append(qfi_g(p, t, var_n(state, p)))
+        vals = [qfi_g(params(g), 50.0) for g in (1.20, 1.10, 1.05, 1.02)]
         assert np.all(np.diff(vals) > 0)
 
 
@@ -360,18 +281,16 @@ class TestRatio:
     def test_critical_limit_value(self):
         # Var -> 5/4 as the stiffness vanishes, so the ratio tends to 0.4
         p = params(0.1 * np.sqrt(1 - 1e-9), lam=-0.2475)
-        assert ig_fg_ratio(default_initial_state(), p) == pytest.approx(0.4, rel=1e-6)
+        assert ig_fg_ratio(p) == pytest.approx(0.4, rel=1e-6)
 
     def test_closed_form_ratio_identity(self):
         # peak / QFI at tau_n equals the ratio exactly, for every n
-        state = default_initial_state()
         p = params(0.099, lam=-0.2475)
         taus = optimal_times(p, 20)
-        v = var_n(state, p)
-        ratio = ig_fg_ratio(state, p)
+        ratio = ig_fg_ratio(p)
         for n in (1, 5, 20):
             peak = inverted_variance_peak(p, n)
-            qfi = qfi_g(p, taus[n - 1], v)
+            qfi = qfi_g(p, taus[n - 1])
             assert peak / qfi == pytest.approx(ratio, rel=1e-12)
 
 
@@ -387,7 +306,6 @@ class TestCouplingArrays:
         gs = np.array([0.5, 1.5] + fracs) * gc  # always crosses g_c
         scalars = [params(g, lam=lam) for g in gs]
         assume(all(effective_oscillator(p).regime is not Regime.CRITICAL for p in scalars))
-        state = default_initial_state()
         p = params(gs, lam=lam)
         frame = oscillator_frame(p)
         frames = [oscillator_frame(q) for q in scalars]
@@ -395,10 +313,8 @@ class TestCouplingArrays:
             np.testing.assert_allclose(getattr(frame, field),
                                        [getattr(f, field) for f in frames], rtol=1e-15, atol=0)
         assert list(frame.regime) == [f.regime for f in frames]
-        vn = var_n(state, p)
-        np.testing.assert_allclose(vn, [var_n(state, q) for q in scalars], rtol=1e-15, atol=0)
-        np.testing.assert_allclose(qfi_g(p, t, vn),
-                                   [qfi_g(q, t, var_n(state, q)) for q in scalars],
+        np.testing.assert_allclose(var_n(p), [var_n(q) for q in scalars], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(qfi_g(p, t), [qfi_g(q, t) for q in scalars],
                                    rtol=1e-15, atol=0)
         np.testing.assert_allclose(x_mean(p, t), [x_mean(q, t) for q in scalars],
                                    rtol=1e-15, atol=0)
@@ -407,13 +323,11 @@ class TestCouplingArrays:
         # lam paired with g entry by entry, across rows of lam and both sides of g_c
         lam = np.repeat([-0.2475, 0.0, 0.5], 3)
         g = np.sqrt(1 + 4 * lam) * np.tile([0.4, 0.95, 1.6], 3)
-        state, t = default_initial_state(), 300.0
+        t = 300.0
         p = params(g, lam=lam)
         points = [params(float(a), lam=float(b)) for a, b in zip(g, lam)]
-        vn = var_n(state, p)
-        np.testing.assert_allclose(vn, [var_n(state, q) for q in points], rtol=1e-15, atol=0)
-        np.testing.assert_allclose(qfi_g(p, t, vn),
-                                   [qfi_g(q, t, var_n(state, q)) for q in points],
+        np.testing.assert_allclose(var_n(p), [var_n(q) for q in points], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(qfi_g(p, t), [qfi_g(q, t) for q in points],
                                    rtol=1e-15, atol=0)
         np.testing.assert_allclose(x_mean(p, t), [x_mean(q, t) for q in points],
                                    rtol=1e-15, atol=0)

@@ -133,6 +133,15 @@ class TestConfig:
         cfg = build_config("decoherence", overrides=["t_per=1,0.5,2"], engine="closed")
         assert cfg.values["t_per"] == pytest.approx([1.0, 0.5, 2.0])
 
+    def test_closed_engine_rejects_negative_times(self, tmp_path):
+        # the damped closed forms run forward only: this run used to exit 0
+        # with ok rows of negative variance
+        with pytest.raises(ConfigError, match=">= 0"):
+            build_config("decoherence", overrides=["t_per=-5:0:5"], engine="closed")
+        assert cli_main(["decoherence", "--engine", "closed", "--set", "t_per=-5:0:5",
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+
     def test_reference_covers_all_experiments(self):
         text = config_reference()
         for name in experiment_ids():

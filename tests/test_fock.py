@@ -1,11 +1,12 @@
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 from cqm import (
-    BosonInitialState,
+    PROBE_AMPLITUDES,
     CutoffNotConverged,
     InvalidParams,
     ModelParams,
@@ -16,7 +17,6 @@ from cqm import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
     build_squeezed_frame_hamiltonian,
-    default_initial_state,
     effective_oscillator,
     evolve_grid,
     oscillator_frame,
@@ -28,7 +28,6 @@ from cqm import (
     qfi_overlap,
     quadrature_series,
     ratio_oracle,
-    var_n,
     verify_reciprocal_relation,
     x_mean,
     x_variance,
@@ -41,6 +40,8 @@ from cqm.fock import (
     _effective_level,
     _inverse_iteration,
     _pad,
+    _series_at_cutoff,
+    _series_ladder,
     _squared_bands,
     _x_band,
     _x_moments,
@@ -90,7 +91,7 @@ def blockwise_generator_qfi(p, ts, n_cut):
     frame = oscillator_frame(p)
     ts = np.asarray(ts, dtype=float)
     h1_diag, h1_sup = (0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
-    amps0 = _pad(default_initial_state(), n_cut)
+    amps0 = _pad(PROBE_AMPLITUDES, n_cut)
     mean = np.zeros(len(ts))
     second = np.zeros(len(ts))
     for idx, energies, vectors in build_effective_hamiltonian(p, n_cut).eig():
@@ -254,8 +255,6 @@ class TestBuilders:
         (lambda p: build_full_hamiltonian(p, 8.0), "n_cut"),  # blamed "offset 7.0"
         (lambda p: build_squeezed_frame_hamiltonian(p, np.float64(8.0)), "n_cut"),
         (lambda p: quadrature_series(p, [1.0], n_cut=64.0), "n_cut"),  # numpy's TypeError
-        (lambda p: quadrature_series(p, [1.0], n_cut=64.0, builder=build_full_hamiltonian),
-         "n_cut"),
         (lambda p: generator_qfi_grid(p, [1.0], n_cut=64.0), "n_cut"),
         (lambda p: qfi_overlap(p, 1.0, n_cut=64.0), "n_cut"),
         (lambda p: quadrature_series(p, [1.0], n_cut=True), "n_cut"),  # blamed the state
@@ -263,7 +262,7 @@ class TestBuilders:
         (lambda p: verify_reciprocal_relation(p, 0), "n_cut"),  # a zero-size ValueError
         (lambda p: verify_reciprocal_relation(p, 3.0), "n_cut"),
     ], ids=["effective-4.5", "full-8.0", "squeezed-float64", "series-64.0",
-            "joint-series-64.0", "generator-64.0", "overlap-64.0", "series-True",
+            "generator-64.0", "overlap-64.0", "series-True",
             "generator-int64-2", "reciprocal-0", "reciprocal-3.0"])
     def test_sizes_rejected_unless_integers_in_range(self, monkeypatch, call, field):
         # before any band, padded state or decomposition is made
@@ -325,7 +324,7 @@ class TestBuilders:
 class TestEvolve:
     def test_zero_time_identity(self):
         h = build_effective_hamiltonian(params(0.9), 32)
-        psi = _pad(default_initial_state(), 32)
+        psi = _pad(PROBE_AMPLITUDES, 32)
         out = evolve_grid(h, psi, [0.0])[:, 0]
         assert np.allclose(out, psi)
 
@@ -339,7 +338,7 @@ class TestEvolve:
 
     def test_norm_preserved_on_long_grid(self):
         h = build_effective_hamiltonian(params(0.9), 64)
-        psi = _pad(default_initial_state(), 64)
+        psi = _pad(PROBE_AMPLITUDES, 64)
         out = evolve_grid(h, psi, np.linspace(0, 100, 7))
         assert np.abs(np.linalg.norm(out, axis=0) - 1).max() < 1e-12
 
@@ -349,15 +348,14 @@ class TestEvolve:
         h = build_effective_hamiltonian(p, 16)
         tau = float(optimal_times(p, 1)[0])
         with pytest.raises(TruncationLeak):
-            evolve_grid(h, _pad(default_initial_state(), 16), [tau / 2])
+            evolve_grid(h, _pad(PROBE_AMPLITUDES, 16), [tau / 2])
 
     def test_joint_state_roundtrip(self):
         p = params(0.9, Omega=50.0)
         h = build_squeezed_frame_hamiltonian(p, 24)
-        boson = default_initial_state()
-        psi = _pad(boson, 48)  # |down> (x) boson, spin-major
+        psi = _pad(PROBE_AMPLITUDES, 48)  # |down> (x) the probe, spin-major
         assert psi.shape == (48,) and psi.dtype == complex
-        assert np.array_equal(psi[:2], boson.amplitudes) and not psi[2:].any()
+        assert np.array_equal(psi[:2], PROBE_AMPLITUDES) and not psi[2:].any()
         out = evolve_joint_grid(h, psi, [0.0, 1.0])
         assert np.abs(out[:, 0] - psi).max() < 1e-12
         assert np.linalg.norm(out[:, 1]) == pytest.approx(1.0, abs=1e-12)
@@ -371,8 +369,8 @@ class TestEvolve:
         monkeypatch.setattr(HermitianOperator, "eig", no_eig)
         boson = build_effective_hamiltonian(params(0.9), 16)
         joint = build_squeezed_frame_hamiltonian(params(0.9, Omega=50.0), 16)
-        cases = [(evolve_grid, boson, _pad(default_initial_state(), 16)),
-                 (evolve_joint_grid, joint, _pad(default_initial_state(), 32))]
+        cases = [(evolve_grid, boson, _pad(PROBE_AMPLITUDES, 16)),
+                 (evolve_joint_grid, joint, _pad(PROBE_AMPLITUDES, 32))]
         for evolve, h, psi in cases:
             nan = psi.copy()
             nan[-1] = np.nan
@@ -395,7 +393,7 @@ class TestEvolve:
             raise AssertionError("a block was decomposed before the times were checked")
 
         monkeypatch.setattr(fock, "_block_eig", no_decomposition)
-        p, psi = params(0.9), default_initial_state()
+        p, psi = params(0.9), PROBE_AMPLITUDES
         calls = [
             lambda: evolve_grid(build_effective_hamiltonian(p, 16), _pad(psi, 16), ts),
             lambda: evolve_joint_grid(build_full_hamiltonian(params(0.9, Omega=50.0), 16),
@@ -404,8 +402,6 @@ class TestEvolve:
             lambda: generator_qfi_grid(p, ts),
             lambda: quadrature_series(p, ts, n_cut=64),
             lambda: quadrature_series(p, ts),
-            lambda: quadrature_series(params(0.9, Omega=50.0), ts,
-                                      builder=build_full_hamiltonian),
             lambda: ratio_oracle(p, ts),
         ]
         if what == "finite":  # qfi_overlap takes one time
@@ -416,7 +412,7 @@ class TestEvolve:
 
     def test_a_nan_norm_fails_the_unitarity_check(self):
         h = build_effective_hamiltonian(params(0.9), 16)
-        amps = _pad(default_initial_state(), 16)
+        amps = _pad(PROBE_AMPLITUDES, 16)
         with pytest.raises(TruncationLeak, match="unitarity"):
             fock._propagate(h.eig(), amps, [1.0, np.nan])
 
@@ -561,7 +557,7 @@ class TestQfiMethods:
         h1 = vectors.T @ (0.5 * frame.omega_bar * (x @ x)) @ vectors
         de = energies[:, None] - energies[None, :]
         near = np.abs(de) < 1e-12
-        coeffs = vectors.T @ _pad(default_initial_state(), n_cut)
+        coeffs = vectors.T @ _pad(PROBE_AMPLITUDES, n_cut)
         reference = []
         for t in ts:
             kernel = np.where(near, t, (np.exp(1j * de * t) - 1.0) / (1j * np.where(near, 1.0, de)))
@@ -650,7 +646,6 @@ class TestQfiMethods:
 
     def test_closed_form_is_asymptotic_to_generator(self):
         # residual shrinks with distance to criticality at fixed sqrt(eps)*t
-        state = default_initial_state()
         rels = []
         for eps_g_target, n_cut in ((0.08, 256), (0.02, 1024)):
             g = np.sqrt(1 - eps_g_target)
@@ -658,7 +653,7 @@ class TestQfiMethods:
             eff = effective_oscillator(p)
             t = np.pi / np.sqrt(eff.epsilon)
             (exact,), _ = generator_qfi_grid(p, [t], n_cut=n_cut)
-            approx = qfi_g(p, t, var_n(state, p))
+            approx = qfi_g(p, t)
             rels.append(abs(approx - exact) / exact)
         assert rels[1] < rels[0]
 
@@ -778,8 +773,7 @@ class TestTridiagonalSolver:
         ts = np.array([0.0, 1.3, 7.0, 40.0])
         if spread:
             amps = np.random.default_rng(5).normal(size=n_cut) + 1j
-            psi0 = BosonInitialState(amps / np.linalg.norm(amps))
-            monkeypatch.setattr(fock, "default_initial_state", lambda: psi0)
+            monkeypatch.setattr(fock, "PROBE_AMPLITUDES", amps / np.linalg.norm(amps))
         tail, rows = _effective_level(p, ts, n_cut)
         # each block's lowest quarter first, the other three quarters only
         # when the state spreads past them
@@ -875,9 +869,7 @@ class TestFiniteFrequency:
         rels = {}
         for eta in (1e3, 1e4):
             p = params(0.9, Omega=eta)
-            series = quadrature_series(
-                p, ts, builder=build_squeezed_frame_hamiltonian
-            )
+            series = _series_ladder(partial(_series_at_cutoff, p, ts), ts, None)
             rels[eta] = np.abs(series.x_mean - closed).max() / np.abs(closed).max()
         assert rels[1e3] < 0.1
         assert 7.0 < rels[1e3] / rels[1e4] < 14.0
@@ -886,13 +878,10 @@ class TestFiniteFrequency:
 class TestClosedFormAsymptoticAtLongTime:
     def test_ten_percent_agreement_near_criticality(self):
         # tuned weak-coupling point at the long-time scale of the QFI curves
-        from cqm import var_n as _var_n
-
         # n_cut 512 is where the cutoff ladder settles to 2e-3 (not 1e-6)
         p = params(0.099, lam=-0.2475)
-        state = default_initial_state()
         (below,), _ = generator_qfi_grid(p, [1000.0], n_cut=256)
         (exact,), _ = generator_qfi_grid(p, [1000.0], n_cut=512)
         assert abs(exact - below) <= 2e-3 * max(abs(exact), abs(below))
-        approx = qfi_g(p, 1000.0, _var_n(state, p))
+        approx = qfi_g(p, 1000.0)
         assert abs(approx - exact) / exact < 0.10
