@@ -541,6 +541,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             cf.peak_indices(v["n"])
         if "gamma_minus" in v:
             lb.DecayRates(gamma_plus=v["gamma_plus"], gamma_minus=v["gamma_minus"])
+        if "eta" in v:
+            fock.check_g_stencil(v["g"])
     except InvalidParams as exc:
         raise ConfigError(str(exc)) from exc
     if "gamma_minus" in v and v["gamma_minus"] < 0:

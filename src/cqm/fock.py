@@ -21,11 +21,12 @@ low-frequency closed forms.
 
 The effective oscillator takes d<X>_t/dg exactly (Duhamel) from the kernel
 of its generator QFI, so one decomposition per cutoff level serves every
-observable; each level passes its state and generator to
-HermitianOperator.eig, so at the large cutoffs _block_eig first finds only
-the lowest modes and keeps them alone when they are all the state and its
-generator reach.  finite_frequency_point's joint squeezed-frame builder
-still takes a five-point stencil in g.
+observable; each level passes its state, generator and untruncated
+spectrum omega_bar*sqrt(stiffness)*(n + 1/2) to HermitianOperator.eig, so at
+the large cutoffs _block_eig first finds only the lowest modes from that
+spectrum, with no dense matrix, and keeps them alone when they are all the
+state and its generator reach.  finite_frequency_point's joint squeezed-frame
+builder still takes a five-point stencil in g.
 
 Every oracle evolves the paper's one probe state, (|0> + i|1>)/sqrt(2)
 (closed_form.PROBE_AMPLITUDES), the state all the closed forms it checks
@@ -77,13 +78,13 @@ LEAK_TOL = 1e-8
 #: Smallest tridiagonal block (rows) decomposed as eigvalsh plus inverse
 #: iteration instead of eigh.  On the effective oscillator's blocks at
 #: eps_g = 0.0199 (2 vCPUs, BLAS default, best of 5): at 1024 rows eigh
-#: takes 0.26 s, eigvalsh 0.10 s and all 1024 vectors 0.04 s; at 512 rows
-#: 0.055 s against 0.019 + 0.022 s, a saving under 0.02 s a block.
+#: takes 0.20 s, eigvalsh 0.092 s and all 1024 vectors 0.051 s; at 512 rows
+#: 0.035 s against 0.016 + 0.012 s, a saving under 0.01 s a block.
 TRIDIAGONAL_MIN = 1024
 #: _block_eig, given a state, first finds only the lowest m // LOW_MODES
-#: modes of such a block: at that point and n_cut 2048 the default state
-#: puts weight above 1e-16 on the lowest 59 and 66 of its two blocks' 1024
-#: modes, and a quarter (256) also holds what dH/dg reaches from them.
+#: modes of such a block (_lowest_modes, 0.050 s at 1024 rows): at that point
+#: and n_cut 2048 the probe reaches the lowest 59 and 66 of the two blocks'
+#: 1024 modes above 1e-16, and the 131 of 256 certified also hold its dH/dg.
 LOW_MODES = 4
 #: Largest residual over eigenvalue gap (Davis-Kahan) an eigenvector found by
 #: inverse iteration may have; a block past it is decomposed by eigh.
@@ -138,12 +139,11 @@ class HermitianOperator:
         self.blocks = [(idx, _checked_diagonals(diagonals)) for idx, diagonals in blocks]
         self.dim = sum(len(diagonals[0]) for _, diagonals in self.blocks)
 
-    def eig(self, amps=None, dh=None) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    def eig(self, *reach: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
         """(indices, energies, vectors) of each block, ascending energies
-        within a block.  Given the state ``amps`` and the dH/dg bands ``dh``
-        = (diag, sup), each block's slice of both is _block_eig's ``reach``."""
-        return [(idx, *_block_eig(diagonals, None if dh is None else
-                                  (amps[idx], dh[0][idx], dh[1][idx])))
+        within a block.  Each block's slice of ``reach`` = (state, dH/dg
+        diagonal and superdiagonal, untruncated spectrum) is _block_eig's."""
+        return [(idx, *_block_eig(diagonals, tuple(r[idx] for r in reach) or None))
                 for idx, diagonals in self.blocks]
 
 
@@ -183,24 +183,56 @@ def _block_eig(diagonals: dict[int, np.ndarray],
     """(energies, vectors) of one block: eigh, or for a tridiagonal block of
     TRIDIAGONAL_MIN rows or more eigvalsh's energies and inverse iteration's
     vectors, eigh after all if a vector fails the Davis-Kahan certificate.
-
-    With ``reach`` = (amplitudes, dH diagonal, dH superdiagonal) of the
-    state and the generator on this block, a large tridiagonal block first
-    finds only its lowest m // LOW_MODES vectors and keeps them alone when
-    they hold the state, close under dH (_closes) and pass the certificate;
-    otherwise inverse iteration finds the rest."""
+    Given ``reach`` = (amplitudes, dH diagonal and superdiagonal, untruncated
+    spectrum), such a block first keeps _lowest_modes alone if they hold the
+    state and close under dH (_closes): a wrong spectrum costs time only."""
     if diagonals.keys() == {0, 1} and len(diagonals[0]) >= TRIDIAGONAL_MIN:
         d, e = diagonals[0], diagonals[1]
-        energies = np.linalg.eigvalsh(_dense(diagonals))
-        low = np.empty((len(d), 0))
         if reach is not None:
-            low = _inverse_iteration(d, e, energies[:len(d) // LOW_MODES])
-            if _closes(low, *reach) and _certified(d, e, energies, low):
-                return energies[:low.shape[1]], low
-        vectors = np.hstack((low, _inverse_iteration(d, e, energies[low.shape[1]:])))
+            low = _lowest_modes(d, e, reach[3])
+            if _closes(low[1], *reach[:3]):
+                return low
+        energies = np.linalg.eigvalsh(_dense(diagonals))
+        vectors = _inverse_iteration(d, e, energies)
         if _certified(d, e, energies, vectors):
             return energies, vectors
     return np.linalg.eigh(_dense(diagonals))
+
+
+def _lowest_modes(d: np.ndarray, e: np.ndarray,
+                  spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(energies, vectors) of the lowest modes of T = (d, e), possibly none:
+    inverse iteration at the lowest m // LOW_MODES values of ``spectrum``, a
+    guess at T's eigenvalues, with Rayleigh-quotient energies, cut to the
+    longest prefix that strictly rises and passes the Davis-Kahan certificate;
+    the top mode's upper gap runs to a point with just that many below it."""
+    n = len(d) // LOW_MODES
+    vectors = _inverse_iteration(d, e, spectrum[:n])
+    applied = _band_apply(d, e, vectors)
+    energies = np.einsum("ij,ij->j", vectors, applied)
+    residuals = np.linalg.norm(applied - energies * vectors, axis=0)
+    steps = np.diff(energies)
+    below = np.append(np.inf, steps)
+    ceiling = 0.5 * (energies + spectrum[1:n + 1])  # x above each candidate top
+    inner = residuals[:-1] <= CERTIFY_TOL * np.minimum(below[:-1], steps)
+    top = residuals <= CERTIFY_TOL * np.minimum(below, ceiling - energies)
+    top &= _sturm_count(d, e, ceiling) == np.arange(1, n + 1)
+    top &= np.append(True, np.logical_and.accumulate(inner & (steps > 0)))
+    k = n - int(np.argmax(top[::-1])) if top.any() else 0
+    return energies[:k], vectors[:, :k]
+
+
+def _sturm_count(d: np.ndarray, e: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """How many eigenvalues of the tridiagonal T = (d, e) lie below each of
+    ``points``: the negative pivots of T - x = L D L^T (Sylvester's law of
+    inertia), each raised to eps*||T|| in size as in _inverse_iteration."""
+    tiny = np.finfo(float).eps * (np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
+    squares, pivot, count = np.append(0.0, e * e), np.inf, 0
+    for i in range(len(d)):
+        pivot = d[i] - points - squares[i] / pivot
+        pivot = np.copysign(np.maximum(np.abs(pivot), tiny), pivot)
+        count = count + (pivot < 0)
+    return count
 
 
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -243,16 +275,14 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.n
 
 def _certified(d: np.ndarray, e: np.ndarray, energies: np.ndarray,
                vectors: np.ndarray) -> bool:
-    """Whether the vectors of the lowest len(vectors.T) ``energies`` of the
-    tridiagonal (d, e) are eigenvectors to CERTIFY_TOL: each residual
-    ||T v - E v|| over E's gap to its neighbours in ``energies`` bounds the
-    sine of v's angle to the true eigenvector (Davis-Kahan), so it bounds
-    the loss of orthogonality too."""
-    k = vectors.shape[1]
+    """Whether ``vectors`` are eigenvectors of the tridiagonal (d, e) at its
+    ``energies`` to CERTIFY_TOL: each residual ||T v - E v|| over E's gap to
+    its neighbours bounds the sine of v's angle to the true eigenvector
+    (Davis-Kahan), so it bounds the loss of orthogonality too."""
     steps = np.diff(energies)
-    gaps = np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))[:k]
+    gaps = np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))
     residual = _band_apply(d, e, vectors)
-    residual -= energies[:k] * vectors
+    residual -= energies * vectors
     return bool((np.linalg.norm(residual, axis=0) <= CERTIFY_TOL * gaps).all())
 
 
@@ -410,10 +440,10 @@ def _check_tail(worst: float) -> None:
         raise TruncationLeak(f"tail mass {worst:.3e} exceeds {LEAK_TOL:.1e}; raise n_cut")
 
 
-def _state(psi0, dim: int) -> np.ndarray:
-    """The amplitudes of ``psi0`` (an array, or anything with .amplitudes) as
-    a complex vector; InvalidParams unless it has length ``dim`` and norm 1."""
-    amps = np.asarray(getattr(psi0, "amplitudes", psi0), dtype=complex)
+def _state(psi0: np.ndarray, dim: int) -> np.ndarray:
+    """The amplitude array ``psi0`` as a complex vector; InvalidParams unless
+    it has length ``dim`` and norm 1."""
+    amps = np.asarray(psi0, dtype=complex)
     if amps.shape != (dim,):
         raise InvalidParams("psi0", f"length {amps.shape} != operator dim ({dim},)")
     norm = np.linalg.norm(amps)
@@ -542,7 +572,8 @@ def _effective_level(params: ModelParams, ts: np.ndarray,
     frame = oscillator_frame(params)
     dh = tuple(0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
     amps0 = _pad(PROBE_AMPLITUDES, n_cut)
-    modes = build_effective_hamiltonian(params, n_cut).eig(amps0, dh)
+    spectrum = frame.omega_bar * np.sqrt(frame.stiffness) * (np.arange(n_cut) + 0.5)
+    modes = build_effective_hamiltonian(params, n_cut).eig(amps0, *dh, spectrum)
     psi, hpsi = _propagate(modes, amps0, ts, dh)
     mean, second = _x_moments(psi, n_cut)
     x_hpsi = _band_apply(np.zeros(n_cut), _x_band(n_cut), hpsi)
@@ -665,11 +696,16 @@ def qfi_overlap(
     With dg=None the step is tuned so the fidelity deficit sits near 1e-6,
     far from both the quadratic-validity ceiling (1e-2) and roundoff.
     Raises StepTooLarge when an explicit dg leaves the deficit above 1e-2,
-    and InvalidParams, before any decomposition, unless it is finite and > 0.
-    With n_cut=None the cutoff ladder runs at AUTO_CUTOFF_RTOL.
+    and InvalidParams, before any decomposition, unless it is finite, > 0 and
+    at most 2g (the tuned step starts at 1e-3*max(g, 0.01)).  With n_cut=None
+    the cutoff ladder runs at AUTO_CUTOFF_RTOL.
     """
     if dg is not None and not 0 < dg < np.inf:  # NaN fails too
         raise InvalidParams("dg", f"must be finite and > 0, got {dg!r}")
+    first = 1e-3 * max(params.g, 0.01) if dg is None else dg
+    if params.g < 0.5 * first:
+        raise InvalidParams("g" if dg is None else "dg",
+                            f"the fidelity step {first:g} takes g = {params.g:g} below 0")
 
     def deficit_at(n: int, step: float) -> float:
         def state(gv):
@@ -682,9 +718,8 @@ def qfi_overlap(
         return max(1.0 - abs(np.vdot(minus, plus)), 0.0)
 
     def qfi_at(n: int) -> float:
-        step = dg
-        if step is None:
-            step = 1e-3 * max(params.g, 0.01)
+        step = first
+        if dg is None:
             for _ in range(40):  # geometric search for deficit ~ 1e-6
                 d = deficit_at(n, step)
                 if d > 1e-2:
@@ -692,7 +727,7 @@ def qfi_overlap(
                     continue
                 if d > 0:
                     step *= np.sqrt(1e-6 / max(d, 1e-14))
-                    step = min(step, 0.3 * params.g if params.g > 0 else step)
+                    step = min(step, 0.3 * params.g)
                 break
         d = deficit_at(n, step)
         if d > 1e-2:
@@ -796,6 +831,13 @@ class FrequencyPoint:
     n_cut: int
 
 
+def check_g_stencil(g) -> None:
+    """InvalidParams unless every coupling in ``g`` stays >= 0 at the foot of
+    finite_frequency_point's g-stencil, g - 1e-5*max(g, 0.01): g >= 1e-7."""
+    if np.min(g) < 1e-7:
+        raise InvalidParams("g", f"the g-stencil takes g = {np.min(g):g} below 0")
+
+
 def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> FrequencyPoint:
     """Finite-frequency inverted variance against the low-frequency peak,
     delta = (I_g^(eta)(tau_n) - I_g(tau_n)) / I_g(tau_n).
@@ -806,12 +848,13 @@ def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> Frequ
     time tau_n = 2*pi*n/sqrt(epsilon); the ladder always picks the cutoff.
     The derivative is a Richardson-extrapolated centered difference, base
     step dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of
-    the derivative scale, else StepTooLarge.  A bad peak index n is an
-    InvalidParams.
+    the derivative scale, else StepTooLarge.  A bad peak index n, or a g the
+    stencil would take below 0 (check_g_stencil), is an InvalidParams.
     """
     peak_indices(n)
     if eta < ETA_MIN:
         raise InvalidParams("eta", f"must be >= {ETA_MIN:g}, got {eta}")
+    check_g_stencil(params.g)
     full_params = replace(params, Omega=eta * params.omega)
     tau = peak_time(params, n)
     ts = np.array([tau])

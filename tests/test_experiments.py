@@ -103,6 +103,7 @@ class TestConfig:
         ("frequency-scaling", "eta=5,20,30,40,50"),
         ("frequency-scaling", "eta=1e2,3e2"),  # too few points for the slope fit
         ("frequency-scaling", "eta=1e2,1e2,3e2,3e2,1e3"),  # five, but three distinct
+        ("frequency-scaling", "g=0,0.1"),  # the g-stencil would go below 0
         ("qfi-vs-g", "g=-0.5,0.5"),  # would fail its cell instead
         ("qfi-vs-g", "state_dim=6"),  # not a key: the reference state is fixed
         ("qfi-evolution", "Omega=50"),  # not a key: no dataset depends on Omega

@@ -4,6 +4,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cqm import (
     PROBE_AMPLITUDES,
@@ -39,10 +41,12 @@ from cqm.fock import (
     _dense,
     _effective_level,
     _inverse_iteration,
+    _lowest_modes,
     _pad,
     _series_at_cutoff,
     _series_ladder,
     _squared_bands,
+    _sturm_count,
     _x_band,
     _x_moments,
     evolve_joint_grid,
@@ -492,6 +496,24 @@ class TestAutoCutoff:
         with pytest.raises(InvalidParams, match="dg"):
             qfi_overlap(params(0.9), 1.0, dg=bad, n_cut=48)
 
+    @pytest.mark.parametrize("call, field", [
+        (lambda: qfi_overlap(params(0.0), 1.0), "g"),  # the tuned step starts at 1e-5
+        (lambda: qfi_overlap(params(1e-6), 1.0, dg=3e-6), "dg"),
+        (lambda: finite_frequency_point(params(0.0), 100.0), "g"),
+        (lambda: finite_frequency_point(params(5e-8), 100.0), "g"),
+    ], ids=["overlap-g0", "overlap-dg-above-2g", "frequency-g0", "frequency-5e-8"])
+    def test_steps_below_zero_coupling_rejected_before_any_decomposition(
+            self, monkeypatch, call, field):
+        # g = 0 is valid, but the fidelity step and the g-stencil reach
+        # g - dg/2 and g - dg: ModelParams used to reject a coupling the
+        # caller never passed
+        def no_decomposition(*args):
+            raise AssertionError("a block was decomposed before the step was checked")
+
+        monkeypatch.setattr(fock, "_block_eig", no_decomposition)
+        with pytest.raises(InvalidParams, match=f"^{field}: .* below 0"):
+            call()
+
     def test_leak_restarts_comparison(self):
         def run(n):
             if n < 64:
@@ -775,9 +797,10 @@ class TestTridiagonalSolver:
             amps = np.random.default_rng(5).normal(size=n_cut) + 1j
             monkeypatch.setattr(fock, "PROBE_AMPLITUDES", amps / np.linalg.norm(amps))
         tail, rows = _effective_level(p, ts, n_cut)
-        # each block's lowest quarter first, the other three quarters only
+        # each block's lowest quarter first, started at the untruncated
+        # spectrum; all of its modes, started at eigvalsh's energies, only
         # when the state spreads past them
-        assert shifts == ([n_cut // 8, 3 * n_cut // 8] if spread else [n_cut // 8]) * 2
+        assert shifts == ([n_cut // 8, n_cut // 2] if spread else [n_cut // 8]) * 2
         ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
@@ -791,9 +814,83 @@ class TestTridiagonalSolver:
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
         _, rows = _effective_level(p, ts, n_cut)
-        assert shifts == [n_cut // 8, 3 * n_cut // 8] * 2
+        # no mode of the lowest quarter passes, so each block finds all of
+        # its modes again, and then decomposes by eigh
+        assert shifts == [n_cut // 8, n_cut // 2] * 2
         assert calls == [n_cut // 2] * 2
         assert np.array_equal(rows, self.eigh_rows(monkeypatch, p, ts, n_cut)[1])
+
+    def test_near_critical_level_makes_no_dense_decomposition(self, monkeypatch):
+        # criterion 6's point at n_cut 2048: each 1024-row block keeps the
+        # modes found from the untruncated spectrum, with Rayleigh-quotient
+        # energies as accurate as eigvalsh's
+        p, n_cut = params(0.099, lam=-0.2475), 2048
+        ts = np.linspace(1.0, 700.0, 9)  # not the peak times, where <X> is 0 to roundoff
+        found = []
+        eig = HermitianOperator.eig
+        monkeypatch.setattr(HermitianOperator, "eig",
+                            lambda self, *reach: found.append(eig(self, *reach)) or found[-1])
+
+        def dense(*args, **kwargs):
+            raise AssertionError("a block was decomposed densely")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", dense)
+            m.setattr(np.linalg, "eigh", dense)
+            tail, rows = _effective_level(p, ts, n_cut)
+        for (_, diagonals), (_, energies, _) in zip(build_effective_hamiltonian(p, n_cut).blocks,
+                                                    found[0]):
+            assert 0 < len(energies) <= n_cut // 8
+            exact = np.linalg.eigvalsh(_dense(diagonals))[:len(energies)]
+            norm = np.abs(diagonals[0]).max() + 2.0 * np.abs(diagonals[1]).max()
+            assert np.abs(energies - exact).max() <= 1e-13 * norm
+        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        scale = np.abs(reference).max(axis=1)
+        assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
+        assert abs(tail - ref_tail) <= 1e-12
+
+    def test_wrong_spectrum_falls_back(self, monkeypatch, shifts):
+        # a spectrum 0.1% high starts inverse iteration off every mode: no
+        # prefix holds the state, so each block is decomposed in full
+        p, n_cut = params(0.099, lam=-0.2475), 512
+        ts = np.array([10.0, 300.0])
+        eig = HermitianOperator.eig
+        monkeypatch.setattr(HermitianOperator, "eig", lambda self, *reach: eig(
+            self, *reach[:3], 1.001 * reach[3]))
+        tail, rows = _effective_level(p, ts, n_cut)
+        assert shifts == [n_cut // 8, n_cut // 2] * 2
+        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        scale = np.abs(reference).max(axis=1)
+        assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
+        assert abs(tail - ref_tail) <= 1e-12
+
+    def test_lowest_modes_keep_only_what_they_certify(self):
+        # from a guess 1e-7 high the energies are Rayleigh quotients, as exact
+        # as eigvalsh's; from a guess that skips the third eigenvalue the modes
+        # past it pass their residual test too, but the Sturm count sees the
+        # one missed below them, so at most the two under it are kept
+        _, diagonals = build_effective_hamiltonian(params(0.9), 256).blocks[0]
+        d, e = diagonals[0], diagonals[1]
+        exact = np.linalg.eigvalsh(_dense(diagonals))
+        norm = np.abs(d).max() + 2.0 * np.abs(e).max()
+        for guess, kept in ((exact * (1.0 + 1e-7), {len(d) // 4}), (np.delete(exact, 2), {1, 2})):
+            energies, _ = _lowest_modes(d, e, guess)
+            assert len(energies) in kept
+            assert np.abs(energies - exact[:len(energies)]).max() <= 1e-13 * norm
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sturm_count_matches_eigvalsh(self, data):
+        m = data.draw(st.integers(1, 40))
+        real = st.floats(-10.0, 10.0)
+        d = np.array(data.draw(st.lists(real, min_size=m, max_size=m)))
+        e = np.array(data.draw(st.lists(real, min_size=m - 1, max_size=m - 1)))
+        points = np.array(data.draw(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8)))
+        exact = np.linalg.eigvalsh(_dense({0: d, 1: e}))
+        # points at least 1e-8*||T|| from every eigenvalue
+        points = points[np.abs(points[:, None] - exact).min(axis=1) > 1e-8 * np.abs(exact).max()]
+        assert np.array_equal(_sturm_count(d, e, points),
+                              (exact < points[:, None]).sum(axis=1))
 
     def test_repeated_levels_are_bit_identical(self):
         p, ts = params(0.099, lam=-0.2475), np.array([10.0, 300.0])
