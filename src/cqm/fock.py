@@ -9,8 +9,8 @@ to n and n+-2, so the even and odd Fock indices form two real tridiagonal
 blocks).  Every block decomposition goes through HermitianOperator.eig and
 its one routine, _block_eig, and a dense matrix exists only while it runs,
 for LAPACK: eigh, or for a tridiagonal block of TRIDIAGONAL_MIN rows or
-more eigvalsh alone, the vectors then found by inverse iteration and
-certified (eigh again if the certificate fails).  States are evolved by
+more eigvalsh alone, its vectors found by inverse iteration, certified by
+one test and kept by one rule (eigh if they are not).  States are evolved by
 eigendecomposition of each block (exactly unitary at any time; a state of
 the wrong length or norm, or a time grid that is empty, not 1-D or not
 finite, is rejected before any decomposition), and the module computes the
@@ -23,7 +23,7 @@ The effective oscillator takes d<X>_t/dg exactly (Duhamel) from the kernel
 of its generator QFI, so one decomposition per cutoff level serves every
 observable; each level passes its state, generator and untruncated
 spectrum omega_bar*sqrt(stiffness)*(n + 1/2) to HermitianOperator.eig, so at
-the large cutoffs _block_eig first finds only the lowest modes from that
+the large cutoffs _block_eig first certifies only the lowest modes from that
 spectrum, with no dense matrix, and keeps them alone when they are all the
 state and its generator reach.  finite_frequency_point's joint squeezed-frame
 builder still takes a five-point stencil in g.
@@ -69,25 +69,29 @@ AUTO_CUTOFF_RTOL = 1e-6
 ETA_MIN = 10.0
 #: (rtol, atol) of quadrature_series's per-block convergence test.
 SERIES_RTOL, SERIES_ATOL = 1e-6, 1e-9
+#: Smallest fidelity deficit qfi_overlap accepts: np.vdot of unit vectors of
+#: n <= AUTO_CUTOFF_MAX entries errs by at most n*2^-53 <= 4.5e-13, < 0.5% of it
+#: (Higham, Accuracy and Stability of Numerical Algorithms, 2002, section 3.1).
+DEFICIT_MIN = 1e-10
 
 #: Fraction of top Fock indices whose total weight is checked after evolution,
 #: and the most weight an evolved state may put there.
 TAIL_FRACTION = 0.1
 LEAK_TOL = 1e-8
 
-#: Smallest tridiagonal block (rows) decomposed as eigvalsh plus inverse
-#: iteration instead of eigh.  On the effective oscillator's blocks at
+#: Smallest tridiagonal block (rows) decomposed by inverse iteration and
+#: _certified_modes instead of eigh.  On the effective oscillator's blocks at
 #: eps_g = 0.0199 (2 vCPUs, BLAS default, best of 5): at 1024 rows eigh
 #: takes 0.20 s, eigvalsh 0.092 s and all 1024 vectors 0.051 s; at 512 rows
 #: 0.035 s against 0.016 + 0.012 s, a saving under 0.01 s a block.
 TRIDIAGONAL_MIN = 1024
-#: _block_eig, given a state, first finds only the lowest m // LOW_MODES
-#: modes of such a block (_lowest_modes, 0.050 s at 1024 rows): at that point
-#: and n_cut 2048 the probe reaches the lowest 59 and 66 of the two blocks'
-#: 1024 modes above 1e-16, and the 131 of 256 certified also hold its dH/dg.
+#: _block_eig, given a state, certifies the lowest m // LOW_MODES modes of
+#: such a block (0.050 s at 1024 rows; all m take 0.072 s) before all m: at
+#: that point and n_cut 2048 the probe reaches the lowest 59 and 66 of the two
+#: blocks' 1024 modes above 1e-16, and the 131 of 256 certified hold dH/dg too.
 LOW_MODES = 4
-#: Largest residual over eigenvalue gap (Davis-Kahan) an eigenvector found by
-#: inverse iteration may have; a block past it is decomposed by eigh.
+#: Largest residual over eigenvalue gap (Davis-Kahan) a mode found by inverse
+#: iteration may have; _certified_modes keeps the longest prefix within it.
 CERTIFY_TOL = 1e-10
 
 
@@ -130,9 +134,7 @@ class HermitianOperator:
     acting on the basis states ``indices`` (a slice) as the m x m block whose
     k-th super- and subdiagonal are ``diagonals[k]``, of length m - k (the
     main diagonal, k = 0, sets m).  ``dim`` is n_cut for boson-only
-    operators, 2*n_cut on the joint space.  eig alone calls _block_eig, and
-    a dense block exists only while it decomposes one, filled for LAPACK and
-    dropped before the next.
+    operators, 2*n_cut on the joint space.  eig alone calls _block_eig.
     """
 
     def __init__(self, blocks: list[tuple[slice, dict[int, np.ndarray]]]):
@@ -181,36 +183,35 @@ def _dense(diagonals: dict[int, np.ndarray]) -> np.ndarray:
 def _block_eig(diagonals: dict[int, np.ndarray],
                reach: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(energies, vectors) of one block: eigh, or for a tridiagonal block of
-    TRIDIAGONAL_MIN rows or more eigvalsh's energies and inverse iteration's
-    vectors, eigh after all if a vector fails the Davis-Kahan certificate.
-    Given ``reach`` = (amplitudes, dH diagonal and superdiagonal, untruncated
-    spectrum), such a block first keeps _lowest_modes alone if they hold the
-    state and close under dH (_closes): a wrong spectrum costs time only."""
+    TRIDIAGONAL_MIN rows or more _certified_modes, given ``reach`` = (state,
+    dH diagonal and superdiagonal, untruncated spectrum) first at the lowest
+    m // LOW_MODES of that spectrum, then at all of eigvalsh's energies.  A
+    set is kept if it holds every mode or holds the state and closes under dH
+    (_closes), else eigh: a wrong spectrum costs time only."""
     if diagonals.keys() == {0, 1} and len(diagonals[0]) >= TRIDIAGONAL_MIN:
-        d, e = diagonals[0], diagonals[1]
-        if reach is not None:
-            low = _lowest_modes(d, e, reach[3])
-            if _closes(low[1], *reach[:3]):
-                return low
-        energies = np.linalg.eigvalsh(_dense(diagonals))
-        vectors = _inverse_iteration(d, e, energies)
-        if _certified(d, e, energies, vectors):
-            return energies, vectors
+        d, e, m = diagonals[0], diagonals[1], len(diagonals[0])
+        for n in ([m // LOW_MODES] if reach else []) + [m]:
+            spectrum = (reach[3] if n < m
+                        else np.append(np.linalg.eigvalsh(_dense(diagonals)), np.inf))
+            energies, vectors = _certified_modes(d, e, spectrum, n)
+            if len(energies) == m or reach and _closes(vectors, *reach[:3]):
+                return energies, vectors
     return np.linalg.eigh(_dense(diagonals))
 
 
-def _lowest_modes(d: np.ndarray, e: np.ndarray,
-                  spectrum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _certified_modes(d: np.ndarray, e: np.ndarray, spectrum: np.ndarray,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """(energies, vectors) of the lowest modes of T = (d, e), possibly none:
-    inverse iteration at the lowest m // LOW_MODES values of ``spectrum``, a
-    guess at T's eigenvalues, with Rayleigh-quotient energies, cut to the
-    longest prefix that strictly rises and passes the Davis-Kahan certificate;
-    the top mode's upper gap runs to a point with just that many below it."""
-    n = len(d) // LOW_MODES
+    inverse iteration at the lowest ``n`` of ``spectrum``, n + 1 or more
+    guesses at T's eigenvalues (inf past the last), Rayleigh-quotient energies,
+    cut to the longest prefix that strictly rises and whose residuals over
+    gaps (Davis-Kahan: bounds on the sines to the true eigenvectors) are <=
+    CERTIFY_TOL, the top mode's gap up to a point with that many below it."""
     vectors = _inverse_iteration(d, e, spectrum[:n])
     applied = _band_apply(d, e, vectors)
     energies = np.einsum("ij,ij->j", vectors, applied)
-    residuals = np.linalg.norm(applied - energies * vectors, axis=0)
+    applied -= energies * vectors  # in place: a complete set holds m x m floats
+    residuals = np.linalg.norm(applied, axis=0)
     steps = np.diff(energies)
     below = np.append(np.inf, steps)
     ceiling = 0.5 * (energies + spectrum[1:n + 1])  # x above each candidate top
@@ -245,8 +246,7 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.n
     row by row and vectorized over the shifts; a pivot below eps*||T||
     becomes eps*||T|| with its sign, since a shift that is an eigenvalue
     makes T - shift singular to rounding (Demmel, Applied Numerical Linear
-    Algebra, SIAM 1997, section 5.3.4).  Nothing checks the result:
-    _certified does."""
+    Algebra, SIAM 1997, section 5.3.4); _certified_modes checks the result."""
     m, shifts = len(d), np.asarray(shifts, dtype=float)
     tiny = np.finfo(float).eps * (np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
     inv = np.empty((m, len(shifts)))  # 1/pivot of each row, per shift
@@ -271,19 +271,6 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.n
             x[i] *= inv[i]
         x /= np.linalg.norm(x, axis=0)
     return x
-
-
-def _certified(d: np.ndarray, e: np.ndarray, energies: np.ndarray,
-               vectors: np.ndarray) -> bool:
-    """Whether ``vectors`` are eigenvectors of the tridiagonal (d, e) at its
-    ``energies`` to CERTIFY_TOL: each residual ||T v - E v|| over E's gap to
-    its neighbours bounds the sine of v's angle to the true eigenvector
-    (Davis-Kahan), so it bounds the loss of orthogonality too."""
-    steps = np.diff(energies)
-    gaps = np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))
-    residual = _band_apply(d, e, vectors)
-    residual -= energies * vectors
-    return bool((np.linalg.norm(residual, axis=0) <= CERTIFY_TOL * gaps).all())
 
 
 def _cutoff(n_cut) -> int:
@@ -694,11 +681,13 @@ def qfi_overlap(
     F ~= 8*(1 - |<psi_{g-dg/2}(t)|psi_{g+dg/2}(t)>|) / dg^2.
 
     With dg=None the step is tuned so the fidelity deficit sits near 1e-6,
-    far from both the quadratic-validity ceiling (1e-2) and roundoff.
-    Raises StepTooLarge when an explicit dg leaves the deficit above 1e-2,
-    and InvalidParams, before any decomposition, unless it is finite, > 0 and
-    at most 2g (the tuned step starts at 1e-3*max(g, 0.01)).  With n_cut=None
-    the cutoff ladder runs at AUTO_CUTOFF_RTOL.
+    far from both the quadratic-validity ceiling (1e-2) and roundoff (under
+    DEFICIT_MIN the step grows to its cap, 0.3g).  Raises StepTooLarge when
+    an explicit dg leaves the deficit above 1e-2, and InvalidParams when it
+    ends under DEFICIT_MIN (naming g, or an explicit dg) or, before any
+    decomposition, unless dg is finite, > 0 and at most 2g (the tuned step
+    starts at 1e-3*max(g, 0.01)).  F = 0 at t = 0, where the state is the
+    probe at every g.  With n_cut=None the ladder runs at AUTO_CUTOFF_RTOL.
     """
     if dg is not None and not 0 < dg < np.inf:  # NaN fails too
         raise InvalidParams("dg", f"must be finite and > 0, got {dg!r}")
@@ -712,32 +701,35 @@ def qfi_overlap(
             h = build_effective_hamiltonian(replace(params, g=gv), n)
             return evolve_grid(h, _pad(PROBE_AMPLITUDES, n), [t])[:, 0]
 
-        minus = state(params.g - 0.5 * step)
-        plus = state(params.g + 0.5 * step)
-        # |<a|b>| can exceed 1 by rounding for near-identical states
-        return max(1.0 - abs(np.vdot(minus, plus)), 0.0)
+        # rounding can make |<a|b>| exceed 1: DEFICIT_MIN refuses that too
+        return 1.0 - abs(np.vdot(state(params.g - 0.5 * step), state(params.g + 0.5 * step)))
 
     def qfi_at(n: int) -> float:
+        if t == 0:
+            return 0.0
         step = first
         if dg is None:
             for _ in range(40):  # geometric search for deficit ~ 1e-6
                 d = deficit_at(n, step)
                 if d > 1e-2:
                     step *= 0.25
-                    continue
-                if d > 0:
-                    step *= np.sqrt(1e-6 / max(d, 1e-14))
-                    step = min(step, 0.3 * params.g)
-                break
+                elif d < DEFICIT_MIN and step < 0.3 * params.g:
+                    step = 0.3 * params.g  # under roundoff: try the largest step
+                else:
+                    step = min(step * np.sqrt(1e-6 / max(d, DEFICIT_MIN)), 0.3 * params.g)
+                    break
         d = deficit_at(n, step)
         if d > 1e-2:
             raise StepTooLarge(
                 f"fidelity deficit {d:.3e} > 1e-2 at dg = {step:.3e}; halve dg"
             )
+        if d < DEFICIT_MIN:
+            raise InvalidParams("g" if dg is None else "dg", f"fidelity deficit {d:.3e} at "
+                                f"dg = {step:.3e} is under the roundoff floor {DEFICIT_MIN:g}")
         return 8.0 * d / step**2
 
     if n_cut is not None:
-        return qfi_at(n_cut)
+        return qfi_at(_cutoff(n_cut))
     _, values = auto_cutoff(qfi_at)
     return float(values[0])
 

@@ -38,10 +38,10 @@ from cqm import fock
 from cqm.fock import (
     HermitianOperator,
     _band_apply,
+    _certified_modes,
     _dense,
     _effective_level,
     _inverse_iteration,
-    _lowest_modes,
     _pad,
     _series_at_cutoff,
     _series_ladder,
@@ -536,6 +536,22 @@ class TestAutoCutoff:
 class TestQfiMethods:
     def test_overlap_zero_time(self):
         assert qfi_overlap(params(0.9), 0.0, dg=1e-4, n_cut=48) == 0.0
+        assert qfi_overlap(params(1e-5), 0.0) == 0.0
+
+    @pytest.mark.parametrize("g", [0.01, 0.05])
+    def test_overlap_tracks_the_generator_at_small_coupling(self, g):
+        (a,), _ = generator_qfi_grid(params(g), [1.0])
+        assert qfi_overlap(params(g), 1.0) == pytest.approx(a, rel=1e-4)
+
+    @pytest.mark.parametrize("call, field", [
+        (lambda: qfi_overlap(params(1e-5), 1.0), "g"),
+        (lambda: qfi_overlap(params(1e-3), 1.0), "g"),  # deficit 4e-14 at dg = 0.3g
+        (lambda: qfi_overlap(params(0.9), 1.0, dg=1e-8, n_cut=48), "dg"),
+    ], ids=["g1e-5", "g1e-3", "dg1e-8"])
+    def test_overlap_deficit_under_roundoff_rejected(self, call, field):
+        # the deficit used to round to 0 and the QFI came back as 0.0
+        with pytest.raises(InvalidParams, match=f"^{field}: fidelity deficit .* roundoff"):
+            call()
 
     def test_generator_zero_time(self):
         (value,), _ = generator_qfi_grid(params(0.9), [0.0], n_cut=48)
@@ -782,7 +798,10 @@ class TestTridiagonalSolver:
         op = build_effective_hamiltonian(params(0.9), 128)
         monkeypatch.setattr(np.linalg, "eigh", None)  # never reached
         for (_, diagonals), (_, energies, vectors) in zip(op.blocks, op.eig()):
-            assert np.array_equal(energies, np.linalg.eigvalsh(_dense(diagonals)))
+            # Rayleigh quotients at eigvalsh's energies, as exact as they are
+            norm = np.abs(diagonals[0]).max() + 2.0 * np.abs(diagonals[1]).max()
+            assert (np.abs(energies - np.linalg.eigvalsh(_dense(diagonals))).max()
+                    <= 1e-13 * norm)
             assert vectors.shape == (64, 64)
             assert np.abs(_band_apply(diagonals[0], diagonals[1], vectors)
                           - energies * vectors).max() <= 1e-12
@@ -864,17 +883,59 @@ class TestTridiagonalSolver:
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
         assert abs(tail - ref_tail) <= 1e-12
 
-    def test_lowest_modes_keep_only_what_they_certify(self):
+    def test_keep_rule_keeps_a_certified_prefix_that_holds_the_state(
+            self, monkeypatch, shifts):
+        # the spectrum 0.1% high fails the first stage; scrambling the upper
+        # half of the complete batch leaves its certified lower half, which
+        # holds the probe and closes under dH, so no block reaches eigh
+        p, n_cut = params(0.9), 256
+        ts = np.array([1.3, 7.0, 40.0])
+        eig = HermitianOperator.eig
+        monkeypatch.setattr(HermitianOperator, "eig", lambda self, *reach: eig(
+            self, *reach[:3], 1.001 * reach[3]))
+        iterate, kept = fock._inverse_iteration, []
+
+        def scrambled(d, e, at):
+            x = iterate(d, e, at)
+            if len(at) == len(d):
+                noise = np.random.default_rng(3).normal(size=(len(d), len(d) - len(d) // 2))
+                x[:, len(d) // 2:] = noise / np.linalg.norm(noise, axis=0)
+            return x
+
+        monkeypatch.setattr(fock, "_inverse_iteration", scrambled)
+        certify = fock._certified_modes
+        monkeypatch.setattr(fock, "_certified_modes", lambda d, e, spectrum, n: kept.append(
+            certify(d, e, spectrum, n)) or kept[-1])
+
+        def dense(*args, **kwargs):
+            raise AssertionError("a block was decomposed by eigh")
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", dense)
+            tail, rows = _effective_level(p, ts, n_cut)
+        # each block: the first stage certifies nothing, the complete batch its lower half
+        assert shifts == [n_cut // 8, n_cut // 2] * 2
+        assert [len(energies) for energies, _ in kept] == [0, n_cut // 4] * 2
+        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        scale = np.abs(reference).max(axis=1)
+        assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
+        assert abs(tail - ref_tail) <= 1e-12
+
+    def test_certified_modes_keep_only_what_they_certify(self):
         # from a guess 1e-7 high the energies are Rayleigh quotients, as exact
         # as eigvalsh's; from a guess that skips the third eigenvalue the modes
         # past it pass their residual test too, but the Sturm count sees the
-        # one missed below them, so at most the two under it are kept
+        # one missed below them, so at most the two under it are kept; from
+        # eigvalsh's energies and a final inf every mode is kept
         _, diagonals = build_effective_hamiltonian(params(0.9), 256).blocks[0]
         d, e = diagonals[0], diagonals[1]
+        m = len(d)
         exact = np.linalg.eigvalsh(_dense(diagonals))
         norm = np.abs(d).max() + 2.0 * np.abs(e).max()
-        for guess, kept in ((exact * (1.0 + 1e-7), {len(d) // 4}), (np.delete(exact, 2), {1, 2})):
-            energies, _ = _lowest_modes(d, e, guess)
+        for guess, n, kept in ((exact * (1.0 + 1e-7), m // 4, {m // 4}),
+                               (np.delete(exact, 2), m // 4, {1, 2}),
+                               (np.append(exact, np.inf), m, {m})):
+            energies, _ = _certified_modes(d, e, guess, n)
             assert len(energies) in kept
             assert np.abs(energies - exact[:len(energies)]).max() <= 1e-13 * norm
 
