@@ -10,9 +10,9 @@ blocks).  Every block decomposition goes through HermitianOperator.eig and
 its one routine, _block_eig, and a dense matrix exists only while it runs,
 for LAPACK: eigh, or for a tridiagonal block of TRIDIAGONAL_MIN rows or
 more eigvalsh alone, its vectors found by inverse iteration, certified by
-one test and kept by one rule (eigh if they are not).  States are evolved by
-eigendecomposition of each block (exactly unitary at any time; a state of
-the wrong length or norm, or a time grid that is empty, not 1-D or not
+one test and kept by one rule (eigh if they are not).  The probe is evolved
+by eigendecomposition of each block (exactly unitary at any time; an
+operator too small to hold it, or a time grid that is empty, not 1-D or not
 finite, is rejected before any decomposition), and the module computes the
 quantum Fisher information two independent ways: a fidelity finite
 difference and the spectral integral of the evolution generator.  It also
@@ -28,9 +28,9 @@ spectrum, with no dense matrix, and keeps them alone when they are all the
 state and its generator reach.  finite_frequency_point's joint squeezed-frame
 builder still takes a five-point stencil in g.
 
-Every oracle evolves the paper's one probe state, (|0> + i|1>)/sqrt(2)
-(closed_form.PROBE_AMPLITUDES), the state all the closed forms it checks
-are written for.
+Every oracle, and both evolution routines, evolve the paper's one probe
+state, (|0> + i|1>)/sqrt(2) (closed_form.PROBE_AMPLITUDES), the state all
+the closed forms it checks are written for.
 
 Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
 until the requested observables stop moving (relative test, with an
@@ -280,11 +280,9 @@ def _cutoff(n_cut) -> int:
     return int(n_cut)
 
 
-def _pad(amps: np.ndarray, n_cut: int) -> np.ndarray:
-    """Boson amplitudes ``amps`` zero-padded to ``n_cut`` (to 2*n_cut: |down> (x) |boson>)."""
-    out = np.zeros(n_cut, dtype=complex)
-    out[: len(amps)] = amps
-    return out
+def _probe(dim: int) -> np.ndarray:
+    """The probe state zero-padded to ``dim`` (to 2*n_cut: |down> (x) the probe)."""
+    return np.pad(PROBE_AMPLITUDES, (0, dim - len(PROBE_AMPLITUDES)))
 
 
 # ----------------------------------------------------------------------
@@ -427,18 +425,6 @@ def _check_tail(worst: float) -> None:
         raise TruncationLeak(f"tail mass {worst:.3e} exceeds {LEAK_TOL:.1e}; raise n_cut")
 
 
-def _state(psi0: np.ndarray, dim: int) -> np.ndarray:
-    """The amplitude array ``psi0`` as a complex vector; InvalidParams unless
-    it has length ``dim`` and norm 1."""
-    amps = np.asarray(psi0, dtype=complex)
-    if amps.shape != (dim,):
-        raise InvalidParams("psi0", f"length {amps.shape} != operator dim ({dim},)")
-    norm = np.linalg.norm(amps)
-    if not abs(norm - 1.0) <= 1e-10:
-        raise InvalidParams("psi0", f"norm {norm} != 1 beyond 1e-10")
-    return amps
-
-
 def _times(ts) -> np.ndarray:
     """``ts`` as a float array; InvalidParams unless it is a non-empty 1-D
     grid and every time is finite."""
@@ -450,25 +436,27 @@ def _times(ts) -> np.ndarray:
     return ts
 
 
-def evolve_grid(h: HermitianOperator, psi0, ts: Sequence[float]) -> np.ndarray:
-    """exp(-i*H*t)|psi0> by spectral decomposition at every time in ``ts``;
-    (dim, len(ts)) array.  Raises InvalidParams, before any decomposition,
-    for a state of the wrong length or norm or a bad time grid (_times), and
-    TruncationLeak when an evolved state puts more than LEAK_TOL weight into
-    the top Fock indices."""
-    amps0, ts = _state(psi0, h.dim), _times(ts)
-    out = _propagate(h.eig(), amps0, ts)[0]
-    _check_tail(_tail_mass(out, h.dim))
-    return out
+def evolve_grid(h: HermitianOperator, ts: Sequence[float]) -> np.ndarray:
+    """exp(-i*H*t) on the probe zero-padded to h.dim, by spectral
+    decomposition at every time in ``ts``; (dim, len(ts)) array.  Raises
+    InvalidParams, before any decomposition, for h.dim < 2 or a bad time
+    grid (_times), and TruncationLeak when an evolved state puts more than
+    LEAK_TOL weight into the top Fock indices."""
+    return _evolve(h, ts, 1)
 
 
-def evolve_joint_grid(h: HermitianOperator, amplitudes: np.ndarray,
-                      ts: Sequence[float]) -> np.ndarray:
-    """Joint-space evolution of spin-major ``amplitudes``, checked as in
-    evolve_grid, with the tail check on each spin block of length h.dim // 2."""
-    amps0, ts = _state(amplitudes, h.dim), _times(ts)
-    out = _propagate(h.eig(), amps0, ts)[0]
-    _check_tail(_tail_mass(out, h.dim // 2))
+def evolve_joint_grid(h: HermitianOperator, ts: Sequence[float]) -> np.ndarray:
+    """evolve_grid for |down> (x) the probe, spin-major: h.dim even and >= 4,
+    the tail checked on each spin block of length h.dim // 2."""
+    return _evolve(h, ts, 2)
+
+
+def _evolve(h: HermitianOperator, ts, blocks: int) -> np.ndarray:
+    if h.dim < 2 * blocks or h.dim % blocks:
+        raise InvalidParams("h", f"dim {h.dim} is not {blocks} blocks of 2 or more Fock states")
+    ts = _times(ts)
+    out = _propagate(h.eig(), _probe(h.dim), ts)[0]
+    _check_tail(_tail_mass(out, h.dim // blocks))
     return out
 
 
@@ -558,7 +546,7 @@ def _effective_level(params: ModelParams, ts: np.ndarray,
     and F_g(t) = 4*s'^2*Var_psi0[h(t)]."""
     frame = oscillator_frame(params)
     dh = tuple(0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
-    amps0 = _pad(PROBE_AMPLITUDES, n_cut)
+    amps0 = _probe(n_cut)
     spectrum = frame.omega_bar * np.sqrt(frame.stiffness) * (np.arange(n_cut) + 0.5)
     modes = build_effective_hamiltonian(params, n_cut).eig(amps0, *dh, spectrum)
     psi, hpsi = _propagate(modes, amps0, ts, dh)
@@ -609,11 +597,10 @@ def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.nda
     (their blocks bit-identical to the dense operator's, the stencil kept)
     moved it to 1024."""
     dg = 1e-5 * max(params.g, 0.01)
-    amps0 = _pad(PROBE_AMPLITUDES, 2 * n_cut)  # |down> (x) the probe state
 
     def measure(gv: float) -> tuple[np.ndarray, np.ndarray]:
         h = build_squeezed_frame_hamiltonian(replace(params, g=gv), n_cut)
-        return _x_moments(evolve_joint_grid(h, amps0, ts), n_cut)
+        return _x_moments(evolve_joint_grid(h, ts), n_cut)
 
     x0, xx0 = measure(params.g)
     (xp1, _), (xm1, _) = measure(params.g + dg), measure(params.g - dg)
@@ -685,10 +672,12 @@ def qfi_overlap(
     DEFICIT_MIN the step grows to its cap, 0.3g).  Raises StepTooLarge when
     an explicit dg leaves the deficit above 1e-2, and InvalidParams when it
     ends under DEFICIT_MIN (naming g, or an explicit dg) or, before any
-    decomposition, unless dg is finite, > 0 and at most 2g (the tuned step
-    starts at 1e-3*max(g, 0.01)).  F = 0 at t = 0, where the state is the
-    probe at every g.  With n_cut=None the ladder runs at AUTO_CUTOFF_RTOL.
+    decomposition, unless t is a finite number and dg finite, > 0 and at most
+    2g (the tuned step starts at 1e-3*max(g, 0.01)).  F = 0 at t = 0, where
+    every g gives the probe; the ladder (n_cut=None) runs at AUTO_CUTOFF_RTOL.
     """
+    if np.ndim(t) or not np.isfinite(t):
+        raise InvalidParams("t", f"must be a finite number, got {t!r}")
     if dg is not None and not 0 < dg < np.inf:  # NaN fails too
         raise InvalidParams("dg", f"must be finite and > 0, got {dg!r}")
     first = 1e-3 * max(params.g, 0.01) if dg is None else dg
@@ -698,8 +687,7 @@ def qfi_overlap(
 
     def deficit_at(n: int, step: float) -> float:
         def state(gv):
-            h = build_effective_hamiltonian(replace(params, g=gv), n)
-            return evolve_grid(h, _pad(PROBE_AMPLITUDES, n), [t])[:, 0]
+            return evolve_grid(build_effective_hamiltonian(replace(params, g=gv), n), [t])[:, 0]
 
         # rounding can make |<a|b>| exceed 1: DEFICIT_MIN refuses that too
         return 1.0 - abs(np.vdot(state(params.g - 0.5 * step), state(params.g + 0.5 * step)))
@@ -840,12 +828,13 @@ def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> Frequ
     time tau_n = 2*pi*n/sqrt(epsilon); the ladder always picks the cutoff.
     The derivative is a Richardson-extrapolated centered difference, base
     step dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of
-    the derivative scale, else StepTooLarge.  A bad peak index n, or a g the
-    stencil would take below 0 (check_g_stencil), is an InvalidParams.
+    the derivative scale, else StepTooLarge.  A bad peak index n, an eta not
+    finite or under ETA_MIN, or a g the stencil would take below 0
+    (check_g_stencil), is an InvalidParams before anything is built.
     """
     peak_indices(n)
-    if eta < ETA_MIN:
-        raise InvalidParams("eta", f"must be >= {ETA_MIN:g}, got {eta}")
+    if not ETA_MIN <= eta < np.inf:  # NaN fails too
+        raise InvalidParams("eta", f"must be finite and >= {ETA_MIN:g}, got {eta}")
     check_g_stencil(params.g)
     full_params = replace(params, Omega=eta * params.omega)
     tau = peak_time(params, n)

@@ -42,7 +42,7 @@ from cqm.fock import (
     _dense,
     _effective_level,
     _inverse_iteration,
-    _pad,
+    _probe,
     _series_at_cutoff,
     _series_ladder,
     _squared_bands,
@@ -95,7 +95,7 @@ def blockwise_generator_qfi(p, ts, n_cut):
     frame = oscillator_frame(p)
     ts = np.asarray(ts, dtype=float)
     h1_diag, h1_sup = (0.5 * frame.omega_bar * band for band in _squared_bands(_x_band(n_cut)))
-    amps0 = _pad(PROBE_AMPLITUDES, n_cut)
+    amps0 = _probe(n_cut)
     mean = np.zeros(len(ts))
     second = np.zeros(len(ts))
     for idx, energies, vectors in build_effective_hamiltonian(p, n_cut).eig():
@@ -273,7 +273,7 @@ class TestBuilders:
         def allocates(*args, **kwargs):
             raise AssertionError("allocated before the size was checked")
 
-        for name in ("_a_band", "_x_band", "_pad", "_block_eig"):
+        for name in ("_a_band", "_x_band", "_probe", "_block_eig"):
             monkeypatch.setattr(fock, name, allocates)
         with pytest.raises(InvalidParams, match=field):
             call(params(0.9, Omega=50.0))
@@ -328,22 +328,20 @@ class TestBuilders:
 class TestEvolve:
     def test_zero_time_identity(self):
         h = build_effective_hamiltonian(params(0.9), 32)
-        psi = _pad(PROBE_AMPLITUDES, 32)
-        out = evolve_grid(h, psi, [0.0])[:, 0]
-        assert np.allclose(out, psi)
+        out = evolve_grid(h, [0.0])[:, 0]
+        assert np.allclose(out, _probe(32))
 
     def test_diagonal_hamiltonian_only_rotates_phases(self):
+        # spectral propagation of an arbitrary state, below the probe routines
         h = HermitianOperator([(slice(None), {0: np.arange(8, dtype=float)})])
-        # uniform over all but the top Fock slot, which the leak check reads
         amps = np.append(np.ones(7), 0.0) / np.sqrt(7)
-        out = evolve_grid(h, amps, [0.37])[:, 0]
+        out = fock._propagate(h.eig(), amps, [0.37])[0][:, 0]
         assert np.allclose(np.abs(out), np.abs(amps))
         assert np.allclose(out, amps * np.exp(-1j * 0.37 * np.arange(8)))
 
     def test_norm_preserved_on_long_grid(self):
         h = build_effective_hamiltonian(params(0.9), 64)
-        psi = _pad(PROBE_AMPLITUDES, 64)
-        out = evolve_grid(h, psi, np.linspace(0, 100, 7))
+        out = evolve_grid(h, np.linspace(0, 100, 7))
         assert np.abs(np.linalg.norm(out, axis=0) - 1).max() < 1e-12
 
     def test_truncation_leak_raises(self):
@@ -352,37 +350,42 @@ class TestEvolve:
         h = build_effective_hamiltonian(p, 16)
         tau = float(optimal_times(p, 1)[0])
         with pytest.raises(TruncationLeak):
-            evolve_grid(h, _pad(PROBE_AMPLITUDES, 16), [tau / 2])
+            evolve_grid(h, [tau / 2])
 
     def test_joint_state_roundtrip(self):
         p = params(0.9, Omega=50.0)
         h = build_squeezed_frame_hamiltonian(p, 24)
-        psi = _pad(PROBE_AMPLITUDES, 48)  # |down> (x) the probe, spin-major
+        psi = _probe(48)  # |down> (x) the probe, spin-major
         assert psi.shape == (48,) and psi.dtype == complex
         assert np.array_equal(psi[:2], PROBE_AMPLITUDES) and not psi[2:].any()
-        out = evolve_joint_grid(h, psi, [0.0, 1.0])
+        out = evolve_joint_grid(h, [0.0, 1.0])
         assert np.abs(out[:, 0] - psi).max() < 1e-12
         assert np.linalg.norm(out[:, 1]) == pytest.approx(1.0, abs=1e-12)
         assert np.abs(out[24:, 1]).max() > 0.0  # the coupling flips the spin
 
-    def test_unnormalized_states_rejected_by_both_routines(self, monkeypatch):
-        # rejected before any decomposition: eig() must not run
-        def no_eig(self):
-            raise AssertionError("eig() ran before the state was checked")
+    @pytest.mark.parametrize("evolve, dim", [
+        (evolve_grid, 1), (evolve_joint_grid, 1), (evolve_joint_grid, 2),
+        (evolve_joint_grid, 33),
+    ], ids=["boson-1", "joint-1", "joint-2", "joint-odd"])
+    def test_operators_too_small_for_the_probe_rejected(self, monkeypatch, evolve, dim):
+        # before any decomposition: an odd joint dim used to fail in the tail
+        # check's reshape with numpy's ValueError
+        def no_decomposition(*args):
+            raise AssertionError("a block was decomposed before the operator was checked")
 
-        monkeypatch.setattr(HermitianOperator, "eig", no_eig)
-        boson = build_effective_hamiltonian(params(0.9), 16)
-        joint = build_squeezed_frame_hamiltonian(params(0.9, Omega=50.0), 16)
-        cases = [(evolve_grid, boson, _pad(PROBE_AMPLITUDES, 16)),
-                 (evolve_joint_grid, joint, _pad(PROBE_AMPLITUDES, 32))]
-        for evolve, h, psi in cases:
-            nan = psi.copy()
-            nan[-1] = np.nan
-            for bad, what in ((1.01 * psi, "norm"), (0.5 * psi, "norm"), (nan, "norm"),
-                              (psi[:-1], "length"), (np.append(psi, 0.0), "length"),
-                              (psi[:, None], "length")):
-                with pytest.raises(InvalidParams, match=what):
-                    evolve(h, bad, [1.0])
+        h = HermitianOperator([(slice(None), {0: np.arange(float(dim))})])
+        monkeypatch.setattr(fock, "_block_eig", no_decomposition)
+        with pytest.raises(InvalidParams, match=f"h: dim {dim} "):
+            evolve(h, [1.0])
+
+    @pytest.mark.parametrize("evolve, dim", [(evolve_grid, 2), (evolve_joint_grid, 4)],
+                             ids=["boson-2", "joint-4"])
+    def test_smallest_operators_pass_the_size_check(self, evolve, dim):
+        # the probe fills the top Fock slot of each n_cut = 2 block, so the
+        # evolution runs and the tail check, not the size check, refuses it
+        h = HermitianOperator([(slice(None), {0: np.arange(float(dim)), 1: np.ones(dim - 1)})])
+        with pytest.raises(TruncationLeak, match="tail mass"):
+            evolve(h, [0.0, 0.3])
 
     @pytest.mark.parametrize("ts, what", [
         ([1.0, np.nan], "finite"), ([np.inf], "finite"), ([0.0, -np.inf], "finite"),
@@ -397,11 +400,10 @@ class TestEvolve:
             raise AssertionError("a block was decomposed before the times were checked")
 
         monkeypatch.setattr(fock, "_block_eig", no_decomposition)
-        p, psi = params(0.9), PROBE_AMPLITUDES
+        p = params(0.9)
         calls = [
-            lambda: evolve_grid(build_effective_hamiltonian(p, 16), _pad(psi, 16), ts),
-            lambda: evolve_joint_grid(build_full_hamiltonian(params(0.9, Omega=50.0), 16),
-                                      _pad(psi, 32), ts),
+            lambda: evolve_grid(build_effective_hamiltonian(p, 16), ts),
+            lambda: evolve_joint_grid(build_full_hamiltonian(params(0.9, Omega=50.0), 16), ts),
             lambda: generator_qfi_grid(p, ts, n_cut=64),
             lambda: generator_qfi_grid(p, ts),
             lambda: quadrature_series(p, ts, n_cut=64),
@@ -415,10 +417,14 @@ class TestEvolve:
                 call()
 
     def test_a_nan_norm_fails_the_unitarity_check(self):
+        # _propagate evolves any state: a NaN amplitude, or a NaN time, fails
+        # its norm check
         h = build_effective_hamiltonian(params(0.9), 16)
-        amps = _pad(PROBE_AMPLITUDES, 16)
-        with pytest.raises(TruncationLeak, match="unitarity"):
-            fock._propagate(h.eig(), amps, [1.0, np.nan])
+        nan = _probe(16)
+        nan[-1] = np.nan
+        for amps, ts in ((_probe(16), [1.0, np.nan]), (nan, [1.0])):
+            with pytest.raises(TruncationLeak, match="unitarity"):
+                fock._propagate(h.eig(), amps, ts)
 
 
 class TestBandContraction:
@@ -495,6 +501,19 @@ class TestAutoCutoff:
             generator_qfi_grid(params(0.9), [1.0], n_cut=64, rtol=bad)
         with pytest.raises(InvalidParams, match="dg"):
             qfi_overlap(params(0.9), 1.0, dg=bad, n_cut=48)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [1.0, 2.0], [[1.0]]],
+                             ids=["nan", "inf", "-inf", "pair", "2-D"])
+    def test_bad_time_named_before_any_hamiltonian_is_built(self, monkeypatch, t):
+        # the error used to come from evolve_grid, naming its grid `ts`
+        def no_build(*args):
+            raise AssertionError("a Hamiltonian was built before t was checked")
+
+        monkeypatch.setattr(fock, "build_effective_hamiltonian", no_build)
+        for n_cut in (None, 48):
+            with pytest.raises(InvalidParams) as err:
+                qfi_overlap(params(0.9), t, n_cut=n_cut)
+            assert err.value.field == "t"
 
     @pytest.mark.parametrize("call, field", [
         (lambda: qfi_overlap(params(0.0), 1.0), "g"),  # the tuned step starts at 1e-5
@@ -595,7 +614,7 @@ class TestQfiMethods:
         h1 = vectors.T @ (0.5 * frame.omega_bar * (x @ x)) @ vectors
         de = energies[:, None] - energies[None, :]
         near = np.abs(de) < 1e-12
-        coeffs = vectors.T @ _pad(PROBE_AMPLITUDES, n_cut)
+        coeffs = vectors.T @ _probe(n_cut)
         reference = []
         for t in ts:
             kernel = np.where(near, t, (np.exp(1j * de * t) - 1.0) / (1j * np.where(near, 1.0, de)))
@@ -1006,6 +1025,18 @@ class TestFiniteFrequency:
     def test_eta_floor(self):
         with pytest.raises(InvalidParams):
             finite_frequency_point(params(0.9), 5.0)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_eta_named_before_any_hamiltonian_is_built(self, monkeypatch, eta):
+        # a NaN or infinite eta used to reach ModelParams as Omega = eta*omega
+        # and be refused as `Omega: must be finite`
+        def no_build(*args):
+            raise AssertionError("a Hamiltonian was built before eta was checked")
+
+        monkeypatch.setattr(fock, "build_squeezed_frame_hamiltonian", no_build)
+        with pytest.raises(InvalidParams) as err:
+            finite_frequency_point(params(0.9), eta)
+        assert err.value.field == "eta"
 
     @pytest.mark.parametrize("n", [0, -1, 1.5, 2.0**53])
     def test_peak_index_checked_before_any_decomposition(self, monkeypatch, n):
