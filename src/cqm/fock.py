@@ -34,9 +34,12 @@ the closed forms it checks are written for.
 
 Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
 until the requested observables stop moving (relative test, with an
-absolute floor for the quadrature blocks); all but finite_frequency_point
-and ratio_oracle also take a pinned n_cut, an integer >= 4.  The tolerances
-are module constants, not arguments.
+absolute floor for the quadrature blocks); only quadrature_series and
+generator_qfi_grid also take a pinned n_cut, an integer >= 4, and
+qfi_overlap always tunes its fidelity step.  The tolerances are module
+constants, not arguments.  Every function here that takes a ModelParams
+takes one (g, lam) point: an array of couplings is an InvalidParams before
+any Hamiltonian is built.
 States anti-squeeze near criticality, with Fock tails decaying only like
 (1 - 2*epsilon_g)^n, so near-critical runs legitimately need cutoffs of
 order 1/epsilon_g; the doubling ladder finds that automatically.
@@ -58,7 +61,7 @@ from .errors import (
     TruncationLeak,
 )
 from .closed_form import PROBE_AMPLITUDES, inverted_variance_peak, peak_indices, peak_time
-from .model import ModelParams, Regime, effective_oscillator, oscillator_frame
+from .model import ModelParams, Regime, _one_point, effective_oscillator, oscillator_frame
 
 AUTO_CUTOFF_START = 32
 AUTO_CUTOFF_MAX = 4096
@@ -318,6 +321,7 @@ def build_full_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOperator
     omega*a^dag*a + (Omega/2)*sigma_z + (sqrt(omega*Omega)/2)*g*(a+a^dag)*sigma_x
     + lam*(a+a^dag)^2.
     """
+    _one_point(params)
     coupling = 0.5 * np.sqrt(params.omega * params.Omega) * params.g
     return _joint_hamiltonian(n_cut, params.omega, params.Omega, coupling, params.lam)
 
@@ -332,6 +336,7 @@ def build_squeezed_frame_hamiltonian(params: ModelParams, n_cut: int) -> Hermiti
     This is the frame in which the low-frequency closed forms are written;
     at lam = 0 it coincides with build_full_hamiltonian.
     """
+    _one_point(params)
     coupling = (
         0.5
         * np.sqrt(params.omega * params.Omega)
@@ -350,6 +355,7 @@ def build_effective_hamiltonian(params: ModelParams, n_cut: int) -> HermitianOpe
     The stiffness is epsilon_g in the normal regime and epsilon_g_alpha past
     the critical point; on the critical line neither reduction applies.
     """
+    _one_point(params)
     n_cut = _cutoff(n_cut)
     frame = oscillator_frame(params)
     xx_diag, xx_sup = _squared_bands(_x_band(n_cut))
@@ -648,6 +654,7 @@ def quadrature_series(params: ModelParams, ts: Sequence[float],
     by at most SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.  A bad
     time grid (_times) or pinned n_cut (_cutoff) is an InvalidParams.
     """
+    _one_point(params)
     ts = _times(ts)
     return _series_ladder(_leak_checked(partial(_effective_level, params, ts)), ts, n_cut)
 
@@ -656,34 +663,27 @@ def quadrature_series(params: ModelParams, ts: Sequence[float],
 # QFI, two independent ways
 # ----------------------------------------------------------------------
 
-def qfi_overlap(
-    params: ModelParams,
-    t: float,
-    dg: float | None = None,
-    n_cut: int | None = None,
-) -> float:
+def qfi_overlap(params: ModelParams, t: float) -> float:
     """QFI of the effective oscillator about the probe state from the
     fidelity drop between evolutions at g -/+ dg/2:
 
     F ~= 8*(1 - |<psi_{g-dg/2}(t)|psi_{g+dg/2}(t)>|) / dg^2.
 
-    With dg=None the step is tuned so the fidelity deficit sits near 1e-6,
-    far from both the quadratic-validity ceiling (1e-2) and roundoff (under
-    DEFICIT_MIN the step grows to its cap, 0.3g).  Raises StepTooLarge when
-    an explicit dg leaves the deficit above 1e-2, and InvalidParams when it
-    ends under DEFICIT_MIN (naming g, or an explicit dg) or, before any
-    decomposition, unless t is a finite number and dg finite, > 0 and at most
-    2g (the tuned step starts at 1e-3*max(g, 0.01)).  F = 0 at t = 0, where
-    every g gives the probe; the ladder (n_cut=None) runs at AUTO_CUTOFF_RTOL.
+    The step dg is tuned from 1e-3*max(g, 0.01) so the fidelity deficit sits
+    near 1e-6, far from both the quadratic-validity ceiling (1e-2) and
+    roundoff (under DEFICIT_MIN the step grows to its cap, 0.3g), and the
+    ladder picks the cutoff at AUTO_CUTOFF_RTOL.  Raises StepTooLarge when the
+    tuned step leaves the deficit above 1e-2, and InvalidParams naming g when
+    it ends under DEFICIT_MIN or, before any decomposition, when the first
+    step would take g below 0 (or naming t unless t is a finite number).
+    F = 0 at t = 0, where every g gives the probe.
     """
+    _one_point(params)
     if np.ndim(t) or not np.isfinite(t):
         raise InvalidParams("t", f"must be a finite number, got {t!r}")
-    if dg is not None and not 0 < dg < np.inf:  # NaN fails too
-        raise InvalidParams("dg", f"must be finite and > 0, got {dg!r}")
-    first = 1e-3 * max(params.g, 0.01) if dg is None else dg
+    first = 1e-3 * max(params.g, 0.01)
     if params.g < 0.5 * first:
-        raise InvalidParams("g" if dg is None else "dg",
-                            f"the fidelity step {first:g} takes g = {params.g:g} below 0")
+        raise InvalidParams("g", f"the fidelity step {first:g} takes g = {params.g:g} below 0")
 
     def deficit_at(n: int, step: float) -> float:
         def state(gv):
@@ -696,34 +696,31 @@ def qfi_overlap(
         if t == 0:
             return 0.0
         step = first
-        if dg is None:
-            for _ in range(40):  # geometric search for deficit ~ 1e-6
-                d = deficit_at(n, step)
-                if d > 1e-2:
-                    step *= 0.25
-                elif d < DEFICIT_MIN and step < 0.3 * params.g:
-                    step = 0.3 * params.g  # under roundoff: try the largest step
-                else:
-                    step = min(step * np.sqrt(1e-6 / max(d, DEFICIT_MIN)), 0.3 * params.g)
-                    break
+        for _ in range(40):  # geometric search for deficit ~ 1e-6
+            d = deficit_at(n, step)
+            if d > 1e-2:
+                step *= 0.25
+            elif d < DEFICIT_MIN and step < 0.3 * params.g:
+                step = 0.3 * params.g  # under roundoff: try the largest step
+            else:
+                step = min(step * np.sqrt(1e-6 / max(d, DEFICIT_MIN)), 0.3 * params.g)
+                break
         d = deficit_at(n, step)
         if d > 1e-2:
-            raise StepTooLarge(
-                f"fidelity deficit {d:.3e} > 1e-2 at dg = {step:.3e}; halve dg"
-            )
+            raise StepTooLarge(f"fidelity deficit {d:.3e} > 1e-2 at the tuned step "
+                               f"{step:.3e} about g = {params.g:g}")
         if d < DEFICIT_MIN:
-            raise InvalidParams("g" if dg is None else "dg", f"fidelity deficit {d:.3e} at "
-                                f"dg = {step:.3e} is under the roundoff floor {DEFICIT_MIN:g}")
+            raise InvalidParams("g", f"fidelity deficit {d:.3e} at the step {step:.3e} is "
+                                     f"under the roundoff floor {DEFICIT_MIN:g}")
         return 8.0 * d / step**2
 
-    if n_cut is not None:
-        return qfi_at(_cutoff(n_cut))
     _, values = auto_cutoff(qfi_at)
     return float(values[0])
 
 
 def _normal_level(params: ModelParams, ts):
     """_effective_level bound to one normal-regime point; RegimeError past it."""
+    _one_point(params)
     if effective_oscillator(params).regime is not Regime.NORMAL:
         raise RegimeError("the generator QFI is defined for the normal regime")
     return partial(_effective_level, params, _times(ts))
@@ -779,6 +776,7 @@ def verify_reciprocal_relation(params: ModelParams, n_cut: int) -> float:
     exact in the untruncated algebra; truncation corrupts the top rows, so the
     residual is evaluated on the lowest 80% of Fock indices.
     """
+    _one_point(params)
     n_cut = _cutoff(n_cut)
     eff = effective_oscillator(params)
     if eff.regime is not Regime.NORMAL:
@@ -828,13 +826,17 @@ def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> Frequ
     time tau_n = 2*pi*n/sqrt(epsilon); the ladder always picks the cutoff.
     The derivative is a Richardson-extrapolated centered difference, base
     step dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of
-    the derivative scale, else StepTooLarge.  A bad peak index n, an eta not
-    finite or under ETA_MIN, or a g the stencil would take below 0
-    (check_g_stencil), is an InvalidParams before anything is built.
+    the derivative scale, else StepTooLarge.  An array of couplings, a peak
+    index n that is not one integer >= 1, an eta that is not one finite number
+    >= ETA_MIN, or a g the stencil would take below 0 (check_g_stencil), is an
+    InvalidParams before anything is built.
     """
+    _one_point(params)
+    if np.ndim(n):
+        raise InvalidParams("n", f"must be one index, not the peak indices {np.ravel(n).tolist()}")
     peak_indices(n)
-    if not ETA_MIN <= eta < np.inf:  # NaN fails too
-        raise InvalidParams("eta", f"must be finite and >= {ETA_MIN:g}, got {eta}")
+    if np.ndim(eta) or not ETA_MIN <= eta < np.inf:  # NaN fails too
+        raise InvalidParams("eta", f"must be one finite number >= {ETA_MIN:g}, got {eta!r}")
     check_g_stencil(params.g)
     full_params = replace(params, Omega=eta * params.omega)
     tau = peak_time(params, n)

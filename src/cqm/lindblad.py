@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .closed_form import _normal_frame, sin_minus_x_cos_over_x3, x_deriv_g, x_mean
-from .model import ModelParams, OscillatorFrame, _unwrap, effective_oscillator
+from .model import ModelParams, OscillatorFrame, _one_point, _unwrap, effective_oscillator
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -61,7 +61,10 @@ def moment_generator(params: ModelParams, rates: DecayRates) -> np.ndarray:
         d<X^2> = -gamma_-*<X^2> + wbar*<G> + gamma_+/2
         d<P^2> = -gamma_-*<P^2> - eps/(4*wbar)*<G> + gamma_+/2
         d<G>   = -gamma_-*<G> + 2*wbar*<P^2> - eps/(2*wbar)*<X^2>
+
+    One (g, lam) point a call: an array of couplings is an InvalidParams.
     """
+    _one_point(params)
     eff = effective_oscillator(params)
     wbar, eps = eff.omega_bar, eff.epsilon
     gm, gp = rates.gamma_minus, rates.gamma_plus

@@ -153,6 +153,14 @@ def _unwrap(value):
     return value if getattr(value, "ndim", 0) else float(value)
 
 
+def _one_point(params: ModelParams) -> None:
+    """InvalidParams naming g if ``params`` holds an array of couplings: the
+    Fock-space and moment-equation engines evolve one (g, lam) point a call."""
+    if np.ndim(params.g):
+        raise InvalidParams("g", f"must be one coupling, not an array of shape "
+                                 f"{np.shape(params.g)}")
+
+
 @dataclass(frozen=True)
 class EffectiveOscillator:
     """Low-energy oscillator of the spin-down sector.

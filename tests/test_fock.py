@@ -51,6 +51,7 @@ from cqm.fock import (
     _x_moments,
     evolve_joint_grid,
 )
+from cqm.lindblad import NO_DECAY, integrate_moments, moment_generator
 
 
 def params(g, lam=0.0, omega=1.0, Omega=1e4):
@@ -260,13 +261,12 @@ class TestBuilders:
         (lambda p: build_squeezed_frame_hamiltonian(p, np.float64(8.0)), "n_cut"),
         (lambda p: quadrature_series(p, [1.0], n_cut=64.0), "n_cut"),  # numpy's TypeError
         (lambda p: generator_qfi_grid(p, [1.0], n_cut=64.0), "n_cut"),
-        (lambda p: qfi_overlap(p, 1.0, n_cut=64.0), "n_cut"),
         (lambda p: quadrature_series(p, [1.0], n_cut=True), "n_cut"),  # blamed the state
         (lambda p: generator_qfi_grid(p, [1.0], n_cut=np.int64(2)), "n_cut"),
         (lambda p: verify_reciprocal_relation(p, 0), "n_cut"),  # a zero-size ValueError
         (lambda p: verify_reciprocal_relation(p, 3.0), "n_cut"),
     ], ids=["effective-4.5", "full-8.0", "squeezed-float64", "series-64.0",
-            "generator-64.0", "overlap-64.0", "series-True",
+            "generator-64.0", "series-True",
             "generator-int64-2", "reciprocal-0", "reciprocal-3.0"])
     def test_sizes_rejected_unless_integers_in_range(self, monkeypatch, call, field):
         # before any band, padded state or decomposition is made
@@ -277,6 +277,34 @@ class TestBuilders:
             monkeypatch.setattr(fock, name, allocates)
         with pytest.raises(InvalidParams, match=field):
             call(params(0.9, Omega=50.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda p: build_full_hamiltonian(p, 16),  # numpy broadcasting ValueErrors
+        lambda p: build_squeezed_frame_hamiltonian(p, 16),
+        lambda p: build_effective_hamiltonian(p, 16),
+        lambda p: quadrature_series(p, [1.0]),
+        lambda p: quadrature_series(p, [1.0], n_cut=64),
+        lambda p: qfi_overlap(p, 1.0),  # "truth value ... ambiguous"
+        lambda p: finite_frequency_point(p, 100.0),
+        lambda p: generator_qfi_grid(p, [1.0]),  # a RegimeError for two normal couplings
+        lambda p: ratio_oracle(p, [1.0]),
+        lambda p: verify_reciprocal_relation(p, 16),
+        lambda p: moment_generator(p, NO_DECAY),  # "inhomogeneous shape"
+        lambda p: integrate_moments(p, NO_DECAY, [0.0, 1.0]),
+    ], ids=["full", "squeezed", "effective", "series", "series-pinned", "overlap",
+            "frequency", "generator", "ratio", "reciprocal", "moment-generator",
+            "integrate-moments"])
+    def test_array_couplings_rejected_before_any_hamiltonian_is_built(self, monkeypatch, call):
+        # ModelParams holds an array of couplings for the closed forms; the
+        # exact engines evolve one point a call
+        def allocates(*args, **kwargs):
+            raise AssertionError("allocated before the coupling was checked")
+
+        for name in ("_a_band", "_x_band", "_probe", "_block_eig"):
+            monkeypatch.setattr(fock, name, allocates)
+        with pytest.raises(InvalidParams) as err:
+            call(params(np.array([0.5, 0.6])))
+        assert err.value.field == "g"
 
     def test_hermitian_wrapper_rejects_nonhermitian(self):
         # complex: i on both off-diagonals is symmetric but not Hermitian
@@ -486,8 +514,8 @@ class TestAutoCutoff:
     def test_bad_rtol_or_dg_rejected_before_any_run(self, monkeypatch, bad):
         # the ladder tolerance is the constant AUTO_CUTOFF_RTOL: an rtol, bad
         # or not, is refused before any run (with a pinned n_cut a NaN rtol
-        # used to pass unchecked); dg = 0 made qfi_overlap return inf with a
-        # divide-by-zero warning
+        # used to pass unchecked); qfi_overlap always tunes its step on the
+        # ladder, so a step dg or a pinned n_cut is refused the same way
         def run(n):
             raise AssertionError("run was called before rtol was refused")
 
@@ -499,8 +527,10 @@ class TestAutoCutoff:
         monkeypatch.setattr(fock, "_block_eig", no_decomposition)
         with pytest.raises(TypeError, match="rtol"):
             generator_qfi_grid(params(0.9), [1.0], n_cut=64, rtol=bad)
-        with pytest.raises(InvalidParams, match="dg"):
-            qfi_overlap(params(0.9), 1.0, dg=bad, n_cut=48)
+        with pytest.raises(TypeError, match="dg"):
+            qfi_overlap(params(0.9), 1.0, dg=bad)
+        with pytest.raises(TypeError, match="n_cut"):
+            qfi_overlap(params(0.9), 1.0, n_cut=48)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [1.0, 2.0], [[1.0]]],
                              ids=["nan", "inf", "-inf", "pair", "2-D"])
@@ -510,19 +540,17 @@ class TestAutoCutoff:
             raise AssertionError("a Hamiltonian was built before t was checked")
 
         monkeypatch.setattr(fock, "build_effective_hamiltonian", no_build)
-        for n_cut in (None, 48):
-            with pytest.raises(InvalidParams) as err:
-                qfi_overlap(params(0.9), t, n_cut=n_cut)
-            assert err.value.field == "t"
+        with pytest.raises(InvalidParams) as err:
+            qfi_overlap(params(0.9), t)
+        assert err.value.field == "t"
 
-    @pytest.mark.parametrize("call, field", [
-        (lambda: qfi_overlap(params(0.0), 1.0), "g"),  # the tuned step starts at 1e-5
-        (lambda: qfi_overlap(params(1e-6), 1.0, dg=3e-6), "dg"),
-        (lambda: finite_frequency_point(params(0.0), 100.0), "g"),
-        (lambda: finite_frequency_point(params(5e-8), 100.0), "g"),
-    ], ids=["overlap-g0", "overlap-dg-above-2g", "frequency-g0", "frequency-5e-8"])
+    @pytest.mark.parametrize("call", [
+        lambda: qfi_overlap(params(0.0), 1.0),  # the tuned step starts at 1e-5
+        lambda: finite_frequency_point(params(0.0), 100.0),
+        lambda: finite_frequency_point(params(5e-8), 100.0),
+    ], ids=["overlap-g0", "frequency-g0", "frequency-5e-8"])
     def test_steps_below_zero_coupling_rejected_before_any_decomposition(
-            self, monkeypatch, call, field):
+            self, monkeypatch, call):
         # g = 0 is valid, but the fidelity step and the g-stencil reach
         # g - dg/2 and g - dg: ModelParams used to reject a coupling the
         # caller never passed
@@ -530,7 +558,7 @@ class TestAutoCutoff:
             raise AssertionError("a block was decomposed before the step was checked")
 
         monkeypatch.setattr(fock, "_block_eig", no_decomposition)
-        with pytest.raises(InvalidParams, match=f"^{field}: .* below 0"):
+        with pytest.raises(InvalidParams, match="^g: .* below 0"):
             call()
 
     def test_leak_restarts_comparison(self):
@@ -554,7 +582,7 @@ class TestAutoCutoff:
 
 class TestQfiMethods:
     def test_overlap_zero_time(self):
-        assert qfi_overlap(params(0.9), 0.0, dg=1e-4, n_cut=48) == 0.0
+        assert qfi_overlap(params(0.9), 0.0) == 0.0
         assert qfi_overlap(params(1e-5), 0.0) == 0.0
 
     @pytest.mark.parametrize("g", [0.01, 0.05])
@@ -562,15 +590,26 @@ class TestQfiMethods:
         (a,), _ = generator_qfi_grid(params(g), [1.0])
         assert qfi_overlap(params(g), 1.0) == pytest.approx(a, rel=1e-4)
 
-    @pytest.mark.parametrize("call, field", [
-        (lambda: qfi_overlap(params(1e-5), 1.0), "g"),
-        (lambda: qfi_overlap(params(1e-3), 1.0), "g"),  # deficit 4e-14 at dg = 0.3g
-        (lambda: qfi_overlap(params(0.9), 1.0, dg=1e-8, n_cut=48), "dg"),
-    ], ids=["g1e-5", "g1e-3", "dg1e-8"])
-    def test_overlap_deficit_under_roundoff_rejected(self, call, field):
-        # the deficit used to round to 0 and the QFI came back as 0.0
-        with pytest.raises(InvalidParams, match=f"^{field}: fidelity deficit .* roundoff"):
-            call()
+    @pytest.mark.parametrize("g", [1e-5, 1e-3], ids=["g1e-5", "g1e-3"])
+    def test_overlap_deficit_under_roundoff_rejected(self, g):
+        # the deficit used to round to 0 and the QFI came back as 0.0; at
+        # g = 1e-3 it is 4e-14 even at the largest step, 0.3g
+        with pytest.raises(InvalidParams, match="^g: fidelity deficit .* roundoff"):
+            qfi_overlap(params(g), 1.0)
+
+    def test_overlap_deficit_the_search_cannot_lower_rejected(self, monkeypatch):
+        # orthogonal states at every step: the search quarters the step 40
+        # times and the guard still sees a deficit of 1
+        calls = []
+
+        def orthogonal(h, ts):
+            calls.append(None)
+            return np.eye(h.dim, 1, k=-(len(calls) % 2))
+
+        monkeypatch.setattr(fock, "evolve_grid", orthogonal)
+        with pytest.raises(StepTooLarge, match="deficit 1.000e\\+00 > 1e-2 .* g = 0.9$"):
+            qfi_overlap(params(0.9), 1.0)
+        assert len(calls) == 2 * 41
 
     def test_generator_zero_time(self):
         (value,), _ = generator_qfi_grid(params(0.9), [0.0], n_cut=48)
@@ -582,18 +621,6 @@ class TestQfiMethods:
             (a,), _ = generator_qfi_grid(p, [t])
             b = qfi_overlap(p, t)
             assert b == pytest.approx(a, rel=1e-4)
-
-    def test_overlap_step_halving_consistency(self):
-        p = params(0.9)
-        t = 5.0
-        a = qfi_overlap(p, t, dg=2e-4, n_cut=96)
-        b = qfi_overlap(p, t, dg=1e-4, n_cut=96)
-        assert b == pytest.approx(a, rel=1e-3)
-
-    def test_overlap_step_too_large(self):
-        p = params(0.099, lam=-0.2475)
-        with pytest.raises(StepTooLarge):
-            qfi_overlap(p, 1000.0, dg=5e-3, n_cut=512)
 
     def test_generator_grid_matches_scalar(self):
         p = params(0.9)
@@ -1026,7 +1053,11 @@ class TestFiniteFrequency:
         with pytest.raises(InvalidParams):
             finite_frequency_point(params(0.9), 5.0)
 
-    @pytest.mark.parametrize("eta", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("eta", [
+        np.nan, np.inf, -np.inf,
+        pytest.param(np.array([100.0, 200.0]), id="pair"),  # "truth value ... ambiguous"
+        pytest.param(np.array([100.0]), id="one-element"),  # a TypeError
+    ])
     def test_non_finite_eta_named_before_any_hamiltonian_is_built(self, monkeypatch, eta):
         # a NaN or infinite eta used to reach ModelParams as Omega = eta*omega
         # and be refused as `Omega: must be finite`
@@ -1038,14 +1069,18 @@ class TestFiniteFrequency:
             finite_frequency_point(params(0.9), eta)
         assert err.value.field == "eta"
 
-    @pytest.mark.parametrize("n", [0, -1, 1.5, 2.0**53])
+    @pytest.mark.parametrize("n", [
+        0, -1, 1.5, 2.0**53,
+        pytest.param(np.array([1, 2]), id="pair"),  # both blamed the time grid ts
+        pytest.param([1], id="list"),
+    ])
     def test_peak_index_checked_before_any_decomposition(self, monkeypatch, n):
         # n = 0 used to reach the ladder at tau_0 = 0 and fail as StepTooLarge
         def no_decomposition(*args):
             raise AssertionError("a block was decomposed before n was checked")
 
         monkeypatch.setattr(fock, "_block_eig", no_decomposition)
-        with pytest.raises(InvalidParams, match="peak indices"):
+        with pytest.raises(InvalidParams, match="^n: .*peak indices"):
             finite_frequency_point(params(0.9), 100.0, n=n)
 
     def test_full_model_tracks_closed_form_at_large_eta(self):
