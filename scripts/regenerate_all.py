@@ -38,7 +38,7 @@ def main() -> int:
         help="directory for the CSV outputs",
     )
     parser.add_argument(
-        "--experiments", nargs="*", default=experiment_ids(),
+        "--experiments", nargs="*", default=experiment_ids(), choices=experiment_ids(),
         help="subset of experiment ids (default: all)",
     )
     args = parser.parse_args()

@@ -35,7 +35,7 @@ class NonFinite(CqmError):
 
 
 class NonPositiveData(CqmError):
-    """Log-log fitting requires strictly positive data."""
+    """Log-log fitting requires matched, finite, strictly positive data."""
 
 
 class ConfigError(CqmError):

@@ -275,10 +275,7 @@ def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
               "inv_var": lb.inverted_variance_dissipative(params, rates, ts)}
     if cfg.engine == "closed":
         return {**base, **closed}
-    # the ODE runs from t = 0; prepend it when the grid starts later
-    ode_ts = ts if ts[0] == 0.0 else np.concatenate([[0.0], ts])
-    skip = len(ode_ts) - len(ts)
-    moments = lb.integrate_moments(params, rates, ode_ts)[skip:]
+    moments = lb.integrate_moments(params, rates, ts)
     x, x_var = moments[:, 0], moments[:, 2] - moments[:, 0] ** 2
     dxdg = lb.x_deriv_g_dissipative(params, rates, ts)
     oracle = {"x_mean": x, "x_var": x_var, "inv_var": dxdg**2 / x_var}
@@ -551,9 +548,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         t = np.atleast_1d(v["t_per"])
         if np.any(t < 0):
             raise ConfigError("the damped dynamics need a t_per grid that is >= 0")
-        if cfg.engine != "closed" and (np.any(np.diff(t) <= 0) or t[-1] == 0):
-            raise ConfigError("the moment ODE needs a t_per grid that is strictly "
-                              "increasing and reaches past 0")
+        if cfg.engine != "closed" and np.any(np.diff(t) <= 0):
+            raise ConfigError("the moment ODE needs a t_per grid that is strictly increasing")
     if "eta" in v and np.any(np.atleast_1d(v["eta"]) < fock.ETA_MIN):
         raise ConfigError(f"eta must be >= {fock.ETA_MIN:g}")
     if "eta" in v and np.unique(v["eta"]).size < 5:  # as fit_loglog_slope needs per case
@@ -809,13 +805,18 @@ class SlopeFit:
 
 def fit_loglog_slope(data: tuple) -> SlopeFit:
     """Least-squares slope of log(y) vs log(x) over an (x, y) pair, with its
-    standard error."""
+    standard error; NonPositiveData unless x and y are 1-D, of one length,
+    >= 5 points, finite and > 0, with two or more distinct log(x)."""
     x, y = (np.asarray(a, dtype=float) for a in data)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise NonPositiveData(f"need x and y of one length, got shapes {x.shape} and {y.shape}")
     if len(x) < 5:
         raise NonPositiveData(f"need >= 5 points, got {len(x)}")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise NonPositiveData("log-log fit needs strictly positive data")
+    if not (np.all((x > 0) & (x < np.inf)) and np.all((y > 0) & (y < np.inf))):  # NaN fails
+        raise NonPositiveData("log-log fit needs finite, strictly positive data")
     lx, ly = np.log(x), np.log(y)
+    if np.ptp(lx) == 0:
+        raise NonPositiveData("log-log fit needs two or more distinct x")
     design = np.vstack([np.ones_like(lx), lx]).T
     coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
     residual = ly - design @ coef

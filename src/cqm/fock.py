@@ -32,14 +32,14 @@ Every oracle, and both evolution routines, evolve the paper's one probe
 state, (|0> + i|1>)/sqrt(2) (closed_form.PROBE_AMPLITUDES), the state all
 the closed forms it checks are written for.
 
-Truncation policy: the oracles double the basis from AUTO_CUTOFF_START
+Truncation policy: every oracle doubles the basis from AUTO_CUTOFF_START
 until the requested observables stop moving (relative test, with an
-absolute floor for the quadrature blocks); only quadrature_series and
-generator_qfi_grid also take a pinned n_cut, an integer >= 4, and
-qfi_overlap always tunes its fidelity step.  The tolerances are module
-constants, not arguments.  Every function here that takes a ModelParams
-takes one (g, lam) point: an array of couplings is an InvalidParams before
-any Hamiltonian is built.
+absolute floor for the quadrature blocks), and qfi_overlap always tunes its
+fidelity step.  No oracle takes a cutoff or a tolerance: they are module
+constants.  Only the builders and verify_reciprocal_relation take an n_cut,
+an integer >= 4.  Every function here that takes a ModelParams takes one
+(g, lam) point: an array of couplings is an InvalidParams before any
+Hamiltonian is built.
 States anti-squeeze near criticality, with Fock tails decaying only like
 (1 - 2*epsilon_g)^n, so near-critical runs legitimately need cutoffs of
 order 1/epsilon_g; the doubling ladder finds that automatically.
@@ -617,10 +617,9 @@ def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.nda
     return np.array([x0, xx0, deriv, d_wide, d_half])
 
 
-def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray,
-                   n_cut: int | None) -> QuadratureSeries:
-    """QuadratureSeries from the rows x, x^2, dx/dg of ``run`` at ``n_cut`` or
-    the accepted cutoff; further rows are two stencils, checked together."""
+def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray) -> QuadratureSeries:
+    """QuadratureSeries from the rows x, x^2, dx/dg of ``run`` at the accepted
+    cutoff; further rows are two stencils, checked together."""
 
     def converged(prev: np.ndarray, new: np.ndarray) -> bool:
         # curves cross zero, so convergence is judged per block (x, x^2,
@@ -631,12 +630,7 @@ def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray,
                 return False
         return True
 
-    if n_cut is None:
-        n_cut, got = auto_cutoff(run, converged=converged)
-    else:
-        n_cut = _cutoff(n_cut)
-        got = run(n_cut)
-    x_mean, x_second, deriv, *stencils = got
+    n_cut, (x_mean, x_second, deriv, *stencils) = auto_cutoff(run, converged=converged)
     scale = np.abs(deriv).max()
     if stencils and scale > 0 and np.abs(stencils[1] - stencils[0]).max() > 1e-3 * scale:
         raise StepTooLarge("halved and full g-steps disagree beyond 1e-3 of the derivative "
@@ -644,19 +638,18 @@ def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray,
     return QuadratureSeries(ts, x_mean, x_second, deriv, n_cut)
 
 
-def quadrature_series(params: ModelParams, ts: Sequence[float],
-                      n_cut: int | None = None) -> QuadratureSeries:
+def quadrature_series(params: ModelParams, ts: Sequence[float]) -> QuadratureSeries:
     """<X>_t, <X^2>_t and d<X>_t/dg of the probe state under the effective
-    oscillator on a grid, with automatic cutoff.
+    oscillator on a grid, at the cutoff the ladder accepts.
 
     One decomposition per cutoff gives the exact (Duhamel) derivative too.
     The ladder accepts a cutoff once each block (x, x^2, derivative) moves
     by at most SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.  A bad
-    time grid (_times) or pinned n_cut (_cutoff) is an InvalidParams.
+    time grid (_times) is an InvalidParams.
     """
     _one_point(params)
     ts = _times(ts)
-    return _series_ladder(_leak_checked(partial(_effective_level, params, ts)), ts, n_cut)
+    return _series_ladder(_leak_checked(partial(_effective_level, params, ts)), ts)
 
 
 # ----------------------------------------------------------------------
@@ -726,23 +719,19 @@ def _normal_level(params: ModelParams, ts):
     return partial(_effective_level, params, _times(ts))
 
 
-def generator_qfi_grid(params: ModelParams, ts: Sequence[float],
-                       n_cut: int | None = None) -> tuple[np.ndarray, int]:
+def generator_qfi_grid(params: ModelParams, ts: Sequence[float]) -> tuple[np.ndarray, int]:
     """QFI about the probe state from the spectral integral of the evolution
     generator, on a whole time grid with one decomposition of each parity
     block per cutoff.
 
     With H_eff = H0 + zeta*H1 (H0 = wbar/2*P^2, H1 = wbar/2*X^2,
     zeta = epsilon_g), the generator is h = int_0^t H1(s) ds, and
-    F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (values, n_cut): the given
-    n_cut, or the one the ladder accepted, its convergence measured jointly
-    across the grid at AUTO_CUTOFF_RTOL; no level counts as leaking.  A bad
-    time grid (_times) or pinned n_cut (_cutoff) is an InvalidParams.
+    F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (values, n_cut): the
+    cutoff the ladder accepted, its convergence measured jointly across the
+    grid at AUTO_CUTOFF_RTOL; no level counts as leaking.  A bad time grid
+    (_times) is an InvalidParams.
     """
     level = _normal_level(params, ts)
-    if n_cut is not None:
-        n_cut = _cutoff(n_cut)
-        return level(n_cut)[1][3], n_cut
     n_cut, values = auto_cutoff(lambda n: level(n)[1][3])
     return values, n_cut
 
@@ -757,7 +746,7 @@ def ratio_oracle(params: ModelParams, ts: Sequence[float]) -> tuple[np.ndarray, 
     if not np.all(ts > 0):
         raise InvalidParams("ts", "the ratio needs times > 0")
     level = cache(_normal_level(params, ts))
-    series = _series_ladder(_leak_checked(level), ts, None)
+    series = _series_ladder(_leak_checked(level), ts)
     _, qfis = auto_cutoff(lambda n: level(n)[1][3])
     return series.inv_var / qfis, series.n_cut
 
@@ -841,7 +830,7 @@ def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> Frequ
     full_params = replace(params, Omega=eta * params.omega)
     tau = peak_time(params, n)
     ts = np.array([tau])
-    series = _series_ladder(partial(_series_at_cutoff, full_params, ts), ts, None)
+    series = _series_ladder(partial(_series_at_cutoff, full_params, ts), ts)
     i_exact = float(series.inv_var[0])
     i_limit = inverted_variance_peak(params, n)
     return FrequencyPoint(

@@ -4,8 +4,8 @@ A mode decaying at gamma_a and heated at gamma_h under the effective
 oscillator Hamiltonian closes on five expectation values
 m = (<X>, <P>, <X^2>, <P^2>, <G>) with G = XP + PX, held as arrays in that
 order.  This module writes the coupled linear moment equations once, as
-the augmented matrix of moment_generator, propagates them exactly on a
-time grid from the probe's moments (integrate_moments, used as an
+the augmented matrix of moment_generator, propagates them exactly from the
+probe's moments at t = 0 onto a time grid (integrate_moments, used as an
 independent check), and gives the explicit solutions for <X>_t, d<X>_t/dg,
 (Delta X)^2_t and the dissipative inverted variance at times >= 0.  The explicit solutions hold in the normal
 regime and read the same oscillator frame (stiffness s, ds/dg, gap
@@ -96,18 +96,20 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def integrate_moments(params: ModelParams, rates: DecayRates,
                       t_grid: Sequence[float]) -> np.ndarray:
-    """The five moments on ``t_grid`` from REFERENCE_STATE_MOMENTS at
-    t_grid[0], one row per time.  A and b are constant, so each grid step is
-    exact: (m, 1) is multiplied by exp(moment_generator*dt)."""
+    """The five moments on ``t_grid`` from REFERENCE_STATE_MOMENTS at t = 0,
+    one row per time, for a non-empty, finite, strictly increasing grid with
+    t_grid[0] >= 0.  A and b are constant, so each grid step, the first from
+    t = 0, is exact: (m, 1) is multiplied by exp(moment_generator*dt)."""
     ts = np.asarray(t_grid, dtype=float)
-    if ts.ndim != 1 or len(ts) < 2 or not np.isfinite(ts).all() or np.any(np.diff(ts) <= 0):
-        raise InvalidParams("t_grid", "need a finite, strictly increasing grid")
-    steps = _expm(moment_generator(params, rates) * np.diff(ts)[:, None, None])
-    out = np.empty((len(ts), 6))
+    if (ts.ndim != 1 or not ts.size or not np.isfinite(ts).all() or ts[0] < 0
+            or np.any(np.diff(ts) <= 0)):
+        raise InvalidParams("t_grid", "need a finite, strictly increasing grid from t >= 0")
+    steps = _expm(moment_generator(params, rates) * np.diff(ts, prepend=0.0)[:, None, None])
+    out = np.empty((len(ts) + 1, 6))
     out[0] = [*REFERENCE_STATE_MOMENTS, 1.0]
     for i, step in enumerate(steps):
         out[i + 1] = step @ out[i]
-    return out[:, :5]
+    return out[1:, :5]
 
 
 # ----------------------------------------------------------------------

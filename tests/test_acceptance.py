@@ -34,6 +34,7 @@ from cqm import (
     x_variance,
     x_variance_dissipative,
 )
+from cqm.fock import _effective_level
 from cqm.lindblad import NO_DECAY
 
 
@@ -113,8 +114,8 @@ def test_criterion_4_qfi_method_agreement_and_convergence():
         g = np.sqrt(1.0 - eps_g)
         p = params(g)
         t = np.pi / np.sqrt(effective_oscillator(p).epsilon)
-        (below,), _ = generator_qfi_grid(p, [t], n_cut=n_cut // 2)
-        (exact,), _ = generator_qfi_grid(p, [t], n_cut=n_cut)
+        (below,) = _effective_level(p, np.array([t]), n_cut // 2)[1][3]
+        (exact,) = _effective_level(p, np.array([t]), n_cut)[1][3]
         moves.append(abs(exact - below) / max(abs(exact), abs(below)))
         approx = qfi_g(p, t)
         rels.append(abs(approx - exact) / exact)

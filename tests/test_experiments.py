@@ -26,7 +26,7 @@ from cqm import (
 )
 from cqm import cli, experiments
 from cqm.cli import main as cli_main
-from cqm.experiments import _REGISTRY, _batches, _column_units, _render
+from cqm.experiments import _REGISTRY, _batches, _column_units, _rel_dev, _render
 from cqm.model import ModelParams
 
 
@@ -143,11 +143,30 @@ class TestConfig:
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_moment_ode_takes_a_grid_at_zero_alone(self, tmp_path):
+        # the moment ODE starts at t = 0 whatever the grid, so t_per = 0 is a
+        # grid for the both engine too: each cell's one row is the probe's
+        out = tmp_path / "x.csv"
+        assert cli_main(["decoherence", "--engine", "both", "--set", "t_per=0",
+                         "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))  # past the metadata
+        assert [(r["x_var_oracle"], r["status"]) for r in rows] == [("1", "ok")] * 2
+
     def test_reference_covers_all_experiments(self):
         text = config_reference()
         for name in experiment_ids():
             assert name in text
         assert "t_per" in config_reference("decoherence")
+
+    def test_reference_refuses_an_unknown_experiment(self):
+        with pytest.raises(ConfigError, match="unknown experiment 'nope'"):
+            config_reference("nope")
+
+    def test_deviation_of_an_all_zero_closed_curve_is_absolute(self):
+        # a closed curve that is 0 everywhere has no scale: the deviation is
+        # the oracle's own size
+        oracle = np.array([0.0, 1e-3, -2e-3])
+        assert np.array_equal(_rel_dev(np.zeros(3), oracle), np.abs(oracle))
 
 
 class TestSlopeFit:
@@ -165,6 +184,16 @@ class TestSlopeFit:
         x = np.array([1.0, 2, 3, 4, 5])
         with pytest.raises(NonPositiveData):
             fit_loglog_slope((x, np.array([1.0, -2, 3, 4, 5])))
+
+    @pytest.mark.parametrize("x, y, what", [
+        ([1.0, 2, 3, 4, 5], [1.0, 2, np.nan, 4, 5], "finite"),  # came back as SlopeFit(nan, nan)
+        ([1.0, 2, 3, 4, np.inf], [1.0, 2, 3, 4, 5], "finite"),
+        ([1.0, 2, 3, 4, 5], [1.0, 2, 3, 4, 5, 6], "one length"),  # numpy's LinAlgError
+        ([3.0] * 5, [1.0, 2, 3, 4, 5], "distinct x"),  # a singular design: LinAlgError
+    ], ids=["nan", "inf", "lengths", "one-x"])
+    def test_rejects_data_it_cannot_fit(self, x, y, what):
+        with pytest.raises(NonPositiveData, match=what):
+            fit_loglog_slope((np.array(x), np.array(y)))
 
     def test_dataset_interface(self):
         ds = Dataset(
@@ -773,3 +802,17 @@ class TestCli:
         # each experiment's end-to-end numbers go to stderr
         assert re.search(r"^qfi-evolution: \d+\.\d\d s wall, peak RSS so far \d+\.\d MiB$",
                          done.stderr, re.MULTILINE), done.stderr
+
+    def test_regenerate_script_refuses_an_unknown_experiment_up_front(self, tmp_path):
+        # an unknown id used to reach cqm's own parser, after every run listed
+        # before it, and fail there in cqm's words
+        script = Path(__file__).resolve().parents[1] / "scripts" / "regenerate_all.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--out-dir", str(tmp_path / "out"),
+             "--experiments", "nope", "qfi-vs-g"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "regenerate_all.py: error: argument --experiments: invalid choice: 'nope'" \
+            in done.stderr
+        assert not list(tmp_path.rglob("*.csv"))

@@ -116,6 +116,19 @@ def blockwise_generator_qfi(p, ts, n_cut):
     return frame.dstiffness_dg**2 * 4.0 * (second - mean * mean)
 
 
+def level_qfi(p, ts, n_cut):
+    """generator_qfi_grid's values at one cutoff level: row 3 of _effective_level."""
+    return _effective_level(p, np.asarray(ts, dtype=float), n_cut)[1][3]
+
+
+def level_series(p, ts, n_cut):
+    """quadrature_series's rows x, x^2, dx/dg at one cutoff level, its tail
+    within LEAK_TOL as the ladder requires."""
+    tail, rows = _effective_level(p, np.asarray(ts, dtype=float), n_cut)
+    assert tail <= fock.LEAK_TOL
+    return rows[:3]
+
+
 def dense_joint_hamiltonian(n_cut, omega, Omega, coupling, quadratic):
     """Reference assembly from dense ladder matrices and Kronecker products:
     omega*a^dag*a + quadratic*(a+a^dag)^2 + (Omega/2)*sigma_z
@@ -259,15 +272,12 @@ class TestBuilders:
         (lambda p: build_effective_hamiltonian(p, 4.5), "n_cut"),  # was rounded to dim 5
         (lambda p: build_full_hamiltonian(p, 8.0), "n_cut"),  # blamed "offset 7.0"
         (lambda p: build_squeezed_frame_hamiltonian(p, np.float64(8.0)), "n_cut"),
-        (lambda p: quadrature_series(p, [1.0], n_cut=64.0), "n_cut"),  # numpy's TypeError
-        (lambda p: generator_qfi_grid(p, [1.0], n_cut=64.0), "n_cut"),
-        (lambda p: quadrature_series(p, [1.0], n_cut=True), "n_cut"),  # blamed the state
-        (lambda p: generator_qfi_grid(p, [1.0], n_cut=np.int64(2)), "n_cut"),
+        (lambda p: build_effective_hamiltonian(p, True), "n_cut"),
         (lambda p: verify_reciprocal_relation(p, 0), "n_cut"),  # a zero-size ValueError
         (lambda p: verify_reciprocal_relation(p, 3.0), "n_cut"),
-    ], ids=["effective-4.5", "full-8.0", "squeezed-float64", "series-64.0",
-            "generator-64.0", "series-True",
-            "generator-int64-2", "reciprocal-0", "reciprocal-3.0"])
+        (lambda p: verify_reciprocal_relation(p, np.int64(2)), "n_cut"),
+    ], ids=["effective-4.5", "full-8.0", "squeezed-float64", "effective-True", "reciprocal-0",
+            "reciprocal-3.0", "reciprocal-int64-2"])
     def test_sizes_rejected_unless_integers_in_range(self, monkeypatch, call, field):
         # before any band, padded state or decomposition is made
         def allocates(*args, **kwargs):
@@ -283,7 +293,6 @@ class TestBuilders:
         lambda p: build_squeezed_frame_hamiltonian(p, 16),
         lambda p: build_effective_hamiltonian(p, 16),
         lambda p: quadrature_series(p, [1.0]),
-        lambda p: quadrature_series(p, [1.0], n_cut=64),
         lambda p: qfi_overlap(p, 1.0),  # "truth value ... ambiguous"
         lambda p: finite_frequency_point(p, 100.0),
         lambda p: generator_qfi_grid(p, [1.0]),  # a RegimeError for two normal couplings
@@ -291,7 +300,7 @@ class TestBuilders:
         lambda p: verify_reciprocal_relation(p, 16),
         lambda p: moment_generator(p, NO_DECAY),  # "inhomogeneous shape"
         lambda p: integrate_moments(p, NO_DECAY, [0.0, 1.0]),
-    ], ids=["full", "squeezed", "effective", "series", "series-pinned", "overlap",
+    ], ids=["full", "squeezed", "effective", "series", "overlap",
             "frequency", "generator", "ratio", "reciprocal", "moment-generator",
             "integrate-moments"])
     def test_array_couplings_rejected_before_any_hamiltonian_is_built(self, monkeypatch, call):
@@ -432,9 +441,7 @@ class TestEvolve:
         calls = [
             lambda: evolve_grid(build_effective_hamiltonian(p, 16), ts),
             lambda: evolve_joint_grid(build_full_hamiltonian(params(0.9, Omega=50.0), 16), ts),
-            lambda: generator_qfi_grid(p, ts, n_cut=64),
             lambda: generator_qfi_grid(p, ts),
-            lambda: quadrature_series(p, ts, n_cut=64),
             lambda: quadrature_series(p, ts),
             lambda: ratio_oracle(p, ts),
         ]
@@ -526,7 +533,7 @@ class TestAutoCutoff:
             auto_cutoff(run, rtol=bad)
         monkeypatch.setattr(fock, "_block_eig", no_decomposition)
         with pytest.raises(TypeError, match="rtol"):
-            generator_qfi_grid(params(0.9), [1.0], n_cut=64, rtol=bad)
+            generator_qfi_grid(params(0.9), [1.0], rtol=bad)
         with pytest.raises(TypeError, match="dg"):
             qfi_overlap(params(0.9), 1.0, dg=bad)
         with pytest.raises(TypeError, match="n_cut"):
@@ -575,8 +582,8 @@ class TestAutoCutoff:
         p = params(0.9)
         ts = np.linspace(0.0, 14.0, 9)
         series = quadrature_series(p, ts)
-        bigger = quadrature_series(p, ts, n_cut=2 * series.n_cut)
-        rel = np.abs(bigger.x_mean - series.x_mean).max() / np.abs(series.x_mean).max()
+        bigger, _, _ = level_series(p, ts, 2 * series.n_cut)
+        rel = np.abs(bigger - series.x_mean).max() / np.abs(series.x_mean).max()
         assert rel < 1e-6
 
 
@@ -612,7 +619,7 @@ class TestQfiMethods:
         assert len(calls) == 2 * 41
 
     def test_generator_zero_time(self):
-        (value,), _ = generator_qfi_grid(params(0.9), [0.0], n_cut=48)
+        (value,) = level_qfi(params(0.9), [0.0], 48)
         assert value == pytest.approx(0.0, abs=1e-20)
 
     def test_methods_agree(self):
@@ -624,9 +631,9 @@ class TestQfiMethods:
 
     def test_generator_grid_matches_scalar(self):
         p = params(0.9)
-        grid, _ = generator_qfi_grid(p, [2.0, 5.0], n_cut=96)
+        grid = level_qfi(p, [2.0, 5.0], 96)
         for t, value in zip((2.0, 5.0), grid):
-            (alone,), _ = generator_qfi_grid(p, [t], n_cut=96)
+            (alone,) = level_qfi(p, [t], 96)
             assert value == pytest.approx(alone, rel=1e-12)
 
     def test_generator_grid_equals_per_time_dense_kernel(self):
@@ -648,7 +655,7 @@ class TestQfiMethods:
             gc = (h1 * kernel) @ coeffs
             var = np.vdot(gc, gc).real - np.vdot(coeffs, gc).real ** 2
             reference.append(frame.dstiffness_dg**2 * 4.0 * var)
-        values, _ = generator_qfi_grid(p, ts, n_cut=n_cut)
+        values = level_qfi(p, ts, n_cut)
         assert values[0] == 0.0
         assert np.abs(values - reference).max() < 1e-10 * max(reference)
 
@@ -658,18 +665,20 @@ class TestQfiMethods:
         values, n_cut = generator_qfi_grid(p, ts)
         # the ladder stops at the first doubling that moves no value beyond
         # AUTO_CUTOFF_RTOL, and the values it returns are those of that cutoff
-        pinned, same = generator_qfi_grid(p, ts, n_cut=n_cut)
-        assert same == n_cut
-        assert np.array_equal(pinned, values)
+        assert np.array_equal(level_qfi(p, ts, n_cut), values)
 
         def moved(n):  # does doubling n // 2 -> n move a value beyond 1e-6?
-            low, high = (generator_qfi_grid(p, ts, n_cut=m)[0] for m in (n // 2, n))
+            low, high = (level_qfi(p, ts, m) for m in (n // 2, n))
             return np.any(np.abs(high - low) > 1e-6 * np.maximum(high, low))
 
         assert n_cut == 128  # 32 -> 64 still moves at eps_g = 0.19
         assert moved(n_cut // 2) and not moved(n_cut)
-        # an explicit cutoff comes back unchanged
-        assert generator_qfi_grid(p, ts, n_cut=96)[1] == 96
+
+    @pytest.mark.parametrize("oracle", [quadrature_series, generator_qfi_grid])
+    def test_oracles_take_no_cutoff(self, oracle):
+        # every oracle's cutoff is the ladder's
+        with pytest.raises(TypeError, match="n_cut"):
+            oracle(params(0.9), [1.0], n_cut=64)
 
     @pytest.mark.parametrize("g, lam, n_cut, ts", [
         (0.9, 0.0, 48, [0.0]),
@@ -683,7 +692,7 @@ class TestQfiMethods:
     def test_generator_grid_equals_the_blockwise_kernel(self, g, lam, n_cut, ts):
         p = params(g, lam=lam)
         reference = blockwise_generator_qfi(p, ts, n_cut)
-        values, _ = generator_qfi_grid(p, ts, n_cut=n_cut)
+        values = level_qfi(p, ts, n_cut)
         assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_generator_ladder_matches_the_blockwise_kernel(self):
@@ -702,7 +711,7 @@ class TestQfiMethods:
         ts = np.linspace(0.0, 1000.0, 16)
         tracemalloc.start()
         try:
-            generator_qfi_grid(p, ts, n_cut=n_cut)
+            level_qfi(p, ts, n_cut)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -717,7 +726,7 @@ class TestQfiMethods:
         ts = np.linspace(0.0, 1000.0, 16)
         tracemalloc.start()
         try:
-            generator_qfi_grid(p, ts, n_cut=n_cut)
+            level_qfi(p, ts, n_cut)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -736,7 +745,7 @@ class TestQfiMethods:
             p = params(g)
             eff = effective_oscillator(p)
             t = np.pi / np.sqrt(eff.epsilon)
-            (exact,), _ = generator_qfi_grid(p, [t], n_cut=n_cut)
+            (exact,) = level_qfi(p, [t], n_cut)
             approx = qfi_g(p, t)
             rels.append(abs(approx - exact) / exact)
         assert rels[1] < rels[0]
@@ -745,12 +754,12 @@ class TestQfiMethods:
 class TestExactDerivative:
     @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 128), (1.2, 0.0, 64), (1.2, 0.1, 512)])
     def test_matches_centred_difference(self, g, lam, n_cut):
-        # below g_c and past it (the displaced frame), at a pinned cutoff
+        # below g_c and past it (the displaced frame), at one cutoff level
         p = params(g, lam=lam)
         ts = np.linspace(0.1, 2.0, 7) * 2.0 * np.pi / np.sqrt(oscillator_frame(p).epsilon)
-        exact = quadrature_series(p, ts, n_cut=n_cut).x_deriv_g
+        exact = level_series(p, ts, n_cut)[2]
         dg = 1e-6 * g
-        plus, minus = (quadrature_series(replace(p, g=g + s * dg), ts, n_cut=n_cut).x_mean
+        plus, minus = (level_series(replace(p, g=g + s * dg), ts, n_cut)[0]
                        for s in (1.0, -1.0))
         centred = (plus - minus) / (2.0 * dg)
         assert np.abs(exact - centred).max() <= 1e-7 * np.abs(exact).max()
@@ -778,7 +787,7 @@ class TestExactDerivative:
 
     def test_every_level_decomposes_through_eig(self, monkeypatch):
         # HermitianOperator.eig is the one entry into _block_eig: one call per
-        # cutoff level, pinned or on both of ratio_oracle's ladders
+        # cutoff level, alone or on both of ratio_oracle's ladders
         dims = []
         eig = HermitianOperator.eig
 
@@ -788,7 +797,7 @@ class TestExactDerivative:
 
         monkeypatch.setattr(HermitianOperator, "eig", counted)
         p, ts = params(0.9), [2.0, 5.0, 9.0]
-        generator_qfi_grid(p, ts, n_cut=64)
+        level_qfi(p, ts, 64)
         assert dims == [64]
         _, n_qfi = generator_qfi_grid(p, ts)
         dims.clear()
@@ -1093,10 +1102,22 @@ class TestFiniteFrequency:
         rels = {}
         for eta in (1e3, 1e4):
             p = params(0.9, Omega=eta)
-            series = _series_ladder(partial(_series_at_cutoff, p, ts), ts, None)
+            series = _series_ladder(partial(_series_at_cutoff, p, ts), ts)
             rels[eta] = np.abs(series.x_mean - closed).max() / np.abs(closed).max()
         assert rels[1e3] < 0.1
         assert 7.0 < rels[1e3] / rels[1e4] < 14.0
+
+    def test_disagreeing_stencils_raise(self):
+        # at the accepted cutoff the full- and halved-step derivatives (rows
+        # 3 and 4) must agree to 1e-3 of the derivative's scale (row 2)
+        ts = np.array([1.0, 2.0])
+
+        def rows(gap):
+            return lambda n: np.array([[1.0, 2.0]] * 4 + [[1.0 + gap, 2.0]])
+
+        assert _series_ladder(rows(1e-4), ts).n_cut == 2 * fock.AUTO_CUTOFF_START
+        with pytest.raises(StepTooLarge, match="halved and full g-steps disagree"):
+            _series_ladder(rows(3e-3), ts)
 
 
 class TestClosedFormAsymptoticAtLongTime:
@@ -1104,8 +1125,8 @@ class TestClosedFormAsymptoticAtLongTime:
         # tuned weak-coupling point at the long-time scale of the QFI curves
         # n_cut 512 is where the cutoff ladder settles to 2e-3 (not 1e-6)
         p = params(0.099, lam=-0.2475)
-        (below,), _ = generator_qfi_grid(p, [1000.0], n_cut=256)
-        (exact,), _ = generator_qfi_grid(p, [1000.0], n_cut=512)
+        (below,) = level_qfi(p, [1000.0], 256)
+        (exact,) = level_qfi(p, [1000.0], 512)
         assert abs(exact - below) <= 2e-3 * max(abs(exact), abs(below))
         approx = qfi_g(p, 1000.0)
         assert abs(approx - exact) / exact < 0.10

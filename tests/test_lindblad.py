@@ -211,10 +211,19 @@ class TestIntegrateMoments:
         assert np.abs(coarse[-1] - fine[-1]).max() < 1e-12 * scale.max()
 
     def test_bad_grid_rejected(self):
-        with pytest.raises(InvalidParams):
-            integrate_moments(PLAIN, NO_DECAY, [0.0])
+        # the flow runs forward from t = 0, so [0.0] alone is a grid
+        assert np.array_equal(integrate_moments(PLAIN, NO_DECAY, [0.0]),
+                              [REFERENCE_STATE_MOMENTS])
+        with pytest.raises(InvalidParams, match="t >= 0"):
+            integrate_moments(PLAIN, NO_DECAY, [-1.0, 0.0])
         with pytest.raises(InvalidParams):
             integrate_moments(PLAIN, NO_DECAY, [0.0, 0.0, 1.0])
+
+    def test_a_late_grid_starts_from_zero(self):
+        # the first step runs from t = 0 to the grid's first time
+        full = integrate_moments(TUNED, REFERENCE_RATES, [0.0, 2.0, 5.0])
+        late = integrate_moments(TUNED, REFERENCE_RATES, [2.0, 5.0])
+        assert np.array_equal(late, full[1:])
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan, 1.0], [0.0, 1.0, np.nan],
                                       [0.0, np.inf], [-np.inf, 0.0]])
