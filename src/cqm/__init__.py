@@ -53,11 +53,11 @@ from .fock import (
     build_full_hamiltonian,
     build_squeezed_frame_hamiltonian,
     evolve_grid,
-    finite_frequency_point,
     generator_qfi_grid,
     qfi_overlap,
     quadrature_series,
     ratio_oracle,
+    squeezed_frame_series,
     verify_reciprocal_relation,
 )
 from .lindblad import (

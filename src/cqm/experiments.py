@@ -31,7 +31,7 @@ import json
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -81,6 +81,8 @@ _COMMON = {
 # The qubit frequency of every run.  No dataset reads it: the closed forms and the
 # effective oscillator lack it, and frequency-scaling sets Omega = eta * omega.
 _OMEGA_QUBIT = 1e4
+#: Smallest Omega/omega at which frequency-scaling compares the engines.
+ETA_MIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -252,15 +254,18 @@ def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
 
 
 def _frequency_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
+    """The squeezed-frame oracle at Omega = eta*omega against the
+    low-frequency peak at tau_n: delta = (I_exact - I_limit) / I_limit."""
     v = cfg.values
-    params = _params(v, cell["g"], cell["lam"])
-    point = fock.finite_frequency_point(params, cell["eta"], n=int(v["n"]))
-    return {
-        "lam": cell["lam"], "g": cell["g"], "eta": point.eta, "n": point.n,
-        "tau_n": point.tau, "inv_var_exact": point.inv_var_exact,
-        "inv_var_limit": point.inv_var_limit, "delta": point.delta,
-        "abs_delta": abs(point.delta), "n_cut": point.n_cut,
-    }
+    params, n = _params(v, cell["g"], cell["lam"]), int(v["n"])
+    tau_n = cf.peak_time(params, n)
+    inv_var_limit = cf.inverted_variance_peak(params, n)
+    series = fock.squeezed_frame_series(replace(params, Omega=cell["eta"] * params.omega), [tau_n])
+    inv_var_exact = float(series.inv_var[0])
+    delta = (inv_var_exact - inv_var_limit) / inv_var_limit
+    return {"lam": cell["lam"], "g": cell["g"], "eta": cell["eta"], "n": n, "tau_n": tau_n,
+            "inv_var_exact": inv_var_exact, "inv_var_limit": inv_var_limit, "delta": delta,
+            "abs_delta": abs(delta), "n_cut": series.n_cut}
 
 
 def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
@@ -297,8 +302,9 @@ class _Experiment:
     ``columns(engine)`` lists the physics columns, and ``compute(cfg,
     cells)`` computes one batch of cells and returns its columns: column ->
     a scalar shared by every row, or a 1-D array with one entry per row.  The
-    "cell" column gives each row's position in ``cells``; without a "status"
-    column every row is ok.
+    "cell" column gives each row's position in ``cells``, and the rows come in
+    cell order: that column never decreases, so _run_batch takes each cell's
+    rows as they come.  Without a "status" column every row is ok.
     """
 
     doc: str
@@ -396,7 +402,7 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=_zipped_cells,
         columns=lambda engine: ["lam", "g", "n", "tau_n", "ratio_analytic"] + (
             [] if engine == "closed" else ["ratio_numeric", "rel_dev", "n_cut"]),
-        units={"tau_n": _U_T},
+        units={"tau_n": _U_T, "ratio_analytic": "1", "ratio_numeric": "1"},
         compute=_each_cell(_ratio_scaling),
     ),
     "frequency-scaling": _Experiment(
@@ -412,7 +418,7 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=lambda v: [{**case, "eta": eta} for case in _zipped_cells(v) for eta in v["eta"]],
         columns=lambda engine: ["lam", "g", "eta", "n", "tau_n", "inv_var_exact",
                                 "inv_var_limit", "delta", "abs_delta", "n_cut"],
-        units={"tau_n": _U_T},
+        units={"tau_n": _U_T, "inv_var_exact": "1", "inv_var_limit": "1"},
         compute=_each_cell(_frequency_scaling),
     ),
     "decoherence": _Experiment(
@@ -550,8 +556,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("the damped dynamics need a t_per grid that is >= 0")
         if cfg.engine != "closed" and np.any(np.diff(t) <= 0):
             raise ConfigError("the moment ODE needs a t_per grid that is strictly increasing")
-    if "eta" in v and np.any(np.atleast_1d(v["eta"]) < fock.ETA_MIN):
-        raise ConfigError(f"eta must be >= {fock.ETA_MIN:g}")
+    if "eta" in v and np.any(np.atleast_1d(v["eta"]) < ETA_MIN):
+        raise ConfigError(f"eta must be >= {ETA_MIN:g}")
     if "eta" in v and np.unique(v["eta"]).size < 5:  # as fit_loglog_slope needs per case
         raise ConfigError("eta needs >= 5 distinct values for the log-log slope fit")
     _REGISTRY[cfg.experiment].cells(v)  # raises ConfigError on unequal zipped lists
@@ -713,7 +719,6 @@ def _run_batch(cfg: ExperimentConfig, indices: list[int], cells: list[dict],
         return [(indices[0], [[_render(row.get(c, np.nan), 1)[0] for c in columns]],
                  f"{type(exc).__name__}: {exc}")]
     rows = list(map(list, zip(*text)))
-    rows = list(map(rows.__getitem__, np.argsort(position, kind="stable").tolist()))
     ends = np.cumsum(np.bincount(position, minlength=len(indices))).tolist()
     return [(i, rows[a:b], None) for i, a, b in zip(indices, [0, *ends], ends)]
 

@@ -16,8 +16,9 @@ operator too small to hold it, or a time grid that is empty, not 1-D or not
 finite, is rejected before any decomposition), and the module computes the
 quantum Fisher information two independent ways: a fidelity finite
 difference and the spectral integral of the evolution generator.  It also
-measures how far finite-frequency (Omega/omega = eta) dynamics sits from the
-low-frequency closed forms.
+evolves the probe in the joint spin (x) boson squeezed frame at a finite
+qubit frequency Omega (squeezed_frame_series); the runner sets Omega =
+eta*omega and compares that series with the closed forms.
 
 The effective oscillator takes d<X>_t/dg exactly (Duhamel) from the kernel
 of its generator QFI, so one decomposition per cutoff level serves every
@@ -25,8 +26,8 @@ observable; each level passes its state, generator and untruncated
 spectrum omega_bar*sqrt(stiffness)*(n + 1/2) to HermitianOperator.eig, so at
 the large cutoffs _block_eig first certifies only the lowest modes from that
 spectrum, with no dense matrix, and keeps them alone when they are all the
-state and its generator reach.  finite_frequency_point's joint squeezed-frame
-builder still takes a five-point stencil in g.
+state and its generator reach.  squeezed_frame_series, on the joint
+squeezed-frame builder, still takes a five-point stencil in g.
 
 Every oracle, and both evolution routines, evolve the paper's one probe
 state, (|0> + i|1>)/sqrt(2) (closed_form.PROBE_AMPLITUDES), the state all
@@ -60,7 +61,7 @@ from .errors import (
     StepTooLarge,
     TruncationLeak,
 )
-from .closed_form import PROBE_AMPLITUDES, inverted_variance_peak, peak_indices, peak_time
+from .closed_form import PROBE_AMPLITUDES
 from .model import ModelParams, Regime, _one_point, effective_oscillator, oscillator_frame
 
 AUTO_CUTOFF_START = 32
@@ -68,8 +69,6 @@ AUTO_CUTOFF_MAX = 4096
 #: auto_cutoff's default test: every value moves by at most this fraction of
 #: its magnitude when the cutoff doubles.
 AUTO_CUTOFF_RTOL = 1e-6
-#: Smallest Omega/omega at which finite_frequency_point compares the engines.
-ETA_MIN = 10.0
 #: (rtol, atol) of quadrature_series's per-block convergence test.
 SERIES_RTOL, SERIES_ATOL = 1e-6, 1e-9
 #: Smallest fidelity deficit qfi_overlap accepts: np.vdot of unit vectors of
@@ -652,6 +651,30 @@ def quadrature_series(params: ModelParams, ts: Sequence[float]) -> QuadratureSer
     return _series_ladder(_leak_checked(partial(_effective_level, params, ts)), ts)
 
 
+def check_g_stencil(g) -> None:
+    """InvalidParams unless every coupling in ``g`` stays >= 0 at the foot of
+    squeezed_frame_series's g-stencil, g - 1e-5*max(g, 0.01): g >= 1e-7."""
+    if np.min(g) < 1e-7:
+        raise InvalidParams("g", f"the g-stencil takes g = {np.min(g):g} below 0")
+
+
+def squeezed_frame_series(params: ModelParams, ts: Sequence[float]) -> QuadratureSeries:
+    """quadrature_series for |down> (x) the probe state under the joint
+    squeezed-frame Hamiltonian (build_squeezed_frame_hamiltonian) at the
+    qubit frequency params.Omega, the frame the closed forms are written in.
+
+    The derivative is a Richardson-extrapolated centered difference, base
+    step dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of the
+    derivative scale, else StepTooLarge.  An array of couplings, a g the
+    stencil would take below 0 (check_g_stencil) or a bad time grid (_times)
+    is an InvalidParams before anything is built.
+    """
+    _one_point(params)
+    check_g_stencil(params.g)
+    ts = _times(ts)
+    return _series_ladder(partial(_series_at_cutoff, params, ts), ts)
+
+
 # ----------------------------------------------------------------------
 # QFI, two independent ways
 # ----------------------------------------------------------------------
@@ -779,66 +802,3 @@ def verify_reciprocal_relation(params: ModelParams, n_cut: int) -> float:
     residual = (hz @ lam_op - lam_op @ hz) - np.sqrt(eff.epsilon) * lam_op
     interior = int(0.8 * n_cut)
     return float(np.abs(residual[:interior, :interior]).max())
-
-
-# ----------------------------------------------------------------------
-# finite-frequency discrepancy
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FrequencyPoint:
-    """One finite-frequency comparison at tau_n."""
-
-    eta: float
-    n: int
-    tau: float
-    inv_var_exact: float
-    inv_var_limit: float
-    delta: float
-    n_cut: int
-
-
-def check_g_stencil(g) -> None:
-    """InvalidParams unless every coupling in ``g`` stays >= 0 at the foot of
-    finite_frequency_point's g-stencil, g - 1e-5*max(g, 0.01): g >= 1e-7."""
-    if np.min(g) < 1e-7:
-        raise InvalidParams("g", f"the g-stencil takes g = {np.min(g):g} below 0")
-
-
-def finite_frequency_point(params: ModelParams, eta: float, n: int = 1) -> FrequencyPoint:
-    """Finite-frequency inverted variance against the low-frequency peak,
-    delta = (I_g^(eta)(tau_n) - I_g(tau_n)) / I_g(tau_n).
-
-    The exact side evolves |down> (x) (|0>+i|1>)/sqrt(2) under the squeezed-
-    frame Hamiltonian at Omega = eta*omega (the frame the closed forms live
-    in) and measures <X>, <X^2> and d<X>/dg at the low-frequency optimal
-    time tau_n = 2*pi*n/sqrt(epsilon); the ladder always picks the cutoff.
-    The derivative is a Richardson-extrapolated centered difference, base
-    step dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of
-    the derivative scale, else StepTooLarge.  An array of couplings, a peak
-    index n that is not one integer >= 1, an eta that is not one finite number
-    >= ETA_MIN, or a g the stencil would take below 0 (check_g_stencil), is an
-    InvalidParams before anything is built.
-    """
-    _one_point(params)
-    if np.ndim(n):
-        raise InvalidParams("n", f"must be one index, not the peak indices {np.ravel(n).tolist()}")
-    peak_indices(n)
-    if np.ndim(eta) or not ETA_MIN <= eta < np.inf:  # NaN fails too
-        raise InvalidParams("eta", f"must be one finite number >= {ETA_MIN:g}, got {eta!r}")
-    check_g_stencil(params.g)
-    full_params = replace(params, Omega=eta * params.omega)
-    tau = peak_time(params, n)
-    ts = np.array([tau])
-    series = _series_ladder(partial(_series_at_cutoff, full_params, ts), ts)
-    i_exact = float(series.inv_var[0])
-    i_limit = inverted_variance_peak(params, n)
-    return FrequencyPoint(
-        eta=eta,
-        n=n,
-        tau=tau,
-        inv_var_exact=i_exact,
-        inv_var_limit=i_limit,
-        delta=(i_exact - i_limit) / i_limit,
-        n_cut=series.n_cut,
-    )

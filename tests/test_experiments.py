@@ -93,6 +93,7 @@ class TestConfig:
         ("ratio-scaling", "n=1e19"),  # would overflow int64 and fail every cell
         ("ratio-scaling", "n=9007199254740993"),  # would be read as 2**53
         ("frequency-scaling", "n=0"),
+        ("frequency-scaling", "n=1.5"),  # would be run and written as n=1
         ("qfi-evolution", "omega=inf"),
         ("qfi-evolution", "t=nan"),
         ("quadrature-vs-g", "g=0.1,inf"),
@@ -101,6 +102,7 @@ class TestConfig:
         ("decoherence", "t_per=1,0.5,2"),  # the moment ODE needs increasing times
         ("decoherence", "t_per=-1,0,1"),
         ("frequency-scaling", "eta=5,20,30,40,50"),
+        ("frequency-scaling", "eta=1e2,3e2,1e3,3e3,nan"),
         ("frequency-scaling", "eta=1e2,3e2"),  # too few points for the slope fit
         ("frequency-scaling", "eta=1e2,1e2,3e2,3e2,1e3"),  # five, but three distinct
         ("frequency-scaling", "g=0,0.1"),  # the g-stencil would go below 0
@@ -446,6 +448,33 @@ class TestRunner:
         (case_key,) = slopes
         assert slopes[case_key]["slope"] == pytest.approx(-1.0, abs=0.15)
 
+    def test_frequency_scaling_compares_the_oracle_with_the_closed_peak(self):
+        # the runner takes tau_n and the limit from the closed forms and forms
+        # delta itself; every written float reads back bit for bit
+        ds = run(build_config("frequency-scaling"))
+        assert len(ds.rows) == 10 and not ds.failed_cells
+        for row in ds.rows:
+            r = dict(zip(ds.columns, row))
+            p = ModelParams(omega=1.0, Omega=1e4, g=float(r["g"]), lam=float(r["lam"]))
+            n = int(r["n"])
+            exact, limit, delta = (float(r[c]) for c in ("inv_var_exact", "inv_var_limit",
+                                                         "delta"))
+            assert float(r["tau_n"]) == cqm.peak_time(p, n)
+            assert limit == cqm.inverted_variance_peak(p, n)
+            assert delta == (exact - limit) / limit
+            assert float(r["abs_delta"]) == abs(delta)
+
+    def test_every_closed_compute_returns_its_rows_in_cell_order(self):
+        # _run_batch splits the rows into cells as they come
+        for name, entry in _REGISTRY.items():
+            if "closed" not in entry.engines:
+                continue
+            cfg = tiny(name, engine="closed")
+            cells = entry.cells(cfg.values)
+            position = np.asarray(entry.compute(cfg, cells)["cell"])
+            assert np.array_equal(np.unique(position), np.arange(len(cells))), name
+            assert np.all(np.diff(position) >= 0), name
+
     def test_failed_cells_recorded_and_resumed(self, tmp_path):
         # beyond-critical case in a normal-regime-only experiment: cell fails
         cfg = tiny("inverted-variance", g="0.9,0.9", lam="0,-0.247")
@@ -500,6 +529,17 @@ class TestRunner:
         ds = run(tiny("quadrature-vs-g", engine="both", g="0.5,0.9"))
         assert ds.units == _column_units(_REGISTRY["quadrature-vs-g"].units, ds.columns)
         assert ds.units["x_mean_closed"] == ds.units["x_mean_oracle"] == "1"
+
+    def test_every_quantity_column_has_a_unit(self):
+        # inv_var was "1" in inverted-variance but "" as frequency-scaling's
+        # inv_var_exact and inv_var_limit, and ratio-scaling's ratios had none
+        unitless = {"lam", "g", "eta", "n", "regime", "n_cut", "cell", "status"}
+        for name, entry in _REGISTRY.items():
+            for engine in entry.engines:
+                columns = entry.columns(engine) + experiments._META_COLUMNS
+                units = _column_units(entry.units, columns)
+                missing = [c for c in columns if c not in unitless and not units[c]]
+                assert not missing, (name, engine, missing)
 
     def test_resume_rejects_other_config(self):
         ds = run(tiny("qfi-evolution"))

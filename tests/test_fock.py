@@ -1,6 +1,5 @@
 import tracemalloc
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -22,14 +21,16 @@ from cqm import (
     effective_oscillator,
     evolve_grid,
     oscillator_frame,
-    finite_frequency_point,
     generator_qfi_grid,
     inverted_variance,
+    inverted_variance_peak,
     optimal_times,
+    peak_time,
     qfi_g,
     qfi_overlap,
     quadrature_series,
     ratio_oracle,
+    squeezed_frame_series,
     verify_reciprocal_relation,
     x_mean,
     x_variance,
@@ -43,7 +44,6 @@ from cqm.fock import (
     _effective_level,
     _inverse_iteration,
     _probe,
-    _series_at_cutoff,
     _series_ladder,
     _squared_bands,
     _sturm_count,
@@ -294,7 +294,7 @@ class TestBuilders:
         lambda p: build_effective_hamiltonian(p, 16),
         lambda p: quadrature_series(p, [1.0]),
         lambda p: qfi_overlap(p, 1.0),  # "truth value ... ambiguous"
-        lambda p: finite_frequency_point(p, 100.0),
+        lambda p: squeezed_frame_series(p, [1.0]),
         lambda p: generator_qfi_grid(p, [1.0]),  # a RegimeError for two normal couplings
         lambda p: ratio_oracle(p, [1.0]),
         lambda p: verify_reciprocal_relation(p, 16),
@@ -539,22 +539,29 @@ class TestAutoCutoff:
         with pytest.raises(TypeError, match="n_cut"):
             qfi_overlap(params(0.9), 1.0, n_cut=48)
 
-    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, [1.0, 2.0], [[1.0]]],
-                             ids=["nan", "inf", "-inf", "pair", "2-D"])
-    def test_bad_time_named_before_any_hamiltonian_is_built(self, monkeypatch, t):
-        # the error used to come from evolve_grid, naming its grid `ts`
+    @pytest.mark.parametrize("call,t,field", [
+        *(pytest.param(qfi_overlap, t, "t", id=name) for t, name in [
+            (np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf"), ([1.0, 2.0], "pair"),
+            ([[1.0]], "2-D")]),
+        *(pytest.param(squeezed_frame_series, ts, "ts", id=f"squeezed-{name}") for ts, name in [
+            ([np.nan], "nan"), ([1.0, np.inf], "inf"), ([], "empty"), (1.0, "scalar"),
+            ([[1.0]], "2-D")]),
+    ])
+    def test_bad_time_named_before_any_hamiltonian_is_built(self, monkeypatch, call, t, field):
+        # qfi_overlap's error used to come from evolve_grid, naming its grid `ts`
         def no_build(*args):
-            raise AssertionError("a Hamiltonian was built before t was checked")
+            raise AssertionError("a Hamiltonian was built before the time was checked")
 
-        monkeypatch.setattr(fock, "build_effective_hamiltonian", no_build)
+        for name in ("build_effective_hamiltonian", "build_squeezed_frame_hamiltonian"):
+            monkeypatch.setattr(fock, name, no_build)
         with pytest.raises(InvalidParams) as err:
-            qfi_overlap(params(0.9), t)
-        assert err.value.field == "t"
+            call(params(0.9), t)
+        assert err.value.field == field
 
     @pytest.mark.parametrize("call", [
         lambda: qfi_overlap(params(0.0), 1.0),  # the tuned step starts at 1e-5
-        lambda: finite_frequency_point(params(0.0), 100.0),
-        lambda: finite_frequency_point(params(5e-8), 100.0),
+        lambda: squeezed_frame_series(params(0.0), [1.0]),
+        lambda: squeezed_frame_series(params(5e-8), [1.0]),
     ], ids=["overlap-g0", "frequency-g0", "frequency-5e-8"])
     def test_steps_below_zero_coupling_rejected_before_any_decomposition(
             self, monkeypatch, call):
@@ -1054,43 +1061,14 @@ class TestCrossEngine:
 class TestFiniteFrequency:
     def test_discrepancy_shrinks_with_frequency_ratio(self):
         p = params(0.9)
-        d_small = finite_frequency_point(p, 1e2).delta
-        d_large = finite_frequency_point(p, 1e3).delta
+        tau, limit = peak_time(p, 1), inverted_variance_peak(p, 1)
+
+        def delta(eta):
+            exact = squeezed_frame_series(replace(p, Omega=eta * p.omega), [tau]).inv_var[0]
+            return (exact - limit) / limit
+
+        d_small, d_large = delta(1e2), delta(1e3)
         assert abs(d_large) < abs(d_small) < 1.0
-
-    def test_eta_floor(self):
-        with pytest.raises(InvalidParams):
-            finite_frequency_point(params(0.9), 5.0)
-
-    @pytest.mark.parametrize("eta", [
-        np.nan, np.inf, -np.inf,
-        pytest.param(np.array([100.0, 200.0]), id="pair"),  # "truth value ... ambiguous"
-        pytest.param(np.array([100.0]), id="one-element"),  # a TypeError
-    ])
-    def test_non_finite_eta_named_before_any_hamiltonian_is_built(self, monkeypatch, eta):
-        # a NaN or infinite eta used to reach ModelParams as Omega = eta*omega
-        # and be refused as `Omega: must be finite`
-        def no_build(*args):
-            raise AssertionError("a Hamiltonian was built before eta was checked")
-
-        monkeypatch.setattr(fock, "build_squeezed_frame_hamiltonian", no_build)
-        with pytest.raises(InvalidParams) as err:
-            finite_frequency_point(params(0.9), eta)
-        assert err.value.field == "eta"
-
-    @pytest.mark.parametrize("n", [
-        0, -1, 1.5, 2.0**53,
-        pytest.param(np.array([1, 2]), id="pair"),  # both blamed the time grid ts
-        pytest.param([1], id="list"),
-    ])
-    def test_peak_index_checked_before_any_decomposition(self, monkeypatch, n):
-        # n = 0 used to reach the ladder at tau_0 = 0 and fail as StepTooLarge
-        def no_decomposition(*args):
-            raise AssertionError("a block was decomposed before n was checked")
-
-        monkeypatch.setattr(fock, "_block_eig", no_decomposition)
-        with pytest.raises(InvalidParams, match="^n: .*peak indices"):
-            finite_frequency_point(params(0.9), 100.0, n=n)
 
     def test_full_model_tracks_closed_form_at_large_eta(self):
         # joint-space mean over the first period deviates by O(1/eta):
@@ -1101,8 +1079,7 @@ class TestFiniteFrequency:
         closed = x_mean(p0, ts)
         rels = {}
         for eta in (1e3, 1e4):
-            p = params(0.9, Omega=eta)
-            series = _series_ladder(partial(_series_at_cutoff, p, ts), ts)
+            series = squeezed_frame_series(params(0.9, Omega=eta), ts)
             rels[eta] = np.abs(series.x_mean - closed).max() / np.abs(closed).max()
         assert rels[1e3] < 0.1
         assert 7.0 < rels[1e3] / rels[1e4] < 14.0
