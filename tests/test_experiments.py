@@ -488,6 +488,16 @@ class TestRunner:
         assert again.metadata["cells_computed"] == 1
         assert again.rows == ds.rows
 
+    def test_peak_times_float64_cannot_resolve_fail_their_cells(self):
+        # ratio-scaling at n = 1e15 used to write both rows as ok at n_cut
+        # 4096, with ratio_numeric 0.124 and 0.025 from phases rounded by a
+        # radian; each cell now fails at its first cutoff level
+        ds = run(build_config("ratio-scaling", overrides=["n=1e15"]))
+        assert ds.failed_cells == {0, 1}
+        assert ds.str_column("status") == ["failed:InvalidParams"] * 2
+        assert all(reason.startswith("InvalidParams: ts: float64 rounds the phases")
+                   for reason in ds.metadata["failures"].values())
+
     def test_failed_row_keeps_config_scalars(self):
         # lam is a scalar of qfi-evolution, not part of its cells
         cfg = build_config("qfi-evolution", overrides=["g=0.5,1.0", "lam=0", "t=0:10:3"])

@@ -828,6 +828,55 @@ class TestExactDerivative:
         with pytest.raises(InvalidParams, match="times > 0"):
             ratio_oracle(params(0.9), ts)
 
+    def test_time_float64_cannot_resolve_fails_the_first_level(self, monkeypatch):
+        # at n = 1e15 the peak time is 7.2e15: float64 rounds each phase
+        # E_k*t by about a radian, and the ratio used to come out at n_cut
+        # 4096 as 0.124 with no error
+        dims = []
+        eig = HermitianOperator.eig
+        monkeypatch.setattr(HermitianOperator, "eig",
+                            lambda self, *reach: dims.append(self.dim) or eig(self, *reach))
+        p = params(0.9)
+        with pytest.raises(InvalidParams, match="^ts: float64 rounds the phases"):
+            ratio_oracle(p, [peak_time(p, 1e15)])
+        assert dims == [fock.AUTO_CUTOFF_START]
+        h = build_effective_hamiltonian(p, 32)
+        with pytest.raises(InvalidParams, match="^ts: "):
+            evolve_grid(h, [1.0, 1e11])  # eps*t*<|E|> ~ 1e-5
+        psi, _ = fock._propagate(h.eig(), _probe(32), [1e9])  # ~ 1e-7: evolved
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+
+
+def all_ceilings_length(d, e, spectrum, n):
+    """How many modes _certified_modes keeps under the rule as first
+    written: a Sturm count at every candidate's ceiling, then the longest
+    prefix whose top passes every test."""
+    vectors = _inverse_iteration(d, e, spectrum[:n])
+    energies = np.einsum("ij,ij->j", vectors, _band_apply(d, e, vectors))
+    residuals = np.linalg.norm(_band_apply(d, e, vectors) - energies * vectors, axis=0)
+    steps = np.diff(energies)
+    below = np.append(np.inf, steps)
+    ceiling = 0.5 * (energies + spectrum[1:n + 1])
+    inner = residuals[:-1] <= fock.CERTIFY_TOL * np.minimum(below[:-1], steps)
+    top = residuals <= fock.CERTIFY_TOL * np.minimum(below, ceiling - energies)
+    top &= _sturm_count(d, e, ceiling) == np.arange(1, n + 1)
+    top &= np.append(True, np.logical_and.accumulate(inner & (steps > 0)))
+    return n - int(np.argmax(top[::-1])) if top.any() else 0
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """How many points each Sturm count takes, in call order."""
+    calls = []
+    count = fock._sturm_count
+
+    def counted(d, e, points):
+        calls.append(len(points))
+        return count(d, e, points)
+
+    monkeypatch.setattr(fock, "_sturm_count", counted)
+    return calls
+
 
 class TestTridiagonalSolver:
     """eigvalsh plus inverse iteration, on blocks made small by lowering
@@ -1000,6 +1049,54 @@ class TestTridiagonalSolver:
             energies, _ = _certified_modes(d, e, guess, n)
             assert len(energies) in kept
             assert np.abs(energies - exact[:len(energies)]).max() <= 1e-13 * norm
+
+    def test_near_critical_first_stage_counts_once(self, counts):
+        # criterion 6's even block at n_cut 2048, 1024 rows: the first stage
+        # used to count at all 256 ceilings; the top it keeps needs one point
+        p, n_cut = params(0.099, lam=-0.2475), 2048
+        idx, diagonals = build_effective_hamiltonian(p, n_cut).blocks[0]
+        d, e, m = diagonals[0], diagonals[1], len(diagonals[0])
+        frame = oscillator_frame(p)
+        spectrum = (frame.omega_bar * np.sqrt(frame.stiffness) * (np.arange(n_cut) + 0.5))[idx]
+        energies, _ = _certified_modes(d, e, spectrum, m // fock.LOW_MODES)
+        assert m == 1024 and counts == [1]
+        assert 0 < len(energies) == all_ceilings_length(d, e, spectrum, m // fock.LOW_MODES)
+
+    @pytest.mark.parametrize("case, calls", [("high", 1), ("skip", 2), ("complete", 0)])
+    def test_one_count_keeps_the_all_ceilings_prefix(self, counts, case, calls):
+        # the keep-rule cases of the test above: a certified top is counted
+        # once; a top whose count disagrees sends the shorter candidates to
+        # one more count; the complete set's top, at inf, is not counted
+        _, diagonals = build_effective_hamiltonian(params(0.9), 256).blocks[0]
+        d, e = diagonals[0], diagonals[1]
+        m = len(d)
+        exact = np.linalg.eigvalsh(_dense(diagonals))
+        guess, n = {"high": (exact * (1.0 + 1e-7), m // 4), "skip": (np.delete(exact, 2), m // 4),
+                    "complete": (np.append(exact, np.inf), m)}[case]
+        energies, _ = _certified_modes(d, e, guess, n)
+        assert len(counts) == calls and counts[:1] == [1][:calls]  # the first: one point
+        assert len(energies) == all_ceilings_length(d, e, guess, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_count_matches_the_all_ceilings_rule(self, data):
+        # perturbed, shuffled or gapped guesses at a block's spectrum: the
+        # one count at the kept top keeps exactly what counting every
+        # ceiling keeps
+        g = data.draw(st.sampled_from([0.3, 0.9]))
+        block = data.draw(st.integers(0, 1))
+        _, diagonals = build_effective_hamiltonian(params(g), 96).blocks[block]
+        d, e = diagonals[0], diagonals[1]
+        m = len(d)
+        guess = np.append(np.linalg.eigvalsh(_dense(diagonals)), np.inf)
+        scale = data.draw(st.sampled_from([0.0, 1e-12, 1e-7, 1e-3, 3e-2]))
+        noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m + 1, max_size=m + 1))
+        guess *= 1.0 + scale * np.array(noise)
+        for _ in range(data.draw(st.integers(0, 3))):
+            guess = np.delete(guess, data.draw(st.integers(0, len(guess) - 2)))
+        n = data.draw(st.integers(1, len(guess) - 1))
+        energies, _ = _certified_modes(d, e, guess, n)
+        assert len(energies) == all_ceilings_length(d, e, guess, n)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
