@@ -13,12 +13,12 @@ more eigvalsh alone, its vectors found by inverse iteration, certified by
 one test and kept by one rule (eigh if they are not).  The probe is evolved
 by eigendecomposition of each block (exactly unitary; an operator too small
 to hold it, or a time grid that is empty, not 1-D or not finite, is rejected
-before any decomposition, and a time at which float64 cannot resolve its
-phases after it), and the module computes the quantum Fisher information two
-independent ways: a fidelity finite difference and the spectral integral of
-the evolution generator.  It also evolves the probe in the joint spin (x)
-boson squeezed frame at a finite qubit frequency Omega (squeezed_frame_series);
-the runner sets Omega = eta*omega and compares that series with the closed forms.
+before any decomposition, and a time float64 cannot resolve the phases of
+after it), and the module computes the QFI two independent ways: a fidelity
+finite difference and the spectral integral of the evolution generator.  It
+also evolves the probe in the joint spin (x) boson squeezed frame at a finite
+qubit frequency Omega (squeezed_frame_series); the runner sets Omega =
+eta*omega and compares that series with the closed forms.
 
 The effective oscillator takes d<X>_t/dg exactly (Duhamel) from the kernel
 of its generator QFI, so one decomposition per cutoff level serves every
@@ -203,13 +203,12 @@ def _block_eig(diagonals: dict[int, np.ndarray],
 
 def _certified_modes(d: np.ndarray, e: np.ndarray, spectrum: np.ndarray,
                      n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(energies, vectors) of the lowest modes of T = (d, e), possibly none:
-    inverse iteration at the lowest ``n`` of ``spectrum``, n + 1 or more
-    guesses at T's eigenvalues (inf past the last), Rayleigh-quotient energies,
-    cut to the longest prefix that strictly rises and whose residuals over
-    gaps (Davis-Kahan: bounds on the sines to the true eigenvectors) are <=
-    CERTIFY_TOL, the top mode's gap up to a point with that many below it,
-    counted once, at the kept top (not at inf); on a miss, at every candidate."""
+    """(energies, vectors) of the lowest modes of T = (d, e), possibly none: inverse
+    iteration at the lowest ``n`` of ``spectrum``, n + 1 or more guesses at T's
+    eigenvalues (inf past the last), Rayleigh-quotient energies, cut to the longest
+    prefix that strictly rises and whose residuals over gaps (Davis-Kahan: bounds on
+    the sines to the true eigenvectors) are <= CERTIFY_TOL, the top mode's gap up to
+    a point with that many below it, counted once, over the candidate tops only."""
     vectors = _inverse_iteration(d, e, spectrum[:n])
     applied = _band_apply(d, e, vectors)
     energies = np.einsum("ij,ij->j", vectors, applied)
@@ -222,49 +221,50 @@ def _certified_modes(d: np.ndarray, e: np.ndarray, spectrum: np.ndarray,
     top = residuals <= CERTIFY_TOL * np.minimum(below, ceiling - energies)
     top &= np.append(True, np.logical_and.accumulate(inner & (steps > 0)))
     lengths = np.flatnonzero(top) + 1  # candidate prefix lengths, ascending
-    k = lengths.max(initial=0)
-    if k and ceiling[k - 1] < np.inf and _sturm_count(d, e, ceiling[k - 1:k])[0] != k:
-        k = lengths[_sturm_count(d, e, ceiling[lengths - 1]) == lengths].max(initial=0)
+    k = lengths[_sturm_count(d, e, ceiling[lengths - 1]) == lengths].max(initial=0)
     return energies[:k], vectors[:, :k]
 
 
-def _inverse_pivots(d: np.ndarray, e: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """1/pivot (m, len(points)) of each row of T - x = L D L^T for T = (d, e),
-    vectorized over the points x, a pivot under eps*||T|| raised to it with
-    its sign: T - x is singular to rounding at an eigenvalue x (Demmel,
-    Applied Numerical Linear Algebra, SIAM 1997, section 5.3.4)."""
+def _inverse_pivots(d: np.ndarray, e: np.ndarray, points: np.ndarray):
+    """Yield 1/pivot of each row in turn of T - x = L D L^T, T = (d, e), vectorized over
+    the points x; a pivot under eps*||T|| is raised to it with its sign, as T - x is singular
+    to rounding at an eigenvalue x (Demmel, Applied Numerical Linear Algebra, SIAM 1997, 5.3.4)."""
     tiny = np.finfo(float).eps * (np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))
-    inv, row = np.empty((len(d), len(points))), np.empty(len(points))
+    squares, row, inv = np.append(0.0, e * e), np.empty(len(points)), np.zeros(len(points))
     for i in range(len(d)):
         np.subtract(d[i], points, out=row)
-        if i:
-            row -= e[i - 1] * e[i - 1] * inv[i - 1]
+        row -= squares[i] * inv
         np.copysign(np.maximum(np.abs(row), tiny), row, out=row)
-        np.divide(1.0, row, out=inv[i])
-    return inv
+        inv = 1.0 / row
+        yield inv
 
 
 def _sturm_count(d: np.ndarray, e: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """How many eigenvalues of T = (d, e) lie below each of ``points``, T - x's
-    negative pivots (Sylvester); _certified_modes counts once, at the top it keeps."""
-    return np.signbit(_inverse_pivots(d, e, points)).sum(axis=0)
+    """How many eigenvalues of T = (d, e) lie below each of ``points``: T - x's
+    negative pivots (Sylvester).  _certified_modes counts once, at its candidate tops."""
+    return sum(np.signbit(inv) for inv in _inverse_pivots(d, e, points))
 
 
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Unit eigenvectors (m, len(shifts)) of the tridiagonal T = (d, e) at its
-    eigenvalues ``shifts``: two sweeps of inverse iteration over _inverse_pivots,
-    vectorized over the shifts, from one fixed start, cos(k*phi) at the golden
-    angle phi (a random one would import numpy's random module, about 10 ms a
-    process); _certified_modes checks the result."""
-    inv = _inverse_pivots(d, e, shifts)
+    eigenvalues ``shifts``: two Thomas solves of (T - shift) x = b over _inverse_pivots,
+    vectorized over the shifts, from cos(k*phi) at the golden angle phi (a random start
+    would import numpy's random module, about 10 ms a process); _certified_modes checks them."""
+    m, shifts = len(d), np.asarray(shifts, dtype=float)
+    inv = np.array(list(_inverse_pivots(d, e, shifts)))  # (m, len(shifts))
+    row = np.empty(len(shifts))
     x = np.empty_like(inv)
-    x[:] = np.cos(2.399963229728653 * np.arange(len(d)))[:, None]
+    x[:] = np.cos(2.399963229728653 * np.arange(m))[:, None]
     for _ in range(2):
-        for i in range(1, len(d)):  # L y = b, L unit lower with e[i-1]/pivot[i-1]
-            x[i] -= inv[i - 1] * e[i - 1] * x[i - 1]
+        for i in range(1, m):  # L y = b, L unit lower with e[i-1]/pivot[i-1]
+            np.multiply(inv[i - 1], e[i - 1], out=row)
+            row *= x[i - 1]
+            x[i] -= row
         x[-1] *= inv[-1]
-        for i in range(len(d) - 2, -1, -1):  # U x = y, U with the pivots and e
-            x[i] = (x[i] - x[i + 1] * e[i]) * inv[i]
+        for i in range(m - 2, -1, -1):  # U x = y, U with the pivots and e
+            np.multiply(x[i + 1], e[i], out=row)
+            x[i] -= row
+            x[i] *= inv[i]
         x /= np.linalg.norm(x, axis=0)
     return x
 
@@ -371,8 +371,8 @@ def _propagate(eig, amps0: np.ndarray, ts, dh=None):
     t on near-degenerate pairs, as exp(i*(Ej-Ek)*t/2)*2*sin((Ej-Ek)*t/2)/(Ej-Ek)
     with the sine expanded in sin/cos of Ej*t/2: two matrix products, 0 at t = 0.
     Every block is real symmetric, so every product with its eigenvectors runs
-    in real arithmetic.  InvalidParams("ts") when the phases' roundoff over the
-    probe's coefficients c_k, eps*max|t|*sum_k |c_k|^2 |E_k|, exceeds AUTO_CUTOFF_RTOL."""
+    in real arithmetic.  InvalidParams("ts") if the phases' roundoff on the probe's
+    coefficients c_k, eps*max|t|*sum_k |c_k|^2 |E_k|, exceeds AUTO_CUTOFF_RTOL."""
     ts = np.asarray(ts, dtype=float)
     block_coeffs = [_real_matmul(vectors.T, amps0[idx]) for idx, _, vectors in eig]
     roundoff = np.finfo(float).eps * np.abs(ts).max() * sum(

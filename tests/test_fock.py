@@ -1051,38 +1051,38 @@ class TestTridiagonalSolver:
             assert np.abs(energies - exact[:len(energies)]).max() <= 1e-13 * norm
 
     def test_near_critical_first_stage_counts_once(self, counts):
-        # criterion 6's even block at n_cut 2048, 1024 rows: the first stage
-        # used to count at all 256 ceilings; the top it keeps needs one point
+        # criterion 6's even block at n_cut 2048, 1024 rows: one count, over
+        # the candidate tops, keeps what counting at all 256 ceilings keeps
         p, n_cut = params(0.099, lam=-0.2475), 2048
         idx, diagonals = build_effective_hamiltonian(p, n_cut).blocks[0]
         d, e, m = diagonals[0], diagonals[1], len(diagonals[0])
         frame = oscillator_frame(p)
         spectrum = (frame.omega_bar * np.sqrt(frame.stiffness) * (np.arange(n_cut) + 0.5))[idx]
         energies, _ = _certified_modes(d, e, spectrum, m // fock.LOW_MODES)
-        assert m == 1024 and counts == [1]
+        assert m == 1024 and len(counts) == 1
         assert 0 < len(energies) == all_ceilings_length(d, e, spectrum, m // fock.LOW_MODES)
 
-    @pytest.mark.parametrize("case, calls", [("high", 1), ("skip", 2), ("complete", 0)])
-    def test_one_count_keeps_the_all_ceilings_prefix(self, counts, case, calls):
-        # the keep-rule cases of the test above: a certified top is counted
-        # once; a top whose count disagrees sends the shorter candidates to
-        # one more count; the complete set's top, at inf, is not counted
+    @pytest.mark.parametrize("case", ["high", "skip", "complete", "skip-to-inf"])
+    def test_one_count_keeps_the_all_ceilings_prefix(self, case):
+        # the keep-rule cases of the test above, and a guess that skips an
+        # eigenvalue yet reaches inf after m - 1 finite guesses: the count at
+        # inf is m, so no candidate past the skip may be kept
         _, diagonals = build_effective_hamiltonian(params(0.9), 256).blocks[0]
         d, e = diagonals[0], diagonals[1]
         m = len(d)
         exact = np.linalg.eigvalsh(_dense(diagonals))
         guess, n = {"high": (exact * (1.0 + 1e-7), m // 4), "skip": (np.delete(exact, 2), m // 4),
-                    "complete": (np.append(exact, np.inf), m)}[case]
+                    "complete": (np.append(exact, np.inf), m),
+                    "skip-to-inf": (np.append(np.delete(exact, 2), np.inf), m - 1)}[case]
         energies, _ = _certified_modes(d, e, guess, n)
-        assert len(counts) == calls and counts[:1] == [1][:calls]  # the first: one point
         assert len(energies) == all_ceilings_length(d, e, guess, n)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_one_count_matches_the_all_ceilings_rule(self, data):
-        # perturbed, shuffled or gapped guesses at a block's spectrum: the
-        # one count at the kept top keeps exactly what counting every
-        # ceiling keeps
+        # perturbed or gapped guesses at a block's spectrum: the one count
+        # over the candidate tops keeps exactly what counting every ceiling
+        # keeps
         g = data.draw(st.sampled_from([0.3, 0.9]))
         block = data.draw(st.integers(0, 1))
         _, diagonals = build_effective_hamiltonian(params(g), 96).blocks[block]
