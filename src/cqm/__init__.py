@@ -21,7 +21,6 @@ from .errors import (
     TruncationLeak,
 )
 from .model import (
-    EffectiveOscillator,
     ModelParams,
     OscillatorFrame,
     Regime,

@@ -13,8 +13,8 @@ Every formula reads one parametrisation, model.oscillator_frame: the
 stiffness s of (omega_bar/2)*(P^2 + s*X^2), its g-derivative ds/dg and the
 squared gap epsilon.  x_mean, var_n and qfi_g hold on both sides of the
 critical point (s = epsilon_g, or epsilon_g_alpha past g_c); the other
-formulas are written for the normal regime and go through one guard,
-_normal_frame, which raises past g_c and on the critical line.  Every
+formulas are written for the normal regime and ask oscillator_frame for
+Regime.NORMAL alone, so they raise past g_c and on the critical line.  Every
 formula is written for the paper's one probe state, (|0> + i|1>)/sqrt(2)
 (PROBE_AMPLITUDES).  The probe enters the QFI only through the 2x2
 covariance of N + 1/2 and (a^2 + a^dag^2)/2, since P^2 - s*X^2 =
@@ -33,9 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidParams, RegimeError
-from .model import (ModelParams, OscillatorFrame, Regime, effective_oscillator,
-                    oscillator_frame, _unwrap)
+from .errors import InvalidParams
+from .model import ModelParams, Regime, oscillator_frame, _unwrap
+from .model import effective_oscillator  # noqa: F401 (perfbench/selftest.py traces it here)
 
 #: Below this argument, sin(x) - x and sin(x) - x*cos(x) switch to series.
 _SERIES_CUT = 1e-4
@@ -92,19 +92,6 @@ def sin_minus_x_cos_over_x3(x):
     return _unwrap(np.where(small, series, naive))
 
 
-def _normal_frame(params: ModelParams) -> OscillatorFrame:
-    """oscillator_frame(params), with a RegimeError unless the regime is normal."""
-    frame = oscillator_frame(params)  # raises on the critical line
-    if np.any(frame.regime != Regime.NORMAL):  # so some coupling is past g_c
-        raise RegimeError(
-            f"epsilon_g = {np.min(effective_oscillator(params).epsilon_g)} "
-            f"({Regime.SUPERRADIANT.value}): "
-            "formulas for the normal regime do not apply (past g_c only x_mean, var_n "
-            "and qfi_g do)"
-        )
-    return frame
-
-
 # ----------------------------------------------------------------------
 # variance of the divergence-scale generator term
 # ----------------------------------------------------------------------
@@ -125,7 +112,7 @@ def ig_fg_ratio(params: ModelParams) -> float:
     1 / (2 * Var[P^2 - epsilon_g*X^2]); independent of the peak index because
     both quantities grow as n^2.
     """
-    return 1.0 / (2.0 * _generator_variance(_normal_frame(params).stiffness))
+    return 1.0 / (2.0 * _generator_variance(oscillator_frame(params, Regime.NORMAL).stiffness))
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +149,7 @@ def x_deriv_g(params: ModelParams, t):
 
     -(sqrt(2)/4) * (ds/dg) * s^(-3/2) * [sin(y) - y*cos(y)],  y = sqrt(eps)*t/2.
     """
-    frame = _normal_frame(params)
+    frame = oscillator_frame(params, Regime.NORMAL)
     t = np.asarray(t, dtype=float)
     y = 0.5 * np.sqrt(frame.epsilon) * t
     pref = -np.sqrt(2.0) / 4.0 * frame.dstiffness_dg * frame.stiffness**-1.5
@@ -171,7 +158,7 @@ def x_deriv_g(params: ModelParams, t):
 
 def x_second_moment(params: ModelParams, t):
     """<X^2>_t = 1 + (1/s - 1) * sin^2(sqrt(eps)*t/2)."""
-    frame = _normal_frame(params)
+    frame = oscillator_frame(params, Regime.NORMAL)
     t = np.asarray(t, dtype=float)
     s = np.sin(0.5 * np.sqrt(frame.epsilon) * t)
     return _unwrap(1.0 + (1.0 / frame.stiffness - 1.0) * s * s)
@@ -179,7 +166,7 @@ def x_second_moment(params: ModelParams, t):
 
 def x_variance(params: ModelParams, t):
     """(Delta X)^2_t = 1 + (1/(2*s) - 1) * sin^2(sqrt(eps)*t/2)."""
-    frame = _normal_frame(params)
+    frame = oscillator_frame(params, Regime.NORMAL)
     t = np.asarray(t, dtype=float)
     s = np.sin(0.5 * np.sqrt(frame.epsilon) * t)
     return _unwrap(1.0 + (0.5 / frame.stiffness - 1.0) * s * s)
@@ -191,7 +178,7 @@ def inverted_variance(params: ModelParams, t):
     (ds/dg)^2 * [sin(y) - y*cos(y)]^2 / (4*s^3 * [2 + (1/s - 2)*sin^2(y)]),
     y = sqrt(eps)*t/2.
     """
-    frame = _normal_frame(params)
+    frame = oscillator_frame(params, Regime.NORMAL)
     t = np.asarray(t, dtype=float)
     y = 0.5 * np.sqrt(frame.epsilon) * t
     bracket = sin_minus_x_cos_over_x3(y) * y**3
@@ -219,12 +206,12 @@ def peak_time(params: ModelParams, n) -> float | np.ndarray:
     """Measurement time tau_n = 2*pi*n/sqrt(eps) of each peak index ``n``: the
     quadrature variance returns to its initial value there while the
     derivative keeps its secular growth, which maximizes I_g."""
-    frame = _normal_frame(params)
+    frame = oscillator_frame(params, Regime.NORMAL)
     return _unwrap(2.0 * np.pi * np.asarray(n, dtype=float) / np.sqrt(frame.epsilon))
 
 
 def inverted_variance_peak(params: ModelParams, n) -> float | np.ndarray:
     """Peak value I_g(tau_n) = (n*pi*ds/dg)^2 / (8*s^3)."""
-    frame = _normal_frame(params)
+    frame = oscillator_frame(params, Regime.NORMAL)
     n = np.asarray(n, dtype=float)
     return _unwrap((n * np.pi * frame.dstiffness_dg) ** 2 / (8.0 * frame.stiffness**3))

@@ -38,7 +38,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InvalidParams, NonFinite, NonPositiveData
-from .model import REGIMES, ModelParams, Regime, _regime_index, effective_oscillator
+from .model import REGIMES, ModelParams, Regime, _regime_index, oscillator_frame
+from .model import effective_oscillator  # noqa: F401 (perfbench/selftest.py traces it here)
 from . import closed_form as cf
 from . import fock
 from . import lindblad as lb
@@ -171,7 +172,7 @@ def _along_g(v: dict, lam: np.ndarray, gs: np.ndarray, fill: float,
     in one array call over the pairs off the critical line; pairs on it are
     saturated, with the value ``fill``."""
     params = _params(v, gs, lam)
-    regime = _REGIME_LABELS[_regime_index(effective_oscillator(params).epsilon_g)]
+    regime = _REGIME_LABELS[_regime_index(oscillator_frame(params, *REGIMES).epsilon_g)]
     critical = regime == Regime.CRITICAL.value
     values = np.full(len(gs), fill)
     if not critical.all():

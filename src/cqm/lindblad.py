@@ -7,13 +7,13 @@ order.  This module writes the coupled linear moment equations once, as
 the augmented matrix of moment_generator, propagates them exactly from the
 probe's moments at t = 0 onto a time grid (integrate_moments, used as an
 independent check), and gives the explicit solutions for <X>_t, d<X>_t/dg,
-(Delta X)^2_t and the dissipative inverted variance at times >= 0.  The explicit solutions hold in the normal
-regime and read the same oscillator frame (stiffness s, ds/dg, gap
-epsilon) as the closed_form module, through its normal-regime guard; the
-moment equations read effective_oscillator, so they also hold on the
-critical line.  Every equation reads the rates as gamma_+- = gamma_a +-
-gamma_h, as DecayRates holds them, and every closed form reduces pointwise
-to its unitary counterpart at gamma_+ = gamma_- = 0.
+(Delta X)^2_t and the dissipative inverted variance at times >= 0.  Both read
+model.oscillator_frame (stiffness s, ds/dg, gap epsilon): the explicit
+solutions for the normal regime alone, as closed_form does, and the moment
+equations for every regime, so past g_c they evolve the displaced-frame
+oscillator x_mean describes.  Every equation reads the rates as gamma_+- =
+gamma_a +- gamma_h, as DecayRates holds them, and every closed form reduces
+pointwise to its unitary counterpart at gamma_+ = gamma_- = 0.
 """
 
 from __future__ import annotations
@@ -24,8 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParams
-from .closed_form import _normal_frame, sin_minus_x_cos_over_x3, x_deriv_g, x_mean
-from .model import ModelParams, OscillatorFrame, _one_point, _unwrap, effective_oscillator
+from .closed_form import sin_minus_x_cos_over_x3, x_deriv_g, x_mean
+from .model import (REGIMES, ModelParams, OscillatorFrame, Regime, _one_point, _unwrap,
+                    oscillator_frame)
+from .model import effective_oscillator  # noqa: F401 (perfbench/selftest.py traces it here)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -65,8 +67,8 @@ def moment_generator(params: ModelParams, rates: DecayRates) -> np.ndarray:
     One (g, lam) point a call: an array of couplings is an InvalidParams.
     """
     _one_point(params)
-    eff = effective_oscillator(params)
-    wbar, eps = eff.omega_bar, eff.epsilon
+    frame = oscillator_frame(params, *REGIMES)
+    wbar, eps = frame.omega_bar, frame.epsilon
     gm, gp = rates.gamma_minus, rates.gamma_plus
     return np.array([
         [-0.5 * gm, wbar, 0.0, 0.0, 0.0, 0.0],
@@ -128,7 +130,7 @@ def _damped_frame(params: ModelParams, rates: DecayRates,
     t = np.asarray(t, dtype=float)
     if not np.all(t >= 0):  # NaN fails too
         raise InvalidParams("t", "the damped closed forms need times >= 0")
-    return _normal_frame(params), t
+    return oscillator_frame(params, Regime.NORMAL), t
 
 
 def x_mean_dissipative(params: ModelParams, rates: DecayRates, t):

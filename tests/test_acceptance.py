@@ -11,7 +11,6 @@ from cqm import (
     ModelParams,
     build_config,
     critical_coupling,
-    effective_oscillator,
     fit_loglog_slope,
     generator_qfi_grid,
     ig_fg_ratio,
@@ -21,6 +20,7 @@ from cqm import (
     inverted_variance_peak,
     lambda_for_target_critical,
     optimal_times,
+    oscillator_frame,
     peak_time,
     qfi_g,
     qfi_overlap,
@@ -81,7 +81,7 @@ def test_criterion_3_cross_engine_dynamics():
     results = []
     for g, lam in [(0.9, 0.0), (0.099, -0.2475)]:
         p = params(g, lam=lam)
-        eps_g = effective_oscillator(p).epsilon_g
+        eps_g = oscillator_frame(p).epsilon_g
         tau2 = float(optimal_times(p, 2)[-1])
         ts = np.linspace(0.0, 2.0 * tau2, 160)
         series = quadrature_series(p, ts)  # automatic cutoff
@@ -116,7 +116,7 @@ def test_criterion_4_qfi_method_agreement_and_convergence():
     for eps_g, n_cut in ((0.02, 512), (0.01, 1024), (0.005, 2048)):
         g = np.sqrt(1.0 - eps_g)
         p = params(g)
-        t = np.pi / np.sqrt(effective_oscillator(p).epsilon)
+        t = np.pi / np.sqrt(oscillator_frame(p).epsilon)
         (below,) = _effective_level(p, np.array([t]), n_cut // 2)[1][3]
         (exact,) = _effective_level(p, np.array([t]), n_cut)[1][3]
         moves.append(abs(exact - below) / max(abs(exact), abs(below)))

@@ -9,7 +9,6 @@ from cqm import (
     ModelParams,
     Regime,
     RegimeError,
-    effective_oscillator,
     ig_fg_ratio,
     inverted_variance,
     inverted_variance_peak,
@@ -24,6 +23,7 @@ from cqm import (
 )
 from cqm.closed_form import (_generator_variance, peak_indices, sin_minus_x_cos_over_x3,
                              sin_minus_x_over_x3)
+from cqm.model import REGIMES
 
 
 def params(g, lam=0.0, omega=1.0, Omega=1e4):
@@ -68,7 +68,7 @@ class TestVarN:
     @settings(max_examples=60)
     def test_matches_hand_derived_variance(self, lam, frac):
         p = normal_params(frac, lam)
-        eps_g = effective_oscillator(p).epsilon_g
+        eps_g = oscillator_frame(p).epsilon_g
         scale = (1 + 4 * lam) ** 3
         assert var_n(p) == pytest.approx(scale * reference_variance(eps_g), rel=1e-12)
 
@@ -114,7 +114,7 @@ class TestQfi:
         best_g, best_val = None, -1.0
         for g in grid:
             p = params(g, lam=lam)
-            if effective_oscillator(p).epsilon_g == 0:
+            if oscillator_frame(p, *REGIMES).regime is Regime.CRITICAL:
                 continue
             val = qfi_g(p, 1000.0)
             if val > best_val:
@@ -161,11 +161,11 @@ class TestQfi:
 class TestQuadratures:
     def test_mean_starts_at_zero_and_peaks_at_quarter_period(self):
         p = params(0.9)
-        eff = effective_oscillator(p)
+        frame = oscillator_frame(p)
         assert x_mean(p, 0.0) == 0.0
-        t_quarter = np.pi / np.sqrt(eff.epsilon)
+        t_quarter = np.pi / np.sqrt(frame.epsilon)
         assert x_mean(p, t_quarter) == pytest.approx(
-            np.sqrt(0.5 / eff.epsilon_g), rel=1e-12
+            np.sqrt(0.5 / frame.epsilon_g), rel=1e-12
         )
 
     def test_beyond_mean_same_shape(self):
@@ -193,10 +193,10 @@ class TestQuadratures:
 
     def test_derivative_magnitude_at_optimal_times(self):
         p = params(0.9)
-        eff = effective_oscillator(p)
+        eps_g = oscillator_frame(p).epsilon_g
         pref = np.sqrt(2) / 2 * p.omega * p.g / (p.omega + 4 * p.lam)
         for n, tau in enumerate(optimal_times(p, 4), start=1):
-            expected = pref * eff.epsilon_g**-1.5 * n * np.pi
+            expected = pref * eps_g**-1.5 * n * np.pi
             assert abs(x_deriv_g(p, tau)) == pytest.approx(expected, rel=1e-10)
 
     @given(lam=lam_strategy, frac=frac_strategy, t=time_strategy)
@@ -226,6 +226,13 @@ class TestQuadratures:
             optimal_times(params(1.2), 1)
         with pytest.raises(RegimeError):
             inverted_variance_peak(params(1.2), 1)
+
+    def test_regime_errors_name_epsilon_g(self):
+        # every regime guard is oscillator_frame's: the critical line, where
+        # x_mean has no oscillator, and past g_c, where x_deriv_g has no formula
+        for call in (lambda: x_mean(params(1.0), 1.0), lambda: x_deriv_g(params(1.2), 1.0)):
+            with pytest.raises(RegimeError, match="^epsilon_g = "):
+                call()
 
 
 class TestOptimalTimesAndPeaks:
@@ -305,11 +312,11 @@ class TestCouplingArrays:
         gc = np.sqrt(1 + 4 * lam)
         gs = np.array([0.5, 1.5] + fracs) * gc  # always crosses g_c
         scalars = [params(g, lam=lam) for g in gs]
-        assume(all(effective_oscillator(p).regime is not Regime.CRITICAL for p in scalars))
+        assume(all(oscillator_frame(p, *REGIMES).regime is not Regime.CRITICAL for p in scalars))
         p = params(gs, lam=lam)
         frame = oscillator_frame(p)
         frames = [oscillator_frame(q) for q in scalars]
-        for field in ("stiffness", "dstiffness_dg", "epsilon"):
+        for field in ("epsilon_g", "stiffness", "dstiffness_dg", "epsilon"):
             np.testing.assert_allclose(getattr(frame, field),
                                        [getattr(f, field) for f in frames], rtol=1e-15, atol=0)
         assert list(frame.regime) == [f.regime for f in frames]

@@ -120,6 +120,25 @@ class TestConfig:
             build_config(experiment, overrides=[override])
         assert cli_main([experiment, "--set", override]) == 2
 
+    @pytest.mark.parametrize("overrides, code", [
+        (["g=1e308"], 2), (["lam=1e308", "g=0.5"], 2), (["lam=1e300", "g=0.5"], 0)])
+    def test_a_run_ends_alike_under_any_warning_filter(self, tmp_path, overrides, code):
+        # g = 1e308 wrote three ok rows under the default filter and three
+        # failed:RuntimeWarning rows under error::RuntimeWarning, and lam =
+        # 1e308 wrote failed:NonFinite: both are now refused before any cell.
+        # lam = 1e300 overflowed only in the frame's unused past-g_c branch.
+        outcomes = []
+        for action in ("default", "error"):
+            out = tmp_path / f"{action}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                exit_code = cli_main(["quadrature-vs-g", "--out", str(out)]
+                                     + [a for o in overrides for a in ("--set", o)])
+            statuses = Dataset.read_csv(str(out)).str_column("status") if out.exists() else None
+            outcomes.append((exit_code, statuses))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == code
+
     @pytest.mark.parametrize("text", ["lam -0.2\n", "engine = oracle\n"])
     def test_bad_config_file_lines_rejected(self, tmp_path, text):
         # a line needs '=', and the engine is chosen by --engine alone

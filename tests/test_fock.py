@@ -18,7 +18,6 @@ from cqm import (
     build_effective_hamiltonian,
     build_full_hamiltonian,
     build_squeezed_frame_hamiltonian,
-    effective_oscillator,
     evolve_grid,
     oscillator_frame,
     generator_qfi_grid,
@@ -196,7 +195,7 @@ class TestBuilders:
         p = params(g, lam=lam, Omega=Omega)
         lab, squeezed = (np.sort(build(p, n_cut).eig()[0][1])[:20]
                          for build in (build_full_hamiltonian, build_squeezed_frame_hamiltonian))
-        shift = 0.5 * (effective_oscillator(p).omega_bar - p.omega)
+        shift = 0.5 * (oscillator_frame(p).omega_bar - p.omega)
         assert np.abs(lab - (squeezed + shift)).max() <= 1e-12
 
     def test_effective_unit_stiffness_is_harmonic(self):
@@ -206,15 +205,15 @@ class TestBuilders:
 
     def test_effective_gaps_scale_with_sqrt_stiffness(self):
         p = params(0.9)
-        eff = effective_oscillator(p)
+        frame = oscillator_frame(p)
         h = build_effective_hamiltonian(p, 120)
         energies = np.sort(np.concatenate([e for _, e, _ in h.eig()]))
         gaps = np.diff(energies[:8])
-        assert np.allclose(gaps, eff.omega_bar * np.sqrt(eff.epsilon_g), rtol=1e-9)
+        assert np.allclose(gaps, frame.omega_bar * np.sqrt(frame.stiffness), rtol=1e-9)
 
     def test_effective_ground_state_is_squeezed_vacuum(self):
         p = params(0.9)
-        eff = effective_oscillator(p)
+        stiffness = oscillator_frame(p).stiffness
         n_cut = 120
         h = build_effective_hamiltonian(p, n_cut)
         even, _, vecs = h.eig()[0]  # the ground state lies in the even block
@@ -222,7 +221,7 @@ class TestBuilders:
         ground[even] = vecs[:, 0]
         x, _ = quadratures(n_cut)
         xx = ground @ (x @ x) @ ground
-        assert xx == pytest.approx(0.5 / np.sqrt(eff.epsilon_g), rel=1e-9)
+        assert xx == pytest.approx(0.5 / np.sqrt(stiffness), rel=1e-9)
 
     @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 64), (0.099, -0.2475, 257), (1.2, 0.1, 40)])
     def test_band_built_effective_equals_dense_products(self, g, lam, n_cut):
@@ -343,7 +342,7 @@ class TestBuilders:
             h = build_squeezed_frame_hamiltonian(p, n_cut)
             assert [idx for idx, _ in h.blocks] == [slice(None)]
             coupling = 0.5 * np.sqrt(p.omega * p.Omega) * g * (1.0 + 4.0 * lam) ** -0.25
-            omega_bar = effective_oscillator(p).omega_bar
+            omega_bar = oscillator_frame(p).omega_bar
             reference = dense_joint_hamiltonian(n_cut, omega_bar, p.Omega, coupling, 0.0)
             assert np.array_equal(assembled(h), reference), (g, lam, eta)
 
@@ -750,8 +749,7 @@ class TestQfiMethods:
         for eps_g_target, n_cut in ((0.08, 256), (0.02, 1024)):
             g = np.sqrt(1 - eps_g_target)
             p = params(g)
-            eff = effective_oscillator(p)
-            t = np.pi / np.sqrt(eff.epsilon)
+            t = np.pi / np.sqrt(oscillator_frame(p).epsilon)
             (exact,) = level_qfi(p, [t], n_cut)
             approx = qfi_g(p, t)
             rels.append(abs(approx - exact) / exact)

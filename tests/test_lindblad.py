@@ -9,7 +9,6 @@ from cqm import (
     ModelParams,
     PROBE_AMPLITUDES,
     RegimeError,
-    effective_oscillator,
     ig_fg_ratio,
     integrate_moments,
     inverted_variance,
@@ -17,6 +16,7 @@ from cqm import (
     inverted_variance_peak,
     moment_generator,
     optimal_times,
+    oscillator_frame,
     x_deriv_g,
     x_deriv_g_dissipative,
     x_mean,
@@ -27,6 +27,7 @@ from cqm import (
 )
 from cqm.closed_form import _PROBE_COVARIANCE
 from cqm.lindblad import NO_DECAY, REFERENCE_STATE_MOMENTS
+from cqm.model import REGIMES
 
 REFERENCE_RATES = DecayRates(gamma_plus=0.03, gamma_minus=0.01)
 
@@ -105,8 +106,8 @@ class TestMomentRhs:
         # each equation written out term by term, at moments and rates with
         # no zero entry, so every coefficient of the matrix is exercised
         x, p, xx, pp, gg = 0.3, -0.2, 1.4, 0.9, 0.25
-        eff = effective_oscillator(TUNED)
-        w, e = eff.omega_bar, eff.epsilon
+        frame = oscillator_frame(TUNED)
+        w, e = frame.omega_bar, frame.epsilon
         gm, gp = REFERENCE_RATES.gamma_minus, REFERENCE_RATES.gamma_plus
         expected = [
             w * p - gm / 2 * x,
@@ -121,9 +122,9 @@ class TestMomentRhs:
         assert gen.shape == (6, 6) and np.all(gen[5] == 0.0)
 
     def test_initial_flow_of_reference_state(self):
-        eff = effective_oscillator(PLAIN)
+        frame = oscillator_frame(PLAIN)
         d = rhs(REFERENCE_STATE_MOMENTS, PLAIN, NO_DECAY)
-        assert d[0] == pytest.approx(eff.omega_bar / np.sqrt(2))
+        assert d[0] == pytest.approx(frame.omega_bar / np.sqrt(2))
 
     def test_reference_moments_are_those_of_the_reference_state(self):
         # the probe's amplitudes, its covariance of N + 1/2 and (a^2 +
@@ -146,16 +147,16 @@ class TestMomentRhs:
         assert np.abs(covariance - _PROBE_COVARIANCE).max() <= 1e-15
 
     def test_g_equation_with_balanced_moments(self):
-        eff = effective_oscillator(TUNED)
+        frame = oscillator_frame(TUNED)
         d = rhs([0.2, -0.1, 0.7, 0.7, 0.0], TUNED, NO_DECAY)
         assert d[4] == pytest.approx(
-            2 * eff.omega_bar * 0.7 - eff.epsilon / (2 * eff.omega_bar) * 0.7
+            2 * frame.omega_bar * 0.7 - frame.epsilon / (2 * frame.omega_bar) * 0.7
         )
 
     def test_fixed_point_from_independent_linear_solve(self):
-        eff = effective_oscillator(TUNED)
+        frame = oscillator_frame(TUNED)
         gm, gp = REFERENCE_RATES.gamma_minus, REFERENCE_RATES.gamma_plus
-        w, e = eff.omega_bar, eff.epsilon
+        w, e = frame.omega_bar, frame.epsilon
         block = np.array(
             [[-gm, 0.0, w], [0.0, -gm, -e / (4 * w)], [-e / (2 * w), 2 * w, -gm]]
         )
@@ -195,12 +196,24 @@ class TestIntegrateMoments:
         # epsilon = 0 exactly: <P> only decays and <X> grows secularly,
         # x = wbar*p0*t*exp(-gamma_-*t/2); the moment matrix is defective here
         p = params(1.0)
-        assert effective_oscillator(p).epsilon == 0.0
+        frame = oscillator_frame(p, *REGIMES)
+        assert frame.epsilon == 0.0
         ts = np.linspace(0.0, 50.0, 101)
         m = integrate_moments(p, REFERENCE_RATES, ts)
-        wbar, p0 = effective_oscillator(p).omega_bar, REFERENCE_STATE_MOMENTS[1]
+        wbar, p0 = frame.omega_bar, REFERENCE_STATE_MOMENTS[1]
         exact = wbar * p0 * ts * np.exp(-0.5 * REFERENCE_RATES.gamma_minus * ts)
         assert np.abs(m[:, 0] - exact).max() / np.abs(exact).max() < 1e-12
+
+    @pytest.mark.parametrize("g, lam", [(1.2, 0.0), (1.5, -0.2)])
+    def test_past_g_c_the_moments_follow_the_displaced_frame(self, g, lam):
+        # the moment equations evolve the displaced-frame oscillator past g_c,
+        # as x_mean does; they once took the normal-regime gap there, an
+        # inverted oscillator whose <X> grew 1e14-fold by t = 50
+        p = params(g, lam=lam)
+        ts = np.linspace(0.0, 50.0, 101)
+        m = integrate_moments(p, NO_DECAY, ts)
+        expected = x_mean(p, ts)
+        assert np.abs(m[:, 0] - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_grid_spacing_does_not_change_the_trajectory(self):
         # each step is exact, so one long step lands where many short ones do
@@ -268,8 +281,8 @@ class TestClosedForms:
         assert inverted_variance_dissipative(TUNED, REFERENCE_RATES, 0.0) == 0.0
 
     def test_envelope_decay_over_one_period(self):
-        eff = effective_oscillator(TUNED)
-        period = 4 * np.pi / np.sqrt(eff.epsilon)
+        frame = oscillator_frame(TUNED)
+        period = 4 * np.pi / np.sqrt(frame.epsilon)
         t0 = 0.35 * period
         ratio = x_mean_dissipative(TUNED, REFERENCE_RATES, t0 + period) / x_mean_dissipative(
             TUNED, REFERENCE_RATES, t0
@@ -289,8 +302,8 @@ class TestClosedForms:
 
     def test_damping_monotone_envelope(self):
         # |<X>| evaluated at successive quarter-period maxima never grows
-        eff = effective_oscillator(TUNED)
-        period = 4 * np.pi / np.sqrt(eff.epsilon)
+        frame = oscillator_frame(TUNED)
+        period = 4 * np.pi / np.sqrt(frame.epsilon)
         peaks = [
             abs(x_mean_dissipative(TUNED, REFERENCE_RATES, (k + 0.25) * period))
             for k in range(8)
@@ -337,7 +350,7 @@ class TestClosedForms:
         # 0 < eps_g <= REGIME_TOL is the critical line for every formula: the
         # normal-only closed and damped forms raise there, as x_mean does
         p = params(float(np.sqrt(1.0 - 5e-13)))
-        assert 0.0 < effective_oscillator(p).epsilon_g <= 1e-12
+        assert 0.0 < oscillator_frame(p, *REGIMES).epsilon_g <= 1e-12
         closed = [
             lambda: x_deriv_g(p, 1.0), lambda: x_second_moment(p, 1.0),
             lambda: x_variance(p, 1.0), lambda: inverted_variance(p, 1.0),

@@ -11,12 +11,12 @@ from cqm import (
     Regime,
     RegimeError,
     critical_coupling,
-    effective_oscillator,
     lambda_for_target_critical,
     oscillator_frame,
     squeeze_parameter,
     validate,
 )
+from cqm.model import REGIMES
 
 OMEGA_Q = 1000.0
 
@@ -58,6 +58,18 @@ class TestValidate:
         with pytest.raises(InvalidParams) as err:
             ModelParams(**kwargs)
         assert err.value.field == field
+
+    @pytest.mark.parametrize("g,lam,field", [
+        (1e308, 0.0, "g"), ([0.5, 1.4e154], 0.0, "g"), (np.float64(1e308), 0.0, "g"),
+        (0.5, 1e308, "lam"), ([0.5, 0.6], [0.0, 4.5e307], "lam"), (0.5, np.float64(1e308), "lam"),
+    ])
+    def test_overflowing_frame_products_rejected(self, g, lam, field):
+        # omega*g^2 and 4*omega*(omega + 4*lam) are the frame's first products:
+        # they overflowed there, and the warning filter decided the outcome
+        with pytest.raises(InvalidParams) as err:
+            params(g, lam=lam)
+        assert err.value.field == field
+        params(1.3e154)  # omega*g^2 = 1.69e308 still fits
 
 
 class TestSqueezeParameter:
@@ -145,56 +157,6 @@ class TestArrayLam:
             assert r == 0.25 * math.log1p(4.0 * lam) == squeeze_parameter(params(0.0, lam=lam))
 
 
-class TestEffectiveOscillator:
-    def test_plain_normal_point(self):
-        eff = effective_oscillator(params(0.9))
-        assert eff.omega_bar == 1.0
-        assert eff.epsilon_g == pytest.approx(0.19, rel=1e-14)
-        assert eff.epsilon == pytest.approx(0.76, rel=1e-14)
-        assert eff.regime is Regime.NORMAL
-
-    def test_critical_point(self):
-        eff = effective_oscillator(params(1.0))
-        assert eff.epsilon_g == 0.0
-        assert eff.regime is Regime.CRITICAL
-
-    def test_tuned_near_critical_point(self):
-        eff = effective_oscillator(params(0.099, lam=-0.2475))
-        assert eff.epsilon_g == pytest.approx(0.0199, rel=1e-12)
-        assert eff.epsilon == pytest.approx(4 * 0.01 * 0.0199, rel=1e-12)
-
-    def test_superradiant_classification(self):
-        assert effective_oscillator(params(1.2)).regime is Regime.SUPERRADIANT
-
-    @given(g=couplings, lam=lams)
-    @settings(max_examples=200)
-    def test_gap_identity(self, g, lam):
-        eff = effective_oscillator(params(g, lam=lam))
-        assert eff.epsilon == pytest.approx(
-            4.0 * eff.omega_bar**2 * eff.epsilon_g, rel=1e-13, abs=1e-15
-        )
-
-    @given(lam=lams)
-    def test_stiffness_vanishes_at_the_critical_coupling(self, lam):
-        p = params(0.0, lam=lam)
-        eff = effective_oscillator(params(critical_coupling(p), lam=lam))
-        assert abs(eff.epsilon_g) < 1e-14
-
-    @given(lam=lams, a=st.floats(0.05, 0.95), b=st.floats(0.05, 0.95))
-    @example(lam=0.0, a=0.05, b=0.05000000000000001)  # both round to 0.9975
-    @settings(max_examples=100)
-    def test_stiffness_strictly_decreasing_in_g(self, lam, a, b):
-        # Couplings a few ulp apart can round to the same epsilon_g in
-        # binary64, so the decrease is strict only beyond 1e-12*g_c.
-        gc = critical_coupling(params(0.0, lam=lam))
-        g1, g2 = sorted((a * gc, b * gc))
-        e1 = effective_oscillator(params(g1, lam=lam)).epsilon_g
-        e2 = effective_oscillator(params(g2, lam=lam)).epsilon_g
-        assert e2 <= e1
-        if g2 - g1 > 1e-12 * gc:
-            assert e2 < e1
-
-
 class TestBeyondCriticalFrame:
     """The superradiant side of oscillator_frame: stiffness epsilon_g_alpha."""
 
@@ -234,11 +196,62 @@ class TestBeyondCriticalFrame:
 
 
 class TestOscillatorFrame:
-    def test_normal_side_is_the_effective_oscillator(self):
-        p = params(0.3, lam=-0.2)
-        frame, eff = oscillator_frame(p), effective_oscillator(p)
-        assert (frame.omega_bar, frame.stiffness, frame.epsilon, frame.regime) == (
-            eff.omega_bar, eff.epsilon_g, eff.epsilon, eff.regime)
+    def test_plain_normal_point(self):
+        frame = oscillator_frame(params(0.9))
+        assert frame.omega_bar == 1.0
+        assert frame.epsilon_g == pytest.approx(0.19, rel=1e-14)
+        assert frame.epsilon == pytest.approx(0.76, rel=1e-14)
+        assert frame.regime is Regime.NORMAL
+
+    def test_critical_point(self):
+        # asked for, the critical line is a frame of zero stiffness and gap
+        frame = oscillator_frame(params(1.0), *REGIMES)
+        assert frame.epsilon_g == frame.stiffness == frame.epsilon == 0.0
+        assert frame.regime is Regime.CRITICAL
+
+    def test_tuned_near_critical_point(self):
+        frame = oscillator_frame(params(0.099, lam=-0.2475))
+        assert frame.epsilon_g == pytest.approx(0.0199, rel=1e-12)
+        assert frame.epsilon == pytest.approx(4 * 0.01 * 0.0199, rel=1e-12)
+
+    def test_superradiant_classification(self):
+        assert oscillator_frame(params(1.2)).regime is Regime.SUPERRADIANT
+
+    def test_stiffness_is_epsilon_g_up_to_g_c(self):
+        # bit for bit, in the normal regime and on the critical line
+        for g, lam in ((0.3, -0.2), (0.9, 0.0), (0.099, -0.2475), (1.0, 0.0),
+                       (float(np.sqrt(1.0 - 5e-13)), 0.0)):
+            frame = oscillator_frame(params(g, lam=lam), *REGIMES)
+            assert frame.regime is not Regime.SUPERRADIANT
+            assert frame.stiffness == frame.epsilon_g
+
+    @given(g=couplings, lam=lams)
+    @settings(max_examples=200)
+    def test_gap_identity(self, g, lam):
+        frame = oscillator_frame(params(g, lam=lam), *REGIMES)
+        assert frame.epsilon == pytest.approx(
+            4.0 * frame.omega_bar**2 * frame.stiffness, rel=1e-13, abs=1e-15
+        )
+
+    @given(lam=lams)
+    def test_stiffness_vanishes_at_the_critical_coupling(self, lam):
+        p = params(0.0, lam=lam)
+        frame = oscillator_frame(params(critical_coupling(p), lam=lam), *REGIMES)
+        assert abs(frame.epsilon_g) < 1e-14
+
+    @given(lam=lams, a=st.floats(0.05, 0.95), b=st.floats(0.05, 0.95))
+    @example(lam=0.0, a=0.05, b=0.05000000000000001)  # both round to 0.9975
+    @settings(max_examples=100)
+    def test_stiffness_strictly_decreasing_in_g(self, lam, a, b):
+        # Couplings a few ulp apart can round to the same epsilon_g in
+        # binary64, so the decrease is strict only beyond 1e-12*g_c.
+        gc = critical_coupling(params(0.0, lam=lam))
+        g1, g2 = sorted((a * gc, b * gc))
+        e1 = oscillator_frame(params(g1, lam=lam)).epsilon_g
+        e2 = oscillator_frame(params(g2, lam=lam)).epsilon_g
+        assert e2 <= e1
+        if g2 - g1 > 1e-12 * gc:
+            assert e2 < e1
 
     def test_superradiant_side_is_the_alpha_frame(self):
         # epsilon_g_alpha = 1 - (g_c/g)^4 past g_c
@@ -246,13 +259,32 @@ class TestOscillatorFrame:
         frame = oscillator_frame(p)
         assert frame.stiffness == pytest.approx(1 - (1.4 / 1.44) ** 2, rel=1e-13)
         assert frame.epsilon == pytest.approx(4 * 1.4 * frame.stiffness, rel=1e-13)
-        assert frame.omega_bar == effective_oscillator(p).omega_bar
+        assert frame.omega_bar == np.sqrt(1.0 + 4.0 * 0.1)
+        assert frame.regime is Regime.SUPERRADIANT
 
     def test_critical_line_raises(self):
-        with pytest.raises(RegimeError):
+        with pytest.raises(RegimeError, match="^epsilon_g = 0.0 "):
             oscillator_frame(params(1.0))
         with pytest.raises(RegimeError):
             oscillator_frame(params(critical_coupling(params(0.0, lam=-0.2)), lam=-0.2))
+
+    @pytest.mark.parametrize("g,allowed,refused", [
+        (0.5, (Regime.CRITICAL, Regime.SUPERRADIANT), Regime.NORMAL),
+        (1.0, (Regime.NORMAL, Regime.SUPERRADIANT), Regime.CRITICAL),
+        (1.5, (Regime.NORMAL,), Regime.SUPERRADIANT),
+        (1.5, (Regime.NORMAL, Regime.CRITICAL), Regime.SUPERRADIANT),
+    ])
+    def test_only_the_regimes_asked_for(self, g, allowed, refused):
+        # one guard: each coupling outside the regimes asked for is refused,
+        # named by its epsilon_g and regime, and every one inside passes
+        assert oscillator_frame(params(g), *REGIMES).regime is refused
+        with pytest.raises(RegimeError, match=f"^epsilon_g = .* \\({refused.value}\\)"):
+            oscillator_frame(params(g), *allowed)
+        assert oscillator_frame(params(g), refused).regime is refused
+
+    def test_an_array_names_its_first_refused_coupling(self):
+        with pytest.raises(RegimeError, match=r"^epsilon_g = -1.25 \(superradiant\)"):
+            oscillator_frame(params([0.5, 1.5, 1.0]), Regime.NORMAL)
 
     @pytest.mark.parametrize("g,lam", [(0.3, 0.0), (0.099, -0.2475), (0.9, 0.5),
                                        (1.2, 0.0), (0.2, -0.2475), (3.0, 0.5)])
@@ -283,19 +315,18 @@ class TestLamArrays:
         assert err.value.field == "lam"
 
     def test_pairs_match_scalar_calls(self):
-        # four lam rows, each with couplings on both sides of its g_c
-        lam = np.repeat([-0.2475, -0.1, 0.0, 0.5], 4)
-        g = np.sqrt(1 + 4 * lam) * np.tile([0.3, 0.9, 1.1, 2.0], 4)
-        p = params(g, lam=lam)
-        points = [params(float(a), lam=float(b)) for a, b in zip(g, lam)]
-        for derive, fields in ((effective_oscillator, ("omega_bar", "epsilon_g", "epsilon")),
-                               (oscillator_frame, ("omega_bar", "stiffness", "dstiffness_dg",
-                                                   "epsilon"))):
-            for field in fields:
-                np.testing.assert_allclose(getattr(derive(p), field),
-                                           [getattr(derive(q), field) for q in points],
-                                           rtol=1e-15, atol=0)
-            assert list(derive(p).regime) == [derive(q).regime for q in points]
+        # four lam rows, each with couplings on both sides of its g_c, and
+        # two points on the critical line
+        lam = np.append(np.repeat([-0.2475, -0.1, 0.0, 0.5], 4), [0.0, 0.5])
+        g = np.sqrt(1 + 4 * lam) * np.append(np.tile([0.3, 0.9, 1.1, 2.0], 4), [1.0, 1.0])
+        frame = oscillator_frame(params(g, lam=lam), *REGIMES)
+        frames = [oscillator_frame(params(float(a), lam=float(b)), *REGIMES)
+                  for a, b in zip(g, lam)]
+        for field in ("omega_bar", "epsilon_g", "stiffness", "dstiffness_dg", "epsilon"):
+            np.testing.assert_allclose(getattr(frame, field), [getattr(f, field) for f in frames],
+                                       rtol=1e-15, atol=0)
+        assert list(frame.regime) == [f.regime for f in frames]
+        assert list(frame.regime[-2:]) == [Regime.CRITICAL] * 2
 
     def test_lam_is_a_read_only_copy(self):
         lam = np.array([0.1, -0.2])
@@ -305,8 +336,8 @@ class TestLamArrays:
         assert not p.lam.flags.writeable
 
     def test_scalar_calls_return_python_floats(self):
-        p = params(0.3, lam=-0.2)
-        eff, frame = effective_oscillator(p), oscillator_frame(p)
-        for value in (eff.omega_bar, eff.epsilon_g, eff.epsilon, frame.omega_bar,
-                      frame.stiffness, frame.dstiffness_dg, frame.epsilon):
-            assert type(value) is float
+        for g in (0.3, 1.2):
+            frame = oscillator_frame(params(g, lam=-0.2))
+            for value in (frame.omega_bar, frame.epsilon_g, frame.stiffness,
+                          frame.dstiffness_dg, frame.epsilon):
+                assert type(value) is float
