@@ -55,7 +55,6 @@ from .fock import (
     generator_qfi_grid,
     qfi_overlap,
     quadrature_series,
-    ratio_oracle,
     squeezed_frame_series,
     verify_reciprocal_relation,
 )

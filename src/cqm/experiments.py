@@ -30,6 +30,7 @@ import io
 import json
 import os
 import time
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -194,8 +195,8 @@ def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> dict:
     closed = {"qfi": cf.qfi_g(params, v["t"])}
     if cfg.engine == "closed":
         return {**base, **closed}
-    oracle, n_cut = fock.generator_qfi_grid(params, v["t"])
-    return {**base, **_compared_columns(closed, {"qfi": oracle}, n_cut)}
+    series, oracle = fock.generator_qfi_grid(params, v["t"])
+    return {**base, **_compared_columns(closed, {"qfi": oracle}, series.n_cut)}
 
 
 def _qfi_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
@@ -249,9 +250,10 @@ def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
             "ratio_analytic": analytic}
     if cfg.engine == "closed":
         return cols
-    numeric, n_cut = fock.ratio_oracle(params, taus)
+    series, qfi = fock.generator_qfi_grid(params, taus)  # taus > 0: peak_indices takes n >= 1
+    numeric = series.inv_var / qfi
     return {**cols, "ratio_numeric": numeric, "rel_dev": np.abs(numeric - analytic) / analytic,
-            "n_cut": n_cut}
+            "n_cut": series.n_cut}
 
 
 def _frequency_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
@@ -692,13 +694,16 @@ def _run_batch(cfg: ExperimentConfig, indices: list[int], cells: list[dict],
     render their rows as strings, as (cell index, rows, "<Type>: <message>"
     or None) per cell.
 
-    Any exception fails the batch, as do a column of the wrong length and a
-    non-finite value in a row marked ok.  A failed batch of several cells
+    Any exception fails the batch (a RuntimeWarning too, under any warning
+    filter), as do a column of the wrong length and a non-finite value in a
+    row marked ok.  A failed batch of several cells
     runs again one cell a batch, so each failure lands on its own cell.  A
     failed cell's row takes lam/g/eta from the cell, else from a scalar config
     value."""
     try:
-        cols = dict(_REGISTRY[cfg.experiment].compute(cfg, cells))
+        with warnings.catch_warnings():  # the filter must not decide a row's status
+            warnings.simplefilter("error", RuntimeWarning)
+            cols = dict(_REGISTRY[cfg.experiment].compute(cfg, cells))
         position = np.asarray(cols.pop("cell"))  # of each row's cell in ``cells``
         n = len(position)
         ok = np.broadcast_to(np.asarray(cols.setdefault("status", _STATUS_OK)) == _STATUS_OK, n)

@@ -34,15 +34,16 @@ state, (|0> + i|1>)/sqrt(2) (closed_form.PROBE_AMPLITUDES), the state all
 the closed forms it checks are written for.
 
 Truncation policy: every oracle doubles the basis from AUTO_CUTOFF_START
-until the requested observables stop moving (relative test, with an
-absolute floor for the quadrature blocks), and qfi_overlap always tunes its
-fidelity step.  No oracle takes a cutoff or a tolerance: they are module
-constants.  Only the builders and verify_reciprocal_relation take an n_cut,
-an integer >= 4.  Every function here that takes a ModelParams takes one
-(g, lam) point: an array of couplings is an InvalidParams before any
-Hamiltonian is built.  The regime guard is model.oscillator_frame's: the
-generator QFI, ratio_oracle and verify_reciprocal_relation ask it for the
-normal regime alone; the other effective-oscillator oracles take either side.
+until its observables stop moving: qfi_overlap's value at AUTO_CUTOFF_RTOL
+(its fidelity step always tuned), the series' rows on one ladder,
+_series_ladder, each row against its own scale, no leaking level accepted.
+No oracle takes a cutoff or a tolerance: they are module constants.  Only the
+builders and verify_reciprocal_relation take an n_cut, an integer >= 4.
+Every function here that takes a ModelParams takes one (g, lam) point: an
+array of couplings is an InvalidParams before any Hamiltonian is built.  The
+regime guard is model.oscillator_frame's: the generator QFI and
+verify_reciprocal_relation ask it for the normal regime alone; the other
+effective-oscillator oracles take either side.
 States anti-squeeze near criticality, with Fock tails decaying only like
 (1 - 2*epsilon_g)^n, so near-critical runs legitimately need cutoffs of
 order 1/epsilon_g; the doubling ladder finds that automatically.
@@ -51,7 +52,7 @@ order 1/epsilon_g; the doubling ladder finds that automatically.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -414,14 +415,12 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return a @ z.real + 1j * (a @ z.imag)
 
 
-def _tail_mass(out: np.ndarray, n_cut: int) -> float:
-    """Worst tail mass over the columns of ``out`` (n_cut-long blocks x time)."""
+def _check_tail(out: np.ndarray, n_cut: int) -> None:
+    """TruncationLeak if a column of ``out`` (n_cut-long blocks x time) puts
+    more than LEAK_TOL into the top TAIL_FRACTION of each block's Fock indices."""
     n_tail = max(1, int(n_cut * TAIL_FRACTION))
     tail = out.reshape(-1, n_cut, out.shape[1])[:, n_cut - n_tail:]
-    return float((np.abs(tail) ** 2).sum(axis=(0, 1)).max())
-
-
-def _check_tail(worst: float) -> None:
+    worst = float((np.abs(tail) ** 2).sum(axis=(0, 1)).max())
     if worst > LEAK_TOL:
         raise TruncationLeak(f"tail mass {worst:.3e} exceeds {LEAK_TOL:.1e}; raise n_cut")
 
@@ -457,7 +456,7 @@ def _evolve(h: HermitianOperator, ts, blocks: int) -> np.ndarray:
         raise InvalidParams("h", f"dim {h.dim} is not {blocks} blocks of 2 or more Fock states")
     ts = _times(ts)
     out = _propagate(h.eig(), _probe(h.dim), ts)[0]
-    _check_tail(_tail_mass(out, h.dim // blocks))
+    _check_tail(out, h.dim // blocks)
     return out
 
 
@@ -537,12 +536,12 @@ def _x_moments(amps: np.ndarray, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
     return mean.reshape(-1, n_t).sum(axis=0), second.reshape(-1, n_t).sum(axis=0)
 
 
-def _effective_level(params: ModelParams, ts: np.ndarray,
-                     n_cut: int) -> tuple[float, np.ndarray]:
-    """One decomposition of the effective oscillator at ``n_cut``: the worst
-    tail mass of the evolved probe state psi0 and the rows <X>_t, <X^2>_t,
-    d<X>_t/dg and F_g(t).  dH/dg = s'*H1 (H1 = (omega_bar/2)*X^2,
-    s' = dstiffness/dg) on either side of g_c, so with h(t) the generator of H1,
+def _effective_level(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.ndarray:
+    """One decomposition of the effective oscillator at ``n_cut``: the rows
+    <X>_t, <X^2>_t, d<X>_t/dg and F_g(t) of the evolved probe state psi0, or
+    TruncationLeak when psi_t puts more than LEAK_TOL into the top Fock indices.
+    dH/dg = s'*H1 (H1 = (omega_bar/2)*X^2, s' = dstiffness/dg) on either side
+    of g_c, so with h(t) the generator of H1,
     d<X>_t/dg = 2*Re<psi_t|X|d_g psi_t> = 2*s'*Im<psi_t|X U(t) h(t) psi0>
     and F_g(t) = 4*s'^2*Var_psi0[h(t)]."""
     frame = oscillator_frame(params)
@@ -551,12 +550,13 @@ def _effective_level(params: ModelParams, ts: np.ndarray,
     spectrum = frame.omega_bar * np.sqrt(frame.stiffness) * (np.arange(n_cut) + 0.5)
     modes = build_effective_hamiltonian(params, n_cut).eig(amps0, *dh, spectrum)
     psi, hpsi = _propagate(modes, amps0, ts, dh)
+    _check_tail(psi, n_cut)
     mean, second = _x_moments(psi, n_cut)
     x_hpsi = _band_apply(np.zeros(n_cut), _x_band(n_cut), hpsi)
     deriv = 2.0 * frame.dstiffness_dg * np.imag(psi.conj() * x_hpsi).sum(axis=0)
     h_mean = np.real(psi.conj() * hpsi).sum(axis=0)
     qfi = 4.0 * frame.dstiffness_dg**2 * ((np.abs(hpsi) ** 2).sum(axis=0) - h_mean**2)
-    return _tail_mass(psi, n_cut), np.array([mean, second, deriv, qfi])
+    return np.array([mean, second, deriv, qfi])
 
 
 def _closes(vectors: np.ndarray, amps: np.ndarray, dh_diag: np.ndarray,
@@ -571,15 +571,6 @@ def _closes(vectors: np.ndarray, amps: np.ndarray, dh_diag: np.ndarray,
     outside = moved - vectors @ (vectors.T @ moved)  # (1 - V V^T) dH v_k
     return bool(np.abs(coeffs) @ np.linalg.norm(outside, axis=0)
                 <= 1e-10 * np.linalg.norm(_real_matmul(moved, coeffs)))
-
-
-def _leak_checked(level: Callable[[int], tuple[float, np.ndarray]]):
-    """Rows x, x^2, dx/dg of ``level(n)``; TruncationLeak past LEAK_TOL."""
-    def run(n: int) -> np.ndarray:
-        tail, rows = level(n)
-        _check_tail(tail)
-        return rows[:3]
-    return run
 
 
 def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.ndarray:
@@ -612,39 +603,32 @@ def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.nda
     return np.array([x0, xx0, deriv, d_wide, d_half])
 
 
-def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray) -> QuadratureSeries:
-    """QuadratureSeries from the rows x, x^2, dx/dg of ``run`` at the accepted
-    cutoff; further rows are two stencils, checked together."""
+def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray,
+                   judged: int = 3) -> tuple[QuadratureSeries, np.ndarray]:
+    """QuadratureSeries from the rows x, x^2, dx/dg of ``run``, and its further rows, at the
+    first level where each of the first ``judged`` rows moves by at most SERIES_ATOL +
+    SERIES_RTOL*(the row's scale) from the level below, neither of the two leaking."""
 
     def converged(prev: np.ndarray, new: np.ndarray) -> bool:
-        # curves cross zero, so convergence is judged per block (x, x^2,
-        # derivative) against the block's own scale, not pointwise
-        for old_block, new_block in zip(prev[:3], new[:3]):
+        # curves cross zero, so convergence is judged per block against the
+        # block's own scale, not pointwise
+        for old_block, new_block in zip(prev[:judged], new[:judged]):
             scale = max(np.abs(old_block).max(), np.abs(new_block).max(), SERIES_ATOL)
             if np.abs(new_block - old_block).max() > SERIES_ATOL + SERIES_RTOL * scale:
                 return False
         return True
 
-    n_cut, (x_mean, x_second, deriv, *stencils) = auto_cutoff(run, converged=converged)
-    scale = np.abs(deriv).max()
-    if stencils and scale > 0 and np.abs(stencils[1] - stencils[0]).max() > 1e-3 * scale:
-        raise StepTooLarge("halved and full g-steps disagree beyond 1e-3 of the derivative "
-                           "scale; the response is nonlinear at this dg")
-    return QuadratureSeries(ts, x_mean, x_second, deriv, n_cut)
+    n_cut, rows = auto_cutoff(run, converged=converged)
+    return QuadratureSeries(ts, *rows[:3], n_cut), rows[3:]
 
 
 def quadrature_series(params: ModelParams, ts: Sequence[float]) -> QuadratureSeries:
     """<X>_t, <X^2>_t and d<X>_t/dg of the probe state under the effective
-    oscillator on a grid, at the cutoff the ladder accepts.
-
-    One decomposition per cutoff gives the exact (Duhamel) derivative too.
-    The ladder accepts a cutoff once each block (x, x^2, derivative) moves
-    by at most SERIES_ATOL + SERIES_RTOL*(block scale) on doubling.  A bad
-    time grid (_times) is an InvalidParams.
-    """
+    oscillator on a grid, at the cutoff _series_ladder accepts for these three
+    rows.  A bad time grid (_times) is an InvalidParams."""
     _one_point(params)
     ts = _times(ts)
-    return _series_ladder(_leak_checked(partial(_effective_level, params, ts)), ts)
+    return _series_ladder(partial(_effective_level, params, ts), ts)[0]
 
 
 def check_g_stencil(g) -> None:
@@ -668,7 +652,12 @@ def squeezed_frame_series(params: ModelParams, ts: Sequence[float]) -> Quadratur
     _one_point(params)
     check_g_stencil(params.g)
     ts = _times(ts)
-    return _series_ladder(partial(_series_at_cutoff, params, ts), ts)
+    series, (d_wide, d_half) = _series_ladder(partial(_series_at_cutoff, params, ts), ts)
+    scale = np.abs(series.x_deriv_g).max()
+    if scale > 0 and np.abs(d_half - d_wide).max() > 1e-3 * scale:
+        raise StepTooLarge("halved and full g-steps disagree beyond 1e-3 of the derivative "
+                           "scale; the response is nonlinear at this dg")
+    return series
 
 
 # ----------------------------------------------------------------------
@@ -730,43 +719,23 @@ def qfi_overlap(params: ModelParams, t: float) -> float:
     return float(values[0])
 
 
-def _normal_level(params: ModelParams, ts):
-    """_effective_level bound to one normal-regime point; RegimeError past it."""
-    _one_point(params)
-    oscillator_frame(params, Regime.NORMAL)
-    return partial(_effective_level, params, _times(ts))
-
-
-def generator_qfi_grid(params: ModelParams, ts: Sequence[float]) -> tuple[np.ndarray, int]:
+def generator_qfi_grid(params: ModelParams,
+                       ts: Sequence[float]) -> tuple[QuadratureSeries, np.ndarray]:
     """QFI about the probe state from the spectral integral of the evolution
     generator, on a whole time grid with one decomposition of each parity
-    block per cutoff.
+    block per cutoff, normal regime only (RegimeError past it).
 
     With H_eff = H0 + zeta*H1 (H0 = wbar/2*P^2, H1 = wbar/2*X^2,
     zeta = epsilon_g), the generator is h = int_0^t H1(s) ds, and
-    F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (values, n_cut): the
-    cutoff the ladder accepted, its convergence measured jointly across the
-    grid at AUTO_CUTOFF_RTOL; no level counts as leaking.  A bad time grid
-    (_times) is an InvalidParams.
+    F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (series, F_g) at the one
+    cutoff where _series_ladder accepts all four rows, x, x^2, dx/dg and F_g.
+    A bad time grid (_times) is an InvalidParams.
     """
-    level = _normal_level(params, ts)
-    n_cut, values = auto_cutoff(lambda n: level(n)[1][3])
-    return values, n_cut
-
-
-def ratio_oracle(params: ModelParams, ts: Sequence[float]) -> tuple[np.ndarray, int]:
-    """I_g(t)/F_g(t) of the probe state on a grid: the ladders of
-    quadrature_series and generator_qfi_grid over one decomposition per
-    cutoff level, shared for this call only.  Returns (ratios,
-    quadrature_series's n_cut).  Times must be finite and > 0 (the ratio is
-    0/0 at t = 0), else InvalidParams."""
+    _one_point(params)
+    oscillator_frame(params, Regime.NORMAL)
     ts = _times(ts)
-    if not np.all(ts > 0):
-        raise InvalidParams("ts", "the ratio needs times > 0")
-    level = cache(_normal_level(params, ts))
-    series = _series_ladder(_leak_checked(level), ts)
-    _, qfis = auto_cutoff(lambda n: level(n)[1][3])
-    return series.inv_var / qfis, series.n_cut
+    series, (qfi,) = _series_ladder(partial(_effective_level, params, ts), ts, judged=4)
+    return series, qfi
 
 
 def verify_reciprocal_relation(params: ModelParams, n_cut: int) -> float:

@@ -139,6 +139,20 @@ class TestConfig:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == code
 
+    def test_a_row_status_does_not_depend_on_the_warning_filter(self, tmp_path):
+        # at lam = 1e300 var_n's omega_bar**6 overflows: qfi-vs-g wrote 200
+        # failed:NonFinite rows under the default filter and 200
+        # failed:RuntimeWarning rows under error::RuntimeWarning; a warning
+        # raised while a batch computes now fails its cell under any filter
+        outcomes = []
+        for action in ("default", "error", "ignore"):
+            out = tmp_path / f"{action}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter(action, RuntimeWarning)
+                exit_code = cli_main(["qfi-vs-g", "--set", "lam=1e300", "--out", str(out)])
+            outcomes.append((exit_code, Dataset.read_csv(str(out)).str_column("status")))
+        assert outcomes == [(3, ["failed:RuntimeWarning"] * 200)] * 3
+
     @pytest.mark.parametrize("text", ["lam -0.2\n", "engine = oracle\n"])
     def test_bad_config_file_lines_rejected(self, tmp_path, text):
         # a line needs '=', and the engine is chosen by --engine alone

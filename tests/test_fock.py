@@ -28,7 +28,6 @@ from cqm import (
     qfi_g,
     qfi_overlap,
     quadrature_series,
-    ratio_oracle,
     squeezed_frame_series,
     verify_reciprocal_relation,
     x_mean,
@@ -43,7 +42,6 @@ from cqm.fock import (
     _effective_level,
     _inverse_iteration,
     _probe,
-    _series_ladder,
     _squared_bands,
     _sturm_count,
     _x_band,
@@ -116,16 +114,15 @@ def blockwise_generator_qfi(p, ts, n_cut):
 
 
 def level_qfi(p, ts, n_cut):
-    """generator_qfi_grid's values at one cutoff level: row 3 of _effective_level."""
-    return _effective_level(p, np.asarray(ts, dtype=float), n_cut)[1][3]
+    """generator_qfi_grid's F_g row at one cutoff level: row 3 of
+    _effective_level, a TruncationLeak if the level leaks, as on the ladder."""
+    return _effective_level(p, np.asarray(ts, dtype=float), n_cut)[3]
 
 
 def level_series(p, ts, n_cut):
-    """quadrature_series's rows x, x^2, dx/dg at one cutoff level, its tail
-    within LEAK_TOL as the ladder requires."""
-    tail, rows = _effective_level(p, np.asarray(ts, dtype=float), n_cut)
-    assert tail <= fock.LEAK_TOL
-    return rows[:3]
+    """quadrature_series's rows x, x^2, dx/dg at one cutoff level, a
+    TruncationLeak if the level leaks, as on the ladder."""
+    return _effective_level(p, np.asarray(ts, dtype=float), n_cut)[:3]
 
 
 def dense_joint_hamiltonian(n_cut, omega, Omega, coupling, quadratic):
@@ -295,12 +292,11 @@ class TestBuilders:
         lambda p: qfi_overlap(p, 1.0),  # "truth value ... ambiguous"
         lambda p: squeezed_frame_series(p, [1.0]),
         lambda p: generator_qfi_grid(p, [1.0]),  # a RegimeError for two normal couplings
-        lambda p: ratio_oracle(p, [1.0]),
         lambda p: verify_reciprocal_relation(p, 16),
         lambda p: moment_generator(p, NO_DECAY),  # "inhomogeneous shape"
         lambda p: integrate_moments(p, NO_DECAY, [0.0, 1.0]),
     ], ids=["full", "squeezed", "effective", "series", "overlap",
-            "frequency", "generator", "ratio", "reciprocal", "moment-generator",
+            "frequency", "generator", "reciprocal", "moment-generator",
             "integrate-moments"])
     def test_array_couplings_rejected_before_any_hamiltonian_is_built(self, monkeypatch, call):
         # ModelParams holds an array of couplings for the closed forms; the
@@ -442,7 +438,6 @@ class TestEvolve:
             lambda: evolve_joint_grid(build_full_hamiltonian(params(0.9, Omega=50.0), 16), ts),
             lambda: generator_qfi_grid(p, ts),
             lambda: quadrature_series(p, ts),
-            lambda: ratio_oracle(p, ts),
         ]
         if what == "finite":  # qfi_overlap takes one time
             calls.append(lambda: qfi_overlap(p, ts[-1]))
@@ -600,7 +595,7 @@ class TestQfiMethods:
 
     @pytest.mark.parametrize("g", [0.01, 0.05])
     def test_overlap_tracks_the_generator_at_small_coupling(self, g):
-        (a,), _ = generator_qfi_grid(params(g), [1.0])
+        _, (a,) = generator_qfi_grid(params(g), [1.0])
         assert qfi_overlap(params(g), 1.0) == pytest.approx(a, rel=1e-4)
 
     @pytest.mark.parametrize("g", [1e-5, 1e-3], ids=["g1e-5", "g1e-3"])
@@ -631,7 +626,7 @@ class TestQfiMethods:
     def test_methods_agree(self):
         p = params(0.9)
         for t in (1.0, 5.0, 12.0):
-            (a,), _ = generator_qfi_grid(p, [t])
+            _, (a,) = generator_qfi_grid(p, [t])
             b = qfi_overlap(p, t)
             assert b == pytest.approx(a, rel=1e-4)
 
@@ -667,18 +662,24 @@ class TestQfiMethods:
 
     def test_generator_grid_reports_its_cutoff(self):
         p = params(0.9)
-        ts = [2.0, 5.0]
-        values, n_cut = generator_qfi_grid(p, ts)
-        # the ladder stops at the first doubling that moves no value beyond
-        # AUTO_CUTOFF_RTOL, and the values it returns are those of that cutoff
-        assert np.array_equal(level_qfi(p, ts, n_cut), values)
+        ts = [2.0, 5.0, 9.0]
+        series, values = generator_qfi_grid(p, ts)
+        # the ladder stops at the first doubling, from a level that does not
+        # leak, that moves no row (x, x^2, dx/dg, F_g) beyond SERIES_ATOL +
+        # SERIES_RTOL of the row's scale, and returns that level's rows
+        assert np.array_equal(level_qfi(p, ts, series.n_cut), values)
 
-        def moved(n):  # does doubling n // 2 -> n move a value beyond 1e-6?
-            low, high = (level_qfi(p, ts, m) for m in (n // 2, n))
-            return np.any(np.abs(high - low) > 1e-6 * np.maximum(high, low))
+        def moved(n):  # the rows that doubling n // 2 -> n moves beyond the block test
+            low, high = (_effective_level(p, np.asarray(ts), m) for m in (n // 2, n))
+            scale = np.maximum(np.abs(low).max(axis=1), np.abs(high).max(axis=1))
+            tol = fock.SERIES_ATOL + fock.SERIES_RTOL * np.maximum(scale, fock.SERIES_ATOL)
+            return np.flatnonzero(np.abs(high - low).max(axis=1) > tol).tolist()
 
-        assert n_cut == 128  # 32 -> 64 still moves at eps_g = 0.19
-        assert moved(n_cut // 2) and not moved(n_cut)
+        with pytest.raises(TruncationLeak):
+            level_qfi(p, ts, 32)
+        # 64 -> 128 moves F_g alone, not the three rows quadrature_series judges
+        assert series.n_cut == 256
+        assert moved(128) == [3] and moved(256) == []
 
     @pytest.mark.parametrize("oracle", [quadrature_series, generator_qfi_grid])
     def test_oracles_take_no_cutoff(self, oracle):
@@ -703,9 +704,8 @@ class TestQfiMethods:
 
     def test_generator_ladder_matches_the_blockwise_kernel(self):
         p, ts = params(0.9), [2.0, 5.0]
-        n_ref, reference = auto_cutoff(lambda n: blockwise_generator_qfi(p, ts, n))
-        values, n_cut = generator_qfi_grid(p, ts)
-        assert n_cut == n_ref
+        series, values = generator_qfi_grid(p, ts)
+        reference = blockwise_generator_qfi(p, ts, series.n_cut)
         assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_generator_level_peaks_below_six_blocks(self):
@@ -769,11 +769,10 @@ class TestExactDerivative:
         centred = (plus - minus) / (2.0 * dg)
         assert np.abs(exact - centred).max() <= 1e-7 * np.abs(exact).max()
 
-    def test_ratio_oracle_decomposes_each_level_once(self, monkeypatch):
+    def test_generator_ladder_decomposes_each_level_once(self, monkeypatch):
+        # x, x^2, dx/dg and F_g of a level come from one eigh of each parity block
         p = params(0.9)
         ts = [2.0, 5.0, 9.0]
-        series = quadrature_series(p, ts)
-        qfis, n_qfi = generator_qfi_grid(p, ts)
         calls = []
         eigh = np.linalg.eigh
 
@@ -782,17 +781,14 @@ class TestExactDerivative:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        ratios, n_cut = ratio_oracle(p, ts)
-        top = max(n_cut, n_qfi)
-        levels = [32 * 2**k for k in range(int(np.log2(top // 32)) + 1)]
-        assert levels[-1] == top > 32
+        series, qfi = generator_qfi_grid(p, ts)
+        levels = [32 * 2**k for k in range(int(np.log2(series.n_cut // 32)) + 1)]
+        assert levels[-1] == series.n_cut > 32
         assert sorted(calls) == sorted(n // 2 for n in levels for _ in range(2))
-        assert n_cut == series.n_cut
-        assert np.array_equal(ratios, series.inv_var / qfis)
 
     def test_every_level_decomposes_through_eig(self, monkeypatch):
         # HermitianOperator.eig is the one entry into _block_eig: one call per
-        # cutoff level, alone or on both of ratio_oracle's ladders
+        # cutoff level, alone or on the one ladder of generator_qfi_grid
         dims = []
         eig = HermitianOperator.eig
 
@@ -804,27 +800,22 @@ class TestExactDerivative:
         p, ts = params(0.9), [2.0, 5.0, 9.0]
         level_qfi(p, ts, 64)
         assert dims == [64]
-        _, n_qfi = generator_qfi_grid(p, ts)
         dims.clear()
-        _, n_cut = ratio_oracle(p, ts)
-        top = max(n_cut, n_qfi)
-        assert dims == [32 * 2**k for k in range(int(np.log2(top // 32)) + 1)]
-        assert top > 32
+        series, _ = generator_qfi_grid(p, ts)
+        assert dims == [32 * 2**k for k in range(int(np.log2(series.n_cut // 32)) + 1)]
+        assert series.n_cut > 32
 
-    def test_ratio_oracle_regime_guard(self):
-        with pytest.raises(RegimeError):
-            ratio_oracle(params(1.2), [1.0])
-
-    @pytest.mark.parametrize("ts", [[0.0, 1.0], [-1.0], [2.0, 0.0]])
-    def test_ratio_oracle_rejects_non_positive_times(self, monkeypatch, ts):
-        # at t = 0 both I_g and F_g vanish: the ratio used to be 0/0, a NaN
-        # and a RuntimeWarning; now it fails before any decomposition
-        def no_decomposition(*args):
-            raise AssertionError("a block was decomposed before the times were checked")
-
-        monkeypatch.setattr(fock, "_block_eig", no_decomposition)
-        with pytest.raises(InvalidParams, match="times > 0"):
-            ratio_oracle(params(0.9), ts)
+    def test_the_ladder_judges_the_qfi(self):
+        # on inverted-variance's grid at g = 0.9, x, x^2 and dx/dg settle at
+        # 128 and F_g a doubling later; generator_qfi_grid returns all four
+        # rows of the level it accepts
+        p = params(0.9)
+        ts = np.linspace(0.0, 5.0, 400) * peak_time(p, 1)
+        assert quadrature_series(p, ts).n_cut == 128
+        series, qfi = generator_qfi_grid(p, ts)
+        assert series.n_cut == 256
+        rows = np.array([series.x_mean, series.x_second, series.x_deriv_g, qfi])
+        assert np.array_equal(rows, _effective_level(p, ts, 256))
 
     def test_time_float64_cannot_resolve_fails_the_first_level(self, monkeypatch):
         # at n = 1e15 the peak time is 7.2e15: float64 rounds each phase
@@ -836,7 +827,7 @@ class TestExactDerivative:
                             lambda self, *reach: dims.append(self.dim) or eig(self, *reach))
         p = params(0.9)
         with pytest.raises(InvalidParams, match="^ts: float64 rounds the phases"):
-            ratio_oracle(p, [peak_time(p, 1e15)])
+            generator_qfi_grid(p, [peak_time(p, 1e15)])
         assert dims == [fock.AUTO_CUTOFF_START]
         h = build_effective_hamiltonian(p, 32)
         with pytest.raises(InvalidParams, match="^ts: "):
@@ -921,18 +912,18 @@ class TestTridiagonalSolver:
         # over the whole block, put in the probe's place, needs the completion stage
         p, n_cut = params(0.9), 256
         ts = np.array([0.0, 1.3, 7.0, 40.0])
-        if spread:
+        if spread:  # a state on the top Fock indices: no leak test
             amps = np.random.default_rng(5).normal(size=n_cut) + 1j
             monkeypatch.setattr(fock, "PROBE_AMPLITUDES", amps / np.linalg.norm(amps))
-        tail, rows = _effective_level(p, ts, n_cut)
+            monkeypatch.setattr(fock, "LEAK_TOL", np.inf)
+        rows = _effective_level(p, ts, n_cut)
         # each block's lowest quarter first, started at the untruncated
         # spectrum; all of its modes, started at eigvalsh's energies, only
         # when the state spreads past them
         assert shifts == ([n_cut // 8, n_cut // 2] if spread else [n_cut // 8]) * 2
-        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
-        assert abs(tail - ref_tail) <= 1e-12
 
     def test_certificate_failure_falls_back_to_eigh(self, monkeypatch, shifts):
         p, n_cut = params(0.9), 256
@@ -941,12 +932,12 @@ class TestTridiagonalSolver:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
-        _, rows = _effective_level(p, ts, n_cut)
+        rows = _effective_level(p, ts, n_cut)
         # no mode of the lowest quarter passes, so each block finds all of
         # its modes again, and then decomposes by eigh
         assert shifts == [n_cut // 8, n_cut // 2] * 2
         assert calls == [n_cut // 2] * 2
-        assert np.array_equal(rows, self.eigh_rows(monkeypatch, p, ts, n_cut)[1])
+        assert np.array_equal(rows, self.eigh_rows(monkeypatch, p, ts, n_cut))
 
     def test_near_critical_level_makes_no_dense_decomposition(self, monkeypatch):
         # criterion 6's point at n_cut 2048: each 1024-row block keeps the
@@ -965,17 +956,16 @@ class TestTridiagonalSolver:
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigvalsh", dense)
             m.setattr(np.linalg, "eigh", dense)
-            tail, rows = _effective_level(p, ts, n_cut)
+            rows = _effective_level(p, ts, n_cut)
         for (_, diagonals), (_, energies, _) in zip(build_effective_hamiltonian(p, n_cut).blocks,
                                                     found[0]):
             assert 0 < len(energies) <= n_cut // 8
             exact = np.linalg.eigvalsh(_dense(diagonals))[:len(energies)]
             norm = np.abs(diagonals[0]).max() + 2.0 * np.abs(diagonals[1]).max()
             assert np.abs(energies - exact).max() <= 1e-13 * norm
-        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
-        assert abs(tail - ref_tail) <= 1e-12
 
     def test_wrong_spectrum_falls_back(self, monkeypatch, shifts):
         # a spectrum 0.1% high starts inverse iteration off every mode: no
@@ -985,12 +975,11 @@ class TestTridiagonalSolver:
         eig = HermitianOperator.eig
         monkeypatch.setattr(HermitianOperator, "eig", lambda self, *reach: eig(
             self, *reach[:3], 1.001 * reach[3]))
-        tail, rows = _effective_level(p, ts, n_cut)
+        rows = _effective_level(p, ts, n_cut)
         assert shifts == [n_cut // 8, n_cut // 2] * 2
-        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
-        assert abs(tail - ref_tail) <= 1e-12
 
     def test_keep_rule_keeps_a_certified_prefix_that_holds_the_state(
             self, monkeypatch, shifts):
@@ -1021,14 +1010,13 @@ class TestTridiagonalSolver:
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigh", dense)
-            tail, rows = _effective_level(p, ts, n_cut)
+            rows = _effective_level(p, ts, n_cut)
         # each block: the first stage certifies nothing, the complete batch its lower half
         assert shifts == [n_cut // 8, n_cut // 2] * 2
         assert [len(energies) for energies, _ in kept] == [0, n_cut // 4] * 2
-        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
-        assert abs(tail - ref_tail) <= 1e-12
 
     def test_certified_modes_keep_only_what_they_certify(self):
         # from a guess 1e-7 high the energies are Rayleigh quotients, as exact
@@ -1112,8 +1100,8 @@ class TestTridiagonalSolver:
 
     def test_repeated_levels_are_bit_identical(self):
         p, ts = params(0.099, lam=-0.2475), np.array([10.0, 300.0])
-        first, second = (_effective_level(p, ts, 256) for _ in range(2))
-        assert first[0] == second[0] and np.array_equal(first[1], second[1])
+        first, second = (_effective_level(p, ts, 512) for _ in range(2))  # 256 leaks
+        assert np.array_equal(first, second)
 
 
 class TestReciprocalRelation:
@@ -1179,26 +1167,27 @@ class TestFiniteFrequency:
         assert rels[1e3] < 0.1
         assert 7.0 < rels[1e3] / rels[1e4] < 14.0
 
-    def test_disagreeing_stencils_raise(self):
+    def test_disagreeing_stencils_raise(self, monkeypatch):
         # at the accepted cutoff the full- and halved-step derivatives (rows
-        # 3 and 4) must agree to 1e-3 of the derivative's scale (row 2)
-        ts = np.array([1.0, 2.0])
+        # 3 and 4 of each level) must agree to 1e-3 of the derivative's scale (row 2)
+        p, ts = params(0.9, Omega=50.0), [1.0, 2.0]
 
         def rows(gap):
-            return lambda n: np.array([[1.0, 2.0]] * 4 + [[1.0 + gap, 2.0]])
+            return lambda *args: np.array([[1.0, 2.0]] * 4 + [[1.0 + gap, 2.0]])
 
-        assert _series_ladder(rows(1e-4), ts).n_cut == 2 * fock.AUTO_CUTOFF_START
+        monkeypatch.setattr(fock, "_series_at_cutoff", rows(1e-4))
+        assert squeezed_frame_series(p, ts).n_cut == 2 * fock.AUTO_CUTOFF_START
+        monkeypatch.setattr(fock, "_series_at_cutoff", rows(3e-3))
         with pytest.raises(StepTooLarge, match="halved and full g-steps disagree"):
-            _series_ladder(rows(3e-3), ts)
+            squeezed_frame_series(p, ts)
 
 
 class TestClosedFormAsymptoticAtLongTime:
     def test_ten_percent_agreement_near_criticality(self):
-        # tuned weak-coupling point at the long-time scale of the QFI curves
-        # n_cut 512 is where the cutoff ladder settles to 2e-3 (not 1e-6)
+        # tuned weak-coupling point at the long-time scale of the QFI curves,
+        # at the cutoff the ladder accepts: 256 leaks, 1024 moves no row from 512
         p = params(0.099, lam=-0.2475)
-        (below,) = level_qfi(p, [1000.0], 256)
-        (exact,) = level_qfi(p, [1000.0], 512)
-        assert abs(exact - below) <= 2e-3 * max(abs(exact), abs(below))
+        series, (exact,) = generator_qfi_grid(p, [1000.0])
+        assert series.n_cut == 1024
         approx = qfi_g(p, 1000.0)
         assert abs(approx - exact) / exact < 0.10
