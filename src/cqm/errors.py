@@ -19,7 +19,12 @@ class RegimeError(CqmError):
 
 
 class TruncationLeak(CqmError):
-    """Evolved state leaked measurable weight into the Fock-space tail."""
+    """Evolved state leaked measurable weight into the Fock-space tail;
+    ``rows`` holds the observables the leaking level computed, if any."""
+
+    def __init__(self, message: str, rows=None):
+        super().__init__(message)
+        self.rows = rows
 
 
 class CutoffNotConverged(CqmError):

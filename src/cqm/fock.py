@@ -34,9 +34,9 @@ state, (|0> + i|1>)/sqrt(2) (closed_form.PROBE_AMPLITUDES), the state all
 the closed forms it checks are written for.
 
 Truncation policy: every oracle doubles the basis from AUTO_CUTOFF_START
-until its observables stop moving: qfi_overlap's value at AUTO_CUTOFF_RTOL
-(its fidelity step always tuned), the series' rows on one ladder,
-_series_ladder, each row against its own scale, no leaking level accepted.
+until its observables stop moving, and accepts no leaking level
+(auto_cutoff): qfi_overlap's value (its fidelity step always tuned), the
+series' rows on one ladder, _series_ladder.
 No oracle takes a cutoff or a tolerance: they are module constants.  Only the
 builders and verify_reciprocal_relation take an n_cut, an integer >= 4.
 Every function here that takes a ModelParams takes one (g, lam) point: an
@@ -415,14 +415,18 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return a @ z.real + 1j * (a @ z.imag)
 
 
-def _check_tail(out: np.ndarray, n_cut: int) -> None:
-    """TruncationLeak if a column of ``out`` (n_cut-long blocks x time) puts
-    more than LEAK_TOL into the top TAIL_FRACTION of each block's Fock indices."""
+def _tail_mass(out: np.ndarray, n_cut: int) -> float:
+    """Most weight a column of ``out`` (n_cut-long blocks x time) puts into the top
+    TAIL_FRACTION of each block's Fock indices."""
     n_tail = max(1, int(n_cut * TAIL_FRACTION))
     tail = out.reshape(-1, n_cut, out.shape[1])[:, n_cut - n_tail:]
-    worst = float((np.abs(tail) ** 2).sum(axis=(0, 1)).max())
-    if worst > LEAK_TOL:
-        raise TruncationLeak(f"tail mass {worst:.3e} exceeds {LEAK_TOL:.1e}; raise n_cut")
+    return float((np.abs(tail) ** 2).sum(axis=(0, 1)).max())
+
+
+def _check_tail(out: np.ndarray, n_cut: int, rows: np.ndarray | None = None) -> None:
+    """TruncationLeak, carrying the level's ``rows``, past LEAK_TOL of _tail_mass."""
+    if (worst := _tail_mass(out, n_cut)) > LEAK_TOL:
+        raise TruncationLeak(f"tail mass {worst:.3e} exceeds {LEAK_TOL:.1e}; raise n_cut", rows)
 
 
 def _times(ts) -> np.ndarray:
@@ -464,31 +468,30 @@ def _evolve(h: HermitianOperator, ts, blocks: int) -> np.ndarray:
 # automatic cutoff selection
 # ----------------------------------------------------------------------
 
+def _pointwise(old: np.ndarray, new: np.ndarray) -> bool:
+    """Whether every value moved by at most AUTO_CUTOFF_RTOL*max(|new|, |old|)."""
+    tol = AUTO_CUTOFF_RTOL * np.maximum(np.abs(new), np.abs(old))
+    return bool(np.all(np.abs(new - old) <= tol))
+
+
 def auto_cutoff(
     run: Callable[[int], np.ndarray],
-    converged: Callable[[np.ndarray, np.ndarray], bool] | None = None,
+    converged: Callable[[np.ndarray, np.ndarray], bool] = _pointwise,
 ) -> tuple[int, np.ndarray]:
-    """Double n_cut from AUTO_CUTOFF_START to AUTO_CUTOFF_MAX until ``run(n_cut)`` settles.
+    """Double n_cut from AUTO_CUTOFF_START to AUTO_CUTOFF_MAX until ``run(n_cut)`` settles:
+    ``converged(old, new)`` holds for the values at n_cut // 2 and n_cut.
 
-    Convergence: every component changes by at most
-    AUTO_CUTOFF_RTOL*max(|new|, |old|) when the cutoff doubles, unless a
-    ``converged(old, new)`` test is given.  TruncationLeak from ``run``
-    counts as "keep doubling".  Returns (accepted n_cut, values at that
-    cutoff).  CutoffNotConverged names the last level that leaked and the
-    cutoff the ladder would need next.
-    """
-    if converged is None:
-        def converged(old: np.ndarray, new: np.ndarray) -> bool:
-            tol = AUTO_CUTOFF_RTOL * np.maximum(np.abs(new), np.abs(old))
-            return bool(np.all(np.abs(new - old) <= tol))
-
+    A level whose ``run`` raises TruncationLeak is never accepted; the next
+    level is compared with the rows the leak carries, or starts a new pair.
+    Returns (accepted n_cut, its values).  CutoffNotConverged names the last
+    level that leaked and the cutoff the ladder would need next."""
     prev, moving, leak = None, False, ""
     n = AUTO_CUTOFF_START
     while n <= AUTO_CUTOFF_MAX:
         try:
             values = np.atleast_1d(np.asarray(run(n), dtype=float))
         except TruncationLeak as exc:
-            prev, moving, leak = None, False, f"; n_cut = {n} leaked ({exc})"
+            prev, moving, leak = exc.rows, False, f"; n_cut = {n} leaked ({exc})"
             n *= 2
             continue
         if prev is not None and converged(prev, values):
@@ -539,7 +542,7 @@ def _x_moments(amps: np.ndarray, n_cut: int) -> tuple[np.ndarray, np.ndarray]:
 def _effective_level(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.ndarray:
     """One decomposition of the effective oscillator at ``n_cut``: the rows
     <X>_t, <X^2>_t, d<X>_t/dg and F_g(t) of the evolved probe state psi0, or
-    TruncationLeak when psi_t puts more than LEAK_TOL into the top Fock indices.
+    TruncationLeak carrying them when psi_t leaks (_check_tail).
     dH/dg = s'*H1 (H1 = (omega_bar/2)*X^2, s' = dstiffness/dg) on either side
     of g_c, so with h(t) the generator of H1,
     d<X>_t/dg = 2*Re<psi_t|X|d_g psi_t> = 2*s'*Im<psi_t|X U(t) h(t) psi0>
@@ -550,13 +553,14 @@ def _effective_level(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.ndar
     spectrum = frame.omega_bar * np.sqrt(frame.stiffness) * (np.arange(n_cut) + 0.5)
     modes = build_effective_hamiltonian(params, n_cut).eig(amps0, *dh, spectrum)
     psi, hpsi = _propagate(modes, amps0, ts, dh)
-    _check_tail(psi, n_cut)
     mean, second = _x_moments(psi, n_cut)
     x_hpsi = _band_apply(np.zeros(n_cut), _x_band(n_cut), hpsi)
     deriv = 2.0 * frame.dstiffness_dg * np.imag(psi.conj() * x_hpsi).sum(axis=0)
     h_mean = np.real(psi.conj() * hpsi).sum(axis=0)
     qfi = 4.0 * frame.dstiffness_dg**2 * ((np.abs(hpsi) ** 2).sum(axis=0) - h_mean**2)
-    return np.array([mean, second, deriv, qfi])
+    rows = np.array([mean, second, deriv, qfi])
+    _check_tail(psi, n_cut, rows)
+    return rows
 
 
 def _closes(vectors: np.ndarray, amps: np.ndarray, dh_diag: np.ndarray,
@@ -574,20 +578,15 @@ def _closes(vectors: np.ndarray, amps: np.ndarray, dh_diag: np.ndarray,
 
 
 def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.ndarray:
-    """Rows x, x^2, the 4-point (Richardson) g-derivative of x, and its two
-    centered stencils (full and halved step), at one cutoff of the joint
-    squeezed-frame builder, for |down> (x) the probe state.  The exact
-    derivative would move the frequency-scaling row lam=-0.247, eta=1e4
-    (inv_var_exact 73884.747 -> 73884.932 at n_cut 256) past the benchmark
-    gate's same-cutoff 1e-6 until its reference moves.
-
-    Roundoff alone decides that row's accepted cutoff: 256 in the recorded
-    reference (two BLAS threads), 512 at one thread.  So any change to the
-    order of arithmetic here, in _joint_hamiltonian or in _propagate can move
-    it a further doubling and fail the benchmark gate until the references
-    are recorded again: decomposing the operator as its two parity chains
-    (their blocks bit-identical to the dense operator's, the stencil kept)
-    moved it to 1024."""
+    """Rows x, x^2, the 4-point (Richardson) g-derivative of x, and its two centered
+    stencils (full and halved step), at one cutoff of the joint squeezed-frame builder,
+    for |down> (x) the probe state.  The exact derivative would move the
+    frequency-scaling row lam=-0.247, eta=1e4 (inv_var_exact 73884.747 -> 73884.932 at
+    n_cut 256) past the benchmark gate's same-cutoff 1e-6 until its reference moves.
+    Roundoff alone decides that row's cutoff: 256 in the recorded reference (two BLAS
+    threads), 512 at one.  Any change to the order of arithmetic here, in _joint_hamiltonian
+    or in _propagate can move it a doubling and fail the gate until the references are
+    recorded again: the two parity chains, their blocks bit-identical, moved it to 1024."""
     dg = 1e-5 * max(params.g, 0.01)
 
     def measure(gv: float) -> tuple[np.ndarray, np.ndarray]:
@@ -604,19 +603,17 @@ def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.nda
 
 
 def _series_ladder(run: Callable[[int], np.ndarray], ts: np.ndarray,
-                   judged: int = 3) -> tuple[QuadratureSeries, np.ndarray]:
+                   pointwise: int = 0) -> tuple[QuadratureSeries, np.ndarray]:
     """QuadratureSeries from the rows x, x^2, dx/dg of ``run``, and its further rows, at the
-    first level where each of the first ``judged`` rows moves by at most SERIES_ATOL +
-    SERIES_RTOL*(the row's scale) from the level below, neither of the two leaking."""
+    first level auto_cutoff accepts: x, x^2 and dx/dg each moved by at most SERIES_ATOL +
+    SERIES_RTOL*(the row's scale) from the level below, the next ``pointwise`` rows _pointwise."""
 
     def converged(prev: np.ndarray, new: np.ndarray) -> bool:
-        # curves cross zero, so convergence is judged per block against the
-        # block's own scale, not pointwise
-        for old_block, new_block in zip(prev[:judged], new[:judged]):
-            scale = max(np.abs(old_block).max(), np.abs(new_block).max(), SERIES_ATOL)
-            if np.abs(new_block - old_block).max() > SERIES_ATOL + SERIES_RTOL * scale:
-                return False
-        return True
+        # these curves cross zero, so each is judged against its own scale
+        scale = np.maximum(np.abs(prev[:3]).max(axis=1), np.abs(new[:3]).max(axis=1))
+        tol = SERIES_ATOL + SERIES_RTOL * np.maximum(scale, SERIES_ATOL)
+        return (not np.any(np.abs(new[:3] - prev[:3]).max(axis=1) > tol)
+                and _pointwise(prev[3:3 + pointwise], new[3:3 + pointwise]))
 
     n_cut, rows = auto_cutoff(run, converged=converged)
     return QuadratureSeries(ts, *rows[:3], n_cut), rows[3:]
@@ -728,13 +725,13 @@ def generator_qfi_grid(params: ModelParams,
     With H_eff = H0 + zeta*H1 (H0 = wbar/2*P^2, H1 = wbar/2*X^2,
     zeta = epsilon_g), the generator is h = int_0^t H1(s) ds, and
     F_g = (d epsilon_g/d g)^2 * 4*Var[h].  Returns (series, F_g) at the one
-    cutoff where _series_ladder accepts all four rows, x, x^2, dx/dg and F_g.
-    A bad time grid (_times) is an InvalidParams.
+    cutoff where _series_ladder accepts all four rows, F_g (>= 0, 0 at t = 0)
+    _pointwise.  A bad time grid (_times) is an InvalidParams.
     """
     _one_point(params)
     oscillator_frame(params, Regime.NORMAL)
     ts = _times(ts)
-    series, (qfi,) = _series_ladder(partial(_effective_level, params, ts), ts, judged=4)
+    series, (qfi,) = _series_ladder(partial(_effective_level, params, ts), ts, pointwise=1)
     return series, qfi
 
 

@@ -120,38 +120,31 @@ class TestConfig:
             build_config(experiment, overrides=[override])
         assert cli_main([experiment, "--set", override]) == 2
 
-    @pytest.mark.parametrize("overrides, code", [
-        (["g=1e308"], 2), (["lam=1e308", "g=0.5"], 2), (["lam=1e300", "g=0.5"], 0)])
-    def test_a_run_ends_alike_under_any_warning_filter(self, tmp_path, overrides, code):
+    @pytest.mark.parametrize("experiment, overrides, code, statuses", [
+        ("quadrature-vs-g", ["g=1e308"], 2, None),
+        ("quadrature-vs-g", ["lam=1e308", "g=0.5"], 2, None),
+        ("quadrature-vs-g", ["lam=1e300", "g=0.5"], 0, ["ok"]),
+        ("qfi-vs-g", ["lam=1e300"], 3, ["failed:RuntimeWarning"] * 200),
+    ], ids=["overrides0-2", "overrides1-2", "overrides2-0", "qfi-vs-g-lam1e300-3"])
+    def test_a_run_ends_alike_under_any_warning_filter(self, tmp_path, experiment, overrides,
+                                                       code, statuses):
         # g = 1e308 wrote three ok rows under the default filter and three
         # failed:RuntimeWarning rows under error::RuntimeWarning, and lam =
         # 1e308 wrote failed:NonFinite: both are now refused before any cell.
-        # lam = 1e300 overflowed only in the frame's unused past-g_c branch.
-        outcomes = []
-        for action in ("default", "error"):
-            out = tmp_path / f"{action}.csv"
-            with warnings.catch_warnings():
-                warnings.simplefilter(action, RuntimeWarning)
-                exit_code = cli_main(["quadrature-vs-g", "--out", str(out)]
-                                     + [a for o in overrides for a in ("--set", o)])
-            statuses = Dataset.read_csv(str(out)).str_column("status") if out.exists() else None
-            outcomes.append((exit_code, statuses))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0] == code
-
-    def test_a_row_status_does_not_depend_on_the_warning_filter(self, tmp_path):
-        # at lam = 1e300 var_n's omega_bar**6 overflows: qfi-vs-g wrote 200
-        # failed:NonFinite rows under the default filter and 200
-        # failed:RuntimeWarning rows under error::RuntimeWarning; a warning
-        # raised while a batch computes now fails its cell under any filter
+        # lam = 1e300 overflowed only in the frame's unused past-g_c branch of
+        # quadrature-vs-g; in qfi-vs-g var_n's omega_bar**6 overflows, which
+        # wrote failed:NonFinite rows under the default filter and now fails
+        # each cell with its RuntimeWarning under any filter
         outcomes = []
         for action in ("default", "error", "ignore"):
             out = tmp_path / f"{action}.csv"
             with warnings.catch_warnings():
                 warnings.simplefilter(action, RuntimeWarning)
-                exit_code = cli_main(["qfi-vs-g", "--set", "lam=1e300", "--out", str(out)])
-            outcomes.append((exit_code, Dataset.read_csv(str(out)).str_column("status")))
-        assert outcomes == [(3, ["failed:RuntimeWarning"] * 200)] * 3
+                exit_code = cli_main([experiment, "--out", str(out)]
+                                     + [a for o in overrides for a in ("--set", o)])
+            outcomes.append((exit_code, Dataset.read_csv(str(out)).str_column("status")
+                             if out.exists() else None))
+        assert outcomes == [(code, statuses)] * 3
 
     @pytest.mark.parametrize("text", ["lam -0.2\n", "engine = oracle\n"])
     def test_bad_config_file_lines_rejected(self, tmp_path, text):

@@ -569,6 +569,20 @@ class TestAutoCutoff:
         with pytest.raises(InvalidParams, match="^g: .* below 0"):
             call()
 
+    def test_a_leaking_level_is_compared_with_never_accepted(self):
+        # the rows a leak carries are what the next level is compared with;
+        # a leaking level is not accepted even when it agrees with the one below
+        calls = []
+
+        def run(n):
+            calls.append(n)
+            if n < 128:
+                raise TruncationLeak("too small", np.array([2.0]))
+            return np.array([2.0])
+
+        assert auto_cutoff(run)[0] == 128
+        assert calls == [32, 64, 128]
+
     def test_leak_restarts_comparison(self):
         def run(n):
             if n < 64:
@@ -662,24 +676,34 @@ class TestQfiMethods:
 
     def test_generator_grid_reports_its_cutoff(self):
         p = params(0.9)
-        ts = [2.0, 5.0, 9.0]
+        ts = np.array([2.0, 5.0, 9.0])
         series, values = generator_qfi_grid(p, ts)
-        # the ladder stops at the first doubling, from a level that does not
-        # leak, that moves no row (x, x^2, dx/dg, F_g) beyond SERIES_ATOL +
-        # SERIES_RTOL of the row's scale, and returns that level's rows
+        # the ladder stops at the first level that does not leak and moves
+        # none of x, x^2, dx/dg beyond SERIES_ATOL + SERIES_RTOL of the row's
+        # scale, nor F_g beyond AUTO_CUTOFF_RTOL of any value, from the level
+        # below (whose rows a leak carries), and returns that level's rows
         assert np.array_equal(level_qfi(p, ts, series.n_cut), values)
 
-        def moved(n):  # the rows that doubling n // 2 -> n moves beyond the block test
-            low, high = (_effective_level(p, np.asarray(ts), m) for m in (n // 2, n))
-            scale = np.maximum(np.abs(low).max(axis=1), np.abs(high).max(axis=1))
+        def rows(n):
+            try:
+                return _effective_level(p, ts, n)
+            except TruncationLeak as leak:
+                return leak.rows
+
+        def moved(n):  # the rows that doubling n // 2 -> n moves beyond the ladder's tests
+            low, high = rows(n // 2), rows(n)
+            scale = np.maximum(np.abs(low).max(axis=1), np.abs(high).max(axis=1))[:3]
             tol = fock.SERIES_ATOL + fock.SERIES_RTOL * np.maximum(scale, fock.SERIES_ATOL)
-            return np.flatnonzero(np.abs(high - low).max(axis=1) > tol).tolist()
+            block = np.abs(high - low)[:3].max(axis=1) > tol
+            tol = fock.AUTO_CUTOFF_RTOL * np.maximum(np.abs(low[3]), np.abs(high[3]))
+            return np.flatnonzero(np.append(block, np.any(np.abs(high - low)[3] > tol))).tolist()
 
         with pytest.raises(TruncationLeak):
             level_qfi(p, ts, 32)
-        # 64 -> 128 moves F_g alone, not the three rows quadrature_series judges
-        assert series.n_cut == 256
-        assert moved(128) == [3] and moved(256) == []
+        # 64 -> 128 moves F_g alone (by 2.7e-6 of its value), not the three
+        # rows quadrature_series judges
+        assert series.n_cut == 256 and quadrature_series(p, ts).n_cut == 128
+        assert moved(64) == [0, 1, 2, 3] and moved(128) == [3] and moved(256) == []
 
     @pytest.mark.parametrize("oracle", [quadrature_series, generator_qfi_grid])
     def test_oracles_take_no_cutoff(self, oracle):
@@ -817,6 +841,16 @@ class TestExactDerivative:
         rows = np.array([series.x_mean, series.x_second, series.x_deriv_g, qfi])
         assert np.array_equal(rows, _effective_level(p, ts, 256))
 
+    def test_the_ladder_judges_the_qfi_at_each_time(self):
+        # at g = 0.99 on these times level 1024 moves x, x^2, dx/dg and the
+        # F_g row within the block test, but F_g(30) by 1.3e-6 of its value:
+        # F_g is judged at each time, so the ladder takes one doubling more
+        p, ts = params(0.99), np.array([1.0, 30.0, 60.0])
+        low, high = (_effective_level(p, ts, n)[3] for n in (512, 1024))
+        assert np.abs(high - low)[1] > fock.AUTO_CUTOFF_RTOL * high[1]
+        assert np.abs(high - low).max() <= fock.SERIES_RTOL * high.max()
+        assert generator_qfi_grid(p, ts)[0].n_cut == 2048
+
     def test_time_float64_cannot_resolve_fails_the_first_level(self, monkeypatch):
         # at n = 1e15 the peak time is 7.2e15: float64 rounds each phase
         # E_k*t by about a radian, and the ratio used to come out at n_cut
@@ -876,10 +910,23 @@ class TestTridiagonalSolver:
         monkeypatch.setattr(fock, "TRIDIAGONAL_MIN", 32)
 
     @staticmethod
-    def eigh_rows(monkeypatch, p, ts, n_cut):
+    def level(monkeypatch, p, ts, n_cut):
+        """The tail mass _check_tail judged and _effective_level's rows, those
+        the TruncationLeak carries if the level leaks."""
+        tails, tail_mass = [], fock._tail_mass
+        with monkeypatch.context() as m:
+            m.setattr(fock, "_tail_mass", lambda *args: tails.append(tail_mass(*args)) or tails[-1])
+            try:
+                rows = _effective_level(p, ts, n_cut)
+            except TruncationLeak as leak:
+                rows = leak.rows
+        (tail,) = tails
+        return tail, rows
+
+    def eigh_rows(self, monkeypatch, p, ts, n_cut):
         with monkeypatch.context() as m:
             m.setattr(fock, "TRIDIAGONAL_MIN", 10**9)
-            return _effective_level(p, ts, n_cut)
+            return self.level(monkeypatch, p, ts, n_cut)
 
     @pytest.mark.parametrize("g, lam, n_cut", [(0.9, 0.0, 256), (0.099, -0.2475, 512),
                                                (1.2, 0.1, 128)])
@@ -912,18 +959,19 @@ class TestTridiagonalSolver:
         # over the whole block, put in the probe's place, needs the completion stage
         p, n_cut = params(0.9), 256
         ts = np.array([0.0, 1.3, 7.0, 40.0])
-        if spread:  # a state on the top Fock indices: no leak test
+        if spread:  # on the top Fock indices too: the level leaks, its rows on the leak
             amps = np.random.default_rng(5).normal(size=n_cut) + 1j
             monkeypatch.setattr(fock, "PROBE_AMPLITUDES", amps / np.linalg.norm(amps))
-            monkeypatch.setattr(fock, "LEAK_TOL", np.inf)
-        rows = _effective_level(p, ts, n_cut)
+        tail, rows = self.level(monkeypatch, p, ts, n_cut)
+        assert (tail > fock.LEAK_TOL) == spread
         # each block's lowest quarter first, started at the untruncated
         # spectrum; all of its modes, started at eigvalsh's energies, only
         # when the state spreads past them
         assert shifts == ([n_cut // 8, n_cut // 2] if spread else [n_cut // 8]) * 2
-        reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
+        assert abs(tail - ref_tail) <= 1e-12
 
     def test_certificate_failure_falls_back_to_eigh(self, monkeypatch, shifts):
         p, n_cut = params(0.9), 256
@@ -932,12 +980,12 @@ class TestTridiagonalSolver:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
-        rows = _effective_level(p, ts, n_cut)
+        _, rows = self.level(monkeypatch, p, ts, n_cut)
         # no mode of the lowest quarter passes, so each block finds all of
         # its modes again, and then decomposes by eigh
         assert shifts == [n_cut // 8, n_cut // 2] * 2
         assert calls == [n_cut // 2] * 2
-        assert np.array_equal(rows, self.eigh_rows(monkeypatch, p, ts, n_cut))
+        assert np.array_equal(rows, self.eigh_rows(monkeypatch, p, ts, n_cut)[1])
 
     def test_near_critical_level_makes_no_dense_decomposition(self, monkeypatch):
         # criterion 6's point at n_cut 2048: each 1024-row block keeps the
@@ -956,16 +1004,17 @@ class TestTridiagonalSolver:
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigvalsh", dense)
             m.setattr(np.linalg, "eigh", dense)
-            rows = _effective_level(p, ts, n_cut)
+            tail, rows = self.level(monkeypatch, p, ts, n_cut)
         for (_, diagonals), (_, energies, _) in zip(build_effective_hamiltonian(p, n_cut).blocks,
                                                     found[0]):
             assert 0 < len(energies) <= n_cut // 8
             exact = np.linalg.eigvalsh(_dense(diagonals))[:len(energies)]
             norm = np.abs(diagonals[0]).max() + 2.0 * np.abs(diagonals[1]).max()
             assert np.abs(energies - exact).max() <= 1e-13 * norm
-        reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
+        assert abs(tail - ref_tail) <= 1e-12
 
     def test_wrong_spectrum_falls_back(self, monkeypatch, shifts):
         # a spectrum 0.1% high starts inverse iteration off every mode: no
@@ -975,11 +1024,12 @@ class TestTridiagonalSolver:
         eig = HermitianOperator.eig
         monkeypatch.setattr(HermitianOperator, "eig", lambda self, *reach: eig(
             self, *reach[:3], 1.001 * reach[3]))
-        rows = _effective_level(p, ts, n_cut)
+        tail, rows = self.level(monkeypatch, p, ts, n_cut)
         assert shifts == [n_cut // 8, n_cut // 2] * 2
-        reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
+        assert abs(tail - ref_tail) <= 1e-12
 
     def test_keep_rule_keeps_a_certified_prefix_that_holds_the_state(
             self, monkeypatch, shifts):
@@ -1010,13 +1060,14 @@ class TestTridiagonalSolver:
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigh", dense)
-            rows = _effective_level(p, ts, n_cut)
+            tail, rows = self.level(monkeypatch, p, ts, n_cut)
         # each block: the first stage certifies nothing, the complete batch its lower half
         assert shifts == [n_cut // 8, n_cut // 2] * 2
         assert [len(energies) for energies, _ in kept] == [0, n_cut // 4] * 2
-        reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
+        ref_tail, reference = self.eigh_rows(monkeypatch, p, ts, n_cut)
         scale = np.abs(reference).max(axis=1)
         assert (np.abs(rows - reference).max(axis=1) <= 1e-10 * scale).all()
+        assert abs(tail - ref_tail) <= 1e-12
 
     def test_certified_modes_keep_only_what_they_certify(self):
         # from a guess 1e-7 high the energies are Rayleigh quotients, as exact
