@@ -6,8 +6,8 @@
     cqm list
 
 --engine both writes each oracle value beside its closed form and their deviation.
-Every run is one serial pass in this process; --jobs accepts only 1.  An output
-is resumed only if this cqm version wrote it for the same config.
+Every run is one serial pass in this process that computes every cell and
+overwrites the output; --jobs accepts only 1.
 Exit codes: 0 success, 2 invalid configuration, 3 completed with failed cells.
 CQM_OUT_DIR (default '.') is the output root when --out is not given.
 """
@@ -19,9 +19,8 @@ import functools
 import os
 import sys
 
-from . import __version__
 from .errors import ConfigError
-from .experiments import Dataset, build_config, config_reference, experiment_ids, run
+from .experiments import build_config, config_reference, experiment_ids, run
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -52,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         exp.add_argument("--out", help="output CSV path")
         exp.add_argument("--set", dest="overrides", action="append", default=[],
                          metavar="KEY=VALUE", help="override one config key (repeatable)")
-        exp.add_argument("--no-resume", action="store_true",
-                         help="recompute everything even if the output exists")
     return parser
 
 
@@ -79,28 +76,16 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--jobs must be 1 (runs are serial), got {args.jobs}")
         out_path = args.out or _default_out(cfg.experiment)
         os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
-        resume = None
-        if not args.no_resume and os.path.exists(out_path):
-            try:
-                previous = Dataset.read_csv(out_path)
-                meta = previous.metadata
-                if (meta.get("config_hash"), meta.get("version")) == (cfg.hash(), __version__):
-                    resume = previous
-            except (ConfigError, ValueError):
-                resume = None  # unreadable previous output: recompute everything
-        dataset = run(cfg, resume=resume)
+        dataset = run(cfg)
         dataset.write_csv(out_path)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    failed = dataset.metadata["cells_failed_now"]  # resume reuses no failed row
-    computed = dataset.metadata["cells_computed"]
-    total = dataset.metadata["cells_total"]
+    failed = dataset.metadata["cells_failed_now"]
     print(
-        f"{cfg.experiment}: wrote {out_path} "
-        f"({len(dataset.rows)} rows, {computed}/{total} cells computed, "
-        f"{failed} failed)"
+        f"{cfg.experiment}: wrote {out_path} ({len(dataset.rows)} rows, "
+        f"{dataset.metadata['cells_total']} cells, {failed} failed)"
     )
     if failed:
         return EXIT_PARTIAL_FAILURE

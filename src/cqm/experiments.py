@@ -15,9 +15,8 @@ engines, how its config splits into cells, its output columns per engine,
 their units, and the module-level function that computes a batch of cells.
 Adding an experiment means adding one registry entry.
 
-Cells are the unit of failure and of resume: a failed cell is recorded in its
-rows' status column and the run continues, and re-running onto an existing
-output with an identical config recomputes failed cells only.  Batches are the
+Cells are the unit of failure: a failed cell is recorded in its row's status
+column and the run continues.  Every run computes every cell.  Batches are the
 unit of work, run one after the other in this process: a closed-engine run is
 one batch, computed as columns over arrays of its cells' parameters; in a
 both-engine run each cell is a batch of its own.
@@ -31,7 +30,6 @@ import json
 import os
 import time
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -587,12 +585,6 @@ class Dataset:
         idx = self.columns.index(name)
         return [r[idx] for r in self.rows]
 
-    @property
-    def failed_cells(self) -> set[int]:
-        c = self.columns.index("cell")
-        s = self.columns.index("status")
-        return {int(r[c]) for r in self.rows if r[s].startswith("failed")}
-
     def write_csv(self, path: str) -> None:
         """Write through a temporary file beside ``path`` and rename it into
         place, so a failed write leaves any earlier file at ``path`` intact.
@@ -623,51 +615,6 @@ class Dataset:
             if os.path.exists(tmp):
                 os.remove(tmp)
             raise
-
-    @classmethod
-    def read_csv(cls, path: str) -> "Dataset":
-        """Read a file as write_csv writes it: a ConfigError for one it could
-        not have written, with no metadata header or column line, a quote or
-        a carriage return, a row of another length than the column line, or
-        "cell" fields that are not indices in ascending order below the
-        metadata's cells_total, or not as many rows of each cell as its
-        cell_rows lists."""
-        with open(path, encoding="utf-8", newline="") as fh:
-            header = fh.readline()
-            if not header.startswith("# "):
-                raise ConfigError(f"{path} lacks the JSON metadata header")
-            metadata = json.loads(header[2:])
-            body = fh.read()
-        if not isinstance(metadata, dict):
-            raise ConfigError(f"{path} has a metadata header that is not a JSON object")
-        if '"' in body or "\r" in body:
-            raise ConfigError(f"{path} holds a quote or a carriage return")
-        columns, *rows = [line.split(",") for line in body.split("\n") if line] or [None]
-        if columns is None:
-            raise ConfigError(f"{path} has no column line after its metadata header")
-        if any(len(row) != len(columns) for row in rows):
-            raise ConfigError(f"{path} has a row whose length differs from its column line")
-        if "cell" in columns:
-            c = columns.index("cell")
-            if not _cells_whole([row[c] for row in rows], metadata.get("cells_total"),
-                                metadata.get("cell_rows")):
-                raise ConfigError(f"{path} has a cell field that is not an index in "
-                                  "ascending order below cells_total, or a cell whose "
-                                  "row count differs from cell_rows")
-        units = metadata.pop("columns", {})
-        return cls(columns, units, rows, metadata)
-
-
-def _cells_whole(fields: list[str], total, counts) -> bool:
-    """Whether ``fields`` are integers as _render writes them, ascending and
-    each below ``total`` (an int, or None for no bound), with ``counts[i]``
-    of them equal to i (a list, or None for no count)."""
-    cells = [int(f) for f in fields if f.isascii() and f.isdigit()]
-    if list(map(str, cells)) != fields or not (total is None or isinstance(total, int)):
-        return False
-    return (cells == sorted(cells) and (not cells or total is None or cells[-1] < total)
-            and (counts is None or isinstance(counts, list)
-                 and Counter(cells) == Counter(dict(enumerate(counts)))))
 
 
 def _render(column, n: int) -> list[str]:
@@ -733,43 +680,27 @@ def _run_batch(cfg: ExperimentConfig, indices: list[int], cells: list[dict],
 # the runner
 # ----------------------------------------------------------------------
 
-def _batches(cfg: ExperimentConfig, todo: list[int]) -> list[list[int]]:
-    """The cells ``todo`` in batches: all of them in one in a closed-engine
+def _batches(cfg: ExperimentConfig, n: int) -> list[list[int]]:
+    """The indices of ``n`` cells in batches: all in one in a closed-engine
     run (none if there are none), each cell on its own in a both-engine run."""
-    if cfg.engine != "closed" or not todo:
-        return [[i] for i in todo]
-    return [todo]
+    if cfg.engine != "closed" or not n:
+        return [[i] for i in range(n)]
+    return [list(range(n))]
 
 
-def run(cfg: ExperimentConfig, resume: Dataset | None = None) -> Dataset:
-    """Execute every cell of ``cfg`` and assemble the Dataset.
-
-    With ``resume`` (a previously written Dataset whose config hash matches),
-    rows of cells that completed are reused verbatim and only failed cells
-    are recomputed.  The metadata's cell_rows lists each cell's row count.
-    """
+def run(cfg: ExperimentConfig) -> Dataset:
+    """Execute every cell of ``cfg`` and assemble the Dataset.  The
+    metadata's cell_rows lists each cell's row count."""
     started = time.monotonic()
     entry = _REGISTRY[cfg.experiment]
     columns = entry.columns(cfg.engine) + _META_COLUMNS
     cells = entry.cells(cfg.values)
-    reuse: dict[int, list[list[str]]] = {}
-    if resume is not None:
-        if resume.metadata.get("config_hash") != cfg.hash():
-            raise ConfigError("resume dataset was produced by a different config")
-        failed = resume.failed_cells
-        cell_col = resume.columns.index("cell")
-        for row in resume.rows:
-            idx = int(row[cell_col])
-            if idx not in failed:
-                reuse.setdefault(idx, []).append(row)
-    todo = [i for i in range(len(cells)) if i not in reuse]
-    done = [d for b in _batches(cfg, todo) for d in _run_batch(cfg, b, [cells[i] for i in b],
-                                                                columns)]
-    results = {index: rendered for index, rendered, _ in done}
+    done = [d for b in _batches(cfg, len(cells))
+            for d in _run_batch(cfg, b, [cells[i] for i in b], columns)]
+    per_cell = [rendered for _, rendered, _ in done]  # in cell order
     failures = {str(index): failure for index, _, failure in done if failure is not None}
-    per_cell = [reuse.get(i, results.get(i, [])) for i in range(len(cells))]
     rows = [row for cell_rows in per_cell for row in cell_rows]
-    n_failed = len(failures)  # a failed cell has one row, and resume reuses no failed row
+    n_failed = len(failures)
     metadata = {
         "experiment": cfg.experiment,
         "engine": cfg.engine,
@@ -778,7 +709,7 @@ def run(cfg: ExperimentConfig, resume: Dataset | None = None) -> Dataset:
         "version": __version__,
         "cells_total": len(cells),
         "cell_rows": list(map(len, per_cell)),
-        "cells_computed": len(todo),
+        "cells_computed": len(cells),
         "cells_failed_now": n_failed,
         "failures": failures,
         "wall_time_s": round(time.monotonic() - started, 3),

@@ -142,7 +142,7 @@ class TestConfig:
                 warnings.simplefilter(action, RuntimeWarning)
                 exit_code = cli_main([experiment, "--out", str(out)]
                                      + [a for o in overrides for a in ("--set", o)])
-            outcomes.append((exit_code, Dataset.read_csv(str(out)).str_column("status")
+            outcomes.append((exit_code, _read_output(out).str_column("status")
                              if out.exists() else None))
         assert outcomes == [(code, statuses)] * 3
 
@@ -255,7 +255,7 @@ class TestRunner:
             cfg = tiny(name)
             ds = run(cfg)
             assert len(ds.rows) > 0, name
-            assert not ds.failed_cells, name
+            assert not ds.metadata["failures"], name
             statuses = set(ds.str_column("status"))
             assert statuses <= {"ok", "saturated"}, name
 
@@ -263,7 +263,7 @@ class TestRunner:
         # the rates went through (gamma_a, gamma_h) and back, which wrote
         # gamma_minus as 0.010000000000000002
         ds = run(build_config("decoherence"))
-        assert len(ds.rows) == 1200 and not ds.failed_cells
+        assert len(ds.rows) == 1200 and not ds.metadata["failures"]
         assert set(ds.str_column("gamma_minus")) == {"0.01"}
         assert set(ds.column("gamma_plus")) == {0.03}  # text 0.029999999999999999
 
@@ -278,12 +278,11 @@ class TestRunner:
 
     def test_closed_runs_are_one_batch_at_any_jobs(self, monkeypatch):
         cfg = tiny("qfi-vs-g")  # 2 lam x 9 g
-        assert _batches(cfg, list(range(18))) == [list(range(18))]
-        assert _batches(cfg, [0, 1, 4, 9, 10]) == [[0, 1, 4, 9, 10]]
-        assert _batches(cfg, []) == []  # no empty batch
-        assert _batches(tiny("qfi-map"), [0, 1, 2]) == [[0, 1, 2]]
+        assert _batches(cfg, 18) == [list(range(18))]
+        assert _batches(cfg, 0) == []  # no empty batch
+        assert _batches(tiny("qfi-map"), 3) == [[0, 1, 2]]
         both = tiny("quadrature-vs-g", engine="both")
-        assert _batches(both, [0, 1, 2]) == [[0], [1], [2]]
+        assert _batches(both, 3) == [[0], [1], [2]]
         batches = []
         run_batch = experiments._run_batch
         monkeypatch.setattr(experiments, "_run_batch", lambda cfg, indices, *rest: (
@@ -303,7 +302,7 @@ class TestRunner:
     def test_batches_give_the_rows_of_cells_run_alone(self, monkeypatch, name, over):
         cfg = tiny(name, **over)
         batched = run(cfg)
-        monkeypatch.setattr("cqm.experiments._batches", lambda cfg, todo: [[i] for i in todo])
+        monkeypatch.setattr("cqm.experiments._batches", lambda cfg, n: [[i] for i in range(n)])
         alone = run(cfg)
         assert batched.metadata["failures"] == alone.metadata["failures"]
         if name != "qfi-map":
@@ -332,7 +331,7 @@ class TestRunner:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cf, function, counted)
-        assert not run(build_config(name)).failed_cells
+        assert not run(build_config(name)).metadata["failures"]
         assert len(seen) == 1
 
     def test_critical_points_in_a_row_saturate(self):
@@ -397,7 +396,7 @@ class TestRunner:
         monkeypatch.setitem(_REGISTRY, "inverted-variance",
                             dataclasses.replace(entry, compute=compute))
         ds = run(tiny("inverted-variance"))
-        assert ds.failed_cells == {1}
+        assert list(ds.metadata["failures"]) == ["1"]
         statuses = ds.str_column("status")
         assert statuses.count("failed:LinAlgError") == 1
         assert statuses.count("ok") == len(statuses) - 1
@@ -428,24 +427,9 @@ class TestRunner:
         clean = run(cfg)
         _break_cell(monkeypatch, cfg, 4, fault)
         ds = run(cfg)
-        assert ds.failed_cells == {4}
         assert list(ds.metadata["failures"]) == ["4"]
         assert ds.str_column("status")[4] == status
         assert ds.rows[:4] + ds.rows[5:] == clean.rows[:4] + clean.rows[5:]
-
-    def test_resume_after_a_fault_inside_a_batch_recomputes_that_cell(
-            self, monkeypatch, tmp_path):
-        cfg = tiny("qfi-vs-g")
-        clean, resumed = tmp_path / "clean.csv", tmp_path / "resumed.csv"
-        run(cfg).write_csv(str(clean))
-        with monkeypatch.context() as patch:
-            _break_cell(patch, cfg, 4, "raise")
-            failed = run(cfg)
-        assert failed.failed_cells == {4}
-        again = run(cfg, resume=failed)
-        assert again.metadata["cells_computed"] == 1
-        again.write_csv(str(resumed))
-        assert resumed.read_text().splitlines()[1:] == clean.read_text().splitlines()[1:]
 
     def test_both_engines_run_the_oracle_once_per_non_critical_cell(self, monkeypatch):
         from cqm import fock
@@ -478,7 +462,7 @@ class TestRunner:
         # the runner takes tau_n and the limit from the closed forms and forms
         # delta itself; every written float reads back bit for bit
         ds = run(build_config("frequency-scaling"))
-        assert len(ds.rows) == 10 and not ds.failed_cells
+        assert len(ds.rows) == 10 and not ds.metadata["failures"]
         for row in ds.rows:
             r = dict(zip(ds.columns, row))
             p = ModelParams(omega=1.0, Omega=1e4, g=float(r["g"]), lam=float(r["lam"]))
@@ -501,25 +485,20 @@ class TestRunner:
             assert np.array_equal(np.unique(position), np.arange(len(cells))), name
             assert np.all(np.diff(position) >= 0), name
 
-    def test_failed_cells_recorded_and_resumed(self, tmp_path):
+    def test_a_failed_cell_is_recorded(self):
         # beyond-critical case in a normal-regime-only experiment: cell fails
-        cfg = tiny("inverted-variance", g="0.9,0.9", lam="0,-0.247")
-        ds = run(cfg)
-        assert ds.failed_cells == {1}
+        ds = run(tiny("inverted-variance", g="0.9,0.9", lam="0,-0.247"))
+        assert list(ds.metadata["failures"]) == ["1"]
         status = [s for s in ds.str_column("status") if s.startswith("failed")]
         assert status == ["failed:RegimeError"]
         assert ds.metadata["cells_computed"] == 2
-        # a resumed run recomputes only the failed cell
-        again = run(cfg, resume=ds)
-        assert again.metadata["cells_computed"] == 1
-        assert again.rows == ds.rows
 
     def test_peak_times_float64_cannot_resolve_fail_their_cells(self):
         # ratio-scaling at n = 1e15 used to write both rows as ok at n_cut
         # 4096, with ratio_numeric 0.124 and 0.025 from phases rounded by a
         # radian; each cell now fails at its first cutoff level
         ds = run(build_config("ratio-scaling", overrides=["n=1e15"]))
-        assert ds.failed_cells == {0, 1}
+        assert list(ds.metadata["failures"]) == ["0", "1"]
         assert ds.str_column("status") == ["failed:InvalidParams"] * 2
         assert all(reason.startswith("InvalidParams: ts: float64 rounds the phases")
                    for reason in ds.metadata["failures"].values())
@@ -528,23 +507,18 @@ class TestRunner:
         # lam is a scalar of qfi-evolution, not part of its cells
         cfg = build_config("qfi-evolution", overrides=["g=0.5,1.0", "lam=0", "t=0:10:3"])
         ds = run(cfg)
-        assert ds.failed_cells == {1}
+        assert list(ds.metadata["failures"]) == ["1"]
         failed = [r for r in ds.rows if r[ds.columns.index("status")].startswith("failed")]
         assert len(failed) == 1
         row = dict(zip(ds.columns, failed[0]))
         assert (row["lam"], row["g"], row["status"]) == ("0", "1", "failed:RegimeError")
 
     def test_failure_reasons_in_metadata(self):
-        cfg = tiny("inverted-variance", g="0.9,0.9", lam="0,-0.247")
-        ds = run(cfg)
+        ds = run(tiny("inverted-variance", g="0.9,0.9", lam="0,-0.247"))
         (reason,) = ds.metadata["failures"].values()
         assert list(ds.metadata["failures"]) == ["1"]
         assert reason.startswith("RegimeError: epsilon_g = ")
         assert run(tiny("inverted-variance")).metadata["failures"] == {}
-        # only cells that failed in this run are named; rows stay as they were
-        again = run(cfg, resume=ds)
-        assert again.metadata["failures"] == ds.metadata["failures"]
-        assert again.rows == ds.rows
 
     def test_column_units_agree_across_engines(self):
         deviations = {"rel_dev", "delta", "abs_delta"}
@@ -577,19 +551,13 @@ class TestRunner:
                 missing = [c for c in columns if c not in unitless and not units[c]]
                 assert not missing, (name, engine, missing)
 
-    def test_resume_rejects_other_config(self):
-        ds = run(tiny("qfi-evolution"))
-        other = tiny("qfi-evolution", t="0:50:7")
-        with pytest.raises(ConfigError):
-            run(other, resume=ds)
-
     def test_dataset_roundtrip_and_17_digits(self, tmp_path):
         ds = run(tiny("qfi-evolution"))
         path = tmp_path / "out.csv"
         ds.write_csv(str(path))
         text = path.read_text()
         assert text.startswith("# {")
-        back = Dataset.read_csv(str(path))
+        back = _read_output(path)
         assert back.rows == ds.rows
         assert back.metadata["config_hash"] == ds.metadata["config_hash"]
         # a full-precision float appears somewhere in the payload
@@ -625,7 +593,7 @@ class TestRunner:
         header, body = path.read_bytes().split(b"\n", 1)
         assert header.startswith(b"# {")
         assert body == expected.getvalue().encode()
-        assert Dataset.read_csv(str(path)).rows == rows
+        assert _read_output(path).rows == rows
 
     @pytest.mark.parametrize("field", ["a,b", 'say "hi"', "two\nlines", "cr\r", None])
     def test_field_that_needs_quotes_fails_the_write(self, tmp_path, field):
@@ -684,25 +652,18 @@ def _break_cell(monkeypatch, cfg, index, fault):
     monkeypatch.setitem(_REGISTRY, "qfi-vs-g", dataclasses.replace(entry, compute=compute))
 
 
-class TestCli:
-    def test_full_cycle_with_resume(self, tmp_path, capsys):
-        out = tmp_path / "ds.csv"
-        argv = [
-            "qfi-evolution", "--jobs", "1", "--out", str(out),
-            "--set", "g=0.098,0.099", "--set", "t=0:50:6",
-        ]
-        assert cli_main(argv) == 0
-        first = out.read_text()
-        assert cli_main(argv) == 0
-        second = out.read_text()
-        strip = lambda s: [l for l in s.splitlines() if not l.startswith("#")]
-        assert strip(first) == strip(second)
-        meta = json.loads(second.splitlines()[0][2:])
-        assert meta["cells_computed"] == 0  # resumed
+def _read_output(path) -> Dataset:
+    """A file as Dataset.write_csv writes it, read with the csv module."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        metadata = json.loads(fh.readline().removeprefix("# "))
+        columns, *rows = csv.reader(fh)
+    return Dataset(columns, metadata.pop("columns"), rows, metadata)
 
+
+class TestCli:
     def test_output_of_another_version_is_recomputed(self, tmp_path, capsys):
         # another version may have written other values for the same config
-        # (the decoherence rows changed), so none of its rows is reused
+        # (the decoherence rows changed); a run overwrites them all
         out = tmp_path / "ds.csv"
         argv = ["qfi-evolution", "--out", str(out), "--set", "g=0.098,0.099",
                 "--set", "t=0:50:6"]
@@ -713,7 +674,7 @@ class TestCli:
         out.write_text("# " + json.dumps(meta) + "\n" + body)
         capsys.readouterr()
         assert cli_main(argv) == 0
-        assert "2/2 cells computed" in capsys.readouterr().out
+        assert "(12 rows, 2 cells, 0 failed)" in capsys.readouterr().out
         again = out.read_text().split("\n", 1)
         assert json.loads(again[0][2:])["version"] == cqm.__version__
         assert again[1] == body
@@ -721,7 +682,7 @@ class TestCli:
     @pytest.mark.parametrize("keep", ["header", "cut_row"])
     def test_truncated_output_is_recomputed(self, tmp_path, capsys, keep):
         # a truncated CSV (only its metadata line, or cut inside its last
-        # row) is unreadable, so the run starts over instead of resuming
+        # row) is overwritten by a fresh run
         out = tmp_path / "ds.csv"
         argv = ["qfi-evolution", "--jobs", "1", "--out", str(out),
                 "--set", "g=0.098,0.099", "--set", "t=0:50:6"]
@@ -729,20 +690,19 @@ class TestCli:
         text = out.read_text()
         full = text.splitlines()
         out.write_text(full[0] + "\n" if keep == "header" else text[:-20])
-        with pytest.raises(ConfigError):
-            Dataset.read_csv(str(out))
         assert cli_main(argv) == 0
         again = out.read_text().splitlines()
         assert again[1:] == full[1:]
         assert json.loads(again[0][2:])["cells_computed"] == 2
 
-    @pytest.mark.parametrize("corrupt", ["non_integer_cell", "cell_out_of_range",
-                                         "cell_out_of_order", "quoted_line_break",
-                                         "header_not_an_object", "no_header",
-                                         "deleted_row", "duplicated_row"])
+    @pytest.mark.parametrize("corrupt", ["changed_value", "non_integer_cell",
+                                         "cell_out_of_range", "cell_out_of_order",
+                                         "quoted_line_break", "header_not_an_object",
+                                         "no_header", "deleted_row", "duplicated_row"])
     def test_corrupted_output_is_recomputed(self, tmp_path, capsys, corrupt):
-        # each file used to crash the resume or drop rows; now it reads as
-        # unreadable, so the run starts over and writes a fresh run's body
+        # a rerun computes every cell and writes a fresh run's body over any
+        # file at --out; a well-formed file with one value changed used to
+        # keep that value, as the rows of an older, wrong computation were kept
         out = tmp_path / "ds.csv"
         argv = ["qfi-evolution", "--jobs", "1", "--out", str(out),
                 "--set", "g=0.098,0.099", "--set", "t=0:50:6"]
@@ -751,7 +711,10 @@ class TestCli:
         lines = list(full)
         columns = lines[1].split(",")
         row = lines[-1].split(",")
-        if corrupt == "non_integer_cell":
+        if corrupt == "changed_value":
+            qfi = columns.index("qfi")
+            row[qfi] = format(2 * float(row[qfi]), ".17g")
+        elif corrupt == "non_integer_cell":
             row[columns.index("cell")] = "1.5"
         elif corrupt == "cell_out_of_range":
             row[columns.index("cell")] = "2"  # cells_total is 2
@@ -769,8 +732,6 @@ class TestCli:
         elif corrupt == "duplicated_row":
             lines.insert(3, lines[3])
         out.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigError):
-            Dataset.read_csv(str(out))
         assert cli_main(argv) == 0
         again = out.read_text().splitlines()
         assert again[1:] == full[1:]
@@ -821,20 +782,18 @@ class TestCli:
             "--set", "g=0.9,0.9", "--set", "lam=0,-0.247", "--set", "t_per=0:2:20",
         ]
         assert cli_main(argv) == 3
-        assert "2/2 cells computed, 1 failed)" in capsys.readouterr().out
-        assert cli_main(argv) == 3  # the resume recomputes only the failed cell
-        assert "1/2 cells computed, 1 failed)" in capsys.readouterr().out
+        assert "(21 rows, 2 cells, 1 failed)" in capsys.readouterr().out
 
     def test_parser_is_built_once_and_carries_nothing_between_calls(
             self, tmp_path, monkeypatch, capsys):
         seen = []
 
-        def recorded(cfg, resume):
+        def recorded(cfg):
             seen.append(cfg.values["g"].tolist())
-            return run(cfg, resume=resume)
+            return run(cfg)
 
         monkeypatch.setattr(cli, "run", recorded)
-        argv = ["qfi-evolution", "--no-resume", "--out", str(tmp_path / "x.csv"),
+        argv = ["qfi-evolution", "--out", str(tmp_path / "x.csv"),
                 "--set", "t=0:10:4"]
         assert cli_main(argv + ["--set", "g=0.098"]) == 0
         with pytest.raises(SystemExit) as exc:

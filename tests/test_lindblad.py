@@ -121,6 +121,32 @@ class TestMomentRhs:
         gen = moment_generator(TUNED, REFERENCE_RATES)
         assert gen.shape == (6, 6) and np.all(gen[5] == 0.0)
 
+    def test_generator_follows_from_the_master_equation(self):
+        # L^dag O = i[H, O] + gamma_a D[a] + gamma_h D[a^dag] on O = X, P, X^2,
+        # P^2, G in 40 levels, each fitted on (X, P, X^2, P^2, G, 1) over the
+        # top-left 34 x 34 block, which the truncation at 40 levels leaves exact
+        frame = oscillator_frame(TUNED)
+        w, e = frame.omega_bar, frame.epsilon
+        gp, gm = REFERENCE_RATES.gamma_plus, REFERENCE_RATES.gamma_minus
+        gamma_a, gamma_h = (gp + gm) / 2, (gp - gm) / 2
+        a = np.diag(np.sqrt(np.arange(1.0, 40.0)), 1).astype(complex)
+        ad = a.conj().T
+        x, p = (a + ad) / np.sqrt(2.0), 1j * (ad - a) / np.sqrt(2.0)
+        h = w / 2 * p @ p + e / (8 * w) * x @ x
+
+        def adjoint(o):
+            def dissipator(c):
+                cdc = c.conj().T @ c
+                return c.conj().T @ o @ c - (cdc @ o + o @ cdc) / 2
+            return 1j * (h @ o - o @ h) + gamma_a * dissipator(a) + gamma_h * dissipator(ad)
+
+        ops = [x, p, x @ x, p @ p, x @ p + p @ x]
+        basis = np.stack([op[:34, :34].ravel() for op in ops + [np.eye(40)]], axis=1)
+        gen = moment_generator(TUNED, REFERENCE_RATES)
+        for row, op in zip(gen, ops):
+            coef, *_ = np.linalg.lstsq(basis, adjoint(op)[:34, :34].ravel(), rcond=None)
+            assert np.abs(coef - row).max() <= 1e-12 * np.abs(gen).max()
+
     def test_initial_flow_of_reference_state(self):
         frame = oscillator_frame(PLAIN)
         d = rhs(REFERENCE_STATE_MOMENTS, PLAIN, NO_DECAY)
