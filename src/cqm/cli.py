@@ -1,13 +1,13 @@
 """Command-line entry point.
 
-    cqm <experiment-id> [--config FILE] [--engine closed|both] [--jobs 1]
-                        [--out PATH] [--set key=value ...]
+    cqm <experiment-id> [--engine closed|both] [--jobs 1] [--out PATH] [--set key=value ...]
     cqm config-reference [experiment-id]
     cqm list
 
---engine both writes each oracle value beside its closed form and their deviation.
-Every run is one serial pass in this process that computes every cell and
-overwrites the output; --jobs accepts only 1.
+A run is its experiment's defaults with each --set override applied, in units
+of the boson frequency omega.  --engine both writes each oracle value beside
+its closed form and their deviation.  Every run is one serial pass in this
+process that computes every cell and overwrites the output; --jobs accepts only 1.
 Exit codes: 0 success, 2 invalid configuration, 3 completed with failed cells.
 CQM_OUT_DIR (default '.') is the output root when --out is not given.
 """
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in experiment_ids():
         exp = sub.add_parser(name, help=f"run the {name} experiment")
-        exp.add_argument("--config", help="flat key=value config file")
         exp.add_argument("--engine", choices=("closed", "both"))
         exp.add_argument("--jobs", type=int, default=1,
                          help="runs are serial: only 1 is accepted (default: 1)")
@@ -70,8 +69,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        cfg = build_config(args.command, config_file=args.config,
-                           overrides=args.overrides, engine=args.engine)
+        cfg = build_config(args.command, overrides=args.overrides, engine=args.engine)
         if args.jobs != 1:  # before the output directory is made
             raise ConfigError(f"--jobs must be 1 (runs are serial), got {args.jobs}")
         out_path = args.out or _default_out(cfg.experiment)

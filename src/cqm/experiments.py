@@ -5,10 +5,11 @@ the shipped reference datasets (QFI evolution and coupling sweeps, the
 lambda-g QFI map, quadrature sensitivity curves, inverted-variance
 evolutions, the peak-ratio and finite-frequency scaling runs, and the
 decoherence run).
-Configs are flat key=value text; command-line --set overrides win.  Outputs
-are CSV files with a '#'-prefixed JSON metadata header carrying the full
-resolved config, so a dataset can be regenerated bit-identically (the wall
-time field is the only non-deterministic entry).
+A run is its experiment's defaults with any --set key=value overrides, in
+units of the boson frequency omega (= 1).  Outputs are CSV files with a
+'#'-prefixed JSON metadata header carrying the full resolved config, so a
+dataset can be regenerated bit-identically (the wall time field is the only
+non-deterministic entry).
 
 Every experiment is one entry of ``_REGISTRY``: its config keys, its
 engines, how its config splits into cells, its output columns per engine,
@@ -74,12 +75,10 @@ def _parse_value(text: str, kind: str):
     return np.array([float(p) for p in text.split(",") if p.strip() != ""])
 
 
-_COMMON = {
-    "omega": _Key("1.0", "float", "boson frequency (sets the time/energy unit)"),
-}
-
-# The qubit frequency of every run.  No dataset reads it: the closed forms and the
-# effective oscillator lack it, and frequency-scaling sets Omega = eta * omega.
+# The qubit frequency of every run, built at omega = 1: H/omega depends only on
+# lam/omega, g, Omega/omega, omega*t and gamma/omega, so omega is the unit the t
+# and gamma columns name.  No dataset reads Omega: the closed forms and the
+# effective oscillator lack it, and frequency-scaling sets Omega = eta.
 _OMEGA_QUBIT = 1e4
 #: Smallest Omega/omega at which frequency-scaling compares the engines.
 ETA_MIN = 10.0
@@ -141,9 +140,9 @@ def _compared_columns(closed: dict, oracle: dict, n_cut: int | None = None) -> d
 # per-experiment batch computation
 # ----------------------------------------------------------------------
 
-def _params(v: dict, g, lam) -> ModelParams:
+def _params(g, lam) -> ModelParams:
     """Parameters at ``lam`` and ``g``: numbers, or arrays of (lam, g) pairs."""
-    return ModelParams(omega=v["omega"], Omega=_OMEGA_QUBIT, g=g if np.ndim(g) else float(g),
+    return ModelParams(omega=1.0, Omega=_OMEGA_QUBIT, g=g if np.ndim(g) else float(g),
                        lam=lam if np.ndim(lam) else float(lam))
 
 
@@ -170,13 +169,13 @@ def _along_g(v: dict, lam: np.ndarray, gs: np.ndarray, fill: float,
     """Columns at the (lam, g) pairs of ``lam`` and ``gs``, and ``f(params)``
     in one array call over the pairs off the critical line; pairs on it are
     saturated, with the value ``fill``."""
-    params = _params(v, gs, lam)
+    params = _params(gs, lam)
     regime = _REGIME_LABELS[_regime_index(oscillator_frame(params, *REGIMES).epsilon_g)]
     critical = regime == Regime.CRITICAL.value
     values = np.full(len(gs), fill)
     if not critical.all():
         off = ~critical
-        values[off] = f(_params(v, gs[off], lam[off]) if critical.any() else params)
+        values[off] = f(_params(gs[off], lam[off]) if critical.any() else params)
     return {"lam": lam, "g": gs, "t": v["t"], "regime": regime,
             "status": np.where(critical, _STATUS_SATURATED, _STATUS_OK)}, values
 
@@ -188,7 +187,7 @@ def _qfi(v: dict, lam: np.ndarray, gs: np.ndarray) -> tuple[dict, np.ndarray]:
 
 def _qfi_evolution(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
-    params = _params(v, cell["g"], v["lam"])
+    params = _params(cell["g"], v["lam"])
     base = {"lam": v["lam"], "g": cell["g"], "t": v["t"]}
     closed = {"qfi": cf.qfi_g(params, v["t"])}
     if cfg.engine == "closed":
@@ -219,14 +218,14 @@ def _quadrature_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:
         return {**cols, "x_mean": x_mean}
     if cols["status"][0] == _STATUS_SATURATED:  # the both engine runs one cell a batch
         return cols
-    series = fock.quadrature_series(_params(v, gs[0], lam[0]), [v["t"]])
+    series = fock.quadrature_series(_params(gs[0], lam[0]), [v["t"]])
     return {**cols, **_compared_columns({"x_mean": x_mean}, {"x_mean": series.x_mean},
                                         series.n_cut)}
 
 
 def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
-    params = _params(v, cell["g"], cell["lam"])
+    params = _params(cell["g"], cell["lam"])
     ts = v["t_per"] * cf.peak_time(params, 1)
     base = {"lam": cell["lam"], "g": cell["g"], "t": ts}
     closed = {"x_mean": cf.x_mean(params, ts), "x_deriv_g": cf.x_deriv_g(params, ts),
@@ -240,7 +239,7 @@ def _inverted_variance(cfg: ExperimentConfig, cell: dict) -> dict:
 
 def _ratio_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
-    params = _params(v, cell["g"], cell["lam"])
+    params = _params(cell["g"], cell["lam"])
     ns = cf.peak_indices(v["n"])
     taus = cf.peak_time(params, ns)
     analytic = cf.ig_fg_ratio(params)
@@ -258,10 +257,10 @@ def _frequency_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
     """The squeezed-frame oracle at Omega = eta*omega against the
     low-frequency peak at tau_n: delta = (I_exact - I_limit) / I_limit."""
     v = cfg.values
-    params, n = _params(v, cell["g"], cell["lam"]), int(v["n"])
+    params, n = _params(cell["g"], cell["lam"]), int(v["n"])
     tau_n = cf.peak_time(params, n)
     inv_var_limit = cf.inverted_variance_peak(params, n)
-    series = fock.squeezed_frame_series(replace(params, Omega=cell["eta"] * params.omega), [tau_n])
+    series = fock.squeezed_frame_series(replace(params, Omega=cell["eta"]), [tau_n])
     inv_var_exact = float(series.inv_var[0])
     delta = (inv_var_exact - inv_var_limit) / inv_var_limit
     return {"lam": cell["lam"], "g": cell["g"], "eta": cell["eta"], "n": n, "tau_n": tau_n,
@@ -271,7 +270,7 @@ def _frequency_scaling(cfg: ExperimentConfig, cell: dict) -> dict:
 
 def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
     v = cfg.values
-    params = _params(v, cell["g"], cell["lam"])
+    params = _params(cell["g"], cell["lam"])
     rates = lb.DecayRates(gamma_plus=v["gamma_plus"], gamma_minus=v["gamma_minus"])
     ts = v["t_per"] * cf.peak_time(params, 1)
     base = {"lam": cell["lam"], "g": cell["g"],
@@ -281,10 +280,9 @@ def _decoherence(cfg: ExperimentConfig, cell: dict) -> dict:
               "inv_var": lb.inverted_variance_dissipative(params, rates, ts)}
     if cfg.engine == "closed":
         return {**base, **closed}
-    moments = lb.integrate_moments(params, rates, ts)
+    moments, dmoments = lb.integrate_moments(params, rates, ts)
     x, x_var = moments[:, 0], moments[:, 2] - moments[:, 0] ** 2
-    dxdg = lb.x_deriv_g_dissipative(params, rates, ts)
-    oracle = {"x_mean": x, "x_var": x_var, "inv_var": dxdg**2 / x_var}
+    oracle = {"x_mean": x, "x_var": x_var, "inv_var": dmoments[:, 0]**2 / x_var}
     return {**base, **_compared_columns(closed, oracle)}
 
 
@@ -298,7 +296,7 @@ class _Experiment:
 
     ``engines`` lists "closed" (the closed forms alone) and/or "both" (each
     oracle value beside its closed form and their deviation); ``engine`` is
-    the default.  ``keys`` come on top of ``_COMMON``, ``cells(values)``
+    the default.  ``keys`` are its config keys, ``cells(values)``
     splits a resolved config into cells (dicts of the per-cell parameters),
     ``columns(engine)`` lists the physics columns, and ``compute(cfg,
     cells)`` computes one batch of cells and returns its columns: column ->
@@ -464,7 +462,7 @@ def config_reference(experiment: str | None = None) -> str:
         entry = _REGISTRY[name]
         out.write(f"{name}: {entry.doc}\n")
         out.write(f"  engines: {', '.join(entry.engines)} (default {entry.engine})\n")
-        for key, kd in {**_COMMON, **entry.keys}.items():
+        for key, kd in entry.keys.items():
             out.write(f"  {key:<12} [{kd.kind:>5}] default={kd.default!r:<22} {kd.doc}\n")
         for engine in entry.engines:
             cols = entry.columns(engine) + _META_COLUMNS
@@ -473,46 +471,24 @@ def config_reference(experiment: str | None = None) -> str:
     return out.getvalue().rstrip("\n")
 
 
-def read_config_file(path: str) -> dict[str, str]:
-    """Flat key = value text; '#' starts a comment."""
-    raw: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
-    return raw
-
-
 def build_config(
     experiment: str,
-    config_file: str | None = None,
     overrides: list[str] | None = None,
     engine: str | None = None,
 ) -> ExperimentConfig:
-    """Resolve defaults, an optional config file, and --set overrides."""
+    """Resolve the experiment's defaults and its --set key=value overrides."""
     if experiment not in _REGISTRY:
         raise ConfigError(
             f"unknown experiment '{experiment}'; choose from {', '.join(experiment_ids())}"
         )
     entry = _REGISTRY[experiment]
-    keys = {**_COMMON, **entry.keys}
-    raw = {k: kd.default for k, kd in keys.items()}
-    given = read_config_file(config_file) if config_file else {}
-    for item in overrides or []:  # --set wins over the config file
-        if "=" not in item:
+    raw = {k: kd.default for k, kd in entry.keys.items()}
+    for item in overrides or []:
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
             raise ConfigError(f"--set needs key=value, got '{item}'")
-        key, _, value = item.partition("=")
-        given[key.strip()] = value.strip()
-    for key, value in given.items():
-        if key not in keys:
+        if key not in raw:
             raise ConfigError(f"unknown key '{key}' for experiment '{experiment}'")
         raw[key] = value
     chosen_engine = entry.engine if engine is None else engine
@@ -522,7 +498,7 @@ def build_config(
             f"(choose from {', '.join(entry.engines)})"
         )
     try:
-        values = {k: _parse_value(raw[k], kd.kind) for k, kd in keys.items()}
+        values = {k: _parse_value(raw[k], kd.kind) for k, kd in entry.keys.items()}
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad value in config for '{experiment}': {exc}") from exc
     cfg = ExperimentConfig(experiment, chosen_engine, values)
@@ -540,7 +516,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     # ModelParams checks arrays through their extremes, so these stand for every cell
     g, lam = (np.array([np.min(v[k]), np.max(v[k])]) for k in ("g", "lam"))
     try:  # ModelParams and DecayRates own their rules
-        _params(v, g, lam)
+        _params(g, lam)
         if "n" in v:
             cf.peak_indices(v["n"])
         if "gamma_minus" in v:

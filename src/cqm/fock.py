@@ -9,8 +9,9 @@ to n and n+-2, so the even and odd Fock indices form two real tridiagonal
 blocks).  Every block decomposition goes through HermitianOperator.eig and
 its one routine, _block_eig, and a dense matrix exists only while it runs,
 for LAPACK: eigh, or for a tridiagonal block of TRIDIAGONAL_MIN rows or
-more eigvalsh alone, its vectors found by inverse iteration, certified by
-one test and kept by one rule (eigh if they are not).  The probe is evolved
+more inverse iteration, first at its untruncated spectrum with no LAPACK
+call, then at eigvalsh's energies, its vectors certified by one test and
+kept by one rule (eigh if they are not).  The probe is evolved
 by eigendecomposition of each block (exactly unitary; an operator too small
 to hold it, or a time grid that is empty, not 1-D or not finite, is rejected
 before any decomposition, and a time float64 cannot resolve the phases of

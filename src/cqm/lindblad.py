@@ -4,16 +4,17 @@ A mode decaying at gamma_a and heated at gamma_h under the effective
 oscillator Hamiltonian closes on five expectation values
 m = (<X>, <P>, <X^2>, <P^2>, <G>) with G = XP + PX, held as arrays in that
 order.  This module writes the coupled linear moment equations once, as
-the augmented matrix of moment_generator, propagates them exactly from the
-probe's moments at t = 0 onto a time grid (integrate_moments, used as an
-independent check), and gives the explicit solutions for <X>_t, d<X>_t/dg,
-(Delta X)^2_t and the dissipative inverted variance at times >= 0.  Both read
-model.oscillator_frame (stiffness s, ds/dg, gap epsilon): the explicit
-solutions for the normal regime alone, as closed_form does, and the moment
-equations for every regime, so past g_c they evolve the displaced-frame
-oscillator x_mean describes.  Every equation reads the rates as gamma_+- =
-gamma_a +- gamma_h, as DecayRates holds them, and every closed form reduces
-pointwise to its unitary counterpart at gamma_+ = gamma_- = 0.
+the augmented matrix of moment_generator, propagates them and their
+g-derivatives exactly from the probe's moments at t = 0 onto a time grid
+(integrate_moments, used as an independent check), and gives the explicit
+solutions for <X>_t, d<X>_t/dg, (Delta X)^2_t and the dissipative inverted
+variance at times >= 0.  Both read model.oscillator_frame (stiffness s,
+ds/dg, gap epsilon): the explicit solutions for the normal regime alone, as
+closed_form does, and the moment equations for every regime, so past g_c
+they evolve the displaced-frame oscillator x_mean describes.  Every equation
+reads the rates as gamma_+- = gamma_a +- gamma_h, as DecayRates holds them,
+and every closed form reduces pointwise to its unitary counterpart at
+gamma_+ = gamma_- = 0.
 """
 
 from __future__ import annotations
@@ -97,21 +98,32 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def integrate_moments(params: ModelParams, rates: DecayRates,
-                      t_grid: Sequence[float]) -> np.ndarray:
+                      t_grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """The five moments on ``t_grid`` from REFERENCE_STATE_MOMENTS at t = 0,
-    one row per time, for a non-empty, finite, strictly increasing grid with
-    t_grid[0] >= 0.  A and b are constant, so each grid step, the first from
-    t = 0, is exact: (m, 1) is multiplied by exp(moment_generator*dt)."""
+    and their g-derivatives, one row per time each, for a non-empty, finite,
+    strictly increasing grid with t_grid[0] >= 0.  A and b are constant, so
+    each grid step, the first from t = 0, is exact: (m, 1) is multiplied by
+    L = exp(moment_generator*dt), and dm/dg by L with D*m added, D the
+    top-right block of exp([[A, dA/dg], [0, A]]*dt) (Van Loan, IEEE TAC 23,
+    395 (1978)); only epsilon depends on g."""
     ts = np.asarray(t_grid, dtype=float)
     if (ts.ndim != 1 or not ts.size or not np.isfinite(ts).all() or ts[0] < 0
             or np.any(np.diff(ts) <= 0)):
         raise InvalidParams("t_grid", "need a finite, strictly increasing grid from t >= 0")
-    steps = _expm(moment_generator(params, rates) * np.diff(ts, prepend=0.0)[:, None, None])
-    out = np.empty((len(ts) + 1, 6))
-    out[0] = [*REFERENCE_STATE_MOMENTS, 1.0]
-    for i, step in enumerate(steps):
-        out[i + 1] = step @ out[i]
-    return out[1:, :5]
+    a, frame = moment_generator(params, rates), oscillator_frame(params, *REGIMES)
+    deps = 4.0 * params.omega * (params.omega + 4.0 * params.lam) * frame.dstiffness_dg
+    flow = np.zeros((12, 12))
+    flow[:6, :6] = flow[6:, 6:] = a
+    flow[1, 6] = flow[3, 10] = -deps / (4.0 * frame.omega_bar)
+    flow[4, 8] = -deps / (2.0 * frame.omega_bar)
+    dts = np.diff(ts, prepend=0.0)[:, None, None]
+    steps, derivs = _expm(a * dts), _expm(flow * dts)[:, :6, 6:]
+    out = np.zeros((len(ts) + 1, 2, 6))  # (m, 1) and its g-derivative
+    out[0, 0] = [*REFERENCE_STATE_MOMENTS, 1.0]
+    for i, (step, deriv) in enumerate(zip(steps, derivs)):
+        out[i + 1, 0] = step @ out[i, 0]
+        out[i + 1, 1] = step @ out[i, 1] + deriv @ out[i, 0]
+    return out[1:, 0, :5], out[1:, 1, :5]
 
 
 # ----------------------------------------------------------------------

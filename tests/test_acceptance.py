@@ -224,7 +224,7 @@ def test_criterion_8_decoherence():
     for p in (tuned, plain):
         tau1 = float(optimal_times(p, 1)[0])
         ts = np.linspace(0.0, 10.0 * tau1, 400)
-        moments = integrate_moments(p, rates, ts)
+        moments, _ = integrate_moments(p, rates, ts)
         ode_x, ode_var = moments[:, 0], moments[:, 2] - moments[:, 0] ** 2
         xm = x_mean_dissipative(p, rates, ts)
         xv = x_variance_dissipative(p, rates, ts)

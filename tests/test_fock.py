@@ -208,6 +208,29 @@ class TestBuilders:
         gaps = np.diff(energies[:8])
         assert np.allclose(gaps, frame.omega_bar * np.sqrt(frame.stiffness), rtol=1e-9)
 
+    @pytest.mark.parametrize("g", [1.2, 1.3])
+    def test_superradiant_frame_meets_the_spin_boson_model(self, g):
+        # past g_c the lab-frame model's lowest excitation, averaged over its
+        # two near-degenerate pairs, tends to omega_bar*sqrt(s) as Omega grows
+        # (Hwang, Puebla & Plenio 2015); one Richardson step in 1/Omega from
+        # Omega = 200 and 400 meets it to 3.9e-4 and 1.0e-4 of its value, and its
+        # g-slope omega_bar*(ds/dg)/(2*sqrt(s)) to 3.8e-3 and 1.3e-3 (n_cut 512
+        # moves none of these gaps by more than 2e-12)
+        def gap(coupling, Omega):
+            h = build_full_hamiltonian(params(coupling, Omega=Omega), 256)
+            e = np.linalg.eigvalsh(assembled(h))[:4]
+            return 0.5 * (e[2] + e[3] - e[0] - e[1])
+
+        def limit(coupling):
+            return 2.0 * gap(coupling, 400.0) - gap(coupling, 200.0)
+
+        frame, step = oscillator_frame(params(g)), 1e-4 * g
+        root = np.sqrt(frame.stiffness)
+        assert limit(g) == pytest.approx(frame.omega_bar * root, rel=1e-3)
+        slope = (limit(g + step) - limit(g - step)) / (2.0 * step)
+        assert slope == pytest.approx(frame.omega_bar * frame.dstiffness_dg / (2.0 * root),
+                                      rel=1e-2)
+
     def test_effective_ground_state_is_squeezed_vacuum(self):
         p = params(0.9)
         stiffness = oscillator_frame(p).stiffness

@@ -197,7 +197,7 @@ class TestIntegrateMoments:
         p = PLAIN
         tau1 = float(optimal_times(p, 1)[0])
         ts = np.linspace(0, 3 * tau1, 80)
-        m = integrate_moments(p, NO_DECAY, ts)
+        m, _ = integrate_moments(p, NO_DECAY, ts)
         assert m.shape == (len(ts), 5)
         assert np.abs(m[:, 0] - x_mean(p, ts)).max() < 1e-12
         assert np.abs(m[:, 2] - m[:, 0] ** 2 - x_variance(p, ts)).max() < 1e-12
@@ -206,7 +206,7 @@ class TestIntegrateMoments:
         for p in (TUNED, PLAIN):
             tau1 = float(optimal_times(p, 1)[0])
             ts = np.linspace(0, 10 * tau1, 300)
-            m = integrate_moments(p, REFERENCE_RATES, ts)
+            m, _ = integrate_moments(p, REFERENCE_RATES, ts)
             xm = x_mean_dissipative(p, REFERENCE_RATES, ts)
             xv = x_variance_dissipative(p, REFERENCE_RATES, ts)
             assert np.abs(m[:, 0] - xm).max() / np.abs(xm).max() < 1e-12
@@ -215,7 +215,7 @@ class TestIntegrateMoments:
     def test_long_time_mean_decays(self):
         tau1 = float(optimal_times(TUNED, 1)[0])
         ts = np.linspace(0, 40 * tau1, 200)
-        m = integrate_moments(TUNED, REFERENCE_RATES, ts)
+        m, _ = integrate_moments(TUNED, REFERENCE_RATES, ts)
         assert abs(m[-1, 0]) < 1e-3
 
     def test_defective_generator_on_the_critical_line(self):
@@ -225,7 +225,7 @@ class TestIntegrateMoments:
         frame = oscillator_frame(p, *REGIMES)
         assert frame.epsilon == 0.0
         ts = np.linspace(0.0, 50.0, 101)
-        m = integrate_moments(p, REFERENCE_RATES, ts)
+        m, _ = integrate_moments(p, REFERENCE_RATES, ts)
         wbar, p0 = frame.omega_bar, REFERENCE_STATE_MOMENTS[1]
         exact = wbar * p0 * ts * np.exp(-0.5 * REFERENCE_RATES.gamma_minus * ts)
         assert np.abs(m[:, 0] - exact).max() / np.abs(exact).max() < 1e-12
@@ -237,22 +237,23 @@ class TestIntegrateMoments:
         # inverted oscillator whose <X> grew 1e14-fold by t = 50
         p = params(g, lam=lam)
         ts = np.linspace(0.0, 50.0, 101)
-        m = integrate_moments(p, NO_DECAY, ts)
+        m, _ = integrate_moments(p, NO_DECAY, ts)
         expected = x_mean(p, ts)
         assert np.abs(m[:, 0] - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_grid_spacing_does_not_change_the_trajectory(self):
         # each step is exact, so one long step lands where many short ones do
         tau1 = float(optimal_times(TUNED, 1)[0])
-        fine = integrate_moments(TUNED, REFERENCE_RATES, np.linspace(0, 20 * tau1, 401))
-        coarse = integrate_moments(TUNED, REFERENCE_RATES, [0.0, 20 * tau1])
+        fine, _ = integrate_moments(TUNED, REFERENCE_RATES, np.linspace(0, 20 * tau1, 401))
+        coarse, _ = integrate_moments(TUNED, REFERENCE_RATES, [0.0, 20 * tau1])
         scale = np.abs(fine).max(axis=0)
         assert np.abs(coarse[-1] - fine[-1]).max() < 1e-12 * scale.max()
 
     def test_bad_grid_rejected(self):
         # the flow runs forward from t = 0, so [0.0] alone is a grid
-        assert np.array_equal(integrate_moments(PLAIN, NO_DECAY, [0.0]),
-                              [REFERENCE_STATE_MOMENTS])
+        moments, dmoments = integrate_moments(PLAIN, NO_DECAY, [0.0])
+        assert np.array_equal(moments, [REFERENCE_STATE_MOMENTS])
+        assert np.array_equal(dmoments, np.zeros((1, 5)))  # the probe does not depend on g
         with pytest.raises(InvalidParams, match="t >= 0"):
             integrate_moments(PLAIN, NO_DECAY, [-1.0, 0.0])
         with pytest.raises(InvalidParams):
@@ -262,7 +263,7 @@ class TestIntegrateMoments:
         # the first step runs from t = 0 to the grid's first time
         full = integrate_moments(TUNED, REFERENCE_RATES, [0.0, 2.0, 5.0])
         late = integrate_moments(TUNED, REFERENCE_RATES, [2.0, 5.0])
-        assert np.array_equal(late, full[1:])
+        assert all(np.array_equal(a, b[1:]) for a, b in zip(late, full))
 
     @pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan, 1.0], [0.0, 1.0, np.nan],
                                       [0.0, np.inf], [-np.inf, 0.0]])
@@ -271,10 +272,30 @@ class TestIntegrateMoments:
         with pytest.raises(InvalidParams, match="finite"):
             integrate_moments(PLAIN, NO_DECAY, grid)
 
+    @pytest.mark.parametrize("p", [TUNED, PLAIN], ids=["tuned", "plain"])
+    def test_propagated_g_derivative_meets_the_closed_form(self, p):
+        # the decoherence defaults' two cells: d<X>/dg carried through the
+        # moment loop, against x_deriv_g_dissipative (measured 3.3e-14 and 1.7e-14)
+        ts = np.linspace(0.0, 10.0, 600) * float(optimal_times(p, 1)[0])
+        _, dmoments = integrate_moments(p, REFERENCE_RATES, ts)
+        closed = x_deriv_g_dissipative(p, REFERENCE_RATES, ts)
+        assert np.abs(dmoments[:, 0] - closed).max() <= 1e-12 * np.abs(closed).max()
+
+    @pytest.mark.parametrize("g, lam", [(0.1, -0.247), (0.1, 0.0), (0.9, 0.0), (1.3, 0.0)])
+    def test_every_moment_derivative_meets_a_centered_difference(self, g, lam):
+        # the X^2, P^2 and G rows read dA/dg entries that d<X>/dg never does;
+        # a step of 1e-5*g meets them to 5.9e-7 of a row's scale at most (g = 0.9)
+        ts, h = np.linspace(0.0, 50.0, 101), 1e-5 * g
+        _, dmoments = integrate_moments(params(g, lam), REFERENCE_RATES, ts)
+        up, down = (integrate_moments(params(g + s, lam), REFERENCE_RATES, ts)[0]
+                    for s in (h, -h))
+        scale = np.abs(dmoments).max(axis=0)
+        assert np.all(np.abs((up - down) / (2 * h) - dmoments).max(axis=0) <= 1e-5 * scale)
+
     def test_states_stay_physical(self):
         tau1 = float(optimal_times(TUNED, 1)[0])
         ts = np.linspace(0, 10 * tau1, 120)
-        m = integrate_moments(TUNED, REFERENCE_RATES, ts)
+        m, _ = integrate_moments(TUNED, REFERENCE_RATES, ts)
         assert all(is_physical(row) for row in m)
         # the check has teeth: a squeezed-below-vacuum moment set fails it
         assert not is_physical([0.0, 0.0, 0.2, 0.2, 0.0])
