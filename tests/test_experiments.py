@@ -103,6 +103,9 @@ class TestConfig:
         ("qfi-evolution", "Omega=50"),  # not a key: no dataset depends on Omega
         ("ratio-scaling", "engine=closed"),  # not a key: the engine comes from --engine
         ("qfi-evolution", "omega=1"),  # not a key: omega is the unit
+        ("qfi-evolution", "omega=inf"),  # no omega value is a key, bad or not
+        ("qfi-evolution", "omega=0"),
+        ("qfi-evolution", "omega=-1"),
         ("qfi-evolution", "g"),  # no '='
         ("qfi-evolution", "g="),  # an empty grid
     ])
