@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    failed = dataset.metadata["cells_failed_now"]
+    failed = len(dataset.metadata["failures"])
     print(
         f"{cfg.experiment}: wrote {out_path} ({len(dataset.rows)} rows, "
         f"{dataset.metadata['cells_total']} cells, {failed} failed)"

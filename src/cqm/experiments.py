@@ -25,7 +25,6 @@ both-engine run each cell is a batch of its own.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -91,17 +90,6 @@ class ExperimentConfig:
     experiment: str
     engine: str
     values: dict = field(default_factory=dict)
-
-    def canonical(self) -> dict:
-        vals = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in sorted(self.values.items())
-        }
-        return {"experiment": self.experiment, "engine": self.engine, "values": vals}
-
-    def hash(self) -> str:
-        payload = json.dumps(self.canonical(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------
@@ -301,9 +289,9 @@ class _Experiment:
     ``columns(engine)`` lists the physics columns, and ``compute(cfg,
     cells)`` computes one batch of cells and returns its columns: column ->
     a scalar shared by every row, or a 1-D array with one entry per row.  The
-    "cell" column gives each row's position in ``cells``, and the rows come in
-    cell order: that column never decreases, so _run_batch takes each cell's
-    rows as they come.  Without a "status" column every row is ok.
+    "cell" column gives each row's position in ``cells``; the rows come in
+    cell order, as the run writes them.  Without a "status" column every row
+    is ok.
     """
 
     doc: str
@@ -611,11 +599,17 @@ def _render(column, n: int) -> list[str]:
     return np.array(list(map(fmt, distinct.tolist())), dtype=object)[inverse].tolist()
 
 
+def _joined(parts: list[tuple[list[list[str]], dict]]) -> tuple[list[list[str]], dict]:
+    """The rows and failures of batches run one after the other."""
+    return ([row for rows, _ in parts for row in rows],
+            dict(item for _, failed in parts for item in failed.items()))
+
+
 def _run_batch(cfg: ExperimentConfig, indices: list[int], cells: list[dict],
-               columns: list[str]) -> list[tuple[int, list[list[str]], str | None]]:
+               columns: list[str]) -> tuple[list[list[str]], dict[str, str]]:
     """Compute the batch of cells ``cells`` (with indices ``indices``) and
-    render their rows as strings, as (cell index, rows, "<Type>: <message>"
-    or None) per cell.
+    render its rows as strings, with its failures as {cell index:
+    "<Type>: <message>"}.
 
     Any exception fails the batch (a RuntimeWarning too, under any warning
     filter), as do a column of the wrong length and a non-finite value in a
@@ -640,16 +634,14 @@ def _run_batch(cfg: ExperimentConfig, indices: list[int], cells: list[dict],
         text = [_render(cols.get(c, np.nan), n) for c in columns]
     except Exception as exc:  # one bad cell must not abort the run
         if len(cells) > 1:
-            return [done for i, one in zip(indices, cells)
-                    for done in _run_batch(cfg, [i], [one], columns)]
+            return _joined([_run_batch(cfg, [i], [one], columns)
+                            for i, one in zip(indices, cells)])
         scalars = {k: x for k, x in cfg.values.items() if np.ndim(x) == 0}
         row = {k: cells[0].get(k, scalars.get(k, np.nan)) for k in ("lam", "g", "eta")}
         row.update(status=f"failed:{type(exc).__name__}", cell=indices[0])
-        return [(indices[0], [[_render(row.get(c, np.nan), 1)[0] for c in columns]],
-                 f"{type(exc).__name__}: {exc}")]
-    rows = list(map(list, zip(*text)))
-    ends = np.cumsum(np.bincount(position, minlength=len(indices))).tolist()
-    return [(i, rows[a:b], None) for i, a, b in zip(indices, [0, *ends], ends)]
+        return ([[_render(row.get(c, np.nan), 1)[0] for c in columns]],
+                {str(indices[0]): f"{type(exc).__name__}: {exc}"})
+    return list(map(list, zip(*text))), {}
 
 
 # ----------------------------------------------------------------------
@@ -665,49 +657,38 @@ def _batches(cfg: ExperimentConfig, n: int) -> list[list[int]]:
 
 
 def run(cfg: ExperimentConfig) -> Dataset:
-    """Execute every cell of ``cfg`` and assemble the Dataset.  The
-    metadata's cell_rows lists each cell's row count."""
+    """Execute every cell of ``cfg`` and assemble the Dataset: the rows of its
+    batches one after the other, and metadata with the resolved config and
+    each failed cell's reason."""
     started = time.monotonic()
     entry = _REGISTRY[cfg.experiment]
     columns = entry.columns(cfg.engine) + _META_COLUMNS
     cells = entry.cells(cfg.values)
-    done = [d for b in _batches(cfg, len(cells))
-            for d in _run_batch(cfg, b, [cells[i] for i in b], columns)]
-    per_cell = [rendered for _, rendered, _ in done]  # in cell order
-    failures = {str(index): failure for index, _, failure in done if failure is not None}
-    rows = [row for cell_rows in per_cell for row in cell_rows]
-    n_failed = len(failures)
+    rows, failures = _joined([_run_batch(cfg, b, [cells[i] for i in b], columns)
+                              for b in _batches(cfg, len(cells))])
     metadata = {
         "experiment": cfg.experiment,
         "engine": cfg.engine,
-        "config": cfg.canonical()["values"],
-        "config_hash": cfg.hash(),
+        "config": {k: np.asarray(v).tolist() for k, v in cfg.values.items()},
         "version": __version__,
         "cells_total": len(cells),
-        "cell_rows": list(map(len, per_cell)),
         "cells_computed": len(cells),
-        "cells_failed_now": n_failed,
         "failures": failures,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
     dataset = Dataset(columns, _column_units(entry.units, columns), rows, metadata)
-    if cfg.experiment == "frequency-scaling" and n_failed == 0:
+    if cfg.experiment == "frequency-scaling" and not failures:
         _attach_slopes(dataset)
     return dataset
 
 
 def _attach_slopes(dataset: Dataset) -> None:
-    lam = dataset.column("lam")
-    g = dataset.column("g")
-    eta = dataset.column("eta")
-    delta = dataset.column("abs_delta")
+    lam, g, eta, delta = (dataset.column(c) for c in ("lam", "g", "eta", "abs_delta"))
     slopes = {}
     for case in sorted(set(zip(lam.tolist(), g.tolist()))):
         mask = (lam == case[0]) & (g == case[1])
         fit = fit_loglog_slope((eta[mask], delta[mask]))
-        slopes["lam=%.17g,g=%.17g" % case] = {
-            "slope": fit.slope, "stderr": fit.stderr,
-        }
+        slopes["lam=%.17g,g=%.17g" % case] = {"slope": fit.slope, "stderr": fit.stderr}
     dataset.metadata["loglog_slopes"] = slopes
 
 

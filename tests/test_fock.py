@@ -208,23 +208,36 @@ class TestBuilders:
         gaps = np.diff(energies[:8])
         assert np.allclose(gaps, frame.omega_bar * np.sqrt(frame.stiffness), rtol=1e-9)
 
-    @pytest.mark.parametrize("g", [1.2, 1.3])
-    def test_superradiant_frame_meets_the_spin_boson_model(self, g):
+    @pytest.mark.parametrize("ratio, lam, n_cut", [
+        pytest.param(1.2, 0.0, 256, id="1.2"),
+        pytest.param(1.3, 0.0, 256, id="1.3"),
+        pytest.param(1.2, -0.2, 384, id="1.2-lam=-0.2"),
+        pytest.param(1.3, -0.2, 384, id="1.3-lam=-0.2"),
+    ])
+    def test_superradiant_frame_meets_the_spin_boson_model(self, ratio, lam, n_cut):
         # past g_c the lab-frame model's lowest excitation, averaged over its
         # two near-degenerate pairs, tends to omega_bar*sqrt(s) as Omega grows
         # (Hwang, Puebla & Plenio 2015); one Richardson step in 1/Omega from
         # Omega = 200 and 400 meets it to 3.9e-4 and 1.0e-4 of its value, and its
         # g-slope omega_bar*(ds/dg)/(2*sqrt(s)) to 3.8e-3 and 1.3e-3 (n_cut 512
-        # moves none of these gaps by more than 2e-12)
+        # moves none of these gaps by more than 2e-12).  At lam = -0.2 the
+        # squeezed frame is the lam = 0 model at omega_bar = sqrt(0.2), coupling
+        # g/g_c and Omega/omega_bar up to 894; its displacement needs n_cut 384
+        # (at 256 the 1.3 gaps are off by O(1), and 512 moves none by more
+        # than 1.1e-10), and it meets the limit to 7.3e-5 and 1.9e-5, the slope
+        # to 6.8e-4 and 2.4e-4
+        build = build_squeezed_frame_hamiltonian if lam else build_full_hamiltonian
+        g = ratio * np.sqrt(1.0 + 4.0 * lam)  # g_c at omega = 1
+
         def gap(coupling, Omega):
-            h = build_full_hamiltonian(params(coupling, Omega=Omega), 256)
+            h = build(params(coupling, lam=lam, Omega=Omega), n_cut)
             e = np.linalg.eigvalsh(assembled(h))[:4]
             return 0.5 * (e[2] + e[3] - e[0] - e[1])
 
         def limit(coupling):
             return 2.0 * gap(coupling, 400.0) - gap(coupling, 200.0)
 
-        frame, step = oscillator_frame(params(g)), 1e-4 * g
+        frame, step = oscillator_frame(params(g, lam=lam)), 1e-4 * g
         root = np.sqrt(frame.stiffness)
         assert limit(g) == pytest.approx(frame.omega_bar * root, rel=1e-3)
         slope = (limit(g + step) - limit(g - step)) / (2.0 * step)
