@@ -124,6 +124,11 @@ def qfi_g(params: ModelParams, t):
 
     4*(dstiffness/dg)^2 * [sin(sqrt(eps)*t) - sqrt(eps)*t]^2 / eps^3 * var_n in
     the oscillator frame, through the stabilized series near criticality.
+    Past g_c this is the displaced-frame oscillator's QFI, for a probe
+    prepared in the frame of the very g being estimated.  A probe prepared
+    independently of g gains a QFI that grows like Omega/omega instead: at
+    lam = 0, g = 1.2 and a quarter period about 2.75*Omega/omega, 2.75e4 at
+    Omega = 1e4, against the frame's 4.13.
     """
     frame = oscillator_frame(params)
     t = np.asarray(t, dtype=float)
@@ -138,7 +143,9 @@ def qfi_g(params: ModelParams, t):
 
 def x_mean(params: ModelParams, t):
     """<X>_t = sin(sqrt(eps)*t/2) / sqrt(2*stiffness), in the oscillator
-    frame of either side of g_c."""
+    frame of either side of g_c.  Past g_c that is the displaced-frame
+    oscillator's <X>, measured from the frame's displaced origin, for a probe
+    prepared in the frame of the very g being estimated."""
     frame = oscillator_frame(params)
     t = np.asarray(t, dtype=float)
     return _unwrap(np.sin(0.5 * np.sqrt(frame.epsilon) * t) / np.sqrt(2.0 * frame.stiffness))

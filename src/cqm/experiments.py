@@ -13,8 +13,9 @@ non-deterministic entry).
 
 Every experiment is one entry of ``_REGISTRY``: its config keys, its
 engines, how its config splits into cells, its output columns per engine,
-their units, and the module-level function that computes a batch of cells.
-Adding an experiment means adding one registry entry.
+and the module-level function that computes a batch of cells.  Each column's
+unit is stated once, in ``_UNITS``, for every experiment.  Adding an
+experiment means adding one registry entry.
 
 Cells are the unit of failure: a failed cell is recorded in its row's status
 column and the run continues.  Every run computes every cell.  Batches are the
@@ -46,7 +47,10 @@ from . import lindblad as lb
 _STATUS_OK = "ok"
 _STATUS_SATURATED = "saturated"
 _META_COLUMNS = ["cell", "status"]
-_U_T = "1/omega"
+# each column's unit: times in 1/omega, rates in omega, parameters, labels and
+# counts none; every other column is a dimensionless quantity, "1"
+_UNITS = {"t": "1/omega", "tau_n": "1/omega", "gamma_minus": "omega", "gamma_plus": "omega",
+          **dict.fromkeys(["lam", "g", "eta", "n", "regime", "n_cut", *_META_COLUMNS], "")}
 _REGIME_LABELS = np.array([r.value for r in REGIMES])
 
 
@@ -291,7 +295,7 @@ class _Experiment:
     a scalar shared by every row, or a 1-D array with one entry per row.  The
     "cell" column gives each row's position in ``cells``; the rows come in
     cell order, as the run writes them.  Without a "status" column every row
-    is ok.
+    is ok.  The columns' units come from ``_UNITS``, not from the entry.
     """
 
     doc: str
@@ -300,7 +304,6 @@ class _Experiment:
     keys: dict[str, _Key]
     cells: Callable[[dict], list[dict]]
     columns: Callable[[str], list[str]]
-    units: dict[str, str]
     compute: Callable[[ExperimentConfig, list[dict]], dict]
 
 
@@ -324,7 +327,6 @@ _REGISTRY: dict[str, _Experiment] = {
         },
         cells=lambda v: [{"g": g} for g in v["g"]],
         columns=lambda engine: ["lam", "g", "t"] + _compared(engine, ["qfi"]),
-        units={"t": _U_T, "qfi": "1"},
         compute=_each_cell(_qfi_evolution),
     ),
     "qfi-vs-g": _Experiment(
@@ -337,7 +339,6 @@ _REGISTRY: dict[str, _Experiment] = {
         },
         cells=_lam_g_cells,
         columns=lambda engine: ["lam", "g", "t", "regime", "qfi"],
-        units={"t": _U_T, "qfi": "1"},
         compute=_qfi_vs_g,
     ),
     "qfi-map": _Experiment(
@@ -350,7 +351,6 @@ _REGISTRY: dict[str, _Experiment] = {
         },
         cells=lambda v: [{"lam": lam} for lam in v["lam"]],
         columns=lambda engine: ["lam", "g", "t", "log10_qfi"],
-        units={"t": _U_T, "log10_qfi": "1"},
         compute=_qfi_map,
     ),
     "quadrature-vs-g": _Experiment(
@@ -362,7 +362,6 @@ _REGISTRY: dict[str, _Experiment] = {
         },
         cells=_lam_g_cells,
         columns=lambda engine: ["lam", "g", "t", "regime"] + _compared(engine, ["x_mean"]),
-        units={"t": _U_T, "x_mean": "1"},
         compute=_quadrature_vs_g,
     ),
     "inverted-variance": _Experiment(
@@ -375,7 +374,6 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=_zipped_cells,
         columns=lambda engine: ["lam", "g", "t"] + _compared(
             engine, ["x_mean", "x_deriv_g", "x_var", "inv_var"]),
-        units={"t": _U_T, "x_mean": "1", "x_deriv_g": "1", "x_var": "1", "inv_var": "1"},
         compute=_each_cell(_inverted_variance),
     ),
     "ratio-scaling": _Experiment(
@@ -389,7 +387,6 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=_zipped_cells,
         columns=lambda engine: ["lam", "g", "n", "tau_n", "ratio_analytic"] + (
             [] if engine == "closed" else ["ratio_numeric", "rel_dev", "n_cut"]),
-        units={"tau_n": _U_T, "ratio_analytic": "1", "ratio_numeric": "1"},
         compute=_each_cell(_ratio_scaling),
     ),
     "frequency-scaling": _Experiment(
@@ -405,7 +402,6 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=lambda v: [{**case, "eta": eta} for case in _zipped_cells(v) for eta in v["eta"]],
         columns=lambda engine: ["lam", "g", "eta", "n", "tau_n", "inv_var_exact",
                                 "inv_var_limit", "delta", "abs_delta", "n_cut"],
-        units={"tau_n": _U_T, "inv_var_exact": "1", "inv_var_limit": "1"},
         compute=_each_cell(_frequency_scaling),
     ),
     "decoherence": _Experiment(
@@ -421,19 +417,9 @@ _REGISTRY: dict[str, _Experiment] = {
         cells=_zipped_cells,
         columns=lambda engine: ["lam", "g", "gamma_minus", "gamma_plus", "t"] + _compared(
             engine, ["x_mean", "x_var", "inv_var"], n_cut=False),
-        units={"t": _U_T, "gamma_minus": "omega", "gamma_plus": "omega",
-               "x_mean": "1", "x_var": "1", "inv_var": "1"},
         compute=_each_cell(_decoherence),
     ),
 }
-
-
-def _column_units(units: dict[str, str], columns: list[str]) -> dict[str, str]:
-    """Units of ``columns``: <q>_closed and <q>_oracle take the unit of <q>,
-    and deviation columns are ratios ("1")."""
-    return {c: "1" if c in ("rel_dev", "delta", "abs_delta") or c.endswith("_rel_dev")
-            else units.get(c.removesuffix("_closed").removesuffix("_oracle"), "")
-            for c in columns}
 
 
 def experiment_ids() -> list[str]:
@@ -534,10 +520,9 @@ def _validate_config(cfg: ExperimentConfig) -> None:
 
 @dataclass
 class Dataset:
-    """Columns with units, stringly-typed rows, and a metadata block."""
+    """Columns, stringly-typed rows, and a metadata block."""
 
     columns: list[str]
-    units: dict
     rows: list[list[str]]
     metadata: dict
 
@@ -563,7 +548,7 @@ class Dataset:
         try:
             with open(tmp, "w", newline="", encoding="utf-8") as fh:
                 meta = dict(self.metadata)
-                meta["columns"] = {c: self.units.get(c, "") for c in self.columns}
+                meta["columns"] = {c: _UNITS.get(c, "1") for c in self.columns}
                 fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
                 text = "\n".join(map(",".join, lines)) + "\n"
                 # lines of one width hold width - 1 commas and one newline each,
@@ -615,8 +600,8 @@ def _run_batch(cfg: ExperimentConfig, indices: list[int], cells: list[dict],
     filter), as do a column of the wrong length and a non-finite value in a
     row marked ok.  A failed batch of several cells
     runs again one cell a batch, so each failure lands on its own cell.  A
-    failed cell's row takes lam/g/eta from the cell, else from a scalar config
-    value."""
+    failed cell's row takes every cell value and scalar config value that
+    names a column, and nan in the rest."""
     try:
         with warnings.catch_warnings():  # the filter must not decide a row's status
             warnings.simplefilter("error", RuntimeWarning)
@@ -637,8 +622,8 @@ def _run_batch(cfg: ExperimentConfig, indices: list[int], cells: list[dict],
             return _joined([_run_batch(cfg, [i], [one], columns)
                             for i, one in zip(indices, cells)])
         scalars = {k: x for k, x in cfg.values.items() if np.ndim(x) == 0}
-        row = {k: cells[0].get(k, scalars.get(k, np.nan)) for k in ("lam", "g", "eta")}
-        row.update(status=f"failed:{type(exc).__name__}", cell=indices[0])
+        row = {**scalars, **cells[0], "status": f"failed:{type(exc).__name__}",
+               "cell": indices[0]}
         return ([[_render(row.get(c, np.nan), 1)[0] for c in columns]],
                 {str(indices[0]): f"{type(exc).__name__}: {exc}"})
     return list(map(list, zip(*text))), {}
@@ -676,7 +661,7 @@ def run(cfg: ExperimentConfig) -> Dataset:
         "failures": failures,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
-    dataset = Dataset(columns, _column_units(entry.units, columns), rows, metadata)
+    dataset = Dataset(columns, rows, metadata)
     if cfg.experiment == "frequency-scaling" and not failures:
         _attach_slopes(dataset)
     return dataset

@@ -190,6 +190,9 @@ def oscillator_frame(params: ModelParams, *regimes: Regime) -> OscillatorFrame:
     Past g_c the mode is displaced and the spin rotated onto the mean-field
     minimum first (Hwang, Puebla & Plenio, PRL 115, 180404 (2015)); the
     oscillator left over has stiffness epsilon_g_alpha = 1 - (g_c/g)^4.
+    Values built on that frame describe this oscillator, with the probe
+    prepared in the frame of the very g being estimated; with a preparation
+    that does not depend on g, the QFI grows like Omega/omega instead.
     """
     omega, g, lam = params.omega, params.g, params.lam
     regimes = regimes or (Regime.SUPERRADIANT, Regime.NORMAL)

@@ -26,7 +26,7 @@ from cqm import (
 )
 from cqm import cli, experiments
 from cqm.cli import main as cli_main
-from cqm.experiments import _REGISTRY, _batches, _column_units, _rel_dev, _render
+from cqm.experiments import _REGISTRY, _batches, _rel_dev, _render
 from cqm.model import ModelParams
 
 
@@ -209,7 +209,6 @@ class TestSlopeFit:
     def test_dataset_interface(self):
         ds = Dataset(
             columns=["eta", "abs_delta", "cell", "status"],
-            units={},
             rows=[[f"{e}", f"{5.0 / e}", "0", "ok"] for e in (1e1, 1e2, 1e3, 1e4, 1e5)],
             metadata={},
         )
@@ -515,36 +514,46 @@ class TestRunner:
         assert reason.startswith("RegimeError: epsilon_g = ")
         assert run(tiny("inverted-variance")).metadata["failures"] == {}
 
-    def test_column_units_agree_across_engines(self):
-        deviations = {"rel_dev", "delta", "abs_delta"}
-        for name, entry in _REGISTRY.items():
-            seen: dict[str, str] = {}
-            for engine in entry.engines:
-                columns = entry.columns(engine)
-                units = _column_units(entry.units, columns)
-                for c in columns:
-                    if c in deviations or c.endswith("_rel_dev"):
-                        assert units[c] == "1", (name, engine, c)
-                        continue
-                    q = c.removesuffix("_closed").removesuffix("_oracle")
-                    if q != c:
-                        assert units.get(c), (name, engine, c)
-                    assert seen.setdefault(q, units.get(c, "")) == units.get(c, ""), (
-                        name, engine, c)
-        ds = run(tiny("quadrature-vs-g", engine="both", g="0.5,0.9"))
-        assert ds.units == _column_units(_REGISTRY["quadrature-vs-g"].units, ds.columns)
-        assert ds.units["x_mean_closed"] == ds.units["x_mean_oracle"] == "1"
-
-    def test_every_quantity_column_has_a_unit(self):
+    def test_every_column_has_its_unit_in_the_header(self, tmp_path):
         # inv_var was "1" in inverted-variance but "" as frequency-scaling's
         # inv_var_exact and inv_var_limit, and ratio-scaling's ratios had none
         unitless = {"lam", "g", "eta", "n", "regime", "n_cut", "cell", "status"}
+        dimensioned = {"t": "1/omega", "tau_n": "1/omega",
+                       "gamma_minus": "omega", "gamma_plus": "omega"}
+        seen = {}
         for name, entry in _REGISTRY.items():
             for engine in entry.engines:
+                path = tmp_path / f"{name}-{engine}.csv"
+                run(tiny(name, engine=engine)).write_csv(str(path))
+                header = json.loads(path.read_text().partition("\n")[0].removeprefix("# "))
                 columns = entry.columns(engine) + experiments._META_COLUMNS
-                units = _column_units(entry.units, columns)
-                missing = [c for c in columns if c not in unitless and not units[c]]
-                assert not missing, (name, engine, missing)
+                expected = {c: "" if c in unitless else dimensioned.get(c, "1") for c in columns}
+                assert header["columns"] == expected, (name, engine)
+                seen.update(header["columns"])
+        assert seen["x_mean_closed"] == seen["x_mean_oracle"] == "1"
+        assert set(dimensioned) | unitless <= set(seen)
+
+    def test_failed_rows_hold_what_their_cell_and_config_know(self):
+        # a failed row took lam, g and eta alone, and wrote nan for the
+        # config's gamma_minus, gamma_plus and n
+        cases = [
+            ("decoherence", ["g=0.1,1.2", "lam=0,0"], ["1"],
+             {"lam": 0.0, "g": 1.2, "gamma_minus": 0.01, "gamma_plus": 0.03}),
+            ("frequency-scaling", ["g=1.2", "lam=0"], ["0", "1", "2", "3", "4"],
+             {"lam": 0.0, "g": 1.2, "n": 1.0}),
+        ]
+        for name, sets, failed, known in cases:
+            ds = run(build_config(name, overrides=sets))
+            assert list(ds.metadata["failures"]) == failed, name
+            rows = [r for r in (dict(zip(ds.columns, row)) for row in ds.rows)
+                    if r["cell"] in failed]
+            assert [r["status"] for r in rows] == ["failed:RegimeError"] * len(failed), name
+            computed = set(ds.columns) - set(known) - {"eta", "cell", "status"}
+            for r in rows:
+                assert {c: float(r[c]) for c in known} == known, name
+                assert all(r[c] == "nan" for c in computed), (name, r)
+        # each frequency-scaling cell holds its own eta
+        assert [float(r["eta"]) for r in rows] == [1e2, 3e2, 1e3, 3e3, 1e4]
 
     def test_dataset_roundtrip_and_17_digits(self, tmp_path):
         ds = run(tiny("qfi-evolution"))
@@ -592,7 +601,7 @@ class TestRunner:
                 _render(np.arange(n), n), _render(np.array(statuses), n)]
         rows = [list(row) for row in zip(*text)]
         assert {"nan", "inf", "-inf", "-0", "0"} <= set(text[0])
-        ds = Dataset(columns, {"x": "1"}, rows, {"experiment": "bytes"})
+        ds = Dataset(columns, rows, {"experiment": "bytes"})
         path = tmp_path / "out.csv"
         ds.write_csv(str(path))
         expected = io.StringIO()
@@ -614,7 +623,7 @@ class TestRunner:
         else:
             rows[1][ds.columns.index("status")] = field
         with pytest.raises(ValueError):
-            Dataset(ds.columns, ds.units, rows, ds.metadata).write_csv(str(path))
+            Dataset(ds.columns, rows, ds.metadata).write_csv(str(path))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -629,8 +638,8 @@ class TestRunner:
         before = path.read_bytes()
         # lines are joined text, so a field that is not text fails the write
         # with the temporary file open, and is never passed to str()
-        broken = Dataset(ds.columns, ds.units,
-                         ds.rows + [[Unprintable()] * len(ds.columns)], ds.metadata)
+        broken = Dataset(ds.columns, ds.rows + [[Unprintable()] * len(ds.columns)],
+                         ds.metadata)
         with pytest.raises(TypeError):
             broken.write_csv(str(path))
         assert path.read_bytes() == before
@@ -664,7 +673,8 @@ def _read_output(path) -> Dataset:
     with open(path, encoding="utf-8", newline="") as fh:
         metadata = json.loads(fh.readline().removeprefix("# "))
         columns, *rows = csv.reader(fh)
-    return Dataset(columns, metadata.pop("columns"), rows, metadata)
+    del metadata["columns"]  # the units, which write_csv states from the column names
+    return Dataset(columns, rows, metadata)
 
 
 class TestCli:
