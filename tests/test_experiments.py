@@ -514,23 +514,36 @@ class TestRunner:
         assert reason.startswith("RegimeError: epsilon_g = ")
         assert run(tiny("inverted-variance")).metadata["failures"] == {}
 
-    def test_every_column_has_its_unit_in_the_header(self, tmp_path):
+    def test_column_units_agree_across_engines(self, tmp_path):
+        deviations = {"rel_dev", "delta", "abs_delta"}
+        written = _written_units(tmp_path)
+        for name, by_engine in written.items():
+            seen: dict[str, str] = {}
+            for engine, units in by_engine.items():
+                for c, unit in units.items():
+                    if c in deviations or c.endswith("_rel_dev"):
+                        assert unit == "1", (name, engine, c)
+                        continue
+                    q = c.removesuffix("_closed").removesuffix("_oracle")
+                    if q != c:
+                        assert unit, (name, engine, c)
+                    assert seen.setdefault(q, unit) == unit, (name, engine, c)
+        units = written["quadrature-vs-g"]["both"]
+        assert units["x_mean_closed"] == units["x_mean_oracle"] == "1"
+
+    def test_every_quantity_column_has_a_unit(self, tmp_path):
         # inv_var was "1" in inverted-variance but "" as frequency-scaling's
         # inv_var_exact and inv_var_limit, and ratio-scaling's ratios had none
         unitless = {"lam", "g", "eta", "n", "regime", "n_cut", "cell", "status"}
         dimensioned = {"t": "1/omega", "tau_n": "1/omega",
                        "gamma_minus": "omega", "gamma_plus": "omega"}
         seen = {}
-        for name, entry in _REGISTRY.items():
-            for engine in entry.engines:
-                path = tmp_path / f"{name}-{engine}.csv"
-                run(tiny(name, engine=engine)).write_csv(str(path))
-                header = json.loads(path.read_text().partition("\n")[0].removeprefix("# "))
-                columns = entry.columns(engine) + experiments._META_COLUMNS
+        for name, by_engine in _written_units(tmp_path).items():
+            for engine, units in by_engine.items():
+                columns = _REGISTRY[name].columns(engine) + experiments._META_COLUMNS
                 expected = {c: "" if c in unitless else dimensioned.get(c, "1") for c in columns}
-                assert header["columns"] == expected, (name, engine)
-                seen.update(header["columns"])
-        assert seen["x_mean_closed"] == seen["x_mean_oracle"] == "1"
+                assert units == expected, (name, engine)
+                seen.update(units)
         assert set(dimensioned) | unitless <= set(seen)
 
     def test_failed_rows_hold_what_their_cell_and_config_know(self):
@@ -666,6 +679,18 @@ def _break_cell(monkeypatch, cfg, index, fault):
         return cols
 
     monkeypatch.setitem(_REGISTRY, "qfi-vs-g", dataclasses.replace(entry, compute=compute))
+
+
+def _written_units(tmp_path) -> dict[str, dict[str, dict[str, str]]]:
+    """{experiment: {engine: the `columns` units of its written header}} on tiny grids."""
+    out: dict[str, dict[str, dict[str, str]]] = {}
+    for name, entry in _REGISTRY.items():
+        for engine in entry.engines:
+            path = tmp_path / f"{name}-{engine}.csv"
+            run(tiny(name, engine=engine)).write_csv(str(path))
+            header = json.loads(path.read_text().partition("\n")[0].removeprefix("# "))
+            out.setdefault(name, {})[engine] = header["columns"]
+    return out
 
 
 def _read_output(path) -> Dataset:
