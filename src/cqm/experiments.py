@@ -47,10 +47,11 @@ from . import lindblad as lb
 _STATUS_OK = "ok"
 _STATUS_SATURATED = "saturated"
 _META_COLUMNS = ["cell", "status"]
-# each column's unit: times in 1/omega, rates in omega, parameters, labels and
-# counts none; every other column is a dimensionless quantity, "1"
-_UNITS = {"t": "1/omega", "tau_n": "1/omega", "gamma_minus": "omega", "gamma_plus": "omega",
-          **dict.fromkeys(["lam", "g", "eta", "n", "regime", "n_cut", *_META_COLUMNS], "")}
+# each column's unit: times in 1/omega, the energies lam and gamma_* in omega, other
+# parameters, labels and counts none; every other column is dimensionless, "1"
+_UNITS = {"t": "1/omega", "tau_n": "1/omega",
+          **dict.fromkeys(["lam", "gamma_minus", "gamma_plus"], "omega"),
+          **dict.fromkeys(["g", "eta", "n", "regime", "n_cut", *_META_COLUMNS], "")}
 _REGIME_LABELS = np.array([r.value for r in REGIMES])
 
 
@@ -487,17 +488,20 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"grid '{key}' is empty")
         if not np.all(np.isfinite(value)):
             raise ConfigError(f"'{key}' must be finite")
+    if "eta" in v and np.any(v["eta"] < ETA_MIN):
+        raise ConfigError(f"eta must be >= {ETA_MIN:g}")
     # ModelParams checks arrays through their extremes, so these stand for every cell
     g, lam = (np.array([np.min(v[k]), np.max(v[k])]) for k in ("g", "lam"))
-    try:  # ModelParams and DecayRates own their rules
+    try:  # ModelParams, DecayRates, the g-stencil and the slope fit own their rules
         _params(g, lam)
         if "n" in v:
             cf.peak_indices(v["n"])
         if "gamma_minus" in v:
             lb.DecayRates(gamma_plus=v["gamma_plus"], gamma_minus=v["gamma_minus"])
-        if "eta" in v:
+        if "eta" in v:  # each (lam, g) case is fit over the whole eta grid
             fock.check_g_stencil(v["g"])
-    except InvalidParams as exc:
+            fit_loglog_slope((v["eta"], v["eta"]))
+    except (InvalidParams, NonPositiveData) as exc:
         raise ConfigError(str(exc)) from exc
     if "gamma_minus" in v and v["gamma_minus"] < 0:
         raise ConfigError("the closed forms need gamma_minus >= 0")
@@ -507,10 +511,6 @@ def _validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("the damped dynamics need a t_per grid that is >= 0")
         if cfg.engine != "closed" and np.any(np.diff(t) <= 0):
             raise ConfigError("the moment ODE needs a t_per grid that is strictly increasing")
-    if "eta" in v and np.any(np.atleast_1d(v["eta"]) < ETA_MIN):
-        raise ConfigError(f"eta must be >= {ETA_MIN:g}")
-    if "eta" in v and np.unique(v["eta"]).size < 5:  # as fit_loglog_slope needs per case
-        raise ConfigError("eta needs >= 5 distinct values for the log-log slope fit")
     _REGISTRY[cfg.experiment].cells(v)  # raises ConfigError on unequal zipped lists
 
 
@@ -570,7 +570,8 @@ def _render(column, n: int) -> list[str]:
     """``n`` rows of a column, or of one value all rows share, as text, each
     distinct value formatted once: floats to 17 digits (printf-style,
     format(value, ".17g") in half the time) and told apart by bit pattern,
-    so -0.0 stays "-0", integers in full, and text as is."""
+    so -0.0 stays "-0", integers in full, and text as is.  Text and integer
+    columns go through np.unique so that rows share one string per value."""
     values = np.asarray(column)
     kind = values.dtype.kind
     fmt = "%.17g".__mod__ if kind == "f" else str
@@ -689,20 +690,21 @@ class SlopeFit:
 
 def fit_loglog_slope(data: tuple) -> SlopeFit:
     """Least-squares slope of log(y) vs log(x) over an (x, y) pair, with its
-    standard error; NonPositiveData unless x and y are 1-D, of one length,
-    >= 5 points, finite and > 0, with two or more distinct log(x)."""
+    standard error.  NonPositiveData unless x and y are 1-D, of one length,
+    finite and > 0, with >= 5 distinct x whose logs np.linalg.lstsq resolves:
+    the design [1, log(x)] must have rank 2."""
     x, y = (np.asarray(a, dtype=float) for a in data)
     if x.ndim != 1 or x.shape != y.shape:
         raise NonPositiveData(f"need x and y of one length, got shapes {x.shape} and {y.shape}")
-    if len(x) < 5:
-        raise NonPositiveData(f"need >= 5 points, got {len(x)}")
     if not (np.all((x > 0) & (x < np.inf)) and np.all((y > 0) & (y < np.inf))):  # NaN fails
         raise NonPositiveData("log-log fit needs finite, strictly positive data")
+    if np.unique(x).size < 5:
+        raise NonPositiveData(f"log-log fit needs >= 5 distinct x, got {np.unique(x).size}")
     lx, ly = np.log(x), np.log(y)
-    if np.ptp(lx) == 0:
-        raise NonPositiveData("log-log fit needs two or more distinct x")
     design = np.vstack([np.ones_like(lx), lx]).T
-    coef, *_ = np.linalg.lstsq(design, ly, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, ly, rcond=None)
+    if rank < 2:
+        raise NonPositiveData(f"log-log fit needs distinct log(x): the design has rank {rank}")
     residual = ly - design @ coef
     dof = max(1, len(x) - 2)
     sigma2 = float(residual @ residual) / dof

@@ -578,17 +578,16 @@ def _closes(vectors: np.ndarray, amps: np.ndarray, dh_diag: np.ndarray,
                 <= 1e-10 * np.linalg.norm(_real_matmul(moved, coeffs)))
 
 
-def _series_at_cutoff(params: ModelParams, ts: np.ndarray, n_cut: int) -> np.ndarray:
+def _series_at_cutoff(params: ModelParams, ts: np.ndarray, dg: float, n_cut: int) -> np.ndarray:
     """Rows x, x^2, the 4-point (Richardson) g-derivative of x, and its two centered
-    stencils (full and halved step), at one cutoff of the joint squeezed-frame builder,
-    for |down> (x) the probe state.  The exact derivative would move the
+    stencils (full and halved step, base step ``dg``), at one cutoff of the joint
+    squeezed-frame builder, for |down> (x) the probe state.  The exact derivative would move the
     frequency-scaling row lam=-0.247, eta=1e4 (inv_var_exact 73884.747 -> 73884.932 at
     n_cut 256) past the benchmark gate's same-cutoff 1e-6 until its reference moves.
     Roundoff alone decides that row's cutoff: 256 in the recorded reference (two BLAS
     threads), 512 at one.  Any change to the order of arithmetic here, in _joint_hamiltonian
     or in _propagate can move it a doubling and fail the gate until the references are
     recorded again: the two parity chains, their blocks bit-identical, moved it to 1024."""
-    dg = 1e-5 * max(params.g, 0.01)
 
     def measure(gv: float) -> tuple[np.ndarray, np.ndarray]:
         h = build_squeezed_frame_hamiltonian(replace(params, g=gv), n_cut)
@@ -629,11 +628,13 @@ def quadrature_series(params: ModelParams, ts: Sequence[float]) -> QuadratureSer
     return _series_ladder(partial(_effective_level, params, ts), ts)[0]
 
 
-def check_g_stencil(g) -> None:
-    """InvalidParams unless every coupling in ``g`` stays >= 0 at the foot of
-    squeezed_frame_series's g-stencil, g - 1e-5*max(g, 0.01): g >= 1e-7."""
-    if np.min(g) < 1e-7:
+def check_g_stencil(g):
+    """The base step dg = 1e-5*max(g, 0.01) of squeezed_frame_series's g-stencil at each
+    coupling in ``g``; InvalidParams if a foot g - dg is below 0 as float64 computes it."""
+    dg = 1e-5 * np.maximum(g, 0.01)
+    if np.any(g - dg < 0):
         raise InvalidParams("g", f"the g-stencil takes g = {np.min(g):g} below 0")
+    return dg
 
 
 def squeezed_frame_series(params: ModelParams, ts: Sequence[float]) -> QuadratureSeries:
@@ -642,15 +643,15 @@ def squeezed_frame_series(params: ModelParams, ts: Sequence[float]) -> Quadratur
     qubit frequency params.Omega, the frame the closed forms are written in.
 
     The derivative is a Richardson-extrapolated centered difference, base
-    step dg = 1e-5*max(g, 0.01), whose two stencils must agree to 1e-3 of the
+    step dg from check_g_stencil, whose two stencils must agree to 1e-3 of the
     derivative scale, else StepTooLarge.  An array of couplings, a g the
     stencil would take below 0 (check_g_stencil) or a bad time grid (_times)
     is an InvalidParams before anything is built.
     """
     _one_point(params)
-    check_g_stencil(params.g)
+    dg = check_g_stencil(params.g)
     ts = _times(ts)
-    series, (d_wide, d_half) = _series_ladder(partial(_series_at_cutoff, params, ts), ts)
+    series, (d_wide, d_half) = _series_ladder(partial(_series_at_cutoff, params, ts, dg), ts)
     scale = np.abs(series.x_deriv_g).max()
     if scale > 0 and np.abs(d_half - d_wide).max() > 1e-3 * scale:
         raise StepTooLarge("halved and full g-steps disagree beyond 1e-3 of the derivative "

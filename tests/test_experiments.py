@@ -97,6 +97,10 @@ class TestConfig:
         ("frequency-scaling", "eta=1e2,3e2"),  # too few points for the slope fit
         ("frequency-scaling", "eta=1e2,1e2,3e2,3e2,1e3"),  # five, but three distinct
         ("frequency-scaling", "g=0,0.1"),  # the g-stencil would go below 0
+        ("frequency-scaling", "g=1e-7,0.1"),  # g - dg = -1.3e-23 failed every cell
+        # five distinct eta whose logs a line cannot resolve: LinAlgError after every cell
+        ("frequency-scaling", "eta=10,10.000000000000002,10.000000000000004,"
+                              "10.000000000000005,10.000000000000007"),
         ("qfi-vs-g", "g=-0.5,0.5"),  # would fail its cell instead
         ("qfi-vs-g", "state_dim=6"),  # not a key: the reference state is fixed
         ("qfi-evolution", "Omega=50"),  # not a key: no dataset depends on Omega
@@ -201,7 +205,10 @@ class TestSlopeFit:
         ([1.0, 2, 3, 4, np.inf], [1.0, 2, 3, 4, 5], "finite"),
         ([1.0, 2, 3, 4, 5], [1.0, 2, 3, 4, 5, 6], "one length"),  # numpy's LinAlgError
         ([3.0] * 5, [1.0, 2, 3, 4, 5], "distinct x"),  # a singular design: LinAlgError
-    ], ids=["nan", "inf", "lengths", "one-x"])
+        ([10.0, 10.000000000000002, 10.000000000000004, 10.000000000000005,
+          10.000000000000007], [1.0, 2, 3, 4, 5], "rank 1"),  # LinAlgError
+        ([1e2, 1e2, 3e2, 3e2, 1e3], [1.0, 2, 3, 4, 5], "distinct x"),  # was fit
+    ], ids=["nan", "inf", "lengths", "one-x", "flat-logs", "three-x"])
     def test_rejects_data_it_cannot_fit(self, x, y, what):
         with pytest.raises(NonPositiveData, match=what):
             fit_loglog_slope((np.array(x), np.array(y)))
@@ -533,9 +540,10 @@ class TestRunner:
 
     def test_every_quantity_column_has_a_unit(self, tmp_path):
         # inv_var was "1" in inverted-variance but "" as frequency-scaling's
-        # inv_var_exact and inv_var_limit, and ratio-scaling's ratios had none
-        unitless = {"lam", "g", "eta", "n", "regime", "n_cut", "cell", "status"}
-        dimensioned = {"t": "1/omega", "tau_n": "1/omega",
+        # inv_var_exact and inv_var_limit, ratio-scaling's ratios had none, and
+        # lam, an energy like the rates, was ""
+        unitless = {"g", "eta", "n", "regime", "n_cut", "cell", "status"}
+        dimensioned = {"t": "1/omega", "tau_n": "1/omega", "lam": "omega",
                        "gamma_minus": "omega", "gamma_plus": "omega"}
         seen = {}
         for name, by_engine in _written_units(tmp_path).items():

@@ -605,6 +605,19 @@ class TestAutoCutoff:
         with pytest.raises(InvalidParams, match="^g: .* below 0"):
             call()
 
+    def test_g_stencil_check_returns_the_step_the_series_takes(self, monkeypatch):
+        # the check held a hand-derived bound, g >= 1e-7, of its own: at g = 1e-7
+        # the foot g - dg is -1.3e-23, and every cell failed in ModelParams
+        with pytest.raises(InvalidParams, match="^g: .* below 0"):
+            fock.check_g_stencil(1e-7)
+        assert np.nextafter(1e-7, 1) - fock.check_g_stencil(np.nextafter(1e-7, 1)) == 0.0
+        built, build = [], fock.build_squeezed_frame_hamiltonian
+        monkeypatch.setattr(fock, "build_squeezed_frame_hamiltonian",
+                            lambda p, n_cut: built.append(p.g) or build(p, n_cut))
+        g, dg = 0.9, fock.check_g_stencil(0.9)
+        squeezed_frame_series(params(g, Omega=50.0), [1.0, 2.0])
+        assert built[:5] == [g, g + dg, g - dg, g + 0.5 * dg, g - 0.5 * dg]
+
     def test_a_leaking_level_is_compared_with_never_accepted(self):
         # the rows a leak carries are what the next level is compared with;
         # a leaking level is not accepted even when it agrees with the one below
