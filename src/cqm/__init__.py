@@ -28,7 +28,6 @@ from .model import (
     effective_oscillator,
     lambda_for_target_critical,
     oscillator_frame,
-    squeeze_parameter,
     validate,
 )
 from .closed_form import (

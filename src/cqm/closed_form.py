@@ -16,10 +16,8 @@ critical point (s = epsilon_g, or epsilon_g_alpha past g_c); the other
 formulas are written for the normal regime and ask oscillator_frame for
 Regime.NORMAL alone, so they raise past g_c and on the critical line.  Every
 formula is written for the paper's one probe state, (|0> + i|1>)/sqrt(2)
-(PROBE_AMPLITUDES).  The probe enters the QFI only through the 2x2
-covariance of N + 1/2 and (a^2 + a^dag^2)/2, since P^2 - s*X^2 =
-(1 - s)*(N + 1/2) - (1 + s)*(a^2 + a^dag^2)/2, and that covariance is
-diag(1/4, 1).
+(PROBE_AMPLITUDES), which enters the QFI only through Var[P^2 - s*X^2]
+(_generator_variance).
 
 The QFI expressions keep only the leading divergence ~ epsilon^-3 of the full
 generator variance; they are asymptotics meant for sqrt(epsilon)*t of order
@@ -49,17 +47,13 @@ _SERIES_CUT = 1e-4
 PROBE_AMPLITUDES = np.array([1.0, 1.0j]) / np.sqrt(2.0)
 PROBE_AMPLITUDES.setflags(write=False)
 
-#: Covariance of N + 1/2 and (a^2 + a^dag^2)/2 over the probe: Var[N] = 1/4,
-#: Var[(a^2 + a^dag^2)/2] = 1, and the two are uncorrelated.
-_PROBE_COVARIANCE = np.diag([0.25, 1.0])
-
 
 def _generator_variance(stiffness):
-    """Var[P^2 - stiffness*X^2] over the probe, v.C.v with
-    v = (1 - stiffness, -(1 + stiffness)) and C = _PROBE_COVARIANCE; one
-    value per entry of a 1-D array ``stiffness``."""
-    v = np.array([np.subtract(1.0, stiffness), -np.add(1.0, stiffness)]).T
-    return _unwrap((v[..., None, :] @ _PROBE_COVARIANCE @ v[..., :, None])[..., 0, 0])
+    """Var[P^2 - s*X^2] over the probe, s = ``stiffness``: P^2 - s*X^2 = (1 - s)*(N + 1/2)
+    - (1 + s)*(a^2 + a^dag^2)/2, Var[N] = 1/4, Var[(a^2 + a^dag^2)/2] = 1, and the two are
+    uncorrelated.  Elementwise, so no BLAS kernel decides its bits, and by np.square: a
+    float's ** 2 goes through libm's pow, which differs from x*x on ~0.1% of arguments."""
+    return _unwrap(0.25 * np.square(1.0 - stiffness) + np.square(1.0 + stiffness))
 
 
 # ----------------------------------------------------------------------

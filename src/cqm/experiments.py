@@ -8,8 +8,10 @@ decoherence run).
 A run is its experiment's defaults with any --set key=value overrides, in
 units of the boson frequency omega (= 1).  Outputs are CSV files with a
 '#'-prefixed JSON metadata header carrying the full resolved config, so a
-dataset can be regenerated bit-identically (the wall time field is the only
-non-deterministic entry).
+dataset can be regenerated byte-identically on one machine (the wall time
+field is the only non-deterministic entry).  Closed-engine columns depend on
+no BLAS kernel or thread count, oracle columns on both; whether numpy's own
+SIMD loops (sin, log10) differ across CPUs is unverified.
 
 Every experiment is one entry of ``_REGISTRY``: its config keys, its
 engines, how its config splits into cells, its output columns per engine,
@@ -644,8 +646,8 @@ def _batches(cfg: ExperimentConfig, n: int) -> list[list[int]]:
 
 def run(cfg: ExperimentConfig) -> Dataset:
     """Execute every cell of ``cfg`` and assemble the Dataset: the rows of its
-    batches one after the other, and metadata with the resolved config and
-    each failed cell's reason."""
+    batches one after the other, and metadata with the resolved config, each
+    failed cell's reason and the count of any rows past g_c."""
     started = time.monotonic()
     entry = _REGISTRY[cfg.experiment]
     columns = entry.columns(cfg.engine) + _META_COLUMNS
@@ -662,6 +664,10 @@ def run(cfg: ExperimentConfig) -> Dataset:
         "failures": failures,
         "wall_time_s": round(time.monotonic() - started, 3),
     }
+    if "regime" in columns:  # the frame is README's and oscillator_frame's
+        past = [r[columns.index("regime")] for r in rows].count(Regime.SUPERRADIANT.value)
+        metadata["past_gc"] = {"rows": past, "frame": "the displaced-frame oscillator of "
+                               "stiffness 1 - (g_c/g)^4, the probe prepared at the estimated g"}
     dataset = Dataset(columns, rows, metadata)
     if cfg.experiment == "frequency-scaling" and not failures:
         _attach_slopes(dataset)

@@ -123,17 +123,6 @@ def _extremes(name: str, value) -> tuple:
     return value.min(initial=0.0), value.max(initial=0.0)
 
 
-def squeeze_parameter(params: ModelParams) -> float | np.ndarray:
-    """Squeeze parameter r = ln(1 + 4*lam/omega)/4 of the mode rotation, one
-    per entry of an array lam.  Every entry goes through math.log1p, so an
-    array gives the scalar calls' values: np.log1p differs from it by an
-    ulp on about 2% of arguments."""
-    x = 4.0 * params.lam / params.omega
-    if np.ndim(x):
-        return 0.25 * np.array([math.log1p(v) for v in x.tolist()])
-    return 0.25 * math.log1p(x)
-
-
 def critical_coupling(params: ModelParams) -> float | np.ndarray:
     """Critical coupling g_c = sqrt(1 + 4*lam/omega), one per entry of an
     array lam (np.sqrt and math.sqrt both round correctly)."""

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -360,3 +365,35 @@ class TestCouplingArrays:
             oscillator_frame(params([0.5, 1.0]))
         with pytest.raises(RegimeError):
             x_deriv_g(params([0.5, 1.5]), 1.0)  # normal-only formula, one point past g_c
+
+
+#: qfi_g, var_n and ig_fg_ratio over couplings on both sides of g_c, as bytes
+_KERNEL_PROBE = """
+import numpy as np
+from cqm import ModelParams, ig_fg_ratio, qfi_g, var_n
+g = np.concatenate([np.linspace(0.02, 0.98, 97), np.linspace(1.02, 1.5, 49)])
+lam = np.repeat([0.0, -0.2, 0.1], 49)[:g.size]  # g_c = 1, 0.447 and 1.183
+both = ModelParams(1.0, 1e4, g, lam)
+normal = ModelParams(1.0, 1e4, g[:97], 0.0)
+t = np.linspace(0.0, 1000.0, 7)[:, None]
+values = (qfi_g(both, t), var_n(both), ig_fg_ratio(normal))
+data = b"".join(np.ascontiguousarray(v).tobytes() for v in values)
+"""
+
+
+class TestBlasKernel:
+    def test_closed_forms_do_not_depend_on_the_blas_kernel(self):
+        # the same code here and under Prescott, OpenBLAS's generic x86-64
+        # kernel, which every such CPU can run: a BLAS product in these forms
+        # would let the kernel (with FMA or without) choose their last bits
+        here = {}
+        exec(_KERNEL_PROBE, here)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = _KERNEL_PROBE + "import sys; sys.stdout.buffer.write(data)"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr.decode()
+        assert len(here["data"]) == (7 * 146 + 146 + 97) * 8
+        assert done.stdout == here["data"]

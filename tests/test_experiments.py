@@ -592,15 +592,23 @@ class TestRunner:
 
     def test_header_keys_are_the_run_record(self, tmp_path):
         # the header lost config_hash, cell_rows and cells_failed_now with the
-        # resume cache: the failed-cell count is len(failures)
+        # resume cache: the failed-cell count is len(failures); a run with a
+        # regime column counts its rows past g_c and names their frame
         keys = {"cells_computed", "cells_total", "columns", "config", "engine", "experiment",
                 "failures", "version", "wall_time_s"}
         for name in experiment_ids():
             path = tmp_path / f"{name}.csv"
-            run(tiny(name)).write_csv(str(path))
+            ds = run(tiny(name))
+            ds.write_csv(str(path))
             header = json.loads(path.read_text().partition("\n")[0].removeprefix("# "))
             slopes = {"loglog_slopes"} if name == "frequency-scaling" else set()
-            assert set(header) == keys | slopes, name
+            past_gc = {"past_gc"} if "regime" in ds.columns else set()
+            assert set(header) == keys | slopes | past_gc, name
+        for name, rows in (("qfi-vs-g", 325), ("quadrature-vs-g", 381)):
+            ds = run(build_config(name, engine="closed"))
+            assert ds.metadata["past_gc"]["rows"] == rows
+            assert ds.str_column("regime").count("superradiant") == rows
+            assert "displaced-frame oscillator" in ds.metadata["past_gc"]["frame"]
 
     def test_columns_render_as_17_digit_text(self):
         floats = [0.1, -0.0, 0.0, 1e-310, 2.0**60, np.inf, -np.inf, np.nan, 1 / 3, 0.0, -0.0]

@@ -25,7 +25,7 @@ from cqm import (
     x_variance,
     x_variance_dissipative,
 )
-from cqm.closed_form import _PROBE_COVARIANCE
+from cqm.closed_form import _generator_variance
 from cqm.lindblad import NO_DECAY, REFERENCE_STATE_MOMENTS
 from cqm.model import REGIMES
 
@@ -167,10 +167,14 @@ class TestMomentRhs:
         applied = np.stack([(x @ x + p @ p) @ psi, (x @ x - p @ p) @ psi]) / 2.0
         means = np.real(applied @ psi.conj())
         covariance = np.real(applied.conj() @ applied.T) - np.outer(means, means)
-        # the constant holds the hand-derived values; the dense products
-        # carry the roundoff of the 1/sqrt(2) amplitudes (2 ulp at most)
-        assert np.array_equal(_PROBE_COVARIANCE, np.diag([0.25, 1.0]))
-        assert np.abs(covariance - _PROBE_COVARIANCE).max() <= 1e-15
+        # the closed forms' Var[P^2 - s*X^2] reads the hand-derived diag(1/4, 1);
+        # the dense products carry the roundoff of the 1/sqrt(2) amplitudes
+        # (2 ulp at most)
+        assert np.abs(covariance - np.diag([0.25, 1.0])).max() <= 1e-15
+        s = np.linspace(-1.0, 1.0, 9)
+        v = np.stack([1.0 - s, -(1.0 + s)], axis=1)
+        dense = np.einsum("ki,ij,kj->k", v, covariance, v)
+        assert np.abs(_generator_variance(s) - dense).max() <= 1e-14
 
     def test_g_equation_with_balanced_moments(self):
         frame = oscillator_frame(TUNED)

@@ -13,7 +13,6 @@ from cqm import (
     critical_coupling,
     lambda_for_target_critical,
     oscillator_frame,
-    squeeze_parameter,
     validate,
 )
 from cqm.model import REGIMES
@@ -72,34 +71,6 @@ class TestValidate:
         params(1.3e154)  # omega*g^2 = 1.69e308 still fits
 
 
-class TestSqueezeParameter:
-    def test_zero_without_quadratic_term(self):
-        assert squeeze_parameter(params(0.5)) == 0.0
-
-    def test_tuned_value(self):
-        # 0.25 * ln(0.01), evaluated independently
-        expected = 0.25 * math.log(0.01)
-        assert squeeze_parameter(params(0.1, lam=-0.2475)) == pytest.approx(
-            expected, rel=1e-13
-        )
-
-    def test_positive_quadratic_term(self):
-        expected = 0.25 * math.log(4.0)
-        assert squeeze_parameter(params(0.5, lam=0.75)) == pytest.approx(
-            expected, rel=1e-13
-        )
-
-    @given(lam=st.floats(min_value=-0.24, max_value=2.0))
-    def test_increasing_in_lam_and_zero_at_zero(self, lam):
-        r = squeeze_parameter(params(0.5, lam=lam))
-        if lam > 0:
-            assert r > 0
-        elif lam < 0:
-            assert r < 0
-        else:
-            assert r == 0.0
-
-
 class TestCriticalCoupling:
     def test_unmodified_model(self):
         assert critical_coupling(params(0.5)) == 1.0
@@ -133,28 +104,23 @@ class TestCriticalCoupling:
 class TestArrayLam:
     def test_paired_arrays_are_accepted(self):
         p = ModelParams(1.0, 1e4, [0.2, 0.3], [0.1, -0.2])
-        for fn in (critical_coupling, squeeze_parameter):
-            got = fn(p)
-            assert isinstance(got, np.ndarray) and got.shape == (2,)
-            assert got.tolist() == [fn(params(g, lam=lam)) for g, lam in ((0.2, 0.1), (0.3, -0.2))]
+        got = critical_coupling(p)
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert got.tolist() == [critical_coupling(params(g, lam=lam))
+                                for g, lam in ((0.2, 0.1), (0.3, -0.2))]
 
     def test_scalar_calls_return_python_floats(self):
-        for fn in (critical_coupling, squeeze_parameter):
-            assert type(fn(params(0.5, lam=0.1))) is float
-            assert type(fn(params(0.5, lam=np.float64(0.1)))) is float
+        assert type(critical_coupling(params(0.5, lam=0.1))) is float
+        assert type(critical_coupling(params(0.5, lam=np.float64(0.1)))) is float
 
     def test_every_entry_equals_math_bit_for_bit(self):
-        # np.sqrt rounds as math.sqrt does; np.log1p does not always
-        # (it differs by an ulp on about 2% of arguments), so the squeeze
-        # parameter keeps math.log1p for every entry
+        # np.sqrt rounds as math.sqrt does
         rng = np.random.default_rng(3)
         lams = np.concatenate((rng.uniform(-0.2499, 3.0, 9_000),
                                rng.uniform(-1e-4, 1e-4, 1_000)))
         p = ModelParams(1.0, 1e4, np.zeros_like(lams), lams)
-        gcs, rs = critical_coupling(p), squeeze_parameter(p)
-        for lam, gc, r in zip(lams.tolist(), gcs.tolist(), rs.tolist()):
+        for lam, gc in zip(lams.tolist(), critical_coupling(p).tolist()):
             assert gc == math.sqrt(1.0 + 4.0 * lam) == critical_coupling(params(0.0, lam=lam))
-            assert r == 0.25 * math.log1p(4.0 * lam) == squeeze_parameter(params(0.0, lam=lam))
 
 
 class TestBeyondCriticalFrame:
