@@ -5,9 +5,12 @@ quantum Fisher information about g, the quadrature mean/derivative/variance,
 and the inverted variance with its optimal measurement times and peak values.
 Time arguments broadcast as numpy arrays, and so do couplings: a ModelParams
 whose g is a 1-D array (and lam a number or an array paired with g) gives one
-value per coupling, through the same code as a scalar g (t and the couplings
+value per coupling, bit for bit the value of that g alone (t and the couplings
 broadcast against each other by numpy's rules, so t[:, None] gives a
-time-by-coupling grid).
+time-by-coupling grid).  The formulas raise nothing to a power, squares by
+np.square and cubes as products, so neither libm's pow on a scalar nor numpy's
+CPU-dispatched power on an array picks their bits: only +, -, *, /, sqrt, sin
+and cos do, which round alike on both paths.
 
 Every formula reads one parametrisation, model.oscillator_frame: the
 stiffness s of (omega_bar/2)*(P^2 + s*X^2), its g-derivative ds/dg and the
@@ -60,30 +63,24 @@ def _generator_variance(stiffness):
 # numerically stable trig helpers
 # ----------------------------------------------------------------------
 
-def sin_minus_x_over_x3(x):
-    """(sin(x) - x)/x^3, series -1/6 + x^2/120 - x^4/5040 below the cut.
+def sin_minus_x(x):
+    """sin(x) - x, by the series x^3*(-1/6 + x^2/120 - x^4/5040) below the cut.
 
     The naive difference loses all digits for small x; the two branches agree
     to better than 1e-6 at the crossover x = 1e-4.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUT
-    xs = np.where(small, 1.0, x)  # keep the naive branch division safe
-    naive = (np.sin(xs) - xs) / xs**3
     x2 = x * x
-    series = -1.0 / 6.0 + x2 / 120.0 - x2 * x2 / 5040.0
-    return _unwrap(np.where(small, series, naive))
+    series = x2 * x * (-1.0 / 6.0 + x2 / 120.0 - x2 * x2 / 5040.0)
+    return _unwrap(np.where(np.abs(x) < _SERIES_CUT, series, np.sin(x) - x))
 
 
-def sin_minus_x_cos_over_x3(x):
-    """(sin(x) - x*cos(x))/x^3, series 1/3 - x^2/30 + x^4/840 below the cut."""
+def sin_minus_x_cos(x):
+    """sin(x) - x*cos(x), by the series x^3*(1/3 - x^2/30 + x^4/840) below the cut."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _SERIES_CUT
-    xs = np.where(small, 1.0, x)
-    naive = (np.sin(xs) - xs * np.cos(xs)) / xs**3
     x2 = x * x
-    series = 1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0
-    return _unwrap(np.where(small, series, naive))
+    series = x2 * x * (1.0 / 3.0 - x2 / 30.0 + x2 * x2 / 840.0)
+    return _unwrap(np.where(np.abs(x) < _SERIES_CUT, series, np.sin(x) - x * np.cos(x)))
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +94,8 @@ def var_n(params: ModelParams) -> float:
     epsilon_g (epsilon_g_alpha past g_c).
     """
     frame = oscillator_frame(params)
-    return frame.omega_bar**6 * _generator_variance(frame.stiffness)
+    w = frame.omega_bar
+    return _unwrap(np.square(np.square(w) * w) * _generator_variance(frame.stiffness))
 
 
 def ig_fg_ratio(params: ModelParams) -> float:
@@ -125,10 +123,10 @@ def qfi_g(params: ModelParams, t):
     Omega = 1e4, against the frame's 4.13.
     """
     frame = oscillator_frame(params)
-    t = np.asarray(t, dtype=float)
-    x = np.sqrt(frame.epsilon) * t
-    pref = 4.0 * frame.dstiffness_dg ** 2
-    return _unwrap(pref * (sin_minus_x_over_x3(x) * t**3) ** 2 * var_n(params))
+    eps = frame.epsilon
+    bracket = frame.dstiffness_dg * sin_minus_x(np.sqrt(eps) * np.asarray(t, dtype=float))
+    # / eps before squaring: below eps ~ 1e-103, eps*eps*eps and the squared bracket are 0
+    return _unwrap(4.0 * np.square(bracket / eps) / eps * var_n(params))
 
 
 # ----------------------------------------------------------------------
@@ -151,10 +149,10 @@ def x_deriv_g(params: ModelParams, t):
     -(sqrt(2)/4) * (ds/dg) * s^(-3/2) * [sin(y) - y*cos(y)],  y = sqrt(eps)*t/2.
     """
     frame = oscillator_frame(params, Regime.NORMAL)
-    t = np.asarray(t, dtype=float)
-    y = 0.5 * np.sqrt(frame.epsilon) * t
-    pref = -np.sqrt(2.0) / 4.0 * frame.dstiffness_dg * frame.stiffness**-1.5
-    return _unwrap(pref * sin_minus_x_cos_over_x3(y) * y**3)
+    s = frame.stiffness
+    y = 0.5 * np.sqrt(frame.epsilon) * np.asarray(t, dtype=float)
+    pref = -np.sqrt(2.0) / 4.0 * frame.dstiffness_dg / (s * np.sqrt(s))
+    return _unwrap(pref * sin_minus_x_cos(y))
 
 
 def x_second_moment(params: ModelParams, t):
@@ -180,12 +178,10 @@ def inverted_variance(params: ModelParams, t):
     y = sqrt(eps)*t/2.
     """
     frame = oscillator_frame(params, Regime.NORMAL)
-    t = np.asarray(t, dtype=float)
-    y = 0.5 * np.sqrt(frame.epsilon) * t
-    bracket = sin_minus_x_cos_over_x3(y) * y**3
-    s = np.sin(y)
-    denom = 2.0 + (1.0 / frame.stiffness - 2.0) * s * s
-    return _unwrap(frame.dstiffness_dg**2 * bracket**2 / (4.0 * frame.stiffness**3 * denom))
+    y = 0.5 * np.sqrt(frame.epsilon) * np.asarray(t, dtype=float)
+    s, sin_y = frame.stiffness, np.sin(y)
+    denom = 2.0 + (1.0 / s - 2.0) * sin_y * sin_y
+    return _unwrap(np.square(frame.dstiffness_dg * sin_minus_x_cos(y)) / (4.0 * s * s * s * denom))
 
 
 def optimal_times(params: ModelParams, n_max: int) -> np.ndarray:
@@ -214,5 +210,5 @@ def peak_time(params: ModelParams, n) -> float | np.ndarray:
 def inverted_variance_peak(params: ModelParams, n) -> float | np.ndarray:
     """Peak value I_g(tau_n) = (n*pi*ds/dg)^2 / (8*s^3)."""
     frame = oscillator_frame(params, Regime.NORMAL)
-    n = np.asarray(n, dtype=float)
-    return _unwrap((n * np.pi * frame.dstiffness_dg) ** 2 / (8.0 * frame.stiffness**3))
+    n, s = np.asarray(n, dtype=float), frame.stiffness
+    return _unwrap(np.square(n * np.pi * frame.dstiffness_dg) / (8.0 * s * s * s))

@@ -10,8 +10,8 @@ units of the boson frequency omega (= 1).  Outputs are CSV files with a
 '#'-prefixed JSON metadata header carrying the full resolved config, so a
 dataset can be regenerated byte-identically on one machine (the wall time
 field is the only non-deterministic entry).  Closed-engine columns depend on
-no BLAS kernel or thread count, oracle columns on both; whether numpy's own
-SIMD loops (sin, log10) differ across CPUs is unverified.
+no BLAS kernel or thread count, oracle columns on both; numpy's CPU dispatch
+moves only qfi-map's log10_qfi and decoherence's closed columns (log10, exp).
 
 Every experiment is one entry of ``_REGISTRY``: its config keys, its
 engines, how its config splits into cells, its output columns per engine,

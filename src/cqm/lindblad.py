@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidParams
-from .closed_form import sin_minus_x_cos_over_x3, x_deriv_g, x_mean
+from .closed_form import sin_minus_x_cos, x_deriv_g, x_mean
 from .model import (REGIMES, ModelParams, OscillatorFrame, Regime, _one_point, _unwrap,
                     oscillator_frame)
 from .model import effective_oscillator  # noqa: F401 (perfbench/selftest.py traces it here)
@@ -205,7 +205,6 @@ def inverted_variance_dissipative(params: ModelParams, rates: DecayRates, t):
     the braces' relaxation terms to lower the late peaks.
     """
     frame, t = _damped_frame(params, rates, t)
-    y = 0.5 * np.sqrt(frame.epsilon) * t
-    bracket = sin_minus_x_cos_over_x3(y) * y**3
-    braces = _variance_braces(frame, rates, t)
-    return _unwrap(frame.dstiffness_dg**2 * bracket**2 / (2.0 * frame.stiffness**3 * braces))
+    bracket = frame.dstiffness_dg * sin_minus_x_cos(0.5 * np.sqrt(frame.epsilon) * t)
+    s, braces = frame.stiffness, _variance_braces(frame, rates, t)
+    return _unwrap(np.square(bracket) / (2.0 * s * s * s * braces))

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 
 from cqm import (
     PROBE_AMPLITUDES,
+    DecayRates,
     InvalidParams,
     ModelParams,
     Regime,
     RegimeError,
     ig_fg_ratio,
     inverted_variance,
+    inverted_variance_dissipative,
     inverted_variance_peak,
     optimal_times,
     oscillator_frame,
@@ -26,8 +28,7 @@ from cqm import (
     x_second_moment,
     x_variance,
 )
-from cqm.closed_form import (_generator_variance, peak_indices, sin_minus_x_cos_over_x3,
-                             sin_minus_x_over_x3)
+from cqm.closed_form import _generator_variance, peak_indices, sin_minus_x, sin_minus_x_cos
 from cqm.model import REGIMES
 
 
@@ -85,21 +86,19 @@ class TestVarN:
 
 class TestStableTrig:
     def test_series_and_naive_agree_at_crossover(self):
-        for x in (1e-4, 1.0000001e-4, 2e-4):
-            naive = (np.sin(x) - x) / x**3
-            assert sin_minus_x_over_x3(x) == pytest.approx(naive, rel=1e-6)
-            naive2 = (np.sin(x) - x * np.cos(x)) / x**3
-            assert sin_minus_x_cos_over_x3(x) == pytest.approx(naive2, rel=1e-6)
+        for x in (0.99999e-4, 1e-4, 1.0000001e-4, 2e-4):  # the first on the series side
+            assert sin_minus_x(x) == pytest.approx(np.sin(x) - x, rel=1e-6)
+            assert sin_minus_x_cos(x) == pytest.approx(np.sin(x) - x * np.cos(x), rel=1e-6)
 
     def test_small_argument_limits(self):
-        assert sin_minus_x_over_x3(0.0) == pytest.approx(-1 / 6)
-        assert sin_minus_x_cos_over_x3(0.0) == pytest.approx(1 / 3)
+        assert sin_minus_x(0.0) == 0.0 and sin_minus_x_cos(0.0) == 0.0
         for x in (1e-8, 1e-6, 1e-5):
-            assert sin_minus_x_over_x3(x) == pytest.approx(-1 / 6, rel=1e-9)
+            assert sin_minus_x(x) / (x * x * x) == pytest.approx(-1 / 6, rel=1e-9)
+            assert sin_minus_x_cos(x) / (x * x * x) == pytest.approx(1 / 3, rel=1e-9)
 
     def test_no_cancellation_blowup_below_crossover(self):
         xs = np.logspace(-8, -4, 50)
-        vals = sin_minus_x_over_x3(xs)
+        vals = sin_minus_x(xs) / (xs * xs * xs)
         assert np.all(np.abs(vals + 1 / 6) < 1e-8)
 
 
@@ -107,6 +106,10 @@ class TestQfi:
     def test_zero_time_zero_information(self):
         p = params(0.099, lam=-0.2475)
         assert qfi_g(p, 0.0) == 0.0
+
+    def test_a_gap_whose_cube_underflows_gives_zero_not_nan(self):
+        # eps = 3e-120: eps^3 underflows to 0, and so does the squared bracket
+        assert qfi_g(ModelParams(omega=1e-60, Omega=1e4, g=0.5), 1.0) == 0.0
 
     def test_closer_coupling_larger_qfi(self):
         values = [qfi_g(params(g, lam=-0.2475), 1000.0) for g in (0.097, 0.098, 0.099)]
@@ -306,9 +309,26 @@ class TestRatio:
             assert peak / qfi == pytest.approx(ratio, rel=1e-12)
 
 
+def assert_array_calls_match_scalar_calls(p, points, t):
+    """Every closed form gives, for the couplings of ``p``, exactly the values
+    it gives for each of ``points`` alone; the normal-regime forms on the
+    normal-regime entries."""
+    normal = [oscillator_frame(q, *REGIMES).regime is Regime.NORMAL for q in points]
+    p_normal = ModelParams(p.omega, p.Omega, p.g[normal],
+                           p.lam[normal] if np.ndim(p.lam) else p.lam)
+    normal_points = [q for q, n in zip(points, normal) if n]
+    rates = DecayRates(gamma_plus=0.03, gamma_minus=0.01)
+    for form in (var_n, lambda q: qfi_g(q, t), lambda q: x_mean(q, t)):
+        np.testing.assert_array_equal(form(p), [form(q) for q in points])
+    for form in (lambda q: x_deriv_g(q, t), lambda q: x_variance(q, t),
+                 lambda q: inverted_variance(q, t), lambda q: inverted_variance_peak(q, 7),
+                 lambda q: inverted_variance_dissipative(q, rates, t)):
+        np.testing.assert_array_equal(form(p_normal), [form(q) for q in normal_points])
+
+
 class TestCouplingArrays:
-    """A ModelParams with an array of couplings goes through the same code as
-    one coupling at a time, on both sides of g_c."""
+    """A ModelParams with an array of couplings gives the same bits as one
+    coupling at a time, on both sides of g_c."""
 
     @given(lam=lam_strategy, fracs=st.lists(st.floats(0.0, 3.0), max_size=10),
            t=st.floats(0.0, 1000.0))
@@ -322,14 +342,10 @@ class TestCouplingArrays:
         frame = oscillator_frame(p)
         frames = [oscillator_frame(q) for q in scalars]
         for field in ("epsilon_g", "stiffness", "dstiffness_dg", "epsilon"):
-            np.testing.assert_allclose(getattr(frame, field),
-                                       [getattr(f, field) for f in frames], rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(getattr(frame, field),
+                                          [getattr(f, field) for f in frames])
         assert list(frame.regime) == [f.regime for f in frames]
-        np.testing.assert_allclose(var_n(p), [var_n(q) for q in scalars], rtol=1e-15, atol=0)
-        np.testing.assert_allclose(qfi_g(p, t), [qfi_g(q, t) for q in scalars],
-                                   rtol=1e-15, atol=0)
-        np.testing.assert_allclose(x_mean(p, t), [x_mean(q, t) for q in scalars],
-                                   rtol=1e-15, atol=0)
+        assert_array_calls_match_scalar_calls(p, scalars, t)
 
     def test_lam_pairs_match_scalar_calls(self):
         # lam paired with g entry by entry, across rows of lam and both sides of g_c
@@ -338,11 +354,7 @@ class TestCouplingArrays:
         t = 300.0
         p = params(g, lam=lam)
         points = [params(float(a), lam=float(b)) for a, b in zip(g, lam)]
-        np.testing.assert_allclose(var_n(p), [var_n(q) for q in points], rtol=1e-15, atol=0)
-        np.testing.assert_allclose(qfi_g(p, t), [qfi_g(q, t) for q in points],
-                                   rtol=1e-15, atol=0)
-        np.testing.assert_allclose(x_mean(p, t), [x_mean(q, t) for q in points],
-                                   rtol=1e-15, atol=0)
+        assert_array_calls_match_scalar_calls(p, points, t)
 
     def test_couplings_are_read_only_and_frames_repeat(self):
         gs = np.array([0.2, 0.4])
@@ -367,33 +379,59 @@ class TestCouplingArrays:
             x_deriv_g(params([0.5, 1.5]), 1.0)  # normal-only formula, one point past g_c
 
 
-#: qfi_g, var_n and ig_fg_ratio over couplings on both sides of g_c, as bytes
+#: The closed forms over couplings on both sides of g_c (the normal-regime
+#: forms on the normal couplings), as bytes
 _KERNEL_PROBE = """
 import numpy as np
-from cqm import ModelParams, ig_fg_ratio, qfi_g, var_n
+from cqm import (ModelParams, ig_fg_ratio, inverted_variance, inverted_variance_peak, qfi_g,
+                 var_n, x_deriv_g, x_mean, x_variance)
 g = np.concatenate([np.linspace(0.02, 0.98, 97), np.linspace(1.02, 1.5, 49)])
 lam = np.repeat([0.0, -0.2, 0.1], 49)[:g.size]  # g_c = 1, 0.447 and 1.183
 both = ModelParams(1.0, 1e4, g, lam)
 normal = ModelParams(1.0, 1e4, g[:97], 0.0)
 t = np.linspace(0.0, 1000.0, 7)[:, None]
-values = (qfi_g(both, t), var_n(both), ig_fg_ratio(normal))
+values = (qfi_g(both, t), var_n(both), x_mean(both, t), ig_fg_ratio(normal),
+          x_deriv_g(normal, t), x_variance(normal, t), inverted_variance(normal, t),
+          inverted_variance_peak(normal, np.arange(1.0, 8.0)[:, None]))
 data = b"".join(np.ascontiguousarray(v).tobytes() for v in values)
 """
 
 
+@pytest.fixture(scope="module")
+def probe_bytes():
+    """_KERNEL_PROBE's bytes in this process."""
+    here = {}
+    exec(_KERNEL_PROBE, here)
+    assert len(here["data"]) == (15 * 146 + 97 + 28 * 97) * 8
+    return here["data"]
+
+
+def probe_bytes_under(**variables) -> bytes:
+    """_KERNEL_PROBE's bytes from a fresh interpreter with ``variables`` added
+    to the environment."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **variables,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = _KERNEL_PROBE + "import sys; sys.stdout.buffer.write(data)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    return done.stdout
+
+
 class TestBlasKernel:
-    def test_closed_forms_do_not_depend_on_the_blas_kernel(self):
+    def test_closed_forms_do_not_depend_on_the_blas_kernel(self, probe_bytes):
         # the same code here and under Prescott, OpenBLAS's generic x86-64
         # kernel, which every such CPU can run: a BLAS product in these forms
         # would let the kernel (with FMA or without) choose their last bits
-        here = {}
-        exec(_KERNEL_PROBE, here)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = _KERNEL_PROBE + "import sys; sys.stdout.buffer.write(data)"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr.decode()
-        assert len(here["data"]) == (7 * 146 + 146 + 97) * 8
-        assert done.stdout == here["data"]
+        assert probe_bytes_under(OPENBLAS_CORETYPE="Prescott") == probe_bytes
+
+
+class TestSimdDispatch:
+    def test_closed_forms_do_not_depend_on_numpys_simd_dispatch(self, probe_bytes):
+        # the same code here and with numpy's AVX-512 loops turned off: on a CPU
+        # that has them numpy evaluates power, exp and log10 by them, with other
+        # last bits, while +, -, *, /, sqrt, sin and cos round alike.  numpy
+        # ignores a named feature the CPU lacks; naming its baseline is an error
+        disabled = "X86_V4 AVX512_ICL AVX512_SPR"
+        assert probe_bytes_under(NPY_DISABLE_CPU_FEATURES=disabled) == probe_bytes
