@@ -9,9 +9,8 @@ A run is its experiment's defaults with any --set key=value overrides, in
 units of the boson frequency omega (= 1).  Outputs are CSV files with a
 '#'-prefixed JSON metadata header carrying the full resolved config, so a
 dataset can be regenerated byte-identically on one machine (the wall time
-field is the only non-deterministic entry).  Closed-engine columns depend on
-no BLAS kernel or thread count, oracle columns on both; numpy's CPU dispatch
-moves only qfi-map's log10_qfi and decoherence's closed columns (log10, exp).
+field is the only non-deterministic entry).  No BLAS kernel, thread count or
+numpy SIMD loop moves a closed column; README's table names the oracle ones.
 
 Every experiment is one entry of ``_REGISTRY``: its config keys, its
 engines, how its config splits into cells, its output columns per engine,
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InvalidParams, NonFinite, NonPositiveData
-from .model import REGIMES, ModelParams, Regime, _regime_index, oscillator_frame
+from .model import REGIMES, ModelParams, Regime, _libm, _regime_index, oscillator_frame
 from .model import effective_oscillator  # noqa: F401 (perfbench/selftest.py traces it here)
 from . import closed_form as cf
 from . import fock
@@ -201,7 +200,7 @@ def _qfi_map(cfg: ExperimentConfig, cells: list[dict]) -> dict:
     gs, rows = cfg.values["g"], len(cells)
     lam = np.repeat([cell["lam"] for cell in cells], len(gs))
     cols, qfi = _qfi(cfg.values, lam, np.tile(gs, rows))
-    return {**cols, "log10_qfi": np.log10(qfi), "cell": np.repeat(np.arange(rows), len(gs))}
+    return {**cols, "log10_qfi": _libm("log10", qfi), "cell": np.repeat(np.arange(rows), len(gs))}
 
 
 def _quadrature_vs_g(cfg: ExperimentConfig, cells: list[dict]) -> dict:

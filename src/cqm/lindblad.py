@@ -6,15 +6,15 @@ m = (<X>, <P>, <X^2>, <P^2>, <G>) with G = XP + PX, held as arrays in that
 order.  This module writes the coupled linear moment equations once, as
 the augmented matrix of moment_generator, propagates them and their
 g-derivatives exactly from the probe's moments at t = 0 onto a time grid
-(integrate_moments, used as an independent check), and gives the explicit
-solutions for <X>_t, d<X>_t/dg, (Delta X)^2_t and the dissipative inverted
-variance at times >= 0.  Both read model.oscillator_frame (stiffness s,
-ds/dg, gap epsilon): the explicit solutions for the normal regime alone, as
-closed_form does, and the moment equations for every regime, so past g_c
-they evolve the displaced-frame oscillator x_mean describes.  Every equation
-reads the rates as gamma_+- = gamma_a +- gamma_h, as DecayRates holds them,
-and every closed form reduces pointwise to its unitary counterpart at
-gamma_+ = gamma_- = 0.
+(integrate_moments, the independent check), and gives the explicit solutions
+for <X>_t, d<X>_t/dg, (Delta X)^2_t and the inverted variance at t >= 0.
+Both read model.oscillator_frame (stiffness s, ds/dg, gap epsilon): the
+explicit solutions for the normal regime alone, as closed_form does, and the
+moment equations for every regime, so past g_c they evolve the
+displaced-frame oscillator x_mean describes.  Every equation reads the rates
+as gamma_+- = gamma_a +- gamma_h, as DecayRates holds them.  Every closed
+form reduces to its unitary counterpart at gamma_+ = gamma_- = 0 and takes
+its exp and expm1 from libm (model._libm): numpy's CPU dispatch moves no bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .closed_form import sin_minus_x_cos, x_deriv_g, x_mean
-from .model import (REGIMES, ModelParams, OscillatorFrame, Regime, _one_point, _unwrap,
+from .model import (REGIMES, ModelParams, OscillatorFrame, Regime, _libm, _one_point, _unwrap,
                     oscillator_frame)
 from .model import effective_oscillator  # noqa: F401 (perfbench/selftest.py traces it here)
 
@@ -116,13 +116,13 @@ def integrate_moments(params: ModelParams, rates: DecayRates,
     flow[:6, :6] = flow[6:, 6:] = a
     flow[1, 6] = flow[3, 10] = -deps / (4.0 * frame.omega_bar)
     flow[4, 8] = -deps / (2.0 * frame.omega_bar)
-    dts = np.diff(ts, prepend=0.0)[:, None, None]
-    steps, derivs = _expm(a * dts), _expm(flow * dts)[:, :6, 6:]
+    dts, which = np.unique(np.diff(ts, prepend=0.0), return_inverse=True)  # equal steps, one exp
+    steps, derivs = _expm(a * dts[:, None, None]), _expm(flow * dts[:, None, None])[:, :6, 6:]
     out = np.zeros((len(ts) + 1, 2, 6))  # (m, 1) and its g-derivative
     out[0, 0] = [*REFERENCE_STATE_MOMENTS, 1.0]
-    for i, (step, deriv) in enumerate(zip(steps, derivs)):
-        out[i + 1, 0] = step @ out[i, 0]
-        out[i + 1, 1] = step @ out[i, 1] + deriv @ out[i, 0]
+    for i, k in enumerate(which):
+        out[i + 1, 0] = steps[k] @ out[i, 0]
+        out[i + 1, 1] = steps[k] @ out[i, 1] + derivs[k] @ out[i, 0]
     return out[1:, 0, :5], out[1:, 1, :5]
 
 
@@ -148,13 +148,13 @@ def _damped_frame(params: ModelParams, rates: DecayRates,
 def x_mean_dissipative(params: ModelParams, rates: DecayRates, t):
     """<X>_t with damping: the unitary result times exp(-gamma_-*t/2)."""
     _, t = _damped_frame(params, rates, t)
-    return _unwrap(x_mean(params, t) * np.exp(-0.5 * rates.gamma_minus * t))
+    return _unwrap(x_mean(params, t) * _libm("exp", -0.5 * rates.gamma_minus * t))
 
 
 def x_deriv_g_dissipative(params: ModelParams, rates: DecayRates, t):
     """d<X>_t/dg with damping; the rates carry no g dependence."""
     _, t = _damped_frame(params, rates, t)
-    return _unwrap(x_deriv_g(params, t) * np.exp(-0.5 * rates.gamma_minus * t))
+    return _unwrap(x_deriv_g(params, t) * _libm("exp", -0.5 * rates.gamma_minus * t))
 
 
 def _expm1_over(gamma_minus: float, t: np.ndarray) -> np.ndarray:
@@ -162,7 +162,7 @@ def _expm1_over(gamma_minus: float, t: np.ndarray) -> np.ndarray:
     gt = gamma_minus * t
     small = np.abs(gt) < 1e-6
     safe = np.where(small, 1.0, gamma_minus)
-    return np.where(small, t * (1.0 + 0.5 * gt), np.expm1(gt) / safe)
+    return np.where(small, t * (1.0 + 0.5 * gt), _libm("expm1", gt) / safe)
 
 
 def _variance_braces(frame: OscillatorFrame, rates: DecayRates, t: np.ndarray) -> np.ndarray:
@@ -193,7 +193,7 @@ def x_variance_dissipative(params: ModelParams, rates: DecayRates, t):
     tracks the exactly propagated moment equations at finite rates.
     """
     frame, t = _damped_frame(params, rates, t)
-    return _unwrap(0.25 * _variance_braces(frame, rates, t) * np.exp(-rates.gamma_minus * t))
+    return _unwrap(0.25 * _variance_braces(frame, rates, t) * _libm("exp", -rates.gamma_minus * t))
 
 
 def inverted_variance_dissipative(params: ModelParams, rates: DecayRates, t):

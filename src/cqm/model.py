@@ -146,6 +146,15 @@ def _unwrap(value):
     return value if getattr(value, "ndim", 0) else float(value)
 
 
+def _libm(name: str, x) -> np.ndarray:
+    """np.<name> of ``x`` (its inf or nan, and its warning, alike on any CPU) with each
+    finite entry replaced by math.<name>'s, so numpy's SIMD dispatch decides no bit."""
+    y = np.array(getattr(np, name)(x), dtype=float)
+    finite = np.isfinite(y)
+    y[finite] = list(map(getattr(math, name), np.asarray(x, dtype=float)[finite].tolist()))
+    return y
+
+
 def _one_point(params: ModelParams) -> None:
     """InvalidParams naming g if ``params`` holds an array of couplings: the
     Fock-space and moment-equation engines evolve one (g, lam) point a call."""

@@ -380,19 +380,27 @@ class TestCouplingArrays:
 
 
 #: The closed forms over couplings on both sides of g_c (the normal-regime
-#: forms on the normal couplings), as bytes
+#: and damped forms on the normal couplings) and the qfi-map default's
+#: log10_qfi, as bytes
 _KERNEL_PROBE = """
 import numpy as np
-from cqm import (ModelParams, ig_fg_ratio, inverted_variance, inverted_variance_peak, qfi_g,
-                 var_n, x_deriv_g, x_mean, x_variance)
+from cqm import (DecayRates, ModelParams, ig_fg_ratio, inverted_variance,
+                 inverted_variance_dissipative, inverted_variance_peak, qfi_g, var_n, x_deriv_g,
+                 x_deriv_g_dissipative, x_mean, x_mean_dissipative, x_variance,
+                 x_variance_dissipative)
+from cqm.experiments import build_config, run
 g = np.concatenate([np.linspace(0.02, 0.98, 97), np.linspace(1.02, 1.5, 49)])
 lam = np.repeat([0.0, -0.2, 0.1], 49)[:g.size]  # g_c = 1, 0.447 and 1.183
 both = ModelParams(1.0, 1e4, g, lam)
 normal = ModelParams(1.0, 1e4, g[:97], 0.0)
 t = np.linspace(0.0, 1000.0, 7)[:, None]
+rates = DecayRates(gamma_plus=0.03, gamma_minus=0.01)  # the decoherence defaults'
 values = (qfi_g(both, t), var_n(both), x_mean(both, t), ig_fg_ratio(normal),
           x_deriv_g(normal, t), x_variance(normal, t), inverted_variance(normal, t),
-          inverted_variance_peak(normal, np.arange(1.0, 8.0)[:, None]))
+          inverted_variance_peak(normal, np.arange(1.0, 8.0)[:, None]),
+          *(f(normal, rates, t) for f in (x_mean_dissipative, x_deriv_g_dissipative,
+                                          x_variance_dissipative, inverted_variance_dissipative)),
+          run(build_config("qfi-map")).column("log10_qfi"))
 data = b"".join(np.ascontiguousarray(v).tobytes() for v in values)
 """
 
@@ -402,7 +410,7 @@ def probe_bytes():
     """_KERNEL_PROBE's bytes in this process."""
     here = {}
     exec(_KERNEL_PROBE, here)
-    assert len(here["data"]) == (15 * 146 + 97 + 28 * 97) * 8
+    assert len(here["data"]) == (15 * 146 + 97 + 56 * 97 + 13_900) * 8
     return here["data"]
 
 
@@ -430,8 +438,9 @@ class TestBlasKernel:
 class TestSimdDispatch:
     def test_closed_forms_do_not_depend_on_numpys_simd_dispatch(self, probe_bytes):
         # the same code here and with numpy's AVX-512 loops turned off: on a CPU
-        # that has them numpy evaluates power, exp and log10 by them, with other
-        # last bits, while +, -, *, /, sqrt, sin and cos round alike.  numpy
-        # ignores a named feature the CPU lacks; naming its baseline is an error
+        # that has them numpy evaluates power, exp, expm1 and log10 by them, with
+        # other last bits, while +, -, *, /, sqrt, sin and cos round alike, so the
+        # damped envelopes and log10_qfi take libm's.  numpy ignores a named
+        # feature the CPU lacks; naming its baseline is an error
         disabled = "X86_V4 AVX512_ICL AVX512_SPR"
         assert probe_bytes_under(NPY_DISABLE_CPU_FEATURES=disabled) == probe_bytes

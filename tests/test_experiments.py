@@ -122,7 +122,11 @@ class TestConfig:
         ("quadrature-vs-g", ["lam=1e308", "g=0.5"], 2, None),
         ("quadrature-vs-g", ["lam=1e300", "g=0.5"], 0, ["ok"]),
         ("qfi-vs-g", ["lam=1e300"], 3, ["failed:RuntimeWarning"] * 200),
-    ], ids=["overrides0-2", "overrides1-2", "overrides2-0", "qfi-vs-g-lam1e300-3"])
+        ("qfi-map", ["g=0,0.5,1.0", "lam=0,0.1"], 3, ["failed:RuntimeWarning"] * 2),
+        ("decoherence", ["gamma_minus=100", "gamma_plus=100"], 3,
+         ["failed:RuntimeWarning"] * 2),
+    ], ids=["overrides0-2", "overrides1-2", "overrides2-0", "qfi-vs-g-lam1e300-3",
+            "qfi-map-qfi0-3", "decoherence-expm1-overflow-3"])
     def test_a_run_ends_alike_under_any_warning_filter(self, tmp_path, experiment, overrides,
                                                        code, statuses):
         # g = 1e308 wrote three ok rows under the default filter and three
@@ -131,7 +135,10 @@ class TestConfig:
         # lam = 1e300 overflowed only in the frame's unused past-g_c branch of
         # quadrature-vs-g; in qfi-vs-g var_n's omega_bar**6 overflows, which
         # wrote failed:NonFinite rows under the default filter and now fails
-        # each cell with its RuntimeWarning under any filter
+        # each cell with its RuntimeWarning under any filter.  log10_qfi and the
+        # damped envelopes take libm's values, but a QFI of 0 and an expm1 that
+        # overflows keep numpy's RuntimeWarning, not math's ValueError or
+        # OverflowError
         outcomes = []
         for action in ("default", "error", "ignore"):
             out = tmp_path / f"{action}.csv"

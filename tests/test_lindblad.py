@@ -25,6 +25,7 @@ from cqm import (
     x_variance,
     x_variance_dissipative,
 )
+from cqm import lindblad
 from cqm.closed_form import _generator_variance
 from cqm.lindblad import NO_DECAY, REFERENCE_STATE_MOMENTS
 from cqm.model import REGIMES
@@ -252,6 +253,20 @@ class TestIntegrateMoments:
         coarse, _ = integrate_moments(TUNED, REFERENCE_RATES, [0.0, 20 * tau1])
         scale = np.abs(fine).max(axis=0)
         assert np.abs(coarse[-1] - fine[-1]).max() < 1e-12 * scale.max()
+
+    @pytest.mark.parametrize("p, distinct", [(PLAIN, 15), (TUNED, 16)], ids=["plain", "tuned"])
+    def test_each_distinct_step_is_exponentiated_once(self, monkeypatch, p, distinct):
+        # the decoherence defaults' 600 times take 15 and 16 distinct steps;
+        # equal steps have equal exponentials, which _expm took 600 at a time
+        def counted(a):
+            sizes.append(len(a))
+            return expm(a)
+
+        sizes, expm = [], lindblad._expm
+        monkeypatch.setattr(lindblad, "_expm", counted)
+        ts = np.linspace(0.0, 10.0, 600) * float(optimal_times(p, 1)[0])
+        integrate_moments(p, REFERENCE_RATES, ts)
+        assert sizes == [distinct, distinct]
 
     def test_bad_grid_rejected(self):
         # the flow runs forward from t = 0, so [0.0] alone is a grid
